@@ -16,9 +16,10 @@ report `"correct": false` and exit 1. Requests that exit non-zero or raise
 count as failed, not wrong.
 
 --trace 0 prints the end-to-end metrics, with every timing scaled to a
-reference machine speed (see CALIBRATION_REF_MS). --trace 1 sends each
-request twice back to back, traced and untraced, and prints the per-layer
-metrics of the traced requests plus the tracing overhead; the spans go to
+reference machine speed (see CALIBRATION_REF_MS). --trace 1 pairs each
+request with an untraced twin of the same shape generated from its own inputs,
+sends the two back to back, and prints the per-layer metrics of the traced
+requests plus the tracing overhead; the spans go to
 .perfbench_work/trace-<workload>-<seed>.jsonl.
 
 The last line of stdout is one JSON object with the keys correct, attempted,
@@ -68,7 +69,12 @@ WIDTH_PROBES = {
     ),
 }
 
-IMPORT_SAMPLES = 3
+# setup_s is the median import time of sharpq.cli over IMPORT_SAMPLES fresh
+# interpreters plus the median time to generate and write one round's inputs
+# over at least GEN_SAMPLES rounds (extra rounds come from their own seeded
+# generator and are not sent). Each sample is scaled to the reference speed.
+IMPORT_SAMPLES = 15
+GEN_SAMPLES = 7
 
 LAYERS = ("cli", "epquery", "relstore", "compilepipe", "equiv", "decomp", "sharpcore")
 
@@ -99,35 +105,68 @@ def calibration_ms():
     return statistics.median(samples)
 
 
+def reference_scale(before_ms, after_ms):
+    """Factor that scales a timing to the reference speed, from calibrations
+    right before and after it."""
+    return 2 * CALIBRATION_REF_MS / (before_ms + after_ms)
+
+
 def import_seconds():
-    """Median time to import sharpq.cli in a fresh interpreter."""
-    code = ("import time; t = time.perf_counter(); import sharpq.cli; "
-            "print(time.perf_counter() - t)")
+    """Time to import sharpq.cli in a fresh interpreter, scaled to the
+    reference speed by calibrations in that interpreter: the host's speed
+    phases change within a second, so the parent's calibration tracks the
+    child's speed poorly."""
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); import run; "
+            "run.calibration_ms(); before = run.calibration_ms(); "
+            "t = time.perf_counter(); import sharpq.cli; seconds = time.perf_counter() - t; "
+            "print(seconds * run.reference_scale(before, run.calibration_ms()))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    samples = []
-    for _ in range(IMPORT_SAMPLES):
-        done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
-                              capture_output=True, text=True, timeout=60, check=True)
-        samples.append(float(done.stdout))
-    return statistics.median(samples)
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=60, check=True)
+    return float(done.stdout)
 
 
-def prepare_round(reference, rng, workload, round_no, workdir):
-    """Generate and write one round's inputs. Returns (requests, seconds spent
-    generating and writing); the reference answers are computed afterwards."""
+def write_round(rng, workload, round_no, workdir):
+    """Generate and write one round's inputs. Returns (requests, seconds)."""
     start = time.perf_counter()
     requests = workloads.WORKLOADS[workload](rng, round_no)
     for req in requests:
         for name, text in req["files"].items():
             (workdir / name).write_text(text, encoding="utf-8")
-    elapsed = time.perf_counter() - start
+    return requests, time.perf_counter() - start
+
+
+def bind(reference, requests, workdir):
+    """Point each request's argv at its written files and compute the
+    reference answers of the count requests."""
     for req in requests:
         req["argv"] = [str(workdir / a) if a in req["files"] else a for a in req["argv"]]
         del req["files"]
         if req["check"]["kind"] not in ("minimize", "qaw"):
             req["check"] = {"kind": req["check"]["kind"],
                             "expected": reference.expected_count(req["check"])}
-    return requests, elapsed
+    return requests
+
+
+def set_up(reference, args, workdir, rounds):
+    """The run's requests, and setup_s (None with --trace 1)."""
+    rng = random.Random(args.seed)
+    if args.trace:  # round r is traced, round rounds + r is its untraced twin
+        return [req for r in range(2 * rounds)
+                for req in bind(reference, write_round(rng, args.workload, r, workdir)[0],
+                                workdir)], None
+    import_s = [import_seconds() for _ in range(IMPORT_SAMPLES)]
+    gen_s, requests = [], []
+    before = calibration_ms()
+    spare = random.Random(f"setup-{args.seed}")
+    for r in range(max(rounds, GEN_SAMPLES)):
+        reqs, seconds = write_round(rng if r < rounds else spare, args.workload, r, workdir)
+        after = calibration_ms()
+        gen_s.append(seconds * reference_scale(before, after))
+        before = after
+        if r < rounds:
+            requests += bind(reference, reqs, workdir)
+    return requests, statistics.median(import_s) + statistics.median(gen_s)
 
 
 def send(cli, argv):
@@ -160,21 +199,22 @@ def run_calibrated(cli, reference, requests):
     for req in requests:
         rec = run_one(cli, reference, req)
         after = calibration_ms()
-        rec["scale"] = 2 * CALIBRATION_REF_MS / (before + after)
+        rec["scale"] = reference_scale(before, after)
         records.append(rec)
         before = after
     return records
 
 
-def run_traced(cli, reference, requests, tracer):
-    """Each request twice back to back, traced and untraced, alternating which
-    of the two goes first so that neither gains from going second. Returns
-    (traced records, untraced records)."""
+def run_traced(cli, reference, requests, twins, tracer):
+    """Each request back to back with its untraced twin, which has the same
+    shape but its own query and structure text, alternating which of the two
+    goes first so that neither gains from going second. Returns (traced
+    records, untraced records)."""
     traced, untraced = [], []
-    for i, req in enumerate(requests):
+    for i, (req, twin) in enumerate(zip(requests, twins)):
         for with_trace in ((True, False) if i % 2 == 0 else (False, True)):
             if not with_trace:
-                untraced.append(run_one(cli, reference, req))
+                untraced.append(run_one(cli, reference, twin))
                 continue
             tracer.install()
             tracer.request = i
@@ -298,23 +338,16 @@ def measure(args, workdir):
     import reference
     import spans
 
-    rng = random.Random(args.seed)
     rounds = max(1, round(args.seconds / ROUND_SECONDS[args.workload]))
-    if args.trace:  # every request runs twice, traced and untraced
+    if args.trace:  # every request runs twice, traced and as an untraced twin
         rounds = max(1, rounds // 2)
-    cal_before = calibration_ms()
-    import_s = import_seconds()
-    requests, gen_s = [], []
-    for round_no in range(rounds):
-        reqs, seconds = prepare_round(reference, rng, args.workload, round_no, workdir)
-        requests.extend(reqs)
-        gen_s.append(seconds)
-    setup_scale = 2 * CALIBRATION_REF_MS / (cal_before + calibration_ms())
-    setup_s = (import_s + statistics.median(gen_s)) * setup_scale
+    requests, setup_s = set_up(reference, args, workdir, rounds)
 
     if args.trace:
         tracer = spans.Tracer()
-        measured, untraced = run_traced(cli, reference, requests, tracer)
+        half = len(requests) // 2
+        requests, twins = requests[:half], requests[half:]
+        measured, untraced = run_traced(cli, reference, requests, twins, tracer)
         tracer.write(WORK / f"trace-{args.workload}-{args.seed}.jsonl",
                      [{"id": i, **r} for i, r in enumerate(measured)])
         metrics = per_layer(tracer, measured, untraced, requests)

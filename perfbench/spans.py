@@ -21,20 +21,18 @@ import sharpq.decomp
 import sharpq.epquery
 import sharpq.sharpcore
 
-# Pairs with more orderings than minimize_ep's default canon_cap are refused
-# before a single relabeling is tried.
-_CANON_CAP = 200000
-
-
 def _core_of(tr, args, kwargs, result):
     tr.count("equiv.core_of.elems_in", len(args[0].struct.universe))
     tr.count("equiv.core_of.elems_out", len(result.struct.universe))
-    if tr.inside("compilepipe.canonical_lc"):
-        n_lib = len(result.liberal)
-        n_quant = len(result.struct.universe) - n_lib
-        orderings = math.factorial(n_lib) * math.factorial(n_quant)
-        if orderings <= _CANON_CAP:
-            tr.count("compilepipe.canonical_lc.relabelings", orderings)
+
+
+def _canonical_pair(tr, args, kwargs, result):
+    # Counted only when the relabeling ran: a pair over canon_cap raises
+    # before trying any ordering, and the hook is not reached.
+    n_lib = len(args[0].liberal)
+    n_quant = len(args[0].struct.universe) - n_lib
+    tr.count("compilepipe.canonical_lc.relabelings",
+             math.factorial(n_lib) * math.factorial(n_quant))
 
 
 def _exact_treewidth(tr, args, kwargs, result):
@@ -76,6 +74,13 @@ TRACED = (
     ("sharpcore.serialize_sharp", (sharpq.cli,), None),
 )
 
+# Wrapped for their counters only, without a span, so that their time stays
+# in the caller's self time: canonical_lc tries every ordering of each pair
+# it gets back from core_of, plus the liberal elements its |B|-powers add.
+COUNTED = (
+    ("compilepipe._canonical_pair", (sharpq.compilepipe,), _canonical_pair),
+)
+
 
 class Tracer:
     """Spans and counters of one traced pass. `install` wraps the functions,
@@ -94,18 +99,16 @@ class Tracer:
     def peak(self, key, n):
         self.counters[key] = max(self.counters[key], n)
 
-    def inside(self, name):
-        return any(self.spans[i][0] == name for i in self.stack)
-
     def install(self):
-        for name, modules, hook in TRACED:
-            attr = name.rsplit(".", 1)[1]
-            for module in modules:
-                original = getattr(module, attr, None)
-                if original is None:  # the caller no longer looks it up there
-                    continue
-                setattr(module, attr, self._wrap(name, original, hook))
-                self._saved.append((module, attr, original))
+        for table, wrap in ((TRACED, self._wrap), (COUNTED, self._wrap_counter)):
+            for name, modules, hook in table:
+                attr = name.rsplit(".", 1)[1]
+                for module in modules:
+                    original = getattr(module, attr, None)
+                    if original is None:  # the caller no longer looks it up there
+                        continue
+                    setattr(module, attr, wrap(name, original, hook))
+                    self._saved.append((module, attr, original))
 
     def uninstall(self):
         for module, attr, original in reversed(self._saved):
@@ -138,6 +141,16 @@ class Tracer:
 
         traced.__wrapped__ = fn
         return traced
+
+    def _wrap_counter(self, name, fn, hook):
+        def counted(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if self.request is not None:
+                hook(self, args, kwargs, result)
+            return result
+
+        counted.__wrapped__ = fn
+        return counted
 
     def self_seconds(self):
         """{span name: summed self time in seconds}."""

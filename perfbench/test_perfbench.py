@@ -115,3 +115,42 @@ def test_tracer_restores_originals_and_splits_self_time():
     assert sharpq.cli.main is before
     tracer.spans = [["a", 0, 10_000_000_000, -1, 0], ["b", 2_000_000_000, 5_000_000_000, 0, 0]]
     assert dict(tracer.self_seconds()) == {"a": 7.0, "b": 3.0}
+
+
+@pytest.mark.parametrize("k, code, relabelings", [(2, 0, 2), (3, 0, 6), (9, 3, 0)])
+def test_relabelings_count_orderings_tried_and_skip_refused_pairs(tmp_path, k, code, relabelings):
+    import contextlib
+    import io
+
+    import sharpq.cli
+
+    path = tmp_path / "q.epq"
+    path.write_text(workloads.path_query("p", "v", k), encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    tracer.request = 0
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert sharpq.cli.main(["minimize", "-q", str(path), "--json"]) == code
+    finally:
+        tracer.uninstall()
+    # path-k cores to itself: 1 liberal and k quantified elements, 1!*k!
+    # orderings; path-9's 9! exceeds canon_cap, so none are tried.
+    assert tracer.counters["compilepipe.canonical_lc.relabelings"] == relabelings
+
+
+def test_traced_twins_have_the_same_shape_and_their_own_text(tmp_path):
+    import argparse
+
+    args = argparse.Namespace(workload="union-count", seed=1, trace=1)
+    requests, setup_s = run.set_up(reference, args, tmp_path, 1)
+    half = len(requests) // 2
+    traced, twins = requests[:half], requests[half:]
+    assert setup_s is None
+    assert [r["label"] for r in traced] == [r["label"] for r in twins]
+
+    def texts(reqs):
+        return {(tmp_path / a).read_text() for r in reqs for a in r["argv"]
+                if a.endswith((".epq", ".rel"))}
+
+    assert not texts(traced) & texts(twins)
