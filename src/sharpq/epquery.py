@@ -176,9 +176,6 @@ class Graph:
         extra = {frozenset((a, b)) for a, b in itertools.combinations(vs, 2)}
         return Graph(self.vertices | set(vs), self.edges | extra)
 
-    def with_vertices(self, vs):
-        return Graph(self.vertices | frozenset(vs), self.edges)
-
     def without_vertices(self, vs):
         vs = frozenset(vs)
         keep = self.vertices - vs

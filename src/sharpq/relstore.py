@@ -46,33 +46,6 @@ class Signature:
         return any(n == name for n, _ in self.symbols)
 
 
-@dataclass(frozen=True, eq=True)
-class Assignment:
-    """A finite partial map from variables/elements to elements, with explicit domain."""
-
-    bindings: tuple  # sorted tuple of (var, value) pairs
-
-    @staticmethod
-    def of(mapping):
-        return Assignment(tuple(sorted(mapping.items())))
-
-    @property
-    def domain(self):
-        return frozenset(k for k, _ in self.bindings)
-
-    def as_dict(self):
-        return dict(self.bindings)
-
-    def __getitem__(self, key):
-        for k, v in self.bindings:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-
-EMPTY_ASSIGNMENT = Assignment(())
-
-
 @dataclass(frozen=True)
 class Structure:
     """A finite relational structure over a Signature.
@@ -143,7 +116,8 @@ def make_structure(sig, universe, relations):
 # a token (as produced by the disjoint-union rename scheme, e.g. "a#L") is part
 # of the token.
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#.*$")
-_FACT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\((.*)\)$")
+# fullmatch: a fact line, unless it starts like a header line
+_FACT_RE = re.compile(r"(?!signature|universe)([A-Za-z_][A-Za-z0-9_]*)\((.*)\)")
 
 
 def _strip_comment(line):
@@ -157,75 +131,75 @@ def parse_structure(text):
     present, otherwise order of appearance in facts.
     """
     sig_symbols = None
+    sig = arities = None  # built once, at the first fact or at the end
     universe = None
     seen_elems = []
     seen_set = set()
     facts = {}
 
-    def note_elem(e, lineno, col):
-        if universe is not None:
-            if e not in seen_set:
-                raise ParseError(f"element {e!r} not declared in universe", lineno, col)
-        elif e not in seen_set:
-            seen_set.add(e)
-            seen_elems.append(e)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = (_strip_comment(raw) if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("signature"):
-            if sig_symbols is not None:
-                raise ParseError("duplicate signature line", lineno, 1)
-            sig_symbols = []
-            for part in line[len("signature"):].split():
-                if "/" not in part:
-                    raise ParseError(f"expected name/arity, got {part!r}", lineno, raw.find(part) + 1)
-                name, _, ar = part.partition("/")
-                if not ar.isdigit():
-                    raise ParseError(f"arity must be an integer in {part!r}", lineno, raw.find(part) + 1)
-                sig_symbols.append((name, int(ar)))
+        m = _FACT_RE.fullmatch(line)
+        if m is None:
+            if line.startswith("signature"):
+                if sig_symbols is not None:
+                    raise ParseError("duplicate signature line", lineno, 1)
+                sig_symbols = []
+                for part in line[len("signature"):].split():
+                    if "/" not in part:
+                        raise ParseError(f"expected name/arity, got {part!r}", lineno, raw.find(part) + 1)
+                    name, _, ar = part.partition("/")
+                    if not ar.isdigit():
+                        raise ParseError(f"arity must be an integer in {part!r}", lineno, raw.find(part) + 1)
+                    sig_symbols.append((name, int(ar)))
+            elif line.startswith("universe"):
+                if sig_symbols is None:
+                    raise ParseError("universe line before signature", lineno, 1)
+                if universe is not None:
+                    raise ParseError("duplicate universe line", lineno, 1)
+                universe = line[len("universe"):].split()
+                if not universe:
+                    raise ParseError("empty universe", lineno, 1)
+                if len(set(universe)) != len(universe):
+                    raise ParseError("duplicate universe element", lineno, 1)
+                seen_set = set(universe)
+            else:
+                raise ParseError(f"cannot parse line {line!r}", lineno, 1)
             continue
-        if line.startswith("universe"):
-            if sig_symbols is None:
-                raise ParseError("universe line before signature", lineno, 1)
-            if universe is not None:
-                raise ParseError("duplicate universe line", lineno, 1)
-            universe = line[len("universe"):].split()
-            if not universe:
-                raise ParseError("empty universe", lineno, 1)
-            if len(set(universe)) != len(universe):
-                raise ParseError("duplicate universe element", lineno, 1)
-            seen_set = set(universe)
-            continue
-        m = _FACT_RE.match(line)
-        if not m:
-            raise ParseError(f"cannot parse line {line!r}", lineno, 1)
         if sig_symbols is None:
             raise ParseError("fact before signature line", lineno, 1)
-        name, args_text = m.group(1), m.group(2)
-        sig = Signature(tuple(sig_symbols))
-        if name not in sig:
+        if sig is None:
+            sig = Signature(tuple(sig_symbols))
+            arities = dict(sig.symbols)
+        name, args_text = m.groups()
+        arity = arities.get(name)
+        if arity is None:
             raise ParseError(f"undeclared relation {name!r}", lineno, 1)
-        args = [a.strip() for a in args_text.split(",")] if args_text.strip() else []
-        if len(args) != sig.arity(name):
-            raise ParseError(
-                f"arity mismatch: {name} expects {sig.arity(name)} arguments, got {len(args)}",
-                lineno,
-                1,
-            )
-        for a in args:
-            if not a:
-                raise ParseError("empty element name in fact", lineno, 1)
-            note_elem(a, lineno, 1)
-        facts.setdefault(name, set()).add(tuple(args))
+        args = tuple(args_text.split(","))
+        # seen_set holds only stripped, non-empty names: such a line is valid
+        if len(args) != arity or not seen_set.issuperset(args):
+            args = tuple(map(str.strip, args)) if args_text.strip() else ()
+            if len(args) != arity:
+                msg = f"arity mismatch: {name} expects {arity} arguments, got {len(args)}"
+                raise ParseError(msg, lineno, 1)
+            for a in args:
+                if not a:
+                    raise ParseError("empty element name in fact", lineno, 1)
+                if a not in seen_set:
+                    if universe is not None:
+                        raise ParseError(f"element {a!r} not declared in universe", lineno, 1)
+                    seen_set.add(a)
+                    seen_elems.append(a)
+        facts.setdefault(name, set()).add(args)
 
     if sig_symbols is None:
         raise ParseError("missing signature line")
     elems = universe if universe is not None else seen_elems
     if not elems:
         raise ParseError("empty universe")
-    return make_structure(Signature(tuple(sig_symbols)), elems, facts)
+    return make_structure(sig or Signature(tuple(sig_symbols)), elems, facts)
 
 
 def serialize_structure(s):
@@ -248,18 +222,13 @@ def serialize_structure(s):
 def homomorphisms(src, dst, pin=None, enumerate_witnesses=False):
     """Count maps h: src universe -> dst universe preserving every tuple.
 
-    pin (an Assignment or dict from src elements to dst elements) fixes part of
+    pin (a dict from src elements to dst elements) fixes part of
     the map. With enumerate_witnesses=True returns (count, tuple of dicts),
     otherwise just the count. Counts are exact arbitrary-precision ints.
     """
     if src.sig != dst.sig:
         raise SharpqError("homomorphisms: source and target signatures differ")
-    if pin is None:
-        pinned = {}
-    elif isinstance(pin, Assignment):
-        pinned = pin.as_dict()
-    else:
-        pinned = dict(pin)
+    pinned = dict(pin or {})
     for k, v in pinned.items():
         if k not in set(src.universe):
             raise SharpqError(f"pin maps unknown source element {k!r}")

@@ -5,13 +5,21 @@ ep-formula, padded to the liberal set L), projections P V (summation over V),
 expansions E V (adding vacuous variables), products, sums, and integer
 constants. Evaluation produces a table of integers indexed by assignments of
 the formula's free variables; its cost is governed by the formula's width.
+
+Kernel invariants: a row tuple's entries follow its table's `explicit`
+columns; row sets are never mutated, since atom tables alias the structure's
+frozensets; binders are projected inside the join that consumes them, so
+`stats["peak_rows"]` is the largest table actually materialised.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .epquery import (
@@ -423,33 +431,76 @@ class CountTable:
         return _materialize_data(self, shared) == _materialize_data(other, shared)
 
 
+def _row_of(positions):
+    """Row builder: maps a row to the tuple of its entries at `positions`
+    (a slice when they are consecutive, so one position still gives a tuple)."""
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
+def _key_of(positions):
+    """Key builder: like _row_of, but a single position gives a bare value."""
+    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+
+
+def _widen(explicit, target, universe):
+    """(fills, build) re-indexing rows over `explicit` by `target` ⊇ explicit:
+    row r becomes build(r + fill) for each fill of the new columns."""
+    extra = tuple(v for v in target if v not in explicit)
+    cols = explicit + extra
+    fills = list(itertools.product(universe, repeat=len(extra)))
+    return fills, _row_of([cols.index(v) for v in target])
+
+
 def _materialize_data(t, explicit):
     """Rows of t re-indexed by the given explicit variable tuple (a superset
     of t.explicit up to wildcards)."""
-    extra = tuple(v for v in explicit if v not in t.explicit)
-    out = {}
-    for key, val in t.data.items():
-        base = dict(zip(t.explicit, key))
-        for vals in itertools.product(t.universe, repeat=len(extra)):
-            h = dict(base)
-            h.update(zip(extra, vals))
-            out[tuple(h[v] for v in explicit)] = val
-    return out
+    fills, build = _widen(t.explicit, explicit, t.universe)
+    return {build(key + fill): val for key, val in t.data.items() for fill in fills}
+
+
+_JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 whole1 whole2")
+
+
+@lru_cache(maxsize=1024)
+def _join_plan(ex1, ex2, drop):
+    """How to join tables over columns ex1 and ex2, projecting out `drop`.
+    A plan depends on column names only, so repeated evaluations share it.
+
+    Output columns are ex1's surviving ones, then ex2's own: the order comes
+    from the formula, never from row counts. key1/key2 build the shared-column
+    keys, out1/out2 the surviving columns each side contributes, and
+    whole1/whole2 (None unless that side holds every output column) the full
+    output row from one side, which turns the join into a semijoin.
+    """
+    shared = [v for v in ex1 if v in ex2]
+    own1 = tuple(v for v in ex1 if v not in drop)
+    own2 = tuple(v for v in ex2 if v not in ex1 and v not in drop)
+    explicit = own1 + own2
+    key1, key2 = [_key_of([ex.index(v) for v in shared]) for ex in (ex1, ex2)]
+    out1, out2 = [_row_of([ex.index(v) for v in own]) for ex, own in ((ex1, own1), (ex2, own2))]
+    whole1, whole2 = [
+        _row_of([ex.index(v) for v in explicit]) if set(explicit) <= set(ex) else None
+        for ex in (ex1, ex2)
+    ]
+    return _JoinPlan(explicit, key1, key2, out1, out2, whole1, whole2)
 
 
 # ---------------------------------------------------------------------------
-# fo evaluation: satisfying-assignment sets
+# Evaluation: satisfying-assignment sets and count tables
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _SatSet:
-    explicit: tuple
-    wildcard: frozenset
-    rows: set
 
 
 class _Evaluator:
+    """Table evaluation over one structure. An ep formula yields (explicit,
+    rows), a counting formula a CountTable; rows follow `explicit` and are
+    never mutated (an atom with distinct arguments returns the structure's
+    own frozenset). Binders are projected inside the join that consumes
+    them, so `stats["peak_rows"]` is the largest table actually materialised;
+    `max_rows` caps every table."""
+
     def __init__(self, b, max_rows, stats):
         self.b = b
         self.max_rows = max_rows
@@ -464,177 +515,161 @@ class _Evaluator:
 
     # -- ep formulas --
 
-    def sat(self, f):
+    def sat(self, f, drop=frozenset()):
+        """(explicit, rows) over free(f) - drop: the projections of f's
+        satisfying assignments. `drop` holds variables bound above f that
+        occur, free in f, nowhere else under their binder."""
         if isinstance(f, Atom):
-            args = f.args
-            explicit = tuple(dict.fromkeys(args))
-            rows = set()
-            for fact in self.b.tuples(f.symbol):
-                h = {}
-                ok = True
-                for var, val in zip(args, fact):
-                    if h.setdefault(var, val) != val:
-                        ok = False
-                        break
-                if ok:
-                    rows.add(tuple(h[v] for v in explicit))
-            self._note(len(rows))
-            return _SatSet(explicit, frozenset(), rows)
-        if isinstance(f, Top):
-            return _SatSet((), frozenset(), {()})
-        if isinstance(f, And):
-            return self._sat_join(self.sat(f.left), self.sat(f.right))
-        if isinstance(f, Or):
-            s1, s2 = self.sat(f.left), self.sat(f.right)
-            explicit = tuple(dict.fromkeys(s1.explicit + s2.explicit))
-            rows = self._sat_expand(s1, explicit) | self._sat_expand(s2, explicit)
-            self._note(len(rows))
-            wild = (s1.wildcard | s2.wildcard) - set(explicit)
-            return _SatSet(explicit, wild, rows)
+            return self._atom(f, drop)
         if isinstance(f, Exists):
-            s = self.sat(f.body)
-            if f.var in s.explicit:
-                keep = [i for i, v in enumerate(s.explicit) if v != f.var]
-                rows = {tuple(r[i] for i in keep) for r in s.rows}
-                return _SatSet(tuple(s.explicit[i] for i in keep), s.wildcard, rows)
-            # the universe is non-empty, so an absent variable quantifies away
-            return _SatSet(s.explicit, s.wildcard - {f.var}, s.rows)
+            binders = set(drop)
+            while isinstance(f, Exists):
+                binders.add(f.var)
+                f = f.body
+            # the universe is non-empty, so a binder absent from f drops away
+            return self.sat(f, frozenset(binders))
+        if isinstance(f, And):
+            # right side first: the binders it keeps are shared and must reach
+            # the join; the left drops every other binder
+            s2 = self.sat(f.right, drop - free_variables(f.left) if drop else drop)
+            return self._sat_join(self.sat(f.left, drop - set(s2[0])), s2, drop)
+        if isinstance(f, Or):
+            (ex1, rows1), (ex2, rows2) = self.sat(f.left, drop), self.sat(f.right, drop)
+            explicit = tuple(dict.fromkeys(ex1 + ex2))
+            rows = self._sat_expand(ex1, rows1, explicit) | self._sat_expand(ex2, rows2, explicit)
+            self._note(len(rows))
+            return explicit, rows
+        if isinstance(f, Top):
+            return (), {()}
         raise TypeError(f"not an ep-formula node: {f!r}")
 
-    def _sat_expand(self, s, explicit):
-        """Rows of s re-indexed by `explicit` ⊇ s.explicit (new coords free)."""
-        extra = tuple(v for v in explicit if v not in s.explicit)
-        if not extra:
-            idx = [s.explicit.index(v) for v in explicit]
-            return {tuple(r[i] for i in idx) for r in s.rows}
-        n = len(s.rows) * len(self.b.universe) ** len(extra)
-        self._note(n)
-        out = set()
-        pos = {v: i for i, v in enumerate(s.explicit)}
-        for r in s.rows:
-            for vals in itertools.product(self.b.universe, repeat=len(extra)):
-                h = dict(zip(extra, vals))
-                out.add(tuple(r[pos[v]] if v in pos else h[v] for v in explicit))
-        return out
-
-    def _sat_join(self, s1, s2):
-        shared = [v for v in s1.explicit if v in s2.explicit]
-        explicit = tuple(dict.fromkeys(s1.explicit + s2.explicit))
-        pos1 = {v: i for i, v in enumerate(s1.explicit)}
-        pos2 = {v: i for i, v in enumerate(s2.explicit)}
-        index = {}
-        for r in s2.rows:
-            index.setdefault(tuple(r[pos2[v]] for v in shared), []).append(r)
-        rows = set()
-        for r1 in s1.rows:
-            key = tuple(r1[pos1[v]] for v in shared)
-            for r2 in index.get(key, ()):
-                rows.add(
-                    tuple(
-                        r1[pos1[v]] if v in pos1 else r2[pos2[v]] for v in explicit
-                    )
-                )
-                if len(rows) > self.max_rows:
-                    raise CapExceeded(
-                        f"table would hold more than {self.max_rows} rows"
-                    )
+    def _atom(self, f, drop):
+        args = f.args
+        facts = self.b.tuples(f.symbol)
+        explicit = tuple(v for v in dict.fromkeys(args) if v not in drop)
+        if explicit == args:
+            rows = facts
+        else:
+            same = [(args.index(v), i) for i, v in enumerate(args) if args.index(v) != i]
+            build = _row_of([args.index(v) for v in explicit])
+            if same:
+                rows = {build(t) for t in facts if all(t[i] == t[j] for i, j in same)}
+            else:
+                rows = set(map(build, facts))
         self._note(len(rows))
-        wild = (s1.wildcard | s2.wildcard) - set(explicit)
-        return _SatSet(explicit, wild, rows)
+        return explicit, rows
+
+    def _sat_expand(self, explicit, rows, target):
+        """rows over `explicit` re-indexed by `target` ⊇ explicit (new
+        columns range over the universe)."""
+        if explicit == target:
+            return rows
+        self._note(len(rows) * len(self.b.universe) ** (len(target) - len(explicit)))
+        fills, build = _widen(explicit, target, self.b.universe)
+        return {build(r + fill) for r in rows for fill in fills}
+
+    def _sat_join(self, s1, s2, drop):
+        (ex1, rows1), (ex2, rows2) = s1, s2
+        plan = _join_plan(ex1, ex2, drop)
+        key1, key2 = plan.key1, plan.key2
+        if not rows1 or not rows2:
+            rows = set()
+        elif plan.whole1 is not None:
+            keys, build = set(map(key2, rows2)), plan.whole1
+            rows = {build(r) for r in rows1 if key1(r) in keys}
+        elif plan.whole2 is not None:
+            keys, build = set(map(key1, rows1)), plan.whole2
+            rows = {build(r) for r in rows2 if key2(r) in keys}
+        else:
+            # index the smaller side; output rows are (left part + right part)
+            left = len(rows1) <= len(rows2)
+            sides = [(rows1, key1, plan.out1), (rows2, key2, plan.out2)]
+            (small, key_s, out_s), (probe, key_p, out_p) = sides if left else sides[::-1]
+            index = defaultdict(list)
+            for r in small:
+                index[key_s(r)].append(out_s(r))
+            rows = set()
+            for r in probe:
+                bucket = index.get(key_p(r))
+                if bucket:
+                    o = out_p(r)
+                    rows.update([x + o for x in bucket] if left else [o + x for x in bucket])
+                    if len(rows) > self.max_rows:
+                        raise CapExceeded(f"table would hold more than {self.max_rows} rows")
+        self._note(len(rows))
+        return plan.explicit, rows
 
     # -- counting formulas --
 
     def eval(self, f):
         b = self.b
         if isinstance(f, Cast):
-            s = self.sat(f.ep)
-            wild = tuple(
-                sorted((set(f.liberal) - set(s.explicit)) | set(s.wildcard))
-            )
-            return CountTable(
-                explicit=s.explicit,
-                wildcard=wild,
-                universe=b.universe,
-                data={r: 1 for r in s.rows},
-            )
+            explicit, rows = self.sat(f.ep)
+            wild = tuple(sorted(set(f.liberal) - set(explicit)))
+            return CountTable(explicit, wild, b.universe, dict.fromkeys(rows, 1))
         if isinstance(f, Const):
             data = {(): f.n} if f.n != 0 else {}
             return CountTable((), (), b.universe, data)
         if isinstance(f, Expand):
             t = self.eval(f.child)
-            return CountTable(
-                t.explicit,
-                tuple(sorted(set(t.wildcard) | f.vars)),
-                b.universe,
-                t.data,
-            )
+            wild = tuple(sorted(set(t.wildcard) | f.vars))
+            return CountTable(t.explicit, wild, b.universe, t.data)
         if isinstance(f, Project):
-            t = self.eval(f.child)
-            child_free = set(t.variables)
-            factor = len(b.universe) ** (
-                len(f.vars - child_free) + len(f.vars & set(t.wildcard))
-            )
-            keep = [i for i, v in enumerate(t.explicit) if v not in f.vars]
-            data = {}
-            for key, val in t.data.items():
-                k = tuple(key[i] for i in keep)
-                data[k] = data.get(k, 0) + val
-            data = {k: v * factor for k, v in data.items() if v * factor != 0}
-            self._note(len(data))
-            return CountTable(
-                tuple(t.explicit[i] for i in keep),
-                tuple(v for v in t.wildcard if v not in f.vars),
-                b.universe,
-                data,
-            )
+            return self._project(f)
         if isinstance(f, Times):
             return self._times(self.eval(f.left), self.eval(f.right))
         if isinstance(f, Plus):
             return self._plus(self.eval(f.left), self.eval(f.right))
         raise TypeError(f"not a counting-formula node: {f!r}")
 
-    def _times(self, t1, t2):
-        shared = [v for v in t1.explicit if v in t2.explicit]
-        explicit = tuple(dict.fromkeys(t1.explicit + t2.explicit))
-        pos1 = {v: i for i, v in enumerate(t1.explicit)}
-        pos2 = {v: i for i, v in enumerate(t2.explicit)}
-        index = {}
-        for r, val in t2.data.items():
-            index.setdefault(tuple(r[pos2[v]] for v in shared), []).append((r, val))
-        data = {}
-        for r1, v1 in t1.data.items():
-            key = tuple(r1[pos1[v]] for v in shared)
-            for r2, v2 in index.get(key, ()):
-                row = tuple(
-                    r1[pos1[v]] if v in pos1 else r2[pos2[v]] for v in explicit
-                )
-                data[row] = v1 * v2
-                if len(data) > self.max_rows:
-                    raise CapExceeded(
-                        f"table would hold more than {self.max_rows} rows"
-                    )
+    def _project(self, f):
+        """A chain of projections summed out in one pass."""
+        vars_ = set(f.vars)
+        while isinstance(f.child, Project):
+            f = f.child
+            vars_ |= f.vars
+        t = self.eval(f.child)
+        # every summed variable that is not explicit contributes a factor |B|
+        factor = len(self.b.universe) ** len(vars_ - set(t.explicit))
+        keep = [i for i, v in enumerate(t.explicit) if v not in vars_]
+        if keep:
+            key = _row_of(keep)
+            sums = {}
+            for row, val in t.data.items():
+                k = key(row)
+                sums[k] = sums.get(k, 0) + val
+            data = {k: v * factor for k, v in sums.items() if v}
+        else:
+            total = sum(t.data.values()) * factor
+            data = {(): total} if total else {}
         self._note(len(data))
+        explicit = tuple(t.explicit[i] for i in keep)
+        wild = tuple(v for v in t.wildcard if v not in vars_)
+        return CountTable(explicit, wild, self.b.universe, data)
+
+    def _times(self, t1, t2):
+        """The join of the two tables' row keys, valued by the product."""
+        explicit, rows = self._sat_join(
+            (t1.explicit, t1.data.keys()), (t2.explicit, t2.data.keys()), frozenset()
+        )
+        (d1, at1), (d2, at2) = [
+            (t.data, _row_of([explicit.index(v) for v in t.explicit])) for t in (t1, t2)
+        ]
+        data = {r: d1[at1(r)] * d2[at2(r)] for r in rows}
         wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
         return CountTable(explicit, wild, self.b.universe, data)
 
     def _plus(self, t1, t2):
         explicit = tuple(dict.fromkeys(t1.explicit + t2.explicit))
-        n1 = len(t1.data) * len(self.b.universe) ** len(
-            set(explicit) - set(t1.explicit)
-        )
-        n2 = len(t2.data) * len(self.b.universe) ** len(
-            set(explicit) - set(t2.explicit)
-        )
-        self._note(n1 + n2)
-        d1 = _materialize_data(t1, explicit)
-        d2 = _materialize_data(t2, explicit)
-        data = dict(d1)
-        for k, v in d2.items():
+        n = len(self.b.universe)
+        self._note(sum(len(t.data) * n ** (len(explicit) - len(t.explicit)) for t in (t1, t2)))
+        data = _materialize_data(t1, explicit)
+        for k, v in _materialize_data(t2, explicit).items():
             s = data.get(k, 0) + v
-            if s == 0:
-                data.pop(k, None)
-            else:
+            if s:
                 data[k] = s
+            else:
+                data.pop(k, None)
         self._note(len(data))
         wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
         return CountTable(explicit, wild, self.b.universe, data)

@@ -86,6 +86,38 @@ def test_hash_suffixed_elements_survive_comment_stripping():
     assert ("a#L", "a#R") in s.tuples("E")
 
 
+@pytest.mark.parametrize(
+    "fact, message",
+    [
+        ("F(a,b)", "undeclared relation 'F'"),
+        ("E(a,b,a)", "arity mismatch: E expects 2 arguments, got 3"),
+        ("E(a,z)", "element 'z' not declared in universe"),
+        ("E(a,)", "empty element name in fact"),
+    ],
+)
+def test_fact_errors_name_their_line(fact, message):
+    text = "signature E/2\nuniverse a b\nE(a,b)\n# note\nE(b,a)\n\n" + fact + "\nE(a,a)\n"
+    with pytest.raises(ParseError) as exc:
+        parse_structure(text)
+    assert str(exc.value) == f"line 7, column 1: {message}"
+
+
+@pytest.mark.parametrize("facts", ["", "F(a,a)\n", "G(a,a)\n"])
+def test_bad_signature_name_rejected_with_or_without_facts(facts):
+    with pytest.raises(ParseError, match="bad relation name 'E-1'"):
+        parse_structure("signature E-1/2 F/2\nuniverse a b\n" + facts)
+
+
+def test_hash_tokens_and_trailing_comments_together():
+    s = parse_structure(
+        "signature E/2 # edges\nuniverse a#L b # two\nE(a#L,b)   # glued '#' stays\nE( b ,a#L )\n"
+    )
+    assert s.universe == ("a#L", "b")
+    assert s.tuples("E") == frozenset({("a#L", "b"), ("b", "a#L")})
+    with pytest.raises(ParseError, match="cannot parse line"):
+        parse_structure("signature E/2\nuniverse a#L b\nE(b,a#L)#x\n")
+
+
 def test_roundtrip_fixed():
     s = path_structure(2)
     assert parse_structure(serialize_structure(s)) == s

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sharpq.epquery import oracle_count, parse_ep_expression, parse_query
+from sharpq.epquery import And, Atom, Exists, oracle_count, parse_ep_expression, parse_query
 from sharpq.errors import CapExceeded, ParseError, SharpqError
 from sharpq.relstore import Signature, make_structure
 from sharpq.sharpcore import (
@@ -315,6 +315,17 @@ def test_eval_table_guard():
     f = parse_sharp("C[E(x,y); {x,y}]")
     with pytest.raises(CapExceeded, match="rows"):
         evaluate(f, triangle_structure(), max_rows=3)
+    # exists over a conjunction: y is projected inside the join, so the
+    # largest table is the 9-row answer over (x,z), never the 12 walks
+    # over (x,y,z); the cap still fires on that join
+    g = parse_sharp("C[exists y . E(x,y) & E(y,z); {x,z}]")
+    stats = {}
+    assert evaluate(g, triangle_structure(), stats=stats).n_rows == 9
+    assert stats["peak_rows"] == 9
+    stats = {}
+    with pytest.raises(CapExceeded, match="rows"):
+        evaluate(g, triangle_structure(), max_rows=8, stats=stats)
+    assert stats["peak_rows"] == 6
 
 
 def test_eval_cast_keeps_padding_implicit():
@@ -449,3 +460,55 @@ def test_eval_disjunction_and_exists_inside_cast():
         q = random_ep_query(rng, max_vars=4, max_atoms=4)
         b = random_structure(rng, q.sig, max_size=3)
         assert eval_sentence(naive_representation(q), b) == brute_ep_count(q, b)
+
+
+# ---------------------------------------------------------------------------
+# single casts over raw ep formulas
+# ---------------------------------------------------------------------------
+
+
+def test_single_cast_over_random_ep_formulas_matches_oracle():
+    rng = random.Random(888)
+    with_or = 0
+    for _ in range(150):
+        q = random_ep_query(rng, max_vars=5, max_atoms=5, max_disjunctions=2)
+        b = random_structure(rng, q.sig, max_size=4)
+        with_or += "Or(" in repr(q.formula)
+        assert eval_sentence(naive_representation(q), b) == oracle_count(q, b)
+    assert with_or > 20
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "query q(x): E(x,x)",
+        "query q(x,y): R(x,y,x)",
+        "query q(x): exists y . R(x,y,x) & E(y,y)",
+        "query q(x): exists y . exists z . E(x,y) & E(y,z) & E(z,x)",
+        "query q(x,z): exists y . E(x,y) & E(y,z)",
+        "query q(x): exists y . E(x,x)",
+        "query q(x): exists y . (E(x,y) & exists y . E(y,x))",
+        "query q(x,z): exists y . (E(x,y) | E(y,z))",
+        "query q(x): exists y . (E(x,y) | E(y,y)) & E(y,x)",
+        "query q(x): exists y . (E(x,y) | exists z . E(y,z))",
+    ],
+)
+def test_single_cast_hand_cases_match_oracle(text):
+    q = parse_query(text)
+    rng = random.Random(text)
+    for _ in range(12):
+        b = random_structure(rng, q.sig, max_size=4, density=rng.choice([0.2, 0.5]))
+        assert eval_sentence(naive_representation(q), b) == oracle_count(q, b) == brute_ep_count(q, b)
+
+
+def test_shadowed_binder_in_a_raw_cast():
+    # the parser renames binders apart; built by hand, the inner y shadows
+    # the outer one: exists y . (E(x,y) & exists y . E(y,x))
+    raw = Exists("y", And(Atom("E", ("x", "y")), Exists("y", Atom("E", ("y", "x")))))
+    f = Project({"x"}, Cast(raw, ("x",)))
+    q = parse_query("query q(x): exists y . (E(x,y) & exists y . E(y,x))")
+    assert eval_sentence(f, path_structure(3)) == 2
+    rng = random.Random(999)
+    for _ in range(20):
+        b = random_structure(rng, q.sig, max_size=4)
+        assert eval_sentence(f, b) == oracle_count(q, b)
