@@ -623,7 +623,18 @@ class LinearCombination:
 def _canonical_pair(p, cap=200000):
     """Relabel a pair to canonical names (liberal l0.., quantified q0..),
     choosing the lexicographically least serialization. Counting-equivalent
-    cores canonicalize to the identical pair."""
+    cores canonicalize to the identical pair.
+
+    The result is the least serialization over all |L|!*|Q|! relabelings;
+    `cap` bounds that worst case and is checked before any work. The search
+    is a branch and bound that finds the same pair without trying every
+    ordering. Names are handed out in their string order, and fact lines sort
+    as (symbol, tuple of name strings), so a partial assignment bounds the
+    sorted fact lines from below; a branch whose bound is not below the best
+    complete relabeling found so far is cut. A candidate whose swap with an
+    already tried one is an automorphism of the facts (star leaves, isolated
+    liberal elements) is skipped, since its branch serializes identically.
+    """
     universe = p.struct.universe
     lib = list(p.liberal)
     quant = [v for v in universe if v not in set(lib)]
@@ -631,29 +642,69 @@ def _canonical_pair(p, cap=200000):
         raise CapExceeded(
             f"canonical labeling over {len(lib)}!*{len(quant)}! orderings exceeds {cap}"
         )
-    symbols = {}
-    for sym, tup in p.struct.all_facts():
-        symbols[sym] = len(tup)
-    sig = Signature(tuple(sorted(symbols.items())))
+    facts = list(p.struct.all_facts())
+    fact_set = set(facts)
+    incident = {v: [] for v in universe}
+    for fact in facts:
+        for v in set(fact[1]):
+            incident[v].append(fact)
     lib_names = [f"l{i}" for i in range(len(lib))]
     quant_names = [f"q{i}" for i in range(len(quant))]
-    best_text = None
-    best_pair = None
-    for lib_perm in itertools.permutations(lib):
-        for quant_perm in itertools.permutations(quant):
-            ren = {v: lib_names[i] for i, v in enumerate(lib_perm)}
-            ren.update({v: quant_names[i] for i, v in enumerate(quant_perm)})
-            rels = {}
-            for sym, tup in p.struct.all_facts():
-                rels.setdefault(sym, set()).add(tuple(ren[x] for x in tup))
-            cand = PpPair(
-                struct=make_structure(sig, lib_names + quant_names, rels),
-                liberal=tuple(lib_names),
+    # slot k takes the k-th name in string order ("l10" < "l2"); "(" and ","
+    # sort below every name character, so fact lines order as
+    # (symbol, tuple of slots)
+    slot_names = sorted(lib_names) + sorted(quant_names)
+    rank = {}
+    best = best_rank = None
+    swaps = {}
+
+    def interchangeable(a, b):
+        if (a, b) not in swaps:
+            ren = {a: b, b: a}
+            swaps[a, b] = all(
+                (sym, tuple(ren.get(v, v) for v in tup)) in fact_set
+                for sym, tup in incident[a] + incident[b]
             )
-            text = serialize_pair(cand)
-            if best_text is None or text < best_text:
-                best_text, best_pair = text, cand
-    return best_pair
+        return swaps[a, b]
+
+    def bound():
+        """Sorted fact keys with every unnamed element at the next free slot.
+        Each key is at most its value in any completion, so the sorted list
+        is at most the completion's, entry by entry."""
+        k = len(rank)
+        return sorted((sym, tuple(rank.get(v, k) for v in tup)) for sym, tup in facts)
+
+    def search(k):
+        nonlocal best, best_rank
+        children = []
+        for v in lib if k < len(lib) else quant:
+            if v in rank or any(interchangeable(u, v) for _, u in children):
+                continue
+            rank[v] = k
+            children.append((bound(), v))
+            del rank[v]
+        children.sort()
+        for low, v in children:
+            # no completion of this branch, or of a later one, beats best
+            if best is not None and low >= best:
+                break
+            rank[v] = k
+            if k + 1 < len(universe):
+                search(k + 1)
+            else:
+                best, best_rank = low, dict(rank)
+            del rank[v]
+
+    search(0)
+    symbols = {sym: len(tup) for sym, tup in facts}
+    sig = Signature(tuple(sorted(symbols.items())))
+    rels = {}
+    for sym, tup in facts:
+        rels.setdefault(sym, set()).add(tuple(slot_names[best_rank[v]] for v in tup))
+    return PpPair(
+        struct=make_structure(sig, lib_names + quant_names, rels),
+        liberal=tuple(lib_names),
+    )
 
 
 def _fact_count(p):

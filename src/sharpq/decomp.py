@@ -501,16 +501,43 @@ def compute_qaw(p, cap=24):
     graph augmented with all winning cliques has treewidth qaw−1. The witness
     glues exact decompositions of each block's augmented subgraph below an
     exact decomposition of the contract graph.
+
+    Each distinct graph is solved once per call: treewidths are memoised by
+    (vertices, edges), so the augmented primal graph and the region graph of
+    a single block come from the memo. The anchor search stops at the first
+    anchor that reaches the block's floor (see `_block_anchors`); the
+    anchors, the width and the witness are those of trying every anchor.
+    `cap` bounds each treewidth solve and is checked before it starts.
     """
+    memo = {}
+
+    def treewidth(graph):
+        key = (graph.vertices, graph.edges)
+        if key not in memo:
+            memo[key] = exact_treewidth(graph, cap)
+        return memo[key]
+
     g = primal_graph(p)
-    s = p.liberal_set
     comps = exists_components(p)
     if not comps:
-        w, td = exact_treewidth(g, cap)
+        w, td = treewidth(g)
         nice = make_nice(td, force_empty_root=True)
         return w + 1, nice
 
     comps = sorted(comps, key=lambda c: sorted(c))
+    winners = _block_anchors(g, p.liberal_set, comps, treewidth)
+    return _qaw_witness(p, g, comps, winners, treewidth)
+
+
+def _block_anchors(g, s, comps, treewidth):
+    """The winning anchor of each block: least augmented treewidth, then
+    least variable.
+
+    Augmenting only adds edges to the block's base graph (the primal graph
+    with every other block contracted), so its treewidth is a floor for every
+    anchor; anchors run in sorted order and the first one that reaches the
+    floor wins, with no later anchor tried.
+    """
     winners = {}
     for comp in comps:
         boundary = comp & s
@@ -519,24 +546,31 @@ def compute_qaw(p, cap=24):
             if other is comp:
                 continue
             base = base.without_vertices(other - s).with_clique(sorted(other & s))
+        floor, _ = treewidth(base)
         best = None
         for x in sorted(comp - s):
-            augmented = base.with_clique(sorted(boundary | {x}))
-            w, _ = exact_treewidth(augmented, cap)
+            w, _ = treewidth(base.with_clique(sorted(boundary | {x})))
             if best is None or (w, x) < best:
                 best = (w, x)
+            if w == floor:
+                break
         winners[comp] = best[1]
+    return winners
 
+
+def _qaw_witness(p, g, comps, winners, treewidth):
+    """qaw and a witnessing nice decomposition for the given block anchors."""
+    s = p.liberal_set
     augmented_primal = g
     for comp in comps:
         augmented_primal = augmented_primal.with_clique(
             sorted((comp & s) | {winners[comp]})
         )
-    qaw_width, _ = exact_treewidth(augmented_primal, cap)
+    qaw_width, _ = treewidth(augmented_primal)
     qaw = qaw_width + 1
 
     # witness: contract-graph spine with one block region grafted per block
-    _, spine = exact_treewidth(contract_graph(p), cap)
+    _, spine = treewidth(contract_graph(p))
     assembled = _relabel(spine, 0)
     spine_nodes = set(assembled.nodes)
     spine_root = assembled.root
@@ -544,7 +578,7 @@ def compute_qaw(p, cap=24):
         boundary = comp & s
         anchor = winners[comp]
         region_graph = g.induced(comp).with_clique(sorted(boundary | {anchor}))
-        _, region = exact_treewidth(region_graph, cap)
+        _, region = treewidth(region_graph)
         hook = boundary | {anchor}
         r_star = min(t for t in region.nodes if hook <= region.bags[t])
         region = _reroot(region, r_star)

@@ -441,6 +441,9 @@ def serialize_query(q):
 # ---------------------------------------------------------------------------
 
 
+_UNBOUND = object()
+
+
 def _satisfies(f, h, b):
     if isinstance(f, Atom):
         return tuple(h[a] for a in f.args) in b.tuples(f.symbol)
@@ -449,13 +452,19 @@ def _satisfies(f, h, b):
     if isinstance(f, Or):
         return _satisfies(f.left, h, b) or _satisfies(f.right, h, b)
     if isinstance(f, Exists):
+        # the binder may shadow an outer one, whose value is restored after
+        outer = h.get(f.var, _UNBOUND)
+        found = False
         for val in b.universe:
             h[f.var] = val
             if _satisfies(f.body, h, b):
-                del h[f.var]
-                return True
-        del h[f.var]
-        return False
+                found = True
+                break
+        if outer is _UNBOUND:
+            del h[f.var]
+        else:
+            h[f.var] = outer
+        return found
     if isinstance(f, Top):
         return True
     raise TypeError(f"not an ep-formula node: {f!r}")

@@ -604,9 +604,7 @@ class _Evaluator:
     def eval(self, f):
         b = self.b
         if isinstance(f, Cast):
-            explicit, rows = self.sat(f.ep)
-            wild = tuple(sorted(set(f.liberal) - set(explicit)))
-            return CountTable(explicit, wild, b.universe, dict.fromkeys(rows, 1))
+            return self._cast(f, *self.sat(f.ep))
         if isinstance(f, Const):
             data = {(): f.n} if f.n != 0 else {}
             return CountTable((), (), b.universe, data)
@@ -622,13 +620,29 @@ class _Evaluator:
             return self._plus(self.eval(f.left), self.eval(f.right))
         raise TypeError(f"not a counting-formula node: {f!r}")
 
+    def _cast(self, f, explicit, rows):
+        wild = tuple(sorted(set(f.liberal) - set(explicit)))
+        return CountTable(explicit, wild, self.b.universe, dict.fromkeys(rows, 1))
+
     def _project(self, f):
-        """A chain of projections summed out in one pass."""
+        """A chain of projections summed out in one pass. Summing every
+        column of a cast counts its rows without building the table."""
         vars_ = set(f.vars)
         while isinstance(f.child, Project):
             f = f.child
             vars_ |= f.vars
-        t = self.eval(f.child)
+        child = f.child
+        if isinstance(child, Cast):
+            explicit, rows = self.sat(child.ep)
+            if vars_.issuperset(explicit):
+                total = len(rows) * len(self.b.universe) ** len(vars_ - set(explicit))
+                data = {(): total} if total else {}
+                self._note(len(data))
+                wild = tuple(sorted(set(child.liberal) - vars_))
+                return CountTable((), wild, self.b.universe, data)
+            t = self._cast(child, explicit, rows)
+        else:
+            t = self.eval(child)
         # every summed variable that is not explicit contributes a factor |B|
         factor = len(self.b.universe) ** len(vars_ - set(t.explicit))
         keep = [i for i, v in enumerate(t.explicit) if v not in vars_]

@@ -1,12 +1,15 @@
 """Tests for exact treewidth, nice decompositions, and quantifier-aware width."""
 
 import itertools
+import random
 
 import pytest
 
 from sharpq.decomp import (
     NiceTreeDecomposition,
     TreeDecomposition,
+    _block_anchors,
+    _qaw_witness,
     compute_qaw,
     exact_treewidth,
     is_quantifier_aware,
@@ -16,8 +19,16 @@ from sharpq.decomp import (
     validate_nice,
     validate_td,
 )
-from sharpq.epquery import Graph, parse_query, pp_to_pair, primal_graph
+from sharpq.epquery import (
+    Graph,
+    PpPair,
+    exists_components,
+    parse_query,
+    pp_to_pair,
+    primal_graph,
+)
 from sharpq.errors import CapExceeded, SharpqError
+from sharpq.relstore import Signature, make_structure
 
 from tests.conftest import (
     brute_qaw,
@@ -335,3 +346,82 @@ def test_qaw_is_deterministic(rng):
         qaw2, nice2 = compute_qaw(p)
         assert qaw1 == qaw2
         assert serialize_td(nice1) == serialize_td(nice2)
+
+
+# --- the anchor search stops at the block's floor ------------------------------
+
+
+def _qaw_trying_every_anchor(p, cap=24):
+    """qaw, block anchors and witness when every anchor of every block is
+    solved, without the memo."""
+    g = primal_graph(p)
+    s = p.liberal_set
+    comps = sorted(exists_components(p), key=lambda c: sorted(c))
+    winners = {}
+    for comp in comps:
+        base = g
+        for other in comps:
+            if other is not comp:
+                base = base.without_vertices(other - s).with_clique(sorted(other & s))
+        winners[comp] = min(
+            (exact_treewidth(base.with_clique(sorted((comp & s) | {x})), cap)[0], x)
+            for x in comp - s
+        )[1]
+    qaw, nice = _qaw_witness(p, g, comps, winners, lambda graph: exact_treewidth(graph, cap))
+    return qaw, winners, nice
+
+
+def _grid_pair(rows, cols):
+    cell = [[f"g{i}_{j}" for j in range(cols)] for i in range(rows)]
+    atoms = [
+        f"E({cell[i][j]},{cell[i + di][j + dj]})"
+        for i in range(rows)
+        for j in range(cols)
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < rows and j + dj < cols
+    ]
+    lib = [cell[0][0], cell[rows - 1][cols - 1]]
+    bound = "".join(f"exists {c} . " for row in cell for c in row if c not in lib)
+    return pp_to_pair(parse_query(f"query q({','.join(lib)}): {bound}{' & '.join(atoms)}"))
+
+
+def _assert_same_as_every_anchor(p):
+    qaw, nice = compute_qaw(p)
+    ref_qaw, ref_winners, ref_nice = _qaw_trying_every_anchor(p)
+    comps = sorted(exists_components(p), key=lambda c: sorted(c))
+    winners = _block_anchors(
+        primal_graph(p), p.liberal_set, comps, lambda graph: exact_treewidth(graph)
+    )
+    assert winners == ref_winners
+    assert qaw == ref_qaw
+    assert serialize_td(nice) == serialize_td(ref_nice)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (3, 4), (4, 3)])
+def test_anchor_stop_rule_matches_every_anchor_on_grids(rows, cols):
+    _assert_same_as_every_anchor(_grid_pair(rows, cols))
+
+
+def _random_graph_pair(rng):
+    """A random E-graph on 4-9 elements with 1-3 liberal ones: blocks with
+    several interior vertices, so several anchors each."""
+    universe = [f"v{i}" for i in range(rng.randint(4, 9))]
+    density = rng.uniform(0.2, 0.5)
+    edges = {(a, b) for a, b in itertools.combinations(universe, 2) if rng.random() < density}
+    struct = make_structure(Signature((("E", 2),)), universe, {"E": edges})
+    return PpPair(struct=struct, liberal=tuple(rng.sample(universe, rng.randint(1, 3))))
+
+
+def test_anchor_stop_rule_matches_every_anchor_on_random_pairs():
+    rng = random.Random(31)
+    checked = several_anchors = 0
+    for i in range(400):
+        p = random_pp_pair(rng, max_vars=8, max_atoms=8) if i % 2 else _random_graph_pair(rng)
+        comps = exists_components(p)
+        if comps:
+            _assert_same_as_every_anchor(p)
+            checked += 1
+            several_anchors += any(len(c - p.liberal_set) > 1 for c in comps)
+    for p in (star_pair(3), three_block_pair()):
+        _assert_same_as_every_anchor(p)
+    assert checked >= 200 and several_anchors >= 100

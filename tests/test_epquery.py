@@ -204,6 +204,18 @@ def test_oracle_chain_single_witness():
     assert oracle_count(q, b) == 1
 
 
+def test_oracle_restores_a_shadowed_binder():
+    # built by hand (the parser renames binders apart): the inner y shadows
+    # the outer one, which E(x,y) reads after the inner binder is done
+    from sharpq.sharpcore import Cast, Project, eval_sentence
+
+    f = Exists("y", And(Exists("y", Atom("E", ("y", "x"))), Atom("E", ("x", "y"))))
+    q = LiberalQuery(name="q", formula=f, liberal=("x",), sig=Signature((("E", 2),)))
+    # x needs an in- and an out-neighbour on a0->a1->a2->a3: a1 and a2
+    assert oracle_count(q, path_structure(3)) == 2
+    assert eval_sentence(Project({"x"}, Cast(f, ("x",))), path_structure(3)) == 2
+
+
 def test_oracle_matches_independent_brute_force():
     rng = random.Random(202)
     for _ in range(60):

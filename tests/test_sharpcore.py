@@ -352,6 +352,17 @@ def test_eval_wildcard_projection_factor():
     assert t.n_rows == 6
 
 
+def test_eval_projecting_every_cast_column_counts_rows():
+    # every explicit column of the cast is summed: 6 edges times |B| for the
+    # padding variable u; the unsummed padding variable w stays a wildcard
+    f = parse_sharp("P{x,y,u} C[E(x,y); {x,y,u,w}]")
+    stats = {}
+    t = evaluate(f, triangle_structure(), stats=stats)
+    assert (t.explicit, t.wildcard) == ((), ("w",))
+    assert [val for _, val in t.sorted_rows()] == [18, 18, 18]
+    assert stats["peak_rows"] == 6
+
+
 def test_project_expand_inverse():
     rng = random.Random(333)
     checked = 0
