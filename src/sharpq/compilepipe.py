@@ -23,9 +23,9 @@ from .epquery import (
     Atom,
     Exists,
     LiberalQuery,
+    Or,
     PpPair,
     Top,
-    _all_variables,
     _has_or,
     _infer_signature,
     _rename_apart,
@@ -35,6 +35,7 @@ from .epquery import (
     pp_to_pair,
     primal_graph,
     serialize_pair,
+    subformulas,
     to_dnf_pp,
 )
 from .equiv import align_via_renaming, core_of
@@ -49,7 +50,6 @@ from .sharpcore import (
     Times,
     check_represents,
     eval_sentence,
-    free_closed,
     naive_representation,
     validate,
 )
@@ -61,15 +61,17 @@ from .sharpcore import (
 
 def _sharp_variables(f):
     """Every variable name occurring anywhere in a counting formula."""
-    if isinstance(f, Cast):
-        return _all_variables(f.ep) | set(f.liberal)
-    if isinstance(f, (Project, Expand)):
-        return set(f.vars) | _sharp_variables(f.child)
-    if isinstance(f, (Times, Plus)):
-        return _sharp_variables(f.left) | _sharp_variables(f.right)
-    if isinstance(f, Const):
-        return set()
-    raise TypeError(f"not a counting-formula node: {f!r}")
+    out = set()
+    for node in subformulas(f):
+        if isinstance(node, Atom):
+            out.update(node.args)
+        elif isinstance(node, Exists):
+            out.add(node.var)
+        elif isinstance(node, Cast):
+            out.update(node.liberal)
+        elif isinstance(node, (Project, Expand)):
+            out.update(node.vars)
+    return out
 
 
 class _FreshNames:
@@ -118,17 +120,6 @@ def _rename_sharp(f, ren):
     if isinstance(f, Const):
         return f
     raise TypeError(f"not a counting-formula node: {f!r}")
-
-
-def _is_basic(f):
-    """Basic formulas contain neither sums nor integer constants."""
-    if isinstance(f, Cast):
-        return True
-    if isinstance(f, (Project, Expand)):
-        return _is_basic(f.child)
-    if isinstance(f, Times):
-        return _is_basic(f.left) and _is_basic(f.right)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -331,69 +322,42 @@ def basic_sharp_to_pp(f):
         raise SharpqError(
             f"basic_sharp_to_pp needs a sentence; free variables: {', '.join(sorted(report.free))}"
         )
-    if not _is_basic(f):
-        raise SharpqError("basic_sharp_to_pp needs a basic formula (no sums, no constants)")
+    nodes = subformulas(f)
+    if any(isinstance(node, (Plus, Const, Or)) for node in nodes):
+        raise SharpqError(
+            "basic_sharp_to_pp needs a basic formula (no sums, no constants) "
+            "with disjunction-free casts"
+        )
 
-    ever_free = set()
-    casts = []
-    pads = []
-
-    def walk(node):
-        free, _ = free_closed(node)
-        ever_free.update(free)
+    # In a valid sentence a variable is free somewhere iff a cast's liberal
+    # set or an expansion holds it, and a projection variable the child never
+    # mentions occurs nowhere else (products need disjoint closed sets). So
+    # the liberal set is the union of the casts' liberal sets and the
+    # Project/Expand variables; only cast binders can clash with it, and
+    # those are renamed apart below.
+    liberal, casts = set(), []
+    for node in nodes:
         if isinstance(node, Cast):
+            liberal.update(node.liberal)
             casts.append(node)
         elif isinstance(node, (Project, Expand)):
-            if isinstance(node, Project):
-                child_free, _ = free_closed(node.child)
-                pads.extend(sorted(node.vars - child_free))
-            walk(node.child)
-        elif isinstance(node, Times):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
-
-    # In a valid sentence a vacuous projection variable occurs nowhere else
-    # (products need disjoint closed sets), so the pads are distinct from each
-    # other and from every free variable; only cast binders can clash, and
-    # those are renamed around the protected set below.
-    used = set(ever_free) | set(pads)
-    atoms = []
+            liberal |= node.vars
+    liberal = tuple(sorted(liberal))
+    used = set(liberal)
     bound_order = []
+    rels = {}
     for cast in casts:
-        body = _rename_apart(cast.ep, frozenset(used))
-        used |= _all_variables(body)
-        stack = [body]
-        while stack:
-            node = stack.pop(0)
+        for node in subformulas(_rename_apart(cast.ep, frozenset(used))):
             if isinstance(node, Atom):
-                atoms.append(node)
-            elif isinstance(node, And):
-                stack.insert(0, node.right)
-                stack.insert(0, node.left)
+                rels.setdefault(node.symbol, set()).add(node.args)
             elif isinstance(node, Exists):
                 bound_order.append(node.var)
-                stack.insert(0, node.body)
-
-    symbols = {}
-    for a in atoms:
-        prev = symbols.get(a.symbol)
-        if prev is None:
-            symbols[a.symbol] = len(a.args)
-        elif prev != len(a.args):
-            raise SharpqError(
-                f"relation {a.symbol} used with arities {prev} and {len(a.args)}"
-            )
-    liberal = tuple(sorted(ever_free | set(pads)))
+                used.add(node.var)
     universe = list(liberal) + bound_order
     if not universe:
         universe = ["pad$1"]
-    rels = {}
-    for a in atoms:
-        rels.setdefault(a.symbol, set()).add(a.args)
-    struct = make_structure(Signature(tuple(sorted(symbols.items()))), universe, rels)
-    return PpPair(struct=struct, liberal=liberal)
+    sig = _infer_signature(f)
+    return PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
 
 
 def _fold_quantified(p):
@@ -517,7 +481,7 @@ def as_formula(fs):
 def _cast_all(f, max_dnf):
     """Stage 1: replace every cast by its inclusion-exclusion normal form."""
     if isinstance(f, Cast):
-        sig = Signature(tuple(sorted(_infer_signature(f.ep).items())))
+        sig = _infer_signature(f.ep)
         q = LiberalQuery(name="cast", formula=f.ep, liberal=tuple(f.liberal), sig=sig)
         return cast_ep(q, max_dnf=max_dnf)
     if isinstance(f, Project):
@@ -836,22 +800,6 @@ def _merge_signatures(a, b):
     return Signature(tuple(sorted(symbols.items())))
 
 
-def _sharp_signature(f):
-    symbols = {}
-
-    def collect(node):
-        if isinstance(node, Cast):
-            _infer_signature(node.ep, symbols)
-        elif isinstance(node, (Project, Expand)):
-            collect(node.child)
-        elif isinstance(node, (Times, Plus)):
-            collect(node.left)
-            collect(node.right)
-
-    collect(f)
-    return Signature(tuple(sorted(symbols.items())))
-
-
 def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24):
     """Turn any representation of a disjunction-free query into a basic one
     without increasing width or #-width.
@@ -862,7 +810,7 @@ def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24)
     coefficient-1 term, whose pair is aligned back onto the query's variables
     and recompiled along a width-minimal quantifier-aware decomposition."""
     if samples is None:
-        sig = _merge_signatures(q.sig, _sharp_signature(f))
+        sig = _merge_signatures(q.sig, _infer_signature(f))
         samples = _seeded_structures(sig)
     ok, counterexample = check_represents(f, q, samples)
     if not ok:

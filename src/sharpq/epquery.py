@@ -21,10 +21,15 @@ from .relstore import Signature, Structure, make_structure
 # ---------------------------------------------------------------------------
 
 
+# Every node class of both formula ASTs (these and sharpcore's) names its
+# child fields, left to right, in `_kids`; subformulas() walks them.
+
+
 @dataclass(frozen=True)
 class Atom:
     symbol: str
     args: tuple
+    _kids = ()
 
     def __str__(self):
         return f"{self.symbol}({','.join(self.args)})"
@@ -34,26 +39,41 @@ class Atom:
 class And:
     left: object
     right: object
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Or:
     left: object
     right: object
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Exists:
     var: str
     body: object
+    _kids = ("body",)
 
 
 @dataclass(frozen=True)
 class Top:
-    pass
+    _kids = ()
 
 
 TOP = Top()
+
+
+def subformulas(f):
+    """Every node of an ep or counting formula, f included, in pre-order, left
+    to right. A cast's child is its ep formula."""
+    out, stack = [], [f]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        for name in reversed(node._kids):
+            stack.append(getattr(node, name))
+    return out
 
 
 def free_variables(f):
@@ -70,41 +90,28 @@ def free_variables(f):
 
 
 def _all_variables(f):
-    if isinstance(f, Atom):
-        return set(f.args)
-    if isinstance(f, (And, Or)):
-        return _all_variables(f.left) | _all_variables(f.right)
-    if isinstance(f, Exists):
-        return _all_variables(f.body) | {f.var}
-    return set()
+    """Every atom argument and binder in a formula."""
+    out = set()
+    for node in subformulas(f):
+        if isinstance(node, Atom):
+            out.update(node.args)
+        elif isinstance(node, Exists):
+            out.add(node.var)
+    return out
 
 
-def _bound_count(f):
-    if isinstance(f, (And, Or)):
-        return _bound_count(f.left) + _bound_count(f.right)
-    if isinstance(f, Exists):
-        return 1 + _bound_count(f.body)
-    return 0
-
-
-def _infer_signature(f, symbols=None):
-    """Collect (symbol, arity) pairs from atoms; arity conflicts are errors."""
-    if symbols is None:
-        symbols = {}
-    if isinstance(f, Atom):
-        prev = symbols.get(f.symbol)
-        if prev is None:
-            symbols[f.symbol] = len(f.args)
-        elif prev != len(f.args):
-            raise ParseError(
-                f"relation {f.symbol} used with arities {prev} and {len(f.args)}"
-            )
-    elif isinstance(f, (And, Or)):
-        _infer_signature(f.left, symbols)
-        _infer_signature(f.right, symbols)
-    elif isinstance(f, Exists):
-        _infer_signature(f.body, symbols)
-    return symbols
+def _infer_signature(f):
+    """Signature of the atoms of an ep or counting formula; arity conflicts
+    are errors."""
+    symbols = {}
+    for node in subformulas(f):
+        if isinstance(node, Atom):
+            prev = symbols.setdefault(node.symbol, len(node.args))
+            if prev != len(node.args):
+                raise ParseError(
+                    f"relation {node.symbol} used with arities {prev} and {len(node.args)}"
+                )
+    return Signature(tuple(sorted(symbols.items())))
 
 
 @dataclass(frozen=True)
@@ -257,9 +264,9 @@ class _Tokens:
             raise ParseError(f"expected {want!r}, got {t_val!r}", line, col)
         return t_val
 
-    def error(self, msg):
-        _, _, off = self.peek()
-        line, col = self._loc(off)
+    def error(self, msg, off=None):
+        """Raise a ParseError at text offset `off`, by default the next token's."""
+        line, col = self._loc(self.peek()[2] if off is None else off)
         raise ParseError(msg, line, col)
 
 
@@ -280,7 +287,7 @@ def parse_query(text):
         while True:
             kind, var, off = toks.next()
             if kind != "name" or var in _KEYWORDS:
-                raise ParseError(f"expected a variable name, got {var!r}")
+                toks.error(f"expected a variable name, got {var!r}", off)
             liberal.append(var)
             if toks.peek()[1] == ",":
                 toks.next()
@@ -303,7 +310,7 @@ def parse_query(text):
     if not free <= header:
         missing = ", ".join(sorted(free - header))
         raise ParseError(f"free variable(s) not in the header: {missing}")
-    sig = Signature(tuple(sorted(_infer_signature(body).items())))
+    sig = _infer_signature(body)
     return LiberalQuery(name=qname, formula=body, liberal=tuple(liberal), sig=sig)
 
 
@@ -342,9 +349,9 @@ def _parse_expression(toks, header):
             toks.next()
             k2, var, off2 = toks.next()
             if k2 != "name" or var in _KEYWORDS:
-                raise ParseError(f"expected a variable after 'exists', got {var!r}")
+                toks.error(f"expected a variable after 'exists', got {var!r}", off2)
             if var in header:
-                raise ParseError(f"header variable {var!r} is quantified in the body")
+                toks.error(f"header variable {var!r} is quantified in the body", off2)
             toks.expect("punct", ".")
             return Exists(var, parse_expr())  # exists extends maximally right
         if kind == "name":
@@ -353,9 +360,9 @@ def _parse_expression(toks, header):
             args = []
             if toks.peek()[1] != ")":
                 while True:
-                    k3, arg, _ = toks.next()
+                    k3, arg, off3 = toks.next()
                     if k3 != "name" or arg in _KEYWORDS:
-                        raise ParseError(f"expected a variable name, got {arg!r}")
+                        toks.error(f"expected a variable name, got {arg!r}", off3)
                     args.append(arg)
                     if toks.peek()[1] == ",":
                         toks.next()
@@ -489,7 +496,8 @@ def oracle_count(q, b, max_enum=10**8):
     """
     _check_signature(q, b)
     n = len(b.universe)
-    work = n ** (len(q.liberal) + _bound_count(q.formula))
+    bound = sum(isinstance(node, Exists) for node in subformulas(q.formula))
+    work = n ** (len(q.liberal) + bound)
     if work > max_enum:
         raise CapExceeded(
             f"oracle_count refuses {work} > {max_enum} enumerations; "
@@ -506,18 +514,6 @@ def oracle_count(q, b, max_enum=10**8):
 # ---------------------------------------------------------------------------
 # DNF
 # ---------------------------------------------------------------------------
-
-
-def _formula_key(f):
-    if isinstance(f, Atom):
-        return ("atom", f.symbol, f.args)
-    if isinstance(f, And):
-        return ("and", _formula_key(f.left), _formula_key(f.right))
-    if isinstance(f, Or):
-        return ("or", _formula_key(f.left), _formula_key(f.right))
-    if isinstance(f, Exists):
-        return ("exists", f.var, _formula_key(f.body))
-    return ("top",)
 
 
 def to_dnf_pp(q, max_disjuncts=4096):
@@ -549,10 +545,9 @@ def to_dnf_pp(q, max_disjuncts=4096):
         raise CapExceeded(f"DNF needs {len(disjuncts)} > {max_disjuncts} disjuncts")
     out, seen = [], set()
     for i, d in enumerate(disjuncts):
-        key = _formula_key(d)
-        if key in seen:
+        if d in seen:
             continue
-        seen.add(key)
+        seen.add(d)
         out.append(
             LiberalQuery(name=f"{q.name}_{i}", formula=d, liberal=q.liberal, sig=q.sig)
         )
@@ -564,28 +559,8 @@ def to_dnf_pp(q, max_disjuncts=4096):
 # ---------------------------------------------------------------------------
 
 
-def _collect_atoms(f):
-    if isinstance(f, Atom):
-        return [f]
-    if isinstance(f, And):
-        return _collect_atoms(f.left) + _collect_atoms(f.right)
-    if isinstance(f, Exists):
-        return _collect_atoms(f.body)
-    if isinstance(f, Top):
-        return []
-    if isinstance(f, Or):
-        raise SharpqError("pp view requires a disjunction-free formula")
-    raise TypeError(f"not an ep-formula node: {f!r}")
-
-
 def _has_or(f):
-    if isinstance(f, Or):
-        return True
-    if isinstance(f, And):
-        return _has_or(f.left) or _has_or(f.right)
-    if isinstance(f, Exists):
-        return _has_or(f.body)
-    return False
+    return any(isinstance(node, Or) for node in subformulas(f))
 
 
 def pp_to_pair(q):
@@ -596,7 +571,7 @@ def pp_to_pair(q):
     """
     if _has_or(q.formula):
         raise SharpqError("pp_to_pair requires a disjunction-free query")
-    atoms = _collect_atoms(q.formula)
+    atoms = [node for node in subformulas(q.formula) if isinstance(node, Atom)]
     universe = list(q.liberal)
     seen = set(universe)
     for a in atoms:

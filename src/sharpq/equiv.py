@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import Signature, make_structure
+from .relstore import Signature, make_structure, search_homomorphisms
 from .epquery import PpPair, primal_graph
 
 
@@ -53,41 +53,8 @@ def _unify_signatures(a, b):
 
 def _find_hom(src, dst, pin):
     """First homomorphism src -> dst extending pin, or None. Deterministic."""
-    incidence = {e: [] for e in src.universe}
-    for name, tup in src.all_facts():
-        for e in set(tup):
-            incidence[e].append((name, tup))
-    dst_tuples = {name: dst.tuples(name) for name in dst.sig.names()}
-    h = dict(pin)
-
-    def consistent(e):
-        for name, tup in incidence[e]:
-            image = tuple(h[x] for x in tup if x in h)
-            if len(image) == len(tup) and image not in dst_tuples[name]:
-                return False
-        return True
-
-    if not all(consistent(e) for e in pin):
-        return None
-    todo = sorted(
-        (e for e in src.universe if e not in h),
-        key=lambda e: (-len(incidence[e]), src.universe.index(e)),
-    )
-
-    def search(i):
-        if i == len(todo):
-            return dict(h)
-        e = todo[i]
-        for b in dst.universe:
-            h[e] = b
-            if consistent(e):
-                found = search(i + 1)
-                if found is not None:
-                    return found
-            del h[e]
-        return None
-
-    return search(0)
+    found = search_homomorphisms(src, dst, pin, first=True)
+    return found[0] if found else None
 
 
 def _induced(struct, keep):

@@ -229,69 +229,72 @@ def homomorphisms(src, dst, pin=None, enumerate_witnesses=False):
     if src.sig != dst.sig:
         raise SharpqError("homomorphisms: source and target signatures differ")
     pinned = dict(pin or {})
+    src_elems, dst_elems = set(src.universe), set(dst.universe)
     for k, v in pinned.items():
-        if k not in set(src.universe):
+        if k not in src_elems:
             raise SharpqError(f"pin maps unknown source element {k!r}")
-        if v not in set(dst.universe):
+        if v not in dst_elems:
             raise SharpqError(f"pin targets unknown element {v!r}")
+    witnesses = search_homomorphisms(src, dst, pinned)
+    if enumerate_witnesses:
+        return len(witnesses), tuple(witnesses)
+    return len(witnesses)
 
+
+def search_homomorphisms(src, dst, pin, first=False):
+    """Every homomorphism src -> dst extending pin, as dicts in search order;
+    with first=True, only the first one (an empty list when there is none).
+
+    Unpinned elements are assigned in order of decreasing fact count, then
+    universe order, each trying dst's universe in order; a fact is checked as
+    soon as all its elements are assigned. Every relation src uses must be in
+    dst's signature.
+    """
     # incidence: element -> list of (symbol, tuple) facts it appears in
     incidence = {e: [] for e in src.universe}
     for name, tup in src.all_facts():
         for e in set(tup):
             incidence[e].append((name, tup))
-
-    # assign high-degree elements first; pinned ones before everything
-    order = sorted(
-        src.universe,
-        key=lambda e: (e not in pinned, -len(incidence[e]), src.universe.index(e)),
-    )
     dst_tuples = {name: dst.tuples(name) for name in dst.sig.names()}
-
-    h = dict(pinned)
-    witnesses = []
-    count = 0
+    h = dict(pin)
+    found = []
 
     def consistent(e):
         # check each fact incident to e in which every element is now assigned
         for name, tup in incidence[e]:
             image = []
-            complete = True
             for x in tup:
                 v = h.get(x)
                 if v is None:
-                    complete = False
                     break
                 image.append(v)
-            if complete and tuple(image) not in dst_tuples[name]:
-                return False
+            else:
+                if tuple(image) not in dst_tuples[name]:
+                    return False
         return True
 
-    # verify pinned part immediately
-    for e in pinned:
-        if not consistent(e):
-            return (0, ()) if enumerate_witnesses else 0
-
-    free_order = [e for e in order if e not in pinned]
+    if not all(consistent(e) for e in pin):
+        return found
+    todo = sorted(
+        (e for e in src.universe if e not in h),
+        key=lambda e: (-len(incidence[e]), src.universe.index(e)),
+    )
 
     def search(i):
-        nonlocal count
-        if i == len(free_order):
-            count += 1
-            if enumerate_witnesses:
-                witnesses.append(dict(h))
-            return
-        e = free_order[i]
+        """Extend h from todo[i] on; True once the first witness is found."""
+        if i == len(todo):
+            found.append(dict(h))
+            return first
+        e = todo[i]
         for b in dst.universe:
             h[e] = b
-            if consistent(e):
-                search(i + 1)
-            del h[e]
+            if consistent(e) and search(i + 1):
+                return True
+        del h[e]
+        return False
 
     search(0)
-    if enumerate_witnesses:
-        return count, tuple(witnesses)
-    return count
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +331,7 @@ def disjoint_union(a, b):
     ren_b = {e: (e + "#R" if e in collide else e) for e in b.universe}
     universe = [ren_a[e] for e in a.universe] + [ren_b[e] for e in b.universe]
     if len(set(universe)) != len(universe):
-        # e.g. a already contains "x#L" while b contains "x"; re-suffix until unique
+        # e.g. a already contains "x#L" while b contains "x"
         raise SharpqError("disjoint_union: rename scheme collided; element names too adversarial")
     rels = {}
     for name, _ in a.sig.symbols:

@@ -32,6 +32,7 @@ from .epquery import (
     free_variables,
     parse_ep_expression,
     render_ep,
+    subformulas,
 )
 
 # ---------------------------------------------------------------------------
@@ -45,6 +46,7 @@ class Cast:
 
     ep: object
     liberal: tuple
+    _kids = ("ep",)
 
     def __post_init__(self):
         object.__setattr__(self, "liberal", tuple(sorted(set(self.liberal))))
@@ -54,6 +56,7 @@ class Cast:
 class Project:
     vars: frozenset
     child: object
+    _kids = ("child",)
 
     def __post_init__(self):
         object.__setattr__(self, "vars", frozenset(self.vars))
@@ -63,6 +66,7 @@ class Project:
 class Expand:
     vars: frozenset
     child: object
+    _kids = ("child",)
 
     def __post_init__(self):
         object.__setattr__(self, "vars", frozenset(self.vars))
@@ -72,17 +76,20 @@ class Expand:
 class Times:
     left: object
     right: object
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Plus:
     left: object
     right: object
+    _kids = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Const:
     n: int
+    _kids = ()
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +211,22 @@ def _require_valid(f):
     return report
 
 
-def _ep_width(f):
-    w = len(free_variables(f))
-    if isinstance(f, (And, Or)):
-        return max(w, _ep_width(f.left), _ep_width(f.right))
-    if isinstance(f, Exists):
-        return max(w, _ep_width(f.body))
-    return w
+_EP_NODES = (Atom, And, Or, Exists, Top)
 
 
 def width(f):
     """max |free| over all subformulas, counting ep subformulas inside casts."""
-    fr, _ = free_closed(f)
-    w = len(fr)
-    if isinstance(f, Cast):
-        return max(w, _ep_width(f.ep))
-    if isinstance(f, (Project, Expand)):
-        return max(w, width(f.child))
-    if isinstance(f, (Times, Plus)):
-        return max(w, width(f.left), width(f.right))
-    return w
+    return max(
+        len(free_variables(g) if isinstance(g, _EP_NODES) else free_closed(g)[0])
+        for g in subformulas(f)
+    )
 
 
 def sharp_width(f):
     """max |free| over counting subformulas only (casts count as leaves)."""
-    fr, _ = free_closed(f)
-    w = len(fr)
-    if isinstance(f, (Project, Expand)):
-        return max(w, sharp_width(f.child))
-    if isinstance(f, (Times, Plus)):
-        return max(w, sharp_width(f.left), sharp_width(f.right))
-    return w
+    return max(
+        len(free_closed(g)[0]) for g in subformulas(f) if not isinstance(g, _EP_NODES)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +682,7 @@ class _Evaluator:
 
 
 def _check_cast_signatures(f, b):
-    symbols = {}
-    def collect(node):
-        if isinstance(node, Cast):
-            _infer_signature(node.ep, symbols)
-        elif isinstance(node, (Project, Expand)):
-            collect(node.child)
-        elif isinstance(node, (Times, Plus)):
-            collect(node.left)
-            collect(node.right)
-    collect(f)
-    for name, arity in symbols.items():
+    for name, arity in _infer_signature(f).symbols:
         if name not in b.sig:
             raise SharpqError(f"structure lacks relation {name!r} used by the formula")
         if b.sig.arity(name) != arity:

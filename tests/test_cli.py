@@ -259,6 +259,21 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("query q(x,\n  exists): E(x,x)\n", "line 2, column 3: expected a variable name, got 'exists'"),
+        ("query q(x):\n  exists true . E(x,x)\n", "line 2, column 10: expected a variable after 'exists', got 'true'"),
+        ("query q(x): E(x,\n   true)\n", "line 2, column 4: expected a variable name, got 'true'"),
+    ],
+    ids=["liberal-variable", "exists-binder", "atom-argument"],
+)
+def test_epq_parse_errors_report_their_position(tmp_path, capsys, text, message):
+    q = _write(tmp_path, "bad.epq", text)
+    code, out, err = _run(capsys, "minimize", "-q", q)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     d = _write(tmp_path, "t.rel", THETA2_REL)
     code, _, err = _run(capsys, "count", "-q", str(tmp_path / "nope.epq"), "-d", d)

@@ -22,6 +22,9 @@ from sharpq.compilepipe import (
 )
 from sharpq.decomp import TreeDecomposition, compute_qaw, exact_treewidth
 from sharpq.epquery import (
+    And,
+    Atom,
+    Exists,
     LiberalQuery,
     PpPair,
     contract_graph,
@@ -31,8 +34,11 @@ from sharpq.epquery import (
     pp_to_pair,
     primal_graph,
     render_ep,
+    parse_ep_expression,
     serialize_pair,
+    subformulas,
 )
+from sharpq.epquery import _all_variables, _rename_apart
 from sharpq.equiv import counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure, parse_structure
@@ -45,6 +51,7 @@ from sharpq.sharpcore import (
     Times,
     eval_sentence,
     evaluate,
+    free_closed,
     naive_representation,
     parse_sharp,
     serialize_sharp,
@@ -307,6 +314,117 @@ def test_read_back_rejects_non_basic_and_open_inputs():
         basic_sharp_to_pp(parse_sharp("(C[true; {}] + C[true; {}])"))
     with pytest.raises(SharpqError, match="sentence"):
         basic_sharp_to_pp(parse_sharp("C[E(x,y); {x,y}]"))
+    with pytest.raises(SharpqError, match="disjunction-free"):
+        basic_sharp_to_pp(parse_sharp("P{x} C[U(x) | V(x); {x}]"))
+
+
+def _read_back_reference(f):
+    """basic_sharp_to_pp's pair derived node by node, for a valid basic
+    sentence: the liberal set is every free set of free_closed plus the
+    projection variables the child never mentions, and the atoms and binders
+    come from a stack walk over each renamed-apart cast."""
+    ever_free, casts, pads = set(), [], []
+
+    def walk(node):
+        ever_free.update(free_closed(node)[0])
+        if isinstance(node, Cast):
+            casts.append(node)
+        elif isinstance(node, (Project, Expand)):
+            if isinstance(node, Project):
+                pads.extend(sorted(node.vars - free_closed(node.child)[0]))
+            walk(node.child)
+        elif isinstance(node, Times):
+            walk(node.left)
+            walk(node.right)
+
+    walk(f)
+    used = ever_free | set(pads)
+    atoms, bound_order = [], []
+    for cast in casts:
+        body = _rename_apart(cast.ep, frozenset(used))
+        used |= _all_variables(body)
+        stack = [body]
+        while stack:
+            node = stack.pop(0)
+            if isinstance(node, Atom):
+                atoms.append(node)
+            elif isinstance(node, And):
+                stack[:0] = [node.left, node.right]
+            elif isinstance(node, Exists):
+                bound_order.append(node.var)
+                stack.insert(0, node.body)
+    liberal = tuple(sorted(ever_free | set(pads)))
+    rels = {}
+    for a in atoms:
+        rels.setdefault(a.symbol, set()).add(a.args)
+    sig = Signature(tuple(sorted({a.symbol: len(a.args) for a in atoms}.items())))
+    universe = list(liberal) + bound_order or ["pad$1"]
+    return PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
+
+
+def _random_basic_sentence(rng):
+    """A random basic sentence whose casts reuse binder names (so they clash
+    across casts and with projected variables), with vacuous projections
+    and expansions; None when the drawn shape is not valid."""
+    pool = ["x0", "x1", "x2", "w1", "w2"]
+
+    def ep(scope, depth):
+        roll = rng.random()
+        if depth > 0 and roll < 0.3:
+            w = rng.choice(["w1", "w2"])
+            return f"(exists {w} . {ep(scope + [w], depth - 1)})"
+        if depth > 0 and roll < 0.6:
+            return f"({ep(scope, depth - 1)} & {ep(scope, depth - 1)})"
+        if not scope or roll > 0.9:
+            return "true"
+        sym, arity = rng.choice([("E", 2), ("U", 1)])
+        return f"{sym}({','.join(rng.choice(scope) for _ in range(arity))})"
+
+    def gen(depth):
+        if depth <= 0 or rng.random() < 0.3:
+            lib = rng.sample(["x0", "x1", "x2"], rng.randint(0, 2))
+            return Cast(parse_ep_expression(ep(lib, 3)), tuple(lib))
+        roll = rng.random()
+        child = gen(depth - 1)
+        free, closed = free_closed(child)
+        if roll < 0.35:
+            options = [v for v in pool if v not in closed]
+            if not options:
+                return child
+            return Project(frozenset(rng.sample(options, min(len(options), rng.randint(1, 2)))), child)
+        if roll < 0.55:
+            options = [v for v in pool if v not in free | closed]
+            return Expand(frozenset(rng.sample(options, 1)), child) if options else child
+        right = gen(depth - 1)
+        free_r, closed_r = free_closed(right)
+        want = free | free_r
+        if (want - free) & closed or (want - free_r) & closed_r:
+            return child
+        left = Expand(want - free, child) if want - free else child
+        right = Expand(want - free_r, right) if want - free_r else right
+        return Times(left, right)
+
+    f = gen(4)
+    free, _ = free_closed(f)
+    f = Project(free, f) if free else f
+    return f if validate(f).ok else None
+
+
+def test_read_back_matches_the_node_by_node_derivation():
+    rng = random.Random(404)
+    checked = vacuous = expanded = 0
+    while checked < 300:
+        f = _random_basic_sentence(rng)
+        if f is None:
+            continue
+        checked += 1
+        nodes = subformulas(f)
+        vacuous += any(
+            isinstance(n, Project) and n.vars - free_closed(n.child)[0] for n in nodes
+        )
+        expanded += any(isinstance(n, Expand) for n in nodes)
+        assert basic_sharp_to_pp(f) == _read_back_reference(f)
+    assert vacuous > 50 and expanded > 50
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,22 @@ def test_parse_error_reports_location():
         parse_query("query q(x):\n  E(x,x) % F(x,x)")
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        ("query q(x,\n  exists): E(x,x)", 2, 3),
+        ("query q(x, y): E(x,y) & exists (", 1, 32),
+        ("query q(x):\n  E(x,x) & exists x . E(x,x)", 2, 19),
+        ("query q(x): E(x,\n  x, true)", 2, 6),
+    ],
+    ids=["liberal-variable", "exists-binder", "quantified-header-variable", "atom-argument"],
+)
+def test_variable_errors_report_their_position(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_trailing_input_is_error():
     with pytest.raises(ParseError, match="trailing"):
         parse_query("query q(x): true (")

@@ -15,11 +15,13 @@ from sharpq.relstore import (
     parse_structure,
     poly_action,
     product,
+    search_homomorphisms,
     serialize_structure,
 )
 
 from tests.conftest import (
     SIG_E,
+    SIG_EF,
     brute_homomorphisms,
     path_structure,
     random_structure,
@@ -194,6 +196,64 @@ def test_hom_counts_match_brute_force(seed):
     src = random_structure(rng, SIG_E, max_size=3)
     dst = random_structure(rng, SIG_E, max_size=3)
     assert homomorphisms(src, dst) == brute_homomorphisms(src, dst)
+
+
+def _first_hom_reference(src, dst, pin):
+    """The first-witness search equivalence checking used before it shared
+    relstore's: pinned facts checked first, then unpinned elements by
+    decreasing fact count and universe order, each trying dst's universe in
+    order."""
+    incidence = {e: [] for e in src.universe}
+    for name, tup in src.all_facts():
+        for e in set(tup):
+            incidence[e].append((name, tup))
+    h = dict(pin)
+
+    def consistent(e):
+        for name, tup in incidence[e]:
+            image = tuple(h[x] for x in tup if x in h)
+            if len(image) == len(tup) and image not in dst.tuples(name):
+                return False
+        return True
+
+    if not all(consistent(e) for e in pin):
+        return None
+    todo = sorted(
+        (e for e in src.universe if e not in h),
+        key=lambda e: (-len(incidence[e]), src.universe.index(e)),
+    )
+
+    def search(i):
+        if i == len(todo):
+            return dict(h)
+        for b in dst.universe:
+            h[todo[i]] = b
+            if consistent(todo[i]):
+                found = search(i + 1)
+                if found is not None:
+                    return found
+            del h[todo[i]]
+        return None
+
+    return search(0)
+
+
+def test_first_witness_matches_the_reference_search():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(400):
+        src = random_structure(rng, SIG_EF, max_size=5, density=0.25)
+        dst = random_structure(rng, SIG_EF, max_size=4, density=0.5)
+        pinned = rng.sample(src.universe, rng.randint(0, min(2, len(src.universe))))
+        pin = {e: rng.choice(dst.universe) for e in pinned}
+        expected = _first_hom_reference(src, dst, pin)
+        first = search_homomorphisms(src, dst, pin, first=True)
+        assert first == ([] if expected is None else [expected])
+        count, witnesses = homomorphisms(src, dst, pin, enumerate_witnesses=True)
+        assert witnesses[:1] == tuple(first)
+        assert count == brute_homomorphisms(src, dst, pin)
+        found += expected is not None
+    assert 50 < found < 350
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from sharpq.epquery import And, Atom, Exists, oracle_count, parse_ep_expression, parse_query
+from sharpq.epquery import (
+    And,
+    Atom,
+    Exists,
+    Or,
+    oracle_count,
+    parse_ep_expression,
+    parse_query,
+    subformulas,
+)
 from sharpq.errors import CapExceeded, ParseError, SharpqError
 from sharpq.relstore import Signature, make_structure
 from sharpq.sharpcore import (
@@ -28,6 +37,7 @@ from sharpq.sharpcore import (
 from tests.conftest import (
     SIG_EF,
     brute_ep_count,
+    ep_width,
     path_structure,
     random_ep_query,
     random_structure,
@@ -254,6 +264,55 @@ def test_sharp_width_at_most_width_random():
         f = _random_sharp(rng)
         if validate(f).ok:
             assert sharp_width(f) <= width(f)
+
+
+def _recursive_width(f, casts_inside=True):
+    """width (casts_inside=True) or sharp_width by their recursive
+    definitions: max |free| over the counting subformulas, and over the ep
+    subformulas inside casts for width."""
+    w = len(free_closed(f)[0])
+    if isinstance(f, Cast):
+        return max(w, ep_width(f.ep)) if casts_inside else w
+    if isinstance(f, (Project, Expand)):
+        return max(w, _recursive_width(f.child, casts_inside))
+    if isinstance(f, (Times, Plus)):
+        return max(w, *(_recursive_width(g, casts_inside) for g in (f.left, f.right)))
+    return w
+
+
+def test_width_and_sharp_width_match_the_recursive_definitions():
+    rng = random.Random(222)
+    formulas = [_random_sharp(rng) for _ in range(100)]
+    # casts of random ep queries hold Exists and Or
+    formulas += [naive_representation(random_ep_query(rng)) for _ in range(100)]
+    checked = 0
+    for f in formulas:
+        if validate(f).ok:
+            checked += 1
+            assert width(f) == _recursive_width(f)
+            assert sharp_width(f) == _recursive_width(f, casts_inside=False)
+    assert checked > 180
+
+
+def test_subformulas_visit_both_asts_in_pre_order_left_to_right():
+    e_xy, u_x, e_yx = Atom("E", ("x", "y")), Atom("U", ("x",)), Atom("E", ("y", "x"))
+    ex = Exists("y", e_xy)
+    disj = Or(ex, u_x)
+    cast1 = Cast(disj, ("x",))
+    conj = And(e_xy, e_yx)
+    cast2 = Cast(conj, ("x", "y"))
+    proj = Project({"y"}, cast2)
+    prod = Times(cast1, proj)
+    const = Const(2)
+    expand = Expand({"x"}, const)
+    total = Plus(prod, expand)
+    f = Project({"x"}, total)
+    expected = [f, total, prod, cast1, disj, ex, e_xy, u_x, proj, cast2, conj, e_xy, e_yx,
+                expand, const]
+    got = subformulas(f)
+    assert len(got) == len(expected)
+    assert all(g is e for g, e in zip(got, expected))
+    assert subformulas(e_xy) == [e_xy]
 
 
 # ---------------------------------------------------------------------------
