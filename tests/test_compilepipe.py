@@ -30,11 +30,11 @@ from sharpq.epquery import (
     contract_graph,
     oracle_count,
     pair_to_pp,
+    parse_ep_expression,
     parse_query,
     pp_to_pair,
     primal_graph,
     render_ep,
-    parse_ep_expression,
     serialize_pair,
     subformulas,
 )
@@ -391,7 +391,8 @@ def _random_basic_sentence(rng):
             options = [v for v in pool if v not in closed]
             if not options:
                 return child
-            return Project(frozenset(rng.sample(options, min(len(options), rng.randint(1, 2)))), child)
+            k = min(len(options), rng.randint(1, 2))
+            return Project(frozenset(rng.sample(options, k)), child)
         if roll < 0.55:
             options = [v for v in pool if v not in free | closed]
             return Expand(frozenset(rng.sample(options, 1)), child) if options else child

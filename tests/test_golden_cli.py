@@ -52,8 +52,8 @@ def cli_outputs(query, work):
         if label == "minimize" and record[label][0] == 0:
             shq = pathlib.Path(work) / f"{query.stem}.shq"
             shq.write_text(json.loads(stdout)["sentence"] + "\n", encoding="utf-8")
-    for label, (cmd, *flags) in SENTENCE_COMMANDS.items():
-        if record["minimize"][0] == 0:
+    if record["minimize"][0] == 0:
+        for label, (cmd, *flags) in SENTENCE_COMMANDS.items():
             record[label], _ = _run([cmd, "-s", str(shq), *flags])
     return record
 
