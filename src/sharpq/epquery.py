@@ -219,23 +219,27 @@ _KEYWORDS = {"query", "exists", "true"}
 
 
 class _Tokens:
-    def __init__(self, text):
+    """Tokens of text[start:stop]. Offsets, and so error lines and columns,
+    count from the start of text; `end` is how messages name the end of the
+    tokens."""
+
+    def __init__(self, text, start=0, stop=None, end="None"):
         self.text = text
-        self.pos = 0
+        self.stop = len(text) if stop is None else stop
+        self.end = end
         self.tokens = []
-        self._lex()
+        self._lex(start)
         self.i = 0
 
-    def _lex(self):
-        pos = 0
-        while pos < len(self.text):
-            m = _TOKEN_RE.match(self.text, pos)
+    def _lex(self, pos):
+        while pos < self.stop:
+            m = _TOKEN_RE.match(self.text, pos, self.stop)
             if not m:
-                stripped = self.text[pos:].lstrip()
+                rest = self.text[pos : self.stop]
+                stripped = rest.lstrip()
                 if not stripped:
                     break
-                line = self.text.count("\n", 0, pos) + 1
-                col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
+                line, col = self._loc(pos + len(rest) - len(stripped))
                 raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
             if m.group("name"):
                 self.tokens.append(("name", m.group("name"), m.start("name")))
@@ -249,7 +253,7 @@ class _Tokens:
         return line, col
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.stop)
 
     def next(self):
         tok = self.peek()
@@ -261,8 +265,12 @@ class _Tokens:
         if t_kind != kind or (value is not None and t_val != value):
             want = value if value is not None else kind
             line, col = self._loc(off)
-            raise ParseError(f"expected {want!r}, got {t_val!r}", line, col)
+            raise ParseError(f"expected {want!r}, got {self.shown(t_val)}", line, col)
         return t_val
+
+    def shown(self, val):
+        """A token value as error messages show it; None is the end."""
+        return self.end if val is None else repr(val)
 
     def error(self, msg, off=None):
         """Raise a ParseError at text offset `off`, by default the next token's."""
@@ -287,7 +295,7 @@ def parse_query(text):
         while True:
             kind, var, off = toks.next()
             if kind != "name" or var in _KEYWORDS:
-                toks.error(f"expected a variable name, got {var!r}", off)
+                toks.error(f"expected a variable name, got {toks.shown(var)}", off)
             liberal.append(var)
             if toks.peek()[1] == ",":
                 toks.next()
@@ -349,7 +357,7 @@ def _parse_expression(toks, header):
             toks.next()
             k2, var, off2 = toks.next()
             if k2 != "name" or var in _KEYWORDS:
-                toks.error(f"expected a variable after 'exists', got {var!r}", off2)
+                toks.error(f"expected a variable after 'exists', got {toks.shown(var)}", off2)
             if var in header:
                 toks.error(f"header variable {var!r} is quantified in the body", off2)
             toks.expect("punct", ".")
@@ -362,7 +370,7 @@ def _parse_expression(toks, header):
                 while True:
                     k3, arg, off3 = toks.next()
                     if k3 != "name" or arg in _KEYWORDS:
-                        toks.error(f"expected a variable name, got {arg!r}", off3)
+                        toks.error(f"expected a variable name, got {toks.shown(arg)}", off3)
                     args.append(arg)
                     if toks.peek()[1] == ",":
                         toks.next()
@@ -372,14 +380,18 @@ def _parse_expression(toks, header):
             if not args:
                 raise ParseError(f"relation {val!r} needs at least one argument")
             return Atom(val, tuple(args))
-        toks.error(f"expected an atom, 'true', 'exists' or '(', got {val!r}")
+        toks.error(f"expected an atom, 'true', 'exists' or '(', got {toks.shown(val)}")
 
     return parse_expr()
 
 
 def parse_ep_expression(text):
     """Parse a bare ep expression (no query header); bound vars renamed apart."""
-    toks = _Tokens(_strip_epq_comments(text))
+    return _parse_ep_span(_Tokens(_strip_epq_comments(text)))
+
+
+def _parse_ep_span(toks):
+    """Parse the tokens of a bare, comment-free ep expression."""
     body = _parse_expression(toks, frozenset())
     if toks.peek()[0] is not None:
         toks.error(f"trailing input after expression: {toks.peek()[1]!r}")
@@ -451,30 +463,70 @@ def serialize_query(q):
 _UNBOUND = object()
 
 
-def _satisfies(f, h, b):
+def _exists_plan(f):
+    """(binders, levels) for the exists chain that starts at f.
+
+    levels[k] lists the conjuncts of the chain's body whose variables are all
+    bound once binders[:k] are; a name bound twice in the chain is read from
+    its innermost binder."""
+    binders = []
+    while isinstance(f, Exists):
+        binders.append(f.var)
+        f = f.body
+    level = {v: k + 1 for k, v in enumerate(binders)}  # an inner binder wins
+    levels = [[] for _ in range(len(binders) + 1)]
+    conjuncts = [f]
+    while conjuncts:
+        g = conjuncts.pop()
+        if isinstance(g, And):
+            conjuncts += (g.right, g.left)
+        else:
+            levels[max((level.get(v, 0) for v in free_variables(g)), default=0)].append(g)
+    return binders, levels
+
+
+def _satisfies(f, h, b, plans):
+    """Whether f holds under the assignment h (restored on return); plans
+    memoises _exists_plan by node id within one oracle_count call."""
     if isinstance(f, Atom):
         return tuple(h[a] for a in f.args) in b.tuples(f.symbol)
     if isinstance(f, And):
-        return _satisfies(f.left, h, b) and _satisfies(f.right, h, b)
+        return _satisfies(f.left, h, b, plans) and _satisfies(f.right, h, b, plans)
     if isinstance(f, Or):
-        return _satisfies(f.left, h, b) or _satisfies(f.right, h, b)
+        return _satisfies(f.left, h, b, plans) or _satisfies(f.right, h, b, plans)
     if isinstance(f, Exists):
-        # the binder may shadow an outer one, whose value is restored after
-        outer = h.get(f.var, _UNBOUND)
-        found = False
-        for val in b.universe:
-            h[f.var] = val
-            if _satisfies(f.body, h, b):
-                found = True
-                break
-        if outer is _UNBOUND:
-            del h[f.var]
-        else:
-            h[f.var] = outer
+        plan = plans.get(id(f))
+        if plan is None:
+            plan = plans[id(f)] = _exists_plan(f)
+        binders, levels = plan
+        # a binder may shadow an outer one, whose value is restored after
+        outer = {v: h.get(v, _UNBOUND) for v in binders}
+        found = _search(0, binders, levels, h, b, plans)
+        for v, val in outer.items():
+            if val is _UNBOUND:
+                h.pop(v, None)
+            else:
+                h[v] = val
         return found
     if isinstance(f, Top):
         return True
     raise TypeError(f"not an ep-formula node: {f!r}")
+
+
+def _search(k, binders, levels, h, b, plans):
+    """Backtrack over binders[k:], checking each level's conjuncts before
+    binding the next variable."""
+    for g in levels[k]:
+        if not _satisfies(g, h, b, plans):
+            return False
+    if k == len(binders):
+        return True
+    var = binders[k]
+    for val in b.universe:
+        h[var] = val
+        if _search(k + 1, binders, levels, h, b, plans):
+            return True
+    return False
 
 
 def _check_signature(q, b):
@@ -490,9 +542,11 @@ def _check_signature(q, b):
 def oracle_count(q, b, max_enum=10**8):
     """Ground-truth |q(B)| by exhaustive enumeration.
 
-    Refuses when the naive enumeration would exceed max_enum assignments; the
-    bound counts quantified variables too, since the satisfaction check
-    enumerates them in the worst case.
+    Every liberal assignment is enumerated; each exists chain is searched by
+    backtracking, checking every conjunct of its body as soon as its
+    variables are bound. Refuses when the naive enumeration would exceed
+    max_enum assignments; the bound counts quantified variables too, since
+    the search enumerates them in the worst case.
     """
     _check_signature(q, b)
     n = len(b.universe)
@@ -504,9 +558,10 @@ def oracle_count(q, b, max_enum=10**8):
             "use the compiled engine for inputs of this size"
         )
     count = 0
+    plans = {}
     for values in itertools.product(b.universe, repeat=len(q.liberal)):
         h = dict(zip(q.liberal, values))
-        if _satisfies(q.formula, h, b):
+        if _satisfies(q.formula, h, b, plans):
             count += 1
     return count
 

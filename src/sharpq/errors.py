@@ -20,6 +20,7 @@ class ParseError(SharpqError):
     exit_code = 2
 
     def __init__(self, message, line=None, column=None):
+        self.reason = message
         self.line = line
         self.column = column
         if line is not None:

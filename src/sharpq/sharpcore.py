@@ -29,8 +29,9 @@ from .epquery import (
     Or,
     Top,
     _infer_signature,
+    _parse_ep_span,
+    _Tokens,
     free_variables,
-    parse_ep_expression,
     render_ep,
     subformulas,
 )
@@ -214,19 +215,40 @@ def _require_valid(f):
 _EP_NODES = (Atom, And, Or, Exists, Top)
 
 
+def _free_sets(f):
+    """(node, free variables) for every node of an ep or counting formula,
+    children before parents: one bottom-up pass over the reversed pre-order."""
+    free, out = {}, []
+    for g in reversed(subformulas(f)):
+        if isinstance(g, Atom):
+            s = frozenset(g.args)
+        elif isinstance(g, (And, Or, Times, Plus)):
+            s = free[id(g.left)] | free[id(g.right)]
+        elif isinstance(g, Exists):
+            s = free[id(g.body)] - {g.var}
+        elif isinstance(g, Cast):
+            s = frozenset(g.liberal)
+        elif isinstance(g, Project):
+            s = free[id(g.child)] - g.vars
+        elif isinstance(g, Expand):
+            s = free[id(g.child)] | g.vars
+        elif isinstance(g, (Top, Const)):
+            s = frozenset()
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+        free[id(g)] = s
+        out.append((g, s))
+    return out
+
+
 def width(f):
     """max |free| over all subformulas, counting ep subformulas inside casts."""
-    return max(
-        len(free_variables(g) if isinstance(g, _EP_NODES) else free_closed(g)[0])
-        for g in subformulas(f)
-    )
+    return max(len(s) for _, s in _free_sets(f))
 
 
 def sharp_width(f):
     """max |free| over counting subformulas only (casts count as leaves)."""
-    return max(
-        len(free_closed(g)[0]) for g in subformulas(f) if not isinstance(g, _EP_NODES)
-    )
+    return max(len(s) for g, s in _free_sets(f) if not isinstance(g, _EP_NODES))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +322,12 @@ class _SharpParser:
             end = self.src.find(";", self.pos)
             if end < 0:
                 self.error("cast needs ';' between formula and variable set")
-            ep_text = self.src[self.pos : end]
             try:
-                ep = parse_ep_expression(ep_text)
+                ep = _parse_ep_span(_Tokens(self.src, self.pos, end, end="end of cast"))
             except ParseError as exc:
-                self.error(f"inside cast: {exc}")
+                if exc.line is None:
+                    self.error(f"inside cast: {exc}")
+                raise ParseError(f"inside cast: {exc.reason}", exc.line, exc.column) from None
             self.pos = end + 1
             liberal = self.parse_varset()
             self.expect("]")

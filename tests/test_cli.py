@@ -182,6 +182,28 @@ def test_width_rejects_malformed_formula(tmp_path, capsys):
     assert "ill-formed" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the fault is the end of the cast text, at the ';' on line 3
+        ("P{x}\n  C[E(x) & \n F(x,; {x}]", "line 3, column 6: inside cast: "
+         "expected a variable name, got end of cast"),
+        ("P{x}\n  C[E(x) & \n F(x) y ; {x}]", "line 3, column 7: inside cast: "
+         "trailing input after expression: 'y'"),
+        ("P{x}\n  C[E(x) &\n  ? ; {x}]", "line 3, column 3: inside cast: "
+         "unexpected character '?'"),
+        # an error without a position is reported at the start of the cast text
+        ("P{x}\n  C[E(x) & F(); {x}]", "line 2, column 5: inside cast: "
+         "relation 'F' needs at least one argument"),
+    ],
+    ids=["end-of-cast", "trailing", "character", "no-position"],
+)
+def test_cast_parse_errors_count_lines_and_columns_from_the_file(tmp_path, capsys, text, message):
+    s = _write(tmp_path, "bad.shq", text)
+    code, out, err = _run(capsys, "width", "-s", s)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_qaw_command_with_dump(tmp_path, capsys):
     q_path = _write(tmp_path, "star3.epq", serialize_query(pair_to_pp(star_pair(3))))
     td_path = tmp_path / "td.txt"

@@ -27,11 +27,13 @@ from sharpq.epquery import (
     serialize_pair,
     serialize_query,
     strip_nonliberal_components,
+    subformulas,
     to_dnf_pp,
 )
 from sharpq.errors import CapExceeded, ParseError, SharpqError
-from sharpq.relstore import Signature, make_structure
+from sharpq.relstore import Signature, Structure, make_structure
 from tests.conftest import (
+    SIG_E,
     SIG_EF,
     brute_ep_count,
     ep_width,
@@ -140,8 +142,10 @@ def test_parse_error_reports_location():
         ("query q(x, y): E(x,y) & exists (", 1, 32),
         ("query q(x):\n  E(x,x) & exists x . E(x,x)", 2, 19),
         ("query q(x): E(x,\n  x, true)", 2, 6),
+        ("query q(x):\n  E(x,x)  % F(x,x)", 2, 11),
     ],
-    ids=["liberal-variable", "exists-binder", "quantified-header-variable", "atom-argument"],
+    ids=["liberal-variable", "exists-binder", "quantified-header-variable", "atom-argument",
+         "unexpected-character"],
 )
 def test_variable_errors_report_their_position(text, line, column):
     with pytest.raises(ParseError) as exc:
@@ -246,6 +250,178 @@ def test_oracle_guard_refuses_large_enumeration():
     # 4^(3+2) = 1024 assignments > 1000
     with pytest.raises(CapExceeded, match="1024"):
         oracle_count(q, b, max_enum=1000)
+
+
+# The nested-loop oracle that preceded the pruned search: every binder of an
+# exists chain is set before any atom under it is checked. Kept as the
+# reference the pruned oracle must agree with, count for count and refusal
+# for refusal.
+
+_UNBOUND = object()
+
+
+def nested_loop_satisfies(f, h, b):
+    if isinstance(f, Atom):
+        return tuple(h[a] for a in f.args) in b.tuples(f.symbol)
+    if isinstance(f, And):
+        return nested_loop_satisfies(f.left, h, b) and nested_loop_satisfies(f.right, h, b)
+    if isinstance(f, Or):
+        return nested_loop_satisfies(f.left, h, b) or nested_loop_satisfies(f.right, h, b)
+    if isinstance(f, Exists):
+        outer = h.get(f.var, _UNBOUND)
+        found = False
+        for val in b.universe:
+            h[f.var] = val
+            if nested_loop_satisfies(f.body, h, b):
+                found = True
+                break
+        if outer is _UNBOUND:
+            del h[f.var]
+        else:
+            h[f.var] = outer
+        return found
+    if isinstance(f, Top):
+        return True
+    raise TypeError(f"not an ep-formula node: {f!r}")
+
+
+def nested_loop_count(q, b, max_enum=10**8):
+    n = len(b.universe)
+    bound = sum(isinstance(node, Exists) for node in subformulas(q.formula))
+    work = n ** (len(q.liberal) + bound)
+    if work > max_enum:
+        raise CapExceeded(
+            f"oracle_count refuses {work} > {max_enum} enumerations; "
+            "use the compiled engine for inputs of this size"
+        )
+    count = 0
+    for values in itertools.product(b.universe, repeat=len(q.liberal)):
+        if nested_loop_satisfies(q.formula, dict(zip(q.liberal, values)), b):
+            count += 1
+    return count
+
+
+def test_oracle_refuses_at_the_same_sizes_with_the_same_message():
+    for n in range(1, 5):
+        for n_lib in range(1, 4):
+            for n_bound in range(4):
+                lib = [f"x{i}" for i in range(n_lib)]
+                chain = lib + [f"w{i}" for i in range(n_bound)]
+                body = TOP
+                for a, c in zip(chain, chain[1:]):
+                    body = And(body, Atom("E", (a, c)))
+                for w in reversed(chain[n_lib:]):
+                    body = Exists(w, body)
+                q = LiberalQuery(name="q", formula=body, liberal=tuple(lib), sig=SIG_E)
+                b = path_structure(n - 1)
+                for cap in (1, 8, 27, 64, 100, 729, 1000):
+                    if n ** (n_lib + n_bound) > cap:
+                        with pytest.raises(CapExceeded) as want:
+                            nested_loop_count(q, b, max_enum=cap)
+                        with pytest.raises(CapExceeded) as got:
+                            oracle_count(q, b, max_enum=cap)
+                        assert str(got.value) == str(want.value)
+                    else:
+                        assert oracle_count(q, b, max_enum=cap) == nested_loop_count(
+                            q, b, max_enum=cap
+                        )
+
+
+def test_oracle_matches_the_nested_loop_reference_on_random_queries():
+    rng = random.Random(5151)
+    for _ in range(500):
+        q = random_ep_query(rng, max_vars=6, max_atoms=6)
+        b = random_structure(rng, q.sig, max_size=4)
+        assert oracle_count(q, b) == nested_loop_count(q, b)
+
+
+SIG_EU = Signature((("E", 2), ("U", 1)))
+
+
+def _E(a, c):
+    return Atom("E", (a, c))
+
+
+def _U(a):
+    return Atom("U", (a,))
+
+
+def _hand_query(liberal, formula):
+    return LiberalQuery(name="q", formula=formula, liberal=liberal, sig=SIG_EU)
+
+
+# hand-built formulas (the parsers rename binders apart, so none of them
+# reaches the oracle from text)
+@pytest.mark.parametrize(
+    "liberal, formula",
+    [
+        # the inner y shadows the outer one, which E(x,y) reads after it
+        (("x",), Exists("y", And(Exists("y", _E("y", "x")), _E("x", "y")))),
+        # the inner y runs once the outer y and z are bound; E(y,z) then
+        # reads the outer y
+        (("x",), Exists("y", Exists("z", And(
+            And(_E("x", "y"), Exists("y", _E("z", "y"))), _E("y", "z"))))),
+        # a binder shadows a liberal variable that E(x,y) reads after it
+        (("x", "y"), And(Exists("y", _E("y", "x")), _E("x", "y"))),
+        # one name bound twice in one chain: U(y) and E(y,w) read the inner y
+        (("x",), Exists("y", Exists("y", Exists("w", And(
+            And(_U("y"), _E("y", "w")), _E("w", "x")))))),
+        # vacuous binders, before and after a used one
+        (("x",), Exists("z", Exists("y", _E("x", "y")))),
+        (("x",), Exists("y", Exists("z", _E("x", "y")))),
+        (("x",), Exists("z", _U("x"))),
+        # or under exists, exists inside or
+        (("x",), Exists("y", Or(_E("x", "y"), And(_U("y"), _E("y", "x"))))),
+        (("x",), Or(_U("x"), Exists("y", And(_E("y", "x"), _E("x", "y"))))),
+        # true as a conjunct, as a body and beside an exists
+        (("x",), Exists("y", And(TOP, _E("x", "y")))),
+        (("x",), Exists("y", TOP)),
+        (("x",), And(TOP, Exists("y", _E("y", "y")))),
+        # repeated-variable atoms
+        (("x",), Exists("y", And(_E("y", "y"), _E("x", "y")))),
+        # a conjunct over liberal variables only, under a chain
+        (("x", "z"), Exists("y", And(_E("y", "z"), And(_E("x", "z"), _U("y"))))),
+    ],
+    ids=[
+        "shadowed-binder", "shadowed-bound-binder", "shadowed-liberal", "bound-twice",
+        "vacuous-outer", "vacuous-inner", "vacuous-only", "or-under-exists", "exists-in-or",
+        "top-conjunct", "top-body", "top-beside-exists", "repeated-variable",
+        "liberal-only-conjunct",
+    ],
+)
+def test_oracle_hand_cases_match_the_nested_loop_reference(liberal, formula):
+    q = _hand_query(liberal, formula)
+    rng = random.Random(8)
+    for _ in range(60):
+        b = random_structure(rng, SIG_EU, max_size=4, density=0.4)
+        assert oracle_count(q, b) == nested_loop_count(q, b)
+
+
+def test_oracle_reads_the_innermost_of_two_binders_of_one_name():
+    # U(y) and E(y,w) must see the same y: U holds only at a, which has no
+    # out-edge, so no x qualifies (had U read an outer y, y = b, w = c would
+    # let x = a through)
+    b = make_structure(SIG_EU, ["a", "b", "c"], {"U": {("a",)}, "E": {("b", "c"), ("c", "a")}})
+    f = Exists("y", Exists("y", Exists("w", And(And(_U("y"), _E("y", "w")), _E("w", "x")))))
+    assert oracle_count(_hand_query(("x",), f), b) == 0
+
+
+def test_oracle_checks_each_conjunct_as_soon_as_it_is_bound(monkeypatch):
+    # exists y . exists z . E(x,y) & E(y,z) on E = {(a,b)}: E(x,y) is looked
+    # up once per y; E(y,z) three times (once per z) after y = b passes, for
+    # x = a only: 3 + 3 + 3 + 3 lookups
+    lookups = []
+    tuples = Structure.tuples
+
+    def counted(self, name):
+        lookups.append(name)
+        return tuples(self, name)
+
+    b = make_structure(SIG_E, ["a", "b", "c"], {"E": {("a", "b")}})
+    q = parse_query("query q(x): exists y . exists z . E(x,y) & E(y,z)")
+    monkeypatch.setattr(Structure, "tuples", counted)
+    assert oracle_count(q, b) == 0
+    assert len(lookups) == 12
 
 
 def test_oracle_signature_mismatch():

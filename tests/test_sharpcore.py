@@ -1,9 +1,11 @@
 """Tests for sharpq.sharpcore: AST validity, width, .shq format, evaluation."""
 
 import random
+import sys
 
 import pytest
 
+from sharpq.compilepipe import minimize_ep
 from sharpq.epquery import (
     And,
     Atom,
@@ -292,6 +294,17 @@ def test_width_and_sharp_width_match_the_recursive_definitions():
             assert width(f) == _recursive_width(f)
             assert sharp_width(f) == _recursive_width(f, casts_inside=False)
     assert checked > 180
+    # the minimized 9-disjunct unary union (8,444 nodes): its sum chain is
+    # too deep for the recursive definitions at the default recursion limit
+    union = parse_query("query u(x): " + " | ".join(f"A{i}(x)" for i in range(9)))
+    f = minimize_ep(union)[0]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        want = _recursive_width(f), _recursive_width(f, casts_inside=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (width(f), sharp_width(f)) == want == (1, 1)
 
 
 def test_subformulas_visit_both_asts_in_pre_order_left_to_right():
