@@ -24,6 +24,7 @@ from .compilepipe import (
     compile_flat,
     flatten,
     minimize_ep,
+    table_union_sentence,
 )
 from .decomp import compute_qaw, exact_treewidth, serialize_td
 from .epquery import (
@@ -97,10 +98,19 @@ def _load_sharp(path):
 
 
 def _compiled_sentence(q, cfg):
-    """Width-minimal representation when feasible; when a cap trips inside
+    """The sentence `count` evaluates. A query with a disjunction whose naive
+    cast is no wider than its widest disjunct core counts through that cast,
+    one table union instead of 2^k - 1 inclusion-exclusion terms. Otherwise
+    the width-minimal representation when feasible; when a cap trips inside
     the core/canonicalization stage, fall back to the per-term decomposition
     route, which never searches for endomorphisms. Caps that both routes
-    share (DNF, treewidth) re-raise from the fallback."""
+    share (DNF, inclusion-exclusion terms, treewidth) re-raise from the
+    fallback."""
+    union = table_union_sentence(
+        q, max_dnf=cfg.max_dnf, core_cap=cfg.core_cap, tw_cap=cfg.max_vertices
+    )
+    if union is not None:
+        return union
     try:
         sentence, _ = minimize_ep(
             q, max_dnf=cfg.max_dnf, core_cap=cfg.core_cap, tw_cap=cfg.max_vertices

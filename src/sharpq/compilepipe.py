@@ -52,6 +52,7 @@ from .sharpcore import (
     eval_sentence,
     naive_representation,
     validate,
+    width,
 )
 
 # ---------------------------------------------------------------------------
@@ -422,6 +423,30 @@ def minimize_pp(q, *, core_cap=12, tw_cap=24):
     return pp_to_basic_sharp(core, td), qaw
 
 
+def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
+    """The naive representation P L C[d1 | ... | dk; L] of a query with a
+    disjunction, when its width is at most the largest quantifier-aware width
+    of the disjuncts' cores (as minimize_pp computes them); None when the
+    query has no disjunction, when the naive cast is wider, or when a cap
+    stops the DNF, a core search or a treewidth.
+
+    Evaluating the naive cast takes the union of the disjuncts' answer tables
+    in one pass, so counting it builds none of the 2^k - 1 inclusion-exclusion
+    terms. Every table it builds has at most |B|^width rows, so its data
+    exponent is no larger than the widest disjunct's."""
+    if not _has_or(q.formula):
+        return None
+    naive = naive_representation(q)
+    try:
+        qaw = max(
+            compute_qaw(core_of(_fold_quantified(pp_to_pair(d)), cap=core_cap), cap=tw_cap)[0]
+            for d in to_dnf_pp(q, max_disjuncts=max_dnf)
+        )
+    except CapExceeded:
+        return None
+    return naive if width(naive) <= qaw else None
+
+
 # ---------------------------------------------------------------------------
 # cast_ep: inclusion-exclusion over the disjuncts
 # ---------------------------------------------------------------------------
@@ -431,8 +456,15 @@ def cast_ep(q, max_dnf=4096):
     """Rewrite the cast of a query with disjunctions into sums of casts of
     disjunction-free formulas by inclusion-exclusion over the DNF disjuncts.
     The result is pointwise equal to Cast(q.formula, L) and its width is no
-    larger."""
+    larger. The 2^k - 1 terms of k disjuncts are capped by `max_dnf` too,
+    before any term is built."""
     disjuncts = to_dnf_pp(q, max_disjuncts=max_dnf)
+    terms_needed = 2 ** len(disjuncts) - 1
+    if terms_needed > max_dnf:
+        raise CapExceeded(
+            f"inclusion-exclusion over {len(disjuncts)} disjuncts needs "
+            f"{terms_needed} > {max_dnf} terms"
+        )
     lib = frozenset(q.liberal)
     lib_tuple = tuple(sorted(q.liberal))
     terms = []

@@ -223,7 +223,7 @@ class _Tokens:
     count from the start of text; `end` is how messages name the end of the
     tokens."""
 
-    def __init__(self, text, start=0, stop=None, end="None"):
+    def __init__(self, text, start=0, stop=None, end="end of input"):
         self.text = text
         self.stop = len(text) if stop is None else stop
         self.end = end

@@ -199,7 +199,12 @@ def parse_structure(text):
     elems = universe if universe is not None else seen_elems
     if not elems:
         raise ParseError("empty universe")
-    return make_structure(sig or Signature(tuple(sig_symbols)), elems, facts)
+    # every check of Structure.__post_init__ has been made line by line above
+    parsed = object.__new__(Structure)
+    object.__setattr__(parsed, "sig", sig or Signature(tuple(sig_symbols)))
+    object.__setattr__(parsed, "universe", tuple(elems))
+    object.__setattr__(parsed, "relations", {n: frozenset(ts) for n, ts in facts.items()})
+    return parsed
 
 
 def serialize_structure(s):

@@ -120,6 +120,16 @@ def random_ep_query(rng, *, max_vars=6, max_atoms=5, max_disjunctions=2,
     return LiberalQuery(name=name, formula=formula, liberal=tuple(lib), sig=sig)
 
 
+# Unions that `count` keeps on inclusion-exclusion. A: naive width 4, while
+# the disjuncts' cores have qaw 2 and 1 (the prenex path is wider than its
+# decomposition). B: naive width 3, and so is the first disjunct's qaw, but
+# its core E(x,x) has qaw 1.
+QUERY_A = "query a(x): (exists y . exists z . exists w . E(x,y) & E(y,z) & E(z,w)) | F(x)"
+QUERY_B = (
+    "query b(x): (E(x,x) & exists y . exists z . exists w . E(y,z) & E(z,w) & E(w,y)) | F(x)"
+)
+
+
 def brute_ep_count(q, b):
     """Independent counting oracle: hoist all quantifiers (sound because the
     formula is renamed-apart), then enumerate liberal and bound assignments."""

@@ -5,12 +5,21 @@ import random
 
 import pytest
 
+import sharpq.cli
 from sharpq.cli import main
-from sharpq.compilepipe import _seeded_structures
-from sharpq.epquery import pair_to_pp, parse_query, serialize_query
-from sharpq.sharpcore import check_represents, parse_sharp, validate
+from sharpq.compilepipe import _seeded_structures, minimize_ep
+from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
+from sharpq.relstore import serialize_structure
+from sharpq.sharpcore import check_represents, eval_sentence, parse_sharp, validate
 
-from tests.conftest import star_pair, three_block_pair
+from tests.conftest import (
+    QUERY_A,
+    QUERY_B,
+    random_ep_query,
+    random_structure,
+    star_pair,
+    three_block_pair,
+)
 
 THETA2_EPQ = "query theta2(x1,x2): U1(x1) & U2(x2)\n"
 THETA2_REL = "signature U1/1 U2/1\nuniverse a b\nU1(a)\nU1(b)\nU2(b)\n"
@@ -69,6 +78,112 @@ def test_count_oracle_engine(tmp_path, capsys):
     code, out, _ = _run(capsys, "count", "-q", q, "-d", d, "--engine", "oracle")
     assert code == 0
     assert out == "5\n"
+
+
+# ---------------------------------------------------------------------------
+# count on unions: one table union, or inclusion-exclusion
+# ---------------------------------------------------------------------------
+
+
+def _unary_union(k):
+    return "query u(x): " + " | ".join(f"A{i}(x)" for i in range(k)) + "\n"
+
+
+def _binary_union(k):
+    parts = [f"(exists y{i} . E{i % 3}(x,y{i}))" for i in range(k)]
+    return "query e(x): " + " | ".join(parts) + "\n"
+
+
+@pytest.fixture
+def ie_route(monkeypatch):
+    """The names of the queries that `count` sends to inclusion-exclusion."""
+    names = []
+
+    def spy(q, **kwargs):
+        names.append(q.name)
+        return minimize_ep(q, **kwargs)
+
+    monkeypatch.setattr(sharpq.cli, "minimize_ep", spy)
+    return names
+
+
+def _count(capsys, tmp_path, query_text, rel_text, *flags):
+    q = _write(tmp_path, "q.epq", query_text)
+    d = _write(tmp_path, "d.rel", rel_text)
+    return _run(capsys, "count", "-q", q, "-d", d, *flags)
+
+
+@pytest.mark.parametrize("k", [10, 11, 12, 40])
+def test_unions_count_like_the_oracle_and_like_set_unions(tmp_path, capsys, ie_route, k):
+    rng = random.Random(k)
+    for text, arity, symbols in (
+        (_unary_union(k), 1, [f"A{i}" for i in range(k)]),
+        (_binary_union(k), 2, ["E0", "E1", "E2"]),
+    ):
+        q = parse_query(text)
+        for _ in range(3):
+            b = random_structure(rng, q.sig, min_size=2, max_size=4, density=0.3)
+            # the oracle's cap counts |B|^(1 + k) assignments; its search prunes
+            expected = oracle_count(q, b, max_enum=4 ** (k + 1))
+            assert _count(capsys, tmp_path, text, serialize_structure(b)) == (0, f"{expected}\n", "")
+        # 2,000 elements, each relation holding about 100 facts
+        universe = [f"b{i}" for i in range(2000)]
+        rels = {s: {tuple(rng.sample(universe, arity)) for _ in range(100)} for s in symbols}
+        facts = [f"{s}({','.join(t)})" for s in symbols for t in sorted(rels[s])]
+        rel_text = "\n".join([f"signature {' '.join(f'{s}/{arity}' for s in symbols)}",
+                              "universe " + " ".join(universe), *facts]) + "\n"
+        used = {s for s, _ in q.sig.symbols}
+        expected = len({t[0] for s in used for t in rels[s]})
+        assert _count(capsys, tmp_path, text, rel_text) == (0, f"{expected}\n", "")
+    assert ie_route == []
+
+
+@pytest.mark.parametrize("text", [QUERY_A, QUERY_B], ids=["wider-cast", "wider-uncored"])
+def test_unions_wider_than_their_cores_keep_inclusion_exclusion(tmp_path, capsys, ie_route, text):
+    q = parse_query(text)
+    rng = random.Random(7)
+    for _ in range(5):
+        b = random_structure(rng, q.sig, min_size=2, max_size=4, density=0.4)
+        old_route = eval_sentence(minimize_ep(q)[0], b)
+        code, out, err = _count(
+            capsys, tmp_path, text, serialize_structure(b), "--engine", "both", "--json"
+        )
+        assert (code, json.loads(out)["count"], err) == (0, str(old_route), "")
+    assert ie_route == [q.name] * 5
+
+
+def test_disjunction_free_queries_keep_their_route(tmp_path, capsys, ie_route):
+    assert _count(capsys, tmp_path, THETA2_EPQ, THETA2_REL) == (0, "2\n", "")
+    assert ie_route == ["theta2"]
+
+
+def test_random_unions_count_alike_on_both_engines(tmp_path, capsys, ie_route):
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 200:
+        q = random_ep_query(rng, max_vars=4, max_atoms=5, max_disjunctions=2)
+        if not _has_or(q.formula):
+            continue
+        b = random_structure(rng, q.sig, max_size=3)
+        code, out, err = _count(
+            capsys, tmp_path, serialize_query(q), serialize_structure(b),
+            "--engine", "both", "--json",
+        )
+        assert (code, json.loads(out)["engines_agree"], err) == (0, True, ""), serialize_query(q)
+        checked += 1
+    # both routes ran
+    assert 20 < len(ie_route) < 180
+
+
+def test_union_table_over_max_rows_exits_three(tmp_path, capsys, ie_route):
+    # each atom table holds at most 2 rows, the union 5
+    rel = "signature A0/1 A1/1 A2/1\nuniverse a b c d e\nA0(a)\nA0(b)\nA1(c)\nA1(d)\nA2(e)\n"
+    text = _unary_union(3)
+    assert _count(capsys, tmp_path, text, rel, "--max-rows", "5") == (0, "5\n", "")
+    assert _count(capsys, tmp_path, text, rel, "--max-rows", "4") == (
+        3, "", "error: table would hold 5 > 4 rows\n"
+    )
+    assert ie_route == []
 
 
 def _path20_files(tmp_path, nodes):
@@ -287,8 +402,10 @@ def test_parse_error_exits_two(tmp_path, capsys):
         ("query q(x,\n  exists): E(x,x)\n", "line 2, column 3: expected a variable name, got 'exists'"),
         ("query q(x):\n  exists true . E(x,x)\n", "line 2, column 10: expected a variable after 'exists', got 'true'"),
         ("query q(x): E(x,\n   true)\n", "line 2, column 4: expected a variable name, got 'true'"),
+        ("query q(x): E(x,", "line 1, column 17: expected a variable name, got end of input"),
+        ("query q(x): (E(x)\n", "line 1, column 18: expected ')', got end of input"),
     ],
-    ids=["liberal-variable", "exists-binder", "atom-argument"],
+    ids=["liberal-variable", "exists-binder", "atom-argument", "end-of-input", "unclosed"],
 )
 def test_epq_parse_errors_report_their_position(tmp_path, capsys, text, message):
     q = _write(tmp_path, "bad.epq", text)
@@ -310,6 +427,14 @@ def test_dnf_cap_exits_three(tmp_path, capsys):
     code, _, err = _run(capsys, "compile", "-q", q, "--max-dnf", "3")
     assert code == 3
     assert "disjuncts" in err
+
+
+def test_inclusion_exclusion_cap_exits_three_before_any_term(tmp_path, capsys):
+    q = _write(tmp_path, "u20.epq", _unary_union(20))
+    for cmd in ("compile", "minimize"):
+        assert _run(capsys, cmd, "-q", q) == (
+            3, "", "error: inclusion-exclusion over 20 disjuncts needs 1048575 > 4096 terms\n"
+        )
 
 
 def test_unknown_engine_rejected_by_parser(tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sharpq import compilepipe
 from sharpq.compilepipe import (
     FlatSharp,
     LinearCombination,
@@ -19,6 +20,7 @@ from sharpq.compilepipe import (
     pp_to_basic_sharp,
     reduce_to_basic,
     rewrite_width_bounded,
+    table_union_sentence,
 )
 from sharpq.decomp import TreeDecomposition, compute_qaw, exact_treewidth
 from sharpq.epquery import (
@@ -37,9 +39,10 @@ from sharpq.epquery import (
     render_ep,
     serialize_pair,
     subformulas,
+    to_dnf_pp,
 )
 from sharpq.epquery import _all_variables, _rename_apart
-from sharpq.equiv import counting_equivalent, logically_equivalent
+from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure, parse_structure
 from sharpq.sharpcore import (
@@ -61,6 +64,8 @@ from sharpq.sharpcore import (
 )
 
 from tests.conftest import (
+    QUERY_A,
+    QUERY_B,
     brute_homomorphisms,
     ep_width,
     random_ep_query,
@@ -518,6 +523,75 @@ def test_cast_ep_respects_dnf_cap():
     )
     with pytest.raises(CapExceeded):
         cast_ep(q, max_dnf=3)
+
+
+def test_cast_ep_caps_its_terms_before_building_any(monkeypatch):
+    q = parse_query("query u(x): A0(x) | A1(x) | A2(x)")
+    assert len(flatten(Project(frozenset({"x"}), cast_ep(q, max_dnf=7))).terms) == 7
+    with pytest.raises(CapExceeded, match="3 disjuncts needs 7 > 6 terms"):
+        cast_ep(q, max_dnf=6)
+
+    def no_terms(*args):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(compilepipe, "Expand", no_terms)
+    for k in (13, 40):
+        wide = parse_query("query u(x): " + " | ".join(f"A{i}(x)" for i in range(k)))
+        with pytest.raises(CapExceeded, match=f"{2**k - 1} > 4096 terms"):
+            cast_ep(wide)
+
+
+# ---------------------------------------------------------------------------
+# table_union_sentence: the route of `count` on unions
+# ---------------------------------------------------------------------------
+
+
+def test_table_union_route_is_taken_when_the_naive_cast_is_no_wider():
+    # width equals the widest disjunct core's qaw: 1 and 2
+    for text, w in (
+        ("query u(x): A0(x) | A1(x) | A2(x)", 1),
+        ("query e(x): (exists y0 . E0(x,y0)) | (exists y1 . E1(x,y1))", 2),
+    ):
+        q = parse_query(text)
+        assert table_union_sentence(q) == naive_representation(q)
+        assert width(naive_representation(q)) == w
+
+
+def test_table_union_route_refuses_wider_casts_and_uncored_widths():
+    for text in (QUERY_A, QUERY_B):
+        assert table_union_sentence(parse_query(text)) is None
+    core_qaws = [
+        compute_qaw(core_of(pp_to_pair(d)))[0] for d in to_dnf_pp(parse_query(QUERY_B))
+    ]
+    uncored_qaws = [compute_qaw(pp_to_pair(d))[0] for d in to_dnf_pp(parse_query(QUERY_B))]
+    assert (core_qaws, uncored_qaws) == ([1, 1], [3, 1])
+
+
+def test_table_union_route_is_only_for_disjunctions():
+    for text in (
+        "query p(x): exists y . E(x,y)",
+        "query u(x): A0(x)",
+        "query t(x,y): E(x,y) & F(y,x)",
+    ):
+        q = parse_query(text)
+        # the width test alone would admit each of them
+        assert width(naive_representation(q)) <= compute_qaw(pp_to_pair(q))[0]
+        assert table_union_sentence(q) is None
+
+
+def test_table_union_route_is_refused_when_a_cap_stops_the_guard():
+    # a 13-element directed path, nested so that its cast has width 2: no
+    # element folds, so its core search meets the default 12-element cap
+    path = "E(y11,y12)"
+    for i in range(11, 0, -1):
+        path = f"E(y{i - 1},y{i}) & exists y{i + 1} . ({path})"
+    q = parse_query(f"query c(y0): F(y0) | exists y1 . ({path})")
+    assert width(naive_representation(q)) == 2
+    assert table_union_sentence(q, core_cap=13) == naive_representation(q)
+    assert table_union_sentence(q) is None
+    binary = parse_query("query e(x): (exists y0 . E0(x,y0)) | (exists y1 . E1(x,y1))")
+    assert table_union_sentence(binary, tw_cap=1) is None
+    assert table_union_sentence(binary, max_dnf=1) is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,29 @@ def test_parse_minimal():
     assert len(s.tuples("E")) == 1
 
 
+def test_parsed_structure_equals_the_checked_one(rng):
+    # parse_structure skips the re-check of Structure.__post_init__; its
+    # result must be the structure make_structure builds with the check
+    for _ in range(50):
+        b = random_structure(rng, SIG_EF, max_size=5, density=0.3)
+        parsed = parse_structure(serialize_structure(b))
+        assert parsed == b and hash(parsed) == hash(b)
+        assert parsed == make_structure(parsed.sig, parsed.universe, parsed.relations)
+        assert all(type(ts) is frozenset and ts for ts in parsed.relations.values())
+
+
+def test_make_structure_keeps_its_checks():
+    for universe, rels, message in (
+        (["a"], {"E": {("a", "z")}}, "not in the universe"),
+        (["a"], {"E": {("a",)}}, "arity mismatch"),
+        (["a", "a"], {}, "duplicate universe element"),
+        ([], {}, "non-empty"),
+        (["a"], {"F": {("a", "a")}}, "undeclared relation"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            make_structure(SIG_E, universe, rels)
+
+
 def test_parse_arity_mismatch():
     with pytest.raises(ParseError):
         parse_structure("signature U/1\nuniverse a\nU(a,b)")
