@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .epquery import Graph, contract_graph, exists_components, primal_graph
+from .epquery import contract_graph, exists_components, primal_graph
 
 # ---------------------------------------------------------------------------
 # Decomposition types
@@ -107,31 +107,6 @@ def validate_td(td, g):
                 stack.append(p)
         if comp != occ:
             problems.append(f"occurrences of {v} are disconnected")
-    return problems
-
-
-def validate_nice(ntd, g):
-    """validate_td plus the node-kind constraints of nice decompositions."""
-    problems = validate_td(ntd, g)
-    kids = ntd.children()
-    for t in sorted(ntd.nodes):
-        kind = ntd.kinds[t]
-        bag = ntd.bags[t]
-        cs = kids[t]
-        if kind == "leaf":
-            if cs or len(bag) > 1:
-                problems.append(f"node {t}: bad leaf")
-        elif kind == "introduce":
-            if len(cs) != 1 or len(bag - ntd.bags[cs[0]]) != 1 or not ntd.bags[cs[0]] <= bag:
-                problems.append(f"node {t}: bad introduce")
-        elif kind == "forget":
-            if len(cs) != 1 or len(ntd.bags[cs[0]] - bag) != 1 or not bag <= ntd.bags[cs[0]]:
-                problems.append(f"node {t}: bad forget")
-        elif kind == "join":
-            if len(cs) != 2 or any(ntd.bags[c] != bag for c in cs):
-                problems.append(f"node {t}: bad join")
-        else:
-            problems.append(f"node {t}: unknown kind {kind!r}")
     return problems
 
 
@@ -242,6 +217,63 @@ def _degeneracy(adj, n):
     return best
 
 
+def _minor_min_width(adj, n):
+    """Lower bound on treewidth (MMD+ with the min-d rule, Bodlaender & Koster,
+    "Treewidth computations II. Lower bounds", 2011): max over the process of
+    the min degree, where each step contracts a vertex of min degree into its
+    neighbour of min degree. Every graph of the process is a minor of the
+    input, and treewidth is at least the min degree of every minor."""
+    adj = list(adj)
+    live = (1 << n) - 1
+    best = 0
+    while live:
+        v = min(_vertices(live), key=lambda u: (adj[u].bit_count(), u))
+        nb = adj[v]
+        best = max(best, nb.bit_count())
+        live &= ~(1 << v)
+        if not nb:
+            continue
+        u = min(_vertices(nb), key=lambda w: (adj[w].bit_count(), w))
+        for w in _vertices(nb):
+            adj[w] &= ~(1 << v)
+        adj[u] |= nb & ~(1 << u)
+        for w in _vertices(adj[u]):
+            adj[w] |= 1 << u
+    return best
+
+
+def _simplicial_kernel(adj, n):
+    """Bitmask of the vertices left after simplicial vertices (whose
+    neighbourhood is a clique) are deleted until none is left. Deleting one
+    adds no fill, so tw(G) = max(deg v, tw(G - v)); deleting a vertex keeps
+    every other simplicial vertex simplicial, so the kernel is unique."""
+    adj = list(adj)
+    live = (1 << n) - 1
+    todo = list(range(n))
+    while todo:
+        v = todo.pop()
+        nb = adj[v]
+        if not live & (1 << v) or not _is_clique(nb, adj):
+            continue
+        live &= ~(1 << v)
+        for u in _vertices(nb):
+            adj[u] &= ~(1 << v)
+            todo.append(u)
+    return live
+
+
+def _adjacency(g):
+    """Sorted vertices of g and its adjacency bitmasks over their indices."""
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for e in g.edges:
+        a, b = sorted(e)
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    return verts, adj
+
+
 def exact_treewidth(g, cap=24):
     """Exact treewidth and a witnessing decomposition.
 
@@ -249,41 +281,46 @@ def exact_treewidth(g, cap=24):
     component decompositions are chained into one tree). Each component runs a
     branch-and-bound over elimination orders with memoization on the
     eliminated set (the filled graph depends only on the set), a greedy
-    min-fill upper bound, a degeneracy lower bound, and the simplicial-vertex
-    rule. Deterministic.
+    min-fill upper bound, the larger of the degeneracy and minor-min-width
+    lower bounds (no search runs when it meets the upper bound), and the
+    simplicial-vertex rule. Deterministic.
+
+    `cap` bounds the vertices left once simplicial vertices are deleted
+    until none is left (the simplicial kernel, computed in polynomial time),
+    and is checked before any search: trees and other chordal graphs have an
+    empty kernel and are never refused, while graphs with no simplicial
+    vertex, such as grids and cycles, count every vertex.
     """
-    if len(g.vertices) > cap:
-        raise CapExceeded(
-            f"exact treewidth limited to {cap} vertices, got {len(g.vertices)}; "
-            "no heuristic mode exists"
-        )
+    verts, adj = _adjacency(g)
+    if len(verts) > cap:
+        kernel = _simplicial_kernel(adj, len(verts)).bit_count()
+        if kernel > cap:
+            raise CapExceeded(
+                f"exact treewidth limited to {cap} vertices once simplicial vertices "
+                f"are removed, got {kernel}; no heuristic mode exists"
+            )
     if not g.vertices:
         return -1, TreeDecomposition(nodes=(0,), parent={0: None}, bags={0: frozenset()})
     comps = g.connected_components()
     if len(comps) == 1:
-        return _exact_treewidth_connected(g)
+        return _exact_treewidth_connected(verts, adj)
     width = -1
     combined = None
     for comp in comps:
-        w, td = _exact_treewidth_connected(g.induced(comp))
+        w, td = _exact_treewidth_connected(*_adjacency(g.induced(comp)))
         width = max(width, w)
         combined = td if combined is None else _graft(combined, td, combined.root)
     return width, combined
 
 
-def _exact_treewidth_connected(g):
-    verts = sorted(g.vertices)
+def _exact_treewidth_connected(verts, adj):
     n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for e in g.edges:
-        a, b = sorted(e)
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
     full = (1 << n) - 1
 
     ub_width, ub_order = _greedy_min_fill(adj, n)
     lb = _degeneracy(adj, n)
+    if lb < ub_width:
+        lb = max(lb, _minor_min_width(adj, n))
     best_width, best_order = ub_width, ub_order
 
     if lb < best_width:
@@ -307,10 +344,7 @@ def _exact_treewidth_connected(g):
             # a simplicial vertex may always be eliminated first
             for v in live:
                 nb = nbs[v]
-                if all(
-                    nb & ~nbs[(m & -m).bit_length() - 1] & ~(m & -m) == 0
-                    for m in _bits(nb)
-                ):
+                if _is_clique(nb, nbs):
                     order_buf.append(v)
                     dfs(elim | (1 << v), max(cur_width, nb.bit_count()))
                     order_buf.pop()
@@ -331,11 +365,17 @@ def _exact_treewidth_connected(g):
     return best_width, td
 
 
-def _bits(mask):
+def _vertices(mask):
+    """Indices of the set bits of mask, lowest first."""
     while mask:
         b = mask & -mask
-        yield b
+        yield b.bit_length() - 1
         mask &= mask - 1
+
+
+def _is_clique(mask, adj):
+    """Whether the vertices of mask are pairwise adjacent under adj."""
+    return all(mask & ~adj[u] & ~(1 << u) == 0 for u in _vertices(mask))
 
 
 def _td_from_order(adj, n, order, verts):
@@ -349,8 +389,7 @@ def _td_from_order(adj, n, order, verts):
         elim |= 1 << v
     parent = {}
     for i, v in enumerate(order):
-        later = [u for b in _bits(bag_mask[v] & ~(1 << v)) for u in [b.bit_length() - 1]]
-        later = [u for u in later if pos[u] > pos[v]]
+        later = [u for u in _vertices(bag_mask[v] & ~(1 << v)) if pos[u] > pos[v]]
         if later:
             parent[pos[v]] = pos[min(later, key=lambda u: pos[u])]
         elif i + 1 < n:
@@ -358,7 +397,7 @@ def _td_from_order(adj, n, order, verts):
         else:
             parent[pos[v]] = None
     bags = {
-        pos[v]: frozenset(verts[b.bit_length() - 1] for b in _bits(bag_mask[v]))
+        pos[v]: frozenset(verts[u] for u in _vertices(bag_mask[v]))
         for v in order
     }
     return TreeDecomposition(nodes=tuple(range(n)), parent=parent, bags=bags)
@@ -505,9 +544,12 @@ def compute_qaw(p, cap=24):
     Each distinct graph is solved once per call: treewidths are memoised by
     (vertices, edges), so the augmented primal graph and the region graph of
     a single block come from the memo. The anchor search stops at the first
-    anchor that reaches the block's floor (see `_block_anchors`); the
+    anchor that reaches the block's floor, the treewidth of the base graph
+    with the block's liberal part made a clique (see `_block_anchors`); on
+    the grids with two liberal corners that is the first anchor. The
     anchors, the width and the witness are those of trying every anchor.
-    `cap` bounds each treewidth solve and is checked before it starts.
+    `cap` bounds the simplicial kernel of each graph solved (see
+    `exact_treewidth`) and is checked before its search starts.
     """
     memo = {}
 
@@ -533,10 +575,13 @@ def _block_anchors(g, s, comps, treewidth):
     """The winning anchor of each block: least augmented treewidth, then
     least variable.
 
-    Augmenting only adds edges to the block's base graph (the primal graph
-    with every other block contracted), so its treewidth is a floor for every
-    anchor; anchors run in sorted order and the first one that reaches the
-    floor wins, with no later anchor tried.
+    Every anchor's augmented graph is the block's base graph (the primal
+    graph with every other block contracted) plus a clique on the block's
+    liberal part and the anchor. It contains the base graph plus the clique
+    on the liberal part alone, and treewidth is monotone under subgraphs, so
+    the treewidth of that graph is a floor for every anchor. Anchors run in
+    sorted order and the first one that reaches the floor wins, with no later
+    anchor tried.
     """
     winners = {}
     for comp in comps:
@@ -546,7 +591,7 @@ def _block_anchors(g, s, comps, treewidth):
             if other is comp:
                 continue
             base = base.without_vertices(other - s).with_clique(sorted(other & s))
-        floor, _ = treewidth(base)
+        floor, _ = treewidth(base.with_clique(sorted(boundary)))
         best = None
         for x in sorted(comp - s):
             w, _ = treewidth(base.with_clique(sorted(boundary | {x})))
@@ -604,9 +649,3 @@ def _qaw_witness(p, g, comps, winners, treewidth):
         raise InternalInvariant(f"witness decomposition is not quantifier-aware: {violation}")
     return qaw, nice
 
-
-def qaw_bounds(p, cap=24):
-    """(max(tw, tw(contract))+1, tw + tw(contract) + 1) sandwich for qaw."""
-    tw_primal, _ = exact_treewidth(primal_graph(p), cap)
-    tw_contract, _ = exact_treewidth(contract_graph(p), cap)
-    return max(tw_primal, tw_contract) + 1, tw_primal + tw_contract + 1

@@ -378,7 +378,7 @@ def _parse_expression(toks, header):
                         break
             toks.expect("punct", ")")
             if not args:
-                raise ParseError(f"relation {val!r} needs at least one argument")
+                toks.error(f"relation {val!r} needs at least one argument", off)
             return Atom(val, tuple(args))
         toks.error(f"expected an atom, 'true', 'exists' or '(', got {toks.shown(val)}")
 

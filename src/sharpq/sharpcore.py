@@ -325,8 +325,6 @@ class _SharpParser:
             try:
                 ep = _parse_ep_span(_Tokens(self.src, self.pos, end, end="end of cast"))
             except ParseError as exc:
-                if exc.line is None:
-                    self.error(f"inside cast: {exc}")
                 raise ParseError(f"inside cast: {exc.reason}", exc.line, exc.column) from None
             self.pos = end + 1
             liberal = self.parse_varset()

@@ -15,6 +15,7 @@ from sharpq.sharpcore import check_represents, eval_sentence, parse_sharp, valid
 from tests.conftest import (
     QUERY_A,
     QUERY_B,
+    SIG_E,
     random_ep_query,
     random_structure,
     star_pair,
@@ -68,6 +69,36 @@ def test_count_json_prints_decimal_string(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["count"] == "2"
     assert payload["engine"] == "compiled"
+
+
+def _path_query(k):
+    xs = [f"x{i}" for i in range(k + 1)]
+    prefix = "".join(f"exists {x} . " for x in xs[1:])
+    body = " & ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    return f"query path(x0): {prefix}{body}\n"
+
+
+def test_count_of_a_30_edge_path(tmp_path, capsys):
+    # the path's primal graph has 31 vertices but an empty simplicial kernel,
+    # so the default 24-vertex treewidth cap does not refuse it
+    text = _path_query(30)
+    q = _write(tmp_path, "path30.epq", text)
+    rng = random.Random(30)
+    for i in range(6):
+        b = random_structure(rng, SIG_E, max_size=3, density=0.4)
+        d = _write(tmp_path, f"small{i}.rel", serialize_structure(b))
+        want = oracle_count(parse_query(text), b, max_enum=3**32)
+        assert _run(capsys, "count", "-q", q, "-d", d) == (0, f"{want}\n", "")
+    n = 500
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(1200)}
+    alive = set(range(n))  # vertices that start a walk of the current length
+    for _ in range(30):
+        alive = {u for u, v in edges if v in alive}
+    rel = "signature E/2\nuniverse " + " ".join(f"e{i}" for i in range(n)) + "\n"
+    rel += "".join(f"E(e{u},e{v})\n" for u, v in sorted(edges))
+    d = _write(tmp_path, "large.rel", rel)
+    assert 0 < len(alive) < n
+    assert _run(capsys, "count", "-q", q, "-d", d) == (0, f"{len(alive)}\n", "")
 
 
 def test_count_oracle_engine(tmp_path, capsys):
@@ -307,11 +338,11 @@ def test_width_rejects_malformed_formula(tmp_path, capsys):
          "trailing input after expression: 'y'"),
         ("P{x}\n  C[E(x) &\n  ? ; {x}]", "line 3, column 3: inside cast: "
          "unexpected character '?'"),
-        # an error without a position is reported at the start of the cast text
-        ("P{x}\n  C[E(x) & F(); {x}]", "line 2, column 5: inside cast: "
+        # an atom without arguments is reported at the atom, not at the cast
+        ("P{x}\n  C[E(x) & F(); {x}]", "line 2, column 12: inside cast: "
          "relation 'F' needs at least one argument"),
     ],
-    ids=["end-of-cast", "trailing", "character", "no-position"],
+    ids=["end-of-cast", "trailing", "character", "empty-atom"],
 )
 def test_cast_parse_errors_count_lines_and_columns_from_the_file(tmp_path, capsys, text, message):
     s = _write(tmp_path, "bad.shq", text)
@@ -404,8 +435,9 @@ def test_parse_error_exits_two(tmp_path, capsys):
         ("query q(x): E(x,\n   true)\n", "line 2, column 4: expected a variable name, got 'true'"),
         ("query q(x): E(x,", "line 1, column 17: expected a variable name, got end of input"),
         ("query q(x): (E(x)\n", "line 1, column 18: expected ')', got end of input"),
+        ("query q(x): E(x,x) &\n F()\n", "line 2, column 2: relation 'F' needs at least one argument"),
     ],
-    ids=["liberal-variable", "exists-binder", "atom-argument", "end-of-input", "unclosed"],
+    ids=["liberal-variable", "exists-binder", "atom-argument", "end-of-input", "unclosed", "empty-atom"],
 )
 def test_epq_parse_errors_report_their_position(tmp_path, capsys, text, message):
     q = _write(tmp_path, "bad.epq", text)

@@ -589,8 +589,16 @@ def test_table_union_route_is_refused_when_a_cap_stops_the_guard():
     assert width(naive_representation(q)) == 2
     assert table_union_sentence(q, core_cap=13) == naive_representation(q)
     assert table_union_sentence(q) is None
+    # the treewidth cap counts the vertices no simplicial deletion removes:
+    # all four of each disjunct's directed 4-cycle
+    cycles = parse_query("query e(x): " + " | ".join(
+        f"(exists y{i} . E{i}(x,y{i}) & exists z{i} . E{i}(y{i},z{i}) & "
+        f"exists w{i} . E{i}(z{i},w{i}) & E{i}(w{i},x))"
+        for i in (0, 1)
+    ))
+    assert table_union_sentence(cycles, tw_cap=4) == naive_representation(cycles)
+    assert table_union_sentence(cycles, tw_cap=3) is None
     binary = parse_query("query e(x): (exists y0 . E0(x,y0)) | (exists y1 . E1(x,y1))")
-    assert table_union_sentence(binary, tw_cap=1) is None
     assert table_union_sentence(binary, max_dnf=1) is None
 
 

@@ -2,21 +2,23 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
+from sharpq import decomp
 from sharpq.decomp import (
     NiceTreeDecomposition,
     TreeDecomposition,
+    _adjacency,
     _block_anchors,
+    _minor_min_width,
     _qaw_witness,
     compute_qaw,
     exact_treewidth,
     is_quantifier_aware,
     make_nice,
-    qaw_bounds,
     serialize_td,
-    validate_nice,
     validate_td,
 )
 from sharpq.epquery import (
@@ -38,6 +40,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
+from tests.helpers import qaw_bounds, validate_nice
 
 
 def _graph(edges, extra_vertices=()):
@@ -51,6 +54,18 @@ def _cycle(n):
 
 def _complete(n):
     return _graph(list(itertools.combinations([f"k{i}" for i in range(n)], 2)))
+
+
+def _grid_graph(rows, cols):
+    cell = [[f"g{i}_{j}" for j in range(cols)] for i in range(rows)]
+    edges = [
+        (cell[i][j], cell[i + di][j + dj])
+        for i in range(rows)
+        for j in range(cols)
+        for di, dj in ((0, 1), (1, 0))
+        if i + di < rows and j + dj < cols
+    ]
+    return _graph(edges, extra_vertices=[c for row in cell for c in row])
 
 
 # --- exact treewidth ----------------------------------------------------------
@@ -107,12 +122,28 @@ def test_treewidth_matches_brute_force_on_random_graphs(rng):
         assert validate_td(td, g) == []
 
 
-def test_treewidth_vertex_cap():
-    g = _graph([(f"v{i}", f"v{i+1}") for i in range(25)])
+def test_treewidth_vertex_cap(monkeypatch):
+    # the cap counts the simplicial kernel: the 5x5 grid has no simplicial
+    # vertex, so all 25 vertices count, and it is refused before any search
+    grid = _grid_graph(5, 5)
+    searched = []
+
+    def spy(verts, adj):
+        searched.append(len(verts))
+        return 5, None
+
+    monkeypatch.setattr(decomp, "_exact_treewidth_connected", spy)
     with pytest.raises(CapExceeded, match="24"):
-        exact_treewidth(g)
-    w, _ = exact_treewidth(g, cap=26)
+        exact_treewidth(grid)
+    assert searched == []
+    assert exact_treewidth(grid, cap=25) == (5, None)
+    assert searched == [25]
+    monkeypatch.undo()
+    # a path's kernel is empty: path-25 is no longer refused
+    path = _graph([(f"v{i}", f"v{i+1}") for i in range(25)])
+    w, td = exact_treewidth(path)
     assert w == 1
+    assert validate_td(td, path) == []
 
 
 def test_treewidth_is_deterministic(rng):
@@ -122,6 +153,144 @@ def test_treewidth_is_deterministic(rng):
         w2, td2 = exact_treewidth(g)
         assert w1 == w2
         assert serialize_td(td1) == serialize_td(td2)
+
+
+# --- the minor-min-width bound ------------------------------------------------
+
+
+def _mmw(g):
+    verts, adj = _adjacency(g)
+    return _minor_min_width(adj, len(verts))
+
+
+def _degeneracy_of(g):
+    verts, adj = _adjacency(g)
+    return decomp._degeneracy(adj, len(verts))
+
+
+def test_minor_min_width_is_a_lower_bound(rng):
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=8, density=rng.uniform(0.2, 0.8), min_vertices=1)
+        assert _mmw(g) <= brute_treewidth(g)
+
+
+def test_minor_min_width_is_exact_on_complete_graphs_cycles_and_grids():
+    for n in range(2, 9):
+        assert _mmw(_complete(n)) == n - 1
+    for n in range(3, 11):
+        assert _mmw(_cycle(n)) == 2
+    # exact while the shorter side is at most 4; on the 5x5 grid it is 4,
+    # one below the treewidth
+    for rows in range(1, 5):
+        for cols in range(2, 8):
+            assert _mmw(_grid_graph(rows, cols)) == min(rows, cols)
+            assert _mmw(_grid_graph(cols, rows)) == min(rows, cols)
+
+
+def _degeneracy_search_connected(g):
+    """The connected-graph search started at the degeneracy bound alone: the
+    reference for the widths and witnesses of the raised bound."""
+    verts, adj = _adjacency(g)
+    n = len(verts)
+    full = (1 << n) - 1
+
+    ub_width, ub_order = decomp._greedy_min_fill(adj, n)
+    lb = decomp._degeneracy(adj, n)
+    best_width, best_order = ub_width, ub_order
+
+    if lb < best_width:
+        memo = {}
+        order_buf = []
+
+        def dfs(elim, cur_width):
+            nonlocal best_width, best_order
+            if cur_width >= best_width:
+                return
+            if elim == full:
+                best_width = cur_width
+                best_order = list(order_buf)
+                return
+            prev = memo.get(elim)
+            if prev is not None and prev <= cur_width:
+                return
+            memo[elim] = cur_width
+            live = [v for v in range(n) if not (1 << v) & elim]
+            nbs = {v: decomp._fill_neighbors(adj, v, elim) for v in live}
+            for v in live:
+                nb = nbs[v]
+                if all(nb & ~nbs[u] & ~(1 << u) == 0 for u in decomp._vertices(nb)):
+                    order_buf.append(v)
+                    dfs(elim | (1 << v), max(cur_width, nb.bit_count()))
+                    order_buf.pop()
+                    return
+            if len(live) - 1 <= cur_width:
+                best_width = cur_width
+                best_order = list(order_buf) + live
+                return
+            for v in sorted(live, key=lambda u: (nbs[u].bit_count(), u)):
+                order_buf.append(v)
+                dfs(elim | (1 << v), max(cur_width, nbs[v].bit_count()))
+                order_buf.pop()
+
+        dfs(0, lb)
+
+    return best_width, decomp._td_from_order(adj, n, best_order, verts)
+
+
+def _degeneracy_search(g):
+    width, combined = -1, None
+    for comp in g.connected_components():
+        w, td = _degeneracy_search_connected(g.induced(comp))
+        width = max(width, w)
+        combined = td if combined is None else decomp._graft(combined, td, combined.root)
+    return width, combined
+
+
+def test_raised_lower_bound_keeps_widths_and_witnesses():
+    rng = random.Random(4711)
+    raised = 0
+    for _ in range(2000):
+        g = random_graph(rng, max_vertices=12, density=rng.uniform(0.15, 0.7), min_vertices=1)
+        w, td = exact_treewidth(g)
+        ref_w, ref_td = _degeneracy_search(g)
+        assert w == ref_w
+        assert serialize_td(td) == serialize_td(ref_td)
+        raised += _mmw(g) > _degeneracy_of(g)
+    assert raised >= 200
+
+
+# --- the vertex cap counts the simplicial kernel -----------------------------
+
+
+def _path_pair(k):
+    xs = [f"v{i}" for i in range(k + 1)]
+    prefix = "".join(f"exists {x} . " for x in xs[1:])
+    body = " & ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    return pp_to_pair(parse_query(f"query path(v0): {prefix}{body}"))
+
+
+def test_qaw_of_a_100_edge_path_under_the_default_cap():
+    p = _path_pair(100)
+    start = time.perf_counter()
+    qaw, nice = compute_qaw(p)
+    assert time.perf_counter() - start < 1.0
+    assert qaw == 2
+    assert validate_nice(nice, primal_graph(p)) == []
+
+
+def test_simplicial_kernel_of_chordal_and_irreducible_graphs():
+    def kernel(g):
+        verts, adj = _adjacency(g)
+        return {verts[i] for i in decomp._vertices(decomp._simplicial_kernel(adj, len(verts)))}
+
+    assert kernel(_complete(6)) == set()
+    assert kernel(_graph([(f"p{i}", f"p{i+1}") for i in range(30)])) == set()
+    assert kernel(_cycle(5)) == _cycle(5).vertices
+    assert kernel(_grid_graph(3, 3)) == _grid_graph(3, 3).vertices
+    # trees hanging off a cycle are deleted; the cycle is left
+    trees = _graph([("c0", "t0"), ("t0", "t1"), ("t0", "t2"), ("c2", "u0")])
+    both = Graph(_cycle(4).vertices | trees.vertices, _cycle(4).edges | trees.edges)
+    assert kernel(both) == _cycle(4).vertices
 
 
 # --- decomposition plumbing ---------------------------------------------------
@@ -397,9 +566,37 @@ def _assert_same_as_every_anchor(p):
     assert serialize_td(nice) == serialize_td(ref_nice)
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (3, 4), (4, 3)])
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (3, 4), (4, 3), (3, 5), (5, 3), (4, 4)],
+)
 def test_anchor_stop_rule_matches_every_anchor_on_grids(rows, cols):
     _assert_same_as_every_anchor(_grid_pair(rows, cols))
+
+
+def test_anchor_loop_solves_one_anchor_graph_on_the_3x5_grid(monkeypatch):
+    p = _grid_pair(3, 5)
+    g = primal_graph(p)
+    (comp,) = exists_components(p)
+    boundary = sorted(comp & p.liberal_set)
+    solved = []
+
+    def treewidth(graph):
+        solved.append(graph)
+        return exact_treewidth(graph)
+
+    winners = _block_anchors(g, p.liberal_set, [comp], treewidth)
+    first = min(comp - p.liberal_set)
+    assert winners == {comp: first}
+    # the floor graph, then the first anchor's graph, which reaches it
+    assert solved == [g.with_clique(boundary), g.with_clique(sorted({*boundary, first}))]
+
+    calls = []
+    solve = decomp.exact_treewidth
+    monkeypatch.setattr(decomp, "exact_treewidth", lambda graph, cap: calls.append(1) or solve(graph, cap))
+    assert compute_qaw(p)[0] == 5
+    # floor, first anchor (also the augmented primal and region graph), contract graph
+    assert len(calls) == 3
 
 
 def _random_graph_pair(rng):
