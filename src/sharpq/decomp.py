@@ -181,27 +181,29 @@ def _fill_neighbors(adj, v, elim):
 
 
 def _greedy_min_fill(adj, n):
-    """Upper bound: eliminate the vertex adding fewest fill edges."""
-    elim = 0
-    order = []
-    width = 0
-    for _ in range(n):
-        live = [v for v in range(n) if not (1 << v) & elim]
-        nbs = {v: _fill_neighbors(adj, v, elim) for v in live}
+    """Upper bound: eliminate the vertex adding fewest fill edges. Eliminating
+    v joins its neighbours to each other, so only their neighbourhoods change,
+    and only fill counts within distance two of v are recomputed."""
+    nbs = {v: _fill_neighbors(adj, v, 0) for v in range(n)}
 
-        def fill_count(v):
-            total = 0
-            m = nbs[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                total += (nbs[v] & ~nbs[u] & ~(1 << u)).bit_count()
-            return total // 2
+    def score(v):
+        fill = sum((nbs[v] & ~nbs[u] & ~(1 << u)).bit_count() for u in _vertices(nbs[v]))
+        return fill // 2, nbs[v].bit_count(), v
 
-        best = min(live, key=lambda v: (fill_count(v), nbs[v].bit_count(), v))
-        width = max(width, nbs[best].bit_count())
+    scores, stale = {}, (1 << n) - 1
+    order, width = [], 0
+    while nbs:
+        for u in _vertices(stale):
+            scores[u] = score(u)
+        best = min(scores.values())[2]
+        del scores[best]
+        joined = nbs.pop(best)
+        width = max(width, joined.bit_count())
         order.append(best)
-        elim |= 1 << best
+        stale = joined
+        for u in _vertices(joined):
+            nbs[u] = (nbs[u] | joined) & ~(1 << u | 1 << best)
+            stale |= nbs[u]
     return width, order
 
 

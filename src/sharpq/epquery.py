@@ -354,14 +354,20 @@ def _parse_expression(toks, header):
             toks.next()
             return TOP
         if kind == "name" and val == "exists":
-            toks.next()
-            k2, var, off2 = toks.next()
-            if k2 != "name" or var in _KEYWORDS:
-                toks.error(f"expected a variable after 'exists', got {toks.shown(var)}", off2)
-            if var in header:
-                toks.error(f"header variable {var!r} is quantified in the body", off2)
-            toks.expect("punct", ".")
-            return Exists(var, parse_expr())  # exists extends maximally right
+            binders = []  # read in a loop: a long prefix costs no stack
+            while toks.peek()[:2] == ("name", "exists"):
+                toks.next()
+                k2, var, off2 = toks.next()
+                if k2 != "name" or var in _KEYWORDS:
+                    toks.error(f"expected a variable after 'exists', got {toks.shown(var)}", off2)
+                if var in header:
+                    toks.error(f"header variable {var!r} is quantified in the body", off2)
+                toks.expect("punct", ".")
+                binders.append(var)
+            node = parse_expr()  # exists extends maximally right
+            for var in reversed(binders):
+                node = Exists(var, node)
+            return node
         if kind == "name":
             toks.next()
             toks.expect("punct", "(")

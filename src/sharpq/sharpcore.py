@@ -7,9 +7,16 @@ constants. Evaluation produces a table of integers indexed by assignments of
 the formula's free variables; its cost is governed by the formula's width.
 
 Kernel invariants: a row tuple's entries follow its table's `explicit`
-columns; row sets are never mutated, since atom tables alias the structure's
-frozensets; binders are projected inside the join that consumes them, so
-`stats["peak_rows"]` is the largest table actually materialised.
+columns, and row sets are never mutated (an atom with distinct arguments
+aliases the structure's frozenset). Binders are projected inside the join
+that consumes them. A join groups each side by the shared key into sets of
+the side's parts and emits, per common key, the union of one side's groups
+when the other contributes no column, else their product; the grouping of a
+fact set is memoised for one evaluation and shared by its atoms, casts and
+terms. When every column of a cast is summed and its ep is a conjunction
+under an exists chain, that last join is counted, never built.
+`stats["peak_rows"]` is the largest table actually materialised; `max_rows`
+caps every such table as it grows, so it no longer sees counted answers.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from itertools import product, starmap
+from operator import add, itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .epquery import (
@@ -102,23 +110,10 @@ def free_closed(f):
     """(free, closed) variable sets of a counting formula, bottom-up.
 
     The derived sets are computed unconditionally; side conditions are the
-    business of validate().
+    business of validate(), which derives the same sets.
     """
-    if isinstance(f, Cast):
-        return frozenset(f.liberal), frozenset()
-    if isinstance(f, Project):
-        fr, cl = free_closed(f.child)
-        return fr - f.vars, cl | f.vars
-    if isinstance(f, Expand):
-        fr, cl = free_closed(f.child)
-        return fr | f.vars, cl
-    if isinstance(f, (Times, Plus)):
-        fl, cl_l = free_closed(f.left)
-        fr, cl_r = free_closed(f.right)
-        return fl | fr, cl_l | cl_r
-    if isinstance(f, Const):
-        return frozenset(), frozenset()
-    raise TypeError(f"not a counting-formula node: {f!r}")
+    report = validate(f)
+    return report.free, report.closed
 
 
 @dataclass(frozen=True)
@@ -474,7 +469,7 @@ def _materialize_data(t, explicit):
     return {build(key + fill): val for key, val in t.data.items() for fill in fills}
 
 
-_JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 whole1 whole2")
+_JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 at1 at2")
 
 
 @lru_cache(maxsize=1024)
@@ -484,21 +479,20 @@ def _join_plan(ex1, ex2, drop):
 
     Output columns are ex1's surviving ones, then ex2's own: the order comes
     from the formula, never from row counts. key1/key2 build the shared-column
-    keys, out1/out2 the surviving columns each side contributes, and
-    whole1/whole2 (None unless that side holds every output column) the full
-    output row from one side, which turns the join into a semijoin.
+    keys, out1/out2 the part of the output row each side contributes, and
+    at1/at2 the (key, part) positions that name a side's grouping in the
+    index memo; a side whose part positions are empty contributes no column.
     """
     shared = [v for v in ex1 if v in ex2]
     own1 = tuple(v for v in ex1 if v not in drop)
     own2 = tuple(v for v in ex2 if v not in ex1 and v not in drop)
-    explicit = own1 + own2
-    key1, key2 = [_key_of([ex.index(v) for v in shared]) for ex in (ex1, ex2)]
-    out1, out2 = [_row_of([ex.index(v) for v in own]) for ex, own in ((ex1, own1), (ex2, own2))]
-    whole1, whole2 = [
-        _row_of([ex.index(v) for v in explicit]) if set(explicit) <= set(ex) else None
-        for ex in (ex1, ex2)
+    at1, at2 = [
+        (tuple(ex.index(v) for v in shared), tuple(ex.index(v) for v in own))
+        for ex, own in ((ex1, own1), (ex2, own2))
     ]
-    return _JoinPlan(explicit, key1, key2, out1, out2, whole1, whole2)
+    key1, key2 = [_key_of(list(at[0])) for at in (at1, at2)]
+    out1, out2 = [_row_of(list(at[1])) for at in (at1, at2)]
+    return _JoinPlan(own1 + own2, key1, key2, out1, out2, at1, at2)
 
 
 # ---------------------------------------------------------------------------
@@ -507,18 +501,19 @@ def _join_plan(ex1, ex2, drop):
 
 
 class _Evaluator:
-    """Table evaluation over one structure. An ep formula yields (explicit,
-    rows), a counting formula a CountTable; rows follow `explicit` and are
-    never mutated (an atom with distinct arguments returns the structure's
-    own frozenset). Binders are projected inside the join that consumes
-    them, so `stats["peak_rows"]` is the largest table actually materialised;
-    `max_rows` caps every table."""
+    """Table evaluation over one structure, under the kernel invariants
+    above: an ep formula yields (explicit, rows), a counting formula a
+    CountTable."""
 
     def __init__(self, b, max_rows, stats):
         self.b = b
         self.max_rows = max_rows
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("peak_rows", 0)
+        # groupings of the structure's fact sets, shared by every atom, cast
+        # and term of this evaluation
+        self._relation = {id(rows): name for name, rows in b.relations.items()}
+        self._index = {}
 
     def _note(self, n):
         if n > self.max_rows:
@@ -528,11 +523,13 @@ class _Evaluator:
 
     # -- ep formulas --
 
-    def sat(self, f, drop=frozenset()):
+    def sat(self, f, drop=frozenset(), count=False):
         """(explicit, rows) over free(f) - drop: the projections of f's
         satisfying assignments. `drop` holds variables bound above f that
-        occur, free in f, nowhere else under their binder."""
-        if isinstance(f, Atom):
+        occur, free in f, nowhere else under their binder. With `count`,
+        (explicit, number of rows); a conjunction under f's exists chain
+        then has its last join counted, not built."""
+        if isinstance(f, Atom) and not count:
             return self._atom(f, drop)
         if isinstance(f, Exists):
             binders = set(drop)
@@ -540,12 +537,15 @@ class _Evaluator:
                 binders.add(f.var)
                 f = f.body
             # the universe is non-empty, so a binder absent from f drops away
-            return self.sat(f, frozenset(binders))
+            return self.sat(f, frozenset(binders), count)
         if isinstance(f, And):
             # right side first: the binders it keeps are shared and must reach
             # the join; the left drops every other binder
             s2 = self.sat(f.right, drop - free_variables(f.left) if drop else drop)
-            return self._sat_join(self.sat(f.left, drop - set(s2[0])), s2, drop)
+            return self._sat_join(self.sat(f.left, drop - set(s2[0])), s2, drop, count)
+        if count:
+            explicit, rows = self.sat(f, drop)
+            return explicit, len(rows)
         if isinstance(f, Or):
             (ex1, rows1), (ex2, rows2) = self.sat(f.left, drop), self.sat(f.right, drop)
             explicit = tuple(dict.fromkeys(ex1 + ex2))
@@ -581,43 +581,55 @@ class _Evaluator:
         fills, build = _widen(explicit, target, self.b.universe)
         return {build(r + fill) for r in rows for fill in fills}
 
-    def _sat_join(self, s1, s2, drop):
+    def _groups(self, rows, key, out, at):
+        """{shared key: set of the side's parts}. A structure's own fact set
+        is grouped once per evaluation: the memo key is its relation and `at`."""
+        name = self._relation.get(id(rows))
+        groups = self._index.get((name, at))
+        if groups is None:
+            groups = defaultdict(set)
+            for r in rows:
+                groups[key(r)].add(out(r))
+            if name is not None:
+                self._index[name, at] = groups
+        return groups
+
+    def _sat_join(self, s1, s2, drop, count=False):
+        """The join of s1 and s2 with `drop` projected out, grouped by the
+        shared key. When s2 contributes no column (a semijoin), the union of
+        s1's groups over s2's keys; else the product of the two sides' groups
+        per common key, or with `count` only the number of its rows."""
         (ex1, rows1), (ex2, rows2) = s1, s2
         plan = _join_plan(ex1, ex2, drop)
-        key1, key2 = plan.key1, plan.key2
+        if plan.at2[1] and not plan.at1[1]:
+            return self._sat_join(s2, s1, drop, count)  # the same output columns
         if not rows1 or not rows2:
             rows = set()
-        elif plan.whole1 is not None:
-            keys, build = set(map(key2, rows2)), plan.whole1
-            rows = {build(r) for r in rows1 if key1(r) in keys}
-        elif plan.whole2 is not None:
-            keys, build = set(map(key1, rows1)), plan.whole2
-            rows = {build(r) for r in rows2 if key2(r) in keys}
+        elif not plan.at2[1]:
+            g1 = self._groups(rows1, plan.key1, plan.out1, plan.at1)
+            rows = set().union(*[g1[k] for k in set(map(plan.key2, rows2)) if k in g1])
         else:
-            # index the smaller side; output rows are (left part + right part)
-            left = len(rows1) <= len(rows2)
-            sides = [(rows1, key1, plan.out1), (rows2, key2, plan.out2)]
-            (small, key_s, out_s), (probe, key_p, out_p) = sides if left else sides[::-1]
-            index = defaultdict(list)
-            for r in small:
-                index[key_s(r)].append(out_s(r))
+            g1 = self._groups(rows1, plan.key1, plan.out1, plan.at1)
+            g2 = self._groups(rows2, plan.key2, plan.out2, plan.at2)
+            if count:
+                return plan.explicit, _count_pairs(g1, g2)
             rows = set()
-            for r in probe:
-                bucket = index.get(key_p(r))
-                if bucket:
-                    o = out_p(r)
-                    rows.update([x + o for x in bucket] if left else [o + x for x in bucket])
-                    if len(rows) > self.max_rows:
-                        raise CapExceeded(f"table would hold more than {self.max_rows} rows")
+            for k in g1.keys() & g2.keys():
+                # checked as the rows grow; the parts of one key form distinct rows
+                if max(len(rows), len(g1[k]) * len(g2[k])) > self.max_rows:
+                    raise CapExceeded(f"table would hold more than {self.max_rows} rows")
+                rows.update(starmap(add, product(g1[k], g2[k])))
         self._note(len(rows))
-        return plan.explicit, rows
+        return plan.explicit, len(rows) if count else rows
 
     # -- counting formulas --
 
     def eval(self, f):
         b = self.b
         if isinstance(f, Cast):
-            return self._cast(f, *self.sat(f.ep))
+            explicit, rows = self.sat(f.ep)
+            wild = tuple(sorted(set(f.liberal) - set(explicit)))
+            return CountTable(explicit, wild, b.universe, dict.fromkeys(rows, 1))
         if isinstance(f, Const):
             data = {(): f.n} if f.n != 0 else {}
             return CountTable((), (), b.universe, data)
@@ -633,29 +645,22 @@ class _Evaluator:
             return self._plus(self.eval(f.left), self.eval(f.right))
         raise TypeError(f"not a counting-formula node: {f!r}")
 
-    def _cast(self, f, explicit, rows):
-        wild = tuple(sorted(set(f.liberal) - set(explicit)))
-        return CountTable(explicit, wild, self.b.universe, dict.fromkeys(rows, 1))
-
     def _project(self, f):
-        """A chain of projections summed out in one pass. Summing every
-        column of a cast counts its rows without building the table."""
+        """A chain of projections summed out in one pass. Summing a cast's
+        whole liberal set counts its rows without building the table."""
         vars_ = set(f.vars)
         while isinstance(f.child, Project):
             f = f.child
             vars_ |= f.vars
         child = f.child
-        if isinstance(child, Cast):
-            explicit, rows = self.sat(child.ep)
-            if vars_.issuperset(explicit):
-                total = len(rows) * len(self.b.universe) ** len(vars_ - set(explicit))
-                data = {(): total} if total else {}
-                self._note(len(data))
-                wild = tuple(sorted(set(child.liberal) - vars_))
-                return CountTable((), wild, self.b.universe, data)
-            t = self._cast(child, explicit, rows)
-        else:
-            t = self.eval(child)
+        if isinstance(child, Cast) and vars_.issuperset(child.liberal):
+            explicit, n = self.sat(child.ep, count=True)
+            total = n * len(self.b.universe) ** len(vars_ - set(explicit))
+            data = {(): total} if total else {}
+            self._note(len(data))
+            wild = tuple(sorted(set(child.liberal) - vars_))
+            return CountTable((), wild, self.b.universe, data)
+        t = self.eval(child)
         # every summed variable that is not explicit contributes a factor |B|
         factor = len(self.b.universe) ** len(vars_ - set(t.explicit))
         keep = [i for i, v in enumerate(t.explicit) if v not in vars_]
@@ -700,6 +705,23 @@ class _Evaluator:
         self._note(len(data))
         wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
         return CountTable(explicit, wild, self.b.universe, data)
+
+
+def _count_pairs(g1, g2):
+    """|U_k A_k x B_k| over the common keys, as the sum over parts a of
+    |U_{k ∋ a} B_k| with a from the side that has fewer entries: C-level
+    unions of parts that already exist instead of the answer rows."""
+    common = g1.keys() & g2.keys()
+    if sum(len(g1[k]) for k in common) > sum(len(g2[k]) for k in common):
+        g1, g2 = g2, g1
+    keys_of = defaultdict(list)
+    for k in common:
+        for a in g1[k]:
+            keys_of[a].append(k)
+    return sum(
+        len(g2[ks[0]]) if len(ks) == 1 else len(set().union(*map(g2.__getitem__, ks)))
+        for ks in keys_of.values()
+    )
 
 
 def _check_cast_signatures(f, b):

@@ -360,6 +360,14 @@ def test_qaw_command_with_dump(tmp_path, capsys):
     assert "parent none" in dumped and dumped.startswith("node ")
 
 
+def test_qaw_of_a_400_edge_path(tmp_path, capsys):
+    # 400 `exists` binders in a row: the parser reads the prefix in a loop,
+    # so the default recursion limit suffices
+    q = _write(tmp_path, "path400.epq", _path_query(400))
+    code, out, err = _run(capsys, "qaw", "-q", q, "--json")
+    assert (code, json.loads(out), err) == (0, {"qaw": 2}, "")
+
+
 def test_core_command(tmp_path, capsys):
     q_path = _write(tmp_path, "fold.epq", FOLD_EPQ)
     code, out, _ = _run(capsys, "core", "-q", q_path)

@@ -1,10 +1,13 @@
 """Tests for sharpq.sharpcore: AST validity, width, .shq format, evaluation."""
 
+import itertools
 import random
+import re
 import sys
 
 import pytest
 
+from sharpq import sharpcore
 from sharpq.compilepipe import minimize_ep
 from sharpq.epquery import (
     And,
@@ -14,6 +17,7 @@ from sharpq.epquery import (
     oracle_count,
     parse_ep_expression,
     parse_query,
+    serialize_query,
     subformulas,
 )
 from sharpq.errors import CapExceeded, ParseError, SharpqError
@@ -595,3 +599,97 @@ def test_shadowed_binder_in_a_raw_cast():
     for _ in range(20):
         b = random_structure(rng, q.sig, max_size=4)
         assert eval_sentence(f, b) == oracle_count(q, b)
+
+
+# ---------------------------------------------------------------------------
+# grouped joins, the relation-index memo and the counted root
+# ---------------------------------------------------------------------------
+
+
+def _under_binders(f):
+    while isinstance(f, Exists):
+        f = f.body
+    return f
+
+
+def test_counted_root_matches_the_answer_table_and_the_oracle(monkeypatch):
+    # P L C[phi; L] counts the last join of a conjunction without building
+    # it; the table of C[phi; L] builds it
+    products = []
+    count_pairs = sharpcore._count_pairs
+
+    def spy(*groups):
+        products.append(groups)
+        return count_pairs(*groups)
+
+    monkeypatch.setattr(sharpcore, "_count_pairs", spy)
+    rng = random.Random(1212)
+    conjunctions = 0
+    for _ in range(250):
+        q = random_ep_query(rng, max_vars=5, max_atoms=5, max_disjunctions=1)
+        b = random_structure(rng, q.sig, max_size=4)
+        rows = evaluate(Cast(q.formula, q.liberal), b).sorted_rows()
+        assert all(val == 1 for _, val in rows)
+        assert eval_sentence(naive_representation(q), b) == len(rows) == oracle_count(q, b)
+        conjunctions += isinstance(_under_binders(q.formula), And)
+    assert conjunctions > 80 and len(products) > 30
+
+
+def _liberal_permuted(q, rng):
+    """q with its liberal variables x0.. permuted: the same relations, used
+    at other argument positions."""
+    perm = list(q.liberal)
+    rng.shuffle(perm)
+    text = re.sub(r"\bx(\d+)\b", lambda m: perm[int(m.group(1))], serialize_query(q))
+    return parse_query(text)
+
+
+def test_casts_sharing_relation_indices_match_separate_evaluations():
+    # every cast and term of one evaluation shares the groupings of the
+    # structure's relations; tables and counts must equal those of casts
+    # evaluated on their own
+    rng = random.Random(1313)
+    for _ in range(80):
+        q = random_ep_query(rng, max_vars=4, max_atoms=5, max_disjunctions=1)
+        q2 = _liberal_permuted(q, rng)
+        b = random_structure(rng, q.sig, max_size=3)
+        lib = frozenset(q.liberal)
+        c1, c2 = Cast(q.formula, q.liberal), Cast(q2.formula, q.liberal)
+        t1, t2 = evaluate(c1, b), evaluate(c2, b)
+        t = evaluate(Plus(Times(c1, c2), Times(c2, c2)), b)
+        for vals in itertools.product(b.universe, repeat=len(lib)):
+            h = dict(zip(q.liberal, vals))
+            assert t.value(h) == t1.value(h) * t2.value(h) + t2.value(h) ** 2
+        both = sum(t1.value(h) * t2.value(h) for h, _ in t1.sorted_rows())
+        s = Plus(Project(lib, c1), Plus(Project(lib, c2), Project(lib, Times(c1, c2))))
+        assert eval_sentence(s, b) == oracle_count(q, b) + oracle_count(q2, b) + both
+
+
+def _star3_sentence():
+    return parse_sharp("P{a,b,c} C[exists h . E(a,h) & E(b,h) & E(c,h); {a,b,c}]")
+
+
+def _hub_structure(spokes):
+    """Hubs h0, h1, ...: hub i has `spokes[i]` in-neighbours of its own."""
+    edges = {(f"s{i}_{j}", f"h{i}") for i, n in enumerate(spokes) for j in range(n)}
+    universe = sorted({v for e in edges for v in e})
+    return make_structure(Signature((("E", 2),)), universe, {"E": edges})
+
+
+def test_counted_star_materialises_only_the_inner_join():
+    # three hubs with two spokes each: the inner two-spoke join E(a,h) &
+    # E(b,h) has 3 * 2^2 = 12 rows, the answers number 3 * 2^3 = 24
+    b = _hub_structure([2, 2, 2])
+    stats = {}
+    assert eval_sentence(_star3_sentence(), b, max_rows=12, stats=stats) == 24
+    assert stats["peak_rows"] == 12
+    # below the inner join the cap fires; every hub's 4 rows fit, so the
+    # table grows past 7 between two keys
+    stats = {}
+    with pytest.raises(CapExceeded, match=r"^table would hold more than 7 rows$"):
+        eval_sentence(_star3_sentence(), b, max_rows=7, stats=stats)
+    assert stats["peak_rows"] == 6
+    # one hub whose rows alone exceed the cap is refused before it is built
+    with pytest.raises(CapExceeded, match=r"^table would hold more than 8 rows$"):
+        eval_sentence(_star3_sentence(), _hub_structure([3]), max_rows=8)
+    assert eval_sentence(_star3_sentence(), _hub_structure([3]), max_rows=9) == 27
