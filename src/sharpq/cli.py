@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .compilepipe import (
+    _lift_sums,
     _seeded_structures,
     as_formula,
     basic_sharp_to_pp,
@@ -40,7 +41,6 @@ from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqEr
 from .relstore import parse_structure
 from .sharpcore import (
     Const,
-    Plus,
     Times,
     check_represents,
     eval_sentence,
@@ -135,12 +135,6 @@ def _self_check(sentence, q, cfg):
         )
 
 
-def _plus_leaves(f):
-    if isinstance(f, Plus):
-        return _plus_leaves(f.left) + _plus_leaves(f.right)
-    return [f]
-
-
 def _report(sentence, *, terms, qaw, core_size):
     return {
         "width": width(sentence),
@@ -207,7 +201,7 @@ def cmd_minimize(args, cfg):
     if sentence == Const(0):
         terms, core_size = 0, 0
     else:
-        leaves = _plus_leaves(sentence)
+        leaves = _lift_sums(sentence)  # its sums are all at the top
         terms = len(leaves)
         core_size = sum(
             len(basic_sharp_to_pp(leaf.right).struct.universe)

@@ -15,10 +15,19 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 
-from .decomp import TreeDecomposition, compute_qaw, is_quantifier_aware, validate_td
+from .decomp import (
+    TreeDecomposition,
+    _bfs_order,
+    _tops_and_depths,
+    compute_qaw,
+    is_quantifier_aware,
+    validate_td,
+)
 from .epquery import (
     TOP,
+    VARIABLES,
     And,
     Atom,
     Exists,
@@ -27,9 +36,11 @@ from .epquery import (
     PpPair,
     Top,
     _has_or,
+    _all_variables,
     _infer_signature,
     _rename_apart,
     exists_components,
+    fold,
     oracle_count,
     pair_to_pp,
     pp_to_pair,
@@ -42,12 +53,15 @@ from .equiv import align_via_renaming, core_of
 from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
 from .relstore import Signature, make_structure
 from .sharpcore import (
+    _EP_NODES,
     Cast,
     Const,
     Expand,
     Plus,
     Project,
     Times,
+    _require_sentence,
+    _require_valid,
     check_represents,
     eval_sentence,
     naive_representation,
@@ -60,19 +74,16 @@ from .sharpcore import (
 # ---------------------------------------------------------------------------
 
 
+_SHARP_VARIABLES = {
+    **VARIABLES,
+    Cast: lambda node: node.liberal,
+    **dict.fromkeys((Project, Expand), lambda node: node.vars),
+}
+
+
 def _sharp_variables(f):
     """Every variable name occurring anywhere in a counting formula."""
-    out = set()
-    for node in subformulas(f):
-        if isinstance(node, Atom):
-            out.update(node.args)
-        elif isinstance(node, Exists):
-            out.add(node.var)
-        elif isinstance(node, Cast):
-            out.update(node.liberal)
-        elif isinstance(node, (Project, Expand)):
-            out.update(node.vars)
-    return out
+    return _all_variables(f, _SHARP_VARIABLES)
 
 
 class _FreshNames:
@@ -93,50 +104,43 @@ class _FreshNames:
         return [self.fresh() for _ in range(k)]
 
 
-def _rename_ep(f, ren):
-    """Apply a total variable renaming to an ep-formula (binders included)."""
-    if isinstance(f, Atom):
-        return Atom(f.symbol, tuple(ren.get(a, a) for a in f.args))
-    if isinstance(f, And):
-        return And(_rename_ep(f.left, ren), _rename_ep(f.right, ren))
-    if isinstance(f, Exists):
-        return Exists(ren.get(f.var, f.var), _rename_ep(f.body, ren))
-    if isinstance(f, Top):
-        return f
-    raise TypeError(f"not an ep-formula node: {f!r}")
+def _rename(f, ren):
+    """Apply a total variable renaming to an ep or counting formula (binders
+    included)."""
+
+    def names(vs):
+        return [ren.get(v, v) for v in vs]
+
+    return fold(f, {
+        Atom: lambda node: Atom(node.symbol, tuple(names(node.args))),
+        Exists: lambda node, body: Exists(ren.get(node.var, node.var), body),
+        Cast: lambda node, ep: Cast(ep=ep, liberal=tuple(names(node.liberal))),
+        **dict.fromkeys((Project, Expand), lambda node, child: type(node)(names(node.vars), child)),
+        **dict.fromkeys((And, Or, Times, Plus), lambda node, left, right: type(node)(left, right)),
+        **dict.fromkeys((Top, Const), lambda node: node),
+    })
 
 
-def _rename_sharp(f, ren):
-    """Apply a total variable renaming to a counting formula."""
-    if isinstance(f, Cast):
-        return Cast(ep=_rename_ep(f.ep, ren), liberal=tuple(ren.get(v, v) for v in f.liberal))
-    if isinstance(f, Project):
-        return Project(frozenset(ren.get(v, v) for v in f.vars), _rename_sharp(f.child, ren))
-    if isinstance(f, Expand):
-        return Expand(frozenset(ren.get(v, v) for v in f.vars), _rename_sharp(f.child, ren))
-    if isinstance(f, Times):
-        return Times(_rename_sharp(f.left, ren), _rename_sharp(f.right, ren))
-    if isinstance(f, Plus):
-        return Plus(_rename_sharp(f.left, ren), _rename_sharp(f.right, ren))
-    if isinstance(f, Const):
-        return f
-    raise TypeError(f"not a counting-formula node: {f!r}")
+def _compile_terms(terms, tw_cap):
+    """(sum, largest qaw) for (constant, pair) terms: each pair compiled along a
+    width-minimal quantifier-aware decomposition and multiplied by its
+    constant, the products renamed apart and summed left to right."""
+    products, widths = [], []
+    for const, pair in terms:
+        qaw, td = compute_qaw(pair, cap=tw_cap)
+        products.append(Times(const, pp_to_basic_sharp(pair, td)))
+        widths.append(qaw)
+    names = _FreshNames(set().union(*map(_sharp_variables, products)))
+    renamed = [
+        _rename(term, {v: names.fresh() for v in sorted(_sharp_variables(term))})
+        for term in products
+    ]
+    return reduce(Plus, renamed), max(widths)
 
 
 # ---------------------------------------------------------------------------
 # Width-bounded rewriting of a pair along a tree decomposition
 # ---------------------------------------------------------------------------
-
-
-def _node_depths(td, kids):
-    depth = {td.root: 0}
-    queue = [td.root]
-    while queue:
-        t = queue.pop(0)
-        for c in kids[t]:
-            depth[c] = depth[t] + 1
-            queue.append(c)
-    return depth
 
 
 def _topmost(td, depth, nodes):
@@ -167,32 +171,23 @@ def rewrite_width_bounded(p, td):
             "decomposition does not fit the pair's primal graph: " + "; ".join(problems)
         )
     kids = td.children()
-    depth = _node_depths(td, kids)
+    top, depth = _tops_and_depths(td)
     quantified = set(p.struct.universe) - p.liberal_set
-    top = {}
-    for v in p.struct.universe:
-        top[v] = _topmost(td, depth, [t for t in td.nodes if v in td.bags[t]])
     atoms_at = {t: [] for t in td.nodes}
     for sym, tup in p.struct.all_facts():
         atoms_at[_atom_home(td, depth, tup)].append(Atom(sym, tup))
-
-    def build(t):
-        parts = list(atoms_at[t])
-        for c in kids[t]:
-            sub = build(c)
-            if not isinstance(sub, Top):
-                parts.append(sub)
+    built = {}
+    for t in reversed(_bfs_order(td)):  # children before parents
+        parts = atoms_at[t] + [built[c] for c in kids[t] if not isinstance(built[c], Top)]
         if not parts:
-            return TOP
-        body = parts[0]
-        for part in parts[1:]:
-            body = And(body, part)
+            built[t] = TOP
+            continue
+        body = reduce(And, parts)
         binders = sorted(v for v in td.bags[t] if v in quantified and top[v] == t)
         for v in reversed(binders):
             body = Exists(v, body)
-        return body
-
-    return build(td.root)
+        built[t] = body
+    return built[td.root]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,7 @@ def pp_to_basic_sharp(p, td):
     if td.bags[td.root]:
         raise SharpqError("pp_to_basic_sharp needs an empty root bag")
     kids = td.children()
-    depth = _node_depths(td, kids)
+    _, depth = _tops_and_depths(td)
     quantified = set(p.struct.universe) - p.liberal_set
     eff = {t: frozenset(td.bags[t]) - quantified for t in td.nodes}
 
@@ -257,7 +252,8 @@ def pp_to_basic_sharp(p, td):
             body = TOP
         casts_at[d].append(Cast(ep=body, liberal=tuple(sorted(boundary))))
 
-    def build(t):
+    built = {}
+    for t in reversed(_bfs_order(td)):  # children before parents
         factors = [Cast(ep=a, liberal=tuple(sorted(eff[t]))) for a in liberal_atoms_at[t]]
         for cast in casts_at[t]:
             if isinstance(cast.ep, Top):
@@ -265,7 +261,7 @@ def pp_to_basic_sharp(p, td):
             extra = eff[t] - frozenset(cast.liberal)
             factors.append(Expand(extra, cast) if extra else cast)
         for c in kids[t]:
-            sub = build(c)
+            sub = built[c]
             drop = eff[c] - eff[t]
             add = eff[t] - eff[c]
             if not drop and isinstance(sub, Cast) and isinstance(sub.ep, Top):
@@ -275,14 +271,9 @@ def pp_to_basic_sharp(p, td):
             if add:
                 sub = Expand(add, sub)
             factors.append(sub)
-        if not factors:
-            return Cast(ep=TOP, liberal=tuple(sorted(eff[t])))
-        out = factors[0]
-        for factor in factors[1:]:
-            out = Times(out, factor)
-        return out
-
-    sentence = build(td.root)
+        empty = Cast(ep=TOP, liberal=tuple(sorted(eff[t])))
+        built[t] = reduce(Times, factors) if factors else empty
+    sentence = built[td.root]
     report = validate(sentence)
     if not report.ok or report.free:
         raise InternalInvariant(
@@ -314,15 +305,7 @@ def basic_sharp_to_pp(f):
     multiplies the count by the universe size, so it becomes an isolated
     liberal element of the pair. The pair has the same count as the sentence
     on every structure."""
-    report = validate(f)
-    if not report.ok:
-        raise SharpqError(
-            "malformed counting formula: " + "; ".join(v.message for v in report.violations)
-        )
-    if report.free:
-        raise SharpqError(
-            f"basic_sharp_to_pp needs a sentence; free variables: {', '.join(sorted(report.free))}"
-        )
+    _require_sentence(_require_valid(f).free, "basic_sharp_to_pp")
     nodes = subformulas(f)
     if any(isinstance(node, (Plus, Const, Or)) for node in nodes):
         raise SharpqError(
@@ -361,6 +344,11 @@ def basic_sharp_to_pp(f):
     return PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
 
 
+def _merge(facts, u, v):
+    """The facts with element u replaced by v."""
+    return {(sym, tuple(v if x == u else x for x in tup)) for sym, tup in facts}
+
+
 def _fold_quantified(p):
     """Collapse quantified elements by single-point retractions.
 
@@ -373,30 +361,21 @@ def _fold_quantified(p):
     lib = set(p.liberal)
     universe = list(p.struct.universe)
     facts = set(p.struct.all_facts())
-    changed = True
-    while changed:
-        changed = False
+
+    def first_fold():
+        """The first (u, v) in universe order such that u folds onto v; only
+        u's own facts are rewritten to test it."""
         for u in universe:
-            if u in lib:
-                continue
-            for v in universe:
-                if v == u:
-                    continue
-                folds = all(
-                    (sym, tuple(v if x == u else x for x in tup)) in facts
-                    for sym, tup in facts
-                    if u in tup
-                )
-                if folds:
-                    universe.remove(u)
-                    facts = {
-                        (sym, tuple(v if x == u else x for x in tup))
-                        for sym, tup in facts
-                    }
-                    changed = True
-                    break
-            if changed:
-                break
+            if u not in lib:
+                own = [fact for fact in facts if u in fact[1]]
+                for v in universe:
+                    if v != u and _merge(own, u, v) <= facts:
+                        return u, v
+        return None
+
+    while (step := first_fold()) is not None:
+        universe.remove(step[0])
+        facts = _merge(facts, *step)
     rels = {}
     for sym, tup in facts:
         rels.setdefault(sym, set()).add(tup)
@@ -471,14 +450,9 @@ def cast_ep(q, max_dnf=4096):
     for size in range(1, len(disjuncts) + 1):
         for subset in itertools.combinations(range(len(disjuncts)), size):
             sign = 1 if size % 2 == 1 else -1
-            product = Expand(lib, Const(sign))
-            for i in subset:
-                product = Times(product, Cast(ep=disjuncts[i].formula, liberal=lib_tuple))
-            terms.append(product)
-    out = terms[0]
-    for term in terms[1:]:
-        out = Plus(out, term)
-    return out
+            casts = [Cast(ep=disjuncts[i].formula, liberal=lib_tuple) for i in subset]
+            terms.append(reduce(Times, casts, Expand(lib, Const(sign))))
+    return reduce(Plus, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -503,78 +477,74 @@ def as_formula(fs):
     """Fold a FlatSharp back into a single counting formula."""
     if not fs.terms:
         return Expand(fs.free, Const(0))
-    parts = [Times(const, basic) for const, basic in fs.terms]
-    out = parts[0]
-    for part in parts[1:]:
-        out = Plus(out, part)
-    return out
+    return reduce(Plus, [Times(const, basic) for const, basic in fs.terms])
+
+
+# A walker over the counting nodes leaves each cast's ep formula as it is.
+_EP_AS_IS = dict.fromkeys(_EP_NODES, lambda node, *kids: node)
 
 
 def _cast_all(f, max_dnf):
     """Stage 1: replace every cast by its inclusion-exclusion normal form."""
-    if isinstance(f, Cast):
-        sig = _infer_signature(f.ep)
-        q = LiberalQuery(name="cast", formula=f.ep, liberal=tuple(f.liberal), sig=sig)
+
+    def cast(node, ep):
+        sig = _infer_signature(ep)
+        q = LiberalQuery(name="cast", formula=ep, liberal=tuple(node.liberal), sig=sig)
         return cast_ep(q, max_dnf=max_dnf)
-    if isinstance(f, Project):
-        return Project(f.vars, _cast_all(f.child, max_dnf))
-    if isinstance(f, Expand):
-        return Expand(f.vars, _cast_all(f.child, max_dnf))
-    if isinstance(f, Times):
-        return Times(_cast_all(f.left, max_dnf), _cast_all(f.right, max_dnf))
-    if isinstance(f, Plus):
-        return Plus(_cast_all(f.left, max_dnf), _cast_all(f.right, max_dnf))
-    if isinstance(f, Const):
-        return f
-    raise TypeError(f"not a counting-formula node: {f!r}")
+
+    return fold(f, {
+        **_EP_AS_IS,
+        Cast: cast,
+        **dict.fromkeys((Project, Expand), lambda node, child: type(node)(node.vars, child)),
+        **dict.fromkeys((Times, Plus), lambda node, left, right: type(node)(left, right)),
+        Const: lambda node: node,
+    })
 
 
 def _lift_sums(f):
     """Stage 2: distribute so that sums sit only at the top; returns the
     sum-free summands left to right."""
-    if isinstance(f, (Cast, Const)):
-        return [f]
-    if isinstance(f, Plus):
-        return _lift_sums(f.left) + _lift_sums(f.right)
-    if isinstance(f, Project):
-        return [Project(f.vars, s) for s in _lift_sums(f.child)]
-    if isinstance(f, Expand):
-        return [Expand(f.vars, s) for s in _lift_sums(f.child)]
-    if isinstance(f, Times):
-        return [
-            Times(a, b) for a in _lift_sums(f.left) for b in _lift_sums(f.right)
-        ]
-    raise TypeError(f"not a counting-formula node: {f!r}")
+    return fold(f, {
+        **_EP_AS_IS,
+        Cast: lambda node, ep: [node],
+        Const: lambda node: [node],
+        Plus: lambda node, lefts, rights: lefts + rights,
+        **dict.fromkeys((Project, Expand), lambda node, subs: [
+            type(node)(node.vars, s) for s in subs
+        ]),
+        Times: lambda node, lefts, rights: [Times(a, b) for a in lefts for b in rights],
+    })
+
+
+def _normmult_project(node, child):
+    n, pow_, basic, free = child
+    if basic is None:
+        return n, pow_ + len(node.vars), None, free - node.vars
+    return n, pow_, Project(node.vars, basic), free - node.vars
+
+
+def _normmult_expand(node, child):
+    n, pow_, basic, free = child
+    return n, pow_, None if basic is None else Expand(node.vars, basic), free | node.vars
+
+
+def _normmult_times(node, left, right):
+    (nl, pl, bl, free), (nr, pr, br, _) = left, right
+    basic = br if bl is None else bl if br is None else Times(bl, br)
+    return nl * nr, pl + pr, basic, free
 
 
 def _normmult(f):
     """Stage 3: split a sum-free formula into (n, pow, basic, free) with
     value n*|B|^pow times the basic part (basic=None when fully constant)."""
-    if isinstance(f, Const):
-        return f.n, 0, None, frozenset()
-    if isinstance(f, Cast):
-        return 1, 0, f, frozenset(f.liberal)
-    if isinstance(f, Project):
-        n, pow_, basic, free = _normmult(f.child)
-        if basic is None:
-            return n, pow_ + len(f.vars), None, free - f.vars
-        return n, pow_, Project(f.vars, basic), free - f.vars
-    if isinstance(f, Expand):
-        n, pow_, basic, free = _normmult(f.child)
-        if basic is None:
-            return n, pow_, None, free | f.vars
-        return n, pow_, Expand(f.vars, basic), free | f.vars
-    if isinstance(f, Times):
-        nl, pl, bl, free = _normmult(f.left)
-        nr, pr, br, _ = _normmult(f.right)
-        if bl is None:
-            basic = br
-        elif br is None:
-            basic = bl
-        else:
-            basic = Times(bl, br)
-        return nl * nr, pl + pr, basic, free
-    raise TypeError(f"unexpected node in a sum-free formula: {f!r}")
+    return fold(f, {
+        **_EP_AS_IS,
+        Const: lambda node: (node.n, 0, None, frozenset()),
+        Cast: lambda node, ep: (1, 0, node, frozenset(node.liberal)),
+        Project: _normmult_project,
+        Expand: _normmult_expand,
+        Times: _normmult_times,
+    })
 
 
 def flatten(f, max_dnf=4096):
@@ -583,11 +553,7 @@ def flatten(f, max_dnf=4096):
     Stages: inclusion-exclusion on every cast, lifting all sums to the top,
     then splitting each summand into a constant part E V1 P V2 n and a basic
     part. Width never increases."""
-    report = validate(f)
-    if not report.ok:
-        raise SharpqError(
-            "malformed counting formula: " + "; ".join(v.message for v in report.violations)
-        )
+    report = _require_valid(f)
     staged = _cast_all(f, max_dnf)
     summands = _lift_sums(staged)
     names = _FreshNames(_sharp_variables(staged) | _sharp_variables(f))
@@ -714,10 +680,7 @@ def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
     element per |B|-power of its constant part, and is canonically labeled;
     equal pairs merge by adding coefficients, zero coefficients drop, and the
     entries are sorted by (liberal count, fact count, serialization)."""
-    if fs.free:
-        raise SharpqError(
-            f"canonical_lc needs a sentence; free variables: {', '.join(sorted(fs.free))}"
-        )
+    _require_sentence(fs.free, "canonical_lc")
     merged = {}
     order = []
     for const, basic in fs.terms:
@@ -869,29 +832,10 @@ def compile_flat(fs, *, tw_cap=24):
     apart. Returns (formula, width) with width the maximum term width. Unlike
     minimize_ep this never searches for endomorphisms, so it stays feasible
     on terms with many variables."""
-    if fs.free:
-        raise SharpqError(
-            "compile_flat needs a sentence; free variables: "
-            + ", ".join(sorted(fs.free))
-        )
+    _require_sentence(fs.free, "compile_flat")
     if not fs.terms:
         return Const(0), 0
-    compiled = []
-    widths = []
-    for const, basic in fs.terms:
-        pair = basic_sharp_to_pp(basic)
-        qaw, td = compute_qaw(pair, cap=tw_cap)
-        compiled.append(Times(const, pp_to_basic_sharp(pair, td)))
-        widths.append(qaw)
-    names = _FreshNames(set().union(*(_sharp_variables(t) for t in compiled)))
-    parts = []
-    for term in compiled:
-        ren = {v: names.fresh() for v in sorted(_sharp_variables(term))}
-        parts.append(_rename_sharp(term, ren))
-    out = parts[0]
-    for part in parts[1:]:
-        out = Plus(out, part)
-    return out, max(widths)
+    return _compile_terms(((c, basic_sharp_to_pp(basic)) for c, basic in fs.terms), tw_cap)
 
 
 def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
@@ -908,18 +852,4 @@ def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
     )
     if not lc.entries:
         return Const(0), 0
-    sentences = []
-    widths = []
-    for _, pair in lc.entries:
-        qaw, td = compute_qaw(pair, cap=tw_cap)
-        sentences.append(pp_to_basic_sharp(pair, td))
-        widths.append(qaw)
-    names = _FreshNames(set().union(*(_sharp_variables(s) for s in sentences)))
-    parts = []
-    for coeff, sentence in zip((c for c, _ in lc.entries), sentences):
-        ren = {v: names.fresh() for v in sorted(_sharp_variables(sentence))}
-        parts.append(Times(Const(coeff), _rename_sharp(sentence, ren)))
-    out = parts[0]
-    for part in parts[1:]:
-        out = Plus(out, part)
-    return out, max(widths)
+    return _compile_terms(((Const(c), pair) for c, pair in lc.entries), tw_cap)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
 from .epquery import contract_graph, exists_components, primal_graph
@@ -443,21 +444,27 @@ def make_nice(td, root=None, force_empty_root=False, forget_priority=None):
             top_id = emit("introduce", cur_bag, [top_id])
         return top_id
 
-    def build(t):
+    def finish(t, built):
         target = td.bags[t]
-        built = [chain_to(build(c), td.bags[c], target) for c in kids[t]]
         if not built:
             if not target:
                 return emit("leaf", frozenset(), [])
             pivot = min(target)
             top = emit("leaf", {pivot}, [])
             return chain_to(top, frozenset({pivot}), target)
-        node = built[0]
-        for other in built[1:]:
-            node = emit("join", target, [node, other])
-        return node
+        return reduce(lambda node, other: emit("join", target, [node, other]), built)
 
-    top = build(td.root)
+    # pre-order with the kids visited right to left; reversed, it is the
+    # left-to-right post-order a recursive walk would emit in
+    order, stack = [], [td.root]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(kids[order[-1]])
+    chained = {}  # node -> top of its subtree, chained to its parent's bag
+    for t in reversed(order):
+        top = finish(t, [chained[c] for c in kids[t]])
+        if t != td.root:
+            chained[t] = chain_to(top, td.bags[t], td.bags[td.parent[t]])
     if force_empty_root:
         top = chain_to(top, td.bags[td.root], frozenset())
     return NiceTreeDecomposition(
@@ -471,21 +478,16 @@ def make_nice(td, root=None, force_empty_root=False, forget_priority=None):
 
 
 def _tops_and_depths(td):
+    """(topmost node of each variable, depth of each node). Parents come
+    before children in BFS order, so a variable's first node there is its
+    least deep; in a valid decomposition that node is unique."""
     kids = td.children()
-    depth = {td.root: 0}
-    stack = [td.root]
-    order = []
-    while stack:
-        t = stack.pop()
-        order.append(t)
+    top, depth = {}, {td.root: 0}
+    for t in _bfs_order(td):
         for c in kids[t]:
             depth[c] = depth[t] + 1
-            stack.append(c)
-    top = {}
-    for t in order:
         for v in td.bags[t]:
-            if v not in top or depth[t] < depth[top[v]]:
-                top[v] = t
+            top.setdefault(v, t)
     return top, depth
 
 

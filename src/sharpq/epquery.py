@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .relstore import Signature, Structure, make_structure
@@ -22,7 +23,7 @@ from .relstore import Signature, Structure, make_structure
 
 
 # Every node class of both formula ASTs (these and sharpcore's) names its
-# child fields, left to right, in `_kids`; subformulas() walks them.
+# child fields, left to right, in `_kids`; subformulas() and fold() walk them.
 
 
 @dataclass(frozen=True)
@@ -76,28 +77,77 @@ def subformulas(f):
     return out
 
 
+def fold(f, steps, down=None, ctx=None):
+    """f's value, `steps[type(node)](node, *kid values)` folded bottom-up in
+    left-to-right post-order from an explicit stack: depth costs no Python
+    stack, and a node reached through two parents is folded under each.
+    With a `down` table, a context also flows top-down: the root's is `ctx`,
+    and `down[type(node)](node, c)`, called in pre-order, lists the (kid,
+    context) pairs below a node whose context is c (without an entry, all
+    kids with None); steps then take it: `steps[type(node)](node, c, *kid
+    values)`."""
+    values, stack = [], [(f, ctx, -1)]
+    push, pop, put = stack.append, stack.pop, values.append
+    with_ctx = down is not None
+    while stack:
+        node, c, n = pop()
+        if n < 0:
+            split = down.get(type(node)) if with_ctx else None
+            if split:
+                kids = split(node, c)
+                n = len(kids)
+                if n:
+                    push((node, c, n))
+                    for kid, kc in reversed(kids):
+                        push((kid, kc, -1))
+                    continue
+            else:  # the common case, kept free of a per-node list
+                n = len(node._kids)
+                if n:
+                    push((node, c, n))
+                    for name in reversed(node._kids):
+                        push((getattr(node, name), None, -1))
+                    continue
+        step = steps[type(node)]
+        if n == 2:  # no node has more than two kids
+            right = values.pop()
+            left = values[-1]
+            values[-1] = step(node, c, left, right) if with_ctx else step(node, left, right)
+        elif n == 1:
+            values[-1] = step(node, c, values[-1]) if with_ctx else step(node, values[-1])
+        else:
+            put(step(node, c) if with_ctx else step(node))
+    return values[0]
+
+
+def _union(node, left, right):
+    return left | right
+
+
+# free variables of each ep node, from its kids' (shared by sharpcore)
+FREE_STEPS = {
+    Atom: lambda node: frozenset(node.args),
+    And: _union,
+    Or: _union,
+    Exists: lambda node, body: body - {node.var},
+    Top: lambda node: frozenset(),
+}
+
+
 def free_variables(f):
     """Free variables of an ep-formula, by the standard inductive definition."""
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, (And, Or)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, Exists):
-        return free_variables(f.body) - {f.var}
-    if isinstance(f, Top):
-        return frozenset()
-    raise TypeError(f"not an ep-formula node: {f!r}")
+    return fold(f, FREE_STEPS)
 
 
-def _all_variables(f):
-    """Every atom argument and binder in a formula."""
-    out = set()
-    for node in subformulas(f):
-        if isinstance(node, Atom):
-            out.update(node.args)
-        elif isinstance(node, Exists):
-            out.add(node.var)
-    return out
+# the variable names each ep node holds itself
+VARIABLES = {Atom: lambda node: node.args, Exists: lambda node: (node.var,)}
+
+
+def _all_variables(f, variables=VARIABLES):
+    """Every variable name the nodes of a formula hold, by a table like
+    VARIABLES (its default: every atom argument and binder)."""
+    nodes = [node for node in subformulas(f) if type(node) in variables]
+    return {v for node in nodes for v in variables[type(node)](node)}
 
 
 def _infer_signature(f):
@@ -248,9 +298,7 @@ class _Tokens:
             pos = m.end()
 
     def _loc(self, offset):
-        line = self.text.count("\n", 0, offset) + 1
-        col = offset - (self.text.rfind("\n", 0, offset) + 1) + 1
-        return line, col
+        return _line_col(self.text, offset)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.stop)
@@ -278,6 +326,11 @@ class _Tokens:
         raise ParseError(msg, line, col)
 
 
+def _line_col(text, offset):
+    line = text.count("\n", 0, offset) + 1
+    return line, offset - (text.rfind("\n", 0, offset) + 1) + 1
+
+
 def _strip_epq_comments(text):
     return "\n".join(re.sub(r"(?:^|(?<=\s))#.*$", "", ln) for ln in text.splitlines())
 
@@ -290,18 +343,7 @@ def parse_query(text):
     if kind != "name" or qname in _KEYWORDS:
         toks.error("expected a query name after 'query'")
     toks.expect("punct", "(")
-    liberal = []
-    if toks.peek()[1] != ")":
-        while True:
-            kind, var, off = toks.next()
-            if kind != "name" or var in _KEYWORDS:
-                toks.error(f"expected a variable name, got {toks.shown(var)}", off)
-            liberal.append(var)
-            if toks.peek()[1] == ",":
-                toks.next()
-            else:
-                break
-    toks.expect("punct", ")")
+    liberal = _names(toks)
     toks.expect("punct", ":")
     if not liberal:
         raise ParseError("the liberal list must name at least one variable")
@@ -323,38 +365,21 @@ def parse_query(text):
 
 
 def _parse_expression(toks, header):
-    """Recursive-descent ep expression parser over a token stream.
-
-    `header` holds variable names that must not be quantified (empty for bare
-    expressions, the liberal list for full queries).
-    """
-
-    def parse_expr():
-        node = parse_term()
-        while toks.peek()[1] == "|":
-            toks.next()
-            node = Or(node, parse_term())
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while toks.peek()[1] == "&":
-            toks.next()
-            node = And(node, parse_factor())
-        return node
-
-    def parse_factor():
+    """Ep expression parser over a token stream. Each open '(' and `exists`
+    prefix (its body extends maximally right) is a frame [binders or None,
+    finished disjuncts, conjuncts of the current one] on an explicit stack,
+    so nesting costs no Python stack. `header` holds variable names that must
+    not be quantified (empty for bare expressions, the liberal list for full
+    queries)."""
+    frames = [[None, [], []]]  # the outermost expr, closed by the caller
+    while True:
         kind, val, off = toks.peek()
         if val == "(":
             toks.next()
-            node = parse_expr()
-            toks.expect("punct", ")")
-            return node
-        if kind == "name" and val == "true":
-            toks.next()
-            return TOP
+            frames.append([None, [], []])
+            continue
         if kind == "name" and val == "exists":
-            binders = []  # read in a loop: a long prefix costs no stack
+            binders = []
             while toks.peek()[:2] == ("name", "exists"):
                 toks.next()
                 k2, var, off2 = toks.next()
@@ -364,31 +389,60 @@ def _parse_expression(toks, header):
                     toks.error(f"header variable {var!r} is quantified in the body", off2)
                 toks.expect("punct", ".")
                 binders.append(var)
-            node = parse_expr()  # exists extends maximally right
-            for var in reversed(binders):
-                node = Exists(var, node)
-            return node
-        if kind == "name":
+            frames.append([binders, [], []])
+            continue
+        if kind == "name" and val == "true":
             toks.next()
-            toks.expect("punct", "(")
-            args = []
-            if toks.peek()[1] != ")":
-                while True:
-                    k3, arg, off3 = toks.next()
-                    if k3 != "name" or arg in _KEYWORDS:
-                        toks.error(f"expected a variable name, got {toks.shown(arg)}", off3)
-                    args.append(arg)
-                    if toks.peek()[1] == ",":
-                        toks.next()
-                    else:
-                        break
-            toks.expect("punct", ")")
-            if not args:
-                toks.error(f"relation {val!r} needs at least one argument", off)
-            return Atom(val, tuple(args))
-        toks.error(f"expected an atom, 'true', 'exists' or '(', got {toks.shown(val)}")
+            node = TOP
+        elif kind == "name":
+            node = _parse_atom(toks, val, off)
+        else:
+            toks.error(f"expected an atom, 'true', 'exists' or '(', got {toks.shown(val)}")
+        # the factor is complete; close every frame that ends after it
+        while True:
+            binders, disjuncts, conjuncts = frames[-1]
+            conjuncts.append(node)
+            op = toks.peek()[1]
+            if op in ("&", "|"):
+                toks.next()
+                if op == "|":
+                    disjuncts.append(reduce(And, conjuncts))
+                    conjuncts.clear()
+                break
+            node = reduce(Or, disjuncts + [reduce(And, conjuncts)])
+            frames.pop()
+            if not frames:
+                return node
+            if binders is None:
+                toks.expect("punct", ")")
+            else:
+                node = reduce(lambda body, var: Exists(var, body), reversed(binders), node)
 
-    return parse_expr()
+
+def _names(toks):
+    """Comma-separated variable names up to a ')', which is consumed."""
+    names = []
+    more = toks.peek()[1] != ")"
+    while more:
+        kind, name, off = toks.next()
+        if kind != "name" or name in _KEYWORDS:
+            toks.error(f"expected a variable name, got {toks.shown(name)}", off)
+        names.append(name)
+        more = toks.peek()[1] == ","
+        if more:
+            toks.next()
+    toks.expect("punct", ")")
+    return names
+
+
+def _parse_atom(toks, symbol, off):
+    """An atom whose relation name is the next token."""
+    toks.next()
+    toks.expect("punct", "(")
+    args = _names(toks)
+    if not args:
+        toks.error(f"relation {symbol!r} needs at least one argument", off)
+    return Atom(symbol, tuple(args))
 
 
 def parse_ep_expression(text):
@@ -411,49 +465,54 @@ def _rename_apart(f, protected):
     taken = set(protected) | _all_variables(f)
     used_binders = set(protected) | set(free_variables(f))
     counter = itertools.count(1)
+    binders = []  # the fresh binder of each Exists being folded, innermost last
 
-    def walk(node, renaming):
-        if isinstance(node, Atom):
-            return Atom(node.symbol, tuple(renaming.get(a, a) for a in node.args))
-        if isinstance(node, And):
-            return And(walk(node.left, renaming), walk(node.right, renaming))
-        if isinstance(node, Or):
-            return Or(walk(node.left, renaming), walk(node.right, renaming))
-        if isinstance(node, Exists):
-            name = node.var
-            if name in used_binders:
-                while True:
-                    fresh = f"{name}${next(counter)}"
-                    if fresh not in taken:
-                        break
-                taken.add(fresh)
-            else:
-                fresh = name
-            used_binders.add(name)
-            used_binders.add(fresh)
-            inner = dict(renaming)
-            inner[name] = fresh
-            return Exists(fresh, walk(node.body, inner))
-        return node
+    def bind(node, renaming):
+        name = node.var
+        if name in used_binders:
+            while True:
+                fresh = f"{name}${next(counter)}"
+                if fresh not in taken:
+                    break
+            taken.add(fresh)
+        else:
+            fresh = name
+        used_binders.add(name)
+        used_binders.add(fresh)
+        binders.append(fresh)
+        return [(node.body, {**renaming, name: fresh})]
 
-    return walk(f, {})
+    def both(node, renaming):
+        return [(node.left, renaming), (node.right, renaming)]
+
+    steps = {
+        Atom: lambda node, ren: Atom(node.symbol, tuple(ren.get(a, a) for a in node.args)),
+        **dict.fromkeys((And, Or), lambda node, ren, left, right: type(node)(left, right)),
+        Exists: lambda node, ren, body: Exists(binders.pop(), body),
+        Top: lambda node, ren: node,
+    }
+    return fold(f, steps, {Exists: bind, And: both, Or: both}, {})
 
 
-def render_ep(node, wrap=()):
+def _wrap(node, text, classes):
+    return f"({text})" if isinstance(node, classes) else text
+
+
+# the text of each ep node, from its kids' (shared by sharpcore)
+RENDER_STEPS = {
+    Atom: str,
+    Top: lambda node: "true",
+    And: lambda node, left, right: (
+        f"{_wrap(node.left, left, Or)} & {_wrap(node.right, right, (Or, And))}"
+    ),
+    Or: lambda node, left, right: f"{left} | {_wrap(node.right, right, Or)}",
+    Exists: lambda node, body: f"(exists {node.var} . {body})",
+}
+
+
+def render_ep(f):
     """Render an ep-formula as expression text; parse_ep_expression round-trips."""
-    if isinstance(node, Atom):
-        return str(node)
-    if isinstance(node, Top):
-        return "true"
-    if isinstance(node, And):
-        s = f"{render_ep(node.left, (Or,))} & {render_ep(node.right, (Or, And))}"
-    elif isinstance(node, Or):
-        s = f"{render_ep(node.left)} | {render_ep(node.right, (Or,))}"
-    elif isinstance(node, Exists):
-        return f"(exists {node.var} . {render_ep(node.body)})"
-    else:
-        raise TypeError(f"not an ep-formula node: {node!r}")
-    return f"({s})" if isinstance(node, wrap) else s
+    return fold(f, RENDER_STEPS)
 
 
 def serialize_query(q):
@@ -535,14 +594,21 @@ def _search(k, binders, levels, h, b, plans):
     return False
 
 
-def _check_signature(q, b):
-    for name, arity in q.sig.symbols:
+def _check_signature(sig, b, user="query"):
+    """b must interpret every relation of sig, with the same arity."""
+    for name, arity in sig.symbols:
         if name not in b.sig:
-            raise SharpqError(f"structure lacks relation {name!r} used by the query")
+            raise SharpqError(f"structure lacks relation {name!r} used by the {user}")
         if b.sig.arity(name) != arity:
             raise SharpqError(
-                f"arity mismatch for {name}: query uses {arity}, structure has {b.sig.arity(name)}"
+                f"arity mismatch for {name}: {user} uses {arity}, structure has {b.sig.arity(name)}"
             )
+
+
+# The oracle's search takes at most two Python frames per formula level.
+_ORACLE_DEPTH = 300
+_DEPTH_STEPS = {Atom: lambda node: 1, Top: lambda node: 1, Exists: lambda node, body: body + 1,
+                **dict.fromkeys((And, Or), lambda node, left, right: max(left, right) + 1)}
 
 
 def oracle_count(q, b, max_enum=10**8):
@@ -552,11 +618,20 @@ def oracle_count(q, b, max_enum=10**8):
     backtracking, checking every conjunct of its body as soon as its
     variables are bound. Refuses when the naive enumeration would exceed
     max_enum assignments; the bound counts quantified variables too, since
-    the search enumerates them in the worst case.
+    the search enumerates them in the worst case. Refuses as well a formula
+    more than _ORACLE_DEPTH nodes deep, which its recursion could not finish.
     """
-    _check_signature(q, b)
+    _check_signature(q.sig, b)
+    nodes = subformulas(q.formula)
+    # a formula is no deeper than it has nodes, so most need no depth fold
+    depth = fold(q.formula, _DEPTH_STEPS) if len(nodes) > _ORACLE_DEPTH else 0
+    if depth > _ORACLE_DEPTH:
+        raise CapExceeded(
+            f"oracle_count refuses a formula {depth} > {_ORACLE_DEPTH} nodes deep; "
+            "its search recurses once per level"
+        )
     n = len(b.universe)
-    bound = sum(isinstance(node, Exists) for node in subformulas(q.formula))
+    bound = sum(isinstance(node, Exists) for node in nodes)
     work = n ** (len(q.liberal) + bound)
     if work > max_enum:
         raise CapExceeded(
@@ -581,38 +656,34 @@ def to_dnf_pp(q, max_disjuncts=4096):
     """Rewrite q into disjunction-free queries (all with q's liberal list).
 
     Applies exists/and distribution over | to fixpoint; duplicate disjuncts are
-    removed syntactically. Width never increases: every produced subformula's
-    free set is contained in a free set already present in the input.
+    removed syntactically, by their rendered text (the parser round-trips it).
+    Width never increases: every produced subformula's free set is contained
+    in a free set already present in the input.
     """
 
-    def dnf(f):
-        if isinstance(f, (Atom, Top)):
-            return [f]
-        if isinstance(f, Or):
-            return dnf(f.left) + dnf(f.right)
-        if isinstance(f, And):
-            lefts, rights = dnf(f.left), dnf(f.right)
-            if len(lefts) * len(rights) > max_disjuncts:
-                raise CapExceeded(
-                    f"DNF would need {len(lefts) * len(rights)} > {max_disjuncts} disjuncts"
-                )
-            return [And(a, c) for a in lefts for c in rights]
-        if isinstance(f, Exists):
-            return [Exists(f.var, d) for d in dnf(f.body)]
-        raise TypeError(f"not an ep-formula node: {f!r}")
+    def conjoin(node, lefts, rights):
+        if len(lefts) * len(rights) > max_disjuncts:
+            raise CapExceeded(
+                f"DNF would need {len(lefts) * len(rights)} > {max_disjuncts} disjuncts"
+            )
+        return [And(a, c) for a in lefts for c in rights]
 
-    disjuncts = dnf(q.formula)
+    disjuncts = fold(q.formula, {
+        Atom: lambda node: [node],
+        Top: lambda node: [node],
+        Or: lambda node, lefts, rights: lefts + rights,
+        And: conjoin,
+        Exists: lambda node, bodies: [Exists(node.var, d) for d in bodies],
+    })
     if len(disjuncts) > max_disjuncts:
         raise CapExceeded(f"DNF needs {len(disjuncts)} > {max_disjuncts} disjuncts")
-    out, seen = [], set()
+    first = {}  # rendered text -> (index, disjunct) of its first occurrence
     for i, d in enumerate(disjuncts):
-        if d in seen:
-            continue
-        seen.add(d)
-        out.append(
-            LiberalQuery(name=f"{q.name}_{i}", formula=d, liberal=q.liberal, sig=q.sig)
-        )
-    return out
+        first.setdefault(render_ep(d), (i, d))
+    return [
+        LiberalQuery(name=f"{q.name}_{i}", formula=d, liberal=q.liberal, sig=q.sig)
+        for i, d in first.values()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +726,7 @@ def pair_to_pp(p, name="q"):
     """Prenex query for a pair: existentially close universe \\ liberal over
     the sorted conjunction of the structure's facts."""
     atoms = [Atom(sym, tup) for sym, tup in p.struct.all_facts()]
-    if atoms:
-        body = atoms[0]
-        for a in atoms[1:]:
-            body = And(body, a)
-    else:
-        body = TOP
+    body = reduce(And, atoms) if atoms else TOP
     for v in reversed(p.quantified):
         body = Exists(v, body)
     return LiberalQuery(name=name, formula=body, liberal=tuple(p.liberal), sig=p.struct.sig)

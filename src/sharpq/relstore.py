@@ -285,20 +285,28 @@ def search_homomorphisms(src, dst, pin, first=False):
         key=lambda e: (-len(incidence[e]), src.universe.index(e)),
     )
 
-    def search(i):
-        """Extend h from todo[i] on; True once the first witness is found."""
+    # depth first over todo without recursion: nxt[i] indexes the next
+    # candidate in dst's universe for todo[i]
+    nxt = [0] * len(todo)
+    i = 0
+    while i >= 0:
         if i == len(todo):
             found.append(dict(h))
-            return first
+            if first:
+                break
+            i -= 1
+            continue
         e = todo[i]
-        for b in dst.universe:
-            h[e] = b
-            if consistent(e) and search(i + 1):
-                return True
-        del h[e]
-        return False
-
-    search(0)
+        while nxt[i] < len(dst.universe):
+            h[e] = dst.universe[nxt[i]]
+            nxt[i] += 1
+            if consistent(e):
+                i += 1
+                break
+        else:
+            del h[e]
+            nxt[i] = 0
+            i -= 1
     return found
 
 

@@ -31,17 +31,22 @@ from operator import add, itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .epquery import (
+    FREE_STEPS,
+    RENDER_STEPS,
     And,
     Atom,
     Exists,
     Or,
     Top,
+    _check_signature,
     _infer_signature,
+    _line_col,
     _parse_ep_span,
+    _strip_epq_comments,
     _Tokens,
+    _union,
+    fold,
     free_variables,
-    render_ep,
-    subformulas,
 )
 
 # ---------------------------------------------------------------------------
@@ -142,60 +147,53 @@ def validate(f):
     """
     violations = []
 
-    def walk(node, path):
-        if isinstance(node, Cast):
-            fr = free_variables(node.ep)
-            lib = frozenset(node.liberal)
-            if not fr <= lib:
-                extra = ", ".join(sorted(fr - lib))
-                violations.append(
-                    Violation(path, f"cast liberal set must contain the ep formula's free variables (missing {extra})")
-                )
-            return lib, frozenset()
-        if isinstance(node, Project):
-            fr, cl = walk(node.child, path + ".child")
-            if node.vars & cl:
-                bad = ", ".join(sorted(node.vars & cl))
-                violations.append(
-                    Violation(path, f"projection variables may not be closed in the child ({bad})")
-                )
-            return fr - node.vars, cl | node.vars
-        if isinstance(node, Expand):
-            fr, cl = walk(node.child, path + ".child")
-            if node.vars & (fr | cl):
-                bad = ", ".join(sorted(node.vars & (fr | cl)))
-                violations.append(
-                    Violation(path, f"expansion variables must be fresh (already used: {bad})")
-                )
-            return fr | node.vars, cl
-        if isinstance(node, Times):
-            fl, cl_l = walk(node.left, path + ".left")
-            fr, cl_r = walk(node.right, path + ".right")
-            if fl != fr:
-                diff = ", ".join(sorted(fl ^ fr))
-                violations.append(
-                    Violation(path, f"product operands must have equal free sets (differ on {diff})")
-                )
-            if cl_l & cl_r:
-                bad = ", ".join(sorted(cl_l & cl_r))
-                violations.append(
-                    Violation(path, f"product operands must have disjoint closed sets (share {bad})")
-                )
-            return fl | fr, cl_l | cl_r
-        if isinstance(node, Plus):
-            fl, cl_l = walk(node.left, path + ".left")
-            fr, cl_r = walk(node.right, path + ".right")
-            if fl != fr:
-                diff = ", ".join(sorted(fl ^ fr))
-                violations.append(
-                    Violation(path, f"sum operands must have equal free sets (differ on {diff})")
-                )
-            return fl | fr, cl_l | cl_r
-        if isinstance(node, Const):
-            return frozenset(), frozenset()
-        raise TypeError(f"not a counting-formula node: {node!r}")
+    def check(at, bad, message):
+        if bad:
+            names = []
+            while at:  # a path is (parent path, field name), built top-down
+                at, name = at
+                names.append(name)
+            path = ".".join(reversed(names))
+            violations.append(Violation(path, message.format(", ".join(sorted(bad)))))
 
-    fr, cl = walk(f, "root")
+    def cast(node, at):
+        lib = frozenset(node.liberal)
+        check(at, free_variables(node.ep) - lib,
+              "cast liberal set must contain the ep formula's free variables (missing {})")
+        return lib, frozenset()
+
+    def project(node, at, child):
+        fr, cl = child
+        check(at, node.vars & cl, "projection variables may not be closed in the child ({})")
+        return fr - node.vars, cl | node.vars
+
+    def expand(node, at, child):
+        fr, cl = child
+        check(at, node.vars & (fr | cl), "expansion variables must be fresh (already used: {})")
+        return fr | node.vars, cl
+
+    def times(node, at, left, right):
+        (fl, cl_l), (fr, cl_r) = left, right
+        check(at, fl ^ fr, "product operands must have equal free sets (differ on {})")
+        check(at, cl_l & cl_r, "product operands must have disjoint closed sets (share {})")
+        return fl | fr, cl_l | cl_r
+
+    def plus(node, at, left, right):
+        (fl, cl_l), (fr, cl_r) = left, right
+        check(at, fl ^ fr, "sum operands must have equal free sets (differ on {})")
+        return fl | fr, cl_l | cl_r
+
+    steps = {
+        Cast: cast, Project: project, Expand: expand, Times: times, Plus: plus,
+        Const: lambda node, at: (frozenset(), frozenset()),
+    }
+
+    def paths(node, at):
+        return [(getattr(node, k), (at, k)) for k in node._kids]
+
+    # a cast is a leaf here: its ep formula's free set is all it needs
+    down = {Cast: lambda node, at: [], **dict.fromkeys((Project, Expand, Times, Plus), paths)}
+    fr, cl = fold(f, steps, down, (None, "root"))
     return Validation(free=fr, closed=cl, violations=tuple(violations))
 
 
@@ -207,32 +205,36 @@ def _require_valid(f):
     return report
 
 
+def _require_sentence(free, user):
+    """A formula handed to `user` must have no free variables."""
+    if free:
+        raise SharpqError(f"{user} needs a sentence; free variables: {', '.join(sorted(free))}")
+
+
 _EP_NODES = (Atom, And, Or, Exists, Top)
+
+_FREE_STEPS = {
+    **FREE_STEPS,
+    Cast: lambda node, ep: frozenset(node.liberal),
+    Project: lambda node, child: child - node.vars,
+    Expand: lambda node, child: child | node.vars,
+    Times: _union,
+    Plus: _union,
+    Const: lambda node: frozenset(),
+}
 
 
 def _free_sets(f):
     """(node, free variables) for every node of an ep or counting formula,
-    children before parents: one bottom-up pass over the reversed pre-order."""
-    free, out = {}, []
-    for g in reversed(subformulas(f)):
-        if isinstance(g, Atom):
-            s = frozenset(g.args)
-        elif isinstance(g, (And, Or, Times, Plus)):
-            s = free[id(g.left)] | free[id(g.right)]
-        elif isinstance(g, Exists):
-            s = free[id(g.body)] - {g.var}
-        elif isinstance(g, Cast):
-            s = frozenset(g.liberal)
-        elif isinstance(g, Project):
-            s = free[id(g.child)] - g.vars
-        elif isinstance(g, Expand):
-            s = free[id(g.child)] | g.vars
-        elif isinstance(g, (Top, Const)):
-            s = frozenset()
-        else:
-            raise TypeError(f"not a formula node: {g!r}")
-        free[id(g)] = s
-        out.append((g, s))
+    children before parents, in one fold."""
+    out = []
+
+    def record(node, *kids):
+        s = _FREE_STEPS[type(node)](node, *kids)
+        out.append((node, s))
+        return s
+
+    fold(f, dict.fromkeys(_FREE_STEPS, record))
     return out
 
 
@@ -252,19 +254,16 @@ def sharp_width(f):
 
 _INT_RE = re.compile(r"-?\d+")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_OPENER_RE = re.compile(r"C\s*\[|[PE]\s*\{")
 
 
 class _SharpParser:
     def __init__(self, text):
-        self.src = "\n".join(
-            re.sub(r"(?:^|(?<=\s))#.*$", "", ln) for ln in text.splitlines()
-        )
+        self.src = _strip_epq_comments(text)
         self.pos = 0
 
     def error(self, msg):
-        line = self.src.count("\n", 0, self.pos) + 1
-        col = self.pos - (self.src.rfind("\n", 0, self.pos) + 1) + 1
-        raise ParseError(msg, line, col)
+        raise ParseError(msg, *_line_col(self.src, self.pos))
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -309,48 +308,62 @@ class _SharpParser:
                 self.error("expected ',' or '}' in variable set")
 
     def parse_formula(self):
-        ch = self.peek()
-        if ch == "C" and self._next_nonspace(self.pos + 1) == "[":
-            self.pos += 1
-            self.skip_ws()
-            self.pos += 1  # '['
-            end = self.src.find(";", self.pos)
-            if end < 0:
-                self.error("cast needs ';' between formula and variable set")
-            try:
-                ep = _parse_ep_span(_Tokens(self.src, self.pos, end, end="end of cast"))
-            except ParseError as exc:
-                raise ParseError(f"inside cast: {exc.reason}", exc.line, exc.column) from None
-            self.pos = end + 1
-            liberal = self.parse_varset()
-            self.expect("]")
-            return Cast(ep=ep, liberal=tuple(liberal))
-        if ch in ("P", "E") and self._next_nonspace(self.pos + 1) == "{":
-            self.pos += 1
-            vars_ = self.parse_varset()
-            child = self.parse_formula()
-            cls = Project if ch == "P" else Expand
-            return cls(frozenset(vars_), child)
-        if ch == "(":
-            self.pos += 1
-            left = self.parse_formula()
-            op = self.peek()
-            if op not in ("*", "+"):
-                self.error("expected '*' or '+'")
-            self.pos += 1
-            right = self.parse_formula()
-            self.expect(")")
-            return Times(left, right) if op == "*" else Plus(left, right)
-        m = _INT_RE.match(self.src, self.pos)
-        if m:
-            self.pos = m.end()
-            return Const(int(m.group()))
-        self.error("expected 'C[', 'P{', 'E{', '(' or an integer")
+        """Each P{..}/E{..} prefix and open '(' waits on an explicit stack
+        until its operand is complete, so nesting costs no Python stack."""
+        pending = []  # (Project or Expand, vars), ("(", None) or (op, left operand)
+        while True:
+            ch = self.peek()
+            opener = _OPENER_RE.match(self.src, self.pos)
+            if opener and ch == "C":
+                self.pos = opener.end()
+                node = self.parse_cast()
+            elif opener:
+                self.pos += 1
+                pending.append((Project if ch == "P" else Expand, self.parse_varset()))
+                continue
+            elif ch == "(":
+                self.pos += 1
+                pending.append(("(", None))
+                continue
+            else:
+                m = _INT_RE.match(self.src, self.pos)
+                if not m:
+                    self.error("expected 'C[', 'P{', 'E{', '(' or an integer")
+                self.pos = m.end()
+                node = Const(int(m.group()))
+            # the operand is complete: apply the prefixes and close the
+            # products and sums it ends
+            while pending:
+                kind, arg = pending[-1]
+                if kind == "(":
+                    op = self.peek()
+                    if op not in ("*", "+"):
+                        self.error("expected '*' or '+'")
+                    self.pos += 1
+                    pending[-1] = (op, node)
+                    break
+                pending.pop()
+                if kind in ("*", "+"):
+                    self.expect(")")
+                    node = Times(arg, node) if kind == "*" else Plus(arg, node)
+                else:
+                    node = kind(frozenset(arg), node)
+            else:
+                return node
 
-    def _next_nonspace(self, i):
-        while i < len(self.src) and self.src[i].isspace():
-            i += 1
-        return self.src[i] if i < len(self.src) else ""
+    def parse_cast(self):
+        """The rest of a cast, after its 'C['."""
+        end = self.src.find(";", self.pos)
+        if end < 0:
+            self.error("cast needs ';' between formula and variable set")
+        try:
+            ep = _parse_ep_span(_Tokens(self.src, self.pos, end, end="end of cast"))
+        except ParseError as exc:
+            raise ParseError(f"inside cast: {exc.reason}", exc.line, exc.column) from None
+        self.pos = end + 1
+        liberal = self.parse_varset()
+        self.expect("]")
+        return Cast(ep=ep, liberal=tuple(liberal))
 
 
 def parse_sharp(text):
@@ -363,21 +376,24 @@ def parse_sharp(text):
     return f
 
 
+def _varset(vars_):
+    return "{" + ",".join(sorted(vars_)) + "}"
+
+
+_SERIALIZE_STEPS = {
+    **RENDER_STEPS,
+    Cast: lambda node, ep: f"C[{ep}; {{{','.join(node.liberal)}}}]",
+    Project: lambda node, child: f"P{_varset(node.vars)} {child}",
+    Expand: lambda node, child: f"E{_varset(node.vars)} {child}",
+    Times: lambda node, left, right: f"({left} * {right})",
+    Plus: lambda node, left, right: f"({left} + {right})",
+    Const: lambda node: str(node.n),
+}
+
+
 def serialize_sharp(f):
     """Fully parenthesized `.shq` text; parse_sharp round-trips it."""
-    if isinstance(f, Cast):
-        return f"C[{render_ep(f.ep)}; {{{','.join(f.liberal)}}}]"
-    if isinstance(f, Project):
-        return f"P{{{','.join(sorted(f.vars))}}} {serialize_sharp(f.child)}"
-    if isinstance(f, Expand):
-        return f"E{{{','.join(sorted(f.vars))}}} {serialize_sharp(f.child)}"
-    if isinstance(f, Times):
-        return f"({serialize_sharp(f.left)} * {serialize_sharp(f.right)})"
-    if isinstance(f, Plus):
-        return f"({serialize_sharp(f.left)} + {serialize_sharp(f.right)})"
-    if isinstance(f, Const):
-        return str(f.n)
-    raise TypeError(f"not a counting-formula node: {f!r}")
+    return fold(f, _SERIALIZE_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +517,75 @@ def _join_plan(ex1, ex2, drop):
 
 
 class _Evaluator:
-    """Table evaluation over one structure, under the kernel invariants
-    above: an ep formula yields (explicit, rows), a counting formula a
-    CountTable."""
+    """Table evaluation in one fold, under the kernel invariants above: an
+    ep formula yields (explicit, rows), a counting formula a CountTable.
 
-    def __init__(self, b, max_rows, stats):
-        self.b = b
+    The fold's context: an ep node's is (drop, count), `drop` the variables
+    bound above it that occur, free in it, nowhere else under their binder,
+    and `count` asks for the number of rows only (a conjunction under an
+    exists chain then has its last join counted, not built); a projection's
+    is the variables its chain sums above it (None atop the chain); a cast's
+    is whether its whole liberal set is summed, making it count its rows."""
+
+    def __init__(self, max_rows, stats):
         self.max_rows = max_rows
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("peak_rows", 0)
+        self._formula = self._free = None  # id(node) -> free variables of _formula's nodes
+        self._steps = {
+            Atom: self._atom,
+            Or: self._or,
+            And: lambda node, ctx, s1, s2: self._sat_join(s1, s2, *ctx),
+            Exists: lambda node, ctx, body: body,
+            Top: lambda node, ctx: ((), 1 if ctx[1] else {()}),
+            Cast: self._cast,
+            Const: lambda node, ctx: CountTable(
+                (), (), self.b.universe, {(): node.n} if node.n != 0 else {}
+            ),
+            Expand: lambda node, ctx, t: CountTable(
+                t.explicit, tuple(sorted(set(t.wildcard) | node.vars)), self.b.universe, t.data
+            ),
+            Project: self._project,
+            Times: self._times,
+            Plus: self._plus,
+        }
+        self._down = {
+            # the universe is non-empty, so a binder absent from the body drops away
+            Exists: lambda node, ctx: [(node.body, (ctx[0] | {node.var}, ctx[1]))],
+            And: self._down_and,
+            Or: lambda node, ctx: [(node.left, (ctx[0], False)), (node.right, (ctx[0], False))],
+            Cast: lambda node, count: [(node.ep, (frozenset(), bool(count)))],
+            Project: self._down_project,
+        }
+
+    def eval(self, f, b):
+        """f's value on b. The free sets of f's nodes, computed when a join
+        first needs them, are kept for the next structure."""
+        if f is not self._formula:
+            self._formula, self._free = f, {}
+        self.b = b
         # groupings of the structure's fact sets, shared by every atom, cast
         # and term of this evaluation
         self._relation = {id(rows): name for name, rows in b.relations.items()}
         self._index = {}
+        return fold(f, self._steps, self._down)
+
+    def _down_and(self, node, ctx):
+        # a bound variable both sides share must reach the join
+        drop = ctx[0]
+        if not drop:
+            return [(node.left, (drop, False)), (node.right, (drop, False))]
+        if not self._free:
+            self._free = {id(g): s for g, s in _free_sets(self._formula)}
+        fl, fr = self._free[id(node.left)], self._free[id(node.right)]
+        return [(node.left, (drop - (fl & fr), False)), (node.right, (drop - fl, False))]
+
+    def _down_project(self, node, ctx):
+        summed = node.vars if ctx is None else ctx | node.vars
+        child = node.child
+        if isinstance(child, Cast):
+            return [(child, summed.issuperset(child.liberal))]
+        return [(child, summed if isinstance(child, Project) else None)]
 
     def _note(self, n):
         if n > self.max_rows:
@@ -523,40 +595,8 @@ class _Evaluator:
 
     # -- ep formulas --
 
-    def sat(self, f, drop=frozenset(), count=False):
-        """(explicit, rows) over free(f) - drop: the projections of f's
-        satisfying assignments. `drop` holds variables bound above f that
-        occur, free in f, nowhere else under their binder. With `count`,
-        (explicit, number of rows); a conjunction under f's exists chain
-        then has its last join counted, not built."""
-        if isinstance(f, Atom) and not count:
-            return self._atom(f, drop)
-        if isinstance(f, Exists):
-            binders = set(drop)
-            while isinstance(f, Exists):
-                binders.add(f.var)
-                f = f.body
-            # the universe is non-empty, so a binder absent from f drops away
-            return self.sat(f, frozenset(binders), count)
-        if isinstance(f, And):
-            # right side first: the binders it keeps are shared and must reach
-            # the join; the left drops every other binder
-            s2 = self.sat(f.right, drop - free_variables(f.left) if drop else drop)
-            return self._sat_join(self.sat(f.left, drop - set(s2[0])), s2, drop, count)
-        if count:
-            explicit, rows = self.sat(f, drop)
-            return explicit, len(rows)
-        if isinstance(f, Or):
-            (ex1, rows1), (ex2, rows2) = self.sat(f.left, drop), self.sat(f.right, drop)
-            explicit = tuple(dict.fromkeys(ex1 + ex2))
-            rows = self._sat_expand(ex1, rows1, explicit) | self._sat_expand(ex2, rows2, explicit)
-            self._note(len(rows))
-            return explicit, rows
-        if isinstance(f, Top):
-            return (), {()}
-        raise TypeError(f"not an ep-formula node: {f!r}")
-
-    def _atom(self, f, drop):
+    def _atom(self, f, ctx):
+        drop, count = ctx
         args = f.args
         facts = self.b.tuples(f.symbol)
         explicit = tuple(v for v in dict.fromkeys(args) if v not in drop)
@@ -570,7 +610,14 @@ class _Evaluator:
             else:
                 rows = set(map(build, facts))
         self._note(len(rows))
-        return explicit, rows
+        return explicit, len(rows) if count else rows
+
+    def _or(self, f, ctx, s1, s2):
+        (ex1, rows1), (ex2, rows2) = s1, s2
+        explicit = tuple(dict.fromkeys(ex1 + ex2))
+        rows = self._sat_expand(ex1, rows1, explicit) | self._sat_expand(ex2, rows2, explicit)
+        self._note(len(rows))
+        return explicit, len(rows) if ctx[1] else rows
 
     def _sat_expand(self, explicit, rows, target):
         """rows over `explicit` re-indexed by `target` ⊇ explicit (new
@@ -602,7 +649,9 @@ class _Evaluator:
         (ex1, rows1), (ex2, rows2) = s1, s2
         plan = _join_plan(ex1, ex2, drop)
         if plan.at2[1] and not plan.at1[1]:
-            return self._sat_join(s2, s1, drop, count)  # the same output columns
+            # s1 contributes no column; swapped, the output columns stay
+            (ex1, rows1), (ex2, rows2) = s2, s1
+            plan = _join_plan(ex1, ex2, drop)
         if not rows1 or not rows2:
             rows = set()
         elif not plan.at2[1]:
@@ -624,43 +673,31 @@ class _Evaluator:
 
     # -- counting formulas --
 
-    def eval(self, f):
-        b = self.b
-        if isinstance(f, Cast):
-            explicit, rows = self.sat(f.ep)
-            wild = tuple(sorted(set(f.liberal) - set(explicit)))
-            return CountTable(explicit, wild, b.universe, dict.fromkeys(rows, 1))
-        if isinstance(f, Const):
-            data = {(): f.n} if f.n != 0 else {}
-            return CountTable((), (), b.universe, data)
-        if isinstance(f, Expand):
-            t = self.eval(f.child)
-            wild = tuple(sorted(set(t.wildcard) | f.vars))
-            return CountTable(t.explicit, wild, b.universe, t.data)
-        if isinstance(f, Project):
-            return self._project(f)
-        if isinstance(f, Times):
-            return self._times(self.eval(f.left), self.eval(f.right))
-        if isinstance(f, Plus):
-            return self._plus(self.eval(f.left), self.eval(f.right))
-        raise TypeError(f"not a counting-formula node: {f!r}")
+    def _cast(self, f, count, s):
+        if count:
+            return s  # (explicit, row count), for the projection above
+        explicit, rows = s
+        wild = tuple(sorted(set(f.liberal) - set(explicit)))
+        return CountTable(explicit, wild, self.b.universe, dict.fromkeys(rows, 1))
 
-    def _project(self, f):
-        """A chain of projections summed out in one pass. Summing a cast's
-        whole liberal set counts its rows without building the table."""
+    def _project(self, f, inner, value):
+        """A chain of projections summed out in one pass, at its top; the
+        projections inside the chain pass their child's value up. A cast
+        whose whole liberal set is summed comes up as its row count."""
+        if inner is not None:
+            return value
         vars_ = set(f.vars)
         while isinstance(f.child, Project):
             f = f.child
             vars_ |= f.vars
-        child = f.child
-        if isinstance(child, Cast) and vars_.issuperset(child.liberal):
-            explicit, n = self.sat(child.ep, count=True)
+        if isinstance(value, tuple):
+            explicit, n = value
             total = n * len(self.b.universe) ** len(vars_ - set(explicit))
             data = {(): total} if total else {}
             self._note(len(data))
-            wild = tuple(sorted(set(child.liberal) - vars_))
+            wild = tuple(sorted(set(f.child.liberal) - vars_))
             return CountTable((), wild, self.b.universe, data)
-        t = self.eval(child)
+        t = value
         # every summed variable that is not explicit contributes a factor |B|
         factor = len(self.b.universe) ** len(vars_ - set(t.explicit))
         keep = [i for i, v in enumerate(t.explicit) if v not in vars_]
@@ -679,7 +716,7 @@ class _Evaluator:
         wild = tuple(v for v in t.wildcard if v not in vars_)
         return CountTable(explicit, wild, self.b.universe, data)
 
-    def _times(self, t1, t2):
+    def _times(self, f, ctx, t1, t2):
         """The join of the two tables' row keys, valued by the product."""
         explicit, rows = self._sat_join(
             (t1.explicit, t1.data.keys()), (t2.explicit, t2.data.keys()), frozenset()
@@ -691,7 +728,7 @@ class _Evaluator:
         wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
         return CountTable(explicit, wild, self.b.universe, data)
 
-    def _plus(self, t1, t2):
+    def _plus(self, f, ctx, t1, t2):
         explicit = tuple(dict.fromkeys(t1.explicit + t2.explicit))
         n = len(self.b.universe)
         self._note(sum(len(t.data) * n ** (len(explicit) - len(t.explicit)) for t in (t1, t2)))
@@ -724,33 +761,27 @@ def _count_pairs(g1, g2):
     )
 
 
-def _check_cast_signatures(f, b):
-    for name, arity in _infer_signature(f).symbols:
-        if name not in b.sig:
-            raise SharpqError(f"structure lacks relation {name!r} used by the formula")
-        if b.sig.arity(name) != arity:
-            raise SharpqError(
-                f"arity mismatch for {name}: formula uses {arity}, structure has {b.sig.arity(name)}"
-            )
-
-
 def evaluate(f, b, max_rows=10**7, stats=None):
     """Table of the formula's values over assignments of its free variables."""
     _require_valid(f)
-    _check_cast_signatures(f, b)
-    return _Evaluator(b, max_rows, stats).eval(f)
+    _check_signature(_infer_signature(f), b, "formula")
+    return _Evaluator(max_rows, stats).eval(f, b)
+
+
+def _sentence_signature(f):
+    """The signature of a closed formula's atoms, once it is checked valid."""
+    _require_sentence(_require_valid(f).free, "eval_sentence")
+    return _infer_signature(f)
+
+
+def _sentence_value(f, sig, b, evaluator):
+    _check_signature(sig, b, "formula")
+    return evaluator.eval(f, b).data.get((), 0)
 
 
 def eval_sentence(f, b, max_rows=10**7, stats=None):
     """Value of a closed formula (free set empty) as a plain integer."""
-    report = _require_valid(f)
-    if report.free:
-        raise SharpqError(
-            f"eval_sentence needs a sentence; free variables: {', '.join(sorted(report.free))}"
-        )
-    _check_cast_signatures(f, b)
-    t = _Evaluator(b, max_rows, stats).eval(f)
-    return t.data.get((), 0)
+    return _sentence_value(f, _sentence_signature(f), b, _Evaluator(max_rows, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +803,9 @@ def check_represents(f, q, samples):
     """
     from .epquery import oracle_count
 
+    # the sentence's checks and free sets, once for all samples
+    sig, evaluator = _sentence_signature(f), _Evaluator(10**7, None)
     for b in samples:
-        if eval_sentence(f, b) != oracle_count(q, b):
+        if _sentence_value(f, sig, b, evaluator) != oracle_count(q, b):
             return False, b
     return True, None

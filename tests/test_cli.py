@@ -1,9 +1,15 @@
 """Tests for the `sharpq` command line tool."""
 
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sharpq.cli
 from sharpq.cli import main
@@ -215,6 +221,57 @@ def test_union_table_over_max_rows_exits_three(tmp_path, capsys, ie_route):
         3, "", "error: table would hold 5 > 4 rows\n"
     )
     assert ie_route == []
+
+
+def test_union_the_table_route_refuses_counts_through_a_1023_term_sum(tmp_path, capsys, ie_route):
+    # naive width 3 exceeds the disjuncts' qaw 2, so `count` sums 2^10 - 1
+    # inclusion-exclusion terms: a Plus chain far deeper than the recursion limit
+    k = 10
+    text = "query f(x): " + " | ".join(
+        f"(exists y . exists z . E{i}(x,y) & E{i}(y,z))" for i in range(k)
+    ) + "\n"
+    rels = {f"E{i}": {("a", "b")} for i in range(k)}
+    rels["E7"] = {("a", "a"), ("a", "b")}
+    rel = "signature " + " ".join(f"{s}/2" for s in rels) + "\nuniverse a b\n" + "".join(
+        f"{s}({u},{v})\n" for s, facts in rels.items() for u, v in sorted(facts)
+    )
+    # x is an answer when some E_i holds a walk of two steps from x
+    expected = len({x for facts in rels.values() for x, y in facts for y2, _ in facts if y2 == y})
+    assert expected == 1
+    assert _count(capsys, tmp_path, text, rel, "--engine", "both") == (
+        0, f"{expected}\nengines agree\n", ""
+    )
+    assert ie_route == ["f"]
+
+
+@pytest.mark.parametrize("command", ["minimize", "compile"])
+def test_a_ten_atom_unary_union_compiles_to_1023_terms(tmp_path, capsys, command):
+    # every walk over the 1,023-term sum (flatten, rename, width, serialize,
+    # the self-check) is a fold, so the default recursion limit holds
+    q = _write(tmp_path, "u10.epq", _unary_union(10))
+    code, out, err = _run(capsys, command, "-q", q, "--json")
+    report = json.loads(out)
+    assert (code, err, report["terms"], report["width"], report["qaw"]) == (0, "", 1023, 1, 1)
+    assert validate(parse_sharp(report["sentence"])).ok
+
+
+def test_count_of_a_400_edge_path_on_a_directed_triangle(tmp_path, capsys):
+    # every element starts a walk of every length round the cycle
+    q = _write(tmp_path, "path400.epq", _path_query(400))
+    d = _write(tmp_path, "cycle.rel", "signature E/2\nuniverse a b c\nE(a,b)\nE(b,c)\nE(c,a)\n")
+    assert _run(capsys, "count", "-q", q, "-d", d) == (0, "3\n", "")
+
+
+def test_the_oracle_refuses_a_formula_too_deep_for_its_recursion(tmp_path, capsys):
+    # a 400-conjunct chain is 400 nodes deep: the compiled engine counts it,
+    # the oracle, which recurses once per level, exits 3 before it starts
+    text = "query q(x): " + " & ".join(f"A{i % 3}(x)" for i in range(400)) + "\n"
+    rel = "signature A0/1 A1/1 A2/1\nuniverse a b\nA0(a)\nA1(a)\nA2(a)\nA2(b)\n"
+    assert _count(capsys, tmp_path, text, rel) == (0, "1\n", "")
+    assert _count(capsys, tmp_path, text, rel, "--engine", "oracle") == (
+        3, "", "error: oracle_count refuses a formula 400 > 300 nodes deep; "
+        "its search recurses once per level\n"
+    )
 
 
 def _path20_files(tmp_path, nodes):
@@ -491,3 +548,74 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Wide and deep inputs: an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_DEEP_REL = (
+    "signature A0/1 A1/1 A2/1 E/2\nuniverse a b c\n"
+    "A0(a)\nA1(b)\nA2(a)\nA2(c)\nE(a,b)\nE(b,c)\nE(c,a)\nE(a,a)\n"
+)
+
+
+@st.composite
+def _deep_epq(draw):
+    n = draw(st.integers(1, 400))
+    atoms = [f"A{draw(st.integers(0, 2))}(x)" for _ in range(min(n, 40))] * (n // 40 + 1)
+    shape = draw(st.sampled_from(["and", "or", "mixed", "prefix", "nested", "parens"]))
+    if shape in ("and", "or"):
+        body = f" {'&' if shape == 'and' else '|'} ".join(atoms[:n])
+    elif shape == "mixed":
+        ops = draw(st.lists(st.sampled_from(["&", "|"]), min_size=n - 1, max_size=n - 1))
+        body = atoms[0] + "".join(f" {op} {a}" for op, a in zip(ops, atoms[1:n]))
+    elif shape == "prefix":  # a path: one long `exists` prefix
+        body = "".join(f"exists y{i} . " for i in range(1, n)) + " & ".join(
+            f"E({'x' if i == 0 else f'y{i}'},y{i + 1})" for i in range(n - 1)
+        ) if n > 1 else "A0(x)"
+    elif shape == "nested":  # an `exists` after every `&`
+        body = "A0(x)" + "".join(
+            f" & exists y{i} . E({'x' if i == 1 else f'y{i - 1}'},y{i})" for i in range(1, n)
+        )
+    else:  # nested parentheses, some unbalanced
+        depth = n * draw(st.integers(1, 8))
+        body = "(" * depth + "A0(x) | A1(x)" + ")" * (depth - draw(st.integers(0, 1)))
+    return f"query deep(x): {body}\n"
+
+
+@st.composite
+def _deep_shq(draw):
+    n = draw(st.integers(1, 1500))
+    term = draw(st.sampled_from(["P{x} C[A0(x); {x}]", "P{x} C[A1(x) | A2(x); {x}]", "3"]))
+    shape = draw(st.sampled_from(["left", "right", "prefix", "times"]))
+    if shape == "left":
+        return "(" * (n - 1) + term + "".join(f" + {term})" for _ in range(n - 1)) + "\n"
+    if shape == "right":
+        return "".join(f"({term} + " for _ in range(n - 1)) + term + ")" * (n - 1) + "\n"
+    if shape == "prefix":  # distinct projections of variables the cast never mentions
+        return "".join(f"P{{v{i}}} " for i in range(n)) + "C[A0(a); {a}]\n"
+    return "(" * (n - 1) + "2" + " * 2)" * (n - 1) + "\n"
+
+
+def _exit_code(argv):
+    """cli.main's exit code; any exception but SharpqError escapes it."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(_deep_epq(), _deep_shq()))
+def test_wide_and_deep_inputs_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.epq" if text.startswith("query") else "in.shq")
+        with open(path, "w") as fh:
+            fh.write(text)
+        if text.startswith("query"):
+            data = os.path.join(tmp, "d.rel")
+            with open(data, "w") as fh:
+                fh.write(_DEEP_REL)
+            codes = [_exit_code(["count", "-q", path, "-d", data, "--engine", "compiled"])]
+        else:
+            codes = [_exit_code([command, "-s", path]) for command in ("width", "flatten")]
+    assert all(code in range(6) for code in codes), codes

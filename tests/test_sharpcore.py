@@ -1,5 +1,6 @@
 """Tests for sharpq.sharpcore: AST validity, width, .shq format, evaluation."""
 
+import functools
 import itertools
 import random
 import re
@@ -8,12 +9,13 @@ import sys
 import pytest
 
 from sharpq import sharpcore
-from sharpq.compilepipe import minimize_ep
+from sharpq.compilepipe import flatten, minimize_ep
 from sharpq.epquery import (
     And,
     Atom,
     Exists,
     Or,
+    fold,
     oracle_count,
     parse_ep_expression,
     parse_query,
@@ -131,6 +133,13 @@ def test_parse_negative_constant():
 def test_parse_empty_varset():
     f = parse_sharp("P{} C[true; {}]")
     assert f == Project(frozenset(), Cast(parse_ep_expression("true"), ()))
+
+
+def test_parse_allows_whitespace_inside_an_opener():
+    f = parse_sharp("P {x} E\t{y} C\n[E(x,x); {x}]")
+    assert serialize_sharp(f) == "P{x} E{y} C[E(x,x); {x}]"
+    with pytest.raises(ParseError, match="column 1: expected 'C\\[', 'P\\{'"):
+        parse_sharp("P (C[E(x,x); {x}])")
 
 
 def test_parse_error_location():
@@ -330,6 +339,61 @@ def test_subformulas_visit_both_asts_in_pre_order_left_to_right():
     assert len(got) == len(expected)
     assert all(g is e for g, e in zip(got, expected))
     assert subformulas(e_xy) == [e_xy]
+
+
+def test_fold_runs_in_post_order_left_to_right_with_contexts_top_down():
+    e_xy, u_x = Atom("E", ("x", "y")), Atom("U", ("x",))
+    shared = Cast(And(e_xy, u_x), ("x", "y"))
+    f = Plus(Times(shared, Project({"z"}, Expand({"z"}, shared))), Const(1))
+    seen = []
+    classes = (Atom, And, Cast, Project, Expand, Times, Plus, Const)
+    fold(f, dict.fromkeys(classes, lambda node, *kids: seen.append(node)))
+    # the shared cast is folded once under each parent
+    once = [e_xy, u_x, shared.ep, shared]
+    assert seen == once + once + [f.left.right.child, f.left.right, f.left, f.right, f]
+    # a context flows down: here, each node's depth; the deepest atoms are the
+    # ones under Times -> Project -> Expand -> Cast -> And
+    depths = fold(
+        f,
+        dict.fromkeys(classes, lambda node, depth, *kids: max([depth, *kids])),
+        dict.fromkeys(classes, lambda node, d: [(getattr(node, k), d + 1) for k in node._kids]),
+        0,
+    )
+    assert depths == 6
+
+
+def test_a_node_shared_under_two_contexts_is_evaluated_under_each():
+    # E(x,y) sits under `exists y` in one cast (y is dropped there) and free
+    # in the other: sum over x of [some E(x,y)] * #{y : E(x,y)}
+    e_xy = Atom("E", ("x", "y"))
+    f = Project({"x"}, Times(
+        Cast(Exists("y", e_xy), ("x",)), Project({"y"}, Cast(e_xy, ("x", "y")))
+    ))
+    rng = random.Random(11)
+    for _ in range(30):
+        b = random_structure(rng, Signature((("E", 2),)), max_size=4, density=0.4)
+        edges = b.tuples("E")
+        expected = sum(len({y for x2, y in edges if x2 == x}) for x in b.universe)
+        assert eval_sentence(f, b) == expected
+
+
+def test_deep_chains_pass_every_walk_at_the_default_recursion_limit():
+    # a 5,000-deep sum of one shared sentence and a 2,000-deep conjunction:
+    # validation, serialization, parsing, flattening and evaluation all fold
+    term = Project({"x"}, Cast(Atom("A", ("x",)), ("x",)))
+    deep_plus = functools.reduce(Plus, [term] * 5000)
+    deep_and = Project(
+        {"x"}, Cast(functools.reduce(And, [Atom(f"A{i % 7}", ("x",)) for i in range(2000)]), ("x",))
+    )
+    sig = Signature((("A", 1),) + tuple((f"A{i}", 1) for i in range(7)))
+    rels = {"A": {("a",), ("b",)}, **{f"A{i}": {("a",)} for i in range(7)}}
+    b = make_structure(sig, ["a", "b", "c"], rels)
+    for f, count, terms in ((deep_plus, 10000, 5000), (deep_and, 1, 1)):
+        assert validate(f).ok
+        text = serialize_sharp(f)  # compared as text: dataclass == recurses
+        assert serialize_sharp(parse_sharp(text)) == text
+        assert eval_sentence(f, b) == count
+        assert len(flatten(f).terms) == terms
 
 
 # ---------------------------------------------------------------------------
