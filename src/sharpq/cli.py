@@ -13,6 +13,7 @@ first-class: it is the tool's core falsification signal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -309,7 +310,11 @@ def _positive(text):
     return n
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and building the nine subparsers costs far more than a
+    parse."""
     parser = argparse.ArgumentParser(
         prog="sharpq",
         description="Count answers to existential-positive queries; compile "

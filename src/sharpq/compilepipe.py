@@ -49,7 +49,7 @@ from .epquery import (
     subformulas,
     to_dnf_pp,
 )
-from .equiv import align_via_renaming, core_of
+from .equiv import align_via_renaming, check_core_cap, core_of
 from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
 from .relstore import Signature, make_structure
 from .sharpcore import (
@@ -679,15 +679,22 @@ def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
     Each term's basic part becomes a pair, is cored, gets one fresh liberal
     element per |B|-power of its constant part, and is canonically labeled;
     equal pairs merge by adding coefficients, zero coefficients drop, and the
-    entries are sorted by (liberal count, fact count, serialization)."""
+    entries are sorted by (liberal count, fact count, serialization). Every
+    term is folded and held against core_cap before the first core search, so
+    a term over the cap refuses before any term is cored or labeled."""
     _require_sentence(fs.free, "canonical_lc")
-    merged = {}
-    order = []
+    folded = []
     for const, basic in fs.terms:
         coeff, pow_ = _read_constant(const)
         if coeff == 0:
             continue
-        pair = core_of(_fold_quantified(basic_sharp_to_pp(basic)), cap=core_cap)
+        pair = _fold_quantified(basic_sharp_to_pp(basic))
+        check_core_cap(pair, core_cap)
+        folded.append((coeff, pow_, pair))
+    merged = {}
+    order = []
+    for coeff, pow_, pair in folded:
+        pair = core_of(pair, cap=core_cap)
         if pow_:
             taken = set(pair.struct.universe)
             extra = []

@@ -72,15 +72,21 @@ def _induced(struct, keep):
 # ---------------------------------------------------------------------------
 
 
+def check_core_cap(p, cap):
+    """Raise the CapExceeded core_of(p, cap) raises, without searching."""
+    n = len(p.struct.universe)
+    if n > cap:
+        raise CapExceeded(f"core search limited to {cap} elements, got {n}")
+
+
 def core_of(p, cap=12):
     """Smallest induced substructure the pair retracts onto fixing its
     liberal elements, with the lexicographically least image (in universe
     order) among minimum-size images. Idempotent; preserves the liberal tuple.
     """
+    check_core_cap(p, cap)
     universe = p.struct.universe
     n = len(universe)
-    if n > cap:
-        raise CapExceeded(f"core search limited to {cap} elements, got {n}")
     lib = p.liberal_set
     lib_positions = {i for i, e in enumerate(universe) if e in lib}
     pin = {e: e for e in universe if e in lib}

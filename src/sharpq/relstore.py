@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ParseError, SharpqError
 
@@ -128,8 +129,81 @@ def parse_structure(text):
     """Parse a `.rel` document into a Structure.
 
     Universe element order is first-appearance order: the `universe` line if
-    present, otherwise order of appearance in facts.
+    present, otherwise order of appearance in facts. A text in the canonical
+    layout is read by _scan_canonical; any other text, and every malformed
+    one, by the line loop _parse_lines, the only source of ParseErrors.
     """
+    parsed = _scan_canonical(text)
+    return parsed if parsed is not None else _parse_lines(text)
+
+
+def _unchecked_structure(sig, universe, relations):
+    """A Structure built without Structure.__post_init__: for parsers that
+    have already made every check it makes."""
+    parsed = object.__new__(Structure)
+    object.__setattr__(parsed, "sig", sig)
+    object.__setattr__(parsed, "universe", universe)
+    object.__setattr__(parsed, "relations", relations)
+    return parsed
+
+
+# The canonical layout: these two header lines, then one `Name(e1,...,ek)`
+# per line with nothing else on it. A universe token starting with '#' would
+# begin a comment, so it is not canonical.
+_SIG_LINE_RE = re.compile(r"signature((?: [A-Za-z_][A-Za-z0-9_]*/[0-9]+)+)")
+_UNIVERSE_LINE_RE = re.compile(r"universe((?: [^\s#]\S*)+)")
+# An element of a fact line the scan reads: no comma, newline or ')'. One with
+# a space or another line break in it is matched too, but is never in the
+# universe (its tokens hold no whitespace), so the universe check refuses it.
+_SCAN_ELEMENT = r"([^,\n)]+)"
+
+
+def _scan_canonical(text):
+    """The Structure of a text in the canonical layout (what
+    serialize_structure writes), or None for any other text.
+
+    One findall per declared relation reads its facts; the text is canonical
+    when together they match every fact line, and every element matched is
+    in the universe. A comment, a blank line, a space, CRLF, an undeclared
+    symbol or a wrong arity leaves a line unmatched.
+    """
+    head = text.split("\n", 2)
+    if len(head) < 3:
+        return None
+    sig_line, universe_line, block = head
+    sig_m = _SIG_LINE_RE.fullmatch(sig_line)
+    universe_m = _UNIVERSE_LINE_RE.fullmatch(universe_line)
+    if sig_m is None or universe_m is None:
+        return None
+    symbols = tuple((n, int(a)) for n, _, a in (p.partition("/") for p in sig_m[1].split()))
+    universe = tuple(universe_m[1].split())
+    elems = set(universe)
+    if (
+        len(elems) != len(universe)
+        or len(dict(symbols)) != len(symbols)
+        or any(a < 1 or n.startswith(("signature", "universe")) for n, a in symbols)
+    ):
+        return None
+    found = [
+        (name, arity, re.findall(rf"^{name}\({','.join([_SCAN_ELEMENT] * arity)}\)$", block, re.M))
+        for name, arity in symbols
+    ]
+    n_lines = block.count("\n") + (block[-1:] not in ("", "\n"))
+    if sum(len(rows) for _, _, rows in found) != n_lines:
+        return None
+    # a pattern with one group finds bare strings, not 1-tuples
+    entries = (rows if arity == 1 else chain.from_iterable(rows) for _, arity, rows in found)
+    if not elems.issuperset(chain.from_iterable(entries)):
+        return None
+    relations = {
+        name: frozenset(zip(rows) if arity == 1 else rows) for name, arity, rows in found if rows
+    }
+    return _unchecked_structure(Signature(symbols), universe, relations)
+
+
+def _parse_lines(text):
+    """The line loop of parse_structure: reads any `.rel` text, one line at
+    a time, and raises a ParseError with the line of the first fault."""
     sig_symbols = None
     sig = arities = None  # built once, at the first fact or at the end
     universe = None
@@ -200,11 +274,11 @@ def parse_structure(text):
     if not elems:
         raise ParseError("empty universe")
     # every check of Structure.__post_init__ has been made line by line above
-    parsed = object.__new__(Structure)
-    object.__setattr__(parsed, "sig", sig or Signature(tuple(sig_symbols)))
-    object.__setattr__(parsed, "universe", tuple(elems))
-    object.__setattr__(parsed, "relations", {n: frozenset(ts) for n, ts in facts.items()})
-    return parsed
+    return _unchecked_structure(
+        sig or Signature(tuple(sig_symbols)),
+        tuple(elems),
+        {n: frozenset(ts) for n, ts in facts.items()},
+    )
 
 
 def serialize_structure(s):

@@ -485,6 +485,13 @@ def _materialize_data(t, explicit):
     return {build(key + fill): val for key, val in t.data.items() for fill in fills}
 
 
+@lru_cache(maxsize=1024)
+def _part_of(explicit, part):
+    """Row builder from rows over `explicit` to their entries at `part`, a
+    sub-tuple of its columns; cached like _join_plan."""
+    return _row_of([explicit.index(v) for v in part])
+
+
 _JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 at1 at2")
 
 
@@ -721,9 +728,8 @@ class _Evaluator:
         explicit, rows = self._sat_join(
             (t1.explicit, t1.data.keys()), (t2.explicit, t2.data.keys()), frozenset()
         )
-        (d1, at1), (d2, at2) = [
-            (t.data, _row_of([explicit.index(v) for v in t.explicit])) for t in (t1, t2)
-        ]
+        at1, at2 = [_part_of(explicit, t.explicit) for t in (t1, t2)]
+        d1, d2 = t1.data, t2.data
         data = {r: d1[at1(r)] * d2[at2(r)] for r in rows}
         wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
         return CountTable(explicit, wild, self.b.universe, data)

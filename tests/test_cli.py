@@ -550,6 +550,29 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(
+    tmp_path, capsys, monkeypatch
+):
+    q = _write(tmp_path, "u.epq", UNION_EPQ)
+    argv = ["minimize", "-q", q, "--json"]
+    seeds = []
+    config_from = sharpq.cli._config_from
+    monkeypatch.setattr(
+        sharpq.cli, "_config_from", lambda args: seeds.append(args.seed) or config_from(args)
+    )
+    sharpq.cli.build_parser.cache_clear()
+    first = _run(capsys, *argv)
+    assert first[0] == 0
+    parser = sharpq.cli.build_parser()
+    assert _run(capsys, *argv, "--seed", "5")[0] == 0
+    assert _run(capsys, *argv) == first
+    assert seeds == [0, 5, 0]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-dnf", "0"])
+    assert exc.value.code == 2
+    assert sharpq.cli.build_parser() is parser
+
+
 # ---------------------------------------------------------------------------
 # Wide and deep inputs: an exit code, never a traceback
 # ---------------------------------------------------------------------------

@@ -723,6 +723,29 @@ def test_canonical_lc_identical_across_representations(rng):
     assert agreeing == 12
 
 
+def test_canonical_lc_refuses_a_term_over_the_core_cap_before_any_search(monkeypatch):
+    q = parse_query("query u(x): U(x) | exists y . exists z . E(x,y) & E(y,z)\n")
+    fs = flatten(naive_representation(q))
+    sizes = [
+        len(compilepipe._fold_quantified(compilepipe.basic_sharp_to_pp(basic)).struct.universe)
+        for _, basic in fs.terms
+    ]
+    assert sizes[0] <= 2 < max(sizes)
+    calls = []
+
+    def counted(name):
+        real = getattr(compilepipe, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("core_of", "_canonical_pair"):
+        monkeypatch.setattr(compilepipe, name, counted(name))
+    with pytest.raises(CapExceeded, match=f"core search limited to 2 elements, got {max(sizes)}"):
+        canonical_lc(fs, core_cap=2)
+    assert calls == []
+    assert len(canonical_lc(fs, core_cap=3).entries) == 3
+    assert calls.count("_canonical_pair") == 3
+
+
 def test_canonical_lc_entries_pairwise_inequivalent(rng):
     for _ in range(10):
         q = random_ep_query(rng, max_vars=4, max_atoms=3, max_disjunctions=2)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharpq import relstore
 from sharpq.errors import ParseError, SharpqError
 from sharpq.relstore import (
     Signature,
@@ -141,6 +142,97 @@ def test_hash_tokens_and_trailing_comments_together():
     assert s.tuples("E") == frozenset({("a#L", "b"), ("b", "a#L")})
     with pytest.raises(ParseError, match="cannot parse line"):
         parse_structure("signature E/2\nuniverse a#L b\nE(b,a#L)#x\n")
+
+
+# ---------------------------------------------------------------------------
+# the canonical scan against the line loop
+# ---------------------------------------------------------------------------
+
+
+def _outcome(parse, text):
+    """What a parser makes of a text, in comparable form: the structure's
+    signature, universe and relation mapping, or the ParseError's message,
+    line and column."""
+    try:
+        s = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("ok", s.sig, s.universe, s.relations)
+
+
+def _random_canonical_text(rng):
+    symbols = tuple((f"R{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 3)))
+    names = ["a", "b1", "x#L", "x#R", "_c", "(d", "e.f"]
+    universe = rng.sample(names, rng.randint(1, len(names)))
+    rels = {
+        name: {tuple(rng.choice(universe) for _ in range(arity)) for _ in range(rng.randint(0, 6))}
+        for name, arity in symbols
+    }
+    return serialize_structure(make_structure(Signature(symbols), universe, rels))
+
+
+def test_scan_and_line_loop_agree_on_serialized_random_structures():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        text = _random_canonical_text(rng)
+        assert relstore._scan_canonical(text) is not None, text
+        assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text), text
+
+
+_BASE = "signature E/2 V/1\nuniverse a b c\nE(a,b)\nE(b,c)\nV(a)\n"
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        (_BASE, True),
+        (_BASE.rstrip("\n"), True),  # no final newline
+        (_BASE + "E(a,b)\n", True),  # duplicate fact
+        ("signature E/2\nuniverse a#L b\nE(a#L,b)\n", True),  # '#'-glued element
+        ("signature E/2\nuniverse a b\n", True),  # no facts
+        (_BASE.replace("E(a,b)", "E(a, b)"), False),  # space inside a fact
+        (_BASE.replace("E(a,b)", "E(a,b) # note"), False),  # trailing comment
+        (_BASE.replace("E(a,b)", "E(a,b)#x"), False),
+        (_BASE.replace("E(a,b)", "E(a,\xa0b)"), False),  # a non-ASCII space
+        (_BASE.replace("E(a,b)", "E(a,\tb)"), False),
+        (_BASE.replace("\n", "\r\n"), False),  # CRLF
+        (_BASE.replace("E(b,c)\n", "E(b,c)\x0bV(b)\n"), False),  # another line break
+        (_BASE.replace("E(b,c)\n", "E(b,c)\n\n"), False),  # blank line
+        ("# a comment\n" + _BASE, False),
+        (_BASE.replace("universe a b c", "universe a b c # more"), False),
+        (_BASE.replace("universe a b c", "universe a b #c"), False),
+        (_BASE.replace("universe a b c", "universe a b c "), False),
+        (_BASE + "E(a,z)\n", False),  # unknown element
+        (_BASE + "E(a)\n", False),  # wrong arity
+        (_BASE + "V(a,b)\n", False),
+        (_BASE + "E(a,)\n", False),
+        (_BASE + "F(a,b)\n", False),  # undeclared symbol
+        ("signature E/2 universeX/1\nuniverse a b\nE(a,b)\nuniverseX(a)\n", False),
+        ("signature E/2 signatures/1\nuniverse a b\nE(a,b)\n", False),
+        ("signature E/2\nE(a,b)\nE(b,c)\n", False),  # no universe line
+        ("signature E/2\nuniverse a b\nuniverse a b\n", False),
+        ("signature E/0\nuniverse a b\n", False),
+        ("signature E/2 E/2\nuniverse a b\n", False),
+        ("signature E/2\nuniverse a b a\nE(a,b)\n", False),
+        ("signature E/2\nuniverse a) b\nE(a),b)\n", False),  # ')' inside an element
+        ("universe a b\nsignature E/2\nE(a,b)\n", False),
+        ("signature E/2\nuniverse a b", False),
+        ("", False),
+    ],
+)
+def test_scan_and_line_loop_agree_on_other_texts(text, canonical):
+    assert (relstore._scan_canonical(text) is not None) == canonical
+    assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text)
+
+
+def test_canonical_text_never_reaches_the_line_loop(monkeypatch, rng):
+    def refuse(text):
+        raise AssertionError("the line loop read a canonical text")
+
+    monkeypatch.setattr(relstore, "_parse_lines", refuse)
+    for _ in range(20):
+        b = random_structure(rng, SIG_EF, max_size=5, density=0.3)
+        assert parse_structure(serialize_structure(b)) == b
 
 
 def test_roundtrip_fixed():
