@@ -412,18 +412,37 @@ def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
     Evaluating the naive cast takes the union of the disjuncts' answer tables
     in one pass, so counting it builds none of the 2^k - 1 inclusion-exclusion
     terms. Every table it builds has at most |B|^width rows, so its data
-    exponent is no larger than the widest disjunct's."""
+    exponent is no larger than the widest disjunct's.
+
+    Disjuncts whose folded pairs have the same _shape are isomorphic, so
+    they have the same qaw and trip the same caps: the core and the qaw are
+    computed once per shape, on its first disjunct."""
     if not _has_or(q.formula):
         return None
     naive = naive_representation(q)
+    qaws = {}
     try:
-        qaw = max(
-            compute_qaw(core_of(_fold_quantified(pp_to_pair(d)), cap=core_cap), cap=tw_cap)[0]
-            for d in to_dnf_pp(q, max_disjuncts=max_dnf)
-        )
+        for d in to_dnf_pp(q, max_disjuncts=max_dnf):
+            pair = _fold_quantified(pp_to_pair(d))
+            shape = _shape(pair)
+            if shape not in qaws:
+                qaws[shape] = compute_qaw(core_of(pair, cap=core_cap), cap=tw_cap)[0]
     except CapExceeded:
         return None
-    return naive if width(naive) <= qaw else None
+    return naive if width(naive) <= max(qaws.values()) else None
+
+
+def _shape(p):
+    """The pair's elements numbered in universe order, liberal ones first,
+    and its facts as one sorted tuple set per symbol, the sets sorted too.
+    Two pairs of equal shape are isomorphic: one maps onto the other by
+    renaming elements, keeping the liberal tuple, and renaming symbols."""
+    number = {e: i for i, e in enumerate(dict.fromkeys((*p.liberal, *p.struct.universe)))}
+    facts = sorted(
+        tuple(sorted(tuple(map(number.__getitem__, t)) for t in ts))
+        for ts in p.struct.relations.values()
+    )
+    return len(number), len(p.liberal), tuple(facts)
 
 
 # ---------------------------------------------------------------------------

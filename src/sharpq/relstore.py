@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .errors import ParseError, SharpqError
 
@@ -154,7 +153,7 @@ _SIG_LINE_RE = re.compile(r"signature((?: [A-Za-z_][A-Za-z0-9_]*/[0-9]+)+)")
 _UNIVERSE_LINE_RE = re.compile(r"universe((?: [^\s#]\S*)+)")
 # An element of a fact line the scan reads: no comma, newline or ')'. One with
 # a space or another line break in it is matched too, but is never in the
-# universe (its tokens hold no whitespace), so the universe check refuses it.
+# universe (its tokens hold no whitespace), so the universe lookup refuses it.
 _SCAN_ELEMENT = r"([^,\n)]+)"
 
 
@@ -162,10 +161,12 @@ def _scan_canonical(text):
     """The Structure of a text in the canonical layout (what
     serialize_structure writes), or None for any other text.
 
-    One findall per declared relation reads its facts; the text is canonical
-    when together they match every fact line, and every element matched is
-    in the universe. A comment, a blank line, a space, CRLF, an undeclared
-    symbol or a wrong arity leaves a line unmatched.
+    One findall per declared relation reads its facts, over the span from
+    the first line of that relation to the end of its last one; the text is
+    canonical when together they match every fact line, and every element
+    matched is in the universe. A comment, a blank line, a space, CRLF, an
+    undeclared symbol or a wrong arity leaves a line unmatched. Every entry
+    of a fact is the universe's own element object.
     """
     head = text.split("\n", 2)
     if len(head) < 3:
@@ -177,28 +178,41 @@ def _scan_canonical(text):
         return None
     symbols = tuple((n, int(a)) for n, _, a in (p.partition("/") for p in sig_m[1].split()))
     universe = tuple(universe_m[1].split())
-    elems = set(universe)
+    canon = dict(zip(universe, universe))
     if (
-        len(elems) != len(universe)
+        len(canon) != len(universe)
         or len(dict(symbols)) != len(symbols)
         or any(a < 1 or n.startswith(("signature", "universe")) for n, a in symbols)
     ):
         return None
-    found = [
-        (name, arity, re.findall(rf"^{name}\({','.join([_SCAN_ELEMENT] * arity)}\)$", block, re.M))
-        for name, arity in symbols
-    ]
+    found = [(name, arity, _scan_relation(block, name, arity)) for name, arity in symbols]
     n_lines = block.count("\n") + (block[-1:] not in ("", "\n"))
     if sum(len(rows) for _, _, rows in found) != n_lines:
         return None
-    # a pattern with one group finds bare strings, not 1-tuples
-    entries = (rows if arity == 1 else chain.from_iterable(rows) for _, arity, rows in found)
-    if not elems.issuperset(chain.from_iterable(entries)):
+    relations = {}
+    try:
+        for name, arity, rows in found:
+            if rows:
+                # a pattern with one group finds bare strings, not 1-tuples
+                columns = (rows,) if arity == 1 else zip(*rows)
+                relations[name] = frozenset(zip(*[map(canon.__getitem__, c) for c in columns]))
+    except KeyError:  # an element not in the universe
         return None
-    relations = {
-        name: frozenset(zip(rows) if arity == 1 else rows) for name, arity, rows in found if rows
-    }
     return _unchecked_structure(Signature(symbols), universe, relations)
+
+
+def _scan_relation(block, name, arity):
+    """The match tuples of every `name(e1,...,ek)` line of block, searched
+    only from the start of its first such line to the end of its last."""
+    opener = name + "("
+    if block.startswith(opener):
+        start = 0
+    elif (start := block.find("\n" + opener) + 1) == 0:
+        return []
+    last = block.rfind("\n" + opener) + 1 or start
+    end = block.find("\n", last)
+    pattern = re.compile(rf"^{name}\({','.join([_SCAN_ELEMENT] * arity)}\)$", re.M)
+    return pattern.findall(block, start, len(block) if end < 0 else end)
 
 
 def _parse_lines(text):
@@ -207,8 +221,7 @@ def _parse_lines(text):
     sig_symbols = None
     sig = arities = None  # built once, at the first fact or at the end
     universe = None
-    seen_elems = []
-    seen_set = set()
+    canon = {}  # each element read so far -> its first object (the universe's, if declared)
     facts = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -225,7 +238,7 @@ def _parse_lines(text):
                     if "/" not in part:
                         raise ParseError(f"expected name/arity, got {part!r}", lineno, raw.find(part) + 1)
                     name, _, ar = part.partition("/")
-                    if not ar.isdigit():
+                    if not ar.isdecimal():
                         raise ParseError(f"arity must be an integer in {part!r}", lineno, raw.find(part) + 1)
                     sig_symbols.append((name, int(ar)))
             elif line.startswith("universe"):
@@ -238,7 +251,13 @@ def _parse_lines(text):
                     raise ParseError("empty universe", lineno, 1)
                 if len(set(universe)) != len(universe):
                     raise ParseError("duplicate universe element", lineno, 1)
-                seen_set = set(universe)
+                # facts read before this line keep their element objects
+                declared = {e: canon.get(e, e) for e in universe}
+                for e in canon:
+                    if e not in declared:
+                        raise ParseError(f"element {e!r} not declared in universe", lineno, 1)
+                canon = declared
+                universe = list(declared.values())
             else:
                 raise ParseError(f"cannot parse line {line!r}", lineno, 1)
             continue
@@ -251,9 +270,9 @@ def _parse_lines(text):
         arity = arities.get(name)
         if arity is None:
             raise ParseError(f"undeclared relation {name!r}", lineno, 1)
-        args = tuple(args_text.split(","))
-        # seen_set holds only stripped, non-empty names: such a line is valid
-        if len(args) != arity or not seen_set.issuperset(args):
+        args = args_text.split(",")
+        # canon holds only stripped, non-empty names: such a line is valid
+        if len(args) != arity or not all(map(canon.__contains__, args)):
             args = tuple(map(str.strip, args)) if args_text.strip() else ()
             if len(args) != arity:
                 msg = f"arity mismatch: {name} expects {arity} arguments, got {len(args)}"
@@ -261,16 +280,15 @@ def _parse_lines(text):
             for a in args:
                 if not a:
                     raise ParseError("empty element name in fact", lineno, 1)
-                if a not in seen_set:
+                if a not in canon:
                     if universe is not None:
                         raise ParseError(f"element {a!r} not declared in universe", lineno, 1)
-                    seen_set.add(a)
-                    seen_elems.append(a)
-        facts.setdefault(name, set()).add(args)
+                    canon[a] = a
+        facts.setdefault(name, set()).add(tuple(map(canon.__getitem__, args)))
 
     if sig_symbols is None:
         raise ParseError("missing signature line")
-    elems = universe if universe is not None else seen_elems
+    elems = universe if universe is not None else list(canon)
     if not elems:
         raise ParseError("empty universe")
     # every check of Structure.__post_init__ has been made line by line above

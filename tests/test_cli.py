@@ -510,6 +510,13 @@ def test_epq_parse_errors_report_their_position(tmp_path, capsys, text, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_a_non_ascii_digit_arity_exits_two_with_its_position(tmp_path, capsys):
+    # '²' is a digit to str.isdigit but not a decimal int() reads
+    assert _count(capsys, tmp_path, "query q(x): E(x)\n", "signature E/\u00b2\nuniverse a\n") == (
+        2, "", "error: line 1, column 11: arity must be an integer in 'E/\u00b2'\n"
+    )
+
+
 def test_missing_file_is_an_error(tmp_path, capsys):
     d = _write(tmp_path, "t.rel", THETA2_REL)
     code, _, err = _run(capsys, "count", "-q", str(tmp_path / "nope.epq"), "-d", d)

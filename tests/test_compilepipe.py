@@ -1,5 +1,6 @@
 """Tests for the compilation pipeline."""
 
+import itertools
 import random
 
 import pytest
@@ -38,10 +39,11 @@ from sharpq.epquery import (
     primal_graph,
     render_ep,
     serialize_pair,
+    serialize_query,
     subformulas,
     to_dnf_pp,
 )
-from sharpq.epquery import _all_variables, _rename_apart
+from sharpq.epquery import _all_variables, _has_or, _rename_apart
 from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure, parse_structure
@@ -600,6 +602,130 @@ def test_table_union_route_is_refused_when_a_cap_stops_the_guard():
     assert table_union_sentence(cycles, tw_cap=3) is None
     binary = parse_query("query e(x): (exists y0 . E0(x,y0)) | (exists y1 . E1(x,y1))")
     assert table_union_sentence(binary, max_dnf=1) is None
+
+
+def _table_union_per_disjunct(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
+    """The reference for table_union_sentence: a core and a qaw for every
+    disjunct, none shared."""
+    if not _has_or(q.formula):
+        return None
+    naive = naive_representation(q)
+    try:
+        qaw = max(
+            compute_qaw(core_of(compilepipe._fold_quantified(pp_to_pair(d)), cap=core_cap), cap=tw_cap)[0]
+            for d in to_dnf_pp(q, max_disjuncts=max_dnf)
+        )
+    except CapExceeded:
+        return None
+    return naive if width(naive) <= qaw else None
+
+
+def _nested_path(symbol, n):
+    """`E(y0,y1) & exists y2 . (E(y1,y2) & ...)`: n edges over n + 1
+    elements, no two folding together, nested so that the cast has width 2."""
+    path = f"{symbol}(y{n - 1},y{n})"
+    for i in range(n - 1, 0, -1):
+        path = f"{symbol}(y{i - 1},y{i}) & exists y{i + 1} . ({path})"
+    return path
+
+
+def test_one_core_per_disjunct_shape_routes_as_one_per_disjunct():
+    gen = random.Random(20261018)
+    routes = []
+    for _ in range(200):
+        # a random query, and its union with a copy over renamed symbols:
+        # the copy's disjuncts are isomorphic to the original's
+        text = serialize_query(random_ep_query(gen, max_disjunctions=2))
+        head, body = text.rstrip("\n").split(": ", 1)
+        union = f"{head}: ({body}) | ({body.replace('R', 'S')})"
+        for q in (parse_query(text), parse_query(union)):
+            for caps in ({}, {"core_cap": 3, "tw_cap": 2}):
+                route = table_union_sentence(q, **caps)
+                assert route == _table_union_per_disjunct(q, **caps), (text, caps)
+                routes.append(route is None)
+    assert 100 < routes.count(False) and 100 < routes.count(True)
+    # two isomorphic disjuncts over the core cap, a cap met only by the
+    # second shape, and a treewidth cap
+    twins = parse_query(f"query c(y0): exists y1 . ({_nested_path('E0', 12)}) | "
+                        f"exists y1 . ({_nested_path('E1', 12)})")
+    second = parse_query(f"query c(y0): F(y0) | exists y1 . ({_nested_path('E', 12)})")
+    cycles = parse_query("query e(x): " + " | ".join(
+        f"(exists y{i} . E{i}(x,y{i}) & exists z{i} . E{i}(y{i},z{i}) & "
+        f"exists w{i} . E{i}(z{i},w{i}) & E{i}(w{i},x))"
+        for i in (0, 1)
+    ))
+    for q, caps, taken in (
+        (twins, {}, False), (twins, {"core_cap": 13}, True),
+        (second, {}, False), (second, {"core_cap": 13}, True),
+        (cycles, {"tw_cap": 3}, False), (cycles, {"tw_cap": 4}, True),
+    ):
+        route = table_union_sentence(q, **caps)
+        assert route == _table_union_per_disjunct(q, **caps)
+        assert (route is not None) == taken
+
+
+def _isomorphic(p, q):
+    """Brute force: a bijection of elements keeping the liberal tuple and
+    one of the nonempty relations mapping p's facts onto q's."""
+    if (len(p.liberal), len(p.struct.universe)) != (len(q.liberal), len(q.struct.universe)):
+        return False
+    if len(p.struct.relations) != len(q.struct.relations):
+        return False
+    for rest in itertools.permutations(q.quantified):
+        ren = dict(zip(p.liberal + p.quantified, q.liberal + rest))
+        image = [{tuple(map(ren.get, t)) for t in ts} for ts in p.struct.relations.values()]
+        if any(
+            all(a == q.struct.relations[b] for a, b in zip(image, names))
+            for names in itertools.permutations(q.struct.relations)
+        ):
+            return True
+    return False
+
+
+def test_pairs_of_one_shape_are_isomorphic():
+    gen = random.Random(1501)
+    pairs = []
+    for _ in range(300):
+        p = random_pp_pair(gen, max_vars=3, max_atoms=3, max_arity=2)
+        # a copy over other element and symbol names, in the same universe order
+        ren = {e: f"{e}'" for e in p.struct.universe}
+        sig = Signature(tuple((f"S{n}", a) for n, a in p.struct.sig.symbols))
+        copy = PpPair(
+            struct=make_structure(sig, [ren[e] for e in p.struct.universe], {
+                f"S{n}": [tuple(map(ren.get, t)) for t in ts] for n, ts in p.struct.relations.items()
+            }),
+            liberal=tuple(map(ren.get, p.liberal)),
+        )
+        assert compilepipe._shape(copy) == compilepipe._shape(p)
+        pairs.append(p)
+    by_shape = {}
+    for p in pairs:
+        by_shape.setdefault(compilepipe._shape(p), []).append(p)
+    assert len(pairs) - len(by_shape) > 100  # pairs that share a shape with an earlier one
+    for group in by_shape.values():
+        assert all(_isomorphic(group[0], p) for p in group[1:])
+    # an element in no fact and not liberal counts too
+    loop = {"E": {("x", "x")}}
+    alone, beside_y = (PpPair(make_structure(SIG_E, u, loop), ("x",)) for u in (["x"], ["x", "y"]))
+    assert compilepipe._shape(alone) != compilepipe._shape(beside_y)
+
+
+def test_isomorphic_disjuncts_are_solved_once(monkeypatch):
+    calls = []
+    for name in ("core_of", "compute_qaw"):
+        real = getattr(compilepipe, name)
+        monkeypatch.setattr(
+            compilepipe, name,
+            lambda *args, _name=name, _real=real, **kwargs: calls.append(_name) or _real(*args, **kwargs),
+        )
+    unary = parse_query("query u(x): " + " | ".join(f"A{i}(x)" for i in range(11)))
+    binary = parse_query(
+        "query e(x): " + " | ".join(f"(exists y{i} . E{i % 3}(x,y{i}))" for i in range(11))
+    )
+    for q in (unary, binary):
+        calls.clear()
+        assert table_union_sentence(q) == naive_representation(q)
+        assert calls == ["core_of", "compute_qaw"]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,23 @@ def test_fact_errors_name_their_line(fact, message):
     assert str(exc.value) == f"line 7, column 1: {message}"
 
 
+def test_a_non_ascii_digit_arity_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_structure("signature E/\u00b2\nuniverse a\n")
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        "line 1, column 11: arity must be an integer in 'E/\u00b2'", 1, 11
+    )
+
+
+def test_a_universe_line_after_facts_must_declare_their_elements():
+    with pytest.raises(ParseError) as exc:
+        parse_structure("signature E/1\nE(a)\nE(c)\nuniverse b c\n")
+    assert str(exc.value) == "line 4, column 1: element 'a' not declared in universe"
+    s = parse_structure("signature E/1\nE(a)\nuniverse b a\nE(b)\n")
+    assert s.universe == ("b", "a")
+    assert s.tuples("E") == frozenset({("a",), ("b",)})
+
+
 @pytest.mark.parametrize("facts", ["", "F(a,a)\n", "G(a,a)\n"])
 def test_bad_signature_name_rejected_with_or_without_facts(facts):
     with pytest.raises(ParseError, match="bad relation name 'E-1'"):
@@ -160,8 +177,8 @@ def _outcome(parse, text):
     return ("ok", s.sig, s.universe, s.relations)
 
 
-def _random_canonical_text(rng):
-    symbols = tuple((f"R{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 3)))
+def _random_canonical_text(rng, symbol_names=("R0", "R1", "R2")):
+    symbols = tuple((n, rng.randint(1, 3)) for n in symbol_names[: rng.randint(1, len(symbol_names))])
     names = ["a", "b1", "x#L", "x#R", "_c", "(d", "e.f"]
     universe = rng.sample(names, rng.randint(1, len(names)))
     rels = {
@@ -177,6 +194,49 @@ def test_scan_and_line_loop_agree_on_serialized_random_structures():
         text = _random_canonical_text(rng)
         assert relstore._scan_canonical(text) is not None, text
         assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text), text
+    # The scan searches each relation only over the span of its own lines, so
+    # neither fact order nor names sharing a prefix may change its answer.
+    # One fact renamed to another symbol must give the same ParseError.
+    seen = dict.fromkeys(("interleaved", "empty relation", "error"), 0)
+    for _ in range(400):
+        text = _random_canonical_text(rng, ("E", "E2", "E_"))
+        head, facts = text.splitlines()[:2], text.splitlines()[2:]
+        rng.shuffle(facts)
+        names = [fact[: fact.index("(")] for fact in facts]
+        seen["interleaved"] += len(list(itertools.groupby(names))) > len(set(names))
+        seen["empty relation"] += len(head[0].split()) - 1 > len(set(names))
+        shuffled = "\n".join(head + facts) + "\n"
+        assert relstore._scan_canonical(shuffled) is not None, shuffled
+        assert _outcome(parse_structure, shuffled) == _outcome(parse_structure, text), shuffled
+        if facts:
+            i = rng.randrange(len(facts))
+            facts[i] = rng.choice(("E", "E2", "E_", "E3")) + facts[i][len(names[i]):]
+            renamed = "\n".join(head + facts) + "\n"
+            outcome = _outcome(parse_structure, renamed)
+            assert outcome == _outcome(relstore._parse_lines, renamed), renamed
+            seen["error"] += outcome[0] == "error"
+    assert min(seen.values()) > 10, seen
+
+
+def test_parsed_facts_hold_the_universe_element_objects(rng):
+    # an entry that is the universe's own object makes every hash-join hit
+    # on it an identity check
+    for _ in range(40):
+        b = random_structure(rng, SIG_EF, max_size=5, density=0.3)
+        text = serialize_structure(b)
+        sig_line, _, *facts = text.splitlines()
+        variants = [(text, True), ("# c\n" + text, False), (text.replace("\n", "\r\n"), False)]
+        if facts:  # without a universe line, the elements facts name in order
+            variants.append(("\n".join([sig_line, *facts]) + "\n", False))
+        for variant, scanned in variants:
+            assert (relstore._scan_canonical(variant) is not None) == scanned
+            s = parse_structure(variant)
+            canon = dict(zip(s.universe, s.universe))
+            assert all(e is canon[e] for ts in s.relations.values() for t in ts for e in t)
+            assert s == make_structure(s.sig, s.universe, s.relations)
+            assert s.relations == b.relations
+            if "universe" in variant:
+                assert s == b
 
 
 _BASE = "signature E/2 V/1\nuniverse a b c\nE(a,b)\nE(b,c)\nV(a)\n"
