@@ -16,11 +16,10 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 from .compilepipe import (
-    _lift_sums,
     _seeded_structures,
+    _summands,
     as_formula,
     basic_sharp_to_pp,
     compile_flat,
@@ -41,8 +40,6 @@ from .equiv import core_of, counting_equivalent, logically_equivalent
 from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
 from .relstore import parse_structure
 from .sharpcore import (
-    Const,
-    Times,
     check_represents,
     eval_sentence,
     naive_representation,
@@ -51,21 +48,6 @@ from .sharpcore import (
     sharp_width,
     width,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation knobs shared by all subcommands."""
-
-    engine: str = "compiled"
-    strategy: str = "qaw"
-    mode: str = "counting"
-    json_out: bool = False
-    seed: int = 0
-    max_dnf: int = 4096
-    max_rows: int = 10**7
-    max_vertices: int = 24
-    core_cap: int = 12
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +80,7 @@ def _load_sharp(path):
 # ---------------------------------------------------------------------------
 
 
-def _compiled_sentence(q, cfg):
+def _compiled_sentence(q, args):
     """The sentence `count` evaluates. A query with a disjunction whose naive
     cast is no wider than its widest disjunct core counts through that cast,
     one table union instead of 2^k - 1 inclusion-exclusion terms. Otherwise
@@ -107,27 +89,23 @@ def _compiled_sentence(q, cfg):
     route, which never searches for endomorphisms. Caps that both routes
     share (DNF, inclusion-exclusion terms, treewidth) re-raise from the
     fallback."""
-    union = table_union_sentence(
-        q, max_dnf=cfg.max_dnf, core_cap=cfg.core_cap, tw_cap=cfg.max_vertices
-    )
+    union = table_union_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
     if union is not None:
         return union
     try:
-        sentence, _ = minimize_ep(
-            q, max_dnf=cfg.max_dnf, core_cap=cfg.core_cap, tw_cap=cfg.max_vertices
-        )
+        sentence, _ = minimize_ep(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
         return sentence
     except CapExceeded:
-        fs = flatten(naive_representation(q), max_dnf=cfg.max_dnf)
-        sentence, _ = compile_flat(fs, tw_cap=cfg.max_vertices)
+        fs = flatten(naive_representation(q), max_dnf=args.max_dnf)
+        sentence, _ = compile_flat(fs, tw_cap=args.max_vertices)
         return sentence
 
 
-def _self_check(sentence, q, cfg):
+def _self_check(sentence, q, args):
     """Compiled output must agree with the counting oracle on seeded samples;
     a disagreement means the compiler itself is broken."""
     ok, counterexample = check_represents(
-        sentence, q, _seeded_structures(q.sig, seed=cfg.seed)
+        sentence, q, _seeded_structures(q.sig, seed=args.seed)
     )
     if not ok:
         raise InternalInvariant(
@@ -155,100 +133,89 @@ def _dump_json(obj):
 # ---------------------------------------------------------------------------
 
 
-def cmd_count(args, cfg):
+def cmd_count(args):
     q = _load_query(args.query)
     b = _load_structure(args.data)
     compiled = oracle = None
-    if cfg.engine in ("compiled", "both"):
-        sentence = _compiled_sentence(q, cfg)
-        compiled = eval_sentence(sentence, b, max_rows=cfg.max_rows)
-    if cfg.engine in ("oracle", "both"):
+    if args.engine in ("compiled", "both"):
+        sentence = _compiled_sentence(q, args)
+        compiled = eval_sentence(sentence, b, max_rows=args.max_rows)
+    if args.engine in ("oracle", "both"):
         oracle = oracle_count(q, b)
-    if cfg.engine == "both" and compiled != oracle:
+    if args.engine == "both" and compiled != oracle:
         raise EngineDisagreement(
             f"engine disagreement: compiled count {compiled} != oracle count {oracle}"
         )
     count = compiled if compiled is not None else oracle
     lines = [str(count)]
-    out = {"count": str(count), "engine": cfg.engine}
-    if cfg.engine == "both":
+    out = {"count": str(count), "engine": args.engine}
+    if args.engine == "both":
         lines.append("engines agree")
         out["engines_agree"] = True
     return lines, out
 
 
-def cmd_compile(args, cfg):
+def cmd_compile(args):
     q = _load_query(args.query)
-    if cfg.strategy == "naive":
+    if args.strategy == "naive":
         sentence = naive_representation(q)
         report = _report(sentence, terms=1, qaw=None, core_size=None)
     else:
-        fs = flatten(naive_representation(q), max_dnf=cfg.max_dnf)
-        sentence, w = compile_flat(fs, tw_cap=cfg.max_vertices)
+        fs = flatten(naive_representation(q), max_dnf=args.max_dnf)
+        sentence, w = compile_flat(fs, tw_cap=args.max_vertices)
         report = _report(sentence, terms=len(fs.terms), qaw=w, core_size=None)
-    _self_check(sentence, q, cfg)
+    _self_check(sentence, q, args)
     text = serialize_sharp(sentence)
     return [text, _dump_json(report)], {"sentence": text, **report}
 
 
-def cmd_minimize(args, cfg):
+def cmd_minimize(args):
     q = _load_query(args.query)
-    sentence, w = minimize_ep(
-        q,
-        max_dnf=cfg.max_dnf,
-        core_cap=cfg.core_cap,
-        tw_cap=cfg.max_vertices,
-    )
-    if sentence == Const(0):
-        terms, core_size = 0, 0
-    else:
-        leaves = _lift_sums(sentence)  # its sums are all at the top
-        terms = len(leaves)
-        core_size = sum(
-            len(basic_sharp_to_pp(leaf.right).struct.universe)
-            for leaf in leaves
-            if isinstance(leaf, Times)
-        )
-    _self_check(sentence, q, cfg)
+    sentence, w = minimize_ep(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
+    # each term is a constant times a basic part; Const(0) has no basic part
+    basics = [basic for _, _, basic, _ in _summands(sentence) if basic is not None]
+    terms = len(basics)
+    core_size = sum(len(basic_sharp_to_pp(basic).struct.universe) for basic in basics)
+    _self_check(sentence, q, args)
     report = _report(sentence, terms=terms, qaw=w, core_size=core_size)
     text = serialize_sharp(sentence)
     return [text, _dump_json(report)], {"sentence": text, **report}
 
 
-def cmd_width(args, cfg):
+def cmd_width(args):
     f = _load_sharp(args.sharp)
     w, sw = width(f), sharp_width(f)
     return [f"width: {w}", f"sharp-width: {sw}"], {"width": w, "sharp_width": sw}
 
 
-def cmd_qaw(args, cfg):
+def cmd_qaw(args):
     q = _load_query(args.query)
-    qaw, td = compute_qaw(pp_to_pair(q), cap=cfg.max_vertices)
+    qaw, td = compute_qaw(pp_to_pair(q), cap=args.max_vertices)
     if args.dump_td:
         with open(args.dump_td, "w", encoding="utf-8") as fh:
             fh.write(serialize_td(td))
     return [f"qaw: {qaw}"], {"qaw": qaw}
 
 
-def cmd_core(args, cfg):
+def cmd_core(args):
     q = _load_query(args.query)
-    core = core_of(pp_to_pair(q), cap=cfg.core_cap)
+    core = core_of(pp_to_pair(q))
     text = serialize_query(pair_to_pp(core)).rstrip("\n")
     size = len(core.struct.universe)
     return [f"core size: {size}", text], {"core_size": size, "query": text}
 
 
-def cmd_equiv(args, cfg):
+def cmd_equiv(args):
     p1 = pp_to_pair(_load_query(args.query))
     p2 = pp_to_pair(_load_query(args.rhs))
-    if cfg.mode == "counting":
+    if args.mode == "counting":
         ok, witness = counting_equivalent(p1, p2)
         label = "counting-equivalent"
     else:
         ok, witness = logically_equivalent(p1, p2)
         label = "logically-equivalent"
     lines = [f"{label}: {'yes' if ok else 'no'}"]
-    out = {"mode": cfg.mode, "equivalent": ok, "forward": None, "backward": None}
+    out = {"mode": args.mode, "equivalent": ok, "forward": None, "backward": None}
     if ok:
         fwd = dict(sorted(witness.forward.items()))
         bwd = dict(sorted(witness.backward.items()))
@@ -258,16 +225,16 @@ def cmd_equiv(args, cfg):
     return lines, out
 
 
-def cmd_flatten(args, cfg):
+def cmd_flatten(args):
     f = _load_sharp(args.sharp)
-    fs = flatten(f, max_dnf=cfg.max_dnf)
+    fs = flatten(f, max_dnf=args.max_dnf)
     text = serialize_sharp(as_formula(fs))
     return [text, f"terms: {len(fs.terms)}"], {"formula": text, "terms": len(fs.terms)}
 
 
-def cmd_decompose(args, cfg):
+def cmd_decompose(args):
     q = _load_query(args.query)
-    tw, td = exact_treewidth(primal_graph(pp_to_pair(q)), cap=cfg.max_vertices)
+    tw, td = exact_treewidth(primal_graph(pp_to_pair(q)), cap=args.max_vertices)
     if args.dump_td:
         with open(args.dump_td, "w", encoding="utf-8") as fh:
             fh.write(serialize_td(td))
@@ -350,29 +317,15 @@ def build_parser():
     return parser
 
 
-def _config_from(args):
-    return RunConfig(
-        engine=getattr(args, "engine", "compiled"),
-        strategy=getattr(args, "strategy", "qaw"),
-        mode=getattr(args, "mode", "counting"),
-        json_out=args.json,
-        seed=args.seed,
-        max_dnf=args.max_dnf,
-        max_rows=args.max_rows,
-        max_vertices=args.max_vertices,
-    )
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = _config_from(args)
     command, _ = _COMMANDS[args.command]
     try:
-        lines, obj = command(args, cfg)
+        lines, obj = command(args)
     except SharpqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    if cfg.json_out:
+    if args.json:
         print(_dump_json(obj))
     else:
         for line in lines:

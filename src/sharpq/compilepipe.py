@@ -51,7 +51,7 @@ from .epquery import (
 )
 from .equiv import align_via_renaming, check_core_cap, core_of
 from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
-from .relstore import Signature, make_structure
+from .relstore import Signature, make_structure, merge_signatures
 from .sharpcore import (
     _EP_NODES,
     Cast,
@@ -499,88 +499,59 @@ def as_formula(fs):
     return reduce(Plus, [Times(const, basic) for const, basic in fs.terms])
 
 
-# A walker over the counting nodes leaves each cast's ep formula as it is.
-_EP_AS_IS = dict.fromkeys(_EP_NODES, lambda node, *kids: node)
-
-
-def _cast_all(f, max_dnf):
-    """Stage 1: replace every cast by its inclusion-exclusion normal form."""
-
-    def cast(node, ep):
-        sig = _infer_signature(ep)
-        q = LiberalQuery(name="cast", formula=ep, liberal=tuple(node.liberal), sig=sig)
-        return cast_ep(q, max_dnf=max_dnf)
-
-    return fold(f, {
-        **_EP_AS_IS,
-        Cast: cast,
-        **dict.fromkeys((Project, Expand), lambda node, child: type(node)(node.vars, child)),
-        **dict.fromkeys((Times, Plus), lambda node, left, right: type(node)(left, right)),
-        Const: lambda node: node,
-    })
-
-
-def _lift_sums(f):
-    """Stage 2: distribute so that sums sit only at the top; returns the
-    sum-free summands left to right."""
-    return fold(f, {
-        **_EP_AS_IS,
-        Cast: lambda node, ep: [node],
-        Const: lambda node: [node],
-        Plus: lambda node, lefts, rights: lefts + rights,
-        **dict.fromkeys((Project, Expand), lambda node, subs: [
-            type(node)(node.vars, s) for s in subs
-        ]),
-        Times: lambda node, lefts, rights: [Times(a, b) for a in lefts for b in rights],
-    })
-
-
-def _normmult_project(node, child):
-    n, pow_, basic, free = child
+def _project_summand(node, s):
+    n, pow_, basic, free = s
     if basic is None:
         return n, pow_ + len(node.vars), None, free - node.vars
     return n, pow_, Project(node.vars, basic), free - node.vars
 
 
-def _normmult_expand(node, child):
-    n, pow_, basic, free = child
-    return n, pow_, None if basic is None else Expand(node.vars, basic), free | node.vars
-
-
-def _normmult_times(node, left, right):
-    (nl, pl, bl, free), (nr, pr, br, _) = left, right
+def _times_summand(a, b):
+    (nl, pl, bl, free), (nr, pr, br, _) = a, b
     basic = br if bl is None else bl if br is None else Times(bl, br)
     return nl * nr, pl + pr, basic, free
 
 
-def _normmult(f):
-    """Stage 3: split a sum-free formula into (n, pow, basic, free) with
-    value n*|B|^pow times the basic part (basic=None when fully constant)."""
-    return fold(f, {
-        **_EP_AS_IS,
-        Const: lambda node: (node.n, 0, None, frozenset()),
-        Cast: lambda node, ep: (1, 0, node, frozenset(node.liberal)),
-        Project: _normmult_project,
-        Expand: _normmult_expand,
-        Times: _normmult_times,
-    })
+# Each node's summands (n, pow, basic, free), left to right: the value of a
+# summand is n*|B|^pow times its basic part (None when it has none), a sum-
+# and constant-free formula over `free`; a cast is one summand of its own.
+_SUMMAND_STEPS = {
+    **dict.fromkeys(_EP_NODES, lambda node, *kids: None),
+    Cast: lambda node, ep: [(1, 0, node, frozenset(node.liberal))],
+    Const: lambda node: [(node.n, 0, None, frozenset())],
+    Project: lambda node, subs: [_project_summand(node, s) for s in subs],
+    Expand: lambda node, subs: [
+        (n, p, None if basic is None else Expand(node.vars, basic), free | node.vars)
+        for n, p, basic, free in subs
+    ],
+    Times: lambda node, lefts, rights: [_times_summand(a, b) for a in lefts for b in rights],
+    Plus: lambda node, lefts, rights: lefts + rights,
+}
+
+
+def _summands(f):
+    """The summands of a counting formula, each cast taken as it is."""
+    return fold(f, _SUMMAND_STEPS)
 
 
 def flatten(f, max_dnf=4096):
     """Normalize a counting formula into a FlatSharp pointwise equal to it.
 
-    Stages: inclusion-exclusion on every cast, lifting all sums to the top,
-    then splitting each summand into a constant part E V1 P V2 n and a basic
-    part. Width never increases."""
+    One fold: each cast becomes the summands of its inclusion-exclusion
+    normal form, sums distribute to the top, and each summand splits into a
+    constant part E V1 P V2 n and a basic part. Width never increases."""
     report = _require_valid(f)
-    staged = _cast_all(f, max_dnf)
-    summands = _lift_sums(staged)
-    names = _FreshNames(_sharp_variables(staged) | _sharp_variables(f))
+
+    def cast(node, ep):
+        sig = _infer_signature(node.ep)
+        q = LiberalQuery(name="cast", formula=node.ep, liberal=node.liberal, sig=sig)
+        return _summands(cast_ep(q, max_dnf=max_dnf))
+
+    # the inclusion-exclusion terms use only the variables of f
+    names = _FreshNames(_sharp_variables(f))
     terms = []
-    for s in summands:
-        n, pow_, basic, free = _normmult(s)
-        v2 = frozenset(names.take(pow_))
-        const = Expand(free, Project(v2, Const(n)))
+    for n, pow_, basic, free in fold(f, {**_SUMMAND_STEPS, Cast: cast}):
+        const = Expand(free, Project(names.take(pow_), Const(n)))
         if basic is None:
             basic = Cast(ep=TOP, liberal=tuple(sorted(free)))
         terms.append((const, basic))
@@ -715,14 +686,7 @@ def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
     for coeff, pow_, pair in folded:
         pair = core_of(pair, cap=core_cap)
         if pow_:
-            taken = set(pair.struct.universe)
-            extra = []
-            i = 0
-            while len(extra) < pow_:
-                name = f"e${i}"
-                if name not in taken:
-                    extra.append(name)
-                i += 1
+            extra = _FreshNames(pair.struct.universe).take(pow_)
             pair = PpPair(
                 struct=make_structure(
                     pair.struct.sig,
@@ -811,16 +775,6 @@ def _seeded_structures(sig, count=20, max_size=3, seed=0):
     return out
 
 
-def _merge_signatures(a, b):
-    symbols = dict(a.symbols)
-    for name, arity in b.symbols:
-        if symbols.setdefault(name, arity) != arity:
-            raise SharpqError(
-                f"relation {name} has conflicting arities {symbols[name]} and {arity}"
-            )
-    return Signature(tuple(sorted(symbols.items())))
-
-
 def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24):
     """Turn any representation of a disjunction-free query into a basic one
     without increasing width or #-width.
@@ -831,7 +785,7 @@ def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24)
     coefficient-1 term, whose pair is aligned back onto the query's variables
     and recompiled along a width-minimal quantifier-aware decomposition."""
     if samples is None:
-        sig = _merge_signatures(q.sig, _infer_signature(f))
+        sig = merge_signatures(q.sig, _infer_signature(f))
         samples = _seeded_structures(sig)
     ok, counterexample = check_represents(f, q, samples)
     if not ok:

@@ -26,8 +26,26 @@ from .relstore import Signature, Structure, make_structure
 # child fields, left to right, in `_kids`; subformulas() and fold() walk them.
 
 
-@dataclass(frozen=True)
-class Atom:
+class _ByText:
+    """Equality, hash and repr of a formula through its text, which the fold
+    renders from an explicit stack; the generated ones would recurse once
+    per level. Nodes of different classes are never equal."""
+
+    def _text(self):
+        return render_ep(self)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._text() == other._text()
+
+    def __hash__(self):
+        return hash(self._text())
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {self._text()}>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Atom(_ByText):
     symbol: str
     args: tuple
     _kids = ()
@@ -36,29 +54,29 @@ class Atom:
         return f"{self.symbol}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_ByText):
     left: object
     right: object
     _kids = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_ByText):
     left: object
     right: object
     _kids = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False, repr=False)
+class Exists(_ByText):
     var: str
     body: object
     _kids = ("body",)
 
 
-@dataclass(frozen=True)
-class Top:
+@dataclass(frozen=True, eq=False, repr=False)
+class Top(_ByText):
     _kids = ()
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import Signature, make_structure, search_homomorphisms
+from .relstore import make_structure, merge_signatures, search_homomorphisms
 from .epquery import PpPair, primal_graph
 
 
@@ -37,14 +37,7 @@ def _unify_signatures(a, b):
     """Rebuild both structures over the union signature (missing = empty)."""
     if a.sig == b.sig:
         return a, b
-    arities = {}
-    for sig in (a.sig, b.sig):
-        for name, arity in sig.symbols:
-            if arities.setdefault(name, arity) != arity:
-                raise SharpqError(
-                    f"relation {name} has conflicting arities {arities[name]} and {arity}"
-                )
-    union = Signature(tuple(sorted(arities.items())))
+    union = merge_signatures(a.sig, b.sig)
     return (
         make_structure(union, a.universe, a.relations),
         make_structure(union, b.universe, b.relations),

@@ -46,6 +46,18 @@ class Signature:
         return any(n == name for n, _ in self.symbols)
 
 
+def merge_signatures(*sigs):
+    """The union of the signatures; a relation with two arities is an error."""
+    arities = {}
+    for sig in sigs:
+        for name, arity in sig.symbols:
+            if arities.setdefault(name, arity) != arity:
+                raise SharpqError(
+                    f"relation {name} has conflicting arities {arities[name]} and {arity}"
+                )
+    return Signature(tuple(sorted(arities.items())))
+
+
 @dataclass(frozen=True)
 class Structure:
     """A finite relational structure over a Signature.

@@ -38,6 +38,7 @@ from .epquery import (
     Exists,
     Or,
     Top,
+    _ByText,
     _check_signature,
     _infer_signature,
     _line_col,
@@ -54,8 +55,15 @@ from .epquery import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cast:
+class _SharpByText(_ByText):
+    """Equality, hash and repr of a counting formula through its `.shq` text."""
+
+    def _text(self):
+        return serialize_sharp(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Cast(_SharpByText):
     """0/1 indicator of an ep-formula over assignments of the liberal set."""
 
     ep: object
@@ -66,8 +74,8 @@ class Cast:
         object.__setattr__(self, "liberal", tuple(sorted(set(self.liberal))))
 
 
-@dataclass(frozen=True)
-class Project:
+@dataclass(frozen=True, eq=False, repr=False)
+class Project(_SharpByText):
     vars: frozenset
     child: object
     _kids = ("child",)
@@ -76,8 +84,8 @@ class Project:
         object.__setattr__(self, "vars", frozenset(self.vars))
 
 
-@dataclass(frozen=True)
-class Expand:
+@dataclass(frozen=True, eq=False, repr=False)
+class Expand(_SharpByText):
     vars: frozenset
     child: object
     _kids = ("child",)
@@ -86,22 +94,22 @@ class Expand:
         object.__setattr__(self, "vars", frozenset(self.vars))
 
 
-@dataclass(frozen=True)
-class Times:
+@dataclass(frozen=True, eq=False, repr=False)
+class Times(_SharpByText):
     left: object
     right: object
     _kids = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Plus:
+@dataclass(frozen=True, eq=False, repr=False)
+class Plus(_SharpByText):
     left: object
     right: object
     _kids = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Const:
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_SharpByText):
     n: int
     _kids = ()
 
@@ -452,7 +460,9 @@ class CountTable:
         if self.universe != other.universe:
             return False
         shared = tuple(sorted(set(self.explicit) | set(other.explicit)))
-        return _materialize_data(self, shared) == _materialize_data(other, shared)
+        return _materialize(self.explicit, self.data, shared, self.universe) == _materialize(
+            other.explicit, other.data, shared, other.universe
+        )
 
 
 def _row_of(positions):
@@ -478,11 +488,11 @@ def _widen(explicit, target, universe):
     return fills, _row_of([cols.index(v) for v in target])
 
 
-def _materialize_data(t, explicit):
-    """Rows of t re-indexed by the given explicit variable tuple (a superset
-    of t.explicit up to wildcards)."""
-    fills, build = _widen(t.explicit, explicit, t.universe)
-    return {build(key + fill): val for key, val in t.data.items() for fill in fills}
+def _materialize(explicit, data, target, universe):
+    """data's rows over `explicit` re-indexed by `target` ⊇ explicit, each
+    row copied to every fill of the new columns."""
+    fills, build = _widen(explicit, target, universe)
+    return {build(key + fill): val for key, val in data.items() for fill in fills}
 
 
 @lru_cache(maxsize=1024)
@@ -524,8 +534,11 @@ def _join_plan(ex1, ex2, drop):
 
 
 class _Evaluator:
-    """Table evaluation in one fold, under the kernel invariants above: an
-    ep formula yields (explicit, rows), a counting formula a CountTable.
+    """Table evaluation in one fold, under the kernel invariants above. Every
+    node yields (columns, rows): a set of rows for an ep formula, a dict of
+    nonzero counts for a counting formula, and a row count for a cast that
+    is only counted. A variable of a node's free set that is not a column is
+    one its value does not depend on.
 
     The fold's context: an ep node's is (drop, count), `drop` the variables
     bound above it that occur, free in it, nowhere else under their binder,
@@ -546,12 +559,8 @@ class _Evaluator:
             Exists: lambda node, ctx, body: body,
             Top: lambda node, ctx: ((), 1 if ctx[1] else {()}),
             Cast: self._cast,
-            Const: lambda node, ctx: CountTable(
-                (), (), self.b.universe, {(): node.n} if node.n != 0 else {}
-            ),
-            Expand: lambda node, ctx, t: CountTable(
-                t.explicit, tuple(sorted(set(t.wildcard) | node.vars)), self.b.universe, t.data
-            ),
+            Const: lambda node, ctx: ((), {(): node.n} if node.n != 0 else {}),
+            Expand: lambda node, ctx, t: t,
             Project: self._project,
             Times: self._times,
             Plus: self._plus,
@@ -681,11 +690,9 @@ class _Evaluator:
     # -- counting formulas --
 
     def _cast(self, f, count, s):
-        if count:
-            return s  # (explicit, row count), for the projection above
         explicit, rows = s
-        wild = tuple(sorted(set(f.liberal) - set(explicit)))
-        return CountTable(explicit, wild, self.b.universe, dict.fromkeys(rows, 1))
+        # counted, the row count goes up to the projection above
+        return s if count else (explicit, dict.fromkeys(rows, 1))
 
     def _project(self, f, inner, value):
         """A chain of projections summed out in one pass, at its top; the
@@ -697,57 +704,44 @@ class _Evaluator:
         while isinstance(f.child, Project):
             f = f.child
             vars_ |= f.vars
-        if isinstance(value, tuple):
-            explicit, n = value
-            total = n * len(self.b.universe) ** len(vars_ - set(explicit))
-            data = {(): total} if total else {}
-            self._note(len(data))
-            wild = tuple(sorted(set(f.child.liberal) - vars_))
-            return CountTable((), wild, self.b.universe, data)
-        t = value
-        # every summed variable that is not explicit contributes a factor |B|
-        factor = len(self.b.universe) ** len(vars_ - set(t.explicit))
-        keep = [i for i, v in enumerate(t.explicit) if v not in vars_]
+        explicit, data = value
+        # every summed variable that is not a column contributes a factor |B|
+        factor = len(self.b.universe) ** len(vars_ - set(explicit))
+        keep = [i for i, v in enumerate(explicit) if v not in vars_]
         if keep:
             key = _row_of(keep)
             sums = {}
-            for row, val in t.data.items():
+            for row, val in data.items():
                 k = key(row)
                 sums[k] = sums.get(k, 0) + val
             data = {k: v * factor for k, v in sums.items() if v}
         else:
-            total = sum(t.data.values()) * factor
+            total = (data if isinstance(data, int) else sum(data.values())) * factor
             data = {(): total} if total else {}
         self._note(len(data))
-        explicit = tuple(t.explicit[i] for i in keep)
-        wild = tuple(v for v in t.wildcard if v not in vars_)
-        return CountTable(explicit, wild, self.b.universe, data)
+        return tuple(explicit[i] for i in keep), data
 
     def _times(self, f, ctx, t1, t2):
         """The join of the two tables' row keys, valued by the product."""
-        explicit, rows = self._sat_join(
-            (t1.explicit, t1.data.keys()), (t2.explicit, t2.data.keys()), frozenset()
-        )
-        at1, at2 = [_part_of(explicit, t.explicit) for t in (t1, t2)]
-        d1, d2 = t1.data, t2.data
-        data = {r: d1[at1(r)] * d2[at2(r)] for r in rows}
-        wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
-        return CountTable(explicit, wild, self.b.universe, data)
+        (ex1, d1), (ex2, d2) = t1, t2
+        explicit, rows = self._sat_join((ex1, d1.keys()), (ex2, d2.keys()), frozenset())
+        at1, at2 = _part_of(explicit, ex1), _part_of(explicit, ex2)
+        return explicit, {r: d1[at1(r)] * d2[at2(r)] for r in rows}
 
     def _plus(self, f, ctx, t1, t2):
-        explicit = tuple(dict.fromkeys(t1.explicit + t2.explicit))
+        (ex1, d1), (ex2, d2) = t1, t2
+        explicit = tuple(dict.fromkeys(ex1 + ex2))
         n = len(self.b.universe)
-        self._note(sum(len(t.data) * n ** (len(explicit) - len(t.explicit)) for t in (t1, t2)))
-        data = _materialize_data(t1, explicit)
-        for k, v in _materialize_data(t2, explicit).items():
+        self._note(sum(len(d) * n ** (len(explicit) - len(ex)) for ex, d in (t1, t2)))
+        data = _materialize(ex1, d1, explicit, self.b.universe)
+        for k, v in _materialize(ex2, d2, explicit, self.b.universe).items():
             s = data.get(k, 0) + v
             if s:
                 data[k] = s
             else:
                 data.pop(k, None)
         self._note(len(data))
-        wild = tuple(sorted((set(t1.variables) | set(t2.variables)) - set(explicit)))
-        return CountTable(explicit, wild, self.b.universe, data)
+        return explicit, data
 
 
 def _count_pairs(g1, g2):
@@ -768,10 +762,12 @@ def _count_pairs(g1, g2):
 
 
 def evaluate(f, b, max_rows=10**7, stats=None):
-    """Table of the formula's values over assignments of its free variables."""
-    _require_valid(f)
+    """Table of the formula's values over assignments of its free variables;
+    the free variables that index no row are its wildcards."""
+    free = _require_valid(f).free
     _check_signature(_infer_signature(f), b, "formula")
-    return _Evaluator(max_rows, stats).eval(f, b)
+    explicit, data = _Evaluator(max_rows, stats).eval(f, b)
+    return CountTable(explicit, tuple(sorted(free.difference(explicit))), b.universe, data)
 
 
 def _sentence_signature(f):
@@ -782,7 +778,7 @@ def _sentence_signature(f):
 
 def _sentence_value(f, sig, b, evaluator):
     _check_signature(sig, b, "formula")
-    return evaluator.eval(f, b).data.get((), 0)
+    return evaluator.eval(f, b)[1].get((), 0)
 
 
 def eval_sentence(f, b, max_rows=10**7, stats=None):

@@ -563,9 +563,11 @@ def test_the_parser_is_built_once_and_keeps_no_state_between_calls(
     q = _write(tmp_path, "u.epq", UNION_EPQ)
     argv = ["minimize", "-q", q, "--json"]
     seeds = []
-    config_from = sharpq.cli._config_from
+    seeded = sharpq.cli._seeded_structures
     monkeypatch.setattr(
-        sharpq.cli, "_config_from", lambda args: seeds.append(args.seed) or config_from(args)
+        sharpq.cli,
+        "_seeded_structures",
+        lambda sig, seed: seeds.append(seed) or seeded(sig, seed=seed),
     )
     sharpq.cli.build_parser.cache_clear()
     first = _run(capsys, *argv)

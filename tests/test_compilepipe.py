@@ -9,6 +9,8 @@ from sharpq import compilepipe
 from sharpq.compilepipe import (
     FlatSharp,
     LinearCombination,
+    _FreshNames,
+    _sharp_variables,
     _read_constant,
     as_formula,
     basic_sharp_to_pp,
@@ -25,12 +27,14 @@ from sharpq.compilepipe import (
 )
 from sharpq.decomp import TreeDecomposition, compute_qaw, exact_treewidth
 from sharpq.epquery import (
+    TOP,
     And,
     Atom,
     Exists,
     LiberalQuery,
     PpPair,
     contract_graph,
+    fold,
     oracle_count,
     pair_to_pp,
     parse_ep_expression,
@@ -43,17 +47,19 @@ from sharpq.epquery import (
     subformulas,
     to_dnf_pp,
 )
-from sharpq.epquery import _all_variables, _has_or, _rename_apart
+from sharpq.epquery import _all_variables, _has_or, _infer_signature, _rename_apart
 from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure, parse_structure
 from sharpq.sharpcore import (
+    _EP_NODES,
     Cast,
     Const,
     Expand,
     Plus,
     Project,
     Times,
+    _require_valid,
     eval_sentence,
     evaluate,
     free_closed,
@@ -787,6 +793,132 @@ def test_flatten_open_formula_keeps_free_set(rng):
     assert fs.free == frozenset({"x", "y"})
     b = random_structure(rng, SIG_E, max_size=3)
     assert evaluate(as_formula(fs), b) == evaluate(f, b)
+
+
+# A three-stage flatten (inclusion-exclusion on every cast, then every sum
+# lifted to the top, then each summand split into its constant and basic
+# parts), kept as the reference that the one-fold flatten must match term by
+# term, fresh names included.
+
+_EP_AS_IS = dict.fromkeys(_EP_NODES, lambda node, *kids: node)
+
+
+def _ref_cast_all(f, max_dnf):
+    def cast(node, ep):
+        q = LiberalQuery(name="cast", formula=ep, liberal=tuple(node.liberal),
+                         sig=_infer_signature(ep))
+        return cast_ep(q, max_dnf=max_dnf)
+
+    return fold(f, {
+        **_EP_AS_IS,
+        Cast: cast,
+        **dict.fromkeys((Project, Expand), lambda node, child: type(node)(node.vars, child)),
+        **dict.fromkeys((Times, Plus), lambda node, left, right: type(node)(left, right)),
+        Const: lambda node: node,
+    })
+
+
+def _ref_lift_sums(f):
+    return fold(f, {
+        **_EP_AS_IS,
+        Cast: lambda node, ep: [node],
+        Const: lambda node: [node],
+        Plus: lambda node, lefts, rights: lefts + rights,
+        **dict.fromkeys((Project, Expand), lambda node, subs: [
+            type(node)(node.vars, s) for s in subs
+        ]),
+        Times: lambda node, lefts, rights: [Times(a, b) for a in lefts for b in rights],
+    })
+
+
+def _ref_normmult_project(node, child):
+    n, pow_, basic, free = child
+    if basic is None:
+        return n, pow_ + len(node.vars), None, free - node.vars
+    return n, pow_, Project(node.vars, basic), free - node.vars
+
+
+def _ref_normmult_expand(node, child):
+    n, pow_, basic, free = child
+    return n, pow_, None if basic is None else Expand(node.vars, basic), free | node.vars
+
+
+def _ref_normmult_times(node, left, right):
+    (nl, pl, bl, free), (nr, pr, br, _) = left, right
+    basic = br if bl is None else bl if br is None else Times(bl, br)
+    return nl * nr, pl + pr, basic, free
+
+
+def _ref_normmult(f):
+    return fold(f, {
+        **_EP_AS_IS,
+        Const: lambda node: (node.n, 0, None, frozenset()),
+        Cast: lambda node, ep: (1, 0, node, frozenset(node.liberal)),
+        Project: _ref_normmult_project,
+        Expand: _ref_normmult_expand,
+        Times: _ref_normmult_times,
+    })
+
+
+def _reference_flatten(f, max_dnf=4096):
+    report = _require_valid(f)
+    staged = _ref_cast_all(f, max_dnf)
+    summands = _ref_lift_sums(staged)
+    names = _FreshNames(_sharp_variables(staged) | _sharp_variables(f))
+    terms = []
+    for s in summands:
+        n, pow_, basic, free = _ref_normmult(s)
+        v2 = frozenset(names.take(pow_))
+        const = Expand(free, Project(v2, Const(n)))
+        if basic is None:
+            basic = Cast(ep=TOP, liberal=tuple(sorted(free)))
+        terms.append((const, basic))
+    return FlatSharp(terms=tuple(terms), free=report.free)
+
+
+def _flat_text(fs):
+    return fs.free, [(serialize_sharp(c), serialize_sharp(b)) for c, b in fs.terms]
+
+
+def _random_cast_formula(gen):
+    """A cast, or a sum, product or projection of two casts, over random ep
+    queries with disjunctions."""
+    q1, q2 = random_ep_query(gen, max_vars=4), random_ep_query(gen, max_vars=4)
+    lib = tuple(sorted(set(q1.liberal) | set(q2.liberal)))
+    c1, c2 = Cast(q1.formula, lib), Cast(q2.formula, lib)
+    shape = gen.choice([c1, Times(c1, c2), Plus(c1, c2), Plus(Times(c1, c2), c2)])
+    if gen.random() < 0.5:
+        return Project(gen.sample(lib, gen.randint(1, len(lib))), shape)
+    return shape
+
+
+def _union_cast(k, liberal="x"):
+    """A cast of k disjuncts, alternating unary atoms and out-edges."""
+    parts = [f"U{i}(x)" if i % 2 else f"(exists y . E{i}(x,y))" for i in range(k)]
+    return Cast(parse_ep_expression(" | ".join(parts)), (liberal,))
+
+
+def test_flatten_matches_the_three_stage_reference():
+    gen = random.Random(5150)
+    formulas = []
+    while len(formulas) < 160:
+        f = _random_sharp(gen)
+        if validate(f).ok:
+            formulas.append(f)
+    formulas += [_random_cast_formula(gen) for _ in range(160)]
+    for k in range(1, 7):
+        c, d = _union_cast(k), _union_cast(7 - k)
+        formulas += [c, Plus(c, d), Times(c, d), Project({"x"}, Times(c, Plus(d, c))),
+                     Project({"x"}, Plus(c, Expand({"x"}, Const(k))))]
+    for f in formulas:
+        assert _flat_text(flatten(f)) == _flat_text(_reference_flatten(f))
+
+
+def test_flatten_refuses_where_the_reference_refuses():
+    f = Times(_union_cast(6), _union_cast(3))
+    for flat in (flatten, _reference_flatten):
+        with pytest.raises(CapExceeded, match="inclusion-exclusion over 6 disjuncts needs 63 > 40"):
+            flat(f, max_dnf=40)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from sharpq.relstore import (
     homomorphisms,
     identity_structure,
     make_structure,
+    merge_signatures,
     parse_structure,
     poly_action,
     product,
@@ -351,6 +352,13 @@ def test_signature_mismatch_is_an_error():
     b = make_structure(Signature((("F", 2),)), ["x"], {})
     with pytest.raises(SharpqError):
         homomorphisms(a, b)
+
+
+def test_merge_signatures_unions_symbols_and_refuses_two_arities():
+    a = Signature((("F", 1), ("E", 2)))
+    assert merge_signatures(a, SIG_E) == Signature((("E", 2), ("F", 1)))
+    with pytest.raises(SharpqError, match="^relation E has conflicting arities 2 and 3$"):
+        merge_signatures(a, Signature((("E", 3),)))
 
 
 def test_pin_respected():

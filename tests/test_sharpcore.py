@@ -11,6 +11,7 @@ import pytest
 from sharpq import sharpcore
 from sharpq.compilepipe import flatten, minimize_ep
 from sharpq.epquery import (
+    TOP,
     And,
     Atom,
     Exists,
@@ -19,6 +20,7 @@ from sharpq.epquery import (
     oracle_count,
     parse_ep_expression,
     parse_query,
+    render_ep,
     serialize_query,
     subformulas,
 )
@@ -390,10 +392,30 @@ def test_deep_chains_pass_every_walk_at_the_default_recursion_limit():
     b = make_structure(sig, ["a", "b", "c"], rels)
     for f, count, terms in ((deep_plus, 10000, 5000), (deep_and, 1, 1)):
         assert validate(f).ok
-        text = serialize_sharp(f)  # compared as text: dataclass == recurses
-        assert serialize_sharp(parse_sharp(text)) == text
+        assert parse_sharp(serialize_sharp(f)) == f
         assert eval_sentence(f, b) == count
         assert len(flatten(f).terms) == terms
+
+
+def test_deep_formulas_compare_hash_and_print_through_their_text(monkeypatch):
+    term = Project({"x"}, Cast(Atom("A", ("x",)), ("x",)))
+    deep_plus = functools.reduce(Plus, [term] * 5000)
+    deep_and = functools.reduce(And, [Atom(f"A{i % 7}", ("x",)) for i in range(5000)])
+    for f, text, parse in (
+        (deep_plus, serialize_sharp, parse_sharp),
+        (deep_and, render_ep, parse_ep_expression),
+    ):
+        g = parse(text(f))
+        assert g is not f and g == f and not g != f
+        assert hash(g) == hash(f)
+        assert repr(f) == f"<{type(f).__name__} {text(f)}>"
+        assert f != type(f)(f.left, f.left)
+    assert len({deep_plus, parse_sharp(serialize_sharp(deep_plus)), term}) == 2
+    assert Cast(TOP, ()) != TOP and TOP != Cast(TOP, ())
+    # nodes of different classes are unequal before any text is rendered
+    rendered = []
+    monkeypatch.setattr(sharpcore, "serialize_sharp", rendered.append)
+    assert deep_plus != Const(0) and rendered == []
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +541,7 @@ def test_project_expand_inverse():
         b = random_structure(rng, SIG_EF, max_size=3)
         t1 = evaluate(g, b)
         t0 = evaluate(f, b)
+        assert t0.wildcard == tuple(sorted(report.free - set(t0.explicit)))
         scale = len(b.universe) ** len(V)
         checked += 1
         for h, val in t0.sorted_rows():
@@ -624,7 +647,7 @@ def test_single_cast_over_random_ep_formulas_matches_oracle():
     for _ in range(150):
         q = random_ep_query(rng, max_vars=5, max_atoms=5, max_disjunctions=2)
         b = random_structure(rng, q.sig, max_size=4)
-        with_or += "Or(" in repr(q.formula)
+        with_or += any(isinstance(node, Or) for node in subformulas(q.formula))
         assert eval_sentence(naive_representation(q), b) == oracle_count(q, b)
     assert with_or > 20
 
