@@ -41,8 +41,6 @@ from .epquery import (
     _rename_apart,
     exists_components,
     fold,
-    oracle_count,
-    pair_to_pp,
     pp_to_pair,
     primal_graph,
     serialize_pair,
@@ -50,7 +48,7 @@ from .epquery import (
     to_dnf_pp,
 )
 from .equiv import align_via_renaming, check_core_cap, core_of
-from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
+from .errors import CapExceeded, InternalInvariant, SharpqError
 from .relstore import Signature, make_structure, merge_signatures
 from .sharpcore import (
     _EP_NODES,
@@ -63,7 +61,6 @@ from .sharpcore import (
     _require_sentence,
     _require_valid,
     check_represents,
-    eval_sentence,
     naive_representation,
     validate,
     width,
@@ -724,29 +721,6 @@ def _read_constant(const):
     if not isinstance(node, Const):
         raise SharpqError(f"constant part not in normal form: {const!r}")
     return node.n, pow_
-
-
-def lc_evaluate(lc, b, engine="compiled", *, max_rows=10**7, tw_cap=24):
-    """Evaluate a linear combination on a structure: the sum of coefficient
-    times answer count per pair. Engines: "compiled" (decompose + dynamic
-    programming), "oracle" (assignment enumeration), "both" (run both, error
-    on disagreement)."""
-    if engine not in ("compiled", "oracle", "both"):
-        raise SharpqError(f"unknown engine {engine!r}")
-    total = 0
-    for i, (coeff, pair) in enumerate(lc.entries):
-        compiled = oracle = None
-        if engine in ("compiled", "both"):
-            _, td = compute_qaw(pair, cap=tw_cap)
-            compiled = eval_sentence(pp_to_basic_sharp(pair, td), b, max_rows=max_rows)
-        if engine in ("oracle", "both"):
-            oracle = oracle_count(pair_to_pp(pair), b)
-        if engine == "both" and compiled != oracle:
-            raise EngineDisagreement(
-                f"term {i}: compiled count {compiled} != oracle count {oracle}"
-            )
-        total += coeff * (compiled if compiled is not None else oracle)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -764,27 +764,6 @@ def primal_graph(p):
     return Graph(frozenset(p.struct.universe), frozenset(edges))
 
 
-def components(p):
-    """Split into connected components of the primal graph.
-
-    Each component keeps its slice of the liberal list; the product of the
-    component counts equals the whole count on every structure.
-    """
-    g = primal_graph(p)
-    order = {v: i for i, v in enumerate(p.struct.universe)}
-    comps = sorted(g.connected_components(), key=lambda c: min(order[v] for v in c))
-    out = []
-    for comp in comps:
-        universe = [v for v in p.struct.universe if v in comp]
-        rels = {}
-        for sym, tup in p.struct.all_facts():
-            if set(tup) <= comp:
-                rels.setdefault(sym, set()).add(tup)
-        struct = make_structure(p.struct.sig, universe, rels)
-        out.append(PpPair(struct=struct, liberal=tuple(v for v in p.liberal if v in comp)))
-    return out
-
-
 def exists_components(p):
     """Vertex sets: each connected block of quantified vertices plus the
     liberal vertices adjacent to it."""
@@ -809,28 +788,6 @@ def contract_graph(p):
     for comp in exists_components(p):
         result = result.with_clique(sorted(comp & lib))
     return Graph(frozenset(lib), result.edges)
-
-
-def strip_nonliberal_components(p):
-    """Drop every component that has no liberal vertex."""
-    kept = [c for c in components(p) if c.liberal]
-    if not kept:
-        raise SharpqError(
-            "all components are non-liberal; the empty query has no pair view"
-        )
-    universe = []
-    rels = {}
-    keep_elems = set()
-    for c in kept:
-        keep_elems |= set(c.struct.universe)
-    for v in p.struct.universe:
-        if v in keep_elems:
-            universe.append(v)
-    for sym, tup in p.struct.all_facts():
-        if set(tup) <= keep_elems:
-            rels.setdefault(sym, set()).add(tup)
-    struct = make_structure(p.struct.sig, universe, rels)
-    return PpPair(struct=struct, liberal=tuple(v for v in p.liberal if v in keep_elems))
 
 
 def serialize_pair(p):

@@ -166,19 +166,19 @@ _UNIVERSE_LINE_RE = re.compile(r"universe((?: [^\s#]\S*)+)")
 # An element of a fact line the scan reads: no comma, newline or ')'. One with
 # a space or another line break in it is matched too, but is never in the
 # universe (its tokens hold no whitespace), so the universe lookup refuses it.
-_SCAN_ELEMENT = r"([^,\n)]+)"
+_SCAN_ELEMENT = r"[^,\n)]+"
 
 
 def _scan_canonical(text):
     """The Structure of a text in the canonical layout (what
     serialize_structure writes), or None for any other text.
 
-    One findall per declared relation reads its facts, over the span from
-    the first line of that relation to the end of its last one; the text is
-    canonical when together they match every fact line, and every element
-    matched is in the universe. A comment, a blank line, a space, CRLF, an
-    undeclared symbol or a wrong arity leaves a line unmatched. Every entry
-    of a fact is the universe's own element object.
+    One findall per declared relation reads its facts' entries, over the span
+    from the first line of that relation to the end of its last one; the
+    text is canonical when together they match every fact line, and every
+    element matched is in the universe. A comment, a blank line, a space,
+    CRLF, an undeclared symbol or a wrong arity leaves a line unmatched.
+    Every entry of a fact is the universe's own element object.
     """
     head = text.split("\n", 2)
     if len(head) < 3:
@@ -199,23 +199,26 @@ def _scan_canonical(text):
         return None
     found = [(name, arity, _scan_relation(block, name, arity)) for name, arity in symbols]
     n_lines = block.count("\n") + (block[-1:] not in ("", "\n"))
-    if sum(len(rows) for _, _, rows in found) != n_lines:
+    if sum(len(entries) // arity for _, arity, entries in found) != n_lines:
         return None
     relations = {}
     try:
-        for name, arity, rows in found:
-            if rows:
-                # a pattern with one group finds bare strings, not 1-tuples
-                columns = (rows,) if arity == 1 else zip(*rows)
-                relations[name] = frozenset(zip(*[map(canon.__getitem__, c) for c in columns]))
+        for name, arity, entries in found:
+            if entries:
+                # `arity` references to one iterator: each fact takes the next entries
+                elements = map(canon.__getitem__, entries)
+                relations[name] = frozenset(zip(*[elements] * arity))
     except KeyError:  # an element not in the universe
         return None
     return _unchecked_structure(Signature(symbols), universe, relations)
 
 
 def _scan_relation(block, name, arity):
-    """The match tuples of every `name(e1,...,ek)` line of block, searched
-    only from the start of its first such line to the end of its last."""
+    """The entries of every `name(e1,...,ek)` line of block, in line order,
+    searched only from the start of its first such line to the end of its
+    last. One findall reads each fact's argument list as one string; each
+    holds exactly `arity` comma-free elements, so joining the lists and
+    splitting on ',' keeps every entry in its own fact."""
     opener = name + "("
     if block.startswith(opener):
         start = 0
@@ -223,8 +226,9 @@ def _scan_relation(block, name, arity):
         return []
     last = block.rfind("\n" + opener) + 1 or start
     end = block.find("\n", last)
-    pattern = re.compile(rf"^{name}\({','.join([_SCAN_ELEMENT] * arity)}\)$", re.M)
-    return pattern.findall(block, start, len(block) if end < 0 else end)
+    pattern = re.compile(rf"^{name}\(({','.join([_SCAN_ELEMENT] * arity)})\)$", re.M)
+    found = pattern.findall(block, start, len(block) if end < 0 else end)
+    return ",".join(found).split(",") if found else []
 
 
 def _parse_lines(text):

@@ -8,13 +8,19 @@ the formula's free variables; its cost is governed by the formula's width.
 
 Kernel invariants: a row tuple's entries follow its table's `explicit`
 columns, and row sets are never mutated (an atom with distinct arguments
-aliases the structure's frozenset). Binders are projected inside the join
-that consumes them. A join groups each side by the shared key into sets of
-the side's parts and emits, per common key, the union of one side's groups
+aliases the structure's frozenset). A table of one column built by an atom
+projection or a semijoin holds its distinct bare values (_Column), not
+1-tuples; only a consumer that needs row tuples builds them (_rows), and a
+semijoin keyed on that column never does. Binders are projected inside the
+join that consumes them. A join groups each side by the shared key into
+sets of the side's parts (bare values for a semijoin's kept side of one
+column) and emits, per common key, the union of one side's groups
 when the other contributes no column, else their product; the grouping of a
 fact set is memoised for one evaluation and shared by its atoms, casts and
-terms. When every column of a cast is summed and its ep is a conjunction
-under an exists chain, that last join is counted, never built.
+terms. A product join's row set carries the two groupings it multiplied
+(_Rows), so a join keyed on the same shared columns regroups it per key,
+never row by row. When every column of a cast is summed and its ep is a
+conjunction under an exists chain, that last join is counted, never built.
 `stats["peak_rows"]` is the largest table actually materialised; `max_rows`
 caps every such table as it grows, so it no longer sees counted answers.
 """
@@ -502,7 +508,14 @@ def _part_of(explicit, part):
     return _row_of([explicit.index(v) for v in part])
 
 
-_JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 at1 at2")
+_JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 at1 at2 one1 handoff")
+
+
+def _bare(positions):
+    """Getter of the one entry at `positions`, or None for any other number
+    of positions: a table of one column is projected, grouped and united as
+    bare values."""
+    return itemgetter(*positions) if len(positions) == 1 else None
 
 
 @lru_cache(maxsize=1024)
@@ -515,6 +528,10 @@ def _join_plan(ex1, ex2, drop):
     keys, out1/out2 the part of the output row each side contributes, and
     at1/at2 the (key, part) positions that name a side's grouping in the
     index memo; a side whose part positions are empty contributes no column.
+    one1 gets side 1's part as a bare value when it is one column (else
+    None). When every shared column is kept, `handoff` holds their positions
+    in the output, where a consumer keying on them finds the join's groups;
+    otherwise it is None.
     """
     shared = [v for v in ex1 if v in ex2]
     own1 = tuple(v for v in ex1 if v not in drop)
@@ -525,7 +542,64 @@ def _join_plan(ex1, ex2, drop):
     ]
     key1, key2 = [_key_of(list(at[0])) for at in (at1, at2)]
     out1, out2 = [_row_of(list(at[1])) for at in (at1, at2)]
-    return _JoinPlan(own1 + own2, key1, key2, out1, out2, at1, at2)
+    handoff = None if drop.intersection(shared) else tuple(map(own1.index, shared))
+    return _JoinPlan(own1 + own2, key1, key2, out1, out2, at1, at2, _bare(at1[1]), handoff)
+
+
+class _Rows(set):
+    """The row set of a product join, carrying the join's plan and the two
+    sides' {key: parts} groups, whose per-key products are the rows. The
+    groups live exactly as long as the table does."""
+
+    __slots__ = ("plan", "groups")
+
+    def regroup(self, part_at):
+        """The rows grouped by the join's shared columns into their parts at
+        `part_at`, per key from the sides' groups: a projection of one key's
+        product is the product of its sides' projections."""
+        g1, g2 = self.groups
+        part1, part2 = _split_part(len(self.plan.at1[1]), len(self.plan.at2[1]), part_at)
+        return {
+            k: set(starmap(add, product(
+                g1[k] if part1 is None else set(map(part1, g1[k])),
+                g2[k] if part2 is None else set(map(part2, g2[k])),
+            )))
+            for k in g1.keys() & g2.keys()
+        }
+
+
+@lru_cache(maxsize=1024)
+def _split_part(width1, width2, part_at):
+    """For rows whose first width1 entries come from side 1 and the next
+    width2 from side 2: builders of the entries at `part_at` that each
+    side's part holds, None for a side whose part is taken whole."""
+    at1 = [p for p in part_at if p < width1]
+    at2 = [p - width1 for p in part_at if p >= width1]
+    return tuple(
+        None if at == list(range(width)) else _row_of(at)
+        for at, width in ((at1, width1), (at2, width2))
+    )
+
+
+class _Column(set):
+    """The rows of a one-column table as its distinct bare values, not
+    1-tuples. A semijoin keyed on the column takes them as its keys; every
+    other consumer turns them into rows with _rows."""
+
+    __slots__ = ()
+
+
+def _rows(rows):
+    """A table's set of row tuples."""
+    return set(zip(rows)) if type(rows) is _Column else rows
+
+
+def _group(rows, key, part):
+    """{key(r): set of part(r)} over rows, one Python step per row."""
+    groups = defaultdict(set)
+    for r in rows:
+        groups[key(r)].add(part(r))
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +609,11 @@ def _join_plan(ex1, ex2, drop):
 
 class _Evaluator:
     """Table evaluation in one fold, under the kernel invariants above. Every
-    node yields (columns, rows): a set of rows for an ep formula, a dict of
-    nonzero counts for a counting formula, and a row count for a cast that
-    is only counted. A variable of a node's free set that is not a column is
-    one its value does not depend on.
+    node yields (columns, rows): a set of rows for an ep formula (a _Column
+    of bare values when it has one column), a dict of nonzero counts for a
+    counting formula, and a row count for a cast that is only counted. A
+    variable of a node's free set that is not a column is one its value does
+    not depend on.
 
     The fold's context: an ep node's is (drop, count), `drop` the variables
     bound above it that occur, free in it, nowhere else under their binder,
@@ -615,23 +690,28 @@ class _Evaluator:
         drop, count = ctx
         args = f.args
         facts = self.b.tuples(f.symbol)
-        explicit = tuple(v for v in dict.fromkeys(args) if v not in drop)
+        explicit = tuple([v for v in dict.fromkeys(args) if v not in drop])
         if explicit == args:
             rows = facts
         else:
+            positions = [args.index(v) for v in explicit]
             same = [(args.index(v), i) for i, v in enumerate(args) if args.index(v) != i]
-            build = _row_of([args.index(v) for v in explicit])
             if same:
+                build = _row_of(positions)
                 rows = {build(t) for t in facts if all(t[i] == t[j] for i, j in same)}
+            elif (one := _bare(positions)) is not None:
+                rows = _Column(map(one, facts))
             else:
-                rows = set(map(build, facts))
+                rows = set(map(_row_of(positions), facts))
         self._note(len(rows))
         return explicit, len(rows) if count else rows
 
     def _or(self, f, ctx, s1, s2):
         (ex1, rows1), (ex2, rows2) = s1, s2
         explicit = tuple(dict.fromkeys(ex1 + ex2))
-        rows = self._sat_expand(ex1, rows1, explicit) | self._sat_expand(ex2, rows2, explicit)
+        rows = self._sat_expand(ex1, _rows(rows1), explicit) | self._sat_expand(
+            ex2, _rows(rows2), explicit
+        )
         self._note(len(rows))
         return explicit, len(rows) if ctx[1] else rows
 
@@ -644,17 +724,20 @@ class _Evaluator:
         fills, build = _widen(explicit, target, self.b.universe)
         return {build(r + fill) for r in rows for fill in fills}
 
-    def _groups(self, rows, key, out, at):
-        """{shared key: set of the side's parts}. A structure's own fact set
-        is grouped once per evaluation: the memo key is its relation and `at`."""
+    def _groups(self, rows, key, out, at, bare=False):
+        """{shared key: set of the side's parts out(r)}, bare values when
+        `bare`. A structure's own fact set is grouped once per evaluation:
+        the memo key is its relation, `at` and `bare`. A product join's rows
+        keyed on the join's own shared columns are regrouped per key from the
+        groups they carry, not row by row."""
+        if not bare and type(rows) is _Rows and rows.plan.handoff == at[0]:
+            return rows.regroup(at[1])
         name = self._relation.get(id(rows))
-        groups = self._index.get((name, at))
+        if name is None:
+            return _group(rows, key, out)
+        groups = self._index.get((name, at, bare))
         if groups is None:
-            groups = defaultdict(set)
-            for r in rows:
-                groups[key(r)].add(out(r))
-            if name is not None:
-                self._index[name, at] = groups
+            groups = self._index[name, at, bare] = _group(rows, key, out)
         return groups
 
     def _sat_join(self, s1, s2, drop, count=False):
@@ -671,14 +754,19 @@ class _Evaluator:
         if not rows1 or not rows2:
             rows = set()
         elif not plan.at2[1]:
-            g1 = self._groups(rows1, plan.key1, plan.out1, plan.at1)
-            rows = set().union(*[g1[k] for k in set(map(plan.key2, rows2)) if k in g1])
+            one = plan.one1
+            g1 = self._groups(_rows(rows1), plan.key1, one or plan.out1, plan.at1, one is not None)
+            # a side drops its unshared binders itself, so a _Column's column is the key
+            keys = rows2 if type(rows2) is _Column else set(map(plan.key2, rows2))
+            rows = set() if one is None else _Column()
+            rows.update(*[g1[k] for k in keys if k in g1])
         else:
-            g1 = self._groups(rows1, plan.key1, plan.out1, plan.at1)
-            g2 = self._groups(rows2, plan.key2, plan.out2, plan.at2)
+            g1 = self._groups(_rows(rows1), plan.key1, plan.out1, plan.at1)
+            g2 = self._groups(_rows(rows2), plan.key2, plan.out2, plan.at2)
             if count:
                 return plan.explicit, _count_pairs(g1, g2)
-            rows = set()
+            rows = _Rows()
+            rows.plan, rows.groups = plan, (g1, g2)
             for k in g1.keys() & g2.keys():
                 # checked as the rows grow; the parts of one key form distinct rows
                 if max(len(rows), len(g1[k]) * len(g2[k])) > self.max_rows:
@@ -692,7 +780,7 @@ class _Evaluator:
     def _cast(self, f, count, s):
         explicit, rows = s
         # counted, the row count goes up to the projection above
-        return s if count else (explicit, dict.fromkeys(rows, 1))
+        return s if count else (explicit, dict.fromkeys(_rows(rows), 1))
 
     def _project(self, f, inner, value):
         """A chain of projections summed out in one pass, at its top; the
@@ -726,7 +814,7 @@ class _Evaluator:
         (ex1, d1), (ex2, d2) = t1, t2
         explicit, rows = self._sat_join((ex1, d1.keys()), (ex2, d2.keys()), frozenset())
         at1, at2 = _part_of(explicit, ex1), _part_of(explicit, ex2)
-        return explicit, {r: d1[at1(r)] * d2[at2(r)] for r in rows}
+        return explicit, {r: d1[at1(r)] * d2[at2(r)] for r in _rows(rows)}
 
     def _plus(self, f, ctx, t1, t2):
         (ex1, d1), (ex2, d2) = t1, t2

@@ -30,7 +30,6 @@ from sharpq.compilepipe import (
 from sharpq.decomp import compute_qaw, exact_treewidth
 from sharpq.epquery import (
     PpPair,
-    components,
     contract_graph,
     oracle_count,
     pair_to_pp,
@@ -68,6 +67,7 @@ from tests.conftest import (
     three_block_pair,
     triangle_structure,
 )
+from tests.helpers import components
 
 SEED = 20260819
 

@@ -17,7 +17,6 @@ from sharpq.compilepipe import (
     canonical_lc,
     cast_ep,
     flatten,
-    lc_evaluate,
     minimize_ep,
     minimize_pp,
     pp_to_basic_sharp,
@@ -82,6 +81,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
+from tests.helpers import lc_evaluate
 from tests.test_sharpcore import _random_sharp
 
 SIG_E = Signature((("E", 2),))

@@ -15,7 +15,6 @@ from sharpq.epquery import (
     Or,
     PpPair,
     Top,
-    components,
     contract_graph,
     exists_components,
     free_variables,
@@ -26,7 +25,6 @@ from sharpq.epquery import (
     primal_graph,
     serialize_pair,
     serialize_query,
-    strip_nonliberal_components,
     subformulas,
     to_dnf_pp,
 )
@@ -42,6 +40,7 @@ from tests.conftest import (
     random_structure,
     triangle_structure,
 )
+from tests.helpers import components, strip_nonliberal_components
 
 # ---------------------------------------------------------------------------
 # parsing

@@ -286,6 +286,39 @@ def test_scan_and_line_loop_agree_on_other_texts(text, canonical):
     assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text)
 
 
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        # a relation's argument lists are joined and split on ','; each
+        # list must still give exactly the entries of its own fact
+        ("signature E/2\nuniverse a b c d\nE(a,b,c)\nE(d)\n", False),
+        ("signature E/2\nuniverse a b c d\nE(d)\nE(a,b,c)\n", False),
+        ("signature E/2\nuniverse a,b c d\nE(a,b,c)\nE(d)\n", False),
+        ("signature E/2\nuniverse a,b c\nE(a,b,c)\n", False),
+        ("signature E/2\nuniverse a b c d\nE(a,b)\nE(c,d,a)\n", False),
+        ("signature E/2\nuniverse a b c d\nE(a,b\nc,d)\n", False),
+        ("signature E/2\nuniverse a b c d\nE(a,b),E(c,d)\n", False),
+        ("signature E/2\nuniverse a( b c d\nE(a(,b)\nE(c,d)\n", True),
+        ("signature E/2\nuniverse a( b c d\nE(a(,b,c)\nE(d)\n", False),
+        ("signature E/2\nuniverse (a b c d\nE((a,b)\nE(c)\n", False),
+        ("signature E/2\nuniverse a) b c d\nE(a),b,c)\nE(d)\n", False),
+        ("signature E/2\nuniverse a b) c d\nE(a,b),c)\nE(d)\n", False),
+        ("signature E/2\nuniverse a b c d\nE(a,b)c,d)\n", False),
+        # prefix-sharing symbols interleaved, arity 1, no final newline
+        ("signature E/1 E2/2\nuniverse a b c\nE(a)\nE2(a,b)\nE(b)\nE2(b,c)\nE(c)", True),
+        ("signature E/1 E2/2\nuniverse a b c\nE2(a,b)\nE(a,b)\nE2(c)\nE(c)\n", False),
+        ("signature E/1 E2/2\nuniverse a b c\nE(a)\nE2(a,b,c)\nE(b)", False),
+        ("signature E/2 E2/1\nuniverse a b\nE2(a)\nE(a,b)\nE2(b)\nE(b,a)", True),
+        ("signature E/1\nuniverse a b\nE(a)\nE(b)", True),
+        ("signature E/1\nuniverse a b\nE(a)\nE(a,b)", False),
+        ("signature E/1\nuniverse a,b\nE(a,b)", False),
+    ],
+)
+def test_scan_keeps_each_entry_in_its_own_fact(text, canonical):
+    assert (relstore._scan_canonical(text) is not None) == canonical
+    assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text)
+
+
 def test_canonical_text_never_reaches_the_line_loop(monkeypatch, rng):
     def refuse(text):
         raise AssertionError("the line loop read a canonical text")

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import sys
+from collections import defaultdict
 
 import pytest
 
@@ -780,3 +781,97 @@ def test_counted_star_materialises_only_the_inner_join():
     with pytest.raises(CapExceeded, match=r"^table would hold more than 8 rows$"):
         eval_sentence(_star3_sentence(), _hub_structure([3]), max_rows=8)
     assert eval_sentence(_star3_sentence(), _hub_structure([3]), max_rows=9) == 27
+
+
+def _random_tree_query(rng, shape):
+    """A conjunctive query whose atoms form a path, a star (hub x0) or a
+    random tree over x0..x{n-1}, each edge E or F in a random direction, with
+    one to three liberal variables and the rest bound."""
+    n = rng.randint(2, 6)
+    names = [f"x{i}" for i in range(n)]
+    atoms = []
+    for i in range(1, n):
+        j = {"path": i - 1, "star": 0}.get(shape, rng.randrange(i))
+        ends = (names[j], names[i]) if rng.random() < 0.5 else (names[i], names[j])
+        atoms.append(f"{rng.choice('EF')}({ends[0]},{ends[1]})")
+    liberal = sorted(rng.sample(names, rng.randint(1, min(3, n))))
+    prefix = "".join(f"exists {v} . " for v in names if v not in liberal)
+    return parse_query(f"query t({','.join(liberal)}): {prefix}{' & '.join(atoms)}\n")
+
+
+def test_bare_value_joins_match_the_tuple_joins_and_the_oracle(monkeypatch):
+    # one-column tables are projected, grouped and united as bare values;
+    # with _bare refusing every column the same formulas run on 1-tuples
+    real_bare = sharpcore._bare
+    bare_used = []
+
+    def recording_bare(positions):
+        one = real_bare(positions)
+        bare_used.append(one is not None)
+        return one
+
+    def tables_and_counts(q, b, bare):
+        # a cached join plan holds the getter _bare gave it
+        sharpcore._join_plan.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(sharpcore, "_bare", bare)
+            # the flat prefix form and the compiled one, binders nested
+            sentences = [naive_representation(q), minimize_ep(q)[0]]
+            table = evaluate(Cast(q.formula, q.liberal), b)
+            counts = [eval_sentence(s, b) for s in sentences]
+        sharpcore._join_plan.cache_clear()
+        return table, counts
+
+    rng = random.Random(1414)
+    for shape in ("path", "star", "tree") * 40:
+        q = _random_tree_query(rng, shape)
+        b = random_structure(rng, SIG_EF, max_size=4, density=0.35)
+        table, counts = tables_and_counts(q, b, recording_bare)
+        assert (table, counts) == tables_and_counts(q, b, lambda positions: None), render_ep(q.formula)
+        assert counts == [oracle_count(q, b)] * 2
+        assert len(table.sorted_rows()) == counts[0]
+    assert sum(bare_used) > 150
+
+
+def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch):
+    # the inner join E(a,h) & E(b,h) hands its groups by h to the root join,
+    # which keys on h too: only the relation itself is grouped row by row
+    grouped = []
+    group = sharpcore._group
+
+    def spy(rows, key, part):
+        grouped.append(len(rows))
+        return group(rows, key, part)
+
+    monkeypatch.setattr(sharpcore, "_group", spy)
+    rng = random.Random(1515)
+    edges = {(f"v{rng.randrange(40)}", f"v{rng.randrange(40)}") for _ in range(300)}
+    b = make_structure(Signature((("E", 2),)), sorted({v for e in edges for v in e}), {"E": edges})
+    spokes = defaultdict(set)
+    for a, h in edges:
+        spokes[h].add(a)
+    answers = set().union(*(itertools.product(s, s, s) for s in spokes.values()))
+    stats = {}
+    assert eval_sentence(_star3_sentence(), b, stats=stats) == len(answers)
+    assert stats["peak_rows"] > len(edges)  # the inner join's table, never regrouped
+    assert grouped and max(grouped) <= len(edges)
+
+
+def test_a_product_join_regroups_like_its_rows():
+    # the groups a product join hands on, projected to any part, equal the
+    # grouping of its rows by the shared columns, one row at a time
+    rng = random.Random(1616)
+    evaluator = sharpcore._Evaluator(10**7, None)
+    evaluator.eval(parse_sharp("P{x} C[E(x,x); {x}]"), triangle_structure())
+    cols1, cols2 = ("a", "h", "k"), ("h", "b", "k", "c")
+    for _ in range(30):
+        rows1, rows2 = [
+            {tuple(rng.choice("pqr") for _ in cols) for _ in range(rng.randint(1, 12))}
+            for cols in (cols1, cols2)
+        ]
+        explicit, rows = evaluator._sat_join((cols1, rows1), (cols2, rows2), frozenset())
+        key = sharpcore._key_of(list(rows.plan.handoff))
+        for n in range(len(explicit) + 1):
+            for part_at in itertools.combinations(range(len(explicit)), n):
+                expected = sharpcore._group(rows, key, sharpcore._row_of(list(part_at)))
+                assert rows.regroup(part_at) == expected, (rows, part_at)
