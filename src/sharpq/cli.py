@@ -85,10 +85,13 @@ def _compiled_sentence(q, args):
     cast is no wider than its widest disjunct core counts through that cast,
     one table union instead of 2^k - 1 inclusion-exclusion terms. Otherwise
     the width-minimal representation when feasible; when a cap trips inside
-    the core/canonicalization stage, fall back to the per-term decomposition
-    route, which never searches for endomorphisms. Caps that both routes
-    share (DNF, inclusion-exclusion terms, treewidth) re-raise from the
-    fallback."""
+    it, fall back to the per-term decomposition route, which never searches
+    for endomorphisms. minimize_ep drops disjuncts contained in another
+    before counting inclusion-exclusion terms, but the fallback flattens the
+    whole query: a query whose terms fit only after the drop is answered by
+    minimize_ep, and when minimize_ep then trips a core or canonicalization
+    cap, the fallback reports the whole query's term count. The DNF and
+    treewidth caps re-raise from the fallback."""
     union = table_union_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
     if union is not None:
         return union

@@ -5,8 +5,7 @@ basic counting sentence whose width matches the quantifier-aware width of its
 core (minimize_pp), and a general query becomes a sum of such sentences with
 integer coefficients (minimize_ep). Backward: any counting sentence is
 normalized into a canonical linear combination of pairs (flatten +
-canonical_lc), which is the engine behind equality-of-representations checks
-and reduce_to_basic.
+canonical_lc), which is the engine behind equality-of-representations checks.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from .epquery import (
     subformulas,
     to_dnf_pp,
 )
-from .equiv import align_via_renaming, check_core_cap, core_of
+from .equiv import check_core_cap, core_of
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import Signature, make_structure, merge_signatures
+from .relstore import Signature, make_structure, search_homomorphisms
 from .sharpcore import (
     _EP_NODES,
     Cast,
@@ -60,7 +59,6 @@ from .sharpcore import (
     Times,
     _require_sentence,
     _require_valid,
-    check_represents,
     naive_representation,
     validate,
     width,
@@ -419,14 +417,19 @@ def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
     naive = naive_representation(q)
     qaws = {}
     try:
-        for d in to_dnf_pp(q, max_disjuncts=max_dnf):
-            pair = _fold_quantified(pp_to_pair(d))
+        for pair in _folded_disjuncts(q, max_dnf)[1]:
             shape = _shape(pair)
             if shape not in qaws:
                 qaws[shape] = compute_qaw(core_of(pair, cap=core_cap), cap=tw_cap)[0]
     except CapExceeded:
         return None
     return naive if width(naive) <= max(qaws.values()) else None
+
+
+def _folded_disjuncts(q, max_dnf):
+    """q's DNF disjuncts (capped by max_dnf) and their folded pairs."""
+    disjuncts = to_dnf_pp(q, max_disjuncts=max_dnf)
+    return disjuncts, [_fold_quantified(pp_to_pair(d)) for d in disjuncts]
 
 
 def _shape(p):
@@ -724,7 +727,7 @@ def _read_constant(const):
 
 
 # ---------------------------------------------------------------------------
-# reduce_to_basic and minimize_ep
+# minimize_ep
 # ---------------------------------------------------------------------------
 
 
@@ -749,35 +752,6 @@ def _seeded_structures(sig, count=20, max_size=3, seed=0):
     return out
 
 
-def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24):
-    """Turn any representation of a disjunction-free query into a basic one
-    without increasing width or #-width.
-
-    The input is first checked against the query's oracle on sample
-    structures, then normalized to a canonical linear combination; a
-    representation of a disjunction-free query normalizes to a single
-    coefficient-1 term, whose pair is aligned back onto the query's variables
-    and recompiled along a width-minimal quantifier-aware decomposition."""
-    if samples is None:
-        sig = merge_signatures(q.sig, _infer_signature(f))
-        samples = _seeded_structures(sig)
-    ok, counterexample = check_represents(f, q, samples)
-    if not ok:
-        raise SharpqError(
-            "the formula does not represent the query: counts differ on a "
-            f"{len(counterexample.universe)}-element sample structure"
-        )
-    lc = canonical_lc(flatten(f, max_dnf=max_dnf), core_cap=core_cap)
-    if len(lc.entries) != 1 or lc.entries[0][0] != 1:
-        raise SharpqError(
-            "canonical form is not a single unit term; the sentence does not "
-            "represent a disjunction-free query"
-        )
-    aligned = align_via_renaming(pp_to_pair(q), lc.entries[0][1])
-    _, td = compute_qaw(aligned, cap=tw_cap)
-    return pp_to_basic_sharp(aligned, td)
-
-
 def compile_flat(fs, *, tw_cap=24):
     """Decomposition-guided compilation of a flat sentence, term by term,
     without core minimization: each basic part is read back as a pair and
@@ -792,15 +766,55 @@ def compile_flat(fs, *, tw_cap=24):
     return _compile_terms(((c, basic_sharp_to_pp(basic)) for c, basic in fs.terms), tw_cap)
 
 
+def _drop_contained(q, *, max_dnf, core_cap):
+    """q with every DNF disjunct dropped whose answers lie inside another
+    disjunct's; q itself when none is.
+
+    Disjunct j contains disjunct i when j's folded pair maps into i's with
+    the liberal elements fixed (Sagiv & Yannakakis); among equivalent
+    disjuncts the first is kept. The union of the kept disjuncts has the same
+    answers as q, so its canonical linear combination is q's: the dropped
+    disjuncts' inclusion-exclusion terms all cancel. Only disjuncts whose
+    folded pairs are within core_cap are compared, and only when the k(k-1)
+    searches are within max_dnf; a symbol with facts in j but none in i
+    settles a comparison without a search."""
+    if not _has_or(q.formula):
+        return q
+    disjuncts, pairs = _folded_disjuncts(q, max_dnf)
+    k = len(disjuncts)
+    if k * (k - 1) > max_dnf:
+        return q
+    pin = {e: e for e in q.liberal}
+
+    def contains(j, i):
+        a, b = pairs[j].struct, pairs[i].struct
+        if max(len(a.universe), len(b.universe)) > core_cap:
+            return False
+        if any(a.tuples(name) and not b.tuples(name) for name in a.sig.names()):
+            return False
+        return bool(search_homomorphisms(a, b, pin, first=True))
+
+    kept = []
+    for i in range(k):
+        if not any(contains(j, i) for j in kept):
+            kept = [j for j in kept if not contains(i, j)] + [i]
+    if len(kept) == k:
+        return q
+    formula = reduce(Or, [disjuncts[i].formula for i in kept])
+    return LiberalQuery(name=q.name, formula=formula, liberal=q.liberal, sig=q.sig)
+
+
 def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
     """Width-minimal representation of an arbitrary query.
 
-    The naive representation is flattened and canonicalized; every term of
-    the canonical linear combination is compiled along a width-minimal
-    quantifier-aware decomposition of its (already cored) pair; the terms are
-    renamed apart and reassembled as sum of Const(c_i) * sentence_i. Returns
-    (formula, width) with width the maximum term width."""
-    f = naive_representation(q)
+    DNF disjuncts contained in another disjunct are dropped first, since
+    their inclusion-exclusion terms cancel. The naive representation of the
+    rest is flattened and canonicalized; every term of the canonical linear
+    combination is compiled along a width-minimal quantifier-aware
+    decomposition of its (already cored) pair; the terms are renamed apart
+    and reassembled as sum of Const(c_i) * sentence_i. Returns (formula,
+    width) with width the maximum term width."""
+    f = naive_representation(_drop_contained(q, max_dnf=max_dnf, core_cap=core_cap))
     lc = canonical_lc(
         flatten(f, max_dnf=max_dnf), core_cap=core_cap, canon_cap=canon_cap
     )

@@ -1,4 +1,4 @@
-"""Equivalence of pairs: cores, logical and counting equivalence, alignment.
+"""Equivalence of pairs: cores, logical and counting equivalence.
 
 Two pairs with the same liberal elements are logically equivalent iff
 homomorphisms exist in both directions fixing the liberal elements pointwise.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
 from .relstore import make_structure, merge_signatures, search_homomorphisms
-from .epquery import PpPair, primal_graph
+from .epquery import PpPair
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,33 @@ def core_of(p, cap=12):
     """Smallest induced substructure the pair retracts onto fixing its
     liberal elements, with the lexicographically least image (in universe
     order) among minimum-size images. Idempotent; preserves the liberal tuple.
+
+    The core is found by retraction: each quantified element is tried once,
+    and the current substructure shrinks to the image of a homomorphism into
+    itself minus that element, liberal elements fixed, when there is one. An
+    element that cannot go now cannot go later either, since every later
+    substructure is a retract of the current one; so one pass ends at a core
+    after at most one search per quantified element. The images of the
+    core's size are then tried in itertools.combinations order.
     """
     check_core_cap(p, cap)
     universe = p.struct.universe
-    n = len(universe)
     lib = p.liberal_set
-    lib_positions = {i for i, e in enumerate(universe) if e in lib}
     pin = {e: e for e in universe if e in lib}
-    for k in range(max(1, len(lib)), n + 1):
-        for positions in itertools.combinations(range(n), k):
-            if not lib_positions <= set(positions):
-                continue
-            image = [universe[i] for i in positions]
-            target = _induced(p.struct, image)
-            if _find_hom(p.struct, target, pin) is not None:
-                return PpPair(struct=target, liberal=p.liberal)
-    raise InternalInvariant("core search exhausted without finding the identity")
+    core = p.struct
+    for e in universe:
+        if e in lib or e not in core.universe or len(core.universe) == 1:
+            continue
+        h = _find_hom(core, _induced(core, set(core.universe) - {e}), pin)
+        if h is not None:
+            core = _induced(core, h.values())
+    for image in itertools.combinations(universe, len(core.universe)):
+        if not lib <= set(image):
+            continue
+        target = _induced(p.struct, image)
+        if _find_hom(core, target, pin) is not None:
+            return PpPair(struct=target, liberal=p.liberal)
+    raise InternalInvariant("core search found no image of the core's size")
 
 
 # ---------------------------------------------------------------------------
@@ -158,48 +169,3 @@ def counting_equivalent(p1, p2, cap=10**6):
     if bwd is None:
         return False, None
     return True, EquivalenceWitness(kind="counting", forward=fwd, backward=bwd)
-
-
-# ---------------------------------------------------------------------------
-# Alignment
-# ---------------------------------------------------------------------------
-
-
-def align_via_renaming(target, source):
-    """Rename source's elements so its liberal set becomes target's (via a
-    witnessing bijection) and the result is logically equivalent to target.
-
-    The renaming is a bijection on source's universe, so the primal graph and
-    every decomposition-derived quantity of source are preserved.
-    """
-    ok, witness = counting_equivalent(target, source)
-    if not ok:
-        raise SharpqError("pairs are not counting equivalent; cannot align")
-    rho = {e: witness.backward[e] for e in source.liberal}
-    taken = set(rho.values())
-    renaming = dict(rho)
-    for e in source.struct.universe:
-        if e in renaming:
-            continue
-        candidate = e
-        i = 0
-        while candidate in taken:
-            i += 1
-            candidate = f"{e}${i}"
-        renaming[e] = candidate
-        taken.add(candidate)
-    struct = make_structure(
-        source.struct.sig,
-        [renaming[e] for e in source.struct.universe],
-        {
-            name: [tuple(renaming[x] for x in t) for t in source.struct.tuples(name)]
-            for name in source.struct.sig.names()
-        },
-    )
-    aligned = PpPair(struct=struct, liberal=tuple(renaming[e] for e in source.liberal))
-    ok, _ = logically_equivalent(target, aligned)
-    if not ok:
-        raise InternalInvariant("aligned pair failed the logical-equivalence check")
-    if len(primal_graph(aligned).edges) != len(primal_graph(source).edges):
-        raise InternalInvariant("alignment changed the primal graph")
-    return aligned

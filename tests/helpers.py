@@ -1,12 +1,35 @@
 """Library functions that only the tests use: decomposition checks, the
-component split of a pair, and the evaluation of a linear combination."""
+component split of a pair, the evaluation of a linear combination, the
+exhaustive core search, alignment by renaming, and reduce_to_basic."""
 
-from sharpq.compilepipe import pp_to_basic_sharp
+import itertools
+
+from sharpq.compilepipe import (
+    _seeded_structures,
+    canonical_lc,
+    flatten,
+    pp_to_basic_sharp,
+)
 from sharpq.decomp import compute_qaw, exact_treewidth, validate_td
-from sharpq.epquery import PpPair, contract_graph, oracle_count, pair_to_pp, primal_graph
-from sharpq.errors import EngineDisagreement, SharpqError
-from sharpq.relstore import make_structure
-from sharpq.sharpcore import eval_sentence
+from sharpq.epquery import (
+    PpPair,
+    _infer_signature,
+    contract_graph,
+    oracle_count,
+    pair_to_pp,
+    pp_to_pair,
+    primal_graph,
+)
+from sharpq.equiv import (
+    _find_hom,
+    _induced,
+    check_core_cap,
+    counting_equivalent,
+    logically_equivalent,
+)
+from sharpq.errors import EngineDisagreement, InternalInvariant, SharpqError
+from sharpq.relstore import make_structure, merge_signatures
+from sharpq.sharpcore import check_represents, eval_sentence
 
 
 def validate_nice(ntd, g):
@@ -105,3 +128,94 @@ def lc_evaluate(lc, b, engine="compiled", *, max_rows=10**7, tw_cap=24):
             )
         total += coeff * (compiled if compiled is not None else oracle)
     return total
+
+
+def reference_core_of(p, cap=12):
+    """The exhaustive core search: the first image, over every size from |L|
+    upward and in itertools.combinations order within a size, that the pair
+    maps into with its liberal elements fixed. equiv.core_of must return the
+    same pair."""
+    check_core_cap(p, cap)
+    universe = p.struct.universe
+    n = len(universe)
+    lib = p.liberal_set
+    lib_positions = {i for i, e in enumerate(universe) if e in lib}
+    pin = {e: e for e in universe if e in lib}
+    for k in range(max(1, len(lib)), n + 1):
+        for positions in itertools.combinations(range(n), k):
+            if not lib_positions <= set(positions):
+                continue
+            image = [universe[i] for i in positions]
+            target = _induced(p.struct, image)
+            if _find_hom(p.struct, target, pin) is not None:
+                return PpPair(struct=target, liberal=p.liberal)
+    raise InternalInvariant("core search exhausted without finding the identity")
+
+
+def align_via_renaming(target, source):
+    """Rename source's elements so its liberal set becomes target's (via a
+    witnessing bijection) and the result is logically equivalent to target.
+
+    The renaming is a bijection on source's universe, so the primal graph and
+    every decomposition-derived quantity of source are preserved.
+    """
+    ok, witness = counting_equivalent(target, source)
+    if not ok:
+        raise SharpqError("pairs are not counting equivalent; cannot align")
+    rho = {e: witness.backward[e] for e in source.liberal}
+    taken = set(rho.values())
+    renaming = dict(rho)
+    for e in source.struct.universe:
+        if e in renaming:
+            continue
+        candidate = e
+        i = 0
+        while candidate in taken:
+            i += 1
+            candidate = f"{e}${i}"
+        renaming[e] = candidate
+        taken.add(candidate)
+    struct = make_structure(
+        source.struct.sig,
+        [renaming[e] for e in source.struct.universe],
+        {
+            name: [tuple(renaming[x] for x in t) for t in source.struct.tuples(name)]
+            for name in source.struct.sig.names()
+        },
+    )
+    aligned = PpPair(struct=struct, liberal=tuple(renaming[e] for e in source.liberal))
+    ok, _ = logically_equivalent(target, aligned)
+    if not ok:
+        raise InternalInvariant("aligned pair failed the logical-equivalence check")
+    if len(primal_graph(aligned).edges) != len(primal_graph(source).edges):
+        raise InternalInvariant("alignment changed the primal graph")
+    return aligned
+
+
+def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24):
+    """Turn any representation of a disjunction-free query into a basic one
+    without increasing width or #-width.
+
+    The input is first checked against the query's oracle on sample
+    structures, then normalized to a canonical linear combination; a
+    representation of a disjunction-free query normalizes to a single
+    coefficient-1 term, whose pair is aligned back onto the query's variables
+    and recompiled along a width-minimal quantifier-aware decomposition."""
+    if samples is None:
+        sig = merge_signatures(q.sig, _infer_signature(f))
+        samples = _seeded_structures(sig)
+    ok, counterexample = check_represents(f, q, samples)
+    if not ok:
+        raise SharpqError(
+            "the formula does not represent the query: counts differ on a "
+            f"{len(counterexample.universe)}-element sample structure"
+        )
+    lc = canonical_lc(flatten(f, max_dnf=max_dnf), core_cap=core_cap)
+    if len(lc.entries) != 1 or lc.entries[0][0] != 1:
+        raise SharpqError(
+            "canonical form is not a single unit term; the sentence does not "
+            "represent a disjunction-free query"
+        )
+    aligned = align_via_renaming(pp_to_pair(q), lc.entries[0][1])
+    _, td = compute_qaw(aligned, cap=tw_cap)
+    return pp_to_basic_sharp(aligned, td)

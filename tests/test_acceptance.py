@@ -25,7 +25,6 @@ from sharpq.compilepipe import (
     minimize_ep,
     minimize_pp,
     pp_to_basic_sharp,
-    reduce_to_basic,
 )
 from sharpq.decomp import compute_qaw, exact_treewidth
 from sharpq.epquery import (
@@ -67,7 +66,7 @@ from tests.conftest import (
     three_block_pair,
     triangle_structure,
 )
-from tests.helpers import components
+from tests.helpers import components, reduce_to_basic
 
 SEED = 20260819
 

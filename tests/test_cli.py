@@ -15,6 +15,7 @@ import sharpq.cli
 from sharpq.cli import main
 from sharpq.compilepipe import _seeded_structures, minimize_ep
 from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
+from sharpq.errors import CapExceeded
 from sharpq.relstore import serialize_structure
 from sharpq.sharpcore import check_represents, eval_sentence, parse_sharp, validate
 
@@ -539,6 +540,37 @@ def test_inclusion_exclusion_cap_exits_three_before_any_term(tmp_path, capsys):
         assert _run(capsys, cmd, "-q", q) == (
             3, "", "error: inclusion-exclusion over 20 disjuncts needs 1048575 > 4096 terms\n"
         )
+
+
+def test_count_caps_the_terms_left_after_dropping_contained_disjuncts(tmp_path, capsys):
+    # count's minimize_ep route drops the last disjunct, contained in A0(x),
+    # and needs 63 <= 100 terms instead of 127; the wide triangle keeps the
+    # table-union route out
+    d = _write(
+        tmp_path, "d.rel",
+        "signature A0/1 A1/1 A2/1 A3/1 A4/1 A5/1 B/1 E/2\n"
+        "universe a b c\nA0(a)\nA1(b)\nB(a)\nE(a,a)\nE(b,c)\n",
+    )
+    unary = " | ".join(f"A{i}(x)" for i in range(6))
+    q = _write(
+        tmp_path, "q.epq",
+        f"query q(x): {unary} | (A0(x) & "
+        "exists y . exists z . exists w . E(y,z) & E(z,w) & E(w,y) & E(y,y))\n",
+    )
+    assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100") == (0, "2\n", "")
+    # a kept 13-element path trips minimize_ep's core cap; the fallback
+    # flattens all 7 disjuncts and reports their 127 terms
+    path = " & ".join(
+        f"exists y{i} . E({'x' if i == 1 else f'y{i - 1}'},y{i})" for i in range(1, 13)
+    )
+    unary = " | ".join(f"A{i}(x)" for i in range(5))
+    text = f"query q(x): {unary} | ({path}) | (A0(x) & B(x))\n"
+    q = _write(tmp_path, "p.epq", text)
+    with pytest.raises(CapExceeded, match="core search limited to 12 elements"):
+        minimize_ep(parse_query(text), max_dnf=100)
+    assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100") == (
+        3, "", "error: inclusion-exclusion over 7 disjuncts needs 127 > 100 terms\n"
+    )
 
 
 def test_unknown_engine_rejected_by_parser(tmp_path):

@@ -20,7 +20,6 @@ from sharpq.compilepipe import (
     minimize_ep,
     minimize_pp,
     pp_to_basic_sharp,
-    reduce_to_basic,
     rewrite_width_bounded,
     table_union_sentence,
 )
@@ -81,7 +80,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
-from tests.helpers import lc_evaluate
+from tests.helpers import lc_evaluate, reduce_to_basic
 from tests.test_sharpcore import _random_sharp
 
 SIG_E = Signature((("E", 2),))
@@ -1154,6 +1153,70 @@ def test_minimize_ep_random_queries_match_oracle(rng):
             assert eval_sentence(f, b) == oracle_count(q, b)
         checked += 1
     assert checked == 30
+
+
+def test_minimize_ep_drops_contained_disjuncts_without_changing_its_output(rng, monkeypatch):
+    # the canonical linear combination is unique, so dropping disjuncts whose
+    # terms cancel must give the entries, and the sentence, of the unpruned
+    # inclusion-exclusion
+    lcs = []
+
+    def spy(*args, **kwargs):
+        lcs.append(canonical_lc(*args, **kwargs))
+        return lcs[-1]
+
+    monkeypatch.setattr(compilepipe, "canonical_lc", spy)
+    checked = pruned = 0
+    while checked < 200:
+        q = random_ep_query(rng, max_vars=6, max_atoms=6, max_disjunctions=3)
+        if not _has_or(q.formula):
+            continue
+        lcs.clear()
+        sentence, _ = minimize_ep(q)
+        want = canonical_lc(flatten(naive_representation(q)))
+        assert lcs[0].entries == want.entries
+        reference = (
+            compilepipe._compile_terms(((Const(c), pair) for c, pair in want.entries), 24)[0]
+            if want.entries else Const(0)
+        )
+        assert serialize_sharp(sentence) == serialize_sharp(reference)
+        checked += 1
+        pruned += compilepipe._drop_contained(q, max_dnf=4096, core_cap=12) is not q
+    assert pruned >= 50
+
+
+def test_minimize_ep_flattens_only_the_disjuncts_not_contained_in_another(rng, monkeypatch):
+    q = parse_query(
+        "query c(x): (exists y . E(x,y)) | "
+        "(exists y . (E(x,y) & exists z . exists w . E(y,z) & E(z,w) & E(w,y)))"
+    )
+    assert len(flatten(naive_representation(q)).terms) == 3
+    flattened = []
+    real = compilepipe.flatten
+
+    def spy(*args, **kwargs):
+        flattened.append(real(*args, **kwargs))
+        return flattened[-1]
+
+    monkeypatch.setattr(compilepipe, "flatten", spy)
+    sentence, w = minimize_ep(q)
+    assert [len(fs.terms) for fs in flattened] == [1]
+    assert w == 2
+    for _ in range(4):
+        b = random_structure(rng, q.sig, max_size=4)
+        assert eval_sentence(sentence, b) == oracle_count(q, b)
+
+
+def test_minimize_ep_caps_the_terms_left_after_dropping_contained_disjuncts():
+    # 7 disjuncts need 127 > 100 terms; without the contained last one, 63
+    q = parse_query(
+        "query q(x): A0(x) | A1(x) | A2(x) | A3(x) | A4(x) | A5(x) | (A0(x) & B(x))"
+    )
+    with pytest.raises(CapExceeded, match="127 > 100"):
+        flatten(naive_representation(q), max_dnf=100)
+    f, w = minimize_ep(q, max_dnf=100)
+    assert w == 1
+    assert len(flatten(f).terms) == 63
 
 
 def test_minimize_ep_respects_dnf_cap():

@@ -2,19 +2,16 @@
 
 import pytest
 
+from sharpq import equiv
 from sharpq.decomp import compute_qaw
 from sharpq.epquery import PpPair, oracle_count, pair_to_pp, parse_query, pp_to_pair
-from sharpq.equiv import (
-    align_via_renaming,
-    core_of,
-    counting_equivalent,
-    logically_equivalent,
-)
+from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure
 
 from tests.conftest import random_pp_pair, random_structure, rng as _rng  # noqa: F401
 from tests.conftest import SIG_E, triangle_structure
+from tests.helpers import align_via_renaming, reference_core_of
 
 
 def _pair(text):
@@ -89,6 +86,43 @@ def test_core_cap():
     big = make_structure(sig, [f"e{i}" for i in range(13)], {"E": set()})
     with pytest.raises(CapExceeded, match="12"):
         core_of(PpPair(struct=big, liberal=()))
+
+
+def test_core_of_matches_the_exhaustive_search(rng):
+    # random pairs, half of them with a random liberal subset (often empty)
+    no_liberal = 0
+    for i in range(1000):
+        p = random_pp_pair(rng, max_vars=10, max_atoms=10, max_arity=rng.randint(1, 3))
+        if i % 2:
+            universe = list(p.struct.universe)
+            liberal = rng.sample(universe, rng.randint(0, min(2, len(universe))))
+            p = PpPair(struct=p.struct, liberal=tuple(liberal))
+        no_liberal += not p.liberal
+        got, want = core_of(p), reference_core_of(p)
+        assert got.struct.universe == want.struct.universe
+        assert got.struct.relations == want.struct.relations
+        assert got.liberal == want.liberal
+    assert no_liberal >= 100
+
+
+def test_core_of_a_core_takes_one_search_per_quantified_element(monkeypatch):
+    # a directed path is a core; the exhaustive search tries all 2^11 images
+    # that contain x0
+    n = 12
+    atoms = " & ".join(f"E(x{i},x{i + 1})" for i in range(n - 1))
+    binders = " . ".join(f"exists x{i}" for i in range(1, n))
+    p = _pair(f"query q(x0): {binders} . {atoms}")
+    searches = []
+    real = equiv.search_homomorphisms
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(equiv, "search_homomorphisms", spy)
+    core = core_of(p)
+    assert core.struct == p.struct
+    assert len(searches) <= n - len(p.liberal) + 1
 
 
 # --- logical equivalence ------------------------------------------------------
