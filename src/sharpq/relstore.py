@@ -9,7 +9,7 @@ operations are pure functions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, SharpqError
 
@@ -58,37 +58,61 @@ def merge_signatures(*sigs):
     return Signature(tuple(sorted(arities.items())))
 
 
-@dataclass(frozen=True)
 class Structure:
     """A finite relational structure over a Signature.
 
     universe is ordered (first-appearance order from parsing); relations maps
-    each symbol name to a frozenset of element tuples.
+    each symbol name to a frozenset of element tuples. A structure read by
+    the canonical `.rel` scan holds each relation as its argument columns
+    instead (see columns()); its frozensets are built the first time
+    relations, tuples(), all_facts(), == or hash asks for them, and kept.
+    Immutable: the attributes cannot be set.
     """
 
-    sig: Signature
-    universe: tuple
-    relations: dict = field(compare=True)
+    __slots__ = ("sig", "universe", "_relations", "_columns")
 
-    def __post_init__(self):
-        if not self.universe:
+    def __init__(self, sig, universe, relations):
+        if not universe:
             raise ParseError("universe must be non-empty")
-        if len(set(self.universe)) != len(self.universe):
+        if len(set(universe)) != len(universe):
             raise ParseError("duplicate universe element")
-        elems = set(self.universe)
-        for name, arity in self.sig.symbols:
-            for tup in self.relations.get(name, ()):
+        elems = set(universe)
+        for name, arity in sig.symbols:
+            for tup in relations.get(name, ()):
                 if len(tup) != arity:
                     raise ParseError(f"arity mismatch in {name}{tup!r}: expected {arity}")
                 for e in tup:
                     if e not in elems:
                         raise ParseError(f"tuple entry {e!r} not in the universe")
-        for name in self.relations:
-            if name not in self.sig:
+        for name in relations:
+            if name not in sig:
                 raise ParseError(f"fact uses undeclared relation {name!r}")
+        _init_structure(self, sig, universe, relations, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Structure is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def relations(self):
+        rels = self._relations
+        if rels is None:
+            rels = {name: frozenset(zip(*cols)) for name, cols in self._columns.items() if cols[0]}
+            object.__setattr__(self, "_relations", rels)
+        return rels
+
+    def columns(self, name):
+        """The facts of relation `name` (a symbol of sig) as argument columns,
+        for a structure read by the canonical scan: a tuple of one list per
+        position whose i-th entries make up the i-th fact, each fact once.
+        None for a structure that holds its relations as tuple sets."""
+        columns = self._columns
+        return None if columns is None else columns[name]
 
     def tuples(self, name):
-        return self.relations.get(name, frozenset())
+        rels = self._relations  # read directly: the oracle's search calls this most
+        return (self.relations if rels is None else rels).get(name, frozenset())
 
     def all_facts(self):
         """Iterate (symbol, tuple) pairs in deterministic order."""
@@ -108,6 +132,21 @@ class Structure:
 
     def __hash__(self):
         return hash((self.sig, self.universe, serialize_structure(self)))
+
+    def __repr__(self):
+        return (
+            f"Structure(sig={self.sig!r}, universe={self.universe!r}, "
+            f"relations={self.relations!r})"
+        )
+
+
+def _init_structure(s, sig, universe, relations, columns):
+    """Set a Structure's attributes: the relations as tuple sets, or None
+    with `columns` holding every relation of sig as its argument columns."""
+    object.__setattr__(s, "sig", sig)
+    object.__setattr__(s, "universe", universe)
+    object.__setattr__(s, "_relations", relations)
+    object.__setattr__(s, "_columns", columns)
 
 
 def make_structure(sig, universe, relations):
@@ -148,13 +187,11 @@ def parse_structure(text):
     return parsed if parsed is not None else _parse_lines(text)
 
 
-def _unchecked_structure(sig, universe, relations):
-    """A Structure built without Structure.__post_init__: for parsers that
-    have already made every check it makes."""
+def _unchecked_structure(sig, universe, relations, columns):
+    """A Structure built without the checks of Structure(): for parsers
+    that have already made every check it makes."""
     parsed = object.__new__(Structure)
-    object.__setattr__(parsed, "sig", sig)
-    object.__setattr__(parsed, "universe", universe)
-    object.__setattr__(parsed, "relations", relations)
+    _init_structure(parsed, sig, universe, relations, columns)
     return parsed
 
 
@@ -173,12 +210,14 @@ def _scan_canonical(text):
     """The Structure of a text in the canonical layout (what
     serialize_structure writes), or None for any other text.
 
-    One findall per declared relation reads its facts' entries, over the span
-    from the first line of that relation to the end of its last one; the
-    text is canonical when together they match every fact line, and every
-    element matched is in the universe. A comment, a blank line, a space,
-    CRLF, an undeclared symbol or a wrong arity leaves a line unmatched.
-    Every entry of a fact is the universe's own element object.
+    Per declared relation, _scan_relation reads its facts' argument lists
+    over the span from the first line of that relation to the end of its
+    last one; the text is canonical when together they match every fact
+    line, and every element matched is in the universe. A comment, a blank
+    line, a space, CRLF, an undeclared symbol or a wrong arity leaves a
+    line unmatched. Each relation is kept as its argument columns (a
+    repeated fact line once), never as tuples; every entry is the
+    universe's own element object.
     """
     head = text.split("\n", 2)
     if len(head) < 3:
@@ -199,26 +238,28 @@ def _scan_canonical(text):
         return None
     found = [(name, arity, _scan_relation(block, name, arity)) for name, arity in symbols]
     n_lines = block.count("\n") + (block[-1:] not in ("", "\n"))
-    if sum(len(entries) // arity for _, arity, entries in found) != n_lines:
+    if sum(len(facts) for _, _, facts in found) != n_lines:
         return None
-    relations = {}
+    columns = {}
     try:
-        for name, arity, entries in found:
-            if entries:
-                # `arity` references to one iterator: each fact takes the next entries
-                elements = map(canon.__getitem__, entries)
-                relations[name] = frozenset(zip(*[elements] * arity))
+        for name, arity, facts in found:
+            if len(set(facts)) != len(facts):  # a fact line repeated
+                facts = list(dict.fromkeys(facts))
+            # each argument list holds exactly `arity` comma-free elements,
+            # so joining the lists and splitting on ',' keeps every entry in
+            # its own fact
+            entries = ",".join(facts).split(",") if facts else []
+            elements = list(map(canon.__getitem__, entries))
+            columns[name] = tuple(elements[i::arity] for i in range(arity))
     except KeyError:  # an element not in the universe
         return None
-    return _unchecked_structure(Signature(symbols), universe, relations)
+    return _unchecked_structure(Signature(symbols), universe, None, columns)
 
 
 def _scan_relation(block, name, arity):
-    """The entries of every `name(e1,...,ek)` line of block, in line order,
-    searched only from the start of its first such line to the end of its
-    last. One findall reads each fact's argument list as one string; each
-    holds exactly `arity` comma-free elements, so joining the lists and
-    splitting on ',' keeps every entry in its own fact."""
+    """The argument list of every `name(e1,...,ek)` line of block, as one
+    string each, in line order, searched only from the start of its first
+    such line to the end of its last."""
     opener = name + "("
     if block.startswith(opener):
         start = 0
@@ -227,8 +268,7 @@ def _scan_relation(block, name, arity):
     last = block.rfind("\n" + opener) + 1 or start
     end = block.find("\n", last)
     pattern = re.compile(rf"^{name}\(({','.join([_SCAN_ELEMENT] * arity)})\)$", re.M)
-    found = pattern.findall(block, start, len(block) if end < 0 else end)
-    return ",".join(found).split(",") if found else []
+    return pattern.findall(block, start, len(block) if end < 0 else end)
 
 
 def _parse_lines(text):
@@ -307,11 +347,12 @@ def _parse_lines(text):
     elems = universe if universe is not None else list(canon)
     if not elems:
         raise ParseError("empty universe")
-    # every check of Structure.__post_init__ has been made line by line above
+    # every check of Structure() has been made line by line above
     return _unchecked_structure(
         sig or Signature(tuple(sig_symbols)),
         tuple(elems),
         {n: frozenset(ts) for n, ts in facts.items()},
+        None,
     )
 
 

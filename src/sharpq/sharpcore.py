@@ -7,22 +7,27 @@ constants. Evaluation produces a table of integers indexed by assignments of
 the formula's free variables; its cost is governed by the formula's width.
 
 Kernel invariants: a row tuple's entries follow its table's `explicit`
-columns, and row sets are never mutated (an atom with distinct arguments
-aliases the structure's frozenset). A table of one column built by an atom
-projection or a semijoin holds its distinct bare values (_Column), not
-1-tuples; only a consumer that needs row tuples builds them (_rows), and a
-semijoin keyed on that column never does. Binders are projected inside the
-join that consumes them. A join groups each side by the shared key into
-sets of the side's parts (bare values for a semijoin's kept side of one
-column) and emits, per common key, the union of one side's groups
-when the other contributes no column, else their product; the grouping of a
-fact set is memoised for one evaluation and shared by its atoms, casts and
-terms. A product join's row set carries the two groupings it multiplied
-(_Rows), so a join keyed on the same shared columns regroups it per key,
-never row by row. When every column of a cast is summed and its ep is a
-conjunction under an exists chain, that last join is counted, never built.
-`stats["peak_rows"]` is the largest table actually materialised; `max_rows`
-caps every such table as it grows, so it no longer sees counted answers.
+columns, and row sets are never mutated. An atom whose arguments are distinct
+variables, none dropped, is the relation itself, as its structure holds it
+(_Facts): argument columns for a structure read by the canonical scan
+(Structure.columns), else the structure's tuple set, which only a consumer
+that needs row tuples asks for (_rows). A table of one column built by an
+atom projection, a semijoin or a union of two such tables holds its distinct
+bare values (_Column), not 1-tuples; only a consumer that needs row tuples
+builds them, and a semijoin keyed on that column never does. Binders are projected inside the join that
+consumes them. A semijoin (one side contributes no column) keeps the other
+side's parts whose key the first side holds, filtered in C; any other join
+groups each side by the shared key into sets of the side's parts and emits,
+per common key, their product. A relation's grouping is memoised for one
+evaluation and shared by its atoms, casts and terms. A product join that
+keeps its shared columns is held as the two groupings it multiplies (_Rows):
+its size, the sum of the per-key products, is known before any row exists,
+its rows are built only for a consumer that reads them, and a join keyed on
+the same shared columns regroups it per key. When every column of a cast is
+summed and its ep is a conjunction under an exists chain, that last join is
+counted, never built. `stats["peak_rows"]` is the largest table, built or
+held as groupings; `max_rows` caps every such table as it grows, so it no
+longer sees counted answers.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import re
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import compress, product, starmap
 from operator import add, itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
@@ -546,12 +551,29 @@ def _join_plan(ex1, ex2, drop):
     return _JoinPlan(own1 + own2, key1, key2, out1, out2, at1, at2, _bare(at1[1]), handoff)
 
 
-class _Rows(set):
-    """The row set of a product join, carrying the join's plan and the two
-    sides' {key: parts} groups, whose per-key products are the rows. The
-    groups live exactly as long as the table does."""
+class _Rows:
+    """The rows of a product join that keeps its shared columns, held as the
+    join's plan, the two sides' {key: parts} groups and their common keys:
+    rows of different keys differ, so the table holds `n`, the sum of the
+    per-key products, and its rows are built only when iterated. The groups
+    live exactly as long as the table does."""
 
-    __slots__ = ("plan", "groups")
+    __slots__ = ("plan", "groups", "keys", "n")
+
+    def __init__(self, plan, groups, keys, n):
+        self.plan, self.groups, self.keys, self.n = plan, groups, keys, n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        g1, g2 = self.groups
+        return itertools.chain.from_iterable(
+            starmap(add, product(g1[k], g2[k])) for k in self.keys
+        )
+
+    def row_set(self):
+        return set(self)
 
     def regroup(self, part_at):
         """The rows grouped by the join's shared columns into their parts at
@@ -564,7 +586,7 @@ class _Rows(set):
                 g1[k] if part1 is None else set(map(part1, g1[k])),
                 g2[k] if part2 is None else set(map(part2, g2[k])),
             )))
-            for k in g1.keys() & g2.keys()
+            for k in self.keys
         }
 
 
@@ -588,17 +610,79 @@ class _Column(set):
 
     __slots__ = ()
 
+    def row_set(self):
+        return set(zip(self))
+
+
+class _Facts:
+    """The table of an atom over a relation, as its structure holds it:
+    argument columns (Structure.columns), or the structure's tuple set when
+    `columns` is None. Joins key and group it from the columns when there
+    are any, and the tuple set is asked for only by a consumer that needs
+    rows. One is made per relation per evaluation, and it keeps the
+    relation's groupings by their (key, part) positions, so the atoms,
+    casts and terms of that evaluation share them."""
+
+    __slots__ = ("b", "name", "columns", "n", "groups")
+
+    def __init__(self, b, name):
+        columns = b.columns(name)
+        self.b, self.name, self.columns = b, name, columns
+        self.n = len(b.tuples(name) if columns is None else columns[0])
+        self.groups = {}
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        columns = self.columns
+        return iter(self.b.tuples(self.name)) if columns is None else zip(*columns)
+
+    def row_set(self):
+        return self.b.tuples(self.name)
+
+    def pick(self, positions, bare):
+        """The entries at `positions` of every fact, in the order of
+        iteration: bare values when `bare` (one position), else tuples."""
+        columns = self.columns
+        if columns is None:
+            get = itemgetter(*positions) if bare else _row_of(list(positions))
+            return map(get, self.b.tuples(self.name))
+        if bare:
+            return columns[positions[0]]
+        if not positions:
+            return itertools.repeat((), len(columns[0]))
+        return zip(*[columns[p] for p in positions])
+
 
 def _rows(rows):
     """A table's set of row tuples."""
-    return set(zip(rows)) if type(rows) is _Column else rows
+    return rows.row_set() if type(rows) in (_Column, _Facts, _Rows) else rows
 
 
-def _group(rows, key, part):
-    """{key(r): set of part(r)} over rows, one Python step per row."""
+def _values(rows):
+    """The bare values of a table of one column."""
+    if type(rows) is _Facts:
+        return rows.pick((0,), True)
+    return rows if type(rows) is _Column else map(itemgetter(0), rows)
+
+
+def _keys_parts(rows, key, part, at, bare):
+    """Two iterables over a table's rows in one order: each row's key
+    key(row) at positions at[0] and its part part(row) at at[1], a bare
+    value when `bare`. A _Facts with columns is read from them."""
+    if type(rows) is _Facts and rows.columns is not None:
+        return rows.pick(at[0], len(at[0]) == 1), rows.pick(at[1], bare)
+    rows = _rows(rows)
+    return map(key, rows), map(part, rows)
+
+
+def _group(keys, parts):
+    """{key: set of parts} over two parallel iterables, one Python step per
+    pair."""
     groups = defaultdict(set)
-    for r in rows:
-        groups[key(r)].add(part(r))
+    for k, p in zip(keys, parts):
+        groups[k].add(p)
     return groups
 
 
@@ -655,10 +739,7 @@ class _Evaluator:
         if f is not self._formula:
             self._formula, self._free = f, {}
         self.b = b
-        # groupings of the structure's fact sets, shared by every atom, cast
-        # and term of this evaluation
-        self._relation = {id(rows): name for name, rows in b.relations.items()}
-        self._index = {}
+        self._facts = {}  # relation name -> its _Facts in this evaluation
         return fold(f, self._steps, self._down)
 
     def _down_and(self, node, ctx):
@@ -689,7 +770,9 @@ class _Evaluator:
     def _atom(self, f, ctx):
         drop, count = ctx
         args = f.args
-        facts = self.b.tuples(f.symbol)
+        facts = self._facts.get(f.symbol)
+        if facts is None:
+            facts = self._facts[f.symbol] = _Facts(self.b, f.symbol)
         explicit = tuple([v for v in dict.fromkeys(args) if v not in drop])
         if explicit == args:
             rows = facts
@@ -699,19 +782,24 @@ class _Evaluator:
             if same:
                 build = _row_of(positions)
                 rows = {build(t) for t in facts if all(t[i] == t[j] for i, j in same)}
-            elif (one := _bare(positions)) is not None:
-                rows = _Column(map(one, facts))
+            elif _bare(positions) is not None:
+                rows = _Column(facts.pick(positions, True))
             else:
-                rows = set(map(_row_of(positions), facts))
+                rows = set(facts.pick(positions, False))
         self._note(len(rows))
         return explicit, len(rows) if count else rows
 
     def _or(self, f, ctx, s1, s2):
         (ex1, rows1), (ex2, rows2) = s1, s2
-        explicit = tuple(dict.fromkeys(ex1 + ex2))
-        rows = self._sat_expand(ex1, _rows(rows1), explicit) | self._sat_expand(
-            ex2, _rows(rows2), explicit
-        )
+        if ex1 == ex2 and len(ex1) == 1:
+            # a union of two tables of the same one column stays bare values
+            explicit, rows = ex1, _Column(_values(rows1))
+            rows.update(_values(rows2))
+        else:
+            explicit = tuple(dict.fromkeys(ex1 + ex2))
+            rows = self._sat_expand(ex1, _rows(rows1), explicit) | self._sat_expand(
+                ex2, _rows(rows2), explicit
+            )
         self._note(len(rows))
         return explicit, len(rows) if ctx[1] else rows
 
@@ -724,26 +812,25 @@ class _Evaluator:
         fills, build = _widen(explicit, target, self.b.universe)
         return {build(r + fill) for r in rows for fill in fills}
 
-    def _groups(self, rows, key, out, at, bare=False):
-        """{shared key: set of the side's parts out(r)}, bare values when
-        `bare`. A structure's own fact set is grouped once per evaluation:
-        the memo key is its relation, `at` and `bare`. A product join's rows
+    def _groups(self, rows, key, out, at):
+        """{shared key: set of the side's parts out(r)}. A relation is
+        grouped once per evaluation and `at`, from its columns when it has
+        them, and the grouping kept on its _Facts. A product join's rows
         keyed on the join's own shared columns are regrouped per key from the
         groups they carry, not row by row."""
-        if not bare and type(rows) is _Rows and rows.plan.handoff == at[0]:
+        if type(rows) is _Rows and rows.plan.handoff == at[0]:
             return rows.regroup(at[1])
-        name = self._relation.get(id(rows))
-        if name is None:
-            return _group(rows, key, out)
-        groups = self._index.get((name, at, bare))
+        if type(rows) is not _Facts:
+            return _group(*_keys_parts(rows, key, out, at, False))
+        groups = rows.groups.get(at)
         if groups is None:
-            groups = self._index[name, at, bare] = _group(rows, key, out)
+            groups = rows.groups[at] = _group(*_keys_parts(rows, key, out, at, False))
         return groups
 
     def _sat_join(self, s1, s2, drop, count=False):
-        """The join of s1 and s2 with `drop` projected out, grouped by the
-        shared key. When s2 contributes no column (a semijoin), the union of
-        s1's groups over s2's keys; else the product of the two sides' groups
+        """The join of s1 and s2 with `drop` projected out. When s2
+        contributes no column (a semijoin), s1's parts whose shared key s2
+        holds; else the product of the two sides' groups by the shared key,
         per common key, or with `count` only the number of its rows."""
         (ex1, rows1), (ex2, rows2) = s1, s2
         plan = _join_plan(ex1, ex2, drop)
@@ -754,26 +841,47 @@ class _Evaluator:
         if not rows1 or not rows2:
             rows = set()
         elif not plan.at2[1]:
-            one = plan.one1
-            g1 = self._groups(_rows(rows1), plan.key1, one or plan.out1, plan.at1, one is not None)
             # a side drops its unshared binders itself, so a _Column's column is the key
-            keys = rows2 if type(rows2) is _Column else set(map(plan.key2, rows2))
-            rows = set() if one is None else _Column()
-            rows.update(*[g1[k] for k in keys if k in g1])
+            if type(rows2) is _Column:
+                keys = rows2
+            else:
+                keys = set(_keys_parts(rows2, plan.key2, plan.out2, plan.at2, False)[0])
+            # side 1's parts whose key side 2 holds, filtered in C
+            one = plan.one1
+            keys1, parts1 = _keys_parts(
+                rows1, plan.key1, one or plan.out1, plan.at1, one is not None
+            )
+            kept = compress(parts1, map(keys.__contains__, keys1))
+            rows = set(kept) if one is None else _Column(kept)
         else:
-            g1 = self._groups(_rows(rows1), plan.key1, plan.out1, plan.at1)
-            g2 = self._groups(_rows(rows2), plan.key2, plan.out2, plan.at2)
+            g1 = self._groups(rows1, plan.key1, plan.out1, plan.at1)
+            g2 = self._groups(rows2, plan.key2, plan.out2, plan.at2)
             if count:
                 return plan.explicit, _count_pairs(g1, g2)
-            rows = _Rows()
-            rows.plan, rows.groups = plan, (g1, g2)
-            for k in g1.keys() & g2.keys():
-                # checked as the rows grow; the parts of one key form distinct rows
-                if max(len(rows), len(g1[k]) * len(g2[k])) > self.max_rows:
-                    raise CapExceeded(f"table would hold more than {self.max_rows} rows")
-                rows.update(starmap(add, product(g1[k], g2[k])))
+            common = g1.keys() & g2.keys()
+            if plan.handoff is None:
+                # rows of different keys may coincide: built to be counted
+                rows = set()
+                for k in common:
+                    self._check_growth(len(rows), g1[k], g2[k])
+                    rows.update(starmap(add, product(g1[k], g2[k])))
+            else:
+                # the shared columns are kept, so rows of different keys
+                # differ: the table's size is the sum of the per-key products
+                n = 0
+                for k in common:
+                    self._check_growth(n, g1[k], g2[k])
+                    n += len(g1[k]) * len(g2[k])
+                rows = _Rows(plan, (g1, g2), common, n)
         self._note(len(rows))
         return plan.explicit, len(rows) if count else rows
+
+    def _check_growth(self, n, parts1, parts2):
+        """Refuse a product join that holds n rows before it adds one key's
+        rows, if either count exceeds max_rows; the parts of one key form
+        distinct rows."""
+        if max(n, len(parts1) * len(parts2)) > self.max_rows:
+            raise CapExceeded(f"table would hold more than {self.max_rows} rows")
 
     # -- counting formulas --
 

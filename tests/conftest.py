@@ -48,6 +48,17 @@ def random_structure(rng, sig, max_size=4, min_size=1, density=0.5):
     return make_structure(sig, universe, rels)
 
 
+def text_with_a_repeated_line(rng, b):
+    """b's canonical `.rel` text, half the time with one fact line written
+    twice."""
+    from sharpq.relstore import serialize_structure
+
+    lines = serialize_structure(b).splitlines()
+    if len(lines) > 2 and rng.random() < 0.5:
+        lines.insert(rng.randrange(3, len(lines) + 1), rng.choice(lines[2:]))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260819)

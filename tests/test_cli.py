@@ -16,7 +16,7 @@ from sharpq.cli import main
 from sharpq.compilepipe import _seeded_structures, minimize_ep
 from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
 from sharpq.errors import CapExceeded
-from sharpq.relstore import serialize_structure
+from sharpq.relstore import parse_structure, serialize_structure
 from sharpq.sharpcore import check_represents, eval_sentence, parse_sharp, validate
 
 from tests.conftest import (
@@ -116,6 +116,75 @@ def test_count_oracle_engine(tmp_path, capsys):
     code, out, _ = _run(capsys, "count", "-q", q, "-d", d, "--engine", "oracle")
     assert code == 0
     assert out == "5\n"
+
+
+STAR3_EPQ = "query s(a,b,c): exists h . E(a,h) & E(b,h) & E(c,h)\n"
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "query p(x0): exists x1 . exists x2 . exists x3 . E(x0,x1) & E(x1,x2) & E(x2,x3)\n",
+        "query s(a,b): exists h . E(a,h) & E(b,h)\n",
+        STAR3_EPQ,
+        "query t(x,z): exists y . E(x,y) & E(y,z)\n",
+        "query e(x,y): E(x,y)\n",
+        "query l(x): exists y . E(x,y) & E(y,y)\n",
+        "query u(x): (exists y . E(x,y)) | (exists y . E(y,x))\n",
+        "query v(x): A0(x) | A1(x) | A2(x)\n",
+    ],
+    ids=["path-3", "star-2", "star-3", "two-walk", "edge", "loop", "union", "unary-union"],
+)
+def test_count_reads_a_canonical_rel_without_building_fact_tuples(
+    tmp_path, capsys, monkeypatch, query
+):
+    # the scan keeps each relation as its argument columns, and the compiled
+    # route reads only those: the tuple sets are never built. The oracle
+    # reads tuples, and both engines still agree.
+    structures = []
+
+    def parse_and_keep(text):
+        structures.append(parse_structure(text))
+        return structures[-1]
+
+    monkeypatch.setattr(sharpq.cli, "parse_structure", parse_and_keep)
+    rng = random.Random(1818)
+    b = random_structure(rng, parse_query(query).sig, max_size=9, min_size=9, density=0.2)
+    code, out, err = _count(capsys, tmp_path, query, serialize_structure(b))
+    assert (code, err) == (0, "") and int(out) > 0
+    assert structures[0]._relations is None
+    both = _count(capsys, tmp_path, query, serialize_structure(b), "--engine", "both")
+    assert both == (0, out + "engines agree\n", "")
+    assert structures[1]._relations is not None
+
+
+def _hub_rel(spokes):
+    """Hubs h0, h1, ...: hub i has `spokes[i]` in-neighbours of its own."""
+    edges = sorted((f"s{i}_{j}", f"h{i}") for i, n in enumerate(spokes) for j in range(n))
+    universe = sorted({v for e in edges for v in e})
+    facts = "".join(f"E({a},{h})\n" for a, h in edges)
+    return f"signature E/2\nuniverse {' '.join(universe)}\n{facts}"
+
+
+@pytest.mark.parametrize(
+    "spokes, max_rows, expected",
+    [
+        ([2, 2, 2], "12", (0, "24\n", "")),
+        # the inner join E(a,h) & E(b,h) would hold 4 rows per hub: the cap
+        # trips between two hubs, or at the total after the last one
+        ([2, 2, 2], "7", (3, "", "error: table would hold more than 7 rows\n")),
+        ([2, 2, 2], "11", (3, "", "error: table would hold 12 > 11 rows\n")),
+        ([2, 2], "7", (3, "", "error: table would hold 8 > 7 rows\n")),
+        # one hub's rows alone exceed the cap
+        ([3], "8", (3, "", "error: table would hold more than 8 rows\n")),
+        ([3], "9", (0, "27\n", "")),
+    ],
+)
+def test_a_product_join_over_max_rows_exits_three(tmp_path, capsys, spokes, max_rows, expected):
+    # the join's size is summed per hub before any row exists, with the
+    # messages of a table refused as it grows
+    rel = _hub_rel(spokes)
+    assert _count(capsys, tmp_path, STAR3_EPQ, rel, "--max-rows", max_rows) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from tests.conftest import (
     brute_homomorphisms,
     path_structure,
     random_structure,
+    text_with_a_repeated_line,
     triangle_structure,
 )
 
@@ -238,6 +239,48 @@ def test_parsed_facts_hold_the_universe_element_objects(rng):
             assert s.relations == b.relations
             if "universe" in variant:
                 assert s == b
+
+
+def test_scan_line_loop_and_make_structure_hold_the_same_facts():
+    # the scan keeps each relation as its argument columns, the line loop
+    # and make_structure as a tuple set: the three must hold each fact
+    # once, in the universe's element objects
+    rng = random.Random(20261019)
+    repeated = 0
+    for _ in range(200):
+        names = rng.sample(("E", "E2", "E_", "E22"), rng.randint(1, 3))
+        sig = Signature(tuple((name, rng.randint(1, 3)) for name in names))
+        b = random_structure(rng, sig, max_size=4, density=0.35)
+        text = text_with_a_repeated_line(rng, b)
+        repeated += text.count("\n") > serialize_structure(b).count("\n")
+        scanned = relstore._scan_canonical(text)
+        assert scanned is not None, text
+        for s in (scanned, relstore._parse_lines(text), b):
+            canon = dict(zip(s.universe, s.universe))
+            for name, arity in sig.symbols:
+                columns = s.columns(name)
+                if s is scanned:  # one column per argument position
+                    assert type(columns) is tuple and len(columns) == arity
+                    facts = list(zip(*columns))
+                else:
+                    assert columns is None
+                    facts = list(s.tuples(name))
+                assert len(facts) == len(set(facts)) and set(facts) == b.tuples(name), text
+                assert all(e is canon[e] for fact in facts for e in fact)
+            assert s.relations == b.relations and s == b and hash(s) == hash(b)
+            assert all(e is canon[e] for ts in s.relations.values() for t in ts for e in t)
+            assert all(type(ts) is frozenset and ts for ts in s.relations.values())
+    assert repeated > 50
+
+
+def test_a_scanned_structure_builds_its_tuple_sets_once():
+    s = parse_structure("signature E/2 V/1\nuniverse a b\nE(a,b)\nE(b,a)\nE(a,b)\n")
+    assert s.columns("E") == (["a", "b"], ["b", "a"]) and s.columns("V") == ([],)
+    assert s.relations == {"E": frozenset({("a", "b"), ("b", "a")})}
+    assert s.relations is s.relations and s.tuples("E") is s.relations["E"]
+    assert s.columns("E") == (["a", "b"], ["b", "a"])
+    with pytest.raises(AttributeError):
+        s.universe = ("a",)
 
 
 _BASE = "signature E/2 V/1\nuniverse a b c\nE(a,b)\nE(b,c)\nV(a)\n"

@@ -9,7 +9,7 @@ from collections import defaultdict
 
 import pytest
 
-from sharpq import sharpcore
+from sharpq import relstore, sharpcore
 from sharpq.compilepipe import flatten, minimize_ep
 from sharpq.epquery import (
     TOP,
@@ -26,7 +26,7 @@ from sharpq.epquery import (
     subformulas,
 )
 from sharpq.errors import CapExceeded, ParseError, SharpqError
-from sharpq.relstore import Signature, make_structure
+from sharpq.relstore import Signature, make_structure, serialize_structure
 from sharpq.sharpcore import (
     Cast,
     Const,
@@ -52,6 +52,7 @@ from tests.conftest import (
     path_structure,
     random_ep_query,
     random_structure,
+    text_with_a_repeated_line,
     triangle_structure,
 )
 
@@ -835,13 +836,17 @@ def test_bare_value_joins_match_the_tuple_joins_and_the_oracle(monkeypatch):
 
 def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch):
     # the inner join E(a,h) & E(b,h) hands its groups by h to the root join,
-    # which keys on h too: only the relation itself is grouped row by row
+    # which keys on h too: only the relation itself is grouped row by row,
+    # twice (the left side keeps h in its parts), and the root's E(c,h)
+    # reuses the second grouping, whether E is a tuple set (make_structure,
+    # the line loop) or argument columns (the canonical scan)
     grouped = []
     group = sharpcore._group
 
-    def spy(rows, key, part):
-        grouped.append(len(rows))
-        return group(rows, key, part)
+    def spy(keys, parts):
+        keys, parts = list(keys), list(parts)
+        grouped.append(len(keys))
+        return group(keys, parts)
 
     monkeypatch.setattr(sharpcore, "_group", spy)
     rng = random.Random(1515)
@@ -851,10 +856,15 @@ def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch)
     for a, h in edges:
         spokes[h].add(a)
     answers = set().union(*(itertools.product(s, s, s) for s in spokes.values()))
-    stats = {}
-    assert eval_sentence(_star3_sentence(), b, stats=stats) == len(answers)
-    assert stats["peak_rows"] > len(edges)  # the inner join's table, never regrouped
-    assert grouped and max(grouped) <= len(edges)
+    text = serialize_structure(b)
+    structures = [b, relstore._parse_lines(text), relstore._scan_canonical(text)]
+    assert [s.columns("E") is None for s in structures] == [True, True, False]
+    for s in structures:
+        grouped.clear()
+        stats = {}
+        assert eval_sentence(_star3_sentence(), s, stats=stats) == len(answers)
+        assert stats["peak_rows"] > len(edges)  # the inner join's table, never regrouped
+        assert grouped == [len(edges)] * 2
 
 
 def test_a_product_join_regroups_like_its_rows():
@@ -873,5 +883,31 @@ def test_a_product_join_regroups_like_its_rows():
         key = sharpcore._key_of(list(rows.plan.handoff))
         for n in range(len(explicit) + 1):
             for part_at in itertools.combinations(range(len(explicit)), n):
-                expected = sharpcore._group(rows, key, sharpcore._row_of(list(part_at)))
+                part = sharpcore._row_of(list(part_at))
+                expected = sharpcore._group(map(key, rows), map(part, rows))
                 assert rows.regroup(part_at) == expected, (rows, part_at)
+
+
+def test_scanned_looped_and_built_structures_evaluate_alike():
+    # the same facts held as argument columns (the canonical scan) or as
+    # tuple sets (the line loop, make_structure) give the same counts and
+    # the same largest table; symbols share prefixes, arities are 1 to 3,
+    # and now and then one fact line is written twice
+    rng = random.Random(1717)
+    names = {"R0": "E", "R1": "E2", "R2": "E_"}
+    repeated = 0
+    for _ in range(80):
+        q = random_ep_query(rng, max_vars=5, max_atoms=5, max_disjunctions=1)
+        q = parse_query(re.sub(r"\bR\d", lambda m: names[m.group()], serialize_query(q)))
+        b = random_structure(rng, q.sig, max_size=4, density=0.35)
+        text = text_with_a_repeated_line(rng, b)
+        repeated += text.count("\n") > serialize_structure(b).count("\n")
+        structures = [relstore._scan_canonical(text), relstore._parse_lines(text), b]
+        for f in (naive_representation(q), minimize_ep(q)[0]):
+            results = []
+            for s in structures:
+                stats = {}
+                results.append((eval_sentence(f, s, stats=stats), stats["peak_rows"]))
+            assert results == [results[0]] * 3, (text, render_ep(q.formula))
+            assert results[0][0] == oracle_count(q, b)
+    assert repeated > 20
