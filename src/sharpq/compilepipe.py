@@ -741,13 +741,11 @@ def _seeded_structures(sig, count=20, max_size=3, seed=0):
         universe = [f"b{j}" for j in range(size)]
         rels = {}
         for name, arity in sig.symbols:
-            chosen = {
+            rels[name] = {
                 tup
                 for tup in itertools.product(universe, repeat=arity)
                 if rng.random() < 0.5
             }
-            if chosen:
-                rels[name] = chosen
         out.append(make_structure(sig, universe, rels))
     return out
 

@@ -61,33 +61,39 @@ def merge_signatures(*sigs):
 class Structure:
     """A finite relational structure over a Signature.
 
-    universe is ordered (first-appearance order from parsing); relations maps
-    each symbol name to a frozenset of element tuples. A structure read by
-    the canonical `.rel` scan holds each relation as its argument columns
-    instead (see columns()); its frozensets are built the first time
-    relations, tuples(), all_facts(), == or hash asks for them, and kept.
-    Immutable: the attributes cannot be set.
+    universe is ordered (first-appearance order from parsing). Each fact is
+    held once, in the form the structure was built in: frozensets of element
+    tuples (relations, tuples(); the constructor takes any iterables of
+    element sequences and drops empty relations), or argument columns
+    (columns()) for a structure read by the canonical `.rel` scan. The other
+    form is derived when first asked for (columns per relation, tuple sets
+    all at once), and kept. Immutable: the attributes cannot be set.
     """
 
     __slots__ = ("sig", "universe", "_relations", "_columns")
 
     def __init__(self, sig, universe, relations):
+        universe = tuple(universe)
         if not universe:
             raise ParseError("universe must be non-empty")
         if len(set(universe)) != len(universe):
             raise ParseError("duplicate universe element")
         elems = set(universe)
+        rels = {}
         for name, arity in sig.symbols:
-            for tup in relations.get(name, ()):
+            tuples = [tuple(t) for t in relations.get(name, ())]
+            for tup in tuples:
                 if len(tup) != arity:
                     raise ParseError(f"arity mismatch in {name}{tup!r}: expected {arity}")
                 for e in tup:
                     if e not in elems:
                         raise ParseError(f"tuple entry {e!r} not in the universe")
-        for name in relations:
-            if name not in sig:
+            if tuples:
+                rels[name] = frozenset(tuples)
+        for name, tuples in relations.items():
+            if tuples and name not in sig:
                 raise ParseError(f"fact uses undeclared relation {name!r}")
-        _init_structure(self, sig, universe, relations, None)
+        _init_structure(self, sig, universe, rels, {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a Structure is immutable")
@@ -103,12 +109,16 @@ class Structure:
         return rels
 
     def columns(self, name):
-        """The facts of relation `name` (a symbol of sig) as argument columns,
-        for a structure read by the canonical scan: a tuple of one list per
-        position whose i-th entries make up the i-th fact, each fact once.
-        None for a structure that holds its relations as tuple sets."""
-        columns = self._columns
-        return None if columns is None else columns[name]
+        """The facts of relation `name` (a symbol of sig) as argument
+        columns: a tuple of one sequence per position whose i-th entries
+        make up the i-th fact, each fact once."""
+        columns = self._columns.get(name)
+        if columns is None:
+            # only a structure built from tuple sets lacks columns
+            facts = self._relations.get(name)
+            columns = tuple(zip(*facts)) if facts else ((),) * self.sig.arity(name)
+            self._columns[name] = columns
+        return columns
 
     def tuples(self, name):
         rels = self._relations  # read directly: the oracle's search calls this most
@@ -123,12 +133,8 @@ class Structure:
     def __eq__(self, other):
         if not isinstance(other, Structure):
             return NotImplemented
-        return (
-            self.sig == other.sig
-            and self.universe == other.universe
-            and {n: frozenset(ts) for n, ts in self.relations.items() if ts}
-            == {n: frozenset(ts) for n, ts in other.relations.items() if ts}
-        )
+        mine = (self.sig, self.universe, self.relations)
+        return mine == (other.sig, other.universe, other.relations)
 
     def __hash__(self):
         return hash((self.sig, self.universe, serialize_structure(self)))
@@ -141,8 +147,8 @@ class Structure:
 
 
 def _init_structure(s, sig, universe, relations, columns):
-    """Set a Structure's attributes: the relations as tuple sets, or None
-    with `columns` holding every relation of sig as its argument columns."""
+    """Set a Structure's attributes: the tuple sets, or None when `columns`
+    holds every relation of sig (else it keeps the columns derived so far)."""
     object.__setattr__(s, "sig", sig)
     object.__setattr__(s, "universe", universe)
     object.__setattr__(s, "_relations", relations)
@@ -150,13 +156,8 @@ def _init_structure(s, sig, universe, relations, columns):
 
 
 def make_structure(sig, universe, relations):
-    """Normalizing constructor: freezes tuple sets, drops empty entries."""
-    rels = {}
-    for name, tuples in relations.items():
-        ts = frozenset(tuple(t) for t in tuples)
-        if ts:
-            rels[name] = ts
-    return Structure(sig=sig, universe=tuple(universe), relations=rels)
+    """The Structure of the given facts (see Structure())."""
+    return Structure(sig, universe, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def _parse_lines(text):
         sig or Signature(tuple(sig_symbols)),
         tuple(elems),
         {n: frozenset(ts) for n, ts in facts.items()},
-        None,
+        {},
     )
 
 
@@ -476,8 +477,7 @@ def product(a, b):
         for ta in a.tuples(name):
             for tb in b.tuples(name):
                 tuples.add(tuple(f"{x}*{y}" for x, y in zip(ta, tb)))
-        if tuples:
-            rels[name] = tuples
+        rels[name] = tuples
     s = make_structure(a.sig, universe, rels)
     # sanity: every product element decodes
     assert all(e in pair_of for e in s.universe)
@@ -499,8 +499,7 @@ def disjoint_union(a, b):
     for name, _ in a.sig.symbols:
         tuples = {tuple(ren_a[x] for x in t) for t in a.tuples(name)}
         tuples |= {tuple(ren_b[x] for x in t) for t in b.tuples(name)}
-        if tuples:
-            rels[name] = tuples
+        rels[name] = tuples
     return make_structure(a.sig, universe, rels)
 
 

@@ -8,10 +8,9 @@ the formula's free variables; its cost is governed by the formula's width.
 
 Kernel invariants: a row tuple's entries follow its table's `explicit`
 columns, and row sets are never mutated. An atom whose arguments are distinct
-variables, none dropped, is the relation itself, as its structure holds it
-(_Facts): argument columns for a structure read by the canonical scan
-(Structure.columns), else the structure's tuple set, which only a consumer
-that needs row tuples asks for (_rows). A table of one column built by an
+variables, none dropped, is the relation itself, read as its argument columns
+(_Facts, from Structure.columns); only a consumer that needs row tuples asks
+the structure for its tuple set (_rows). A table of one column built by an
 atom projection, a semijoin or a union of two such tables holds its distinct
 bare values (_Column), not 1-tuples; only a consumer that needs row tuples
 builds them, and a semijoin keyed on that column never does. Binders are projected inside the join that
@@ -615,28 +614,24 @@ class _Column(set):
 
 
 class _Facts:
-    """The table of an atom over a relation, as its structure holds it:
-    argument columns (Structure.columns), or the structure's tuple set when
-    `columns` is None. Joins key and group it from the columns when there
-    are any, and the tuple set is asked for only by a consumer that needs
-    rows. One is made per relation per evaluation, and it keeps the
-    relation's groupings by their (key, part) positions, so the atoms,
-    casts and terms of that evaluation share them."""
+    """The table of an atom over a relation, read as its argument columns
+    (Structure.columns). Joins key and group it from the columns, and the
+    structure's tuple set is asked for only by a consumer that needs rows.
+    One is made per relation per evaluation, and it keeps the relation's
+    groupings by their (key, part) positions, so the atoms, casts and terms
+    of that evaluation share them."""
 
-    __slots__ = ("b", "name", "columns", "n", "groups")
+    __slots__ = ("b", "name", "columns", "groups")
 
     def __init__(self, b, name):
-        columns = b.columns(name)
-        self.b, self.name, self.columns = b, name, columns
-        self.n = len(b.tuples(name) if columns is None else columns[0])
+        self.b, self.name, self.columns = b, name, b.columns(name)
         self.groups = {}
 
     def __len__(self):
-        return self.n
+        return len(self.columns[0])
 
     def __iter__(self):
-        columns = self.columns
-        return iter(self.b.tuples(self.name)) if columns is None else zip(*columns)
+        return zip(*self.columns)
 
     def row_set(self):
         return self.b.tuples(self.name)
@@ -645,9 +640,6 @@ class _Facts:
         """The entries at `positions` of every fact, in the order of
         iteration: bare values when `bare` (one position), else tuples."""
         columns = self.columns
-        if columns is None:
-            get = itemgetter(*positions) if bare else _row_of(list(positions))
-            return map(get, self.b.tuples(self.name))
         if bare:
             return columns[positions[0]]
         if not positions:
@@ -670,8 +662,8 @@ def _values(rows):
 def _keys_parts(rows, key, part, at, bare):
     """Two iterables over a table's rows in one order: each row's key
     key(row) at positions at[0] and its part part(row) at at[1], a bare
-    value when `bare`. A _Facts with columns is read from them."""
-    if type(rows) is _Facts and rows.columns is not None:
+    value when `bare`. A _Facts is read from its columns."""
+    if type(rows) is _Facts:
         return rows.pick(at[0], len(at[0]) == 1), rows.pick(at[1], bare)
     rows = _rows(rows)
     return map(key, rows), map(part, rows)
@@ -814,10 +806,10 @@ class _Evaluator:
 
     def _groups(self, rows, key, out, at):
         """{shared key: set of the side's parts out(r)}. A relation is
-        grouped once per evaluation and `at`, from its columns when it has
-        them, and the grouping kept on its _Facts. A product join's rows
-        keyed on the join's own shared columns are regrouped per key from the
-        groups they carry, not row by row."""
+        grouped once per evaluation and `at`, from its columns, and the
+        grouping kept on its _Facts. A product join's rows keyed on the
+        join's own shared columns are regrouped per key from the groups they
+        carry, not row by row."""
         if type(rows) is _Rows and rows.plan.handoff == at[0]:
             return rows.regroup(at[1])
         if type(rows) is not _Facts:

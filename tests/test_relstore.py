@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharpq import relstore
+from sharpq.epquery import oracle_count, parse_query
 from sharpq.errors import ParseError, SharpqError
 from sharpq.relstore import (
     Signature,
@@ -20,6 +21,7 @@ from sharpq.relstore import (
     search_homomorphisms,
     serialize_structure,
 )
+from sharpq.sharpcore import eval_sentence, parse_sharp
 
 from tests.conftest import (
     SIG_E,
@@ -44,7 +46,7 @@ def test_parse_minimal():
 
 
 def test_parsed_structure_equals_the_checked_one(rng):
-    # parse_structure skips the re-check of Structure.__post_init__; its
+    # parse_structure skips the checks of Structure(); its
     # result must be the structure make_structure builds with the check
     for _ in range(50):
         b = random_structure(rng, SIG_EF, max_size=5, density=0.3)
@@ -64,6 +66,17 @@ def test_make_structure_keeps_its_checks():
     ):
         with pytest.raises(ParseError, match=message):
             make_structure(SIG_E, universe, rels)
+
+
+def test_structure_holds_a_repeated_fact_once():
+    sig = Signature((("E", 2), ("F", 1)))
+    s = relstore.Structure(sig, ["a", "b"], {"E": [("a", "b"), ["a", "b"]], "F": []})
+    twin = make_structure(sig, ("a", "b"), {"E": {("a", "b")}})
+    assert s.universe == ("a", "b") and s.relations == {"E": frozenset({("a", "b")})}
+    assert s == twin and hash(s) == hash(twin)
+    assert serialize_structure(s) == "signature E/2 F/1\nuniverse a b\nE(a,b)\n"
+    q = parse_query("query q(x,y): E(x,y)")
+    assert eval_sentence(parse_sharp("P{x,y} C[E(x,y); {x,y}]"), s) == oracle_count(q, s) == 1
 
 
 def test_parse_arity_mismatch():
@@ -242,9 +255,10 @@ def test_parsed_facts_hold_the_universe_element_objects(rng):
 
 
 def test_scan_line_loop_and_make_structure_hold_the_same_facts():
-    # the scan keeps each relation as its argument columns, the line loop
-    # and make_structure as a tuple set: the three must hold each fact
-    # once, in the universe's element objects
+    # the scan builds each relation as its argument columns, the line loop
+    # and make_structure as a tuple set, and each derives the other form
+    # once, when first asked: the three must hold each fact once, in the
+    # universe's element objects, in both forms
     rng = random.Random(20261019)
     repeated = 0
     for _ in range(200):
@@ -258,13 +272,10 @@ def test_scan_line_loop_and_make_structure_hold_the_same_facts():
         for s in (scanned, relstore._parse_lines(text), b):
             canon = dict(zip(s.universe, s.universe))
             for name, arity in sig.symbols:
-                columns = s.columns(name)
-                if s is scanned:  # one column per argument position
-                    assert type(columns) is tuple and len(columns) == arity
-                    facts = list(zip(*columns))
-                else:
-                    assert columns is None
-                    facts = list(s.tuples(name))
+                columns = s.columns(name)  # one column per argument position
+                assert type(columns) is tuple and len(columns) == arity
+                assert s.columns(name) is columns
+                facts = list(zip(*columns))
                 assert len(facts) == len(set(facts)) and set(facts) == b.tuples(name), text
                 assert all(e is canon[e] for fact in facts for e in fact)
             assert s.relations == b.relations and s == b and hash(s) == hash(b)

@@ -838,8 +838,9 @@ def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch)
     # the inner join E(a,h) & E(b,h) hands its groups by h to the root join,
     # which keys on h too: only the relation itself is grouped row by row,
     # twice (the left side keeps h in its parts), and the root's E(c,h)
-    # reuses the second grouping, whether E is a tuple set (make_structure,
-    # the line loop) or argument columns (the canonical scan)
+    # reuses the second grouping, whether E was built as a tuple set
+    # (make_structure, the line loop) or as argument columns (the canonical
+    # scan): every structure answers in columns
     grouped = []
     group = sharpcore._group
 
@@ -858,8 +859,10 @@ def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch)
     answers = set().union(*(itertools.product(s, s, s) for s in spokes.values()))
     text = serialize_structure(b)
     structures = [b, relstore._parse_lines(text), relstore._scan_canonical(text)]
-    assert [s.columns("E") is None for s in structures] == [True, True, False]
     for s in structures:
+        columns = s.columns("E")
+        assert len(columns) == 2 and s.columns("E") is columns
+        assert sorted(zip(*columns)) == sorted(edges)
         grouped.clear()
         stats = {}
         assert eval_sentence(_star3_sentence(), s, stats=stats) == len(answers)
