@@ -23,9 +23,9 @@ from .compilepipe import (
     as_formula,
     basic_sharp_to_pp,
     compile_flat,
+    count_sentence,
     flatten,
     minimize_ep,
-    table_union_sentence,
 )
 from .decomp import compute_qaw, exact_treewidth, serialize_td
 from .epquery import (
@@ -81,23 +81,17 @@ def _load_sharp(path):
 
 
 def _compiled_sentence(q, args):
-    """The sentence `count` evaluates. A query with a disjunction whose naive
-    cast is no wider than its widest disjunct core counts through that cast,
-    one table union instead of 2^k - 1 inclusion-exclusion terms. Otherwise
-    the width-minimal representation when feasible; when a cap trips inside
-    it, fall back to the per-term decomposition route, which never searches
-    for endomorphisms. minimize_ep drops disjuncts contained in another
-    before counting inclusion-exclusion terms, but the fallback flattens the
-    whole query: a query whose terms fit only after the drop is answered by
-    minimize_ep, and when minimize_ep then trips a core or canonicalization
-    cap, the fallback reports the whole query's term count. The DNF and
-    treewidth caps re-raise from the fallback."""
-    union = table_union_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
-    if union is not None:
-        return union
+    """The sentence `count` evaluates: compilepipe.count_sentence, the table
+    union of the disjuncts no other disjunct contains when its cast is no
+    wider than their widest core, else their width-minimal representation.
+    When a cap trips, fall back to the per-term decomposition route, which
+    never searches for endomorphisms and flattens the whole query: a query
+    whose terms fit only after the drop is answered by the minimal route, and
+    when that trips a core or canonicalization cap, the fallback reports the
+    whole query's term count. The DNF and treewidth caps re-raise from the
+    fallback."""
     try:
-        sentence, _ = minimize_ep(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
-        return sentence
+        return count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
     except CapExceeded:
         fs = flatten(naive_representation(q), max_dnf=args.max_dnf)
         sentence, _ = compile_flat(fs, tw_cap=args.max_vertices)

@@ -398,11 +398,12 @@ def minimize_pp(q, *, core_cap=12, tw_cap=24):
 
 
 def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
-    """The naive representation P L C[d1 | ... | dk; L] of a query with a
-    disjunction, when its width is at most the largest quantifier-aware width
-    of the disjuncts' cores (as minimize_pp computes them); None when the
-    query has no disjunction, when the naive cast is wider, or when a cap
-    stops the DNF, a core search or a treewidth.
+    """The naive representation P L C[d1 | ... | dk; L] of q's DNF disjuncts
+    that no other disjunct contains (see _drop_contained), when they still
+    form a disjunction and its width is at most the largest quantifier-aware
+    width of their cores (as minimize_pp computes them); None when they do
+    not, when the naive cast is wider, or when a cap stops the DNF, a core
+    search or a treewidth.
 
     Evaluating the naive cast takes the union of the disjuncts' answer tables
     in one pass, so counting it builds none of the 2^k - 1 inclusion-exclusion
@@ -412,18 +413,38 @@ def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
     Disjuncts whose folded pairs have the same _shape are isomorphic, so
     they have the same qaw and trip the same caps: the core and the qaw are
     computed once per shape, on its first disjunct."""
-    if not _has_or(q.formula):
+    try:
+        return _union_or_kept(q, max_dnf, tw_cap, core_cap)[0]
+    except CapExceeded:
         return None
-    naive = naive_representation(q)
+
+
+def count_sentence(q, *, max_dnf=4096, tw_cap=24):
+    """The sentence `count` evaluates: table_union_sentence(q) when there is
+    one, else the sentence of minimize_ep(q), with q's DNF disjuncts built,
+    folded and pruned once for both. Raises CapExceeded as minimize_ep does."""
+    union, kept = _union_or_kept(q, max_dnf, tw_cap)
+    if union is not None:
+        return union
+    return _minimize_kept(kept, max_dnf=max_dnf, tw_cap=tw_cap)[0]
+
+
+def _union_or_kept(q, max_dnf, tw_cap, core_cap=12):
+    """(table_union_sentence(q), q with its contained disjuncts dropped);
+    raises CapExceeded when the DNF meets max_dnf."""
+    kept, pairs = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)
+    if not _has_or(kept.formula):
+        return None, kept
     qaws = {}
     try:
-        for pair in _folded_disjuncts(q, max_dnf)[1]:
+        for pair in pairs:
             shape = _shape(pair)
             if shape not in qaws:
                 qaws[shape] = compute_qaw(core_of(pair, cap=core_cap), cap=tw_cap)[0]
     except CapExceeded:
-        return None
-    return naive if width(naive) <= max(qaws.values()) else None
+        return None, kept
+    naive = naive_representation(kept)
+    return (naive if width(naive) <= max(qaws.values()) else None), kept
 
 
 def _folded_disjuncts(q, max_dnf):
@@ -764,9 +785,10 @@ def compile_flat(fs, *, tw_cap=24):
     return _compile_terms(((c, basic_sharp_to_pp(basic)) for c, basic in fs.terms), tw_cap)
 
 
-def _drop_contained(q, *, max_dnf, core_cap):
-    """q with every DNF disjunct dropped whose answers lie inside another
-    disjunct's; q itself when none is.
+def _drop_contained(q, *, max_dnf, core_cap=12):
+    """(q', pairs): q with every DNF disjunct dropped whose answers lie
+    inside another disjunct's (q itself when none is), and the folded pairs
+    of the disjuncts kept; (q, None) when q has no disjunction.
 
     Disjunct j contains disjunct i when j's folded pair maps into i's with
     the liberal elements fixed (Sagiv & Yannakakis); among equivalent
@@ -777,18 +799,17 @@ def _drop_contained(q, *, max_dnf, core_cap):
     searches are within max_dnf; a symbol with facts in j but none in i
     settles a comparison without a search."""
     if not _has_or(q.formula):
-        return q
+        return q, None
     disjuncts, pairs = _folded_disjuncts(q, max_dnf)
     k = len(disjuncts)
     if k * (k - 1) > max_dnf:
-        return q
+        return q, pairs
     pin = {e: e for e in q.liberal}
+    symbols = [p.struct.relations.keys() for p in pairs]
 
     def contains(j, i):
         a, b = pairs[j].struct, pairs[i].struct
-        if max(len(a.universe), len(b.universe)) > core_cap:
-            return False
-        if any(a.tuples(name) and not b.tuples(name) for name in a.sig.names()):
+        if not symbols[i] >= symbols[j] or max(len(a.universe), len(b.universe)) > core_cap:
             return False
         return bool(search_homomorphisms(a, b, pin, first=True))
 
@@ -797,9 +818,10 @@ def _drop_contained(q, *, max_dnf, core_cap):
         if not any(contains(j, i) for j in kept):
             kept = [j for j in kept if not contains(i, j)] + [i]
     if len(kept) == k:
-        return q
+        return q, pairs
     formula = reduce(Or, [disjuncts[i].formula for i in kept])
-    return LiberalQuery(name=q.name, formula=formula, liberal=q.liberal, sig=q.sig)
+    kept_q = LiberalQuery(name=q.name, formula=formula, liberal=q.liberal, sig=q.sig)
+    return kept_q, [pairs[i] for i in kept]
 
 
 def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
@@ -812,7 +834,14 @@ def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
     decomposition of its (already cored) pair; the terms are renamed apart
     and reassembled as sum of Const(c_i) * sentence_i. Returns (formula,
     width) with width the maximum term width."""
-    f = naive_representation(_drop_contained(q, max_dnf=max_dnf, core_cap=core_cap))
+    kept = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)[0]
+    return _minimize_kept(kept, max_dnf=max_dnf, core_cap=core_cap, tw_cap=tw_cap,
+                          canon_cap=canon_cap)
+
+
+def _minimize_kept(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
+    """minimize_ep of a query none of whose DNF disjuncts contains another."""
+    f = naive_representation(q)
     lc = canonical_lc(
         flatten(f, max_dnf=max_dnf), core_cap=core_cap, canon_cap=canon_cap
     )

@@ -66,8 +66,8 @@ class Structure:
     tuples (relations, tuples(); the constructor takes any iterables of
     element sequences and drops empty relations), or argument columns
     (columns()) for a structure read by the canonical `.rel` scan. The other
-    form is derived when first asked for (columns per relation, tuple sets
-    all at once), and kept. Immutable: the attributes cannot be set.
+    form is derived per relation when first asked for, and kept. Immutable:
+    the attributes cannot be set.
     """
 
     __slots__ = ("sig", "universe", "_relations", "_columns")
@@ -102,9 +102,10 @@ class Structure:
 
     @property
     def relations(self):
+        """Every nonempty relation's tuple set, in signature order."""
         rels = self._relations
-        if rels is None:
-            rels = {name: frozenset(zip(*cols)) for name, cols in self._columns.items() if cols[0]}
+        if any(cols[0] and n not in rels for n, cols in self._columns.items()):
+            rels = {n: facts for n in self.sig.names() if (facts := self.tuples(n))}
             object.__setattr__(self, "_relations", rels)
         return rels
 
@@ -121,8 +122,15 @@ class Structure:
         return columns
 
     def tuples(self, name):
-        rels = self._relations  # read directly: the oracle's search calls this most
-        return (self.relations if rels is None else rels).get(name, frozenset())
+        facts = self._relations.get(name)  # the oracle's search calls this most
+        if facts is None:
+            # a relation of a scanned structure not asked for yet, or an empty one
+            facts = frozenset(zip(*self._columns.get(name, ())))
+            if facts:
+                rels = {**self._relations, name: facts}
+                rels = {n: rels[n] for n in self.sig.names() if n in rels}  # signature order
+                object.__setattr__(self, "_relations", rels)
+        return facts
 
     def all_facts(self):
         """Iterate (symbol, tuple) pairs in deterministic order."""
@@ -147,8 +155,8 @@ class Structure:
 
 
 def _init_structure(s, sig, universe, relations, columns):
-    """Set a Structure's attributes: the tuple sets, or None when `columns`
-    holds every relation of sig (else it keeps the columns derived so far)."""
+    """Set a Structure's attributes: the tuple sets (those derived so far
+    when `columns` holds every relation of sig) and the columns."""
     object.__setattr__(s, "sig", sig)
     object.__setattr__(s, "universe", universe)
     object.__setattr__(s, "_relations", relations)
@@ -254,7 +262,7 @@ def _scan_canonical(text):
             columns[name] = tuple(elements[i::arity] for i in range(arity))
     except KeyError:  # an element not in the universe
         return None
-    return _unchecked_structure(Signature(symbols), universe, None, columns)
+    return _unchecked_structure(Signature(symbols), universe, {}, columns)
 
 
 def _scan_relation(block, name, arity):

@@ -6,27 +6,26 @@ expansions E V (adding vacuous variables), products, sums, and integer
 constants. Evaluation produces a table of integers indexed by assignments of
 the formula's free variables; its cost is governed by the formula's width.
 
-Kernel invariants: a row tuple's entries follow its table's `explicit`
-columns, and row sets are never mutated. An atom whose arguments are distinct
-variables, none dropped, is the relation itself, read as its argument columns
-(_Facts, from Structure.columns); only a consumer that needs row tuples asks
-the structure for its tuple set (_rows). A table of one column built by an
-atom projection, a semijoin or a union of two such tables holds its distinct
-bare values (_Column), not 1-tuples; only a consumer that needs row tuples
-builds them, and a semijoin keyed on that column never does. Binders are projected inside the join that
-consumes them. A semijoin (one side contributes no column) keeps the other
-side's parts whose key the first side holds, filtered in C; any other join
-groups each side by the shared key into sets of the side's parts and emits,
-per common key, their product. A relation's grouping is memoised for one
-evaluation and shared by its atoms, casts and terms. A product join that
-keeps its shared columns is held as the two groupings it multiplies (_Rows):
-its size, the sum of the per-key products, is known before any row exists,
-its rows are built only for a consumer that reads them, and a join keyed on
-the same shared columns regroups it per key. When every column of a cast is
-summed and its ep is a conjunction under an exists chain, that last join is
-counted, never built. `stats["peak_rows"]` is the largest table, built or
-held as groupings; `max_rows` caps every such table as it grows, so it no
-longer sees counted answers.
+Kernel invariants: a row holds its table's `explicit` columns in order, as
+a tuple, except that a row of one column is its bare value and a row of none
+is (); _row_of builds a row from another, _combine one from two parts. A
+table is a _Facts (an atom over a whole relation, read as its argument
+columns) or a _Rows (built rows, for a counting table a dict of nonzero
+values, or a held product join); both answer len, pick (the entries at given
+positions), distinct (each row once) and grouped, so nothing else asks which
+one it has, and built rows are never mutated. And and Times run one join:
+a semijoin (one side contributes no column) keeps the other side's parts
+whose key the first side holds, filtered in C; any other join groups each
+side by the shared key and emits, per common key, the product of the two
+groups, a counting row valued by the product of its two rows' values.
+Binders are projected inside the join that consumes them, and a relation's
+grouping is shared by one evaluation's atoms, casts and terms. A product
+join of sets that keeps its shared columns is held as its two groupings:
+its size is known before any row exists, and a join keyed on the same
+columns regroups it per key. A fully summed cast over a conjunction under
+an exists chain has its last join counted, never built. Or and Plus share
+one widening union. `stats["peak_rows"]` is the largest table, built or
+held; `max_rows` caps every such table as it grows.
 """
 
 from __future__ import annotations
@@ -465,78 +464,77 @@ class CountTable:
     def __eq__(self, other):
         if not isinstance(other, CountTable):
             return NotImplemented
-        if set(self.variables) != set(other.variables):
+        if (set(self.variables), self.universe) != (set(other.variables), other.universe):
             return False
-        if self.universe != other.universe:
-            return False
-        shared = tuple(sorted(set(self.explicit) | set(other.explicit)))
-        return _materialize(self.explicit, self.data, shared, self.universe) == _materialize(
-            other.explicit, other.data, shared, other.universe
-        )
+        shared = set(self.explicit) | set(other.explicit)
+        return self._over(shared) == other._over(shared)
+
+    def _over(self, columns):
+        """sorted_rows over `columns` ⊇ explicit, the other wildcards left out."""
+        wild = tuple(v for v in self.wildcard if v in columns)
+        return CountTable(self.explicit, wild, self.universe, self.data).sorted_rows()
 
 
-def _row_of(positions):
-    """Row builder: maps a row to the tuple of its entries at `positions`
-    (a slice when they are consecutive, so one position still gives a tuple)."""
-    start = positions[0] if positions else 0
-    if positions == list(range(start, start + len(positions))):
-        return itemgetter(slice(start, start + len(positions)))
-    return itemgetter(*positions)
+def _same(row):
+    return row
 
 
-def _key_of(positions):
-    """Key builder: like _row_of, but a single position gives a bare value."""
-    return itemgetter(*positions) if positions else itemgetter(slice(0, 0))
+@lru_cache(maxsize=1024)
+def _row_of(width, positions):
+    """Row builder from rows of `width` columns to their entries at
+    `positions`, a tuple: a row of one column is its bare value and a row of
+    none is (). Cached like _join_plan."""
+    if positions == tuple(range(width)):
+        return _same
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _pair(a, b):
+    return a, b
+
+
+@lru_cache(maxsize=64)
+def _combine(w1, w2):
+    """Builder of a row from a part of w1 columns followed by one of w2."""
+    if not w2:
+        return lambda a, b: a
+    if not w1:
+        return lambda a, b: b
+    if w1 == 1:
+        return _pair if w2 == 1 else lambda a, b: (a, *b)
+    return (lambda a, b: (*a, b)) if w2 == 1 else add
+
+
+def _pairs(combine, parts1, parts2):
+    """The rows of every pair of parts (a pair of bare values is one)."""
+    pairs = product(parts1, parts2)
+    return pairs if combine is _pair else starmap(combine, pairs)
 
 
 def _widen(explicit, target, universe):
     """(fills, build) re-indexing rows over `explicit` by `target` ⊇ explicit:
-    row r becomes build(r + fill) for each fill of the new columns."""
+    row r becomes build(r, fill) for each fill, a row over the new columns."""
     extra = tuple(v for v in target if v not in explicit)
+    fills = universe if len(extra) == 1 else list(product(universe, repeat=len(extra)))
     cols = explicit + extra
-    fills = list(itertools.product(universe, repeat=len(extra)))
-    return fills, _row_of([cols.index(v) for v in target])
+    order = _row_of(len(cols), tuple(map(cols.index, target)))
+    combine = _combine(len(explicit), len(extra))
+    return fills, lambda r, fill: order(combine(r, fill))
 
 
-def _materialize(explicit, data, target, universe):
-    """data's rows over `explicit` re-indexed by `target` ⊇ explicit, each
-    row copied to every fill of the new columns."""
-    fills, build = _widen(explicit, target, universe)
-    return {build(key + fill): val for key, val in data.items() for fill in fills}
-
-
-@lru_cache(maxsize=1024)
-def _part_of(explicit, part):
-    """Row builder from rows over `explicit` to their entries at `part`, a
-    sub-tuple of its columns; cached like _join_plan."""
-    return _row_of([explicit.index(v) for v in part])
-
-
-_JoinPlan = namedtuple("_JoinPlan", "explicit key1 key2 out1 out2 at1 at2 one1 handoff")
-
-
-def _bare(positions):
-    """Getter of the one entry at `positions`, or None for any other number
-    of positions: a table of one column is projected, grouped and united as
-    bare values."""
-    return itemgetter(*positions) if len(positions) == 1 else None
+_JoinPlan = namedtuple("_JoinPlan", "explicit at1 at2 combine handoff")
 
 
 @lru_cache(maxsize=1024)
 def _join_plan(ex1, ex2, drop):
-    """How to join tables over columns ex1 and ex2, projecting out `drop`.
-    A plan depends on column names only, so repeated evaluations share it.
-
-    Output columns are ex1's surviving ones, then ex2's own: the order comes
-    from the formula, never from row counts. key1/key2 build the shared-column
-    keys, out1/out2 the part of the output row each side contributes, and
-    at1/at2 the (key, part) positions that name a side's grouping in the
-    index memo; a side whose part positions are empty contributes no column.
-    one1 gets side 1's part as a bare value when it is one column (else
-    None). When every shared column is kept, `handoff` holds their positions
-    in the output, where a consumer keying on them finds the join's groups;
-    otherwise it is None.
-    """
+    """How to join tables over columns ex1 and ex2, projecting out `drop`;
+    it depends on column names only, so repeated evaluations share it.
+    Output columns are ex1's surviving ones, then ex2's own, in the
+    formula's order. at1/at2 are each side's (key, part) positions: its
+    shared columns and those it contributes to the output row, which
+    `combine` builds from the two parts. When every shared column is kept,
+    `handoff` holds their output positions, where a consumer keying on them
+    finds the join's groups; otherwise it is None."""
     shared = [v for v in ex1 if v in ex2]
     own1 = tuple(v for v in ex1 if v not in drop)
     own2 = tuple(v for v in ex2 if v not in ex1 and v not in drop)
@@ -544,129 +542,8 @@ def _join_plan(ex1, ex2, drop):
         (tuple(ex.index(v) for v in shared), tuple(ex.index(v) for v in own))
         for ex, own in ((ex1, own1), (ex2, own2))
     ]
-    key1, key2 = [_key_of(list(at[0])) for at in (at1, at2)]
-    out1, out2 = [_row_of(list(at[1])) for at in (at1, at2)]
     handoff = None if drop.intersection(shared) else tuple(map(own1.index, shared))
-    return _JoinPlan(own1 + own2, key1, key2, out1, out2, at1, at2, _bare(at1[1]), handoff)
-
-
-class _Rows:
-    """The rows of a product join that keeps its shared columns, held as the
-    join's plan, the two sides' {key: parts} groups and their common keys:
-    rows of different keys differ, so the table holds `n`, the sum of the
-    per-key products, and its rows are built only when iterated. The groups
-    live exactly as long as the table does."""
-
-    __slots__ = ("plan", "groups", "keys", "n")
-
-    def __init__(self, plan, groups, keys, n):
-        self.plan, self.groups, self.keys, self.n = plan, groups, keys, n
-
-    def __len__(self):
-        return self.n
-
-    def __iter__(self):
-        g1, g2 = self.groups
-        return itertools.chain.from_iterable(
-            starmap(add, product(g1[k], g2[k])) for k in self.keys
-        )
-
-    def row_set(self):
-        return set(self)
-
-    def regroup(self, part_at):
-        """The rows grouped by the join's shared columns into their parts at
-        `part_at`, per key from the sides' groups: a projection of one key's
-        product is the product of its sides' projections."""
-        g1, g2 = self.groups
-        part1, part2 = _split_part(len(self.plan.at1[1]), len(self.plan.at2[1]), part_at)
-        return {
-            k: set(starmap(add, product(
-                g1[k] if part1 is None else set(map(part1, g1[k])),
-                g2[k] if part2 is None else set(map(part2, g2[k])),
-            )))
-            for k in self.keys
-        }
-
-
-@lru_cache(maxsize=1024)
-def _split_part(width1, width2, part_at):
-    """For rows whose first width1 entries come from side 1 and the next
-    width2 from side 2: builders of the entries at `part_at` that each
-    side's part holds, None for a side whose part is taken whole."""
-    at1 = [p for p in part_at if p < width1]
-    at2 = [p - width1 for p in part_at if p >= width1]
-    return tuple(
-        None if at == list(range(width)) else _row_of(at)
-        for at, width in ((at1, width1), (at2, width2))
-    )
-
-
-class _Column(set):
-    """The rows of a one-column table as its distinct bare values, not
-    1-tuples. A semijoin keyed on the column takes them as its keys; every
-    other consumer turns them into rows with _rows."""
-
-    __slots__ = ()
-
-    def row_set(self):
-        return set(zip(self))
-
-
-class _Facts:
-    """The table of an atom over a relation, read as its argument columns
-    (Structure.columns). Joins key and group it from the columns, and the
-    structure's tuple set is asked for only by a consumer that needs rows.
-    One is made per relation per evaluation, and it keeps the relation's
-    groupings by their (key, part) positions, so the atoms, casts and terms
-    of that evaluation share them."""
-
-    __slots__ = ("b", "name", "columns", "groups")
-
-    def __init__(self, b, name):
-        self.b, self.name, self.columns = b, name, b.columns(name)
-        self.groups = {}
-
-    def __len__(self):
-        return len(self.columns[0])
-
-    def __iter__(self):
-        return zip(*self.columns)
-
-    def row_set(self):
-        return self.b.tuples(self.name)
-
-    def pick(self, positions, bare):
-        """The entries at `positions` of every fact, in the order of
-        iteration: bare values when `bare` (one position), else tuples."""
-        columns = self.columns
-        if bare:
-            return columns[positions[0]]
-        if not positions:
-            return itertools.repeat((), len(columns[0]))
-        return zip(*[columns[p] for p in positions])
-
-
-def _rows(rows):
-    """A table's set of row tuples."""
-    return rows.row_set() if type(rows) in (_Column, _Facts, _Rows) else rows
-
-
-def _values(rows):
-    """The bare values of a table of one column."""
-    if type(rows) is _Facts:
-        return rows.pick((0,), True)
-    return rows if type(rows) is _Column else map(itemgetter(0), rows)
-
-
-def _keys_parts(rows, key, part, at, bare):
-    """Two iterables over a table's rows in one order: each row's key
-    key(row) at positions at[0] and its part part(row) at at[1], a bare
-    value when `bare`. A _Facts is read from its columns."""
-    if type(rows) is _Facts:
-        return rows.pick(at[0], len(at[0]) == 1), rows.pick(at[1], bare)
-    rows = _rows(rows)
-    return map(key, rows), map(part, rows)
+    return _JoinPlan(own1 + own2, at1, at2, _combine(len(own1), len(own2)), handoff)
 
 
 def _group(keys, parts):
@@ -678,6 +555,107 @@ def _group(keys, parts):
     return groups
 
 
+class _Facts:
+    """The table of an atom over a relation, read as its argument columns
+    (Structure.columns). One is made per relation per evaluation and keeps
+    the relation's groupings by their (key, part) positions, so the atoms,
+    casts and terms of that evaluation share them."""
+
+    __slots__ = ("b", "name", "columns", "groups")
+
+    def __init__(self, b, name):
+        self.b, self.name, self.columns = b, name, b.columns(name)
+        self.groups = {}
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def distinct(self):
+        """The rows, each once: a unary relation's column, else its tuple set."""
+        columns = self.columns
+        return columns[0] if len(columns) == 1 else self.b.tuples(self.name)
+
+    def pick(self, positions):
+        """The entries at `positions` of every fact, in the columns' order."""
+        columns = self.columns
+        if len(positions) == 1:
+            return columns[positions[0]]
+        if not positions:
+            return itertools.repeat((), len(columns[0]))
+        return zip(*[columns[p] for p in positions])
+
+    def keyset(self, positions):
+        return set(self.pick(positions))
+
+    def grouped(self, at):
+        """{key: set of parts} at positions at[0] and at[1], once."""
+        groups = self.groups.get(at)
+        if groups is None:
+            groups = self.groups[at] = _group(self.pick(at[0]), self.pick(at[1]))
+        return groups
+
+
+class _Rows:
+    """Any other table: built rows (for a counting table a dict of nonzero
+    values), or a product join that keeps its shared columns, held as its
+    plan, its sides' {key: parts} groups and their common keys; its size `n`
+    (rows of different keys differ) is known before any row exists."""
+
+    __slots__ = ("width", "rows", "plan", "groups", "keys", "n")
+
+    def __init__(self, width, rows, plan=None):
+        # rows None: a join held by `plan` sets its groups, keys and size
+        self.width, self.rows, self.plan = width, rows, plan
+
+    def __len__(self):
+        return self.n if self.rows is None else len(self.rows)
+
+    def values(self):  # a counting table's, in the order of distinct()
+        return self.rows.values()
+
+    def distinct(self):
+        """The rows, each once: a held table's are built on the first call."""
+        if self.rows is None:
+            (g1, g2), combine = self.groups, self.plan.combine
+            self.rows = list(itertools.chain.from_iterable(
+                _pairs(combine, g1[k], g2[k]) for k in self.keys
+            ))
+        return self.rows
+
+    def pick(self, positions):
+        """The rows' entries at `positions`, in the order of distinct()."""
+        if not positions:
+            return itertools.repeat((), len(self))
+        build = _row_of(self.width, positions)
+        return self.distinct() if build is _same else map(build, self.distinct())
+
+    def keyset(self, positions):
+        keys = self.pick(positions)
+        return keys if type(keys) is set else set(keys)
+
+    def grouped(self, at):
+        """{key: parts} at positions at[0] and at[1], each key's parts a set
+        or a {part: value} dict. A held join keyed on its shared columns is
+        regrouped per key: one key's projected product is the product of its
+        sides' projections."""
+        plan = self.plan
+        if plan is None or plan.handoff != at[0]:
+            if type(self.rows) is not dict:
+                return _group(self.pick(at[0]), self.pick(at[1]))
+            groups = defaultdict(dict)
+            for k, p, v in zip(self.pick(at[0]), self.pick(at[1]), self.values()):
+                groups[k][p] = v
+            return groups
+        w1 = len(plan.at1[1])
+        at1, at2 = [p for p in at[1] if p < w1], [p - w1 for p in at[1] if p >= w1]
+        sides = [(g, _row_of(len(own), tuple(sub))) for g, own, sub in zip(
+            self.groups, (plan.at1[1], plan.at2[1]), (at1, at2))]
+        combine = _combine(len(at1), len(at2))
+        return {k: set(_pairs(combine, *[
+            g[k] if part is _same else set(map(part, g[k])) for g, part in sides
+        ])) for k in self.keys}
+
+
 # ---------------------------------------------------------------------------
 # Evaluation: satisfying-assignment sets and count tables
 # ---------------------------------------------------------------------------
@@ -685,11 +663,9 @@ def _group(keys, parts):
 
 class _Evaluator:
     """Table evaluation in one fold, under the kernel invariants above. Every
-    node yields (columns, rows): a set of rows for an ep formula (a _Column
-    of bare values when it has one column), a dict of nonzero counts for a
-    counting formula, and a row count for a cast that is only counted. A
-    variable of a node's free set that is not a column is one its value does
-    not depend on.
+    node yields (columns, table), a counting formula's table holding nonzero
+    counts, or a row count where only that is asked for. A variable of a
+    node's free set that is not a column is one its value does not depend on.
 
     The fold's context: an ep node's is (drop, count), `drop` the variables
     bound above it that occur, free in it, nowhere else under their binder,
@@ -706,14 +682,14 @@ class _Evaluator:
         self._steps = {
             Atom: self._atom,
             Or: self._or,
-            And: lambda node, ctx, s1, s2: self._sat_join(s1, s2, *ctx),
+            And: lambda node, ctx, s1, s2: self._join(s1, s2, *ctx),
             Exists: lambda node, ctx, body: body,
-            Top: lambda node, ctx: ((), 1 if ctx[1] else {()}),
+            Top: lambda node, ctx: ((), 1 if ctx[1] else _Rows(0, {()})),
             Cast: self._cast,
-            Const: lambda node, ctx: ((), {(): node.n} if node.n != 0 else {}),
+            Const: lambda node, ctx: ((), _Rows(0, {(): node.n} if node.n != 0 else {})),
             Expand: lambda node, ctx, t: t,
             Project: self._project,
-            Times: self._times,
+            Times: lambda node, ctx, t1, t2: self._join(t1, t2, frozenset(), valued=True),
             Plus: self._plus,
         }
         self._down = {
@@ -769,109 +745,98 @@ class _Evaluator:
         if explicit == args:
             rows = facts
         else:
-            positions = [args.index(v) for v in explicit]
+            positions = tuple(args.index(v) for v in explicit)
             same = [(args.index(v), i) for i, v in enumerate(args) if args.index(v) != i]
             if same:
-                build = _row_of(positions)
+                build, facts = _row_of(len(args), positions), facts.pick(tuple(range(len(args))))
                 rows = {build(t) for t in facts if all(t[i] == t[j] for i, j in same)}
-            elif _bare(positions) is not None:
-                rows = _Column(facts.pick(positions, True))
             else:
-                rows = set(facts.pick(positions, False))
+                rows = set(facts.pick(positions))
+            rows = _Rows(len(explicit), rows)
         self._note(len(rows))
         return explicit, len(rows) if count else rows
 
     def _or(self, f, ctx, s1, s2):
-        (ex1, rows1), (ex2, rows2) = s1, s2
-        if ex1 == ex2 and len(ex1) == 1:
-            # a union of two tables of the same one column stays bare values
-            explicit, rows = ex1, _Column(_values(rows1))
-            rows.update(_values(rows2))
-        else:
-            explicit = tuple(dict.fromkeys(ex1 + ex2))
-            rows = self._sat_expand(ex1, _rows(rows1), explicit) | self._sat_expand(
-                ex2, _rows(rows2), explicit
-            )
+        explicit, (t1, t2) = self._widened(s1, s2, False)
+        rows = set(t1.distinct())
+        rows.update(t2.distinct())
         self._note(len(rows))
-        return explicit, len(rows) if ctx[1] else rows
+        return explicit, len(rows) if ctx[1] else _Rows(len(explicit), rows)
 
-    def _sat_expand(self, explicit, rows, target):
-        """rows over `explicit` re-indexed by `target` ⊇ explicit (new
-        columns range over the universe)."""
-        if explicit == target:
-            return rows
-        self._note(len(rows) * len(self.b.universe) ** (len(target) - len(explicit)))
-        fills, build = _widen(explicit, target, self.b.universe)
-        return {build(r + fill) for r in rows for fill in fills}
+    def _widened(self, s1, s2, valued):
+        """The joint columns of two tables and each table re-indexed by them
+        (a new column ranges over the universe), for Or and Plus to unite."""
+        explicit = tuple(dict.fromkeys(s1[0] + s2[0]))
+        universe, tables = self.b.universe, []
+        for ex, t in (s1, s2):
+            if ex != explicit:
+                self._note(len(t) * len(universe) ** (len(explicit) - len(ex)))
+                fills, build = _widen(ex, explicit, universe)
+                rows = t.distinct()
+                if valued:
+                    rows = {build(r, fill): v for r, v in zip(rows, t.values()) for fill in fills}
+                else:
+                    rows = {build(r, fill) for r in rows for fill in fills}
+                t = _Rows(len(explicit), rows)
+            tables.append(t)
+        return explicit, tables
 
-    def _groups(self, rows, key, out, at):
-        """{shared key: set of the side's parts out(r)}. A relation is
-        grouped once per evaluation and `at`, from its columns, and the
-        grouping kept on its _Facts. A product join's rows keyed on the
-        join's own shared columns are regrouped per key from the groups they
-        carry, not row by row."""
-        if type(rows) is _Rows and rows.plan.handoff == at[0]:
-            return rows.regroup(at[1])
-        if type(rows) is not _Facts:
-            return _group(*_keys_parts(rows, key, out, at, False))
-        groups = rows.groups.get(at)
-        if groups is None:
-            groups = rows.groups[at] = _group(*_keys_parts(rows, key, out, at, False))
-        return groups
-
-    def _sat_join(self, s1, s2, drop, count=False):
-        """The join of s1 and s2 with `drop` projected out. When s2
-        contributes no column (a semijoin), s1's parts whose shared key s2
+    def _join(self, s1, s2, drop, count=False, valued=False):
+        """The join of s1 and s2 with `drop` projected out, each row of
+        `valued` counting tables valued by the product of its two rows'. When
+        s2 contributes no column (a semijoin), s1's rows whose shared key s2
         holds; else the product of the two sides' groups by the shared key,
         per common key, or with `count` only the number of its rows."""
-        (ex1, rows1), (ex2, rows2) = s1, s2
+        (ex1, t1), (ex2, t2) = s1, s2
         plan = _join_plan(ex1, ex2, drop)
         if plan.at2[1] and not plan.at1[1]:
             # s1 contributes no column; swapped, the output columns stay
-            (ex1, rows1), (ex2, rows2) = s2, s1
+            (ex1, t1), (ex2, t2) = s2, s1
             plan = _join_plan(ex1, ex2, drop)
-        if not rows1 or not rows2:
-            rows = set()
-        elif not plan.at2[1]:
-            # a side drops its unshared binders itself, so a _Column's column is the key
-            if type(rows2) is _Column:
-                keys = rows2
+        (key1, part1), (key2, part2) = plan.at1, plan.at2
+        values = t1.values() if valued else None
+        if not t1 or not t2:
+            rows = set() if values is None else {}
+        elif not part2:
+            if values is None:
+                # side 1's parts whose key side 2 holds, filtered in C
+                keys = t2.keyset(key2)
+                rows = set(compress(t1.pick(part1), map(keys.__contains__, t1.pick(key1))))
             else:
-                keys = set(_keys_parts(rows2, plan.key2, plan.out2, plan.at2, False)[0])
-            # side 1's parts whose key side 2 holds, filtered in C
-            one = plan.one1
-            keys1, parts1 = _keys_parts(
-                rows1, plan.key1, one or plan.out1, plan.at1, one is not None
-            )
-            kept = compress(parts1, map(keys.__contains__, keys1))
-            rows = set(kept) if one is None else _Column(kept)
+                of = dict(zip(t2.pick(key2), t2.values()))
+                rows = {
+                    p: v * of[k] for k, p, v in zip(t1.pick(key1), t1.pick(part1), values)
+                    if k in of
+                }
         else:
-            g1 = self._groups(rows1, plan.key1, plan.out1, plan.at1)
-            g2 = self._groups(rows2, plan.key2, plan.out2, plan.at2)
+            g1, g2 = t1.grouped(plan.at1), t2.grouped(plan.at2)
             if count:
                 return plan.explicit, _count_pairs(g1, g2)
             common = g1.keys() & g2.keys()
-            if plan.handoff is None:
-                # rows of different keys may coincide: built to be counted
-                rows = set()
-                for k in common:
-                    self._check_growth(len(rows), g1[k], g2[k])
-                    rows.update(starmap(add, product(g1[k], g2[k])))
-            else:
+            if plan.handoff is not None and values is None:
                 # the shared columns are kept, so rows of different keys
                 # differ: the table's size is the sum of the per-key products
                 n = 0
                 for k in common:
                     self._check_growth(n, g1[k], g2[k])
                     n += len(g1[k]) * len(g2[k])
-                rows = _Rows(plan, (g1, g2), common, n)
+                self._note(n)
+                held = _Rows(len(plan.explicit), None, plan)
+                held.groups, held.keys, held.n = (g1, g2), common, n
+                return plan.explicit, held
+            # rows of different keys may coincide: built to be counted
+            rows, combine = (set() if values is None else {}), plan.combine
+            for k in common:
+                self._check_growth(len(rows), g1[k], g2[k])
+                rows.update(_pairs(combine, g1[k], g2[k]) if values is None else (
+                    (combine(p1, p2), v1 * v2)
+                    for (p1, v1), (p2, v2) in product(g1[k].items(), g2[k].items())
+                ))
         self._note(len(rows))
-        return plan.explicit, len(rows) if count else rows
+        return plan.explicit, len(rows) if count else _Rows(len(plan.explicit), rows)
 
     def _check_growth(self, n, parts1, parts2):
-        """Refuse a product join that holds n rows before it adds one key's
-        rows, if either count exceeds max_rows; the parts of one key form
-        distinct rows."""
+        """Refuse a product join of n rows before one key's, if either count exceeds max_rows."""
         if max(n, len(parts1) * len(parts2)) > self.max_rows:
             raise CapExceeded(f"table would hold more than {self.max_rows} rows")
 
@@ -879,8 +844,11 @@ class _Evaluator:
 
     def _cast(self, f, count, s):
         explicit, rows = s
-        # counted, the row count goes up to the projection above
-        return s if count else (explicit, dict.fromkeys(_rows(rows), 1))
+        if count:
+            # the row count goes up to the projection above, which sums
+            # every column, as the value of the empty row
+            return explicit, _Rows(0, {(): rows} if rows else {})
+        return explicit, _Rows(len(explicit), dict.fromkeys(rows.distinct(), 1))
 
     def _project(self, f, inner, value):
         """A chain of projections summed out in one pass, at its top; the
@@ -892,44 +860,34 @@ class _Evaluator:
         while isinstance(f.child, Project):
             f = f.child
             vars_ |= f.vars
-        explicit, data = value
+        explicit, t = value
         # every summed variable that is not a column contributes a factor |B|
         factor = len(self.b.universe) ** len(vars_ - set(explicit))
-        keep = [i for i, v in enumerate(explicit) if v not in vars_]
+        keep = tuple([i for i, v in enumerate(explicit) if v not in vars_])
         if keep:
-            key = _row_of(keep)
+            key = _row_of(len(explicit), keep)
             sums = {}
-            for row, val in data.items():
+            for row, val in zip(t.distinct(), t.values()):
                 k = key(row)
                 sums[k] = sums.get(k, 0) + val
             data = {k: v * factor for k, v in sums.items() if v}
         else:
-            total = (data if isinstance(data, int) else sum(data.values())) * factor
+            total = sum(t.values()) * factor
             data = {(): total} if total else {}
         self._note(len(data))
-        return tuple(explicit[i] for i in keep), data
-
-    def _times(self, f, ctx, t1, t2):
-        """The join of the two tables' row keys, valued by the product."""
-        (ex1, d1), (ex2, d2) = t1, t2
-        explicit, rows = self._sat_join((ex1, d1.keys()), (ex2, d2.keys()), frozenset())
-        at1, at2 = _part_of(explicit, ex1), _part_of(explicit, ex2)
-        return explicit, {r: d1[at1(r)] * d2[at2(r)] for r in _rows(rows)}
+        return tuple(explicit[i] for i in keep), _Rows(len(keep), data)
 
     def _plus(self, f, ctx, t1, t2):
-        (ex1, d1), (ex2, d2) = t1, t2
-        explicit = tuple(dict.fromkeys(ex1 + ex2))
-        n = len(self.b.universe)
-        self._note(sum(len(d) * n ** (len(explicit) - len(ex)) for ex, d in (t1, t2)))
-        data = _materialize(ex1, d1, explicit, self.b.universe)
-        for k, v in _materialize(ex2, d2, explicit, self.b.universe).items():
-            s = data.get(k, 0) + v
-            if s:
-                data[k] = s
-            else:
-                data.pop(k, None)
+        # both sides are built widened before they are added
+        n, width = len(self.b.universe), len(set(t1[0] + t2[0]))
+        self._note(sum(len(t) * n ** (width - len(ex)) for ex, t in (t1, t2)))
+        explicit, (t1, t2) = self._widened(t1, t2, True)
+        data = dict(zip(t1.distinct(), t1.values()))
+        for k, v in zip(t2.distinct(), t2.values()):
+            data[k] = data.get(k, 0) + v
+        data = {k: v for k, v in data.items() if v}
         self._note(len(data))
-        return explicit, data
+        return explicit, _Rows(len(explicit), data)
 
 
 def _count_pairs(g1, g2):
@@ -954,7 +912,8 @@ def evaluate(f, b, max_rows=10**7, stats=None):
     the free variables that index no row are its wildcards."""
     free = _require_valid(f).free
     _check_signature(_infer_signature(f), b, "formula")
-    explicit, data = _Evaluator(max_rows, stats).eval(f, b)
+    explicit, t = _Evaluator(max_rows, stats).eval(f, b)
+    data = {(k,): v for k, v in t.rows.items()} if len(explicit) == 1 else t.rows
     return CountTable(explicit, tuple(sorted(free.difference(explicit))), b.universe, data)
 
 
@@ -966,7 +925,7 @@ def _sentence_signature(f):
 
 def _sentence_value(f, sig, b, evaluator):
     _check_signature(sig, b, "formula")
-    return evaluator.eval(f, b)[1].get((), 0)
+    return evaluator.eval(f, b)[1].rows.get((), 0)
 
 
 def eval_sentence(f, b, max_rows=10**7, stats=None):

@@ -12,12 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sharpq.cli
+import sharpq.compilepipe
 from sharpq.cli import main
-from sharpq.compilepipe import _seeded_structures, minimize_ep
+from sharpq.compilepipe import _seeded_structures, minimize_ep, table_union_sentence
 from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
 from sharpq.errors import CapExceeded
 from sharpq.relstore import parse_structure, serialize_structure
-from sharpq.sharpcore import check_represents, eval_sentence, parse_sharp, validate
+from sharpq.sharpcore import (
+    check_represents,
+    eval_sentence,
+    naive_representation,
+    parse_sharp,
+    validate,
+    width,
+)
 
 from tests.conftest import (
     QUERY_A,
@@ -152,10 +160,10 @@ def test_count_reads_a_canonical_rel_without_building_fact_tuples(
     b = random_structure(rng, parse_query(query).sig, max_size=9, min_size=9, density=0.2)
     code, out, err = _count(capsys, tmp_path, query, serialize_structure(b))
     assert (code, err) == (0, "") and int(out) > 0
-    assert structures[0]._relations is None
+    assert structures[0]._relations == {}
     both = _count(capsys, tmp_path, query, serialize_structure(b), "--engine", "both")
     assert both == (0, out + "engines agree\n", "")
-    assert structures[1]._relations is not None
+    assert structures[1]._relations
 
 
 def _hub_rel(spokes):
@@ -206,11 +214,15 @@ def ie_route(monkeypatch):
     """The names of the queries that `count` sends to inclusion-exclusion."""
     names = []
 
-    def spy(q, **kwargs):
-        names.append(q.name)
-        return minimize_ep(q, **kwargs)
+    real = sharpq.compilepipe._union_or_kept
 
-    monkeypatch.setattr(sharpq.cli, "minimize_ep", spy)
+    def spy(q, *args):
+        union, kept = real(q, *args)
+        if union is None:
+            names.append(q.name)
+        return union, kept
+
+    monkeypatch.setattr(sharpq.compilepipe, "_union_or_kept", spy)
     return names
 
 
@@ -640,6 +652,36 @@ def test_count_caps_the_terms_left_after_dropping_contained_disjuncts(tmp_path, 
     assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100") == (
         3, "", "error: inclusion-exclusion over 7 disjuncts needs 127 > 100 terms\n"
     )
+
+
+def test_count_drops_a_contained_disjunct_before_the_table_union_guard(
+    tmp_path, capsys, monkeypatch
+):
+    # the second disjunct's answers lie inside the first's: the naive cast of
+    # the whole query has width 3, while the first disjunct alone compiles at
+    # width 2, and alone it is no union
+    text = (
+        "query c(x): (exists y . E(x,y)) | "
+        "(exists y . (E(x,y) & exists z . exists w . E(y,z) & E(z,w) & E(w,y)))\n"
+    )
+    q = parse_query(text)
+    assert width(naive_representation(q)) == 3 and minimize_ep(q)[1] == 2
+    assert table_union_sentence(q) is None
+    widths = []
+
+    def spy(sentence, b, **kwargs):
+        widths.append(width(sentence))
+        return eval_sentence(sentence, b, **kwargs)
+
+    monkeypatch.setattr(sharpq.cli, "eval_sentence", spy)
+    rng = random.Random(1919)
+    for _ in range(5):
+        b = random_structure(rng, q.sig, min_size=2, max_size=5, density=0.4)
+        expected = f"{oracle_count(q, b)}\nengines agree\n"
+        assert _count(capsys, tmp_path, text, serialize_structure(b), "--engine", "both") == (
+            0, expected, ""
+        )
+    assert widths == [2] * 5
 
 
 def test_unknown_engine_rejected_by_parser(tmp_path):

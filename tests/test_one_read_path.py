@@ -3,7 +3,7 @@
 How a relation is held is decided in relstore.Structure alone, and every
 structure answers Structure.columns. So sharpcore.py reads no `.relations`,
 never tests `columns` against None, and asks for a tuple set (`.tuples(`)
-only in _Facts.row_set, for a consumer that needs row tuples.
+only in _Facts.distinct, for a consumer that reads a relation's rows.
 """
 
 import ast
@@ -23,12 +23,12 @@ def _names_columns(node):
 def _second_reads(source):
     """`line N: what` for each read of a relation other than its columns."""
     tree = ast.parse(source)
-    row_set = {
+    rows = {
         id(n)
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef) and cls.name == "_Facts"
         for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "row_set"
+        if isinstance(fn, ast.FunctionDef) and fn.name == "distinct"
         for n in ast.walk(fn)
     }
     found = []
@@ -39,7 +39,7 @@ def _second_reads(source):
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "tuples"
-            and id(node) not in row_set
+            and id(node) not in rows
         ):
             found.append(f"line {node.lineno}: .tuples(")
         elif isinstance(node, ast.Compare) and any(
@@ -60,7 +60,7 @@ def test_sharpcore_reads_relations_only_as_columns():
 def test_the_guard_sees_a_second_read_path():
     source = (
         "class _Facts:\n"
-        "    def row_set(self):\n"
+        "    def distinct(self):\n"
         "        return self.b.tuples(self.name)\n"
         "def f(b, name):\n"
         "    if b.columns(name) is None:\n"

@@ -284,6 +284,18 @@ def test_scan_line_loop_and_make_structure_hold_the_same_facts():
     assert repeated > 50
 
 
+def test_a_scanned_structure_derives_only_the_tuple_set_asked_for():
+    s = parse_structure("signature E/2 F/1\nuniverse a b\nE(a,b)\nF(a)\nF(b)\n")
+    assert s.tuples("E") == {("a", "b")}
+    assert "F" not in s._relations
+    assert s.relations == {"E": frozenset({("a", "b")}), "F": frozenset({("a",), ("b",)})}
+    assert list(s.relations) == ["E", "F"] and s.tuples("E") is s.relations["E"]
+    # derived against signature order, every relation: still signature order
+    s = parse_structure("signature E/2 F/1\nuniverse a b\nE(a,b)\nF(a)\nF(b)\n")
+    assert s.tuples("F") and s.tuples("E") and list(s.relations) == ["E", "F"]
+    assert "relations={'E': frozenset({('a', 'b')}), 'F': " in repr(s)
+
+
 def test_a_scanned_structure_builds_its_tuple_sets_once():
     s = parse_structure("signature E/2 V/1\nuniverse a b\nE(a,b)\nE(b,a)\nE(a,b)\n")
     assert s.columns("E") == (["a", "b"], ["b", "a"]) and s.columns("V") == ([],)

@@ -567,6 +567,25 @@ def test_times_and_plus_commute():
         checked += 1
         assert evaluate(f, b) == evaluate(swapped, b)
     assert checked > 10
+    # products of counts whose sides have different explicit columns: the
+    # right side's a strict subset of the left's, then each side with the
+    # shared x and a column of its own
+    for text, columns in (
+        ("(P{w} C[E(x,w) & E(w,y); {x,y,w}] * E{y} P{v} C[F(x,v); {x,v}])", ("x",)),
+        ("(E{z} P{w} C[E(x,w) & E(w,y); {x,y,w}] * E{y} P{v} C[F(x,v) & F(v,z); {x,z,v}])",
+         ("x", "z")),
+    ):
+        f, larger = parse_sharp(text), 0
+        for _ in range(10):
+            b = random_structure(rng, SIG_EF, min_size=3, max_size=4, density=0.5)
+            t, t1, t2 = evaluate(f, b), evaluate(f.left, b), evaluate(f.right, b)
+            assert (t1.explicit, t2.explicit) == (("x", "y"), columns)
+            assert evaluate(Times(f.right, f.left), b) == t
+            for values in itertools.product(b.universe, repeat=3):
+                h = dict(zip(("x", "y", "z"), values))
+                assert t.value(h) == t1.value(h) * t2.value(h)
+            larger += any(val > 1 for _, val in t.sorted_rows())
+        assert larger > 3
 
 
 def test_values_nonnegative_without_plus_or_negatives():
@@ -800,38 +819,23 @@ def _random_tree_query(rng, shape):
     return parse_query(f"query t({','.join(liberal)}): {prefix}{' & '.join(atoms)}\n")
 
 
-def test_bare_value_joins_match_the_tuple_joins_and_the_oracle(monkeypatch):
-    # one-column tables are projected, grouped and united as bare values;
-    # with _bare refusing every column the same formulas run on 1-tuples
-    real_bare = sharpcore._bare
-    bare_used = []
-
-    def recording_bare(positions):
-        one = real_bare(positions)
-        bare_used.append(one is not None)
-        return one
-
-    def tables_and_counts(q, b, bare):
-        # a cached join plan holds the getter _bare gave it
-        sharpcore._join_plan.cache_clear()
-        with monkeypatch.context() as m:
-            m.setattr(sharpcore, "_bare", bare)
-            # the flat prefix form and the compiled one, binders nested
-            sentences = [naive_representation(q), minimize_ep(q)[0]]
-            table = evaluate(Cast(q.formula, q.liberal), b)
-            counts = [eval_sentence(s, b) for s in sentences]
-        sharpcore._join_plan.cache_clear()
-        return table, counts
-
+def test_bare_value_joins_match_the_answer_table_and_the_oracle():
+    # a row of a one-column table is its bare value in every atom, join part,
+    # semijoin, cast and projection; the answer table of the cast, the count
+    # of its flat prefix form and of the compiled one (binders nested) agree
+    # with the oracle
     rng = random.Random(1414)
+    one_column = 0
     for shape in ("path", "star", "tree") * 40:
         q = _random_tree_query(rng, shape)
         b = random_structure(rng, SIG_EF, max_size=4, density=0.35)
-        table, counts = tables_and_counts(q, b, recording_bare)
-        assert (table, counts) == tables_and_counts(q, b, lambda positions: None), render_ep(q.formula)
-        assert counts == [oracle_count(q, b)] * 2
-        assert len(table.sorted_rows()) == counts[0]
-    assert sum(bare_used) > 150
+        table = evaluate(Cast(q.formula, q.liberal), b)
+        counts = [eval_sentence(s, b) for s in (naive_representation(q), minimize_ep(q)[0])]
+        assert counts == [oracle_count(q, b)] * 2, render_ep(q.formula)
+        assert len(table.sorted_rows()) == table.n_rows == counts[0]
+        assert all(len(key) == len(table.explicit) for key in table.data)
+        one_column += len(q.liberal) == 1
+    assert one_column > 30
 
 
 def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch):
@@ -872,23 +876,27 @@ def test_star3_root_join_regroups_no_table_larger_than_the_relation(monkeypatch)
 
 def test_a_product_join_regroups_like_its_rows():
     # the groups a product join hands on, projected to any part, equal the
-    # grouping of its rows by the shared columns, one row at a time
+    # grouping of its rows by the shared columns, one row at a time; a side
+    # part of one column (b in the second pair) is a bare value
     rng = random.Random(1616)
     evaluator = sharpcore._Evaluator(10**7, None)
     evaluator.eval(parse_sharp("P{x} C[E(x,x); {x}]"), triangle_structure())
-    cols1, cols2 = ("a", "h", "k"), ("h", "b", "k", "c")
-    for _ in range(30):
-        rows1, rows2 = [
-            {tuple(rng.choice("pqr") for _ in cols) for _ in range(rng.randint(1, 12))}
-            for cols in (cols1, cols2)
-        ]
-        explicit, rows = evaluator._sat_join((cols1, rows1), (cols2, rows2), frozenset())
-        key = sharpcore._key_of(list(rows.plan.handoff))
-        for n in range(len(explicit) + 1):
-            for part_at in itertools.combinations(range(len(explicit)), n):
-                part = sharpcore._row_of(list(part_at))
-                expected = sharpcore._group(map(key, rows), map(part, rows))
-                assert rows.regroup(part_at) == expected, (rows, part_at)
+    for cols1, cols2 in ((("a", "h", "k"), ("h", "b", "k", "c")), (("a", "h"), ("h", "b"))):
+        for _ in range(30):
+            sides = [
+                (cols, sharpcore._Rows(len(cols), {
+                    tuple(rng.choice("pqr") for _ in cols) for _ in range(rng.randint(1, 12))
+                }))
+                for cols in (cols1, cols2)
+            ]
+            explicit, rows = evaluator._join(*sides, frozenset())
+            handoff, built = rows.plan.handoff, rows.distinct()
+            key = sharpcore._row_of(len(explicit), handoff)
+            for n in range(len(explicit) + 1):
+                for part_at in itertools.combinations(range(len(explicit)), n):
+                    part = sharpcore._row_of(len(explicit), part_at)
+                    expected = sharpcore._group(map(key, built), map(part, built))
+                    assert rows.grouped((handoff, part_at)) == expected, (built, part_at)
 
 
 def test_scanned_looped_and_built_structures_evaluate_alike():
