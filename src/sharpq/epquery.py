@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .relstore import Signature, Structure, make_structure
@@ -190,6 +191,8 @@ class LiberalQuery:
     formula: object
     liberal: tuple
     sig: Signature
+    # oracle_count's compiled search, built on its first call
+    _oracle: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         free = free_variables(self.formula)
@@ -568,48 +571,78 @@ def _exists_plan(f):
     return binders, levels
 
 
-def _satisfies(f, h, b, plans):
-    """Whether f holds under the assignment h (restored on return); plans
-    memoises _exists_plan by node id within one oracle_count call."""
+def _satisfies(f):
+    """f compiled to a test: test(h, b) is whether f holds on b under the
+    assignment h, which it leaves as it found it."""
     if isinstance(f, Atom):
-        return tuple(h[a] for a in f.args) in b.tuples(f.symbol)
+        symbol, args = f.symbol, f.args
+        if len(args) == 1:
+            (arg,) = args
+            return lambda h, b: (h[arg],) in b.tuples(symbol)
+        key = itemgetter(*args)
+        return lambda h, b: key(h) in b.tuples(symbol)
     if isinstance(f, And):
-        return _satisfies(f.left, h, b, plans) and _satisfies(f.right, h, b, plans)
+        left, right = _satisfies(f.left), _satisfies(f.right)
+        return lambda h, b: left(h, b) and right(h, b)
     if isinstance(f, Or):
-        return _satisfies(f.left, h, b, plans) or _satisfies(f.right, h, b, plans)
+        left, right = _satisfies(f.left), _satisfies(f.right)
+        return lambda h, b: left(h, b) or right(h, b)
     if isinstance(f, Exists):
-        plan = plans.get(id(f))
-        if plan is None:
-            plan = plans[id(f)] = _exists_plan(f)
-        binders, levels = plan
-        # a binder may shadow an outer one, whose value is restored after
-        outer = {v: h.get(v, _UNBOUND) for v in binders}
-        found = _search(0, binders, levels, h, b, plans)
-        for v, val in outer.items():
-            if val is _UNBOUND:
-                h.pop(v, None)
-            else:
-                h[v] = val
-        return found
+        binders, levels = _exists_plan(f)
+        search = _search(0, binders, [[_satisfies(g) for g in level] for level in levels])
+        names = tuple(dict.fromkeys(binders))
+
+        def chain(h, b):
+            # a binder may shadow an outer one, whose value is restored after
+            outer = [h.get(v, _UNBOUND) for v in names]
+            found = search(h, b)
+            for v, val in zip(names, outer):
+                if val is _UNBOUND:
+                    h.pop(v, None)
+                else:
+                    h[v] = val
+            return found
+
+        return chain
     if isinstance(f, Top):
-        return True
+        return lambda h, b: True
     raise TypeError(f"not an ep-formula node: {f!r}")
 
 
-def _search(k, binders, levels, h, b, plans):
-    """Backtrack over binders[k:], checking each level's conjuncts before
-    binding the next variable."""
-    for g in levels[k]:
-        if not _satisfies(g, h, b, plans):
-            return False
+def _search(k, binders, tests):
+    """The backtracking search over binders[k:] compiled to a test: it checks
+    tests[k], the tests of the conjuncts bound by binders[:k], before binding
+    the next variable."""
+    checks = tests[k]
     if k == len(binders):
+        return _conjunction(checks)
+    var, deeper = binders[k], _search(k + 1, binders, tests)
+
+    def level(h, b):
+        for check in checks:
+            if not check(h, b):
+                return False
+        for val in b.universe:
+            h[var] = val
+            if deeper(h, b):
+                return True
+        return False
+
+    return level
+
+
+def _conjunction(checks):
+    """One test of all of `checks`: the only one itself, when it is alone."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def every(h, b):
+        for check in checks:
+            if not check(h, b):
+                return False
         return True
-    var = binders[k]
-    for val in b.universe:
-        h[var] = val
-        if _search(k + 1, binders, levels, h, b, plans):
-            return True
-    return False
+
+    return every
 
 
 def _check_signature(sig, b, user="query"):
@@ -623,10 +656,28 @@ def _check_signature(sig, b, user="query"):
             )
 
 
-# The oracle's search takes at most two Python frames per formula level.
+# Compiling the oracle's search, and running it, take at most two Python
+# frames per formula level.
 _ORACLE_DEPTH = 300
 _DEPTH_STEPS = {Atom: lambda node: 1, Top: lambda node: 1, Exists: lambda node, body: body + 1,
                 **dict.fromkeys((And, Or), lambda node, left, right: max(left, right) + 1)}
+
+
+def _oracle_plan(q):
+    """(test, binder count) of q's formula, compiled once and kept on q."""
+    plan = q._oracle
+    if plan is None:
+        nodes = subformulas(q.formula)
+        # a formula is no deeper than it has nodes, so most need no depth fold
+        depth = fold(q.formula, _DEPTH_STEPS) if len(nodes) > _ORACLE_DEPTH else 0
+        if depth > _ORACLE_DEPTH:
+            raise CapExceeded(
+                f"oracle_count refuses a formula {depth} > {_ORACLE_DEPTH} nodes deep; "
+                "its search recurses once per level"
+            )
+        plan = (_satisfies(q.formula), sum(isinstance(node, Exists) for node in nodes))
+        object.__setattr__(q, "_oracle", plan)
+    return plan
 
 
 def oracle_count(q, b, max_enum=10**8):
@@ -638,31 +689,21 @@ def oracle_count(q, b, max_enum=10**8):
     max_enum assignments; the bound counts quantified variables too, since
     the search enumerates them in the worst case. Refuses as well a formula
     more than _ORACLE_DEPTH nodes deep, which its recursion could not finish.
+    The search is compiled once per query, on its first call.
     """
     _check_signature(q.sig, b)
-    nodes = subformulas(q.formula)
-    # a formula is no deeper than it has nodes, so most need no depth fold
-    depth = fold(q.formula, _DEPTH_STEPS) if len(nodes) > _ORACLE_DEPTH else 0
-    if depth > _ORACLE_DEPTH:
-        raise CapExceeded(
-            f"oracle_count refuses a formula {depth} > {_ORACLE_DEPTH} nodes deep; "
-            "its search recurses once per level"
-        )
-    n = len(b.universe)
-    bound = sum(isinstance(node, Exists) for node in nodes)
-    work = n ** (len(q.liberal) + bound)
+    test, bound = _oracle_plan(q)
+    work = len(b.universe) ** (len(q.liberal) + bound)
     if work > max_enum:
         raise CapExceeded(
             f"oracle_count refuses {work} > {max_enum} enumerations; "
             "use the compiled engine for inputs of this size"
         )
-    count = 0
-    plans = {}
-    for values in itertools.product(b.universe, repeat=len(q.liberal)):
-        h = dict(zip(q.liberal, values))
-        if _satisfies(q.formula, h, b, plans):
-            count += 1
-    return count
+    liberal = q.liberal
+    return sum(
+        1 for values in itertools.product(b.universe, repeat=len(liberal))
+        if test(dict(zip(liberal, values)), b)
+    )
 
 
 # ---------------------------------------------------------------------------

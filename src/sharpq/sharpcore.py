@@ -678,7 +678,9 @@ class _Evaluator:
         self.max_rows = max_rows
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("peak_rows", 0)
-        self._formula = self._free = None  # id(node) -> free variables of _formula's nodes
+        # _formula's post-order, and while it is recorded the free sets of
+        # its nodes (id(node) -> free variables), computed when a join needs them
+        self._formula = self._free = self._order = None
         self._steps = {
             Atom: self._atom,
             Or: self._or,
@@ -702,13 +704,37 @@ class _Evaluator:
         }
 
     def eval(self, f, b):
-        """f's value on b. The free sets of f's nodes, computed when a join
-        first needs them, are kept for the next structure."""
+        """f's value on b. No context depends on b, so the fold's post-order
+        is recorded once per formula (see _post_order) and replayed on each
+        structure."""
         if f is not self._formula:
-            self._formula, self._free = f, {}
+            self._formula, self._free, self._order = f, {}, None
+        if self._order is None:
+            self._order = self._post_order(f)
         self.b = b
         self._facts = {}  # relation name -> its _Facts in this evaluation
-        return fold(f, self._steps, self._down)
+        values = []
+        put = values.append
+        for step, node, ctx, n in self._order:
+            if n == 2:
+                right = values.pop()
+                values[-1] = step(node, ctx, values[-1], right)
+            elif n == 1:
+                values[-1] = step(node, ctx, values[-1])
+            else:
+                put(step(node, ctx))
+        return values[0]
+
+    def _post_order(self, f):
+        """The (step, node, context, kid count) of every node of f in the
+        order the fold calls its steps, recorded by the fold itself."""
+        order, steps = [], self._steps
+
+        def record(node, ctx, *kids):
+            order.append((steps[type(node)], node, ctx, len(kids)))
+
+        fold(f, dict.fromkeys(steps, record), self._down)
+        return order
 
     def _down_and(self, node, ctx):
         # a bound variable both sides share must reach the join
@@ -952,9 +978,10 @@ def check_represents(f, q, samples):
     """
     from .epquery import oracle_count
 
-    # the sentence's checks and free sets, once for all samples
+    # the sentence's checks and free sets, once for all samples; both sides
+    # are deterministic, so a sample equal to an earlier one is skipped
     sig, evaluator = _sentence_signature(f), _Evaluator(10**7, None)
-    for b in samples:
+    for b in dict.fromkeys(samples):
         if _sentence_value(f, sig, b, evaluator) != oracle_count(q, b):
             return False, b
     return True, None

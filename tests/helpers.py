@@ -1,6 +1,7 @@
 """Library functions that only the tests use: decomposition checks, the
 component split of a pair, the evaluation of a linear combination, the
-exhaustive core search, alignment by renaming, and reduce_to_basic."""
+exhaustive core search, the full-enumeration counting oracle, alignment by
+renaming, and reduce_to_basic."""
 
 import itertools
 
@@ -12,13 +13,19 @@ from sharpq.compilepipe import (
 )
 from sharpq.decomp import compute_qaw, exact_treewidth, validate_td
 from sharpq.epquery import (
+    And,
+    Atom,
+    Exists,
+    Or,
     PpPair,
+    Top,
     _infer_signature,
     contract_graph,
     oracle_count,
     pair_to_pp,
     pp_to_pair,
     primal_graph,
+    subformulas,
 )
 from sharpq.equiv import (
     _find_hom,
@@ -27,7 +34,7 @@ from sharpq.equiv import (
     counting_equivalent,
     logically_equivalent,
 )
-from sharpq.errors import EngineDisagreement, InternalInvariant, SharpqError
+from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
 from sharpq.relstore import make_structure, merge_signatures
 from sharpq.sharpcore import check_represents, eval_sentence
 
@@ -150,6 +157,60 @@ def reference_core_of(p, cap=12):
             if _find_hom(p.struct, target, pin) is not None:
                 return PpPair(struct=target, liberal=p.liberal)
     raise InternalInvariant("core search exhausted without finding the identity")
+
+
+# The nested-loop oracle that preceded the compiled, pruned search: every
+# binder of an exists chain is set before any atom under it is checked. Kept
+# as the reference epquery.oracle_count must agree with, count for count and
+# refusal for refusal.
+
+_UNBOUND = object()
+
+
+def _reference_satisfies(f, h, b):
+    if isinstance(f, Atom):
+        return tuple(h[a] for a in f.args) in b.tuples(f.symbol)
+    if isinstance(f, And):
+        return _reference_satisfies(f.left, h, b) and _reference_satisfies(f.right, h, b)
+    if isinstance(f, Or):
+        return _reference_satisfies(f.left, h, b) or _reference_satisfies(f.right, h, b)
+    if isinstance(f, Exists):
+        # the binder shadows an outer binding of its name until it returns
+        outer = h.get(f.var, _UNBOUND)
+        found = False
+        for val in b.universe:
+            h[f.var] = val
+            if _reference_satisfies(f.body, h, b):
+                found = True
+                break
+        if outer is _UNBOUND:
+            del h[f.var]
+        else:
+            h[f.var] = outer
+        return found
+    if isinstance(f, Top):
+        return True
+    raise TypeError(f"not an ep-formula node: {f!r}")
+
+
+def reference_oracle_count(q, b, max_enum=10**8):
+    """|q(B)| by plain full enumeration: every assignment of the liberal
+    variables, and below each `exists` every value of its variable, by
+    recursion over the formula with no early checks; refused with
+    oracle_count's message above the same cap."""
+    n = len(b.universe)
+    bound = sum(isinstance(node, Exists) for node in subformulas(q.formula))
+    work = n ** (len(q.liberal) + bound)
+    if work > max_enum:
+        raise CapExceeded(
+            f"oracle_count refuses {work} > {max_enum} enumerations; "
+            "use the compiled engine for inputs of this size"
+        )
+    count = 0
+    for values in itertools.product(b.universe, repeat=len(q.liberal)):
+        if _reference_satisfies(q.formula, dict(zip(q.liberal, values)), b):
+            count += 1
+    return count
 
 
 def align_via_renaming(target, source):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sharpq.compilepipe import _seeded_structures
 from sharpq.epquery import (
     TOP,
     And,
@@ -23,6 +24,7 @@ from sharpq.epquery import (
     parse_query,
     pp_to_pair,
     primal_graph,
+    render_ep,
     serialize_pair,
     serialize_query,
     subformulas,
@@ -40,7 +42,7 @@ from tests.conftest import (
     random_structure,
     triangle_structure,
 )
-from tests.helpers import components, strip_nonliberal_components
+from tests.helpers import components, reference_oracle_count, strip_nonliberal_components
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -251,55 +253,6 @@ def test_oracle_guard_refuses_large_enumeration():
         oracle_count(q, b, max_enum=1000)
 
 
-# The nested-loop oracle that preceded the pruned search: every binder of an
-# exists chain is set before any atom under it is checked. Kept as the
-# reference the pruned oracle must agree with, count for count and refusal
-# for refusal.
-
-_UNBOUND = object()
-
-
-def nested_loop_satisfies(f, h, b):
-    if isinstance(f, Atom):
-        return tuple(h[a] for a in f.args) in b.tuples(f.symbol)
-    if isinstance(f, And):
-        return nested_loop_satisfies(f.left, h, b) and nested_loop_satisfies(f.right, h, b)
-    if isinstance(f, Or):
-        return nested_loop_satisfies(f.left, h, b) or nested_loop_satisfies(f.right, h, b)
-    if isinstance(f, Exists):
-        outer = h.get(f.var, _UNBOUND)
-        found = False
-        for val in b.universe:
-            h[f.var] = val
-            if nested_loop_satisfies(f.body, h, b):
-                found = True
-                break
-        if outer is _UNBOUND:
-            del h[f.var]
-        else:
-            h[f.var] = outer
-        return found
-    if isinstance(f, Top):
-        return True
-    raise TypeError(f"not an ep-formula node: {f!r}")
-
-
-def nested_loop_count(q, b, max_enum=10**8):
-    n = len(b.universe)
-    bound = sum(isinstance(node, Exists) for node in subformulas(q.formula))
-    work = n ** (len(q.liberal) + bound)
-    if work > max_enum:
-        raise CapExceeded(
-            f"oracle_count refuses {work} > {max_enum} enumerations; "
-            "use the compiled engine for inputs of this size"
-        )
-    count = 0
-    for values in itertools.product(b.universe, repeat=len(q.liberal)):
-        if nested_loop_satisfies(q.formula, dict(zip(q.liberal, values)), b):
-            count += 1
-    return count
-
-
 def test_oracle_refuses_at_the_same_sizes_with_the_same_message():
     for n in range(1, 5):
         for n_lib in range(1, 4):
@@ -316,12 +269,12 @@ def test_oracle_refuses_at_the_same_sizes_with_the_same_message():
                 for cap in (1, 8, 27, 64, 100, 729, 1000):
                     if n ** (n_lib + n_bound) > cap:
                         with pytest.raises(CapExceeded) as want:
-                            nested_loop_count(q, b, max_enum=cap)
+                            reference_oracle_count(q, b, max_enum=cap)
                         with pytest.raises(CapExceeded) as got:
                             oracle_count(q, b, max_enum=cap)
                         assert str(got.value) == str(want.value)
                     else:
-                        assert oracle_count(q, b, max_enum=cap) == nested_loop_count(
+                        assert oracle_count(q, b, max_enum=cap) == reference_oracle_count(
                             q, b, max_enum=cap
                         )
 
@@ -331,7 +284,7 @@ def test_oracle_matches_the_nested_loop_reference_on_random_queries():
     for _ in range(500):
         q = random_ep_query(rng, max_vars=6, max_atoms=6)
         b = random_structure(rng, q.sig, max_size=4)
-        assert oracle_count(q, b) == nested_loop_count(q, b)
+        assert oracle_count(q, b) == reference_oracle_count(q, b)
 
 
 SIG_EU = Signature((("E", 2), ("U", 1)))
@@ -393,7 +346,71 @@ def test_oracle_hand_cases_match_the_nested_loop_reference(liberal, formula):
     rng = random.Random(8)
     for _ in range(60):
         b = random_structure(rng, SIG_EU, max_size=4, density=0.4)
-        assert oracle_count(q, b) == nested_loop_count(q, b)
+        assert oracle_count(q, b) == reference_oracle_count(q, b)
+
+
+def _shadowing_query(rng):
+    """A random query whose binders come from a pool of four names that the
+    liberal variables share, so a chain may bind one name twice and a
+    binder may shadow an outer or liberal one; with true, repeated atom
+    arguments and or under exists."""
+    liberal = ("x", "y")[: rng.randint(1, 2)]
+
+    def gen(scope, depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.2:
+            if rng.random() < 0.15:
+                return TOP
+            v = rng.choice(scope)
+            if rng.random() < 0.3:
+                return _U(v)
+            return _E(v, v if rng.random() < 0.25 else rng.choice(scope))
+        if roll < 0.55:
+            binders = [rng.choice("xyzw") for _ in range(rng.randint(1, 3))]
+            f = gen(scope + binders, depth - 1)
+            for v in reversed(binders):
+                f = Exists(v, f)
+            return f
+        if roll < 0.7:
+            return Or(gen(scope, depth - 1), gen(scope, depth - 1))
+        return And(gen(scope, depth - 1), gen(scope, depth - 1))
+
+    return _hand_query(liberal, gen(list(liberal), rng.randint(2, 4)))
+
+
+def _features(f):
+    """The features of f among those _shadowing_query aims for."""
+    found = set()
+    for node in subformulas(f):
+        if isinstance(node, Top):
+            found.add("top")
+        if isinstance(node, Atom) and len(set(node.args)) < len(node.args):
+            found.add("repeated-argument")
+        if isinstance(node, Exists):
+            chain, body = [node.var], node.body
+            while isinstance(body, Exists):
+                chain.append(body.var)
+                body = body.body
+            if len(set(chain)) < len(chain):
+                found.add("bound-twice-in-a-chain")
+            if any(isinstance(g, Or) for g in subformulas(body)):
+                found.add("or-under-exists")
+    return found
+
+
+def test_oracle_matches_the_reference_on_shadowing_queries_and_seeded_samples():
+    # random renamed-apart queries and shadowing ones, each counted on the
+    # 20 seeded samples of the self-check: the search compiled on the first
+    # sample serves all the others
+    rng = random.Random(1818)
+    queries = [random_ep_query(rng, max_vars=4, max_atoms=4) for _ in range(40)]
+    queries += [_shadowing_query(rng) for _ in range(80)]
+    seen = set()
+    for q in queries:
+        seen |= _features(q.formula)
+        for b in _seeded_structures(q.sig, seed=rng.randrange(100)):
+            assert oracle_count(q, b) == reference_oracle_count(q, b), render_ep(q.formula)
+    assert seen == {"top", "repeated-argument", "bound-twice-in-a-chain", "or-under-exists"}
 
 
 def test_oracle_reads_the_innermost_of_two_binders_of_one_name():

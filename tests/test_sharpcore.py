@@ -9,8 +9,8 @@ from collections import defaultdict
 
 import pytest
 
-from sharpq import relstore, sharpcore
-from sharpq.compilepipe import flatten, minimize_ep
+from sharpq import epquery, relstore, sharpcore
+from sharpq.compilepipe import _seeded_structures, flatten, minimize_ep
 from sharpq.epquery import (
     TOP,
     And,
@@ -647,6 +647,69 @@ def test_check_represents_passes_and_fails():
     ok, witness = check_represents(Const(0), q, samples)
     assert not ok
     assert witness is samples[0]
+
+
+def test_check_represents_checks_each_distinct_sample_once(monkeypatch):
+    # out-neighbours counted by the sentence of in-neighbours: the seeded
+    # samples of one binary symbol hold 14 distinct structures in 20, and
+    # the first counterexample, the eighth sample, is the same whether the
+    # list repeats samples or not
+    q = parse_query("query q(x): exists y . E(x,y)")
+    wrong = naive_representation(parse_query("query q(x): exists y . E(y,x)"))
+    samples = _seeded_structures(q.sig)
+    unique = []
+    for b in samples:
+        if b not in unique:
+            unique.append(b)
+    copies = [make_structure(b.sig, b.universe, b.relations) for b in samples]
+    repeated = [b for pair in zip(samples, copies) for b in pair] + samples
+    first = check_represents(wrong, q, unique)
+    assert first == (False, samples[7])
+    assert check_represents(wrong, q, samples)[1] is first[1]
+    assert check_represents(wrong, q, repeated)[1] is first[1]
+    calls = []
+    counted = epquery.oracle_count
+
+    def spy(q, b):
+        calls.append(b)
+        return counted(q, b)
+
+    monkeypatch.setattr(epquery, "oracle_count", spy)
+    assert check_represents(naive_representation(q), q, repeated) == (True, None)
+    assert len(unique) == 14 and calls == unique
+
+
+def _value_or_refusal(run):
+    try:
+        return run()
+    except CapExceeded as exc:
+        return f"refused: {exc}"
+
+
+def test_one_evaluator_over_many_structures_and_two_formulas_matches_fresh_ones():
+    # one evaluator replays a formula's recorded post-order on each
+    # structure and records it again when the formula changes: its values,
+    # largest tables and cap refusals are those of a fresh evaluator per call
+    rng = random.Random(1919)
+    refused = 0
+    for _ in range(25):
+        q = random_ep_query(rng, max_vars=4, max_atoms=4, max_disjunctions=1)
+        formulas = [naive_representation(q), minimize_ep(q)[0]]
+        structures = [random_structure(rng, q.sig, max_size=3) for _ in range(4)]
+        calls = [(f, b) for f in formulas for b in structures]
+        calls += [(f, b) for b in structures for f in formulas]
+        for max_rows in (3, 10**7):
+            stats = {}
+            evaluator = sharpcore._Evaluator(max_rows, stats)
+            for f, b in calls:
+                stats["peak_rows"] = 0
+                sig = sharpcore._sentence_signature(f)
+                got = _value_or_refusal(lambda: sharpcore._sentence_value(f, sig, b, evaluator))
+                fresh = {}
+                want = _value_or_refusal(lambda: eval_sentence(f, b, max_rows, fresh))
+                assert (got, stats["peak_rows"]) == (want, fresh["peak_rows"]), serialize_sharp(f)
+                refused += str(want).startswith("refused")
+    assert refused > 50
 
 
 def test_eval_disjunction_and_exists_inside_cast():
