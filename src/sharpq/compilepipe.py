@@ -225,34 +225,32 @@ def pp_to_basic_sharp(p, td):
     for comp in sorted(exists_components(p), key=sorted):
         interior = comp - p.liberal_set
         boundary = comp & p.liberal_set
-        hosts = [t for t in td.nodes if td.bags[t] & interior]
-        d = _topmost(td, depth, hosts)
         facts = [
             (sym, tup)
             for sym, tup in p.struct.all_facts()
             if not interior.isdisjoint(tup)
         ]
-        if facts:
-            universe = sorted(boundary) + sorted(interior)
-            rels = {}
-            for sym, tup in facts:
-                rels.setdefault(sym, set()).add(tup)
-            sub_pair = PpPair(
-                struct=make_structure(p.struct.sig, universe, rels),
-                liberal=tuple(sorted(boundary)),
-            )
-            sub_td = _restrict_td(td, set(hosts), comp)
-            body = rewrite_width_bounded(sub_pair, sub_td)
-        else:
-            body = TOP
+        if not facts:
+            # an isolated quantified vertex, true on every universe
+            continue
+        hosts = [t for t in td.nodes if td.bags[t] & interior]
+        d = _topmost(td, depth, hosts)
+        universe = sorted(boundary) + sorted(interior)
+        rels = {}
+        for sym, tup in facts:
+            rels.setdefault(sym, set()).add(tup)
+        sub_pair = PpPair(
+            struct=make_structure(p.struct.sig, universe, rels),
+            liberal=tuple(sorted(boundary)),
+        )
+        sub_td = _restrict_td(td, set(hosts), comp)
+        body = rewrite_width_bounded(sub_pair, sub_td)
         casts_at[d].append(Cast(ep=body, liberal=tuple(sorted(boundary))))
 
     built = {}
     for t in reversed(_bfs_order(td)):  # children before parents
         factors = [Cast(ep=a, liberal=tuple(sorted(eff[t]))) for a in liberal_atoms_at[t]]
         for cast in casts_at[t]:
-            if isinstance(cast.ep, Top):
-                continue
             extra = eff[t] - frozenset(cast.liberal)
             factors.append(Expand(extra, cast) if extra else cast)
         for c in kids[t]:

@@ -60,23 +60,22 @@ class NiceTreeDecomposition(TreeDecomposition):
 
 def validate_td(td, g):
     """List of violated decomposition invariants (empty iff valid for g)."""
-    problems = []
     seen = set(td.nodes)
     if len(seen) != len(td.nodes):
-        problems.append("duplicate node ids")
+        return ["duplicate node ids"]
     roots = [t for t in td.nodes if td.parent.get(t) is None]
     if len(roots) != 1:
-        problems.append(f"expected one root, found {len(roots)}")
-        return problems
-    # reachability (tree-ness given single root and |E| = |V|-1 parent links)
+        return [f"expected one root, found {len(roots)}"]
+    stray = next((t for t in td.nodes if t not in roots and td.parent[t] not in seen), None)
+    if stray is not None:
+        return [f"node {stray} has parent {td.parent[stray]!r} outside the decomposition"]
+    # each node has one parent, so a cycle shows as nodes the root never reaches
+    problems = []
     kids = td.children()
     reached = set()
     stack = [roots[0]]
     while stack:
         t = stack.pop()
-        if t in reached:
-            problems.append(f"cycle through node {t}")
-            return problems
         reached.add(t)
         stack.extend(kids[t])
     if reached != seen:
@@ -171,8 +170,6 @@ def _fill_neighbors(adj, v, elim):
     while stack:
         u_bit = stack & -stack
         stack &= stack - 1
-        if u_bit & seen:
-            continue
         seen |= u_bit
         if u_bit & elim:
             stack |= adj[u_bit.bit_length() - 1] & ~seen
@@ -206,18 +203,6 @@ def _greedy_min_fill(adj, n):
             nbs[u] = (nbs[u] | joined) & ~(1 << u | 1 << best)
             stale |= nbs[u]
     return width, order
-
-
-def _degeneracy(adj, n):
-    """Lower bound on treewidth: max over the removal process of min degree."""
-    removed = 0
-    best = 0
-    for _ in range(n):
-        live = [v for v in range(n) if not (1 << v) & removed]
-        v = min(live, key=lambda u: ((adj[u] & ~removed).bit_count(), u))
-        best = max(best, (adj[v] & ~removed).bit_count())
-        removed |= 1 << v
-    return best
 
 
 def _minor_min_width(adj, n):
@@ -284,8 +269,8 @@ def exact_treewidth(g, cap=24):
     component decompositions are chained into one tree). Each component runs a
     branch-and-bound over elimination orders with memoization on the
     eliminated set (the filled graph depends only on the set), a greedy
-    min-fill upper bound, the larger of the degeneracy and minor-min-width
-    lower bounds (no search runs when it meets the upper bound), and the
+    min-fill upper bound, the minor-min-width lower bound MMD+ (never below
+    the degeneracy; no search runs when it meets the upper bound), and the
     simplicial-vertex rule. Deterministic.
 
     `cap` bounds the vertices left once simplicial vertices are deleted
@@ -304,12 +289,9 @@ def exact_treewidth(g, cap=24):
             )
     if not g.vertices:
         return -1, TreeDecomposition(nodes=(0,), parent={0: None}, bags={0: frozenset()})
-    comps = g.connected_components()
-    if len(comps) == 1:
-        return _exact_treewidth_connected(verts, adj)
     width = -1
     combined = None
-    for comp in comps:
+    for comp in g.connected_components():
         w, td = _exact_treewidth_connected(*_adjacency(g.induced(comp)))
         width = max(width, w)
         combined = td if combined is None else _graft(combined, td, combined.root)
@@ -321,9 +303,7 @@ def _exact_treewidth_connected(verts, adj):
     full = (1 << n) - 1
 
     ub_width, ub_order = _greedy_min_fill(adj, n)
-    lb = _degeneracy(adj, n)
-    if lb < ub_width:
-        lb = max(lb, _minor_min_width(adj, n))
+    lb = _minor_min_width(adj, n)
     best_width, best_order = ub_width, ub_order
 
     if lb < best_width:
@@ -382,8 +362,10 @@ def _is_clique(mask, adj):
 
 
 def _td_from_order(adj, n, order, verts):
-    """Standard decomposition from an elimination order: one node per vertex,
-    bag = vertex + its live fill-neighbourhood at elimination time."""
+    """Standard decomposition from an elimination order of a connected graph:
+    one node per vertex, bag = vertex + its live fill-neighbourhood at
+    elimination time, parent = the node of its first-eliminated live
+    neighbour (every vertex but the last has one)."""
     pos = {v: i for i, v in enumerate(order)}
     elim = 0
     bag_mask = {}
@@ -391,14 +373,9 @@ def _td_from_order(adj, n, order, verts):
         bag_mask[v] = _fill_neighbors(adj, v, elim) | (1 << v)
         elim |= 1 << v
     parent = {}
-    for i, v in enumerate(order):
+    for v in order:
         later = [u for u in _vertices(bag_mask[v] & ~(1 << v)) if pos[u] > pos[v]]
-        if later:
-            parent[pos[v]] = pos[min(later, key=lambda u: pos[u])]
-        elif i + 1 < n:
-            parent[pos[v]] = i + 1
-        else:
-            parent[pos[v]] = None
+        parent[pos[v]] = pos[min(later, key=lambda u: pos[u])] if later else None
     bags = {
         pos[v]: frozenset(verts[u] for u in _vertices(bag_mask[v]))
         for v in order
@@ -564,13 +541,7 @@ def compute_qaw(p, cap=24):
         return memo[key]
 
     g = primal_graph(p)
-    comps = exists_components(p)
-    if not comps:
-        w, td = treewidth(g)
-        nice = make_nice(td, force_empty_root=True)
-        return w + 1, nice
-
-    comps = sorted(comps, key=lambda c: sorted(c))
+    comps = sorted(exists_components(p), key=sorted)
     winners = _block_anchors(g, p.liberal_set, comps, treewidth)
     return _qaw_witness(p, g, comps, winners, treewidth)
 
@@ -622,7 +593,6 @@ def _qaw_witness(p, g, comps, winners, treewidth):
     _, spine = treewidth(contract_graph(p))
     assembled = _relabel(spine, 0)
     spine_nodes = set(assembled.nodes)
-    spine_root = assembled.root
     for comp in comps:
         boundary = comp & s
         anchor = winners[comp]
@@ -640,7 +610,6 @@ def _qaw_witness(p, g, comps, winners, treewidth):
     quantified = set(p.struct.universe) - s
     nice = make_nice(
         assembled,
-        root=spine_root,
         force_empty_root=True,
         forget_priority=lambda v: (0 if v in quantified else 1, v),
     )

@@ -362,14 +362,17 @@ def parse_query(text):
     toks.expect("name", "query")
     kind, qname, off = toks.next()
     if kind != "name" or qname in _KEYWORDS:
-        toks.error("expected a query name after 'query'")
+        toks.error("expected a query name after 'query'", off)
     toks.expect("punct", "(")
+    first = toks.i  # the list's tokens alternate name and ',' up to its ')'
     liberal = _names(toks)
     toks.expect("punct", ":")
     if not liberal:
-        raise ParseError("the liberal list must name at least one variable")
-    if len(set(liberal)) != len(liberal):
-        raise ParseError("duplicate variable in the liberal list")
+        toks.error("the liberal list must name at least one variable", toks.tokens[first][2])
+    at = {}
+    for i, v in enumerate(liberal):
+        if at.setdefault(v, i) != i:
+            toks.error("duplicate variable in the liberal list", toks.tokens[first + 2 * i][2])
 
     header = frozenset(liberal)
     body = _parse_expression(toks, header)

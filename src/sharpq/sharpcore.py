@@ -842,10 +842,13 @@ class _Evaluator:
             if plan.handoff is not None and values is None:
                 # the shared columns are kept, so rows of different keys
                 # differ: the table's size is the sum of the per-key products
-                n = 0
-                for k in common:
-                    self._check_growth(n, g1[k], g2[k])
-                    n += len(g1[k]) * len(g2[k])
+                sizes = [len(g1[k]) * len(g2[k]) for k in common]
+                n = sum(sizes)
+                if n > self.max_rows:
+                    # "more than" when one key, or all keys but the largest,
+                    # exceed the cap, so the text follows no key order
+                    largest = max(sizes)
+                    self._check_growth(n - largest, largest)
                 self._note(n)
                 held = _Rows(len(plan.explicit), None, plan)
                 held.groups, held.keys, held.n = (g1, g2), common, n
@@ -853,17 +856,19 @@ class _Evaluator:
             # rows of different keys may coincide: built to be counted
             rows, combine = (set() if values is None else {}), plan.combine
             for k in common:
-                self._check_growth(len(rows), g1[k], g2[k])
+                self._check_growth(len(rows), len(g1[k]) * len(g2[k]))
                 rows.update(_pairs(combine, g1[k], g2[k]) if values is None else (
                     (combine(p1, p2), v1 * v2)
                     for (p1, v1), (p2, v2) in product(g1[k].items(), g2[k].items())
                 ))
+            self._check_growth(len(rows))  # the total too: the text follows no key order
         self._note(len(rows))
         return plan.explicit, len(rows) if count else _Rows(len(plan.explicit), rows)
 
-    def _check_growth(self, n, parts1, parts2):
-        """Refuse a product join of n rows before one key's, if either count exceeds max_rows."""
-        if max(n, len(parts1) * len(parts2)) > self.max_rows:
+    def _check_growth(self, n, size=0):
+        """Refuse a product join of n rows, or one key's `size` rows, if either
+        exceeds max_rows."""
+        if max(n, size) > self.max_rows:
             raise CapExceeded(f"table would hold more than {self.max_rows} rows")
 
     # -- counting formulas --

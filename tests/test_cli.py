@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -193,6 +195,27 @@ def test_a_product_join_over_max_rows_exits_three(tmp_path, capsys, spokes, max_
     # messages of a table refused as it grows
     rel = _hub_rel(spokes)
     assert _count(capsys, tmp_path, STAR3_EPQ, rel, "--max-rows", max_rows) == expected
+
+
+def test_a_max_rows_refusal_does_not_follow_the_hash_seed(tmp_path):
+    # the built join that drops y walks its keys in set order, which follows
+    # PYTHONHASHSEED: the refusal must read the same under every seed
+    rng = random.Random(7)
+    elems = [f"e{i}" for i in range(30)]
+    pairs = [(a, b) for a in elems for b in elems]
+    facts = [f"{sym}({a},{b})\n" for sym in "EF" for a, b in rng.sample(pairs, 90)]
+    d = _write(tmp_path, "t.rel", f"signature E/2 F/2\nuniverse {' '.join(elems)}\n{''.join(facts)}")
+    q = _write(tmp_path, "t.epq", "query q(x,z): (exists y . E(x,y) & E(y,z)) | (exists y . F(x,y) & F(y,z))\n")
+    src = os.path.dirname(os.path.dirname(sharpq.cli.__file__))
+    runs = {
+        subprocess.run(
+            [sys.executable, "-m", "sharpq.cli", "count", "-q", q, "-d", d, "--max-rows", "210"],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        ).stderr
+        for seed in ("0", "1", "8")
+    }
+    assert runs == {"error: table would hold more than 210 rows\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +606,14 @@ def test_parse_error_exits_two(tmp_path, capsys):
         ("query q(x): E(x,", "line 1, column 17: expected a variable name, got end of input"),
         ("query q(x): (E(x)\n", "line 1, column 18: expected ')', got end of input"),
         ("query q(x): E(x,x) &\n F()\n", "line 2, column 2: relation 'F' needs at least one argument"),
+        ("query q(x): E(x) & )\n", "line 1, column 20: expected an atom, 'true', 'exists' or '(', got ')'"),
+        # header faults are reported at the offending token
+        ("query exists(x): E(x)\n", "line 1, column 7: expected a query name after 'query'"),
+        ("query q(): E(x)\n", "line 1, column 9: the liberal list must name at least one variable"),
+        ("query q(x,\n  x): E(x)\n", "line 2, column 3: duplicate variable in the liberal list"),
     ],
-    ids=["liberal-variable", "exists-binder", "atom-argument", "end-of-input", "unclosed", "empty-atom"],
+    ids=["liberal-variable", "exists-binder", "atom-argument", "end-of-input", "unclosed", "empty-atom",
+         "no-factor", "keyword-name", "empty-liberal-list", "duplicate-liberal"],
 )
 def test_epq_parse_errors_report_their_position(tmp_path, capsys, text, message):
     q = _write(tmp_path, "bad.epq", text)

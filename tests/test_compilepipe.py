@@ -16,6 +16,7 @@ from sharpq.compilepipe import (
     basic_sharp_to_pp,
     canonical_lc,
     cast_ep,
+    compile_flat,
     flatten,
     minimize_ep,
     minimize_pp,
@@ -1221,6 +1222,29 @@ def test_minimize_ep_caps_the_terms_left_after_dropping_contained_disjuncts():
     f, w = minimize_ep(q, max_dnf=100)
     assert w == 1
     assert len(flatten(f).terms) == 63
+
+
+def test_drop_contained_skips_its_comparisons_over_max_dnf(monkeypatch):
+    # the second disjunct lies inside the first; 3 disjuncts need 3 * 2 = 6
+    # comparisons, so at max_dnf 5 none is made and q comes back as it is
+    q = parse_query(
+        "query c(x): (exists y . E(x,y)) | (exists y . E(x,y) & E(y,x)) | F(x)"
+    )
+    kept, pairs = compilepipe._drop_contained(q, max_dnf=6)
+    assert kept.formula == parse_query("query c(x): (exists y . E(x,y)) | F(x)").formula
+    assert len(pairs) == 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a comparison was made")
+
+    monkeypatch.setattr(compilepipe, "search_homomorphisms", refuse)
+    kept, pairs = compilepipe._drop_contained(q, max_dnf=5)
+    assert kept is q and len(pairs) == 3
+
+
+def test_a_flat_sentence_with_no_terms_is_zero():
+    assert serialize_sharp(as_formula(FlatSharp(terms=(), free=frozenset({"x"})))) == "E{x} 0"
+    assert compile_flat(FlatSharp(terms=(), free=frozenset())) == (Const(0), 0)
 
 
 def test_minimize_ep_respects_dnf_cap():

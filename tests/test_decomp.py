@@ -29,6 +29,7 @@ from sharpq.epquery import (
     pp_to_pair,
     primal_graph,
 )
+from sharpq.compilepipe import pp_to_basic_sharp
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure
 
@@ -163,15 +164,37 @@ def _mmw(g):
     return _minor_min_width(adj, len(verts))
 
 
+def _degeneracy(adj, n):
+    """Lower bound on treewidth: max over the removal process of min degree."""
+    removed = 0
+    best = 0
+    for _ in range(n):
+        live = [v for v in range(n) if not (1 << v) & removed]
+        v = min(live, key=lambda u: ((adj[u] & ~removed).bit_count(), u))
+        best = max(best, (adj[v] & ~removed).bit_count())
+        removed |= 1 << v
+    return best
+
+
 def _degeneracy_of(g):
     verts, adj = _adjacency(g)
-    return decomp._degeneracy(adj, len(verts))
+    return _degeneracy(adj, len(verts))
 
 
 def test_minor_min_width_is_a_lower_bound(rng):
     for _ in range(300):
         g = random_graph(rng, max_vertices=8, density=rng.uniform(0.2, 0.8), min_vertices=1)
         assert _mmw(g) <= brute_treewidth(g)
+
+
+def test_minor_min_width_is_never_below_the_degeneracy():
+    # the search starts at MMD+ alone: until MMD+ contracts a vertex of a
+    # subgraph H of minimum degree d, every branch set holds at most one
+    # vertex of H, so that vertex still has degree at least d
+    rng = random.Random(2011)
+    for _ in range(2000):
+        g = random_graph(rng, max_vertices=12, density=rng.uniform(0.1, 0.8), min_vertices=1)
+        assert _mmw(g) >= _degeneracy_of(g)
 
 
 def test_minor_min_width_is_exact_on_complete_graphs_cycles_and_grids():
@@ -195,7 +218,7 @@ def _degeneracy_search_connected(g):
     full = (1 << n) - 1
 
     ub_width, ub_order = decomp._greedy_min_fill(adj, n)
-    lb = decomp._degeneracy(adj, n)
+    lb = _degeneracy(adj, n)
     best_width, best_order = ub_width, ub_order
 
     if lb < best_width:
@@ -308,20 +331,45 @@ def test_serialize_td_format():
     )
 
 
-def test_validate_td_catches_breakage():
-    g = _graph([("a", "b"), ("b", "c")])
-    td = TreeDecomposition(
-        nodes=(0, 1),
-        parent={0: None, 1: 0},
-        bags={0: frozenset({"a", "b"}), 1: frozenset({"c"})},
+def _td(parent, bags):
+    return TreeDecomposition(
+        nodes=tuple(parent), parent=parent, bags={t: frozenset(b) for t, b in bags.items()}
     )
-    assert any("edge" in p for p in validate_td(td, g))
-    disconnected = TreeDecomposition(
-        nodes=(0, 1, 2),
-        parent={0: None, 1: 0, 2: 1},
-        bags={0: frozenset({"a", "b"}), 1: frozenset({"b", "c"}), 2: frozenset({"a"})},
-    )
-    assert any("disconnected" in p for p in validate_td(disconnected, g))
+
+
+@pytest.mark.parametrize(
+    "td, problems",
+    [
+        (TreeDecomposition(nodes=(0, 0), parent={0: None}, bags={0: frozenset("abc")}),
+         ["duplicate node ids"]),
+        (_td({0: None, 1: None}, {0: "abc", 1: "a"}), ["expected one root, found 2"]),
+        (_td({0: 1, 1: 0}, {0: "abc", 1: "a"}), ["expected one root, found 0"]),
+        (_td({0: None, 1: 7}, {0: "abc", 1: "a"}),
+         ["node 1 has parent 7 outside the decomposition"]),
+        # a cycle below the root is never reached from it
+        (_td({0: None, 1: 2, 2: 1}, {0: "abc", 1: "a", 2: "a"}),
+         ["nodes unreachable from the root", "occurrences of a are disconnected"]),
+        (_td({0: None, 1: 0}, {0: "ab", 1: "b"}),
+         ["vertex c is in no bag", "edge ['b', 'c'] is in no bag"]),
+        (_td({0: None, 1: 0}, {0: "ab", 1: "c"}), ["edge ['b', 'c'] is in no bag"]),
+        (_td({0: None, 1: 0, 2: 1}, {0: "ab", 1: "bc", 2: "a"}),
+         ["occurrences of a are disconnected"]),
+    ],
+    ids=["duplicate-ids", "two-roots", "no-root", "parent-outside", "unreachable",
+         "uncovered", "edge", "disconnected"],
+)
+def test_validate_td_catches_breakage(td, problems):
+    assert validate_td(td, _graph([("a", "b"), ("b", "c")])) == problems
+
+
+def test_a_parent_outside_the_decomposition_is_refused_as_a_decomposition():
+    p = pp_to_pair(parse_query("query q(x): exists y . E(x,y)"))
+    td = _td({0: None, 1: 7}, {0: "", 1: "xy"})
+    message = "node 1 has parent 7 outside the decomposition"
+    with pytest.raises(SharpqError, match=message):
+        is_quantifier_aware(td, p)
+    with pytest.raises(SharpqError, match=message):
+        pp_to_basic_sharp(p, td)
 
 
 # --- nice form ----------------------------------------------------------------

@@ -113,6 +113,22 @@ def test_parse_error_reports_position():
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("signature E/2\nsignature E/2\n", "line 2, column 1: duplicate signature line"),
+        ("signature E\n", "line 1, column 11: expected name/arity, got 'E'"),
+        ("signature F/1  E/x\n", "line 1, column 16: arity must be an integer in 'E/x'"),
+        ("E(a,b)\nsignature E/2\n", "line 1, column 1: fact before signature line"),
+    ],
+    ids=["duplicate-signature", "no-arity", "arity-not-integer", "fact-first"],
+)
+def test_signature_line_errors_name_the_fault_and_its_position(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_structure(text)
+    assert str(exc.value) == message
+
+
 def test_comments_and_blank_lines():
     s = parse_structure(
         "# header comment\nsignature E/2   # trailing\nuniverse a b\n\nE(a,b) # fact\n"

@@ -156,6 +156,23 @@ def test_parse_missing_semicolon():
         parse_sharp("C[E(x,y) {x,y}]")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("C[E(x); {x}] x", "line 1, column 14: trailing input: 'x'"),
+        ("C[E(x); {1}]", "line 1, column 10: expected a variable name"),
+        ("C[E(x); {x y}]", "line 1, column 12: expected ',' or '}' in variable set"),
+        ("(C[U(x); {x}] - C[V(x); {x}])", "line 1, column 15: expected '*' or '+'"),
+        ("C[E(x); {x})", "line 1, column 12: expected ']'"),
+    ],
+    ids=["trailing", "variable-name", "variable-set", "operator", "cast-close"],
+)
+def test_parse_errors_name_the_fault_and_its_position(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_sharp(text)
+    assert str(exc.value) == message
+
+
 def test_serialize_round_trip_fixed():
     text = "P{x} (P{y} C[E(x,y); {x,y}] * P{z} C[F(x,z); {x,z}])"
     f = parse_sharp(text)
