@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .epquery import contract_graph, exists_components, primal_graph
+from .epquery import _contract_graph, _exists_components, primal_graph
 
 # ---------------------------------------------------------------------------
 # Decomposition types
@@ -63,6 +63,13 @@ def validate_td(td, g):
     seen = set(td.nodes)
     if len(seen) != len(td.nodes):
         return ["duplicate node ids"]
+    missing = [
+        f"node {t} is missing from {name}"
+        for name, table in (("parent", td.parent), ("bags", td.bags))
+        for t in td.nodes if t not in table
+    ]
+    if missing:
+        return missing
     roots = [t for t in td.nodes if td.parent.get(t) is None]
     if len(roots) != 1:
         return [f"expected one root, found {len(roots)}"]
@@ -476,13 +483,18 @@ def is_quantifier_aware(td, p):
     the root for every quantified x ∈ C. Returns (True, None) or
     (False, (x, y, C)) for the first violation.
     """
-    g = primal_graph(p)
+    g, lib = primal_graph(p), p.liberal_set
+    return _quantifier_aware(td, g, lib, _exists_components(g, lib))
+
+
+def _quantifier_aware(td, g, lib, comps):
+    """is_quantifier_aware of td for a pair with primal graph g, liberal set
+    lib and exists-components comps, checked in that order."""
     problems = validate_td(td, g)
     if problems:
         raise SharpqError(f"not a decomposition of the pair's primal graph: {problems[0]}")
     top, depth = _tops_and_depths(td)
-    lib = p.liberal_set
-    for comp in exists_components(p):
+    for comp in comps:
         for x in sorted(comp - lib):
             ancestors = set()
             t = top[x]
@@ -541,7 +553,7 @@ def compute_qaw(p, cap=24):
         return memo[key]
 
     g = primal_graph(p)
-    comps = sorted(exists_components(p), key=sorted)
+    comps = sorted(_exists_components(g, p.liberal_set), key=sorted)
     winners = _block_anchors(g, p.liberal_set, comps, treewidth)
     return _qaw_witness(p, g, comps, winners, treewidth)
 
@@ -590,7 +602,7 @@ def _qaw_witness(p, g, comps, winners, treewidth):
     qaw = qaw_width + 1
 
     # witness: contract-graph spine with one block region grafted per block
-    _, spine = treewidth(contract_graph(p))
+    _, spine = treewidth(_contract_graph(g, s, comps))
     assembled = _relabel(spine, 0)
     spine_nodes = set(assembled.nodes)
     for comp in comps:
@@ -617,7 +629,7 @@ def _qaw_witness(p, g, comps, winners, treewidth):
         raise InternalInvariant(
             f"witness decomposition width {nice.width + 1} != computed qaw {qaw}"
         )
-    ok, violation = is_quantifier_aware(nice, p)
+    ok, violation = _quantifier_aware(nice, g, s, comps)
     if not ok:
         raise InternalInvariant(f"witness decomposition is not quantifier-aware: {violation}")
     return qaw, nice

@@ -552,6 +552,18 @@ def serialize_query(q):
 _UNBOUND = object()
 
 
+def _conjuncts(f):
+    """The conjuncts of f's top-level `&`, left to right."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
 def _exists_plan(f):
     """(binders, levels) for the exists chain that starts at f.
 
@@ -562,16 +574,19 @@ def _exists_plan(f):
     while isinstance(f, Exists):
         binders.append(f.var)
         f = f.body
-    level = {v: k + 1 for k, v in enumerate(binders)}  # an inner binder wins
-    levels = [[] for _ in range(len(binders) + 1)]
-    conjuncts = [f]
-    while conjuncts:
-        g = conjuncts.pop()
-        if isinstance(g, And):
-            conjuncts += (g.right, g.left)
-        else:
-            levels[max((level.get(v, 0) for v in free_variables(g)), default=0)].append(g)
-    return binders, levels
+    conjuncts = _conjuncts(f)
+    return binders, _levels(binders, conjuncts, map(free_variables, conjuncts))
+
+
+def _levels(order, conjuncts, uses):
+    """levels[k]: the conjuncts, each given with the variables it uses, that
+    are bound once order[:k] is; a name listed twice counts at its last
+    place, and a name not listed is bound before the search."""
+    level = {v: k + 1 for k, v in enumerate(order)}
+    levels = [[] for _ in range(len(order) + 1)]
+    for g, used in zip(conjuncts, uses):
+        levels[max((level.get(v, 0) for v in used), default=0)].append(g)
+    return levels
 
 
 def _satisfies(f):
@@ -666,8 +681,67 @@ _DEPTH_STEPS = {Atom: lambda node: 1, Top: lambda node: 1, Exists: lambda node, 
                 **dict.fromkeys((And, Or), lambda node, left, right: max(left, right) + 1)}
 
 
+def _liberal_order(uses, liberal):
+    """The liberal variables in the order that completes conjuncts earliest,
+    each conjunct given by the liberal variables it uses. Repeatedly, the
+    conjunct with the fewest unbound variables (ties to the one whose first
+    unbound variable comes first in the header) has those variables bound
+    next, in header order. Variables no conjunct uses come last."""
+    at = {v: i for i, v in enumerate(liberal)}
+    order, bound = [], set()
+    pending = [sorted(used, key=at.__getitem__) for used in uses]
+    while True:
+        pending = [rest for rest in ([v for v in vs if v not in bound] for vs in pending) if rest]
+        if not pending:
+            return order + [v for v in liberal if v not in bound]
+        nearest = min(pending, key=lambda rest: (len(rest), at[rest[0]]))
+        order += nearest
+        bound.update(nearest)
+
+
+def _liberal_count(f, liberal):
+    """f compiled to a counter: count(b) is the number of assignments of the
+    liberal variables under which f holds on b. The liberal variables are
+    searched like an outermost exists chain that counts its leaves, from an
+    explicit stack: bound in _liberal_order, each top-level conjunct checked
+    as soon as its variables are, and the variables after the last check
+    counted, not enumerated."""
+    conjuncts = _conjuncts(f)
+    uses = [free_variables(g) for g in conjuncts]
+    order = _liberal_order(uses, liberal)
+    levels = [[_satisfies(g) for g in level] for level in _levels(order, conjuncts, uses)]
+    searched = max(k for k, tests in enumerate(levels) if tests)
+    checks = [_conjunction(tests) if tests else None for tests in levels[: searched + 1]]
+    names, unchecked, last = order[:searched], len(order) - searched, searched - 1
+
+    def count(b):
+        universe, h = b.universe, {}
+        if checks[0] is not None and not checks[0](h, b):
+            return 0
+        if not names:
+            return len(universe) ** unchecked
+        found, k, values = 0, 0, [iter(universe)]
+        while values:  # values[k] runs over the universe for names[k]
+            val = next(values[k], _UNBOUND)
+            if val is _UNBOUND:
+                values.pop()
+                k -= 1
+                continue
+            h[names[k]] = val
+            check = checks[k + 1]
+            if check is None or check(h, b):
+                if k == last:
+                    found += 1
+                else:
+                    values.append(iter(universe))
+                    k += 1
+        return found * len(universe) ** unchecked
+
+    return count
+
+
 def _oracle_plan(q):
-    """(test, binder count) of q's formula, compiled once and kept on q."""
+    """(counter, binder count) of q, compiled once and kept on q."""
     plan = q._oracle
     if plan is None:
         nodes = subformulas(q.formula)
@@ -678,35 +752,37 @@ def _oracle_plan(q):
                 f"oracle_count refuses a formula {depth} > {_ORACLE_DEPTH} nodes deep; "
                 "its search recurses once per level"
             )
-        plan = (_satisfies(q.formula), sum(isinstance(node, Exists) for node in nodes))
+        plan = (_liberal_count(q.formula, q.liberal),
+                sum(isinstance(node, Exists) for node in nodes))
         object.__setattr__(q, "_oracle", plan)
     return plan
 
 
 def oracle_count(q, b, max_enum=10**8):
-    """Ground-truth |q(B)| by exhaustive enumeration.
+    """Ground-truth |q(B)| by exhaustive search.
 
-    Every liberal assignment is enumerated; each exists chain is searched by
-    backtracking, checking every conjunct of its body as soon as its
-    variables are bound. Refuses when the naive enumeration would exceed
-    max_enum assignments; the bound counts quantified variables too, since
-    the search enumerates them in the worst case. Refuses as well a formula
-    more than _ORACLE_DEPTH nodes deep, which its recursion could not finish.
-    The search is compiled once per query, on its first call.
+    The liberal variables are searched by backtracking, as an outermost
+    exists chain whose leaves are counted: they are bound in the order that
+    completes the formula's top-level conjuncts earliest (ties to header
+    order), and each conjunct is checked as soon as its variables are bound;
+    the variables left after the last check multiply the count by |B| each.
+    Each exists chain is searched the same way, checking every conjunct of
+    its body as soon as its variables are bound. Refuses when the naive
+    enumeration would exceed max_enum assignments; the bound counts
+    quantified variables too, since the search enumerates them in the worst
+    case. Refuses as well a formula more than _ORACLE_DEPTH nodes deep, which
+    its recursion could not finish. The search is compiled once per query,
+    on its first call.
     """
     _check_signature(q.sig, b)
-    test, bound = _oracle_plan(q)
+    count, bound = _oracle_plan(q)
     work = len(b.universe) ** (len(q.liberal) + bound)
     if work > max_enum:
         raise CapExceeded(
             f"oracle_count refuses {work} > {max_enum} enumerations; "
             "use the compiled engine for inputs of this size"
         )
-    liberal = q.liberal
-    return sum(
-        1 for values in itertools.product(b.universe, repeat=len(liberal))
-        if test(dict(zip(liberal, values)), b)
-    )
+    return count(b)
 
 
 # ---------------------------------------------------------------------------
@@ -811,11 +887,13 @@ def primal_graph(p):
 def exists_components(p):
     """Vertex sets: each connected block of quantified vertices plus the
     liberal vertices adjacent to it."""
-    g = primal_graph(p)
-    lib = p.liberal_set
-    quantified_part = g.without_vertices(lib)
+    return _exists_components(primal_graph(p), p.liberal_set)
+
+
+def _exists_components(g, lib):
+    """exists_components of a pair with primal graph g and liberal set lib."""
     out = []
-    for comp in quantified_part.connected_components():
+    for comp in g.without_vertices(lib).connected_components():
         adjacent = set()
         for v in comp:
             adjacent |= g.neighbors(v) & lib
@@ -826,10 +904,15 @@ def exists_components(p):
 def contract_graph(p):
     """Graph on the liberal vertices: liberal-liberal primal edges plus a
     clique over each exists-component's liberal part."""
-    g = primal_graph(p)
-    lib = p.liberal_set
+    g, lib = primal_graph(p), p.liberal_set
+    return _contract_graph(g, lib, _exists_components(g, lib))
+
+
+def _contract_graph(g, lib, comps):
+    """contract_graph of a pair with primal graph g, liberal set lib and
+    exists-components comps."""
     result = g.induced(lib)
-    for comp in exists_components(p):
+    for comp in comps:
         result = result.with_clique(sorted(comp & lib))
     return Graph(frozenset(lib), result.edges)
 

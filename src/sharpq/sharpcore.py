@@ -511,15 +511,15 @@ def _pairs(combine, parts1, parts2):
     return pairs if combine is _pair else starmap(combine, pairs)
 
 
-def _widen(explicit, target, universe):
-    """(fills, build) re-indexing rows over `explicit` by `target` ⊇ explicit:
-    row r becomes build(r, fill) for each fill, a row over the new columns."""
+def _widen(explicit, target):
+    """(extra, build) re-indexing rows over `explicit` by `target` ⊇ explicit:
+    row r becomes build(r, fill) for each fill, a row over the `extra` new
+    columns."""
     extra = tuple(v for v in target if v not in explicit)
-    fills = universe if len(extra) == 1 else list(product(universe, repeat=len(extra)))
     cols = explicit + extra
     order = _row_of(len(cols), tuple(map(cols.index, target)))
     combine = _combine(len(explicit), len(extra))
-    return fills, lambda r, fill: order(combine(r, fill))
+    return len(extra), lambda r, fill: order(combine(r, fill))
 
 
 _JoinPlan = namedtuple("_JoinPlan", "explicit at1 at2 combine handoff")
@@ -528,7 +528,7 @@ _JoinPlan = namedtuple("_JoinPlan", "explicit at1 at2 combine handoff")
 @lru_cache(maxsize=1024)
 def _join_plan(ex1, ex2, drop):
     """How to join tables over columns ex1 and ex2, projecting out `drop`;
-    it depends on column names only, so repeated evaluations share it.
+    it depends on column names only, so plans of joins of one shape share it.
     Output columns are ex1's surviving ones, then ex2's own, in the
     formula's order. at1/at2 are each side's (key, part) positions: its
     shared columns and those it contributes to the output row, which
@@ -662,10 +662,21 @@ class _Rows:
 
 
 class _Evaluator:
-    """Table evaluation in one fold, under the kernel invariants above. Every
-    node yields (columns, table), a counting formula's table holding nonzero
-    counts, or a row count where only that is asked for. A variable of a
-    node's free set that is not a column is one its value does not depend on.
+    """Table evaluation under the kernel invariants above, planned once per
+    formula. Every node yields a table over its columns, a counting
+    formula's holding nonzero counts, or a row count where only that is
+    asked for. A variable of a node's free set that is not a column is one
+    its value does not depend on.
+
+    No column depends on the structure, so one fold of a formula (see
+    _make_plan) makes every choice that depends on the formula alone: each
+    node's columns, an atom's positions and equality filters, a join's
+    _JoinPlan and whether its sides swap, a projection's summed set, kept
+    positions and power of |B|, a cast's count flag. It records one step per
+    node that does work on tables; a node that passes its kid's value up
+    (Exists, Expand, a projection inside a chain) records none. Evaluating
+    on a structure runs the steps, which pay only for the relations, the
+    tables and _note.
 
     The fold's context: an ep node's is (drop, count), `drop` the variables
     bound above it that occur, free in it, nowhere else under their binder,
@@ -678,20 +689,22 @@ class _Evaluator:
         self.max_rows = max_rows
         self.stats = stats if stats is not None else {}
         self.stats.setdefault("peak_rows", 0)
-        # _formula's post-order, and while it is recorded the free sets of
-        # its nodes (id(node) -> free variables), computed when a join needs them
-        self._formula = self._free = self._order = None
-        self._steps = {
+        # the formula planned last and its plan; while it is planned, the
+        # free sets of its nodes (id(node) -> free variables), computed when
+        # a join first needs them
+        self._formula = self._plan = self._free = None
+        # per node class: (node, context, kid columns) -> (columns, step or None)
+        self._planners = {
             Atom: self._atom,
             Or: self._or,
-            And: lambda node, ctx, s1, s2: self._join(s1, s2, *ctx),
-            Exists: lambda node, ctx, body: body,
-            Top: lambda node, ctx: ((), 1 if ctx[1] else _Rows(0, {()})),
+            And: lambda node, ctx, ex1, ex2: self._join(ex1, ex2, *ctx),
+            Exists: lambda node, ctx, body: (body, None),
+            Top: lambda node, ctx: ((), (lambda: 1) if ctx[1] else (lambda: _Rows(0, {()}))),
             Cast: self._cast,
-            Const: lambda node, ctx: ((), _Rows(0, {(): node.n} if node.n != 0 else {})),
-            Expand: lambda node, ctx, t: t,
+            Const: lambda node, ctx: ((), lambda: _Rows(0, {(): node.n} if node.n != 0 else {})),
+            Expand: lambda node, ctx, child: (child, None),
             Project: self._project,
-            Times: lambda node, ctx, t1, t2: self._join(t1, t2, frozenset(), valued=True),
+            Times: lambda node, ctx, ex1, ex2: self._join(ex1, ex2, frozenset(), valued=True),
             Plus: self._plus,
         }
         self._down = {
@@ -704,44 +717,45 @@ class _Evaluator:
         }
 
     def eval(self, f, b):
-        """f's value on b. No context depends on b, so the fold's post-order
-        is recorded once per formula (see _post_order) and replayed on each
-        structure."""
+        """f's (columns, table) on b, by f's plan, made on the first call
+        with f and run again for each structure."""
         if f is not self._formula:
-            self._formula, self._free, self._order = f, {}, None
-        if self._order is None:
-            self._order = self._post_order(f)
+            self._formula, self._free = f, None
+            self._plan = self._make_plan(f)
+        columns, steps = self._plan
         self.b = b
         self._facts = {}  # relation name -> its _Facts in this evaluation
         values = []
         put = values.append
-        for step, node, ctx, n in self._order:
+        for step, n in steps:
             if n == 2:
                 right = values.pop()
-                values[-1] = step(node, ctx, values[-1], right)
+                values[-1] = step(values[-1], right)
             elif n == 1:
-                values[-1] = step(node, ctx, values[-1])
+                values[-1] = step(values[-1])
             else:
-                put(step(node, ctx))
-        return values[0]
+                put(step())
+        return columns, values[0]
 
-    def _post_order(self, f):
-        """The (step, node, context, kid count) of every node of f in the
-        order the fold calls its steps, recorded by the fold itself."""
-        order, steps = [], self._steps
+    def _make_plan(self, f):
+        """(f's columns, its steps): each step with its kid count, in the
+        order the fold of f reaches their nodes' planners."""
+        steps, planners = [], self._planners
 
         def record(node, ctx, *kids):
-            order.append((steps[type(node)], node, ctx, len(kids)))
+            columns, step = planners[type(node)](node, ctx, *kids)
+            if step is not None:
+                steps.append((step, len(kids)))
+            return columns
 
-        fold(f, dict.fromkeys(steps, record), self._down)
-        return order
+        return fold(f, dict.fromkeys(planners, record), self._down), steps
 
     def _down_and(self, node, ctx):
         # a bound variable both sides share must reach the join
         drop = ctx[0]
         if not drop:
             return [(node.left, (drop, False)), (node.right, (drop, False))]
-        if not self._free:
+        if self._free is None:
             self._free = {id(g): s for g, s in _free_sets(self._formula)}
         fl, fr = self._free[id(node.left)], self._free[id(node.right)]
         return [(node.left, (drop - (fl & fr), False)), (node.right, (drop - fl, False))]
@@ -763,107 +777,132 @@ class _Evaluator:
 
     def _atom(self, f, ctx):
         drop, count = ctx
-        args = f.args
-        facts = self._facts.get(f.symbol)
-        if facts is None:
-            facts = self._facts[f.symbol] = _Facts(self.b, f.symbol)
+        symbol, args = f.symbol, f.args
         explicit = tuple([v for v in dict.fromkeys(args) if v not in drop])
-        if explicit == args:
-            rows = facts
-        else:
-            positions = tuple(args.index(v) for v in explicit)
-            same = [(args.index(v), i) for i, v in enumerate(args) if args.index(v) != i]
-            if same:
-                build, facts = _row_of(len(args), positions), facts.pick(tuple(range(len(args))))
-                rows = {build(t) for t in facts if all(t[i] == t[j] for i, j in same)}
+        positions = tuple(args.index(v) for v in explicit)
+        same = [(args.index(v), i) for i, v in enumerate(args) if args.index(v) != i]
+        build, everything = _row_of(len(args), positions), tuple(range(len(args)))
+
+        def atom():
+            facts = self._facts.get(symbol)
+            if facts is None:
+                facts = self._facts[symbol] = _Facts(self.b, symbol)
+            if explicit == args:
+                rows = facts
+            elif same:
+                rows = _Rows(len(explicit), {
+                    build(t) for t in facts.pick(everything) if all(t[i] == t[j] for i, j in same)
+                })
             else:
-                rows = set(facts.pick(positions))
-            rows = _Rows(len(explicit), rows)
-        self._note(len(rows))
-        return explicit, len(rows) if count else rows
+                rows = _Rows(len(explicit), set(facts.pick(positions)))
+            self._note(len(rows))
+            return len(rows) if count else rows
 
-    def _or(self, f, ctx, s1, s2):
-        explicit, (t1, t2) = self._widened(s1, s2, False)
-        rows = set(t1.distinct())
-        rows.update(t2.distinct())
-        self._note(len(rows))
-        return explicit, len(rows) if ctx[1] else _Rows(len(explicit), rows)
+        return explicit, atom
 
-    def _widened(self, s1, s2, valued):
-        """The joint columns of two tables and each table re-indexed by them
-        (a new column ranges over the universe), for Or and Plus to unite."""
-        explicit = tuple(dict.fromkeys(s1[0] + s2[0]))
-        universe, tables = self.b.universe, []
-        for ex, t in (s1, s2):
-            if ex != explicit:
-                self._note(len(t) * len(universe) ** (len(explicit) - len(ex)))
-                fills, build = _widen(ex, explicit, universe)
-                rows = t.distinct()
-                if valued:
-                    rows = {build(r, fill): v for r, v in zip(rows, t.values()) for fill in fills}
-                else:
-                    rows = {build(r, fill) for r in rows for fill in fills}
-                t = _Rows(len(explicit), rows)
-            tables.append(t)
-        return explicit, tables
+    def _or(self, f, ctx, ex1, ex2):
+        explicit, widened = self._widened(ex1, ex2, False)
+        width, count = len(explicit), ctx[1]
 
-    def _join(self, s1, s2, drop, count=False, valued=False):
-        """The join of s1 and s2 with `drop` projected out, each row of
-        `valued` counting tables valued by the product of its two rows'. When
-        s2 contributes no column (a semijoin), s1's rows whose shared key s2
-        holds; else the product of the two sides' groups by the shared key,
-        per common key, or with `count` only the number of its rows."""
-        (ex1, t1), (ex2, t2) = s1, s2
+        def union(t1, t2):
+            t1, t2 = widened(t1, t2)
+            rows = set(t1.distinct())
+            rows.update(t2.distinct())
+            self._note(len(rows))
+            return len(rows) if count else _Rows(width, rows)
+
+        return explicit, union
+
+    def _widened(self, ex1, ex2, valued):
+        """The joint columns of two tables, and a step re-indexing both by
+        them (a new column ranges over the universe), for Or and Plus to
+        unite."""
+        explicit = tuple(dict.fromkeys(ex1 + ex2))
+        width = len(explicit)
+        sides = [None if ex == explicit else _widen(ex, explicit) for ex in (ex1, ex2)]
+
+        def widen(t, side):
+            if side is None:
+                return t
+            extra, build = side
+            universe = self.b.universe
+            self._note(len(t) * len(universe) ** extra)
+            fills = universe if extra == 1 else list(product(universe, repeat=extra))
+            rows = t.distinct()
+            if valued:
+                rows = {build(r, fill): v for r, v in zip(rows, t.values()) for fill in fills}
+            else:
+                rows = {build(r, fill) for r in rows for fill in fills}
+            return _Rows(width, rows)
+
+        return explicit, lambda t1, t2: (widen(t1, sides[0]), widen(t2, sides[1]))
+
+    def _join(self, ex1, ex2, drop, count=False, valued=False):
+        """The columns of the join of tables over ex1 and ex2 with `drop`
+        projected out, and its step, which takes the two tables: each row of
+        `valued` counting tables is valued by the product of its two rows'.
+        When one side contributes no column (a semijoin), the other's rows
+        whose shared key it holds; else the product of the two sides' groups
+        by the shared key, per common key, or with `count` only the number
+        of its rows."""
         plan = _join_plan(ex1, ex2, drop)
-        if plan.at2[1] and not plan.at1[1]:
-            # s1 contributes no column; swapped, the output columns stay
-            (ex1, t1), (ex2, t2) = s2, s1
-            plan = _join_plan(ex1, ex2, drop)
+        swap = bool(plan.at2[1] and not plan.at1[1])
+        if swap:
+            # side 1 contributes no column; swapped, the output columns stay
+            plan = _join_plan(ex2, ex1, drop)
         (key1, part1), (key2, part2) = plan.at1, plan.at2
-        values = t1.values() if valued else None
-        if not t1 or not t2:
-            rows = set() if values is None else {}
-        elif not part2:
-            if values is None:
-                # side 1's parts whose key side 2 holds, filtered in C
-                keys = t2.keyset(key2)
-                rows = set(compress(t1.pick(part1), map(keys.__contains__, t1.pick(key1))))
+        explicit, combine, handoff = plan.explicit, plan.combine, plan.handoff
+        width = len(explicit)
+
+        def join(t1, t2):
+            if swap:
+                t1, t2 = t2, t1
+            values = t1.values() if valued else None
+            if not t1 or not t2:
+                rows = set() if values is None else {}
+            elif not part2:
+                if values is None:
+                    # side 1's parts whose key side 2 holds, filtered in C
+                    keys = t2.keyset(key2)
+                    rows = set(compress(t1.pick(part1), map(keys.__contains__, t1.pick(key1))))
+                else:
+                    of = dict(zip(t2.pick(key2), t2.values()))
+                    rows = {
+                        p: v * of[k] for k, p, v in zip(t1.pick(key1), t1.pick(part1), values)
+                        if k in of
+                    }
             else:
-                of = dict(zip(t2.pick(key2), t2.values()))
-                rows = {
-                    p: v * of[k] for k, p, v in zip(t1.pick(key1), t1.pick(part1), values)
-                    if k in of
-                }
-        else:
-            g1, g2 = t1.grouped(plan.at1), t2.grouped(plan.at2)
-            if count:
-                return plan.explicit, _count_pairs(g1, g2)
-            common = g1.keys() & g2.keys()
-            if plan.handoff is not None and values is None:
-                # the shared columns are kept, so rows of different keys
-                # differ: the table's size is the sum of the per-key products
-                sizes = [len(g1[k]) * len(g2[k]) for k in common]
-                n = sum(sizes)
-                if n > self.max_rows:
-                    # "more than" when one key, or all keys but the largest,
-                    # exceed the cap, so the text follows no key order
-                    largest = max(sizes)
-                    self._check_growth(n - largest, largest)
-                self._note(n)
-                held = _Rows(len(plan.explicit), None, plan)
-                held.groups, held.keys, held.n = (g1, g2), common, n
-                return plan.explicit, held
-            # rows of different keys may coincide: built to be counted
-            rows, combine = (set() if values is None else {}), plan.combine
-            for k in common:
-                self._check_growth(len(rows), len(g1[k]) * len(g2[k]))
-                rows.update(_pairs(combine, g1[k], g2[k]) if values is None else (
-                    (combine(p1, p2), v1 * v2)
-                    for (p1, v1), (p2, v2) in product(g1[k].items(), g2[k].items())
-                ))
-            self._check_growth(len(rows))  # the total too: the text follows no key order
-        self._note(len(rows))
-        return plan.explicit, len(rows) if count else _Rows(len(plan.explicit), rows)
+                g1, g2 = t1.grouped(plan.at1), t2.grouped(plan.at2)
+                if count:
+                    return _count_pairs(g1, g2)
+                common = g1.keys() & g2.keys()
+                if handoff is not None and values is None:
+                    # the shared columns are kept, so rows of different keys
+                    # differ: the table's size is the sum of the per-key products
+                    sizes = [len(g1[k]) * len(g2[k]) for k in common]
+                    n = sum(sizes)
+                    if n > self.max_rows:
+                        # "more than" when one key, or all keys but the largest,
+                        # exceed the cap, so the text follows no key order
+                        largest = max(sizes)
+                        self._check_growth(n - largest, largest)
+                    self._note(n)
+                    held = _Rows(width, None, plan)
+                    held.groups, held.keys, held.n = (g1, g2), common, n
+                    return held
+                # rows of different keys may coincide: built to be counted
+                rows = set() if values is None else {}
+                for k in common:
+                    self._check_growth(len(rows), len(g1[k]) * len(g2[k]))
+                    rows.update(_pairs(combine, g1[k], g2[k]) if values is None else (
+                        (combine(p1, p2), v1 * v2)
+                        for (p1, v1), (p2, v2) in product(g1[k].items(), g2[k].items())
+                    ))
+                self._check_growth(len(rows))  # the total too: the text follows no key order
+            self._note(len(rows))
+            return len(rows) if count else _Rows(width, rows)
+
+        return explicit, join
 
     def _check_growth(self, n, size=0):
         """Refuse a product join of n rows, or one key's `size` rows, if either
@@ -873,52 +912,63 @@ class _Evaluator:
 
     # -- counting formulas --
 
-    def _cast(self, f, count, s):
-        explicit, rows = s
+    def _cast(self, f, count, explicit):
         if count:
             # the row count goes up to the projection above, which sums
             # every column, as the value of the empty row
-            return explicit, _Rows(0, {(): rows} if rows else {})
-        return explicit, _Rows(len(explicit), dict.fromkeys(rows.distinct(), 1))
+            return explicit, lambda n: _Rows(0, {(): n} if n else {})
+        width = len(explicit)
+        return explicit, lambda rows: _Rows(width, dict.fromkeys(rows.distinct(), 1))
 
-    def _project(self, f, inner, value):
+    def _project(self, f, inner, explicit):
         """A chain of projections summed out in one pass, at its top; the
         projections inside the chain pass their child's value up. A cast
         whose whole liberal set is summed comes up as its row count."""
         if inner is not None:
-            return value
+            return explicit, None
         vars_ = set(f.vars)
         while isinstance(f.child, Project):
             f = f.child
             vars_ |= f.vars
-        explicit, t = value
         # every summed variable that is not a column contributes a factor |B|
-        factor = len(self.b.universe) ** len(vars_ - set(explicit))
+        power = len(vars_ - set(explicit))
         keep = tuple([i for i, v in enumerate(explicit) if v not in vars_])
-        if keep:
-            key = _row_of(len(explicit), keep)
-            sums = {}
-            for row, val in zip(t.distinct(), t.values()):
-                k = key(row)
-                sums[k] = sums.get(k, 0) + val
-            data = {k: v * factor for k, v in sums.items() if v}
-        else:
-            total = sum(t.values()) * factor
-            data = {(): total} if total else {}
-        self._note(len(data))
-        return tuple(explicit[i] for i in keep), _Rows(len(keep), data)
+        key = _row_of(len(explicit), keep)
 
-    def _plus(self, f, ctx, t1, t2):
-        # both sides are built widened before they are added
-        n, width = len(self.b.universe), len(set(t1[0] + t2[0]))
-        self._note(sum(len(t) * n ** (width - len(ex)) for ex, t in (t1, t2)))
-        explicit, (t1, t2) = self._widened(t1, t2, True)
-        data = dict(zip(t1.distinct(), t1.values()))
-        for k, v in zip(t2.distinct(), t2.values()):
-            data[k] = data.get(k, 0) + v
-        data = {k: v for k, v in data.items() if v}
-        self._note(len(data))
-        return explicit, _Rows(len(explicit), data)
+        def project(t):
+            factor = len(self.b.universe) ** power
+            if keep:
+                sums = {}
+                for row, val in zip(t.distinct(), t.values()):
+                    k = key(row)
+                    sums[k] = sums.get(k, 0) + val
+                data = {k: v * factor for k, v in sums.items() if v}
+            else:
+                total = sum(t.values()) * factor
+                data = {(): total} if total else {}
+            self._note(len(data))
+            return _Rows(len(keep), data)
+
+        return tuple(explicit[i] for i in keep), project
+
+    def _plus(self, f, ctx, ex1, ex2):
+        explicit, widened = self._widened(ex1, ex2, True)
+        width = len(explicit)
+        power1, power2 = width - len(ex1), width - len(ex2)
+
+        def plus(t1, t2):
+            # both sides are built widened before they are added
+            n = len(self.b.universe)
+            self._note(len(t1) * n ** power1 + len(t2) * n ** power2)
+            t1, t2 = widened(t1, t2)
+            data = dict(zip(t1.distinct(), t1.values()))
+            for k, v in zip(t2.distinct(), t2.values()):
+                data[k] = data.get(k, 0) + v
+            data = {k: v for k, v in data.items() if v}
+            self._note(len(data))
+            return _Rows(width, data)
+
+        return explicit, plus
 
 
 def _count_pairs(g1, g2):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from sharpq import decomp
+from sharpq import decomp, epquery
 from sharpq.decomp import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -354,9 +354,13 @@ def _td(parent, bags):
         (_td({0: None, 1: 0}, {0: "ab", 1: "c"}), ["edge ['b', 'c'] is in no bag"]),
         (_td({0: None, 1: 0, 2: 1}, {0: "ab", 1: "bc", 2: "a"}),
          ["occurrences of a are disconnected"]),
+        (TreeDecomposition(nodes=(0,), parent={}, bags={0: frozenset("abc")}),
+         ["node 0 is missing from parent"]),
+        (TreeDecomposition(nodes=(0,), parent={0: None}, bags={}),
+         ["node 0 is missing from bags"]),
     ],
     ids=["duplicate-ids", "two-roots", "no-root", "parent-outside", "unreachable",
-         "uncovered", "edge", "disconnected"],
+         "uncovered", "edge", "disconnected", "no-parent-entry", "no-bag"],
 )
 def test_validate_td_catches_breakage(td, problems):
     assert validate_td(td, _graph([("a", "b"), ("b", "c")])) == problems
@@ -476,6 +480,22 @@ def test_qaw_of_stars_is_number_of_spokes_plus_one():
         ok, _ = is_quantifier_aware(nice, p)
         assert ok
         assert nice.bags[nice.root] == frozenset()
+
+
+def test_qaw_builds_the_primal_graph_once(monkeypatch):
+    # the blocks, the contract graph and the awareness check of the witness
+    # are all derived from the one primal graph compute_qaw builds
+    built = []
+    build = primal_graph
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+
+    monkeypatch.setattr(decomp, "primal_graph", counted)
+    monkeypatch.setattr(epquery, "primal_graph", counted)
+    assert compute_qaw(star_pair(3))[0] == 4
+    assert len(built) == 1
 
 
 def test_qaw_of_quantifier_free_pair_is_treewidth_plus_one():

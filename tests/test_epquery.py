@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sharpq import epquery
 from sharpq.compilepipe import _seeded_structures
 from sharpq.epquery import (
     TOP,
@@ -438,6 +439,65 @@ def test_oracle_checks_each_conjunct_as_soon_as_it_is_bound(monkeypatch):
     monkeypatch.setattr(Structure, "tuples", counted)
     assert oracle_count(q, b) == 0
     assert len(lookups) == 12
+
+
+def test_oracle_binds_first_the_liberal_variables_that_complete_a_conjunct(monkeypatch):
+    # U(z) needs one variable and E(x,y) two, so z is bound first and, with
+    # U empty, the search ends after one U lookup per z and no E lookup
+    lookups = []
+    tuples = Structure.tuples
+
+    def counted(self, name):
+        lookups.append(name)
+        return tuples(self, name)
+
+    b = make_structure(SIG_EU, ["a", "b", "c"], {"U": set(), "E": {("a", "b")}})
+    q = parse_query("query q(x,y,z): E(x,y) & U(z)")
+    monkeypatch.setattr(Structure, "tuples", counted)
+    assert oracle_count(q, b) == 0
+    assert lookups == ["U"] * 3
+
+
+@pytest.mark.parametrize(
+    "uses, liberal, order",
+    [
+        # the one-variable conjunct first, then the other in header order
+        ([{"x", "y"}, {"z"}], ("x", "y", "z"), ["z", "x", "y"]),
+        # a tie goes to the conjunct whose first unbound variable comes first
+        # in the header; a variable no conjunct uses comes last
+        ([{"a", "b"}, {"b", "c"}], ("w", "c", "b", "a"), ["c", "b", "a", "w"]),
+        # once x is bound, E(x,y) needs only y
+        ([{"x", "y"}, {"y", "z"}, {"z", "u"}], ("u", "z", "y", "x"), ["u", "z", "y", "x"]),
+        ([{"x"}, {"x", "y"}, {"y", "z"}, {"z", "u"}], ("u", "z", "y", "x"), ["x", "y", "z", "u"]),
+    ],
+)
+def test_oracle_liberal_order_completes_conjuncts_earliest(uses, liberal, order):
+    assert epquery._liberal_order([frozenset(u) for u in uses], liberal) == order
+
+
+def _balanced_and(conjuncts):
+    while len(conjuncts) > 1:
+        pairs = zip(conjuncts[::2], conjuncts[1::2])
+        conjuncts = [And(a, c) for a, c in pairs] + conjuncts[len(conjuncts) // 2 * 2 :]
+    return conjuncts[0]
+
+
+def test_oracle_on_many_liberal_variables_needs_no_deep_stack():
+    # 1,000 liberal variables in one atom, and 500 conjuncts over distinct
+    # liberal variables as a balanced `&` tree: on one element the search
+    # binds them all from its explicit stack
+    names = tuple(f"x{i}" for i in range(1000))
+    sig = Signature((("R", 1000),))
+    wide = LiberalQuery(name="q", formula=Atom("R", names), liberal=names, sig=sig)
+    many = LiberalQuery(
+        name="q", formula=_balanced_and([Atom("U", (v,)) for v in names[:500]]),
+        liberal=names[:500], sig=Signature((("U", 1),)),
+    )
+    for q, full in ((wide, ("a",) * 1000), (many, ("a",))):
+        symbol = q.sig.symbols[0][0]
+        for facts in ({full}, set()):
+            b = make_structure(q.sig, ["a"], {symbol: facts})
+            assert oracle_count(q, b) == reference_oracle_count(q, b) == len(facts)
 
 
 def test_oracle_signature_mismatch():

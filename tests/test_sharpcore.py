@@ -696,6 +696,34 @@ def test_check_represents_checks_each_distinct_sample_once(monkeypatch):
     assert len(unique) == 14 and calls == unique
 
 
+def test_check_represents_plans_the_sentence_once(monkeypatch):
+    # the sentence's plan and every join plan in it are made before the
+    # first sample: 14 distinct samples make as many as one
+    q = parse_query("query q(x): exists y . exists z . E(x,y) & E(y,z) & E(z,x)")
+    sentence = minimize_ep(q)[0]
+    samples = list(dict.fromkeys(_seeded_structures(q.sig)))
+    calls = []
+
+    def spy(name, run):
+        def counted(*args):
+            calls.append(name)
+            return run(*args)
+
+        return counted
+
+    monkeypatch.setattr(sharpcore, "_join_plan", spy("join", sharpcore._join_plan))
+    monkeypatch.setattr(
+        sharpcore._Evaluator, "_make_plan", spy("plan", sharpcore._Evaluator._make_plan)
+    )
+    counts = []
+    for some in (samples[:1], samples):
+        calls.clear()
+        assert check_represents(sentence, q, some) == (True, None)
+        counts.append(sorted(calls))
+    assert len(samples) == 14 and counts[0] == counts[1]
+    assert counts[0].count("plan") == 1 and "join" in counts[0]
+
+
 def _value_or_refusal(run):
     try:
         return run()
@@ -704,8 +732,8 @@ def _value_or_refusal(run):
 
 
 def test_one_evaluator_over_many_structures_and_two_formulas_matches_fresh_ones():
-    # one evaluator replays a formula's recorded post-order on each
-    # structure and records it again when the formula changes: its values,
+    # one evaluator runs a formula's plan on each structure and plans
+    # again when the formula changes: its values,
     # largest tables and cap refusals are those of a fresh evaluator per call
     rng = random.Random(1919)
     refused = 0
@@ -969,7 +997,8 @@ def test_a_product_join_regroups_like_its_rows():
                 }))
                 for cols in (cols1, cols2)
             ]
-            explicit, rows = evaluator._join(*sides, frozenset())
+            explicit, join = evaluator._join(cols1, cols2, frozenset())
+            rows = join(*[table for _, table in sides])
             handoff, built = rows.plan.handoff, rows.distinct()
             key = sharpcore._row_of(len(explicit), handoff)
             for n in range(len(explicit) + 1):
