@@ -19,9 +19,9 @@ from functools import reduce
 from .decomp import (
     TreeDecomposition,
     _bfs_order,
+    _quantifier_aware,
     _tops_and_depths,
     compute_qaw,
-    is_quantifier_aware,
     validate_td,
 )
 from .epquery import (
@@ -36,9 +36,9 @@ from .epquery import (
     Top,
     _has_or,
     _all_variables,
+    _exists_components,
     _infer_signature,
     _rename_apart,
-    exists_components,
     fold,
     pp_to_pair,
     primal_graph,
@@ -202,7 +202,9 @@ def pp_to_basic_sharp(p, td):
     (variables entering). The sentence's value on any structure equals the
     pair's answer count, and its width is at most the decomposition's bag size.
     """
-    ok, violation = is_quantifier_aware(td, p)
+    g, lib = primal_graph(p), p.liberal_set
+    comps = _exists_components(g, lib)
+    ok, violation = _quantifier_aware(td, g, lib, comps)
     if not ok:
         x, y, comp = violation
         raise SharpqError(
@@ -213,7 +215,7 @@ def pp_to_basic_sharp(p, td):
         raise SharpqError("pp_to_basic_sharp needs an empty root bag")
     kids = td.children()
     _, depth = _tops_and_depths(td)
-    quantified = set(p.struct.universe) - p.liberal_set
+    quantified = set(p.struct.universe) - lib
     eff = {t: frozenset(td.bags[t]) - quantified for t in td.nodes}
 
     liberal_atoms_at = {t: [] for t in td.nodes}
@@ -222,9 +224,9 @@ def pp_to_basic_sharp(p, td):
             liberal_atoms_at[_atom_home(td, depth, tup)].append(Atom(sym, tup))
 
     casts_at = {t: [] for t in td.nodes}
-    for comp in sorted(exists_components(p), key=sorted):
-        interior = comp - p.liberal_set
-        boundary = comp & p.liberal_set
+    for comp in sorted(comps, key=sorted):
+        interior = comp - lib
+        boundary = comp & lib
         facts = [
             (sym, tup)
             for sym, tup in p.struct.all_facts()

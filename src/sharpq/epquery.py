@@ -552,101 +552,15 @@ def serialize_query(q):
 _UNBOUND = object()
 
 
-def _conjuncts(f):
-    """The conjuncts of f's top-level `&`, left to right."""
-    out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
-
-
-def _exists_plan(f):
-    """(binders, levels) for the exists chain that starts at f.
-
-    levels[k] lists the conjuncts of the chain's body whose variables are all
-    bound once binders[:k] are; a name bound twice in the chain is read from
-    its innermost binder."""
-    binders = []
-    while isinstance(f, Exists):
-        binders.append(f.var)
-        f = f.body
-    conjuncts = _conjuncts(f)
-    return binders, _levels(binders, conjuncts, map(free_variables, conjuncts))
-
-
-def _levels(order, conjuncts, uses):
-    """levels[k]: the conjuncts, each given with the variables it uses, that
-    are bound once order[:k] is; a name listed twice counts at its last
-    place, and a name not listed is bound before the search."""
+def _levels(order, conjuncts):
+    """levels[k]: the tests of the (test, variables used) conjuncts that are
+    bound once order[:k] is; a name listed twice counts at its last place,
+    and a name not listed is bound before the search."""
     level = {v: k + 1 for k, v in enumerate(order)}
     levels = [[] for _ in range(len(order) + 1)]
-    for g, used in zip(conjuncts, uses):
-        levels[max((level.get(v, 0) for v in used), default=0)].append(g)
+    for test, used in conjuncts:
+        levels[max((level.get(v, 0) for v in used), default=0)].append(test)
     return levels
-
-
-def _satisfies(f):
-    """f compiled to a test: test(h, b) is whether f holds on b under the
-    assignment h, which it leaves as it found it."""
-    if isinstance(f, Atom):
-        symbol, args = f.symbol, f.args
-        if len(args) == 1:
-            (arg,) = args
-            return lambda h, b: (h[arg],) in b.tuples(symbol)
-        key = itemgetter(*args)
-        return lambda h, b: key(h) in b.tuples(symbol)
-    if isinstance(f, And):
-        left, right = _satisfies(f.left), _satisfies(f.right)
-        return lambda h, b: left(h, b) and right(h, b)
-    if isinstance(f, Or):
-        left, right = _satisfies(f.left), _satisfies(f.right)
-        return lambda h, b: left(h, b) or right(h, b)
-    if isinstance(f, Exists):
-        binders, levels = _exists_plan(f)
-        search = _search(0, binders, [[_satisfies(g) for g in level] for level in levels])
-        names = tuple(dict.fromkeys(binders))
-
-        def chain(h, b):
-            # a binder may shadow an outer one, whose value is restored after
-            outer = [h.get(v, _UNBOUND) for v in names]
-            found = search(h, b)
-            for v, val in zip(names, outer):
-                if val is _UNBOUND:
-                    h.pop(v, None)
-                else:
-                    h[v] = val
-            return found
-
-        return chain
-    if isinstance(f, Top):
-        return lambda h, b: True
-    raise TypeError(f"not an ep-formula node: {f!r}")
-
-
-def _search(k, binders, tests):
-    """The backtracking search over binders[k:] compiled to a test: it checks
-    tests[k], the tests of the conjuncts bound by binders[:k], before binding
-    the next variable."""
-    checks = tests[k]
-    if k == len(binders):
-        return _conjunction(checks)
-    var, deeper = binders[k], _search(k + 1, binders, tests)
-
-    def level(h, b):
-        for check in checks:
-            if not check(h, b):
-                return False
-        for val in b.universe:
-            h[var] = val
-            if deeper(h, b):
-                return True
-        return False
-
-    return level
 
 
 def _conjunction(checks):
@@ -663,6 +577,103 @@ def _conjunction(checks):
     return every
 
 
+def _backtrack(order, conjuncts, first=False):
+    """The oracle's one search, compiled: run(h, b) binds the variables of
+    `order` in h, in turn, from an explicit stack, and checks each (test,
+    variables used) conjunct at the level that binds the last of its
+    variables. It stops at the last level that holds a check and counts the
+    assignments that pass, times |B| for each variable left over; with
+    `first`, it returns at the first one."""
+    levels = _levels(order, conjuncts)
+    searched = max((k for k, level in enumerate(levels) if level), default=0)
+    checks = [_conjunction(level) for level in levels[: searched + 1]]
+    names, unchecked, last = order[:searched], len(order) - searched, searched - 1
+
+    def run(h, b):
+        universe = b.universe
+        if not checks[0](h, b):
+            return 0
+        if not names:
+            return len(universe) ** unchecked
+        found, k, values = 0, 0, [iter(universe)]
+        while values:  # values[k] runs over the universe for names[k]
+            val = next(values[k], _UNBOUND)
+            if val is _UNBOUND:
+                values.pop()
+                k -= 1
+                continue
+            h[names[k]] = val
+            if not checks[k + 1](h, b):
+                continue
+            if k < last:
+                values.append(iter(universe))
+                k += 1
+            else:
+                found += 1
+                if first:
+                    break
+        return found * len(universe) ** unchecked
+
+    return run
+
+
+def _close(value):
+    """A (chain binders, conjuncts) value as one (test, variables used)
+    conjunct: the conjunction of its tests, or, for a chain, its search,
+    which restores the outer values its binders shadow."""
+    binders, conjuncts = value
+    used = frozenset().union(*(u for _, u in conjuncts)) - set(binders)
+    if not binders:
+        return _conjunction([test for test, _ in conjuncts]), used
+    search, names = _backtrack(binders, conjuncts, first=True), tuple(dict.fromkeys(binders))
+
+    def chain(h, b):
+        outer = [h.get(v, _UNBOUND) for v in names]
+        found = search(h, b)
+        for v, val in zip(names, outer):
+            if val is _UNBOUND:
+                h.pop(v, None)
+            else:
+                h[v] = val
+        return found
+
+    return chain, used
+
+
+def _conjunct_list(value):
+    """The conjuncts a (chain binders, conjuncts) value puts under an `&`: a
+    chain is closed into one."""
+    return [_close(value)] if value[0] else value[1]
+
+
+def _atom_test(node):
+    """The atom compiled to a test: whether it holds on b under h."""
+    symbol, args = node.symbol, node.args
+    if len(args) == 1:
+        (arg,) = args
+        return lambda h, b: (h[arg],) in b.tuples(symbol)
+    key = itemgetter(*args)
+    return lambda h, b: key(h) in b.tuples(symbol)
+
+
+def _either(node, left, right):
+    (left, left_used), (right, right_used) = _close(left), _close(right)
+    return (), [(lambda h, b: left(h, b) or right(h, b), left_used | right_used)]
+
+
+# each ep node compiled for the oracle to (chain binders, conjuncts), a
+# conjunct being (test(h, b), the variables it uses): `exists` prepends its
+# binder to the chain of its body; `&` concatenates conjuncts, and `|`
+# closes both sides into one test
+_ORACLE_STEPS = {
+    Atom: lambda node: ((), [(_atom_test(node), frozenset(node.args))]),
+    Top: lambda node: ((), []),
+    And: lambda node, left, right: ((), _conjunct_list(left) + _conjunct_list(right)),
+    Or: _either,
+    Exists: lambda node, body: ((node.var, *body[0]), body[1]),
+}
+
+
 def _check_signature(sig, b, user="query"):
     """b must interpret every relation of sig, with the same arity."""
     for name, arity in sig.symbols:
@@ -674,8 +685,11 @@ def _check_signature(sig, b, user="query"):
             )
 
 
-# Compiling the oracle's search, and running it, take at most two Python
-# frames per formula level.
+# The oracle compiles a formula from an explicit stack, but its compiled
+# tests nest when they run: an `|` calls its sides' tests and a chain its
+# search, which calls its conjuncts', so running them takes at most two
+# Python frames per formula level. oracle_count refuses formulas deeper
+# than this, which keeps them well inside the default recursion limit.
 _ORACLE_DEPTH = 300
 _DEPTH_STEPS = {Atom: lambda node: 1, Top: lambda node: 1, Exists: lambda node, body: body + 1,
                 **dict.fromkeys((And, Or), lambda node, left, right: max(left, right) + 1)}
@@ -699,49 +713,8 @@ def _liberal_order(uses, liberal):
         bound.update(nearest)
 
 
-def _liberal_count(f, liberal):
-    """f compiled to a counter: count(b) is the number of assignments of the
-    liberal variables under which f holds on b. The liberal variables are
-    searched like an outermost exists chain that counts its leaves, from an
-    explicit stack: bound in _liberal_order, each top-level conjunct checked
-    as soon as its variables are, and the variables after the last check
-    counted, not enumerated."""
-    conjuncts = _conjuncts(f)
-    uses = [free_variables(g) for g in conjuncts]
-    order = _liberal_order(uses, liberal)
-    levels = [[_satisfies(g) for g in level] for level in _levels(order, conjuncts, uses)]
-    searched = max(k for k, tests in enumerate(levels) if tests)
-    checks = [_conjunction(tests) if tests else None for tests in levels[: searched + 1]]
-    names, unchecked, last = order[:searched], len(order) - searched, searched - 1
-
-    def count(b):
-        universe, h = b.universe, {}
-        if checks[0] is not None and not checks[0](h, b):
-            return 0
-        if not names:
-            return len(universe) ** unchecked
-        found, k, values = 0, 0, [iter(universe)]
-        while values:  # values[k] runs over the universe for names[k]
-            val = next(values[k], _UNBOUND)
-            if val is _UNBOUND:
-                values.pop()
-                k -= 1
-                continue
-            h[names[k]] = val
-            check = checks[k + 1]
-            if check is None or check(h, b):
-                if k == last:
-                    found += 1
-                else:
-                    values.append(iter(universe))
-                    k += 1
-        return found * len(universe) ** unchecked
-
-    return count
-
-
 def _oracle_plan(q):
-    """(counter, binder count) of q, compiled once and kept on q."""
+    """(search, binder count) of q, compiled once and kept on q."""
     plan = q._oracle
     if plan is None:
         nodes = subformulas(q.formula)
@@ -752,8 +725,9 @@ def _oracle_plan(q):
                 f"oracle_count refuses a formula {depth} > {_ORACLE_DEPTH} nodes deep; "
                 "its search recurses once per level"
             )
-        plan = (_liberal_count(q.formula, q.liberal),
-                sum(isinstance(node, Exists) for node in nodes))
+        conjuncts = _conjunct_list(fold(q.formula, _ORACLE_STEPS))
+        order = _liberal_order([used for _, used in conjuncts], q.liberal)
+        plan = (_backtrack(order, conjuncts), sum(isinstance(node, Exists) for node in nodes))
         object.__setattr__(q, "_oracle", plan)
     return plan
 
@@ -761,28 +735,27 @@ def _oracle_plan(q):
 def oracle_count(q, b, max_enum=10**8):
     """Ground-truth |q(B)| by exhaustive search.
 
-    The liberal variables are searched by backtracking, as an outermost
-    exists chain whose leaves are counted: they are bound in the order that
-    completes the formula's top-level conjuncts earliest (ties to header
-    order), and each conjunct is checked as soon as its variables are bound;
-    the variables left after the last check multiply the count by |B| each.
-    Each exists chain is searched the same way, checking every conjunct of
-    its body as soon as its variables are bound. Refuses when the naive
+    One backtracking search runs over the liberal variables and over each
+    exists chain: it checks each conjunct as soon as its variables are
+    bound. The liberal variables are bound in the order that completes the
+    formula's top-level conjuncts earliest (ties to header order), and the
+    ones left after the last check multiply the count by |B| each; a chain
+    stops at its first satisfying assignment. Refuses when the naive
     enumeration would exceed max_enum assignments; the bound counts
     quantified variables too, since the search enumerates them in the worst
-    case. Refuses as well a formula more than _ORACLE_DEPTH nodes deep, which
-    its recursion could not finish. The search is compiled once per query,
-    on its first call.
+    case. Refuses as well a formula more than _ORACLE_DEPTH nodes deep,
+    whose compiled tests would nest too deep to run. The search is compiled
+    once per query, on its first call.
     """
     _check_signature(q.sig, b)
-    count, bound = _oracle_plan(q)
+    search, bound = _oracle_plan(q)
     work = len(b.universe) ** (len(q.liberal) + bound)
     if work > max_enum:
         raise CapExceeded(
             f"oracle_count refuses {work} > {max_enum} enumerations; "
             "use the compiled engine for inputs of this size"
         )
-    return count(b)
+    return search({}, b)
 
 
 # ---------------------------------------------------------------------------

@@ -128,16 +128,6 @@ class Const(_SharpByText):
 # ---------------------------------------------------------------------------
 
 
-def free_closed(f):
-    """(free, closed) variable sets of a counting formula, bottom-up.
-
-    The derived sets are computed unconditionally; side conditions are the
-    business of validate(), which derives the same sets.
-    """
-    report = validate(f)
-    return report.free, report.closed
-
-
 @dataclass(frozen=True)
 class Violation:
     path: str

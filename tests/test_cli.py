@@ -369,7 +369,8 @@ def test_count_of_a_400_edge_path_on_a_directed_triangle(tmp_path, capsys):
 
 def test_the_oracle_refuses_a_formula_too_deep_for_its_recursion(tmp_path, capsys):
     # a 400-conjunct chain is 400 nodes deep: the compiled engine counts it,
-    # the oracle, which recurses once per level, exits 3 before it starts
+    # the oracle, which refuses any formula deeper than 300, exits 3 before
+    # it starts
     text = "query q(x): " + " & ".join(f"A{i % 3}(x)" for i in range(400)) + "\n"
     rel = "signature A0/1 A1/1 A2/1\nuniverse a b\nA0(a)\nA1(a)\nA2(a)\nA2(b)\n"
     assert _count(capsys, tmp_path, text, rel) == (0, "1\n", "")

@@ -61,7 +61,6 @@ from sharpq.sharpcore import (
     _require_valid,
     eval_sentence,
     evaluate,
-    free_closed,
     naive_representation,
     parse_sharp,
     serialize_sharp,
@@ -259,6 +258,25 @@ def test_compile_rejects_nonempty_root():
         pp_to_basic_sharp(p, td)
 
 
+def test_pp_to_basic_sharp_builds_the_pairs_primal_graph_once(monkeypatch):
+    # the quantifier-aware check and the blocks share one graph of the pair;
+    # each block's width-bounded rewriting builds its own sub-pair's graph
+    from sharpq import decomp, epquery
+
+    p = star_pair(3)
+    _, td = compute_qaw(p)
+    built = []
+
+    def spy(pair):
+        built.append(pair is p)
+        return primal_graph(pair)
+
+    for module in (compilepipe, decomp, epquery):
+        monkeypatch.setattr(module, "primal_graph", spy)
+    pp_to_basic_sharp(p, td)
+    assert built.count(True) == 1
+
+
 def test_compile_isolated_liberal_variable_multiplies_by_universe_size():
     struct = make_structure(SIG_E, ["x", "y"], {"E": {("x", "x")}})
     p = PpPair(struct=struct, liberal=("x", "y"))
@@ -333,18 +351,18 @@ def test_read_back_rejects_non_basic_and_open_inputs():
 
 def _read_back_reference(f):
     """basic_sharp_to_pp's pair derived node by node, for a valid basic
-    sentence: the liberal set is every free set of free_closed plus the
+    sentence: the liberal set is every free set validate derives plus the
     projection variables the child never mentions, and the atoms and binders
     come from a stack walk over each renamed-apart cast."""
     ever_free, casts, pads = set(), [], []
 
     def walk(node):
-        ever_free.update(free_closed(node)[0])
+        ever_free.update(validate(node).free)
         if isinstance(node, Cast):
             casts.append(node)
         elif isinstance(node, (Project, Expand)):
             if isinstance(node, Project):
-                pads.extend(sorted(node.vars - free_closed(node.child)[0]))
+                pads.extend(sorted(node.vars - validate(node.child).free))
             walk(node.child)
         elif isinstance(node, Times):
             walk(node.left)
@@ -399,7 +417,7 @@ def _random_basic_sentence(rng):
             return Cast(parse_ep_expression(ep(lib, 3)), tuple(lib))
         roll = rng.random()
         child = gen(depth - 1)
-        free, closed = free_closed(child)
+        free, closed = validate(child).free, validate(child).closed
         if roll < 0.35:
             options = [v for v in pool if v not in closed]
             if not options:
@@ -410,7 +428,7 @@ def _random_basic_sentence(rng):
             options = [v for v in pool if v not in free | closed]
             return Expand(frozenset(rng.sample(options, 1)), child) if options else child
         right = gen(depth - 1)
-        free_r, closed_r = free_closed(right)
+        free_r, closed_r = validate(right).free, validate(right).closed
         want = free | free_r
         if (want - free) & closed or (want - free_r) & closed_r:
             return child
@@ -419,7 +437,7 @@ def _random_basic_sentence(rng):
         return Times(left, right)
 
     f = gen(4)
-    free, _ = free_closed(f)
+    free = validate(f).free
     f = Project(free, f) if free else f
     return f if validate(f).ok else None
 
@@ -434,7 +452,7 @@ def test_read_back_matches_the_node_by_node_derivation():
         checked += 1
         nodes = subformulas(f)
         vacuous += any(
-            isinstance(n, Project) and n.vars - free_closed(n.child)[0] for n in nodes
+            isinstance(n, Project) and n.vars - validate(n.child).free for n in nodes
         )
         expanded += any(isinstance(n, Expand) for n in nodes)
         assert basic_sharp_to_pp(f) == _read_back_reference(f)

@@ -500,6 +500,107 @@ def test_oracle_on_many_liberal_variables_needs_no_deep_stack():
             assert oracle_count(q, b) == reference_oracle_count(q, b) == len(facts)
 
 
+def test_oracle_search_counts_the_passing_assignments_checking_each_conjunct_once_bound():
+    # conjuncts over x, y, z and over none, and w in no conjunct: the search
+    # counts what brute force counts, w as a factor |B|, and reaches each
+    # test only with all of its variables bound; with `first` it returns at
+    # the first passing assignment in order, which it leaves in h
+    premature = []
+
+    def conjunct(used, holds):
+        def test(h, b):
+            premature.extend(set(used) - h.keys())
+            return holds(h)
+
+        return test, frozenset(used)
+
+    rng = random.Random(2121)
+    for n in (2, 3):
+        universe = [f"a{i}" for i in range(n)]
+        b = make_structure(SIG_EU, universe, {})
+        for _ in range(20):
+            tables = [
+                (used, {vals for vals in itertools.product(universe, repeat=len(used))
+                        if rng.random() < 0.6})
+                for used in (("x", "y"), ("y", "z"), ("x",), ())
+            ]
+            conjuncts = [conjunct(used, lambda h, used=used, t=t: tuple(h[v] for v in used) in t)
+                         for used, t in tables]
+            order = ("x", "y", "z", "w")
+            passing = [
+                vals for vals in itertools.product(universe, repeat=len(order))
+                if all(tuple(dict(zip(order, vals))[v] for v in used) in t for used, t in tables)
+            ]
+            assert epquery._backtrack(order, conjuncts)({}, b) == len(passing)
+            h = {}
+            assert bool(epquery._backtrack(order, conjuncts, first=True)(h, b)) == bool(passing)
+            if passing:
+                assert h == dict(zip(order[:3], passing[0]))
+    assert premature == []
+
+
+def test_oracle_chain_stops_at_its_first_assignment_and_restores_shadowed_values(monkeypatch):
+    # exists x . exists y . E(x,y) on E = {(c,a)}: x = a and x = b each fail
+    # three lookups, x = c passes at y = a, so 7 of the 9 pairs are looked up
+    lookups = []
+    tuples = Structure.tuples
+
+    def counted(self, name):
+        lookups.append(name)
+        return tuples(self, name)
+
+    f = Exists("x", Exists("y", _E("x", "y")))
+    ((chain, used),) = epquery._conjunct_list(epquery.fold(f, epquery._ORACLE_STEPS))
+    assert used == frozenset()
+    b = make_structure(SIG_EU, ["a", "b", "c"], {"E": {("c", "a")}})
+    monkeypatch.setattr(Structure, "tuples", counted)
+    for h in ({"x": "b", "y": "c", "z": "a"}, {"y": "a"}, {}):
+        before = dict(h)
+        lookups.clear()
+        assert chain(h, b)
+        assert len(lookups) == 7
+        assert h == before
+
+
+def _deep_formula(depth):
+    """A formula `depth` levels deep that nests `&`, `|` and `exists` in
+    turn from its innermost atom out, with free variables x and y100."""
+    f = _E("x", "y1")
+    for i in range(1, depth):
+        v = f"y{(i + 2) // 3}"
+        if i % 3 == 1:
+            f = And(_E(v, "x"), f)
+        elif i % 3 == 2:
+            f = Or(f, _U(v))
+        else:
+            f = Exists(v, f)
+    return f
+
+
+def test_oracle_answers_at_its_depth_cap_and_refuses_one_level_deeper():
+    import sys
+
+    from sharpq.sharpcore import Cast, Project, eval_sentence
+
+    assert sys.getrecursionlimit() == 1000
+    liberal = ("x", "y100")
+    at_cap = _deep_formula(epquery._ORACLE_DEPTH)
+    assert epquery.fold(at_cap, epquery._DEPTH_STEPS) == 300 == epquery._ORACLE_DEPTH
+    assert free_variables(at_cap) == set(liberal)
+    q = _hand_query(liberal, at_cap)
+    deeper = _hand_query(liberal, _deep_formula(epquery._ORACLE_DEPTH + 1))
+    for facts in itertools.product((set(), {("a",)}), (set(), {("a", "a")})):
+        b = make_structure(SIG_EU, ["a"], dict(zip("UE", facts)))
+        want = eval_sentence(Project(set(liberal), Cast(at_cap, liberal)), b)
+        assert oracle_count(q, b) == want
+        with pytest.raises(CapExceeded) as refused:
+            oracle_count(deeper, b)
+        assert str(refused.value) == (
+            "oracle_count refuses a formula 301 > 300 nodes deep; "
+            "its search recurses once per level"
+        )
+
+
 def test_oracle_signature_mismatch():
     q = parse_query("query q(x,y): E(x,y)")
     b = make_structure(Signature((("E", 1),)), ["a"], {"E": {("a",)}})

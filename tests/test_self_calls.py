@@ -12,10 +12,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "sharpq"
 
 ALLOWED = {
-    # the oracle is the reference implementation: depth at most two frames per
-    # formula level, and oracle_count refuses formulas deeper than _ORACLE_DEPTH
-    "epquery._satisfies": "formula depth, capped by epquery._ORACLE_DEPTH",
-    "epquery._search": "binders of one exists chain, capped by epquery._ORACLE_DEPTH",
     "compilepipe._canonical_pair.search": "universe size, capped by canon_cap",
     "decomp._exact_treewidth_connected.dfs": "vertices of the simplicial kernel, capped by cap",
 }

@@ -37,7 +37,6 @@ from sharpq.sharpcore import (
     check_represents,
     eval_sentence,
     evaluate,
-    free_closed,
     naive_representation,
     parse_sharp,
     serialize_sharp,
@@ -66,7 +65,8 @@ def test_parse_projection_of_cast():
     assert f == Project(
         frozenset({"y"}), Cast(ep=parse_ep_expression("E(x,y)"), liberal=("x", "y"))
     )
-    assert free_closed(f) == (frozenset({"x"}), frozenset({"y"}))
+    report = validate(f)
+    assert (report.free, report.closed) == ({"x"}, {"y"})
 
 
 def test_parse_rejects_cast_missing_free_variable():
@@ -199,22 +199,22 @@ def _random_sharp(rng, depth=3):
             return gen_cast() if rng.random() < 0.8 else Const(rng.randint(-3, 5))
         if roll < 0.5:
             child = gen(d - 1)
-            fr, cl = free_closed(child)
+            cl = validate(child).closed
             candidates = [v for v in vars_pool if v not in cl]
             if not candidates:
                 return child
             return Project(frozenset(rng.sample(candidates, rng.randint(1, len(candidates)))), child)
         if roll < 0.65:
             child = gen(d - 1)
-            fr, cl = free_closed(child)
-            candidates = [v for v in vars_pool if v not in fr | cl]
+            report = validate(child)
+            candidates = [v for v in vars_pool if v not in report.free | report.closed]
             if not candidates:
                 return child
             return Expand(frozenset({rng.choice(candidates)}), child)
         left = gen(d - 1)
         right = gen(d - 1)
-        fl, cll = free_closed(left)
-        frr, clr = free_closed(right)
+        fl, cll = validate(left).free, validate(left).closed
+        frr, clr = validate(right).free, validate(right).closed
         # align free sets with expansions where legal, else give up on this shape
         def pad(node, have, have_closed, want):
             extra = want - have - have_closed
@@ -276,7 +276,8 @@ def test_three_block_formula_free_closed_and_width():
 
 def test_const_width_zero():
     assert width(Const(5)) == 0
-    assert free_closed(Const(5)) == (frozenset(), frozenset())
+    report = validate(Const(5))
+    assert (report.free, report.closed) == (frozenset(), frozenset())
 
 
 def test_width_counts_ep_subformulas():
@@ -306,7 +307,7 @@ def _recursive_width(f, casts_inside=True):
     """width (casts_inside=True) or sharp_width by their recursive
     definitions: max |free| over the counting subformulas, and over the ep
     subformulas inside casts for width."""
-    w = len(free_closed(f)[0])
+    w = len(validate(f).free)
     if isinstance(f, Cast):
         return max(w, ep_width(f.ep)) if casts_inside else w
     if isinstance(f, (Project, Expand)):
