@@ -811,7 +811,7 @@ def _drop_contained(q, *, max_dnf, core_cap=12):
         a, b = pairs[j].struct, pairs[i].struct
         if not symbols[i] >= symbols[j] or max(len(a.universe), len(b.universe)) > core_cap:
             return False
-        return bool(search_homomorphisms(a, b, pin, first=True))
+        return search_homomorphisms(a, b, pin) is not None
 
     kept = []
     for i in range(k):

@@ -13,10 +13,17 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
-from .relstore import Signature, Structure, make_structure
+from .relstore import (
+    _UNBOUND,
+    Signature,
+    Structure,
+    _backtrack,
+    _conjunction,
+    _fact_test,
+    make_structure,
+)
 
 # ---------------------------------------------------------------------------
 # AST
@@ -549,74 +556,6 @@ def serialize_query(q):
 # ---------------------------------------------------------------------------
 
 
-_UNBOUND = object()
-
-
-def _levels(order, conjuncts):
-    """levels[k]: the tests of the (test, variables used) conjuncts that are
-    bound once order[:k] is; a name listed twice counts at its last place,
-    and a name not listed is bound before the search."""
-    level = {v: k + 1 for k, v in enumerate(order)}
-    levels = [[] for _ in range(len(order) + 1)]
-    for test, used in conjuncts:
-        levels[max((level.get(v, 0) for v in used), default=0)].append(test)
-    return levels
-
-
-def _conjunction(checks):
-    """One test of all of `checks`: the only one itself, when it is alone."""
-    if len(checks) == 1:
-        return checks[0]
-
-    def every(h, b):
-        for check in checks:
-            if not check(h, b):
-                return False
-        return True
-
-    return every
-
-
-def _backtrack(order, conjuncts, first=False):
-    """The oracle's one search, compiled: run(h, b) binds the variables of
-    `order` in h, in turn, from an explicit stack, and checks each (test,
-    variables used) conjunct at the level that binds the last of its
-    variables. It stops at the last level that holds a check and counts the
-    assignments that pass, times |B| for each variable left over; with
-    `first`, it returns at the first one."""
-    levels = _levels(order, conjuncts)
-    searched = max((k for k, level in enumerate(levels) if level), default=0)
-    checks = [_conjunction(level) for level in levels[: searched + 1]]
-    names, unchecked, last = order[:searched], len(order) - searched, searched - 1
-
-    def run(h, b):
-        universe = b.universe
-        if not checks[0](h, b):
-            return 0
-        if not names:
-            return len(universe) ** unchecked
-        found, k, values = 0, 0, [iter(universe)]
-        while values:  # values[k] runs over the universe for names[k]
-            val = next(values[k], _UNBOUND)
-            if val is _UNBOUND:
-                values.pop()
-                k -= 1
-                continue
-            h[names[k]] = val
-            if not checks[k + 1](h, b):
-                continue
-            if k < last:
-                values.append(iter(universe))
-                k += 1
-            else:
-                found += 1
-                if first:
-                    break
-        return found * len(universe) ** unchecked
-
-    return run
-
-
 def _close(value):
     """A (chain binders, conjuncts) value as one (test, variables used)
     conjunct: the conjunction of its tests, or, for a chain, its search,
@@ -646,16 +585,6 @@ def _conjunct_list(value):
     return [_close(value)] if value[0] else value[1]
 
 
-def _atom_test(node):
-    """The atom compiled to a test: whether it holds on b under h."""
-    symbol, args = node.symbol, node.args
-    if len(args) == 1:
-        (arg,) = args
-        return lambda h, b: (h[arg],) in b.tuples(symbol)
-    key = itemgetter(*args)
-    return lambda h, b: key(h) in b.tuples(symbol)
-
-
 def _either(node, left, right):
     (left, left_used), (right, right_used) = _close(left), _close(right)
     return (), [(lambda h, b: left(h, b) or right(h, b), left_used | right_used)]
@@ -666,7 +595,7 @@ def _either(node, left, right):
 # binder to the chain of its body; `&` concatenates conjuncts, and `|`
 # closes both sides into one test
 _ORACLE_STEPS = {
-    Atom: lambda node: ((), [(_atom_test(node), frozenset(node.args))]),
+    Atom: lambda node: ((), [(_fact_test(node.symbol, node.args), frozenset(node.args))]),
     Top: lambda node: ((), []),
     And: lambda node, left, right: ((), _conjunct_list(left) + _conjunct_list(right)),
     Or: _either,

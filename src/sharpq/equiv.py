@@ -29,25 +29,8 @@ class EquivalenceWitness:
 
 
 # ---------------------------------------------------------------------------
-# Homomorphism search (first witness only)
+# Induced substructures
 # ---------------------------------------------------------------------------
-
-
-def _unify_signatures(a, b):
-    """Rebuild both structures over the union signature (missing = empty)."""
-    if a.sig == b.sig:
-        return a, b
-    union = merge_signatures(a.sig, b.sig)
-    return (
-        make_structure(union, a.universe, a.relations),
-        make_structure(union, b.universe, b.relations),
-    )
-
-
-def _find_hom(src, dst, pin):
-    """First homomorphism src -> dst extending pin, or None. Deterministic."""
-    found = search_homomorphisms(src, dst, pin, first=True)
-    return found[0] if found else None
 
 
 def _induced(struct, keep):
@@ -93,14 +76,14 @@ def core_of(p, cap=12):
     for e in universe:
         if e in lib or e not in core.universe or len(core.universe) == 1:
             continue
-        h = _find_hom(core, _induced(core, set(core.universe) - {e}), pin)
+        h = search_homomorphisms(core, _induced(core, set(core.universe) - {e}), pin)
         if h is not None:
             core = _induced(core, h.values())
     for image in itertools.combinations(universe, len(core.universe)):
         if not lib <= set(image):
             continue
         target = _induced(p.struct, image)
-        if _find_hom(core, target, pin) is not None:
+        if search_homomorphisms(core, target, pin) is not None:
             return PpPair(struct=target, liberal=p.liberal)
     raise InternalInvariant("core search found no image of the core's size")
 
@@ -118,32 +101,21 @@ def logically_equivalent(p1, p2):
             "logical equivalence needs identical liberal sets; "
             f"got {sorted(p1.liberal_set)} and {sorted(p2.liberal_set)}"
         )
-    a, b = _unify_signatures(p1.struct, p2.struct)
+    a, b = p1.struct, p2.struct
+    merge_signatures(a.sig, b.sig)  # a symbol with two arities is an error
     pin = {e: e for e in p1.liberal}
-    fwd = _find_hom(a, b, pin)
+    fwd = search_homomorphisms(a, b, pin)
     if fwd is None:
         return False, None
-    bwd = _find_hom(b, a, pin)
+    bwd = search_homomorphisms(b, a, pin)
     if bwd is None:
         return False, None
     return True, EquivalenceWitness(kind="logical", forward=fwd, backward=bwd)
 
 
-def _liberal_fact_image_ok(src, dst, lib, rho):
-    """Necessary condition: facts entirely among liberal elements must map to
-    facts under the bijection alone."""
-    for name, tup in src.all_facts():
-        if set(tup) <= lib and tuple(rho[e] for e in tup) not in dst.tuples(name):
-            return False
-    return True
-
-
-def _directed_witness(src, dst, src_lib_sorted, dst_lib_sorted, src_lib):
+def _directed_witness(src, dst, src_lib_sorted, dst_lib_sorted):
     for perm in itertools.permutations(dst_lib_sorted):
-        rho = dict(zip(src_lib_sorted, perm))
-        if not _liberal_fact_image_ok(src, dst, src_lib, rho):
-            continue
-        hom = _find_hom(src, dst, rho)
+        hom = search_homomorphisms(src, dst, dict(zip(src_lib_sorted, perm)))
         if hom is not None:
             return hom
     return None
@@ -161,11 +133,12 @@ def counting_equivalent(p1, p2, cap=10**6):
             f"counting equivalence tries up to {len(s1)}! liberal bijections, "
             f"exceeding the cap of {cap}"
         )
-    a, b = _unify_signatures(p1.struct, p2.struct)
-    fwd = _directed_witness(a, b, sorted(s1), sorted(s2), s1)
+    a, b = p1.struct, p2.struct
+    merge_signatures(a.sig, b.sig)  # a symbol with two arities is an error
+    fwd = _directed_witness(a, b, sorted(s1), sorted(s2))
     if fwd is None:
         return False, None
-    bwd = _directed_witness(b, a, sorted(s2), sorted(s1), s2)
+    bwd = _directed_witness(b, a, sorted(s2), sorted(s1))
     if bwd is None:
         return False, None
     return True, EquivalenceWitness(kind="counting", forward=fwd, backward=bwd)

@@ -1,4 +1,5 @@
-"""Finite relational structures: text format, homomorphism search, structure algebra.
+"""Finite relational structures: text format, the backtracking search and
+homomorphisms, structure algebra.
 
 A Structure is both a database instance and the structural view of a
 disjunction-free query, so everything here is shared by the query and
@@ -9,7 +10,9 @@ operations are pure functions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ParseError, SharpqError
 
@@ -122,7 +125,7 @@ class Structure:
         return columns
 
     def tuples(self, name):
-        facts = self._relations.get(name)  # the oracle's search calls this most
+        facts = self._relations.get(name)  # the backtracking search calls this most
         if facts is None:
             # a relation of a scanned structure not asked for yet, or an empty one
             facts = frozenset(zip(*self._columns.get(name, ())))
@@ -378,16 +381,107 @@ def serialize_structure(s):
 
 
 # ---------------------------------------------------------------------------
-# Homomorphisms
+# The backtracking search; homomorphisms
 # ---------------------------------------------------------------------------
+
+
+_UNBOUND = object()
+
+
+def _levels(order, conjuncts):
+    """levels[k]: the tests of the (test, variables used) conjuncts that are
+    bound once order[:k] is; a name listed twice counts at its last place,
+    and a name not listed is bound before the search."""
+    level = {v: k + 1 for k, v in enumerate(order)}
+    levels = [[] for _ in range(len(order) + 1)]
+    for test, used in conjuncts:
+        levels[max((level.get(v, 0) for v in used), default=0)].append(test)
+    return levels
+
+
+def _conjunction(checks):
+    """One test of all of `checks`: the only one itself, when it is alone."""
+    if len(checks) == 1:
+        return checks[0]
+
+    def every(h, b):
+        for check in checks:
+            if not check(h, b):
+                return False
+        return True
+
+    return every
+
+
+def _backtrack(order, conjuncts, first=False):
+    """The program's one backtracking search, compiled: run(h, b) binds the
+    variables of `order` in h, in turn, to elements of b's universe, from an
+    explicit stack, and checks each (test(h, b), variables used) conjunct at
+    the level that binds the last of its variables. It stops at the last
+    level that holds a check and counts the assignments that pass, times |B|
+    for each variable left over; with `first`, it returns at the first one,
+    leaving its values in h. The oracle compiles formulas into it, and the
+    homomorphism tests compile a source's facts into it."""
+    levels = _levels(order, conjuncts)
+    searched = max((k for k, level in enumerate(levels) if level), default=0)
+    checks = [_conjunction(level) for level in levels[: searched + 1]]
+    names, unchecked, last = order[:searched], len(order) - searched, searched - 1
+
+    def run(h, b):
+        universe = b.universe
+        if not checks[0](h, b):
+            return 0
+        if not names:
+            return len(universe) ** unchecked
+        found, k, values = 0, 0, [iter(universe)]
+        while values:  # values[k] runs over the universe for names[k]
+            val = next(values[k], _UNBOUND)
+            if val is _UNBOUND:
+                values.pop()
+                k -= 1
+                continue
+            h[names[k]] = val
+            if not checks[k + 1](h, b):
+                continue
+            if k < last:
+                values.append(iter(universe))
+                k += 1
+            else:
+                found += 1
+                if first:
+                    break
+        return found * len(universe) ** unchecked
+
+    return run
+
+
+def _fact_test(symbol, args):
+    """The fact symbol(args) as a test: whether its image under h is a fact
+    of b. A symbol b lacks reads as empty."""
+    if len(args) == 1:
+        (arg,) = args
+        return lambda h, b: (h[arg],) in b.tuples(symbol)
+    key = itemgetter(*args)
+    return lambda h, b: key(h) in b.tuples(symbol)
+
+
+def _hom_search(src, pin):
+    """src's unpinned elements in search order, by decreasing fact count,
+    then universe order, and its facts as conjuncts of _backtrack."""
+    facts = list(src.all_facts())
+    count = Counter(e for _, tup in facts for e in set(tup))
+    order = sorted((e for e in src.universe if e not in pin), key=lambda e: -count[e])
+    return order, [(_fact_test(name, tup), frozenset(tup)) for name, tup in facts]
 
 
 def homomorphisms(src, dst, pin=None, enumerate_witnesses=False):
     """Count maps h: src universe -> dst universe preserving every tuple.
 
     pin (a dict from src elements to dst elements) fixes part of
-    the map. With enumerate_witnesses=True returns (count, tuple of dicts),
-    otherwise just the count. Counts are exact arbitrary-precision ints.
+    the map. With enumerate_witnesses=True returns (count, tuple of dicts in
+    search order), otherwise just the count, in which each element in no
+    fact is a factor |dst| rather than enumerated. Counts are exact
+    arbitrary-precision ints.
     """
     if src.sig != dst.sig:
         raise SharpqError("homomorphisms: source and target signatures differ")
@@ -398,74 +492,30 @@ def homomorphisms(src, dst, pin=None, enumerate_witnesses=False):
             raise SharpqError(f"pin maps unknown source element {k!r}")
         if v not in dst_elems:
             raise SharpqError(f"pin targets unknown element {v!r}")
-    witnesses = search_homomorphisms(src, dst, pinned)
-    if enumerate_witnesses:
-        return len(witnesses), tuple(witnesses)
-    return len(witnesses)
+    order, conjuncts = _hom_search(src, pinned)
+    if not enumerate_witnesses:
+        return _backtrack(order, conjuncts)(pinned, dst)
+    witnesses = []
+    record = (lambda h, b: witnesses.append(dict(h)) or True, frozenset(src.universe))
+    return _backtrack(order, conjuncts + [record])(pinned, dst), tuple(witnesses)
 
 
-def search_homomorphisms(src, dst, pin, first=False):
-    """Every homomorphism src -> dst extending pin, as dicts in search order;
-    with first=True, only the first one (an empty list when there is none).
+def search_homomorphisms(src, dst, pin):
+    """The first homomorphism src -> dst extending pin, as a dict, or None.
 
-    Unpinned elements are assigned in order of decreasing fact count, then
-    universe order, each trying dst's universe in order; a fact is checked as
-    soon as all its elements are assigned. Every relation src uses must be in
-    dst's signature.
+    Facts among pinned elements are checked first. Unpinned elements are
+    assigned in order of decreasing fact count, then universe order, each
+    trying dst's universe in order; a fact is checked as soon as all its
+    elements are assigned. An element in no fact takes dst's first element.
+    A symbol dst lacks reads as empty.
     """
-    # incidence: element -> list of (symbol, tuple) facts it appears in
-    incidence = {e: [] for e in src.universe}
-    for name, tup in src.all_facts():
-        for e in set(tup):
-            incidence[e].append((name, tup))
-    dst_tuples = {name: dst.tuples(name) for name in dst.sig.names()}
     h = dict(pin)
-    found = []
-
-    def consistent(e):
-        # check each fact incident to e in which every element is now assigned
-        for name, tup in incidence[e]:
-            image = []
-            for x in tup:
-                v = h.get(x)
-                if v is None:
-                    break
-                image.append(v)
-            else:
-                if tuple(image) not in dst_tuples[name]:
-                    return False
-        return True
-
-    if not all(consistent(e) for e in pin):
-        return found
-    todo = sorted(
-        (e for e in src.universe if e not in h),
-        key=lambda e: (-len(incidence[e]), src.universe.index(e)),
-    )
-
-    # depth first over todo without recursion: nxt[i] indexes the next
-    # candidate in dst's universe for todo[i]
-    nxt = [0] * len(todo)
-    i = 0
-    while i >= 0:
-        if i == len(todo):
-            found.append(dict(h))
-            if first:
-                break
-            i -= 1
-            continue
-        e = todo[i]
-        while nxt[i] < len(dst.universe):
-            h[e] = dst.universe[nxt[i]]
-            nxt[i] += 1
-            if consistent(e):
-                i += 1
-                break
-        else:
-            del h[e]
-            nxt[i] = 0
-            i -= 1
-    return found
+    order, conjuncts = _hom_search(src, h)
+    if not _backtrack(order, conjuncts, first=True)(h, dst):
+        return None
+    for e in order:
+        h.setdefault(e, dst.universe[0])
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +528,6 @@ def product(a, b):
     if a.sig != b.sig:
         raise SharpqError("product: signatures differ")
     universe = [f"{x}*{y}" for x in a.universe for y in b.universe]
-    pair_of = {f"{x}*{y}": (x, y) for x in a.universe for y in b.universe}
     rels = {}
     for name, arity in a.sig.symbols:
         tuples = set()
@@ -486,10 +535,7 @@ def product(a, b):
             for tb in b.tuples(name):
                 tuples.add(tuple(f"{x}*{y}" for x, y in zip(ta, tb)))
         rels[name] = tuples
-    s = make_structure(a.sig, universe, rels)
-    # sanity: every product element decodes
-    assert all(e in pair_of for e in s.universe)
-    return s
+    return make_structure(a.sig, universe, rels)
 
 
 def disjoint_union(a, b):

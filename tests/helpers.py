@@ -28,14 +28,13 @@ from sharpq.epquery import (
     subformulas,
 )
 from sharpq.equiv import (
-    _find_hom,
     _induced,
     check_core_cap,
     counting_equivalent,
     logically_equivalent,
 )
 from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
-from sharpq.relstore import make_structure, merge_signatures
+from sharpq.relstore import make_structure, merge_signatures, search_homomorphisms
 from sharpq.sharpcore import check_represents, eval_sentence
 
 
@@ -154,7 +153,7 @@ def reference_core_of(p, cap=12):
                 continue
             image = [universe[i] for i in positions]
             target = _induced(p.struct, image)
-            if _find_hom(p.struct, target, pin) is not None:
+            if search_homomorphisms(p.struct, target, pin) is not None:
                 return PpPair(struct=target, liberal=p.liberal)
     raise InternalInvariant("core search exhausted without finding the identity")
 

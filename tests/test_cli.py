@@ -567,6 +567,15 @@ def test_equiv_reports_inequivalence(tmp_path, capsys):
     assert out == "counting-equivalent: no\n"
 
 
+def test_equiv_refuses_a_symbol_with_two_arities(tmp_path, capsys):
+    a = _write(tmp_path, "a.epq", "query a(x,y): E(x,y)\n")
+    b = _write(tmp_path, "b.epq", "query b(x,y): exists z . E(x,y,z)\n")
+    for mode in ("counting", "logical"):
+        assert _run(capsys, "equiv", "-q", a, "-r", b, "--mode", mode) == (
+            1, "", "error: relation E has conflicting arities 2 and 3\n"
+        )
+
+
 def test_flatten_command(tmp_path, capsys):
     s = _write(tmp_path, "u.shq", "P{x,y,z} C[E(x,y) | F(y,z); {x,y,z}]\n")
     code, out, _ = _run(capsys, "flatten", "-s", s)

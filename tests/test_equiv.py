@@ -7,7 +7,7 @@ from sharpq.decomp import compute_qaw
 from sharpq.epquery import PpPair, oracle_count, pair_to_pp, parse_query, pp_to_pair
 from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
-from sharpq.relstore import Signature, make_structure
+from sharpq.relstore import Signature, make_structure, merge_signatures
 
 from tests.conftest import random_pp_pair, random_structure, rng as _rng  # noqa: F401
 from tests.conftest import SIG_E, triangle_structure
@@ -206,6 +206,34 @@ def test_counting_equivalence_is_symmetric(rng):
         assert counting_equivalent(p, q)[0] == counting_equivalent(q, p)[0]
         compared += 1
     assert compared >= 10
+
+
+def _over(p, sig):
+    return PpPair(struct=make_structure(sig, p.struct.universe, p.struct.relations), liberal=p.liberal)
+
+
+def test_equivalence_across_signatures_matches_the_union_signature(rng):
+    # a symbol one structure lacks reads as empty: the verdicts and witnesses
+    # are those of both structures rebuilt over the union signature
+    compared = equivalent = logical = 0
+    for _ in range(300):
+        p = random_pp_pair(rng, max_vars=4, max_atoms=3)
+        q = random_pp_pair(rng, max_vars=4, max_atoms=3)
+        if p.struct.sig == q.struct.sig or not _compatible(p, q):
+            continue
+        union = merge_signatures(p.struct.sig, q.struct.sig)
+        # p against its own core over the union: equivalent, with witnesses
+        for a, b in ((p, q), (q, p), (p, _over(core_of(p), union))):
+            a_u, b_u = _over(a, union), _over(b, union)
+            got = counting_equivalent(a, b)
+            assert got == counting_equivalent(a_u, b_u)
+            equivalent += got[0]
+            if a.liberal_set == b.liberal_set:
+                got = logically_equivalent(a, b)
+                assert got == logically_equivalent(a_u, b_u)
+                logical += got[0]
+            compared += 1
+    assert compared >= 120 and equivalent >= 40 and logical >= 40
 
 
 def test_counting_equivalence_bijection_cap():

@@ -545,13 +545,29 @@ def test_first_witness_matches_the_reference_search():
         pinned = rng.sample(src.universe, rng.randint(0, min(2, len(src.universe))))
         pin = {e: rng.choice(dst.universe) for e in pinned}
         expected = _first_hom_reference(src, dst, pin)
-        first = search_homomorphisms(src, dst, pin, first=True)
-        assert first == ([] if expected is None else [expected])
+        first = search_homomorphisms(src, dst, pin)
+        assert first == expected
         count, witnesses = homomorphisms(src, dst, pin, enumerate_witnesses=True)
-        assert witnesses[:1] == tuple(first)
+        assert witnesses[:1] == (() if first is None else (first,))
         assert count == brute_homomorphisms(src, dst, pin)
         found += expected is not None
     assert 50 < found < 350
+
+
+def test_hom_counts_elements_in_no_fact_as_a_factor_each():
+    # one edge and n elements in no fact into the symmetric triangle: each
+    # such element multiplies the count by 3; enumerating the maps of 40 of
+    # them would take 6 * 3^40 steps
+    k3 = triangle_structure()
+    for n in (3, 40):
+        isolated = [f"i{k}" for k in range(n)]
+        src = make_structure(SIG_E, ["u", "v", *isolated], {"E": {("u", "v")}})
+        assert homomorphisms(src, k3) == 6 * 3**n
+        h = search_homomorphisms(src, k3, {})
+        assert (h["u"], h["v"]) in k3.tuples("E")
+        assert all(h[e] == k3.universe[0] for e in isolated)
+        if n == 3:
+            assert homomorphisms(src, k3) == brute_homomorphisms(src, k3)
 
 
 # ---------------------------------------------------------------------------
