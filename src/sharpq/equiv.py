@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import make_structure, merge_signatures, search_homomorphisms
+from .relstore import homomorphism_search, make_structure, merge_signatures, search_homomorphisms
 from .epquery import PpPair
 
 
@@ -73,17 +73,19 @@ def core_of(p, cap=12):
     lib = p.liberal_set
     pin = {e: e for e in universe if e in lib}
     core = p.struct
+    find = homomorphism_search(core, pin)  # compiled once per core
     for e in universe:
         if e in lib or e not in core.universe or len(core.universe) == 1:
             continue
-        h = search_homomorphisms(core, _induced(core, set(core.universe) - {e}), pin)
+        h = find(_induced(core, set(core.universe) - {e}), pin)
         if h is not None:
             core = _induced(core, h.values())
+            find = homomorphism_search(core, pin)
     for image in itertools.combinations(universe, len(core.universe)):
         if not lib <= set(image):
             continue
         target = _induced(p.struct, image)
-        if search_homomorphisms(core, target, pin) is not None:
+        if find(target, pin) is not None:
             return PpPair(struct=target, liberal=p.liberal)
     raise InternalInvariant("core search found no image of the core's size")
 
@@ -114,8 +116,9 @@ def logically_equivalent(p1, p2):
 
 
 def _directed_witness(src, dst, src_lib_sorted, dst_lib_sorted):
+    find = homomorphism_search(src, src_lib_sorted)  # one search for every bijection
     for perm in itertools.permutations(dst_lib_sorted):
-        hom = search_homomorphisms(src, dst, dict(zip(src_lib_sorted, perm)))
+        hom = find(dst, dict(zip(src_lib_sorted, perm)))
         if hom is not None:
             return hom
     return None

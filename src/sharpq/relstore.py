@@ -211,50 +211,50 @@ def _unchecked_structure(sig, universe, relations, columns):
 # per line with nothing else on it. A universe token starting with '#' would
 # begin a comment, so it is not canonical.
 _SIG_LINE_RE = re.compile(r"signature((?: [A-Za-z_][A-Za-z0-9_]*/[0-9]+)+)")
-_UNIVERSE_LINE_RE = re.compile(r"universe((?: [^\s#]\S*)+)")
-# An element of a fact line the scan reads: no comma, newline or ')'. One with
-# a space or another line break in it is matched too, but is never in the
-# universe (its tokens hold no whitespace), so the universe lookup refuses it.
-_SCAN_ELEMENT = r"[^,\n)]+"
+# every byte but those of ',' and newline, which no other character's UTF-8 holds
+_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _scan_canonical(text):
     """The Structure of a text in the canonical layout (what
     serialize_structure writes), or None for any other text.
 
-    Per declared relation, _scan_relation reads its facts' argument lists
-    over the span from the first line of that relation to the end of its
-    last one; the text is canonical when together they match every fact
-    line, and every element matched is in the universe. A comment, a blank
-    line, a space, CRLF, an undeclared symbol or a wrong arity leaves a
-    line unmatched. Each relation is kept as its argument columns (a
-    repeated fact line once), never as tuples; every entry is the
-    universe's own element object.
+    The universe line splits on single spaces into tokens that are not
+    empty, hold no other whitespace and do not start with '#'. The text is
+    canonical when _scan_relation reads every fact line for some declared
+    relation and every element is in the universe: a comment, a blank line,
+    a space, CRLF, an undeclared symbol or a wrong arity leaves a line
+    unread or refused. Each relation is kept as its argument columns (a
+    repeated fact line once), never as tuples, of the universe's objects.
     """
     head = text.split("\n", 2)
     if len(head) < 3:
         return None
     sig_line, universe_line, block = head
     sig_m = _SIG_LINE_RE.fullmatch(sig_line)
-    universe_m = _UNIVERSE_LINE_RE.fullmatch(universe_line)
-    if sig_m is None or universe_m is None:
+    if sig_m is None or not universe_line.startswith("universe "):
         return None
     symbols = tuple((n, int(a)) for n, _, a in (p.partition("/") for p in sig_m[1].split()))
-    universe = tuple(universe_m[1].split())
+    elements = universe_line[len("universe "):]
+    universe = tuple(elements.split(" "))
     canon = dict(zip(universe, universe))
     if (
         len(canon) != len(universe)
+        # printable text holds no whitespace but ' ', so only an empty token
+        # or an unprintable character calls for a split on all whitespace
+        or ("" in universe or not elements.isprintable()) and universe != tuple(elements.split())
+        or " #" in " " + elements
         or len(dict(symbols)) != len(symbols)
         or any(a < 1 or n.startswith(("signature", "universe")) for n, a in symbols)
     ):
         return None
-    found = [(name, arity, _scan_relation(block, name, arity)) for name, arity in symbols]
+    found = [_scan_relation(block, name, arity) for name, arity in symbols]
     n_lines = block.count("\n") + (block[-1:] not in ("", "\n"))
-    if sum(len(facts) for _, _, facts in found) != n_lines:
+    if None in found or sum(map(len, found)) != n_lines:
         return None
     columns = {}
     try:
-        for name, arity, facts in found:
+        for (name, arity), facts in zip(symbols, found):
             if len(set(facts)) != len(facts):  # a fact line repeated
                 facts = list(dict.fromkeys(facts))
             # each argument list holds exactly `arity` comma-free elements,
@@ -269,9 +269,11 @@ def _scan_canonical(text):
 
 
 def _scan_relation(block, name, arity):
-    """The argument list of every `name(e1,...,ek)` line of block, as one
-    string each, in line order, searched only from the start of its first
-    such line to the end of its last."""
+    """The argument list of every line of block that starts with `name(`,
+    in line order, or None when one is not `name(e1,...,ek)` with k = arity
+    and no ',', ')' or newline in an element: split from the first such line
+    to the end of the last where one ends and the next begins, a list cut at
+    its line's end where other lines follow, checked by C-level counts."""
     opener = name + "("
     if block.startswith(opener):
         start = 0
@@ -279,8 +281,16 @@ def _scan_relation(block, name, arity):
         return []
     last = block.rfind("\n" + opener) + 1 or start
     end = block.find("\n", last)
-    pattern = re.compile(rf"^{name}\(({','.join([_SCAN_ELEMENT] * arity)})\)$", re.M)
-    return pattern.findall(block, start, len(block) if end < 0 else end)
+    end = len(block) if end < 0 else end
+    lists = block[start + len(opener): end - 1]
+    facts = lists.split(")\n" + opener)
+    if lists.count("\n") >= len(facts):  # other lines between two of these
+        facts = [fact.partition(")\n")[0] for fact in facts]
+        lists = ")\n".join(facts)
+    if block[end - 1] != ")" or lists.count(")") != len(facts) - 1:
+        return None
+    commas = lists.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_NEWLINE)
+    return facts if commas == b"\n".join([b"," * (arity - 1)] * len(facts)) else None
 
 
 def _parse_lines(text):
@@ -500,22 +510,31 @@ def homomorphisms(src, dst, pin=None, enumerate_witnesses=False):
     return _backtrack(order, conjuncts + [record])(pinned, dst), tuple(witnesses)
 
 
-def search_homomorphisms(src, dst, pin):
-    """The first homomorphism src -> dst extending pin, as a dict, or None.
-
+def homomorphism_search(src, pinned):
+    """find(dst, pin), compiled once: the first homomorphism src -> dst
+    extending pin, a map of the elements `pinned`, as a dict, or None.
     Facts among pinned elements are checked first. Unpinned elements are
-    assigned in order of decreasing fact count, then universe order, each
-    trying dst's universe in order; a fact is checked as soon as all its
-    elements are assigned. An element in no fact takes dst's first element.
-    A symbol dst lacks reads as empty.
-    """
-    h = dict(pin)
-    order, conjuncts = _hom_search(src, h)
-    if not _backtrack(order, conjuncts, first=True)(h, dst):
-        return None
-    for e in order:
-        h.setdefault(e, dst.universe[0])
-    return h
+    set by decreasing fact count, then universe order, each to dst's
+    elements in universe order, and a fact is checked once its elements are
+    set. An element in no fact takes dst's first element; a symbol dst
+    lacks reads as empty."""
+    order, conjuncts = _hom_search(src, pinned)
+    run = _backtrack(order, conjuncts, first=True)
+
+    def find(dst, pin):
+        h = dict(pin)
+        if not run(h, dst):
+            return None
+        for e in order:
+            h.setdefault(e, dst.universe[0])
+        return h
+
+    return find
+
+
+def search_homomorphisms(src, dst, pin):
+    """The first homomorphism src -> dst extending pin (homomorphism_search)."""
+    return homomorphism_search(src, pin)(dst, pin)
 
 
 # ---------------------------------------------------------------------------

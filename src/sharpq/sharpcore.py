@@ -12,18 +12,19 @@ is (); _row_of builds a row from another, _combine one from two parts. A
 table is a _Facts (an atom over a whole relation, read as its argument
 columns) or a _Rows (built rows, for a counting table a dict of nonzero
 values, or a held product join); both answer len, pick (the entries at given
-positions), distinct (each row once) and grouped, so nothing else asks which
-one it has, and built rows are never mutated. And and Times run one join:
+positions), distinct (each row once), grouped and sides, so nothing else
+asks which one it has, and built rows are never mutated. And and Times run one join:
 a semijoin (one side contributes no column) keeps the other side's parts
 whose key the first side holds, filtered in C; any other join groups each
 side by the shared key and emits, per common key, the product of the two
 groups, a counting row valued by the product of its two rows' values.
 Binders are projected inside the join that consumes them, and a relation's
 grouping is shared by one evaluation's atoms, casts and terms. A product
-join of sets that keeps its shared columns is held as its two groupings:
+join of sets that keeps its shared columns is held as its sides' groupings:
 its size is known before any row exists, and a join keyed on the same
-columns regroups it per key. A fully summed cast over a conjunction under
-an exists chain has its last join counted, never built. Or and Plus share
+columns takes them as sides of its own. A fully summed cast over a
+conjunction under an exists chain has its last join counted from its
+sides, never built. Or and Plus share
 one widening union. `stats["peak_rows"]` is the largest table, built or
 held; `max_rows` caps every such table as it grows.
 """
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, product, starmap
+from math import prod
 from operator import add, itemgetter
 
 from .errors import CapExceeded, ParseError, SharpqError
@@ -501,6 +503,14 @@ def _pairs(combine, parts1, parts2):
     return pairs if combine is _pair else starmap(combine, pairs)
 
 
+def _product_rows(sides, k):
+    """The rows of each choice of one part per side at key k, laid out in turn."""
+    rows, width = sides[0][0][k], sides[0][1]
+    for groups, w in sides[1:]:
+        rows, width = _pairs(_combine(width, w), rows, groups[k]), width + w
+    return rows
+
+
 def _widen(explicit, target):
     """(extra, build) re-indexing rows over `explicit` by `target` ⊇ explicit:
     row r becomes build(r, fill) for each fill, a row over the `extra` new
@@ -584,18 +594,21 @@ class _Facts:
             groups = self.groups[at] = _group(self.pick(at[0]), self.pick(at[1]))
         return groups
 
+    def sides(self, at):
+        return [(self.grouped(at), len(at[1]))]
+
 
 class _Rows:
     """Any other table: built rows (for a counting table a dict of nonzero
     values), or a product join that keeps its shared columns, held as its
-    plan, its sides' {key: parts} groups and their common keys; its size `n`
-    (rows of different keys differ) is known before any row exists."""
+    factors ([(groups, width)]: a row is one part of each, in turn), their
+    common keys and the keys' row positions (`handoff`); its size `n` (rows
+    of different keys differ) is known before any row exists."""
 
-    __slots__ = ("width", "rows", "plan", "groups", "keys", "n")
+    __slots__ = ("width", "rows", "factors", "keys", "handoff", "n")
 
-    def __init__(self, width, rows, plan=None):
-        # rows None: a join held by `plan` sets its groups, keys and size
-        self.width, self.rows, self.plan = width, rows, plan
+    def __init__(self, width, rows):  # rows None: a held join sets the rest
+        self.width, self.rows = width, rows
 
     def __len__(self):
         return self.n if self.rows is None else len(self.rows)
@@ -606,9 +619,8 @@ class _Rows:
     def distinct(self):
         """The rows, each once: a held table's are built on the first call."""
         if self.rows is None:
-            (g1, g2), combine = self.groups, self.plan.combine
             self.rows = list(itertools.chain.from_iterable(
-                _pairs(combine, g1[k], g2[k]) for k in self.keys
+                _product_rows(self.factors, k) for k in self.keys
             ))
         return self.rows
 
@@ -626,24 +638,29 @@ class _Rows:
     def grouped(self, at):
         """{key: parts} at positions at[0] and at[1], each key's parts a set
         or a {part: value} dict. A held join keyed on its shared columns is
-        regrouped per key: one key's projected product is the product of its
-        sides' projections."""
-        plan = self.plan
-        if plan is None or plan.handoff != at[0]:
-            if type(self.rows) is not dict:
-                return _group(self.pick(at[0]), self.pick(at[1]))
-            groups = defaultdict(dict)
-            for k, p, v in zip(self.pick(at[0]), self.pick(at[1]), self.values()):
-                groups[k][p] = v
-            return groups
-        w1 = len(plan.at1[1])
-        at1, at2 = [p for p in at[1] if p < w1], [p - w1 for p in at[1] if p >= w1]
-        sides = [(g, _row_of(len(own), tuple(sub))) for g, own, sub in zip(
-            self.groups, (plan.at1[1], plan.at2[1]), (at1, at2))]
-        combine = _combine(len(at1), len(at2))
-        return {k: set(_pairs(combine, *[
-            g[k] if part is _same else set(map(part, g[k])) for g, part in sides
-        ])) for k in self.keys}
+        regrouped per key, as the product of its sides()."""
+        if self.rows is None and self.handoff == at[0]:
+            sides = self.sides(at)
+            return {k: set(_product_rows(sides, k)) for k in self.keys}
+        if type(self.rows) is not dict:
+            return _group(self.pick(at[0]), self.pick(at[1]))
+        groups = defaultdict(dict)
+        for k, p, v in zip(self.pick(at[0]), self.pick(at[1]), self.values()):
+            groups[k][p] = v
+        return groups
+
+    def sides(self, at):
+        """[(groups, width)] with per-key products grouped(at): a held join's projected factors."""
+        if self.rows is not None or self.handoff != at[0]:
+            return [(self.grouped(at), len(at[1]))]
+        sides, offset = [], 0
+        for groups, w in self.factors:
+            sub = tuple(p - offset for p in at[1] if offset <= p < offset + w)
+            part, offset = _row_of(w, sub), offset + w
+            if part is not _same:
+                groups = {k: set(map(part, groups[k])) for k in self.keys}
+            sides.append((groups, len(sub)))
+        return sides
 
 
 # ---------------------------------------------------------------------------
@@ -861,25 +878,28 @@ class _Evaluator:
                         p: v * of[k] for k, p, v in zip(t1.pick(key1), t1.pick(part1), values)
                         if k in of
                     }
+            elif count or (handoff is not None and values is None):
+                # a chain of held joins on one key: one product of many sides
+                sides = t1.sides(plan.at1) + t2.sides(plan.at2)
+                common = set(sides[0][0]).intersection(*[g for g, _ in sides[1:]])
+                if count:
+                    return _count_union(common, [g for g, _ in sides])
+                # the shared columns are kept, so rows of different keys
+                # differ: the table's size is the sum of the per-key products
+                sizes = [prod(len(g[k]) for g, _ in sides) for k in common]
+                n = sum(sizes)
+                if n > self.max_rows:
+                    # "more than" when one key, or all keys but the largest,
+                    # exceed the cap, so the text follows no key order
+                    largest = max(sizes)
+                    self._check_growth(n - largest, largest)
+                self._note(n)
+                held = _Rows(width, None)
+                held.factors, held.keys, held.handoff, held.n = sides, common, handoff, n
+                return held
             else:
                 g1, g2 = t1.grouped(plan.at1), t2.grouped(plan.at2)
-                if count:
-                    return _count_pairs(g1, g2)
                 common = g1.keys() & g2.keys()
-                if handoff is not None and values is None:
-                    # the shared columns are kept, so rows of different keys
-                    # differ: the table's size is the sum of the per-key products
-                    sizes = [len(g1[k]) * len(g2[k]) for k in common]
-                    n = sum(sizes)
-                    if n > self.max_rows:
-                        # "more than" when one key, or all keys but the largest,
-                        # exceed the cap, so the text follows no key order
-                        largest = max(sizes)
-                        self._check_growth(n - largest, largest)
-                    self._note(n)
-                    held = _Rows(width, None, plan)
-                    held.groups, held.keys, held.n = (g1, g2), common, n
-                    return held
                 # rows of different keys may coincide: built to be counted
                 rows = set() if values is None else {}
                 for k in common:
@@ -961,21 +981,25 @@ class _Evaluator:
         return explicit, plus
 
 
-def _count_pairs(g1, g2):
-    """|U_k A_k x B_k| over the common keys, as the sum over parts a of
-    |U_{k ∋ a} B_k| with a from the side that has fewer entries: C-level
-    unions of parts that already exist instead of the answer rows."""
-    common = g1.keys() & g2.keys()
-    if sum(len(g1[k]) for k in common) > sum(len(g2[k]) for k in common):
-        g1, g2 = g2, g1
-    keys_of = defaultdict(list)
-    for k in common:
-        for a in g1[k]:
-            keys_of[a].append(k)
-    return sum(
-        len(g2[ks[0]]) if len(ks) == 1 else len(set().union(*map(g2.__getitem__, ks)))
-        for ks in keys_of.values()
-    )
+def _count_union(keys, sides):
+    """|U_k S_1[k] x ... x S_n[k]| over `keys` for n >= 2 {key: parts} sides,
+    no answer row built. Sides go fewest entries first, and each but the
+    last splits a set of keys (from an explicit stack) into the sets that
+    hold one of its parts; a set reached m times adds m times the size of a
+    C-level union of the last side's parts under it, made once."""
+    sides = sorted(sides, key=lambda s: sum(len(s[k]) for k in keys))
+    last, reached, todo = sides.pop(), Counter(), [(keys, 0)]
+    while todo:
+        keys, i = todo.pop()
+        keys_of = defaultdict(list)
+        for k in keys:
+            for a in sides[i][k]:
+                keys_of[a].append(k)
+        if i + 1 < len(sides):
+            todo.extend((ks, i + 1) for ks in keys_of.values())
+        else:
+            reached.update(map(tuple, keys_of.values()))
+    return sum(m * len(set().union(*map(last.__getitem__, ks))) for ks, m in reached.items())
 
 
 def evaluate(f, b, max_rows=10**7, stats=None):

@@ -112,17 +112,44 @@ def test_core_of_a_core_takes_one_search_per_quantified_element(monkeypatch):
     atoms = " & ".join(f"E(x{i},x{i + 1})" for i in range(n - 1))
     binders = " . ".join(f"exists x{i}" for i in range(1, n))
     p = _pair(f"query q(x0): {binders} . {atoms}")
-    searches = []
-    real = equiv.search_homomorphisms
-
-    def spy(*args, **kwargs):
-        searches.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(equiv, "search_homomorphisms", spy)
+    searches, compiles = _spy_on_searches(monkeypatch)
     core = core_of(p)
     assert core.struct == p.struct
     assert len(searches) <= n - len(p.liberal) + 1
+    assert len(compiles) == 1  # the core never shrinks
+
+
+def _spy_on_searches(monkeypatch):
+    """(searches, compiles): the runs of the homomorphism searches equiv
+    compiles, and the compiles, as they happen."""
+    searches, compiles = [], []
+    real = equiv.homomorphism_search
+
+    def spy(src, pinned):
+        compiles.append((src, pinned))
+        find = real(src, pinned)
+        return lambda dst, pin: searches.append((dst, pin)) or find(dst, pin)
+
+    monkeypatch.setattr(equiv, "homomorphism_search", spy)
+    return searches, compiles
+
+
+def test_core_of_compiles_one_search_per_core(monkeypatch, rng):
+    # the retraction's searches and the image loop share the search of the
+    # core they map; a shrink compiles the next core's
+    shrunk = 0
+    for _ in range(150):
+        p = random_pp_pair(rng, max_vars=6)
+        searches, compiles = _spy_on_searches(monkeypatch)
+        got, want = core_of(p), reference_core_of(p)
+        assert (got.struct, got.liberal) == (want.struct, want.liberal)
+        # one compile for the pair, then one per shrink, each of a smaller core
+        sizes = [len(src.universe) for src, _ in compiles]
+        assert sizes[0] == len(p.struct.universe) and sizes == sorted(sizes, reverse=True)
+        assert len(set(sizes)) == len(sizes) and sizes[-1] == len(got.struct.universe)
+        assert len(searches) >= len(compiles)
+        shrunk += len(compiles) > 1
+    assert shrunk > 12
 
 
 # --- logical equivalence ------------------------------------------------------
@@ -234,6 +261,33 @@ def test_equivalence_across_signatures_matches_the_union_signature(rng):
                 logical += got[0]
             compared += 1
     assert compared >= 120 and equivalent >= 40 and logical >= 40
+
+
+def _star(spokes):
+    """A star of liberal spokes x_i -> h, spoke i in relation R_{spokes[i]}."""
+    atoms = " & ".join(f"R{r}(x{i},h)" for i, r in enumerate(spokes))
+    return _pair(f"query q({','.join(f'x{i}' for i in range(len(spokes)))}): exists h . {atoms}")
+
+
+@pytest.mark.parametrize(
+    "spokes, runs",
+    [((4, 3, 2, 1, 0), 240), ((1, 0, 2, 3, 4), 50), ((0, 1, 2, 3, 4), 2), ((4, 3, 2, 1, 1), 120)],
+)
+def test_counting_equivalence_compiles_one_search_per_direction(monkeypatch, spokes, runs):
+    # every liberal bijection of one direction runs the search compiled once
+    # for the source and its liberal elements: with the spokes reversed the
+    # last of the 5! bijections is the one each way
+    p1, p2 = _star((0, 1, 2, 3, 4)), _star(spokes)
+    searches, compiles = _spy_on_searches(monkeypatch)
+    ok, witness = counting_equivalent(p1, p2)
+    assert ok == (len(set(spokes)) == 5)
+    assert len(compiles) == (2 if ok else 1) and len(searches) == runs
+    assert all(set(pinned) == {f"x{i}" for i in range(5)} for _, pinned in compiles)
+    if ok:
+        fwd, bwd = witness.forward, witness.backward
+        assert _is_hom(fwd, p1.struct, p2.struct) and _is_hom(bwd, p2.struct, p1.struct)
+        assert sorted(fwd[x] for x in p1.liberal) == sorted(p2.liberal)
+        assert fwd == {**{f"x{i}": f"x{spokes.index(i)}" for i in range(5)}, "h": "h"}
 
 
 def test_counting_equivalence_bijection_cap():

@@ -401,6 +401,90 @@ def test_scan_keeps_each_entry_in_its_own_fact(text, canonical):
     assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text)
 
 
+def _scan_agrees_with_the_line_loop(text):
+    """Whether the scan reads `text`. Either way parse_structure's outcome
+    is the line loop's (the same Structure or the same ParseError), and a
+    scanned relation's columns hold its fact lines' argument lists in line
+    order, each fact at its first line."""
+    assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text)
+    scanned = relstore._scan_canonical(text)
+    if scanned is None:
+        return False
+    facts = {name: {} for name in scanned.sig.names()}
+    for line in text.split("\n")[2:]:
+        if line:
+            name, _, args = line.partition("(")
+            facts[name].setdefault(tuple(args[:-1].split(",")), None)
+    for name, arity in scanned.sig.symbols:
+        in_line_order = tuple(list(column) for column in zip(*facts[name]))
+        assert scanned.columns(name) == (in_line_order or tuple([] for _ in range(arity)))
+    return True
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        # the right number of entries in one run, the wrong arity on each line
+        ("signature E/2\nuniverse a b c d\nE(a)\nE(b,c,d)\n", False),
+        ("signature E/2\nuniverse a b c d\nE(b,c,d)\nE(a)\n", False),
+        ("signature E/2 V/1\nuniverse a b c d\nV(a)\nE(a)\nE(b,c,d)\nV(b)\n", False),
+        ("signature E/2 V/1\nuniverse a b c d\nE(a)\nV(a)\nE(b,c,d)\n", False),
+        ("signature V/1 E/3\nuniverse a b c d\nE(a,b)\nE(b,c,d,a)\n", False),
+        ("signature V/1\nuniverse a b\nV(a,b)\nV()\n", False),
+        # one relation in two runs, a fact repeated across them
+        ("signature E/2 V/1\nuniverse a b c\nE(a,b)\nE(b,c)\nV(a)\nE(a,b)\nE(c,a)\n", True),
+        ("signature E/2 V/1\nuniverse a b c\nV(a)\nE(c,a)\nV(b)\nV(a)\nE(c,a)\nE(a,b)", True),
+        ("signature E/2 V/1\nuniverse a b c\nE(a,b)\nV(a)\nE(a,b)\nE(c)\n", False),
+        # multi-byte UTF-8 element names, and other line breaks than '\n'
+        ("signature E/2 V/1\nuniverse \xe9 \u6771\u4eac \U0001f600 a\n"
+         "E(\xe9,\u6771\u4eac)\nV(\U0001f600)\nE(\u6771\u4eac,\U0001f600)\nE(a,\xe9)\n", True),
+        ("signature E/2\nuniverse \xe9 \xfc\nE(\xe9)\nE(\xfc,\xe9,\xfc)\n", False),
+        ("signature E/2\nuniverse \xe9 \udcff\nE(\xe9,\udcff)\n", True),  # a lone surrogate
+        ("signature E/2\nuniverse \xe9 \xfc\nE(\xe9,\u2028\xfc)\n", False),
+        ("signature E/2\nuniverse \xe9 \xfc\nE(\xe9,\xfc)\u2029E(\xfc,\xe9)\n", False),
+        ("signature E/2\nuniverse \xe9 \xfc\u3000\nE(\xe9,\xfc)\n", False),
+        # universe tokens: one not printable yet no whitespace, a no-break
+        # space, and empty ones
+        ("signature E/2\nuniverse \u200ba b\nE(\u200ba,b)\n", True),
+        ("signature E/2\nuniverse a\xa0 b\nE(b,b)\n", False),
+        ("signature E/2\nuniverse a  b\nE(a,b)\n", False),
+        ("signature E/2\nuniverse  a b\nE(a,b)\n", False),
+        # a declared relation with no facts, listed between two others
+        ("signature A/1 E/2 B/1\nuniverse a b\nA(a)\nB(b)\n", True),
+        ("signature A/1 E/2 B/1\nuniverse a b\nB(b)\nA(a)\nB(a)\n", True),
+        ("signature A/1 E/2 B/1\nuniverse a b\nA(a)\nE(a)\nB(b)\n", False),
+    ],
+)
+def test_scan_refuses_what_counting_entries_alone_would_accept(text, canonical):
+    assert _scan_agrees_with_the_line_loop(text) == canonical
+
+
+def test_scan_reads_a_large_random_text_as_the_line_loop_does():
+    # 20,000 fact lines in three relations: in serialized (sorted) order,
+    # shuffled, with one line repeated, and with two lines whose entries
+    # still add up but whose arities are wrong
+    rng = random.Random(20000)
+    universe = [f"v{i}" for i in range(600)] + ["\xe9", "\u6771\u4eac"]
+    sig = Signature((("E", 2), ("E2", 1), ("R", 3)))
+    rels = {}
+    for (name, arity), size in zip(sig.symbols, (12000, 500, 7500)):
+        rels[name] = set()
+        while len(rels[name]) < size:
+            rels[name].add(tuple(rng.choice(universe) for _ in range(arity)))
+    text = serialize_structure(make_structure(sig, universe, rels))
+    head, lines = text.splitlines()[:2], text.splitlines()[2:]
+    assert len(lines) == 20000
+    shuffled = rng.sample(lines, len(lines))
+    repeated = shuffled + [shuffled[123]]
+    broken = list(shuffled)
+    e_lines = [i for i, line in enumerate(broken) if line.startswith("E(")]
+    broken[e_lines[10]] = "E(v1)"
+    broken[e_lines[500]] = "E(v2,v3,v4)"
+    for facts, canonical in ((lines, True), (shuffled, True), (repeated, True), (broken, False)):
+        variant = "\n".join(head + facts) + "\n"
+        assert _scan_agrees_with_the_line_loop(variant) == canonical
+
+
 def test_canonical_text_never_reaches_the_line_loop(monkeypatch, rng):
     def refuse(text):
         raise AssertionError("the line loop read a canonical text")

@@ -833,13 +833,13 @@ def test_counted_root_matches_the_answer_table_and_the_oracle(monkeypatch):
     # P L C[phi; L] counts the last join of a conjunction without building
     # it; the table of C[phi; L] builds it
     products = []
-    count_pairs = sharpcore._count_pairs
+    count_union = sharpcore._count_union
 
-    def spy(*groups):
-        products.append(groups)
-        return count_pairs(*groups)
+    def spy(*args):
+        products.append(args)
+        return count_union(*args)
 
-    monkeypatch.setattr(sharpcore, "_count_pairs", spy)
+    monkeypatch.setattr(sharpcore, "_count_union", spy)
     rng = random.Random(1212)
     conjunctions = 0
     for _ in range(250):
@@ -850,6 +850,111 @@ def test_counted_root_matches_the_answer_table_and_the_oracle(monkeypatch):
         assert eval_sentence(naive_representation(q), b) == len(rows) == oracle_count(q, b)
         conjunctions += isinstance(_under_binders(q.formula), And)
     assert conjunctions > 80 and len(products) > 30
+
+
+# Counted joins of many sides: stars of m spokes on one hub, left-deep,
+# right-deep and balanced, a key of two columns, repeated variables, an atom
+# with no column of its own, and a hub that stays a column. Each shape's
+# largest table on its structures, as the evaluator reported it when it still
+# regrouped a held join into pair rows to count them.
+_COUNTED_SHAPES = {
+    "star-2": ("query q(x0,x1): exists h . E(x0,h) & E(x1,h)",
+               (10, 2, 1, 1, 6, 2, 10, 5, 89)),
+    "star-3 left-deep": ("query q(x0,x1,x2): exists h . ((E(x0,h) & E(x1,h)) & E(x2,h))",
+                         (2, 5, 9, 1, 7, 3, 2, 1, 418)),
+    "star-3 right-deep": ("query q(x0,x1,x2): exists h . (E(x0,h) & (E(x1,h) & E(x2,h)))",
+                          (18, 6, 1, 8, 2, 10, 13, 18, 380)),
+    "star-4 left-deep": (
+        "query q(x0,x1,x2,x3): exists h . (((E(x0,h) & E(x1,h)) & E(x2,h)) & E(x3,h))",
+        (1, 2, 1, 38, 57, 17, 10, 17, 1731)),
+    "star-4 right-deep": (
+        "query q(x0,x1,x2,x3): exists h . (E(x0,h) & (E(x1,h) & (E(x2,h) & E(x3,h))))",
+        (56, 9, 25, 1, 18, 28, 37, 1, 1873)),
+    "star-4 balanced": (
+        "query q(x0,x1,x2,x3): exists h . ((E(x0,h) & E(x1,h)) & (E(x2,h) & E(x3,h)))",
+        (1, 1, 1, 6, 15, 21, 2, 22, 406)),
+    "key of two columns": (
+        "query q(x0,x1,x2): exists h . exists g . ((R(x0,h,g) & R(g,x1,h)) & R(h,g,x2))",
+        (29, 5, 2, 20, 31, 2, 28, 6, 100)),
+    "repeated variables": (
+        "query q(x0,x1,x2): exists h . ((R(x0,x0,h) & R(x1,h,h)) & (E(h,h) & R(x2,h,x2)))",
+        (5, 4, 3, 14, 1, 2, 7, 2, 6)),
+    "no column of its own": ("query q(x0,x1): exists h . ((E(x0,h) & E(x1,h)) & V(h))",
+                             (9, 12, 10, 8, 1, 1, 24, 1, 447)),
+    "no column of its own first": (
+        "query q(x0,x1,x2): exists h . (((V(h) & E(x0,h)) & E(x1,h)) & E(x2,h))",
+        (1, 5, 4, 7, 4, 3, 3, 1, 92)),
+    "hub kept": ("query q(x0,x1,h): (E(x0,h) & E(x1,h)) & E(h,h)",
+                 (5, 24, 17, 4, 1, 5, 6, 12, 409)),
+    "hub kept and counted": ("query q(x0,x1,x2,h): (E(x0,h) & E(x1,h)) & E(x2,h)",
+                             (2, 1, 9, 1, 10, 2, 16, 2, 371)),
+}
+
+_COUNTED_SIG = Signature((("E", 2), ("R", 3), ("V", 1)))
+
+
+def _counted_structures(shape):
+    """Eight random structures of 2 to 5 elements, then a sparse one of 25
+    whose hubs share spokes, so that parts lie under several keys."""
+    rng = random.Random(shape)
+    out = []
+    for i in range(9):
+        n = rng.randint(2, 5) if i < 8 else 25
+        universe = [f"b{j}" for j in range(n)]
+        density = rng.choice((0.25, 0.45)) if i < 8 else 0.16
+        rels = {}
+        for name, arity in _COUNTED_SIG.symbols:
+            k = arity if i < 8 else min(arity, 2)
+            rels[name] = {
+                tuple(rng.choice(universe) for _ in range(arity))
+                for _ in range(int(density * n ** k))
+            }
+        out.append(make_structure(_COUNTED_SIG, universe, rels))
+    return out
+
+
+@pytest.mark.parametrize("shape", list(_COUNTED_SHAPES))
+def test_counted_joins_count_the_rows_they_never_build(monkeypatch, shape):
+    # the counted join counts its rows from its sides' groups, a held join
+    # giving its own sides; the count is the size of the table that builds
+    # them and the oracle's, and the largest table noted is unchanged
+    text, peaks = _COUNTED_SHAPES[shape]
+    q = parse_query(text)
+    sides = []
+    count_union = sharpcore._count_union
+
+    def spy(keys, groups):
+        sides.append(len(groups))
+        return count_union(keys, groups)
+
+    monkeypatch.setattr(sharpcore, "_count_union", spy)
+    for b, peak in zip(_counted_structures(shape), peaks):
+        stats = {}
+        counted = eval_sentence(naive_representation(q), b, stats=stats)
+        rows = evaluate(Cast(q.formula, q.liberal), b).sorted_rows()
+        assert counted == len(rows) and all(val == 1 for _, val in rows)
+        if len(b.universe) <= 5:
+            assert counted == oracle_count(q, b)
+        assert stats["peak_rows"] == peak
+    if shape.startswith("star"):  # every spoke is a side of the last join
+        assert max(sides) == int(shape[5])
+    elif shape == "hub kept and counted":
+        assert sides == [3] * len(peaks)
+
+
+def test_counted_union_of_random_sides_matches_the_built_union():
+    # |U_k S_1[k] x ... x S_n[k]| against the union built; parts under
+    # several keys, keys whose sides repeat, and a side of empty parts
+    rng = random.Random(2323)
+    for _ in range(400):
+        keys = list(range(rng.randint(1, 6)))
+        sides = [
+            {k: {() if width == 0 else rng.choice("abcd") for _ in range(rng.randint(1, 4))}
+             for k in keys}
+            for width in [rng.choice((0, 1, 1, 1)) for _ in range(rng.randint(2, 4))]
+        ]
+        built = {row for k in keys for row in itertools.product(*[side[k] for side in sides])}
+        assert sharpcore._count_union(set(keys), sides) == len(built)
 
 
 def _liberal_permuted(q, rng):
@@ -1000,7 +1105,7 @@ def test_a_product_join_regroups_like_its_rows():
             ]
             explicit, join = evaluator._join(cols1, cols2, frozenset())
             rows = join(*[table for _, table in sides])
-            handoff, built = rows.plan.handoff, rows.distinct()
+            handoff, built = rows.handoff, rows.distinct()
             key = sharpcore._row_of(len(explicit), handoff)
             for n in range(len(explicit) + 1):
                 for part_at in itertools.combinations(range(len(explicit)), n):
