@@ -1,7 +1,7 @@
 """sharpq: counting answers to existential-positive queries on finite structures.
 
 Modules:
-  relstore    - relational structures, .rel format, homomorphisms, structure algebra
+  relstore    - relational structures, .rel format, the backtracking and homomorphism search
   epquery     - ep/pp query ASTs, .epq format, structural views, counting oracle
   sharpcore   - the counting-logic AST, .shq format, table-driven evaluation
   decomp      - exact treewidth, nice decompositions, quantifier-aware width

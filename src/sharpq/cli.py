@@ -19,9 +19,9 @@ import sys
 
 from .compilepipe import (
     _seeded_structures,
+    _sharp_variables,
     _summands,
     as_formula,
-    basic_sharp_to_pp,
     compile_flat,
     count_sentence,
     flatten,
@@ -169,10 +169,11 @@ def cmd_compile(args):
 def cmd_minimize(args):
     q = _load_query(args.query)
     sentence, w = minimize_ep(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
-    # each term is a constant times a basic part; Const(0) has no basic part
+    # each term is a constant times a basic part, whose variables are its core's
+    # elements; Const(0) has no basic part
     basics = [basic for _, _, basic, _ in _summands(sentence) if basic is not None]
     terms = len(basics)
-    core_size = sum(len(basic_sharp_to_pp(basic).struct.universe) for basic in basics)
+    core_size = sum(len(_sharp_variables(basic)) for basic in basics)
     _self_check(sentence, q, args)
     report = _report(sentence, terms=terms, qaw=w, core_size=core_size)
     text = serialize_sharp(sentence)

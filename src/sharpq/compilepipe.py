@@ -48,7 +48,7 @@ from .epquery import (
 )
 from .equiv import check_core_cap, core_of
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import Signature, make_structure, search_homomorphisms
+from .relstore import Signature, homomorphism_search, make_structure
 from .sharpcore import (
     _EP_NODES,
     Cast,
@@ -811,7 +811,7 @@ def _drop_contained(q, *, max_dnf, core_cap=12):
         a, b = pairs[j].struct, pairs[i].struct
         if not symbols[i] >= symbols[j] or max(len(a.universe), len(b.universe)) > core_cap:
             return False
-        return search_homomorphisms(a, b, pin) is not None
+        return homomorphism_search(a, pin)(b, pin) is not None
 
     kept = []
     for i in range(k):

@@ -16,6 +16,7 @@ from functools import reduce
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .relstore import (
+    _COMMENT_RE,
     _UNBOUND,
     Signature,
     Structure,
@@ -360,7 +361,7 @@ def _line_col(text, offset):
 
 
 def _strip_epq_comments(text):
-    return "\n".join(re.sub(r"(?:^|(?<=\s))#.*$", "", ln) for ln in text.splitlines())
+    return "\n".join(_COMMENT_RE.sub("", ln) for ln in text.splitlines())
 
 
 def parse_query(text):
@@ -615,13 +616,19 @@ def _check_signature(sig, b, user="query"):
 
 
 # The oracle compiles a formula from an explicit stack, but its compiled
-# tests nest when they run: an `|` calls its sides' tests and a chain its
-# search, which calls its conjuncts', so running them takes at most two
-# Python frames per formula level. oracle_count refuses formulas deeper
+# tests nest when they run: an `|` calls its sides' tests, and a maximal
+# `exists` chain its search, which calls its conjuncts' (an `&` only lists
+# them), at most three Python frames a level. A node's value is (levels
+# below it, 1 for an open chain else 0), and closing a chain adds its level,
+# so a closed value is the sum. oracle_count refuses formulas nested deeper
 # than this, which keeps them well inside the default recursion limit.
-_ORACLE_DEPTH = 300
-_DEPTH_STEPS = {Atom: lambda node: 1, Top: lambda node: 1, Exists: lambda node, body: body + 1,
-                **dict.fromkeys((And, Or), lambda node, left, right: max(left, right) + 1)}
+_ORACLE_DEPTH = 200
+_DEPTH_STEPS = {
+    **dict.fromkeys((Atom, Top), lambda node: (0, 0)),
+    Exists: lambda node, body: (body[0], 1),
+    And: lambda node, left, right: (max(sum(left), sum(right)), 0),
+    Or: lambda node, left, right: (max(sum(left), sum(right)) + 1, 0),
+}
 
 
 def _liberal_order(uses, liberal):
@@ -647,12 +654,12 @@ def _oracle_plan(q):
     plan = q._oracle
     if plan is None:
         nodes = subformulas(q.formula)
-        # a formula is no deeper than it has nodes, so most need no depth fold
-        depth = fold(q.formula, _DEPTH_STEPS) if len(nodes) > _ORACLE_DEPTH else 0
+        # a formula nests no more levels than it has nodes, so most need no depth fold
+        depth = sum(fold(q.formula, _DEPTH_STEPS)) if len(nodes) > _ORACLE_DEPTH else 0
         if depth > _ORACLE_DEPTH:
             raise CapExceeded(
-                f"oracle_count refuses a formula {depth} > {_ORACLE_DEPTH} nodes deep; "
-                "its search recurses once per level"
+                f"oracle_count refuses a formula whose tests nest {depth} > {_ORACLE_DEPTH} "
+                "levels deep; each `|` and each `exists` chain nests one level"
             )
         conjuncts = _conjunct_list(fold(q.formula, _ORACLE_STEPS))
         order = _liberal_order([used for _, used in conjuncts], q.liberal)
@@ -672,9 +679,9 @@ def oracle_count(q, b, max_enum=10**8):
     stops at its first satisfying assignment. Refuses when the naive
     enumeration would exceed max_enum assignments; the bound counts
     quantified variables too, since the search enumerates them in the worst
-    case. Refuses as well a formula more than _ORACLE_DEPTH nodes deep,
-    whose compiled tests would nest too deep to run. The search is compiled
-    once per query, on its first call.
+    case. Refuses as well a formula whose compiled tests nest more than
+    _ORACLE_DEPTH levels (`|`s and `exists` chains), too deep to run. The
+    search is compiled once per query, on its first call.
     """
     _check_signature(q.sig, b)
     search, bound = _oracle_plan(q)

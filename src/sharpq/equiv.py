@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import homomorphism_search, make_structure, merge_signatures, search_homomorphisms
+from .relstore import homomorphism_search, make_structure, merge_signatures
 from .epquery import PpPair
 
 
@@ -106,10 +106,10 @@ def logically_equivalent(p1, p2):
     a, b = p1.struct, p2.struct
     merge_signatures(a.sig, b.sig)  # a symbol with two arities is an error
     pin = {e: e for e in p1.liberal}
-    fwd = search_homomorphisms(a, b, pin)
+    fwd = homomorphism_search(a, pin)(b, pin)
     if fwd is None:
         return False, None
-    bwd = search_homomorphisms(b, a, pin)
+    bwd = homomorphism_search(b, pin)(a, pin)
     if bwd is None:
         return False, None
     return True, EquivalenceWitness(kind="logical", forward=fwd, backward=bwd)

@@ -1,5 +1,5 @@
 """Finite relational structures: text format, the backtracking search and
-homomorphisms, structure algebra.
+the homomorphism search.
 
 A Structure is both a database instance and the structural view of a
 disjunction-free query, so everything here is shared by the query and
@@ -176,15 +176,11 @@ def make_structure(sig, universe, relations):
 # ---------------------------------------------------------------------------
 
 # A '#' begins a comment only at line start or after whitespace; a '#' glued to
-# a token (as produced by the disjoint-union rename scheme, e.g. "a#L") is part
-# of the token.
+# a token (e.g. "a#L") is part of the token. `.epq` and `.shq` text use the
+# same rule.
 _COMMENT_RE = re.compile(r"(?:^|(?<=\s))#.*$")
 # fullmatch: a fact line, unless it starts like a header line
 _FACT_RE = re.compile(r"(?!signature|universe)([A-Za-z_][A-Za-z0-9_]*)\((.*)\)")
-
-
-def _strip_comment(line):
-    return _COMMENT_RE.sub("", line)
 
 
 def parse_structure(text):
@@ -303,7 +299,7 @@ def _parse_lines(text):
     facts = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = (_strip_comment(raw) if "#" in raw else raw).strip()
+        line = (_COMMENT_RE.sub("", raw) if "#" in raw else raw).strip()
         if not line:
             continue
         m = _FACT_RE.fullmatch(line)
@@ -391,7 +387,7 @@ def serialize_structure(s):
 
 
 # ---------------------------------------------------------------------------
-# The backtracking search; homomorphisms
+# The backtracking search; the homomorphism search
 # ---------------------------------------------------------------------------
 
 
@@ -475,41 +471,6 @@ def _fact_test(symbol, args):
     return lambda h, b: key(h) in b.tuples(symbol)
 
 
-def _hom_search(src, pin):
-    """src's unpinned elements in search order, by decreasing fact count,
-    then universe order, and its facts as conjuncts of _backtrack."""
-    facts = list(src.all_facts())
-    count = Counter(e for _, tup in facts for e in set(tup))
-    order = sorted((e for e in src.universe if e not in pin), key=lambda e: -count[e])
-    return order, [(_fact_test(name, tup), frozenset(tup)) for name, tup in facts]
-
-
-def homomorphisms(src, dst, pin=None, enumerate_witnesses=False):
-    """Count maps h: src universe -> dst universe preserving every tuple.
-
-    pin (a dict from src elements to dst elements) fixes part of
-    the map. With enumerate_witnesses=True returns (count, tuple of dicts in
-    search order), otherwise just the count, in which each element in no
-    fact is a factor |dst| rather than enumerated. Counts are exact
-    arbitrary-precision ints.
-    """
-    if src.sig != dst.sig:
-        raise SharpqError("homomorphisms: source and target signatures differ")
-    pinned = dict(pin or {})
-    src_elems, dst_elems = set(src.universe), set(dst.universe)
-    for k, v in pinned.items():
-        if k not in src_elems:
-            raise SharpqError(f"pin maps unknown source element {k!r}")
-        if v not in dst_elems:
-            raise SharpqError(f"pin targets unknown element {v!r}")
-    order, conjuncts = _hom_search(src, pinned)
-    if not enumerate_witnesses:
-        return _backtrack(order, conjuncts)(pinned, dst)
-    witnesses = []
-    record = (lambda h, b: witnesses.append(dict(h)) or True, frozenset(src.universe))
-    return _backtrack(order, conjuncts + [record])(pinned, dst), tuple(witnesses)
-
-
 def homomorphism_search(src, pinned):
     """find(dst, pin), compiled once: the first homomorphism src -> dst
     extending pin, a map of the elements `pinned`, as a dict, or None.
@@ -518,7 +479,10 @@ def homomorphism_search(src, pinned):
     elements in universe order, and a fact is checked once its elements are
     set. An element in no fact takes dst's first element; a symbol dst
     lacks reads as empty."""
-    order, conjuncts = _hom_search(src, pinned)
+    facts = list(src.all_facts())
+    count = Counter(e for _, tup in facts for e in set(tup))
+    order = sorted((e for e in src.universe if e not in pinned), key=lambda e: -count[e])
+    conjuncts = [(_fact_test(name, tup), frozenset(tup)) for name, tup in facts]
     run = _backtrack(order, conjuncts, first=True)
 
     def find(dst, pin):
@@ -530,86 +494,3 @@ def homomorphism_search(src, pinned):
         return h
 
     return find
-
-
-def search_homomorphisms(src, dst, pin):
-    """The first homomorphism src -> dst extending pin (homomorphism_search)."""
-    return homomorphism_search(src, pin)(dst, pin)
-
-
-# ---------------------------------------------------------------------------
-# Structure algebra
-# ---------------------------------------------------------------------------
-
-
-def product(a, b):
-    """Direct product: universe of pairs, a tuple holds iff both projections hold."""
-    if a.sig != b.sig:
-        raise SharpqError("product: signatures differ")
-    universe = [f"{x}*{y}" for x in a.universe for y in b.universe]
-    rels = {}
-    for name, arity in a.sig.symbols:
-        tuples = set()
-        for ta in a.tuples(name):
-            for tb in b.tuples(name):
-                tuples.add(tuple(f"{x}*{y}" for x, y in zip(ta, tb)))
-        rels[name] = tuples
-    return make_structure(a.sig, universe, rels)
-
-
-def disjoint_union(a, b):
-    """Disjoint union; colliding element ids get `#L` / `#R` suffixes."""
-    if a.sig != b.sig:
-        raise SharpqError("disjoint_union: signatures differ")
-    collide = set(a.universe) & set(b.universe)
-    ren_a = {e: (e + "#L" if e in collide else e) for e in a.universe}
-    ren_b = {e: (e + "#R" if e in collide else e) for e in b.universe}
-    universe = [ren_a[e] for e in a.universe] + [ren_b[e] for e in b.universe]
-    if len(set(universe)) != len(universe):
-        # e.g. a already contains "x#L" while b contains "x"
-        raise SharpqError("disjoint_union: rename scheme collided; element names too adversarial")
-    rels = {}
-    for name, _ in a.sig.symbols:
-        tuples = {tuple(ren_a[x] for x in t) for t in a.tuples(name)}
-        tuples |= {tuple(ren_b[x] for x in t) for t in b.tuples(name)}
-        rels[name] = tuples
-    return make_structure(a.sig, universe, rels)
-
-
-def identity_structure(sig):
-    """The one-element structure where every relation holds on the diagonal tuple."""
-    rels = {name: {("1",) * arity} for name, arity in sig.symbols}
-    return make_structure(sig, ("1",), rels)
-
-
-def poly_action(p, b):
-    """Apply a polynomial with non-negative integer coefficients to a structure.
-
-    p is a sequence of coefficients, low degree first ([1, 0, 1] is 1 + X^2).
-    Evaluated in Horner form over structure product/disjoint union, with the
-    one-element all-tuples structure as the multiplicative unit.
-    """
-    coeffs = list(p)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        raise ValueError("poly_action: the zero polynomial has no structure value")
-    if any(c < 0 or not isinstance(c, int) for c in coeffs):
-        raise ValueError("poly_action: coefficients must be non-negative integers")
-
-    one = identity_structure(b.sig)
-
-    def scalar(k):
-        acc = one
-        for _ in range(k - 1):
-            acc = disjoint_union(acc, one)
-        return acc
-
-    acc = None
-    for c in reversed(coeffs):
-        if acc is not None:
-            acc = product(acc, b)
-        if c > 0:
-            term = scalar(c)
-            acc = term if acc is None else disjoint_union(acc, term)
-    return acc

@@ -13,25 +13,40 @@ import pytest
 from sharpq.relstore import Signature, make_structure
 
 
-def brute_homomorphisms(src, dst, pin=None):
-    """Count homomorphisms by enumerating all |dst|^|src| maps."""
+def brute_hom_maps(src, dst, pin=None):
+    """Every homomorphism src -> dst extending pin, as a dict, by trying all
+    |dst|^(unpinned elements) maps in itertools.product order."""
     pin = dict(pin or {})
-    count = 0
-    for values in itertools.product(dst.universe, repeat=len(src.universe)):
-        h = dict(zip(src.universe, values))
-        if any(h[k] != v for k, v in pin.items()):
-            continue
-        ok = True
-        for name, _arity in src.sig.symbols:
-            for tup in src.tuples(name):
-                if tuple(h[x] for x in tup) not in dst.tuples(name):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    free = [e for e in src.universe if e not in pin]
+    facts = list(src.all_facts())
+    for values in itertools.product(dst.universe, repeat=len(free)):
+        h = {**pin, **dict(zip(free, values))}
+        if all(tuple(h[x] for x in tup) in dst.tuples(name) for name, tup in facts):
+            yield h
+
+
+def brute_homomorphisms(src, dst, pin=None):
+    """Count homomorphisms by enumerating all maps."""
+    return sum(1 for _ in brute_hom_maps(src, dst, pin))
+
+
+def sum_of_products(sig, terms):
+    """The disjoint union, over the terms, of the direct product of each
+    term's structures over sig; the empty product is one element on which
+    every relation holds. Term k's elements are named k:e1:...:ei."""
+    universe, rels = [], {name: set() for name, _ in sig.symbols}
+    for k, factors in enumerate(terms):
+        for es in itertools.product(*(f.universe for f in factors)):
+            universe.append(":".join((str(k), *es)))
+        for name, arity in sig.symbols:
+            for facts in itertools.product(*(f.tuples(name) for f in factors)):
+                rels[name].add(tuple(":".join((str(k), *(t[j] for t in facts))) for j in range(arity)))
+    return make_structure(sig, universe, rels)
+
+
+def poly_structure(coeffs, b):
+    """p(B) for p = sum of coeffs[i] * X^i: coeffs[i] copies of B^i, side by side."""
+    return sum_of_products(b.sig, [[b] * i for i, c in enumerate(coeffs) for _ in range(c)])
 
 
 def random_structure(rng, sig, max_size=4, min_size=1, density=0.5):

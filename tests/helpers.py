@@ -34,7 +34,7 @@ from sharpq.equiv import (
     logically_equivalent,
 )
 from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
-from sharpq.relstore import make_structure, merge_signatures, search_homomorphisms
+from sharpq.relstore import homomorphism_search, make_structure, merge_signatures
 from sharpq.sharpcore import check_represents, eval_sentence
 
 
@@ -147,13 +147,14 @@ def reference_core_of(p, cap=12):
     lib = p.liberal_set
     lib_positions = {i for i, e in enumerate(universe) if e in lib}
     pin = {e: e for e in universe if e in lib}
+    find = homomorphism_search(p.struct, pin)
     for k in range(max(1, len(lib)), n + 1):
         for positions in itertools.combinations(range(n), k):
             if not lib_positions <= set(positions):
                 continue
             image = [universe[i] for i in positions]
             target = _induced(p.struct, image)
-            if search_homomorphisms(p.struct, target, pin) is not None:
+            if find(target, pin) is not None:
                 return PpPair(struct=target, liberal=p.liberal)
     raise InternalInvariant("core search exhausted without finding the identity")
 

@@ -39,12 +39,7 @@ from sharpq.epquery import (
 )
 from sharpq.equiv import core_of
 from sharpq.errors import CapExceeded, SharpqError
-from sharpq.relstore import (
-    Signature,
-    homomorphisms,
-    make_structure,
-    poly_action,
-)
+from sharpq.relstore import Signature, make_structure
 from sharpq.sharpcore import (
     Const,
     Plus,
@@ -57,8 +52,10 @@ from sharpq.sharpcore import (
 )
 from tests.conftest import (
     SIG_E,
+    brute_hom_maps,
     brute_qaw,
     path_structure,
+    poly_structure,
     random_ep_query,
     random_pp_pair,
     random_structure,
@@ -179,7 +176,7 @@ def test_counts_commute_with_polynomial_structure_action():
         b = random_structure(rng, p.struct.sig, max_size=3)
         coeffs = polynomials[done % 3]
         base = oracle_count(q, b)
-        lifted = oracle_count(q, poly_action(coeffs, b))
+        lifted = oracle_count(q, poly_structure(coeffs, b))
         assert lifted == sum(c * base**i for i, c in enumerate(coeffs))
         done += 1
     print("PASS: 50 connected queries, counts commute with X+1, X^2, X^2+X+1")
@@ -199,7 +196,7 @@ def test_quantifier_free_patterns_count_homomorphisms():
         _, td = compute_qaw(pattern)
         sentence = pp_to_basic_sharp(pattern, td)
         b = random_structure(rng, sig, max_size=5)
-        assert eval_sentence(sentence, b) == homomorphisms(a, b)
+        assert eval_sentence(sentence, b) == oracle_count(pair_to_pp(pattern), b)
 
     # Pinned regression: the 2-edge path has 12 homomorphisms into the
     # symmetric triangle.
@@ -278,11 +275,8 @@ def _endo_image_cores(pair):
     pair; its core is a minimality candidate.
     """
     struct = pair.struct
-    _, endos = homomorphisms(
-        struct, struct, pin={v: v for v in pair.liberal}, enumerate_witnesses=True
-    )
     images = {}
-    for endo in endos:
+    for endo in brute_hom_maps(struct, struct, {v: v for v in pair.liberal}):
         universe = sorted(set(endo.values()))
         rels = {}
         for sym, tup in struct.all_facts():

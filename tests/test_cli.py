@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 import sharpq.cli
 import sharpq.compilepipe
 from sharpq.cli import main
-from sharpq.compilepipe import _seeded_structures, minimize_ep, table_union_sentence
+from sharpq.compilepipe import (
+    _seeded_structures,
+    _summands,
+    basic_sharp_to_pp,
+    minimize_ep,
+    table_union_sentence,
+)
 from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
 from sharpq.errors import CapExceeded
 from sharpq.relstore import parse_structure, serialize_structure
@@ -367,16 +374,36 @@ def test_count_of_a_400_edge_path_on_a_directed_triangle(tmp_path, capsys):
     assert _run(capsys, "count", "-q", q, "-d", d) == (0, "3\n", "")
 
 
-def test_the_oracle_refuses_a_formula_too_deep_for_its_recursion(tmp_path, capsys):
-    # a 400-conjunct chain is 400 nodes deep: the compiled engine counts it,
-    # the oracle, which refuses any formula deeper than 300, exits 3 before
-    # it starts
+def test_the_oracle_and_the_self_check_answer_a_400_conjunct_chain(tmp_path, capsys):
+    # 400 conjuncts run as one flat list of tests, which nests no level
     text = "query q(x): " + " & ".join(f"A{i % 3}(x)" for i in range(400)) + "\n"
     rel = "signature A0/1 A1/1 A2/1\nuniverse a b\nA0(a)\nA1(a)\nA2(a)\nA2(b)\n"
-    assert _count(capsys, tmp_path, text, rel) == (0, "1\n", "")
-    assert _count(capsys, tmp_path, text, rel, "--engine", "oracle") == (
-        3, "", "error: oracle_count refuses a formula 400 > 300 nodes deep; "
-        "its search recurses once per level\n"
+    for engine in ("compiled", "oracle", "both"):
+        code, out, _ = _count(capsys, tmp_path, text, rel, "--engine", engine)
+        assert (code, out.split("\n")[0]) == (0, "1")
+    q = _write(tmp_path, "chain.epq", text)
+    for command in (["minimize"], ["compile"], ["compile", "--strategy", "naive"]):
+        assert _run(capsys, *command, "-q", q)[0] == 0
+
+
+def _exists_chains(levels):
+    """A query whose `exists` chains nest `levels` deep, each `&` beside the next."""
+    body = f"U(y{levels})"
+    for i in range(levels, 0, -1):
+        body = f"exists y{i} . E({f'y{i - 1}' if i > 1 else 'x'},y{i}) & {body}"
+    return f"query q(x): {body}\n"
+
+
+def test_the_oracle_answers_at_its_depth_cap_and_refuses_past_it(tmp_path, capsys):
+    # through the whole command line, at the default recursion limit; one
+    # element keeps the 201 variables within the enumeration cap
+    rel = "signature E/2 U/1\nuniverse a\nE(a,a)\nU(a)\n"
+    assert _count(capsys, tmp_path, _exists_chains(200), rel, "--engine", "both") == (
+        0, "1\nengines agree\n", ""
+    )
+    assert _count(capsys, tmp_path, _exists_chains(201), rel, "--engine", "oracle") == (
+        3, "", "error: oracle_count refuses a formula whose tests nest 201 > 200 levels deep; "
+        "each `|` and each `exists` chain nests one level\n"
     )
 
 
@@ -470,6 +497,33 @@ def test_minimize_theta2_reports_core(tmp_path, capsys):
     assert report["width"] == 1
     assert report["terms"] == 1
     assert report["core_size"] == 2
+
+
+def _corpus(source):
+    """The golden `.epq` corpus, or 60 seeded random queries."""
+    if source == "golden":
+        golden = pathlib.Path(__file__).parent / "golden"
+        return [path.read_text() for path in sorted(golden.glob("*.epq"))]
+    rng = random.Random(24)
+    return [serialize_query(random_ep_query(rng, max_vars=5, max_atoms=5)) for _ in range(60)]
+
+
+@pytest.mark.parametrize("source", ["golden", "random"])
+def test_minimize_core_size_equals_the_read_back_cores(source, tmp_path, capsys):
+    # core_size counts each basic part's variables; reading each part back
+    # into a pair and counting its elements gives the same number
+    refused = 0
+    for i, text in enumerate(_corpus(source)):
+        code, out, _ = _run(capsys, "minimize", "-q", _write(tmp_path, f"{i}.epq", text), "--json")
+        if code != 0:
+            refused += 1
+            continue
+        report = json.loads(out)
+        basics = [b for _, _, b, _ in _summands(parse_sharp(report["sentence"])) if b is not None]
+        assert report["core_size"] == sum(
+            len(basic_sharp_to_pp(basic).struct.universe) for basic in basics
+        )
+    assert refused == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1255,7 +1255,7 @@ def test_drop_contained_skips_its_comparisons_over_max_dnf(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a comparison was made")
 
-    monkeypatch.setattr(compilepipe, "search_homomorphisms", refuse)
+    monkeypatch.setattr(compilepipe, "homomorphism_search", refuse)
     kept, pairs = compilepipe._drop_contained(q, max_dnf=5)
     assert kept is q and len(pairs) == 3
 

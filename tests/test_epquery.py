@@ -165,6 +165,22 @@ def test_comments_are_stripped():
     assert q.formula == Atom("E", ("x", "x"))
 
 
+def test_epq_and_shq_comments_follow_the_rel_rule():
+    # as in `.rel`, a '#' begins a comment at a line's start or after
+    # whitespace, and a '#' glued to a token is refused where it stands
+    from sharpq.sharpcore import parse_sharp, serialize_sharp
+
+    assert parse_query("query q(x): E(x,x)\t# tab\n# line\n").formula == Atom("E", ("x", "x"))
+    assert serialize_sharp(parse_sharp("P{x} C[E(x,x); {x}] # c\n# d\n")) == "P{x} C[E(x,x); {x}]"
+    for parse, text, message in (
+        (parse_query, "query q(x): E(x,x)#glued\n", "line 1, column 19: unexpected character '#'"),
+        (parse_sharp, "P{x} C[E(x,x); {x}]#c\n", "line 1, column 20: trailing input: '#'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+
 def test_empty_header_is_error():
     with pytest.raises(ParseError, match="at least one"):
         parse_query("query q(): true")
@@ -562,43 +578,62 @@ def test_oracle_chain_stops_at_its_first_assignment_and_restores_shadowed_values
         assert h == before
 
 
-def _deep_formula(depth):
-    """A formula `depth` levels deep that nests `&`, `|` and `exists` in
-    turn from its innermost atom out, with free variables x and y100."""
-    f = _E("x", "y1")
-    for i in range(1, depth):
-        v = f"y{(i + 2) // 3}"
-        if i % 3 == 1:
-            f = And(_E(v, "x"), f)
-        elif i % 3 == 2:
-            f = Or(f, _U(v))
-        else:
-            f = Exists(v, f)
+def _nested(levels, shape):
+    """A formula with free variable x whose compiled tests nest `levels`
+    deep: `|` levels `U(x) | (E(x,x) & ...)`, or `exists` chains
+    `exists y1 . E(x,y1) & exists y2 . E(y1,y2) & ...`, around U(x) or
+    U(y<levels>). The `&`s nest no level."""
+    if shape == "|":
+        f = _U("x")
+        for _ in range(levels):
+            f = Or(_U("x"), And(_E("x", "x"), f))
+        return f
+    f = _U(f"y{levels}")
+    for i in range(levels, 0, -1):
+        f = Exists(f"y{i}", And(_E(f"y{i - 1}" if i > 1 else "x", f"y{i}"), f))
     return f
 
 
-def test_oracle_answers_at_its_depth_cap_and_refuses_one_level_deeper():
+@pytest.mark.parametrize("shape", ["|", "exists"])
+def test_oracle_answers_at_its_depth_cap_and_refuses_one_level_deeper(shape, monkeypatch):
     import sys
 
     from sharpq.sharpcore import Cast, Project, eval_sentence
 
     assert sys.getrecursionlimit() == 1000
-    liberal = ("x", "y100")
-    at_cap = _deep_formula(epquery._ORACLE_DEPTH)
-    assert epquery.fold(at_cap, epquery._DEPTH_STEPS) == 300 == epquery._ORACLE_DEPTH
-    assert free_variables(at_cap) == set(liberal)
-    q = _hand_query(liberal, at_cap)
-    deeper = _hand_query(liberal, _deep_formula(epquery._ORACLE_DEPTH + 1))
+    at_cap = _nested(epquery._ORACLE_DEPTH, shape)
+    assert sum(epquery.fold(at_cap, epquery._DEPTH_STEPS)) == 200 == epquery._ORACLE_DEPTH
+    q = _hand_query(("x",), at_cap)
+    # on E's loop with U empty every level runs down to the innermost atom
     for facts in itertools.product((set(), {("a",)}), (set(), {("a", "a")})):
         b = make_structure(SIG_EU, ["a"], dict(zip("UE", facts)))
-        want = eval_sentence(Project(set(liberal), Cast(at_cap, liberal)), b)
-        assert oracle_count(q, b) == want
-        with pytest.raises(CapExceeded) as refused:
-            oracle_count(deeper, b)
-        assert str(refused.value) == (
-            "oracle_count refuses a formula 301 > 300 nodes deep; "
-            "its search recurses once per level"
-        )
+        assert oracle_count(q, b) == eval_sentence(Project({"x"}, Cast(at_cap, ("x",))), b)
+    deeper = _hand_query(("x",), _nested(epquery._ORACLE_DEPTH + 1, shape))
+
+    def search(*args):
+        raise AssertionError("a search was compiled")
+
+    monkeypatch.setattr(epquery, "_backtrack", search)
+    with pytest.raises(CapExceeded) as refused:
+        oracle_count(deeper, b)
+    assert str(refused.value) == (
+        "oracle_count refuses a formula whose tests nest 201 > 200 levels deep; "
+        "each `|` and each `exists` chain nests one level"
+    )
+
+
+def test_and_nests_no_level_of_the_oracle_depth():
+    # 400 conjuncts are one flat list; each maximal exists chain is one
+    # level, however many binders it has
+    chain = _U("x")
+    for _ in range(399):
+        chain = And(chain, _U("x"))
+    prefix = Exists("y", Exists("z", And(_E("x", "y"), And(_E("y", "z"), chain))))
+    for f, levels in ((chain, 0), (prefix, 1), (Or(prefix, chain), 2), (And(prefix, prefix), 1)):
+        assert sum(epquery.fold(f, epquery._DEPTH_STEPS)) == levels
+    b = make_structure(SIG_EU, ["a", "b"], {"U": {("a",)}, "E": {("a", "b"), ("b", "b")}})
+    q = _hand_query(("x",), chain)
+    assert oracle_count(q, b) == reference_oracle_count(q, b) == 1
 
 
 def test_oracle_signature_mismatch():
