@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import reduce
 
 from .decomp import (
@@ -48,7 +47,7 @@ from .epquery import (
 )
 from .equiv import check_core_cap, core_of
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import Signature, homomorphism_search, make_structure
+from .relstore import Record, Signature, _set, homomorphism_search, make_structure
 from .sharpcore import (
     _EP_NODES,
     Cast,
@@ -500,8 +499,7 @@ def cast_ep(q, max_dnf=4096):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatSharp:
+class FlatSharp(Record):
     """A counting formula as a sum of terms (constant part, basic part).
 
     The constant part has the shape E V1 P V2 n (value n*|B|^|V2| at every
@@ -509,8 +507,11 @@ class FlatSharp:
     share the term's free set, so the folded-out sum is a valid formula
     pointwise equal to the input."""
 
-    terms: tuple
-    free: frozenset
+    __slots__ = _fields = ("terms", "free")
+
+    def __init__(self, terms, free):
+        _set(self, "terms", terms)
+        _set(self, "free", free)
 
 
 def as_formula(fs):
@@ -584,13 +585,15 @@ def flatten(f, max_dnf=4096):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearCombination:
+class LinearCombination(Record):
     """Ordered (coefficient, pair) entries: coefficients nonzero, pairs
     pairwise not counting-equivalent and canonically labeled, order fixed by
     (liberal count, fact count, serialization)."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries):
+        _set(self, "entries", entries)
 
 
 def _canonical_pair(p, cap=200000):
@@ -806,12 +809,15 @@ def _drop_contained(q, *, max_dnf, core_cap=12):
         return q, pairs
     pin = {e: e for e in q.liberal}
     symbols = [p.struct.relations.keys() for p in pairs]
+    searches = {}  # each source's search, compiled on its first comparison
 
     def contains(j, i):
         a, b = pairs[j].struct, pairs[i].struct
         if not symbols[i] >= symbols[j] or max(len(a.universe), len(b.universe)) > core_cap:
             return False
-        return homomorphism_search(a, pin)(b, pin) is not None
+        if j not in searches:
+            searches[j] = homomorphism_search(a, pin)
+        return searches[j](b, pin) is not None
 
     kept = []
     for i in range(k):

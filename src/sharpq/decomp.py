@@ -10,24 +10,26 @@ taking exact treewidths of the augmented graphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
 from .epquery import _contract_graph, _exists_components, primal_graph
+from .relstore import Record, _set
 
 # ---------------------------------------------------------------------------
 # Decomposition types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(Record):
     """Rooted tree of bags; exactly one node has parent None."""
 
-    nodes: tuple
-    parent: dict
-    bags: dict
+    __slots__ = _fields = ("nodes", "parent", "bags")
+
+    def __init__(self, nodes, parent, bags):
+        _set(self, "nodes", nodes)
+        _set(self, "parent", parent)
+        _set(self, "bags", bags)
 
     @property
     def root(self):
@@ -51,11 +53,15 @@ class TreeDecomposition:
         return out
 
 
-@dataclass(frozen=True)
 class NiceTreeDecomposition(TreeDecomposition):
     """Tree decomposition whose nodes are leaf/introduce/forget/join."""
 
-    kinds: dict
+    __slots__ = ("kinds",)
+    _fields = (*TreeDecomposition._fields, "kinds")
+
+    def __init__(self, nodes, parent, bags, kinds):
+        super().__init__(nodes, parent, bags)
+        _set(self, "kinds", kinds)
 
 
 def validate_td(td, g):

@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import CapExceeded, ParseError, SharpqError
 from .relstore import (
     _COMMENT_RE,
     _UNBOUND,
+    Frozen,
+    Record,
     Signature,
-    Structure,
     _backtrack,
     _conjunction,
     _fact_test,
+    _set,
     make_structure,
 )
 
@@ -35,10 +36,12 @@ from .relstore import (
 # child fields, left to right, in `_kids`; subformulas() and fold() walk them.
 
 
-class _ByText:
+class _ByText(Frozen):
     """Equality, hash and repr of a formula through its text, which the fold
-    renders from an explicit stack; the generated ones would recurse once
-    per level. Nodes of different classes are never equal."""
+    renders from an explicit stack, so no depth recurses. Nodes of different
+    classes are never equal."""
+
+    __slots__ = ()
 
     def _text(self):
         return render_ep(self)
@@ -53,40 +56,45 @@ class _ByText:
         return f"<{type(self).__name__} {self._text()}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Atom(_ByText):
-    symbol: str
-    args: tuple
+    __slots__ = ("symbol", "args")
     _kids = ()
+
+    def __init__(self, symbol, args):
+        _set(self, "symbol", symbol)
+        _set(self, "args", args)
 
     def __str__(self):
         return f"{self.symbol}({','.join(self.args)})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class And(_ByText):
-    left: object
-    right: object
-    _kids = ("left", "right")
+    __slots__ = _kids = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Or(_ByText):
-    left: object
-    right: object
-    _kids = ("left", "right")
+    __slots__ = _kids = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Exists(_ByText):
-    var: str
-    body: object
+    __slots__ = ("var", "body")
     _kids = ("body",)
 
+    def __init__(self, var, body):
+        _set(self, "var", var)
+        _set(self, "body", body)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Top(_ByText):
-    _kids = ()
+    __slots__ = _kids = ()
 
 
 TOP = Top()
@@ -191,43 +199,53 @@ def _infer_signature(f):
     return Signature(tuple(sorted(symbols.items())))
 
 
-@dataclass(frozen=True)
-class LiberalQuery:
+class LiberalQuery(Record):
     """An ep-formula together with its ordered liberal variable list (L ⊇ free)."""
 
-    name: str
-    formula: object
-    liberal: tuple
-    sig: Signature
-    # oracle_count's compiled search, built on its first call
-    _oracle: tuple = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("name", "formula", "liberal", "sig")
+    # _oracle: oracle_count's compiled search, built on its first call
+    __slots__ = (*_fields, "_oracle")
 
-    def __post_init__(self):
-        free = free_variables(self.formula)
-        lib = set(self.liberal)
-        if len(self.liberal) != len(lib):
+    def __init__(self, name, formula, liberal, sig):
+        free = free_variables(formula)
+        lib = set(liberal)
+        if len(liberal) != len(lib):
             raise ParseError("duplicate liberal variable")
         if not free <= lib:
             missing = ", ".join(sorted(free - lib))
             raise ParseError(f"free variable(s) not in the liberal list: {missing}")
+        _set(self, "name", name)
+        _set(self, "formula", formula)
+        _set(self, "liberal", liberal)
+        _set(self, "sig", sig)
+        _set(self, "_oracle", None)
 
     @property
     def liberal_set(self):
         return frozenset(self.liberal)
 
 
-@dataclass(frozen=True)
-class PpPair:
+class PpPair(Record):
     """A disjunction-free prenex query viewed as (structure, liberal elements)."""
 
-    struct: Structure
-    liberal: tuple
+    __slots__ = _fields = ("struct", "liberal")
 
-    def __post_init__(self):
-        if not set(self.liberal) <= set(self.struct.universe):
+    def __init__(self, struct, liberal):
+        if not set(liberal) <= set(struct.universe):
             raise SharpqError("liberal elements must belong to the structure's universe")
-        if len(set(self.liberal)) != len(self.liberal):
+        if len(set(liberal)) != len(liberal):
             raise SharpqError("duplicate liberal element")
+        _set(self, "struct", struct)
+        _set(self, "liberal", liberal)
+
+    # field by field, without the call to the shared _values getter
+    def __eq__(self, other):
+        if type(other) is not PpPair:
+            return NotImplemented
+        return self.struct == other.struct and self.liberal == other.liberal
+
+    def __hash__(self):
+        return hash((self.struct, self.liberal))
 
     @property
     def liberal_set(self):
@@ -238,17 +256,17 @@ class PpPair:
         return tuple(v for v in self.struct.universe if v not in self.liberal_set)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Finite simple undirected graph. Edges are 2-element frozensets."""
 
-    vertices: frozenset
-    edges: frozenset
+    __slots__ = _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        for e in self.edges:
-            if len(e) != 2 or not e <= self.vertices:
+    def __init__(self, vertices, edges):
+        for e in edges:
+            if len(e) != 2 or not e <= vertices:
                 raise SharpqError(f"bad edge {set(e)!r}")
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
     def neighbors(self, v):
         return {next(iter(e - {v})) for e in self.edges if v in e}
@@ -664,7 +682,7 @@ def _oracle_plan(q):
         conjuncts = _conjunct_list(fold(q.formula, _ORACLE_STEPS))
         order = _liberal_order([used for _, used in conjuncts], q.liberal)
         plan = (_backtrack(order, conjuncts), sum(isinstance(node, Exists) for node in nodes))
-        object.__setattr__(q, "_oracle", plan)
+        _set(q, "_oracle", plan)
     return plan
 
 

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import homomorphism_search, make_structure, merge_signatures
+from .relstore import Record, _set, homomorphism_search, make_structure, merge_signatures
 from .epquery import PpPair
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(Record):
     """Verifiable evidence: forward/backward are full homomorphisms (element
     maps between the two structures); kind is "logical" or "counting"."""
 
-    kind: str
-    forward: dict
-    backward: dict
+    __slots__ = _fields = ("kind", "forward", "backward")
+
+    def __init__(self, kind, forward, backward):
+        _set(self, "kind", kind)
+        _set(self, "forward", forward)
+        _set(self, "backward", backward)
 
 
 # ---------------------------------------------------------------------------

@@ -11,23 +11,63 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import ParseError, SharpqError
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
+# sets an attribute of an immutable object, in its __init__ or a cache
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Signature:
+
+class Frozen:
+    """An object whose attributes cannot be set or deleted after its
+    __init__, which sets them with _set."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} objects are immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        # copy and pickle hand a copy its slots, as (None, {slot: value})
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class Record(Frozen):
+    """A Frozen value that compares, hashes and prints through the fields
+    `_fields` names, in order: equal only to a record of its own class."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Signature(Record):
     """Relation symbols and their arities. Arities are >= 1 (no nullary relations)."""
 
-    symbols: tuple  # tuple of (name, arity) pairs, fixed order
+    __slots__ = _fields = ("symbols",)  # tuple of (name, arity) pairs, fixed order
 
-    def __post_init__(self):
+    def __init__(self, symbols):
         seen = set()
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if not NAME_RE.match(name):
                 raise ParseError(f"bad relation name {name!r}")
             if name in seen:
@@ -35,6 +75,14 @@ class Signature:
             if not isinstance(arity, int) or arity < 1:
                 raise ParseError(f"arity of {name} must be a positive integer, got {arity!r}")
             seen.add(name)
+        _set(self, "symbols", symbols)
+
+    # field by field, without the call to the shared _values getter
+    def __eq__(self, other):
+        return self.symbols == other.symbols if type(other) is Signature else NotImplemented
+
+    def __hash__(self):
+        return hash(self.symbols)
 
     def arity(self, name):
         for n, a in self.symbols:
@@ -61,7 +109,7 @@ def merge_signatures(*sigs):
     return Signature(tuple(sorted(arities.items())))
 
 
-class Structure:
+class Structure(Frozen):
     """A finite relational structure over a Signature.
 
     universe is ordered (first-appearance order from parsing). Each fact is
@@ -98,18 +146,13 @@ class Structure:
                 raise ParseError(f"fact uses undeclared relation {name!r}")
         _init_structure(self, sig, universe, rels, {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot set {name!r}: a Structure is immutable")
-
-    __delattr__ = __setattr__
-
     @property
     def relations(self):
         """Every nonempty relation's tuple set, in signature order."""
         rels = self._relations
         if any(cols[0] and n not in rels for n, cols in self._columns.items()):
             rels = {n: facts for n in self.sig.names() if (facts := self.tuples(n))}
-            object.__setattr__(self, "_relations", rels)
+            _set(self, "_relations", rels)
         return rels
 
     def columns(self, name):
@@ -132,7 +175,7 @@ class Structure:
             if facts:
                 rels = {**self._relations, name: facts}
                 rels = {n: rels[n] for n in self.sig.names() if n in rels}  # signature order
-                object.__setattr__(self, "_relations", rels)
+                _set(self, "_relations", rels)
         return facts
 
     def all_facts(self):
@@ -160,10 +203,10 @@ class Structure:
 def _init_structure(s, sig, universe, relations, columns):
     """Set a Structure's attributes: the tuple sets (those derived so far
     when `columns` holds every relation of sig) and the columns."""
-    object.__setattr__(s, "sig", sig)
-    object.__setattr__(s, "universe", universe)
-    object.__setattr__(s, "_relations", relations)
-    object.__setattr__(s, "_columns", columns)
+    _set(s, "sig", sig)
+    _set(s, "universe", universe)
+    _set(s, "_relations", relations)
+    _set(s, "_columns", columns)
 
 
 def make_structure(sig, universe, relations):

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter, defaultdict, namedtuple
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import compress, product, starmap
 from math import prod
@@ -60,6 +59,7 @@ from .epquery import (
     fold,
     free_variables,
 )
+from .relstore import Record, _set
 
 # ---------------------------------------------------------------------------
 # AST
@@ -69,60 +69,63 @@ from .epquery import (
 class _SharpByText(_ByText):
     """Equality, hash and repr of a counting formula through its `.shq` text."""
 
+    __slots__ = ()
+
     def _text(self):
         return serialize_sharp(self)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cast(_SharpByText):
     """0/1 indicator of an ep-formula over assignments of the liberal set."""
 
-    ep: object
-    liberal: tuple
+    __slots__ = ("ep", "liberal")
     _kids = ("ep",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "liberal", tuple(sorted(set(self.liberal))))
+    def __init__(self, ep, liberal):
+        _set(self, "ep", ep)
+        _set(self, "liberal", tuple(sorted(set(liberal))))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Project(_SharpByText):
-    vars: frozenset
-    child: object
+    __slots__ = ("vars", "child")
     _kids = ("child",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", frozenset(self.vars))
+    def __init__(self, vars, child):
+        _set(self, "vars", frozenset(vars))
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Expand(_SharpByText):
-    vars: frozenset
-    child: object
+    __slots__ = ("vars", "child")
     _kids = ("child",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", frozenset(self.vars))
+    def __init__(self, vars, child):
+        _set(self, "vars", frozenset(vars))
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Times(_SharpByText):
-    left: object
-    right: object
-    _kids = ("left", "right")
+    __slots__ = _kids = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Plus(_SharpByText):
-    left: object
-    right: object
-    _kids = ("left", "right")
+    __slots__ = _kids = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Const(_SharpByText):
-    n: int
+    __slots__ = ("n",)
     _kids = ()
+
+    def __init__(self, n):
+        _set(self, "n", n)
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +133,21 @@ class Const(_SharpByText):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    path: str
-    message: str
+class Violation(Record):
+    __slots__ = _fields = ("path", "message")
+
+    def __init__(self, path, message):
+        _set(self, "path", path)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class Validation:
-    free: frozenset
-    closed: frozenset
-    violations: tuple
+class Validation(Record):
+    __slots__ = _fields = ("free", "closed", "violations")
+
+    def __init__(self, free, closed, violations):
+        _set(self, "free", free)
+        _set(self, "closed", closed)
+        _set(self, "violations", violations)
 
     @property
     def ok(self):
@@ -410,63 +417,6 @@ def serialize_sharp(f):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CountTable:
-    """Integer table over the free variables of a formula.
-
-    Variables are split into explicit ones (indexing `data`) and wildcard ones
-    the value provably does not depend on; wildcard variables are never
-    materialized unless an operation needs aligned variable sets. Rows absent
-    from `data` have value 0.
-    """
-
-    explicit: tuple
-    wildcard: tuple
-    universe: tuple
-    data: dict = field(compare=False)
-
-    @property
-    def variables(self):
-        return self.explicit + self.wildcard
-
-    @property
-    def n_rows(self):
-        return len(self.data)
-
-    def value(self, assignment):
-        """Value at a full assignment (a dict covering all variables)."""
-        key = tuple(assignment[v] for v in self.explicit)
-        return self.data.get(key, 0)
-
-    def sorted_rows(self):
-        """(assignment dict, value) pairs, materialized, in lexicographic
-        order by the canonical variable order; zero rows omitted."""
-        vs = tuple(sorted(self.variables))
-        rows = []
-        wild = tuple(sorted(self.wildcard))
-        for key, val in self.data.items():
-            base = dict(zip(self.explicit, key))
-            for extra in itertools.product(self.universe, repeat=len(wild)):
-                h = dict(base)
-                h.update(zip(wild, extra))
-                rows.append((h, val))
-        rows.sort(key=lambda hv: tuple(hv[0][v] for v in vs))
-        return rows
-
-    def __eq__(self, other):
-        if not isinstance(other, CountTable):
-            return NotImplemented
-        if (set(self.variables), self.universe) != (set(other.variables), other.universe):
-            return False
-        shared = set(self.explicit) | set(other.explicit)
-        return self._over(shared) == other._over(shared)
-
-    def _over(self, columns):
-        """sorted_rows over `columns` ⊇ explicit, the other wildcards left out."""
-        wild = tuple(v for v in self.wildcard if v in columns)
-        return CountTable(self.explicit, wild, self.universe, self.data).sorted_rows()
-
-
 def _same(row):
     return row
 
@@ -522,19 +472,17 @@ def _widen(explicit, target):
     return len(extra), lambda r, fill: order(combine(r, fill))
 
 
-_JoinPlan = namedtuple("_JoinPlan", "explicit at1 at2 combine handoff")
-
-
 @lru_cache(maxsize=1024)
 def _join_plan(ex1, ex2, drop):
-    """How to join tables over columns ex1 and ex2, projecting out `drop`;
-    it depends on column names only, so plans of joins of one shape share it.
-    Output columns are ex1's surviving ones, then ex2's own, in the
-    formula's order. at1/at2 are each side's (key, part) positions: its
-    shared columns and those it contributes to the output row, which
-    `combine` builds from the two parts. When every shared column is kept,
-    `handoff` holds their output positions, where a consumer keying on them
-    finds the join's groups; otherwise it is None."""
+    """How to join tables over columns ex1 and ex2, projecting out `drop`:
+    (explicit, at1, at2, combine, handoff). It depends on column names only,
+    so joins of one shape share it. The output columns `explicit` are ex1's
+    surviving ones, then ex2's own, in the formula's order. at1/at2 are each
+    side's (key, part) positions: its shared columns and those it
+    contributes to the output row, which `combine` builds from the two
+    parts. When every shared column is kept, `handoff` holds their output
+    positions, where a consumer keying on them finds the join's groups;
+    otherwise it is None."""
     shared = [v for v in ex1 if v in ex2]
     own1 = tuple(v for v in ex1 if v not in drop)
     own2 = tuple(v for v in ex2 if v not in ex1 and v not in drop)
@@ -543,7 +491,7 @@ def _join_plan(ex1, ex2, drop):
         for ex, own in ((ex1, own1), (ex2, own2))
     ]
     handoff = None if drop.intersection(shared) else tuple(map(own1.index, shared))
-    return _JoinPlan(own1 + own2, at1, at2, _combine(len(own1), len(own2)), handoff)
+    return own1 + own2, at1, at2, _combine(len(own1), len(own2)), handoff
 
 
 def _group(keys, parts):
@@ -678,7 +626,7 @@ class _Evaluator:
     No column depends on the structure, so one fold of a formula (see
     _make_plan) makes every choice that depends on the formula alone: each
     node's columns, an atom's positions and equality filters, a join's
-    _JoinPlan and whether its sides swap, a projection's summed set, kept
+    _join_plan and whether its sides swap, a projection's summed set, kept
     positions and power of |B|, a cast's count flag. It records one step per
     node that does work on tables; a node that passes its kid's value up
     (Exists, Expand, a projection inside a chain) records none. Evaluating
@@ -852,13 +800,12 @@ class _Evaluator:
         whose shared key it holds; else the product of the two sides' groups
         by the shared key, per common key, or with `count` only the number
         of its rows."""
-        plan = _join_plan(ex1, ex2, drop)
-        swap = bool(plan.at2[1] and not plan.at1[1])
+        explicit, at1, at2, combine, handoff = _join_plan(ex1, ex2, drop)
+        swap = bool(at2[1] and not at1[1])
         if swap:
             # side 1 contributes no column; swapped, the output columns stay
-            plan = _join_plan(ex2, ex1, drop)
-        (key1, part1), (key2, part2) = plan.at1, plan.at2
-        explicit, combine, handoff = plan.explicit, plan.combine, plan.handoff
+            explicit, at1, at2, combine, handoff = _join_plan(ex2, ex1, drop)
+        (key1, part1), (key2, part2) = at1, at2
         width = len(explicit)
 
         def join(t1, t2):
@@ -880,7 +827,7 @@ class _Evaluator:
                     }
             elif count or (handoff is not None and values is None):
                 # a chain of held joins on one key: one product of many sides
-                sides = t1.sides(plan.at1) + t2.sides(plan.at2)
+                sides = t1.sides(at1) + t2.sides(at2)
                 common = set(sides[0][0]).intersection(*[g for g, _ in sides[1:]])
                 if count:
                     return _count_union(common, [g for g, _ in sides])
@@ -898,7 +845,7 @@ class _Evaluator:
                 held.factors, held.keys, held.handoff, held.n = sides, common, handoff, n
                 return held
             else:
-                g1, g2 = t1.grouped(plan.at1), t2.grouped(plan.at2)
+                g1, g2 = t1.grouped(at1), t2.grouped(at2)
                 common = g1.keys() & g2.keys()
                 # rows of different keys may coincide: built to be counted
                 rows = set() if values is None else {}
@@ -1000,16 +947,6 @@ def _count_union(keys, sides):
         else:
             reached.update(map(tuple, keys_of.values()))
     return sum(m * len(set().union(*map(last.__getitem__, ks))) for ks, m in reached.items())
-
-
-def evaluate(f, b, max_rows=10**7, stats=None):
-    """Table of the formula's values over assignments of its free variables;
-    the free variables that index no row are its wildcards."""
-    free = _require_valid(f).free
-    _check_signature(_infer_signature(f), b, "formula")
-    explicit, t = _Evaluator(max_rows, stats).eval(f, b)
-    data = {(k,): v for k, v in t.rows.items()} if len(explicit) == 1 else t.rows
-    return CountTable(explicit, tuple(sorted(free.difference(explicit))), b.universe, data)
 
 
 def _sentence_signature(f):

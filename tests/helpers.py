@@ -1,7 +1,8 @@
 """Library functions that only the tests use: decomposition checks, the
-component split of a pair, the evaluation of a linear combination, the
-exhaustive core search, the full-enumeration counting oracle, alignment by
-renaming, and reduce_to_basic."""
+component split of a pair, the evaluation of a linear combination, a
+counting formula's table over its free variables, the exhaustive core
+search, the full-enumeration counting oracle, alignment by renaming, and
+reduce_to_basic."""
 
 import itertools
 
@@ -19,6 +20,7 @@ from sharpq.epquery import (
     Or,
     PpPair,
     Top,
+    _check_signature,
     _infer_signature,
     contract_graph,
     oracle_count,
@@ -34,8 +36,8 @@ from sharpq.equiv import (
     logically_equivalent,
 )
 from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
-from sharpq.relstore import homomorphism_search, make_structure, merge_signatures
-from sharpq.sharpcore import check_represents, eval_sentence
+from sharpq.relstore import Record, _set, homomorphism_search, make_structure, merge_signatures
+from sharpq.sharpcore import _Evaluator, _require_valid, check_represents, eval_sentence
 
 
 def validate_nice(ntd, g):
@@ -134,6 +136,76 @@ def lc_evaluate(lc, b, engine="compiled", *, max_rows=10**7, tw_cap=24):
             )
         total += coeff * (compiled if compiled is not None else oracle)
     return total
+
+
+class CountTable(Record):
+    """Integer table over the free variables of a formula.
+
+    Variables are split into explicit ones (indexing `data`) and wildcard ones
+    the value provably does not depend on; wildcard variables are never
+    materialized unless an operation needs aligned variable sets. Rows absent
+    from `data` have value 0. Tables compare by their rows, and do not hash.
+    """
+
+    __slots__ = _fields = ("explicit", "wildcard", "universe", "data")
+    __hash__ = None
+
+    def __init__(self, explicit, wildcard, universe, data):
+        _set(self, "explicit", explicit)
+        _set(self, "wildcard", wildcard)
+        _set(self, "universe", universe)
+        _set(self, "data", data)
+
+    @property
+    def variables(self):
+        return self.explicit + self.wildcard
+
+    @property
+    def n_rows(self):
+        return len(self.data)
+
+    def value(self, assignment):
+        """Value at a full assignment (a dict covering all variables)."""
+        key = tuple(assignment[v] for v in self.explicit)
+        return self.data.get(key, 0)
+
+    def sorted_rows(self):
+        """(assignment dict, value) pairs, materialized, in lexicographic
+        order by the canonical variable order; zero rows omitted."""
+        vs = tuple(sorted(self.variables))
+        rows = []
+        wild = tuple(sorted(self.wildcard))
+        for key, val in self.data.items():
+            base = dict(zip(self.explicit, key))
+            for extra in itertools.product(self.universe, repeat=len(wild)):
+                h = dict(base)
+                h.update(zip(wild, extra))
+                rows.append((h, val))
+        rows.sort(key=lambda hv: tuple(hv[0][v] for v in vs))
+        return rows
+
+    def __eq__(self, other):
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        if (set(self.variables), self.universe) != (set(other.variables), other.universe):
+            return False
+        shared = set(self.explicit) | set(other.explicit)
+        return self._over(shared) == other._over(shared)
+
+    def _over(self, columns):
+        """sorted_rows over `columns` ⊇ explicit, the other wildcards left out."""
+        wild = tuple(v for v in self.wildcard if v in columns)
+        return CountTable(self.explicit, wild, self.universe, self.data).sorted_rows()
+
+
+def evaluate(f, b, max_rows=10**7, stats=None):
+    """Table of the formula's values over assignments of its free variables;
+    the free variables that index no row are its wildcards."""
+    free = _require_valid(f).free
+    _check_signature(_infer_signature(f), b, "formula")
+    explicit, t = _Evaluator(max_rows, stats).eval(f, b)
+    data = {(k,): v for k, v in t.rows.items()} if len(explicit) == 1 else t.rows
+    return CountTable(explicit, tuple(sorted(free.difference(explicit))), b.universe, data)
 
 
 def reference_core_of(p, cap=12):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -60,7 +61,6 @@ from sharpq.sharpcore import (
     Times,
     _require_valid,
     eval_sentence,
-    evaluate,
     naive_representation,
     parse_sharp,
     serialize_sharp,
@@ -80,7 +80,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
-from tests.helpers import lc_evaluate, reduce_to_basic
+from tests.helpers import evaluate, lc_evaluate, reduce_to_basic
 from tests.test_sharpcore import _random_sharp
 
 SIG_E = Signature((("E", 2),))
@@ -1258,6 +1258,39 @@ def test_drop_contained_skips_its_comparisons_over_max_dnf(monkeypatch):
     monkeypatch.setattr(compilepipe, "homomorphism_search", refuse)
     kept, pairs = compilepipe._drop_contained(q, max_dnf=5)
     assert kept is q and len(pairs) == 3
+
+
+def _compiles_per_source(monkeypatch):
+    """How often compilepipe.homomorphism_search compiles each source
+    structure, by the structure's id (the disjuncts' pairs hold them)."""
+    compiles = Counter()
+    search = compilepipe.homomorphism_search
+
+    def spy(src, pin):
+        compiles[id(src)] += 1
+        return search(src, pin)
+
+    monkeypatch.setattr(compilepipe, "homomorphism_search", spy)
+    return compiles
+
+
+def test_drop_contained_compiles_each_compared_source_once(monkeypatch, rng):
+    # the plain disjunct contains the other eight: it is the source of eight
+    # comparisons, and its search is compiled once for all of them
+    compiles = _compiles_per_source(monkeypatch)
+    spokes = " | ".join(f"(exists y . E(x,y) & F{i}(y))" for i in range(8))
+    q = parse_query(f"query u(x): {spokes} | (exists y . E(x,y))")
+    kept, pairs = compilepipe._drop_contained(q, max_dnf=4096)
+    assert [list(p.struct.relations) for p in pairs] == [["E"]]
+    assert kept is not q and list(compiles.values()) == [1]
+    compared = 0
+    for _ in range(60):
+        compiles.clear()
+        q = random_ep_query(rng, max_vars=4, max_atoms=5, max_disjunctions=3)
+        compilepipe._drop_contained(q, max_dnf=4096)
+        assert set(compiles.values()) <= {1}
+        compared += len(compiles)
+    assert compared >= 30
 
 
 def test_a_flat_sentence_with_no_terms_is_zero():

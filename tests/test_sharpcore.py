@@ -36,7 +36,6 @@ from sharpq.sharpcore import (
     Times,
     check_represents,
     eval_sentence,
-    evaluate,
     naive_representation,
     parse_sharp,
     serialize_sharp,
@@ -54,6 +53,7 @@ from tests.conftest import (
     text_with_a_repeated_line,
     triangle_structure,
 )
+from tests.helpers import evaluate
 
 # ---------------------------------------------------------------------------
 # parsing and validation
@@ -955,6 +955,48 @@ def test_counted_union_of_random_sides_matches_the_built_union():
         ]
         built = {row for k in keys for row in itertools.product(*[side[k] for side in sides])}
         assert sharpcore._count_union(set(keys), sides) == len(built)
+
+
+def _graph_with_twin_hubs(rng, n, m):
+    """A random directed graph on n vertices with about m edges, in which
+    every third hub gets the in-neighbours of another hub as well, so that
+    hubs with the same in-neighbour set occur."""
+    universe = [f"v{i}" for i in range(n)]
+    edges = {(rng.choice(universe), rng.choice(universe)) for _ in range(m)}
+    for h in universe[::3]:
+        twin = rng.choice(universe)
+        edges |= {(a, twin) for a, b in edges if b == h}
+        edges |= {(a, h) for a, b in edges if b == twin}
+    return make_structure(Signature((("E", 2),)), universe, {"E": edges})
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_counted_stars_match_a_brute_force_count_on_random_graphs(monkeypatch, m):
+    # star-m counts the m-tuples of vertices that all point at one hub: the
+    # union over hubs of (in-neighbours)^m, built here tuple by tuple
+    spokes = [f"x{i}" for i in range(m)]
+    body = " & ".join(f"E({x},h)" for x in spokes)
+    q = parse_query(f"query star({','.join(spokes)}): exists h . {body}")
+    f = naive_representation(q)
+    sides = []
+    count_union = sharpcore._count_union
+
+    def spy(keys, groups):
+        sides.append(len(groups))
+        return count_union(keys, groups)
+
+    monkeypatch.setattr(sharpcore, "_count_union", spy)
+    rng = random.Random(4242 + m)
+    twins = 0
+    for _ in range(12):
+        b = _graph_with_twin_hubs(rng, rng.randint(3, 30), rng.randint(2, 90))
+        into = defaultdict(set)
+        for a, h in b.tuples("E"):
+            into[h].add(a)
+        twins += len({frozenset(s) for s in into.values()}) < len(into)
+        brute = {t for spokes in into.values() for t in itertools.product(spokes, repeat=m)}
+        assert eval_sentence(f, b) == len(brute)
+    assert twins >= 6 and set(sides) == {m}
 
 
 def _liberal_permuted(q, rng):
