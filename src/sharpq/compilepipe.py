@@ -1,11 +1,11 @@
 """Compilation pipeline: queries -> width-minimal counting formulas.
 
-The pipeline has two directions. Forward: a disjunction-free query becomes a
-basic counting sentence whose width matches the quantifier-aware width of its
-core (minimize_pp), and a general query becomes a sum of such sentences with
-integer coefficients (minimize_ep). Backward: any counting sentence is
-normalized into a canonical linear combination of pairs (flatten +
-canonical_lc), which is the engine behind equality-of-representations checks.
+The pipeline has two directions. Forward: a query becomes a sum of basic
+counting sentences, each as wide as the quantifier-aware width of its core
+(minimize_ep); `count` takes a union's naive cast instead when it is no wider
+(count_sentence). Backward: any counting sentence is normalized into a
+canonical linear combination of pairs (flatten + canonical_lc), which is the
+engine behind equality-of-representations checks.
 """
 
 from __future__ import annotations
@@ -378,31 +378,28 @@ def _fold_quantified(p):
 
 
 # ---------------------------------------------------------------------------
-# minimize_pp
+# The sentence `count` evaluates
 # ---------------------------------------------------------------------------
 
 
-def minimize_pp(q, *, core_cap=12, tw_cap=24):
-    """Width-minimal basic sentence for a disjunction-free query.
-
-    Pipeline: pair view -> core -> quantifier-aware decomposition of minimum
-    width -> basic sentence. Returns (sentence, width) where width is the
-    quantifier-aware width of the core; no representation of q has smaller
-    width."""
-    if _has_or(q.formula):
-        raise SharpqError("minimize_pp needs a disjunction-free query")
-    core = core_of(_fold_quantified(pp_to_pair(q)), cap=core_cap)
-    qaw, td = compute_qaw(core, cap=tw_cap)
-    return pp_to_basic_sharp(core, td), qaw
+def count_sentence(q, *, max_dnf=4096, tw_cap=24):
+    """The sentence `count` evaluates: q's table-union sentence when there is
+    one, else minimize_ep(q)'s, with q's DNF disjuncts built, folded and pruned
+    once for both. Raises CapExceeded as minimize_ep does."""
+    union, kept = _union_or_kept(q, max_dnf, tw_cap)
+    if union is not None:
+        return union
+    return _minimize_kept(kept, max_dnf=max_dnf, tw_cap=tw_cap)[0]
 
 
-def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
-    """The naive representation P L C[d1 | ... | dk; L] of q's DNF disjuncts
-    that no other disjunct contains (see _drop_contained), when they still
-    form a disjunction and its width is at most the largest quantifier-aware
-    width of their cores (as minimize_pp computes them); None when they do
-    not, when the naive cast is wider, or when a cap stops the DNF, a core
-    search or a treewidth.
+def _union_or_kept(q, max_dnf, tw_cap):
+    """(q's table-union sentence or None, q with its contained disjuncts
+    dropped); raises CapExceeded when the DNF meets max_dnf. The sentence is
+    the naive representation P L C[d1 | ... | dk; L] of the kept disjuncts
+    (see _drop_contained) when they still form a disjunction and it is no
+    wider than the largest quantifier-aware width of their cores; None when
+    they do not, when it is wider, or when a core search or a treewidth meets
+    its cap.
 
     Evaluating the naive cast takes the union of the disjuncts' answer tables
     in one pass, so counting it builds none of the 2^k - 1 inclusion-exclusion
@@ -412,26 +409,7 @@ def table_union_sentence(q, *, max_dnf=4096, core_cap=12, tw_cap=24):
     Disjuncts whose folded pairs have the same _shape are isomorphic, so
     they have the same qaw and trip the same caps: the core and the qaw are
     computed once per shape, on its first disjunct."""
-    try:
-        return _union_or_kept(q, max_dnf, tw_cap, core_cap)[0]
-    except CapExceeded:
-        return None
-
-
-def count_sentence(q, *, max_dnf=4096, tw_cap=24):
-    """The sentence `count` evaluates: table_union_sentence(q) when there is
-    one, else the sentence of minimize_ep(q), with q's DNF disjuncts built,
-    folded and pruned once for both. Raises CapExceeded as minimize_ep does."""
-    union, kept = _union_or_kept(q, max_dnf, tw_cap)
-    if union is not None:
-        return union
-    return _minimize_kept(kept, max_dnf=max_dnf, tw_cap=tw_cap)[0]
-
-
-def _union_or_kept(q, max_dnf, tw_cap, core_cap=12):
-    """(table_union_sentence(q), q with its contained disjuncts dropped);
-    raises CapExceeded when the DNF meets max_dnf."""
-    kept, pairs = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)
+    kept, pairs = _drop_contained(q, max_dnf=max_dnf)
     if not _has_or(kept.formula):
         return None, kept
     qaws = {}
@@ -439,7 +417,7 @@ def _union_or_kept(q, max_dnf, tw_cap, core_cap=12):
         for pair in pairs:
             shape = _shape(pair)
             if shape not in qaws:
-                qaws[shape] = compute_qaw(core_of(pair, cap=core_cap), cap=tw_cap)[0]
+                qaws[shape] = compute_qaw(core_of(pair), cap=tw_cap)[0]
     except CapExceeded:
         return None, kept
     naive = naive_representation(kept)
@@ -466,36 +444,7 @@ def _shape(p):
 
 
 # ---------------------------------------------------------------------------
-# cast_ep: inclusion-exclusion over the disjuncts
-# ---------------------------------------------------------------------------
-
-
-def cast_ep(q, max_dnf=4096):
-    """Rewrite the cast of a query with disjunctions into sums of casts of
-    disjunction-free formulas by inclusion-exclusion over the DNF disjuncts.
-    The result is pointwise equal to Cast(q.formula, L) and its width is no
-    larger. The 2^k - 1 terms of k disjuncts are capped by `max_dnf` too,
-    before any term is built."""
-    disjuncts = to_dnf_pp(q, max_disjuncts=max_dnf)
-    terms_needed = 2 ** len(disjuncts) - 1
-    if terms_needed > max_dnf:
-        raise CapExceeded(
-            f"inclusion-exclusion over {len(disjuncts)} disjuncts needs "
-            f"{terms_needed} > {max_dnf} terms"
-        )
-    lib = frozenset(q.liberal)
-    lib_tuple = tuple(sorted(q.liberal))
-    terms = []
-    for size in range(1, len(disjuncts) + 1):
-        for subset in itertools.combinations(range(len(disjuncts)), size):
-            sign = 1 if size % 2 == 1 else -1
-            casts = [Cast(ep=disjuncts[i].formula, liberal=lib_tuple) for i in subset]
-            terms.append(reduce(Times, casts, Expand(lib, Const(sign))))
-    return reduce(Plus, terms)
-
-
-# ---------------------------------------------------------------------------
-# flatten: cast_ep + sum lifting + constant extraction
+# flatten: inclusion-exclusion + sum lifting + constant extraction
 # ---------------------------------------------------------------------------
 
 
@@ -561,13 +510,28 @@ def flatten(f, max_dnf=4096):
 
     One fold: each cast becomes the summands of its inclusion-exclusion
     normal form, sums distribute to the top, and each summand splits into a
-    constant part E V1 P V2 n and a basic part. Width never increases."""
+    constant part E V1 P V2 n and a basic part. Width never increases. A cast
+    C[phi; L] with DNF disjuncts d1..dk has one summand per nonempty subset S,
+    smaller subsets first: (-1)^(|S|+1) times the product of the C[di; L] with
+    i in S. The 2^k - 1 summands are capped by `max_dnf` before any is built."""
     report = _require_valid(f)
 
     def cast(node, ep):
-        sig = _infer_signature(node.ep)
-        q = LiberalQuery(name="cast", formula=node.ep, liberal=node.liberal, sig=sig)
-        return _summands(cast_ep(q, max_dnf=max_dnf))
+        q = LiberalQuery("cast", node.ep, node.liberal, _infer_signature(node.ep))
+        disjuncts = to_dnf_pp(q, max_disjuncts=max_dnf)
+        terms_needed = 2 ** len(disjuncts) - 1
+        if terms_needed > max_dnf:
+            raise CapExceeded(
+                f"inclusion-exclusion over {len(disjuncts)} disjuncts needs "
+                f"{terms_needed} > {max_dnf} terms"
+            )
+        lib = frozenset(node.liberal)
+        casts = [Cast(ep=d.formula, liberal=tuple(sorted(lib))) for d in disjuncts]
+        return [
+            (1 if size % 2 else -1, 0, reduce(Times, subset), lib)
+            for size in range(1, len(casts) + 1)
+            for subset in itertools.combinations(casts, size)
+        ]
 
     # the inclusion-exclusion terms use only the variables of f
     names = _FreshNames(_sharp_variables(f))
@@ -705,8 +669,7 @@ def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
         pair = _fold_quantified(basic_sharp_to_pp(basic))
         check_core_cap(pair, core_cap)
         folded.append((coeff, pow_, pair))
-    merged = {}
-    order = []
+    merged = {}  # serialization -> [coefficient, pair], in first-seen order
     for coeff, pow_, pair in folded:
         pair = core_of(pair, cap=core_cap)
         if pow_:
@@ -720,17 +683,8 @@ def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
                 liberal=tuple(pair.liberal) + tuple(extra),
             )
         pair = _canonical_pair(pair, cap=canon_cap)
-        key = serialize_pair(pair)
-        if key in merged:
-            merged[key][0] += coeff
-        else:
-            merged[key] = [coeff, pair]
-            order.append(key)
-    entries = [
-        (coeff, pair)
-        for coeff, pair in (merged[k] for k in order)
-        if coeff != 0
-    ]
+        merged.setdefault(serialize_pair(pair), [0, pair])[0] += coeff
+    entries = [(coeff, pair) for coeff, pair in merged.values() if coeff != 0]
     entries.sort(key=lambda e: (len(e[1].liberal), _fact_count(e[1]), serialize_pair(e[1])))
     return LinearCombination(entries=tuple(entries))
 
@@ -755,13 +709,13 @@ def _read_constant(const):
 # ---------------------------------------------------------------------------
 
 
-def _seeded_structures(sig, count=20, max_size=3, seed=0):
-    """Deterministic sample structures over a signature, for representation
-    checks."""
+def _seeded_structures(sig, seed=0):
+    """20 deterministic sample structures over a signature, of 1, 2 and 3
+    elements in turn, for representation checks."""
     rng = random.Random(seed)
     out = []
-    for i in range(count):
-        size = 1 + i % max_size
+    for i in range(20):
+        size = 1 + i % 3
         universe = [f"b{j}" for j in range(size)]
         rels = {}
         for name, arity in sig.symbols:

@@ -401,16 +401,14 @@ def _td_from_order(adj, n, order, verts):
 # ---------------------------------------------------------------------------
 
 
-def make_nice(td, root=None, force_empty_root=False, forget_priority=None):
-    """Equivalent nice decomposition (same width, same graph coverage).
+def make_nice(td, quantified):
+    """Equivalent nice decomposition (same width, same graph coverage) whose
+    root bag is empty. Forget chains forget the `quantified` variables first,
+    each part in name order."""
 
-    `root` picks the node to root at; `force_empty_root` appends a forget
-    chain so the root bag is empty; `forget_priority` orders multi-variable
-    forget chains (a sort key on variables; default lexicographic).
-    """
-    if root is not None:
-        td = _reroot(td, root)
-    key = forget_priority if forget_priority is not None else lambda v: v
+    def key(v):
+        return 0 if v in quantified else 1, v
+
     kids = td.children()
     counter = itertools.count()
     nodes, parent, bags, kinds = [], {}, {}, {}
@@ -455,8 +453,7 @@ def make_nice(td, root=None, force_empty_root=False, forget_priority=None):
         top = finish(t, [chained[c] for c in kids[t]])
         if t != td.root:
             chained[t] = chain_to(top, td.bags[t], td.bags[td.parent[t]])
-    if force_empty_root:
-        top = chain_to(top, td.bags[td.root], frozenset())
+    chain_to(top, td.bags[td.root], frozenset())
     return NiceTreeDecomposition(
         nodes=tuple(nodes), parent=parent, bags=bags, kinds=kinds
     )
@@ -481,21 +478,12 @@ def _tops_and_depths(td):
     return top, depth
 
 
-def is_quantifier_aware(td, p):
-    """Check the liberal-above-quantified condition for every block.
-
-    For every block C of quantified vertices (with its adjacent liberal
-    vertices), every liberal y ∈ C must have top(y) on the path from top(x) to
-    the root for every quantified x ∈ C. Returns (True, None) or
-    (False, (x, y, C)) for the first violation.
-    """
-    g, lib = primal_graph(p), p.liberal_set
-    return _quantifier_aware(td, g, lib, _exists_components(g, lib))
-
-
 def _quantifier_aware(td, g, lib, comps):
-    """is_quantifier_aware of td for a pair with primal graph g, liberal set
-    lib and exists-components comps, checked in that order."""
+    """Is td quantifier-aware for a pair with primal graph g, liberal set lib
+    and exists-components (blocks) comps? In every block C, every liberal
+    y ∈ C must have top(y) on the path from top(x) to the root for every
+    quantified x ∈ C. Returns (True, None) or (False, (x, y, C)) for the first
+    violation, the blocks checked in order."""
     problems = validate_td(td, g)
     if problems:
         raise SharpqError(f"not a decomposition of the pair's primal graph: {problems[0]}")
@@ -625,12 +613,7 @@ def _qaw_witness(p, g, comps, winners, treewidth):
         )
         assembled = _graft(assembled, region, t_star)
 
-    quantified = set(p.struct.universe) - s
-    nice = make_nice(
-        assembled,
-        force_empty_root=True,
-        forget_priority=lambda v: (0 if v in quantified else 1, v),
-    )
+    nice = make_nice(assembled, set(p.struct.universe) - s)
     if nice.width + 1 != qaw:
         raise InternalInvariant(
             f"witness decomposition width {nice.width + 1} != computed qaw {qaw}"

@@ -220,6 +220,10 @@ class LiberalQuery(Record):
         _set(self, "sig", sig)
         _set(self, "_oracle", None)
 
+    def __reduce__(self):
+        # a copy or pickle leaves out the cached search (closures) and compiles its own
+        return LiberalQuery, self._values(self)
+
     @property
     def liberal_set(self):
         return frozenset(self.liberal)
@@ -495,13 +499,9 @@ def _parse_atom(toks, symbol, off):
     return Atom(symbol, tuple(args))
 
 
-def parse_ep_expression(text):
-    """Parse a bare ep expression (no query header); bound vars renamed apart."""
-    return _parse_ep_span(_Tokens(_strip_epq_comments(text)))
-
-
 def _parse_ep_span(toks):
-    """Parse the tokens of a bare, comment-free ep expression."""
+    """Parse the tokens of a bare, comment-free ep expression (no query
+    header, as in a `.shq` cast); bound variables are renamed apart."""
     body = _parse_expression(toks, frozenset())
     if toks.peek()[0] is not None:
         toks.error(f"trailing input after expression: {toks.peek()[1]!r}")
@@ -561,7 +561,8 @@ RENDER_STEPS = {
 
 
 def render_ep(f):
-    """Render an ep-formula as expression text; parse_ep_expression round-trips."""
+    """Render an ep-formula as expression text; a `.shq` cast or an `.epq`
+    query body parses it back."""
     return fold(f, RENDER_STEPS)
 
 
@@ -811,14 +812,10 @@ def primal_graph(p):
     return Graph(frozenset(p.struct.universe), frozenset(edges))
 
 
-def exists_components(p):
-    """Vertex sets: each connected block of quantified vertices plus the
-    liberal vertices adjacent to it."""
-    return _exists_components(primal_graph(p), p.liberal_set)
-
-
 def _exists_components(g, lib):
-    """exists_components of a pair with primal graph g and liberal set lib."""
+    """The exists-components of a pair with primal graph g and liberal set
+    lib, as vertex sets: each connected block of quantified vertices plus the
+    liberal vertices adjacent to it."""
     out = []
     for comp in g.without_vertices(lib).connected_components():
         adjacent = set()
@@ -828,16 +825,10 @@ def _exists_components(g, lib):
     return out
 
 
-def contract_graph(p):
-    """Graph on the liberal vertices: liberal-liberal primal edges plus a
-    clique over each exists-component's liberal part."""
-    g, lib = primal_graph(p), p.liberal_set
-    return _contract_graph(g, lib, _exists_components(g, lib))
-
-
 def _contract_graph(g, lib, comps):
-    """contract_graph of a pair with primal graph g, liberal set lib and
-    exists-components comps."""
+    """The contract graph of a pair with primal graph g, liberal set lib and
+    exists-components comps: on the liberal vertices, the liberal-liberal
+    primal edges plus a clique over each component's liberal part."""
     result = g.induced(lib)
     for comp in comps:
         result = result.with_clique(sorted(comp & lib))

@@ -269,12 +269,12 @@ def brute_treewidth(g):
 def brute_qaw(p):
     """Independent qaw oracle: min over elimination orders in which each
     block's quantified vertices all precede its liberal vertices (|A| <= 6)."""
-    from sharpq.epquery import exists_components, primal_graph
+    from sharpq.epquery import _exists_components, primal_graph
 
     g = primal_graph(p)
     verts = sorted(g.vertices)
     lib = p.liberal_set
-    blocks = [(sorted(c - lib), sorted(c & lib)) for c in exists_components(p)]
+    blocks = [(sorted(c - lib), sorted(c & lib)) for c in _exists_components(g, lib)]
     adjacency = {v: set(g.neighbors(v)) for v in verts}
     best = None
     for order in itertools.permutations(verts):

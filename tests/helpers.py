@@ -21,8 +21,9 @@ from sharpq.epquery import (
     PpPair,
     Top,
     _check_signature,
+    _contract_graph,
+    _exists_components,
     _infer_signature,
-    contract_graph,
     oracle_count,
     pair_to_pp,
     pp_to_pair,
@@ -67,8 +68,9 @@ def validate_nice(ntd, g):
 
 def qaw_bounds(p, cap=24):
     """(max(tw, tw(contract))+1, tw + tw(contract) + 1) sandwich for qaw."""
-    tw_primal, _ = exact_treewidth(primal_graph(p), cap)
-    tw_contract, _ = exact_treewidth(contract_graph(p), cap)
+    g, lib = primal_graph(p), p.liberal_set
+    tw_primal, _ = exact_treewidth(g, cap)
+    tw_contract, _ = exact_treewidth(_contract_graph(g, lib, _exists_components(g, lib)), cap)
     return max(tw_primal, tw_contract) + 1, tw_primal + tw_contract + 1
 
 

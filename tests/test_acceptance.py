@@ -23,13 +23,13 @@ from sharpq.compilepipe import (
     compile_flat,
     flatten,
     minimize_ep,
-    minimize_pp,
     pp_to_basic_sharp,
 )
 from sharpq.decomp import compute_qaw, exact_treewidth
 from sharpq.epquery import (
     PpPair,
-    contract_graph,
+    _contract_graph,
+    _exists_components,
     oracle_count,
     pair_to_pp,
     parse_query,
@@ -122,7 +122,7 @@ def test_worked_examples_match_known_values():
     # The three-block query minimizes to width 4; its primal graph has exact
     # treewidth 3, and qaw >= treewidth + 1 confirms 4 is minimal.
     block = three_block_pair()
-    _, w = minimize_pp(pair_to_pp(block))
+    _, w = minimize_ep(pair_to_pp(block))
     tw, _ = exact_treewidth(primal_graph(block))
     assert (tw, w) == (3, 4)
 
@@ -152,8 +152,9 @@ def test_qaw_between_treewidth_bounds():
     for _ in range(200):
         p = random_pp_pair(rng)
         qaw, _ = compute_qaw(p)
-        tw, _ = exact_treewidth(primal_graph(p))
-        twc, _ = exact_treewidth(contract_graph(p))
+        g, lib = primal_graph(p), p.liberal_set
+        tw, _ = exact_treewidth(g)
+        twc, _ = exact_treewidth(_contract_graph(g, lib, _exists_components(g, lib)))
         assert max(tw, twc) + 1 <= qaw <= tw + twc + 1
     print(
         "PASS: 200 random pp-queries, "
@@ -330,7 +331,7 @@ def test_minimized_width_is_exhaustively_minimal_on_micro_instances():
                     SIG_E, names, {"E": tuples} if tuples else {}
                 )
                 pair = PpPair(struct=struct, liberal=lib)
-                _, reported = minimize_pp(pair_to_pp(pair))
+                _, reported = minimize_ep(pair_to_pp(pair))
                 best = min(brute_qaw(c) for c in _endo_image_cores(pair))
                 checked += 1
                 if reported != best:

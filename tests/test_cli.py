@@ -20,9 +20,9 @@ from sharpq.cli import main
 from sharpq.compilepipe import (
     _seeded_structures,
     _summands,
+    _union_or_kept,
     basic_sharp_to_pp,
     minimize_ep,
-    table_union_sentence,
 )
 from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
 from sharpq.errors import CapExceeded
@@ -759,7 +759,7 @@ def test_count_drops_a_contained_disjunct_before_the_table_union_guard(
     )
     q = parse_query(text)
     assert width(naive_representation(q)) == 3 and minimize_ep(q)[1] == 2
-    assert table_union_sentence(q) is None
+    assert _union_or_kept(q, 4096, 24)[0] is None
     widths = []
 
     def spy(sentence, b, **kwargs):

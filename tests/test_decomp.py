@@ -13,10 +13,11 @@ from sharpq.decomp import (
     _adjacency,
     _block_anchors,
     _minor_min_width,
+    _quantifier_aware,
     _qaw_witness,
+    _reroot,
     compute_qaw,
     exact_treewidth,
-    is_quantifier_aware,
     make_nice,
     serialize_td,
     validate_td,
@@ -24,7 +25,7 @@ from sharpq.decomp import (
 from sharpq.epquery import (
     Graph,
     PpPair,
-    exists_components,
+    _exists_components,
     parse_query,
     pp_to_pair,
     primal_graph,
@@ -370,8 +371,9 @@ def test_a_parent_outside_the_decomposition_is_refused_as_a_decomposition():
     p = pp_to_pair(parse_query("query q(x): exists y . E(x,y)"))
     td = _td({0: None, 1: 7}, {0: "", 1: "xy"})
     message = "node 1 has parent 7 outside the decomposition"
+    g = primal_graph(p)
     with pytest.raises(SharpqError, match=message):
-        is_quantifier_aware(td, p)
+        _quantifier_aware(td, g, p.liberal_set, _exists_components(g, p.liberal_set))
     with pytest.raises(SharpqError, match=message):
         pp_to_basic_sharp(p, td)
 
@@ -383,35 +385,41 @@ def test_make_nice_on_random_graphs(rng):
     for _ in range(100):
         g = random_graph(rng, max_vertices=8)
         w, td = exact_treewidth(g)
-        nice = make_nice(td)
+        nice = make_nice(td, frozenset())
         assert isinstance(nice, NiceTreeDecomposition)
         assert validate_nice(nice, g) == []
         assert nice.width == w
 
 
-def test_make_nice_force_empty_root(rng):
+def test_make_nice_empties_the_root_and_forgets_quantified_variables_first(rng):
     for _ in range(30):
         g = random_graph(rng, max_vertices=7, min_vertices=1)
         w, td = exact_treewidth(g)
-        nice = make_nice(td, force_empty_root=True)
+        quantified = frozenset(v for v in g.vertices if rng.random() < 0.5)
+        nice = make_nice(td, quantified)
         assert nice.bags[nice.root] == frozenset()
         assert validate_nice(nice, g) == []
         assert nice.width == w
-
-
-def test_make_nice_respects_chosen_root():
-    g = _graph([("a", "b"), ("b", "c"), ("c", "d")])
-    _, td = exact_treewidth(g)
-    for t in td.nodes:
-        nice = make_nice(td, root=t)
-        assert nice.bags[nice.root] == td.bags[t]
-        assert validate_nice(nice, g) == []
+    # one bag: its forget chain up to the empty root, bottom to top, forgets
+    # the quantified variables first, each part in name order
+    td = _td({0: None}, {0: "dbca"})
+    for quantified in ("", "c", "bd", "abcd"):
+        nice = make_nice(td, frozenset(quantified))
+        kids = nice.children()
+        forgotten, t = [], nice.root
+        while nice.kinds[t] == "forget":
+            (child,) = kids[t]
+            forgotten += nice.bags[child] - nice.bags[t]
+            t = child
+        assert forgotten[::-1] == [v for v in "abcd" if v in quantified] + [
+            v for v in "abcd" if v not in quantified
+        ]
 
 
 def test_make_nice_kinds_partition_the_tree():
     g = _cycle(5)
     w, td = exact_treewidth(g)
-    nice = make_nice(td, force_empty_root=True)
+    nice = make_nice(td, frozenset())
     kids = nice.children()
     leaves = [t for t in nice.nodes if not kids[t]]
     assert all(nice.kinds[t] == "leaf" for t in leaves)
@@ -432,7 +440,8 @@ def test_single_bag_decomposition_is_quantifier_aware():
     td = TreeDecomposition(
         nodes=(0,), parent={0: None}, bags={0: frozenset({"x1", "x2", "z"})}
     )
-    ok, violation = is_quantifier_aware(td, p)
+    g = primal_graph(p)
+    ok, violation = _quantifier_aware(td, g, p.liberal_set, _exists_components(g, p.liberal_set))
     assert ok and violation is None
 
 
@@ -443,7 +452,8 @@ def test_path_decomposition_rooted_at_one_end_is_not_quantifier_aware():
         parent={0: None, 1: 0},
         bags={0: frozenset({"x1", "z"}), 1: frozenset({"z", "x2"})},
     )
-    ok, violation = is_quantifier_aware(td, p)
+    g = primal_graph(p)
+    ok, violation = _quantifier_aware(td, g, p.liberal_set, _exists_components(g, p.liberal_set))
     assert not ok
     x, y, comp = violation
     assert (x, y) == ("z", "x2")
@@ -453,17 +463,20 @@ def test_path_decomposition_rooted_at_one_end_is_not_quantifier_aware():
 def test_quantifier_free_decompositions_are_always_aware(rng):
     q = parse_query("query q(x,y,z): E(x,y) & E(y,z) & E(z,x)")
     p = pp_to_pair(q)
-    _, td = exact_treewidth(primal_graph(p))
+    g = primal_graph(p)
+    assert _exists_components(g, p.liberal_set) == []
+    _, td = exact_treewidth(g)
     for t in td.nodes:
-        ok, _ = is_quantifier_aware(make_nice(td, root=t), p)
+        ok, _ = _quantifier_aware(make_nice(_reroot(td, t), frozenset()), g, p.liberal_set, [])
         assert ok
 
 
 def test_quantifier_awareness_requires_a_valid_decomposition():
     p = star_pair(2)
     td = TreeDecomposition(nodes=(0,), parent={0: None}, bags={0: frozenset({"z"})})
+    g = primal_graph(p)
     with pytest.raises(SharpqError, match="primal"):
-        is_quantifier_aware(td, p)
+        _quantifier_aware(td, g, p.liberal_set, _exists_components(g, p.liberal_set))
 
 
 # --- quantifier-aware width ---------------------------------------------------
@@ -474,10 +487,11 @@ def test_qaw_of_stars_is_number_of_spokes_plus_one():
         p = star_pair(n)
         qaw, nice = compute_qaw(p)
         assert qaw == n + 1
-        tw, _ = exact_treewidth(primal_graph(p))
+        g = primal_graph(p)
+        tw, _ = exact_treewidth(g)
         assert tw == 1  # the primal graph alone is a tree
-        assert validate_nice(nice, primal_graph(p)) == []
-        ok, _ = is_quantifier_aware(nice, p)
+        assert validate_nice(nice, g) == []
+        ok, _ = _quantifier_aware(nice, g, p.liberal_set, _exists_components(g, p.liberal_set))
         assert ok
         assert nice.bags[nice.root] == frozenset()
 
@@ -503,7 +517,8 @@ def test_qaw_of_quantifier_free_pair_is_treewidth_plus_one():
     p = pp_to_pair(q)
     qaw, nice = compute_qaw(p)
     assert qaw == 3  # 4-cycle has treewidth 2
-    ok, _ = is_quantifier_aware(nice, p)
+    g = primal_graph(p)
+    ok, _ = _quantifier_aware(nice, g, p.liberal_set, _exists_components(g, p.liberal_set))
     assert ok
 
 
@@ -511,8 +526,9 @@ def test_qaw_of_three_block_pair():
     p = three_block_pair()
     qaw, nice = compute_qaw(p)
     assert qaw == 4
-    assert validate_nice(nice, primal_graph(p)) == []
-    ok, _ = is_quantifier_aware(nice, p)
+    g = primal_graph(p)
+    assert validate_nice(nice, g) == []
+    ok, _ = _quantifier_aware(nice, g, p.liberal_set, _exists_components(g, p.liberal_set))
     assert ok
 
 
@@ -549,8 +565,10 @@ def test_qaw_witness_invariants_on_random_pairs(rng):
     for _ in range(40):
         p = random_pp_pair(rng, max_vars=7, max_atoms=6)
         qaw, nice = compute_qaw(p)
-        assert validate_nice(nice, primal_graph(p)) == []
-        ok, violation = is_quantifier_aware(nice, p)
+        g = primal_graph(p)
+        assert validate_nice(nice, g) == []
+        comps = _exists_components(g, p.liberal_set)
+        ok, violation = _quantifier_aware(nice, g, p.liberal_set, comps)
         assert ok, violation
         assert nice.width + 1 == qaw
         lo, hi = qaw_bounds(p)
@@ -558,12 +576,10 @@ def test_qaw_witness_invariants_on_random_pairs(rng):
 
 
 def test_qaw_exceeds_primal_treewidth_when_blocks_exist(rng):
-    from sharpq.epquery import exists_components
-
     seen = 0
     for _ in range(40):
         p = random_pp_pair(rng, max_vars=6, max_atoms=5)
-        if not exists_components(p):
+        if not _exists_components(primal_graph(p), p.liberal_set):
             continue
         qaw, _ = compute_qaw(p)
         tw, _ = exact_treewidth(primal_graph(p))
@@ -593,7 +609,7 @@ def _qaw_trying_every_anchor(p, cap=24):
     solved, without the memo."""
     g = primal_graph(p)
     s = p.liberal_set
-    comps = sorted(exists_components(p), key=lambda c: sorted(c))
+    comps = sorted(_exists_components(primal_graph(p), p.liberal_set), key=lambda c: sorted(c))
     winners = {}
     for comp in comps:
         base = g
@@ -625,7 +641,7 @@ def _grid_pair(rows, cols):
 def _assert_same_as_every_anchor(p):
     qaw, nice = compute_qaw(p)
     ref_qaw, ref_winners, ref_nice = _qaw_trying_every_anchor(p)
-    comps = sorted(exists_components(p), key=lambda c: sorted(c))
+    comps = sorted(_exists_components(primal_graph(p), p.liberal_set), key=lambda c: sorted(c))
     winners = _block_anchors(
         primal_graph(p), p.liberal_set, comps, lambda graph: exact_treewidth(graph)
     )
@@ -645,7 +661,7 @@ def test_anchor_stop_rule_matches_every_anchor_on_grids(rows, cols):
 def test_anchor_loop_solves_one_anchor_graph_on_the_3x5_grid(monkeypatch):
     p = _grid_pair(3, 5)
     g = primal_graph(p)
-    (comp,) = exists_components(p)
+    (comp,) = _exists_components(primal_graph(p), p.liberal_set)
     boundary = sorted(comp & p.liberal_set)
     solved = []
 
@@ -682,7 +698,7 @@ def test_anchor_stop_rule_matches_every_anchor_on_random_pairs():
     checked = several_anchors = 0
     for i in range(400):
         p = random_pp_pair(rng, max_vars=8, max_atoms=8) if i % 2 else _random_graph_pair(rng)
-        comps = exists_components(p)
+        comps = _exists_components(primal_graph(p), p.liberal_set)
         if comps:
             _assert_same_as_every_anchor(p)
             checked += 1

@@ -17,8 +17,8 @@ from sharpq.epquery import (
     Or,
     PpPair,
     Top,
-    contract_graph,
-    exists_components,
+    _contract_graph,
+    _exists_components,
     free_variables,
     oracle_count,
     pair_to_pp,
@@ -857,7 +857,7 @@ def test_component_counts_multiply():
 
 def test_exists_components_fixed():
     p = pp_to_pair(parse_query(MIXED))
-    assert exists_components(p) == [frozenset({"w", "y"})]
+    assert _exists_components(primal_graph(p), p.liberal_set) == [frozenset({"w", "y"})]
 
 
 def _star_query(n):
@@ -868,14 +868,16 @@ def _star_query(n):
 
 def test_star_has_one_exists_component_and_clique_contract():
     p = pp_to_pair(_star_query(3))
-    assert exists_components(p) == [frozenset({"z", "x1", "x2", "x3"})]
+    primal, lib = primal_graph(p), p.liberal_set
+    comps = _exists_components(primal, lib)
+    assert comps == [frozenset({"z", "x1", "x2", "x3"})]
     # primal graph is a tree, yet the contract graph is a triangle
-    assert primal_graph(p).edges == {
+    assert primal.edges == {
         frozenset({"z", "x1"}),
         frozenset({"z", "x2"}),
         frozenset({"z", "x3"}),
     }
-    g = contract_graph(p)
+    g = _contract_graph(primal, lib, comps)
     assert g.vertices == frozenset({"x1", "x2", "x3"})
     assert len(g.edges) == 3
 
@@ -888,7 +890,8 @@ def test_contract_graph_of_three_overlapping_blocks():
         "(exists z0 . T0(x0,x1,y0,z0)) & (exists z1 . T1(x1,x2,y1,z1)) "
         "& (exists z2 . T2(x2,x0,y2,z2))"
     )
-    g = contract_graph(pp_to_pair(q))
+    primal, lib = primal_graph(pp_to_pair(q)), frozenset(q.liberal)
+    g = _contract_graph(primal, lib, _exists_components(primal, lib))
     assert g.vertices == frozenset({"x0", "x1", "x2", "y0", "y1", "y2"})
     triangles = [("x0", "x1", "y0"), ("x1", "x2", "y1"), ("x2", "x0", "y2")]
     want = set()
@@ -900,8 +903,9 @@ def test_contract_graph_of_three_overlapping_blocks():
 
 def test_contract_without_quantifiers_is_liberal_primal():
     q = parse_query("query q(x,y,z): E(x,y) & F(y,z)")
-    p = pp_to_pair(q)
-    assert contract_graph(p).edges == primal_graph(p).edges
+    primal, lib = primal_graph(pp_to_pair(q)), frozenset(q.liberal)
+    assert _exists_components(primal, lib) == []
+    assert _contract_graph(primal, lib, []).edges == primal.edges
 
 
 def test_strip_nonliberal_components():

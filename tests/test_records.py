@@ -240,6 +240,16 @@ def test_the_oracle_cache_of_a_query_is_neither_compared_nor_shown():
         LiberalQuery("u", Top(), (), SIG, None)
 
 
+def test_a_query_copies_and_pickles_after_the_oracle_has_run():
+    q = LiberalQuery("u", Exists("y", Atom("E", ("x", "y"))), ("x",), SIG)
+    b = _struct()
+    assert oracle_count(q, b) == 1
+    for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert type(twin) is LiberalQuery and twin == q
+        assert twin._oracle is None
+        assert oracle_count(twin, b) == 1 and twin._oracle is not q._oracle
+
+
 def test_starting_sharpq_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys, sharpq.cli; "

@@ -19,7 +19,6 @@ from sharpq.epquery import (
     Or,
     fold,
     oracle_count,
-    parse_ep_expression,
     parse_query,
     render_ep,
     serialize_query,
@@ -63,7 +62,7 @@ from tests.helpers import evaluate
 def test_parse_projection_of_cast():
     f = parse_sharp("P{y} C[E(x,y); {x,y}]")
     assert f == Project(
-        frozenset({"y"}), Cast(ep=parse_ep_expression("E(x,y)"), liberal=("x", "y"))
+        frozenset({"y"}), Cast(ep=Atom("E", ("x", "y")), liberal=("x", "y"))
     )
     report = validate(f)
     assert (report.free, report.closed) == ({"x"}, {"y"})
@@ -84,8 +83,8 @@ def test_parse_sum_closing_same_variable_is_fine():
 
 def test_product_closing_same_variable_is_violation():
     f = Times(
-        Project(frozenset({"y"}), Cast(parse_ep_expression("E(x,y)"), ("x", "y"))),
-        Project(frozenset({"y"}), Cast(parse_ep_expression("F(x,y)"), ("x", "y"))),
+        Project(frozenset({"y"}), Cast(Atom("E", ("x", "y")), ("x", "y"))),
+        Project(frozenset({"y"}), Cast(Atom("F", ("x", "y")), ("x", "y"))),
     )
     report = validate(f)
     assert not report.ok
@@ -94,14 +93,14 @@ def test_product_closing_same_variable_is_violation():
 
 
 def test_product_free_mismatch_is_violation():
-    f = Times(Cast(parse_ep_expression("E(x,y)"), ("x", "y")), Const(3))
+    f = Times(Cast(Atom("E", ("x", "y")), ("x", "y")), Const(3))
     report = validate(f)
     assert not report.ok
     assert "equal free sets" in report.violations[0].message
 
 
 def test_violations_are_reported_bottom_up():
-    f = Times(Cast(parse_ep_expression("E(x,y)"), ("x",)), Const(3))
+    f = Times(Cast(Atom("E", ("x", "y")), ("x",)), Const(3))
     report = validate(f)
     assert report.violations[0].path == "root.left"
     assert "liberal set" in report.violations[0].message
@@ -110,7 +109,7 @@ def test_violations_are_reported_bottom_up():
 def test_projection_of_closed_variable_is_violation():
     f = Project(
         frozenset({"y"}),
-        Project(frozenset({"y"}), Cast(parse_ep_expression("E(x,y)"), ("x", "y"))),
+        Project(frozenset({"y"}), Cast(Atom("E", ("x", "y")), ("x", "y"))),
     )
     report = validate(f)
     assert not report.ok
@@ -118,11 +117,11 @@ def test_projection_of_closed_variable_is_violation():
 
 
 def test_expand_must_be_fresh():
-    f = Expand(frozenset({"x"}), Cast(parse_ep_expression("E(x,y)"), ("x", "y")))
+    f = Expand(frozenset({"x"}), Cast(Atom("E", ("x", "y")), ("x", "y")))
     assert "fresh" in validate(f).violations[0].message
     g = Expand(
         frozenset({"y"}),
-        Project(frozenset({"y"}), Cast(parse_ep_expression("E(x,y)"), ("x", "y"))),
+        Project(frozenset({"y"}), Cast(Atom("E", ("x", "y")), ("x", "y"))),
     )
     assert "fresh" in validate(g).violations[0].message
 
@@ -130,13 +129,13 @@ def test_expand_must_be_fresh():
 def test_parse_negative_constant():
     assert parse_sharp("-3") == Const(-3)
     assert parse_sharp("(C[true; {}] * -1)") == Times(
-        Cast(parse_ep_expression("true"), ()), Const(-1)
+        Cast(TOP, ()), Const(-1)
     )
 
 
 def test_parse_empty_varset():
     f = parse_sharp("P{} C[true; {}]")
-    assert f == Project(frozenset(), Cast(parse_ep_expression("true"), ()))
+    assert f == Project(frozenset(), Cast(TOP, ()))
 
 
 def test_parse_allows_whitespace_inside_an_opener():
@@ -191,7 +190,7 @@ def _random_sharp(rng, depth=3):
         for _ in range(rng.randint(1, 2)):
             sym = rng.choice(["E", "F"])
             atoms.append(f"{sym}({rng.choice(lib)},{rng.choice(lib)})")
-        return Cast(parse_ep_expression(" & ".join(atoms)), tuple(lib))
+        return parse_sharp(f"C[{' & '.join(atoms)}; {{{','.join(lib)}}}]")
 
     def gen(d):
         roll = rng.random()
@@ -254,7 +253,7 @@ def _three_block_formula():
     casts = []
     for i in range(3):
         j = (i + 1) % 3
-        ep = parse_ep_expression(f"exists z{i} . T{i}(x{i},x{j},y{i},z{i})")
+        ep = Exists(f"z{i}", Atom(f"T{i}", (f"x{i}", f"x{j}", f"y{i}", f"z{i}")))
         casts.append(
             Project(
                 frozenset({f"y{i}"}),
@@ -283,7 +282,7 @@ def test_const_width_zero():
 def test_width_counts_ep_subformulas():
     # the cast's liberal set has one variable, but the atom under the
     # quantifier mentions two
-    f = Cast(parse_ep_expression("exists y . E(x,y)"), ("x",))
+    f = Cast(Exists("y", Atom("E", ("x", "y"))), ("x",))
     assert width(f) == 2
     assert sharp_width(f) == 1
 
@@ -423,7 +422,7 @@ def test_deep_formulas_compare_hash_and_print_through_their_text(monkeypatch):
     deep_and = functools.reduce(And, [Atom(f"A{i % 7}", ("x",)) for i in range(5000)])
     for f, text, parse in (
         (deep_plus, serialize_sharp, parse_sharp),
-        (deep_and, render_ep, parse_ep_expression),
+        (deep_and, render_ep, lambda text: parse_query(f"query q(x): {text}").formula),
     ):
         g = parse(text(f))
         assert g is not f and g == f and not g != f
@@ -482,7 +481,7 @@ def test_eval_requires_sentence():
 
 
 def test_eval_rejects_invalid_formula():
-    f = Times(Cast(parse_ep_expression("E(x,y)"), ("x", "y")), Const(3))
+    f = Times(Cast(Atom("E", ("x", "y")), ("x", "y")), Const(3))
     with pytest.raises(SharpqError, match="invalid"):
         evaluate(f, triangle_structure())
 
@@ -513,7 +512,7 @@ def test_eval_table_guard():
 def test_eval_cast_keeps_padding_implicit():
     # the extension over liberal variables beyond free(ep) must not blow up
     # the stored table
-    ep = parse_ep_expression("E(x,y)")
+    ep = Atom("E", ("x", "y"))
     f = Cast(ep, ("x", "y", "u1", "u2", "u3"))
     b = triangle_structure()
     stats = {}
