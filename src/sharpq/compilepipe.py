@@ -684,9 +684,9 @@ def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
             )
         pair = _canonical_pair(pair, cap=canon_cap)
         merged.setdefault(serialize_pair(pair), [0, pair])[0] += coeff
-    entries = [(coeff, pair) for coeff, pair in merged.values() if coeff != 0]
-    entries.sort(key=lambda e: (len(e[1].liberal), _fact_count(e[1]), serialize_pair(e[1])))
-    return LinearCombination(entries=tuple(entries))
+    kept = [(text, pair, coeff) for text, (coeff, pair) in merged.items() if coeff != 0]
+    kept.sort(key=lambda e: (len(e[1].liberal), _fact_count(e[1]), e[0]))
+    return LinearCombination(entries=tuple((coeff, pair) for _, pair, coeff in kept))
 
 
 def _read_constant(const):

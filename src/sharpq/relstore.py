@@ -191,7 +191,8 @@ class Structure(Frozen):
         return mine == (other.sig, other.universe, other.relations)
 
     def __hash__(self):
-        return hash((self.sig, self.universe, serialize_structure(self)))
+        # what __eq__ compares; a frozenset of facts keeps its hash once made
+        return hash((self.sig, self.universe, frozenset(self.relations.items())))
 
     def __repr__(self):
         return (

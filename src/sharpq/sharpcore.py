@@ -12,11 +12,14 @@ is (); _row_of builds a row from another, _combine one from two parts. A
 table is a _Facts (an atom over a whole relation, read as its argument
 columns) or a _Rows (built rows, for a counting table a dict of nonzero
 values, or a held product join); both answer len, pick (the entries at given
-positions), distinct (each row once), grouped and sides, so nothing else
-asks which one it has, and built rows are never mutated. And and Times run one join:
-a semijoin (one side contributes no column) keeps the other side's parts
-whose key the first side holds, filtered in C; any other join groups each
-side by the shared key and emits, per common key, the product of the two
+positions), distinct (each row once), grouped, sides and semijoin, so
+nothing else asks which one it has, and built rows are never mutated. And
+and Times run one join: a semijoin (one side contributes no column) keeps
+the other side's parts whose key the first side holds, filtered in C, or,
+in one evaluation, the rows a relation gave last at the same positions for
+an equal key set (a chain at its fixpoint filters no more; built rows are
+never mutated, so sharing them is safe); any other join groups each side
+by the shared key and emits, per common key, the product of the two
 groups, a counting row valued by the product of its two rows' values.
 Binders are projected inside the join that consumes them, and a relation's
 grouping is shared by one evaluation's atoms, casts and terms. A product
@@ -494,6 +497,11 @@ def _join_plan(ex1, ex2, drop):
     return own1 + own2, at1, at2, _combine(len(own1), len(own2)), handoff
 
 
+def _semijoin(t, at, keys):
+    """Table t's parts at at[1] whose key at at[0] is in `keys`, filtered in C."""
+    return set(compress(t.pick(at[1]), map(keys.__contains__, t.pick(at[0]))))
+
+
 def _group(keys, parts):
     """{key: set of parts} over two parallel iterables, one Python step per
     pair."""
@@ -506,14 +514,14 @@ def _group(keys, parts):
 class _Facts:
     """The table of an atom over a relation, read as its argument columns
     (Structure.columns). One is made per relation per evaluation and keeps
-    the relation's groupings by their (key, part) positions, so the atoms,
-    casts and terms of that evaluation share them."""
+    the relation's groupings and last semijoins by their (key, part)
+    positions, so the atoms, casts and terms of that evaluation share them."""
 
-    __slots__ = ("b", "name", "columns", "groups")
+    __slots__ = ("b", "name", "columns", "groups", "held")
 
     def __init__(self, b, name):
         self.b, self.name, self.columns = b, name, b.columns(name)
-        self.groups = {}
+        self.groups, self.held = {}, {}
 
     def __len__(self):
         return len(self.columns[0])
@@ -544,6 +552,14 @@ class _Facts:
 
     def sides(self, at):
         return [(self.grouped(at), len(at[1]))]
+
+    def semijoin(self, at, keys):
+        """_semijoin, or the rows of the last one at `at` if its keys equal these."""
+        last, rows = self.held.get(at, (None, None))
+        if not (last is keys or last == keys):
+            rows = _semijoin(self, at, keys)
+        self.held[at] = keys, rows
+        return rows
 
 
 class _Rows:
@@ -609,6 +625,8 @@ class _Rows:
                 groups = {k: set(map(part, groups[k])) for k in self.keys}
             sides.append((groups, len(sub)))
         return sides
+
+    semijoin = _semijoin  # built rows are filtered by one semijoin each
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +708,7 @@ class _Evaluator:
                 values[-1] = step(values[-1])
             else:
                 put(step())
+        self._facts = None  # drops the relations' groupings and held semijoins
         return columns, values[0]
 
     def _make_plan(self, f):
@@ -816,9 +835,8 @@ class _Evaluator:
                 rows = set() if values is None else {}
             elif not part2:
                 if values is None:
-                    # side 1's parts whose key side 2 holds, filtered in C
-                    keys = t2.keyset(key2)
-                    rows = set(compress(t1.pick(part1), map(keys.__contains__, t1.pick(key1))))
+                    # side 1's parts whose key side 2 holds
+                    rows = t1.semijoin(at1, t2.keyset(key2))
                 else:
                     of = dict(zip(t2.pick(key2), t2.values()))
                     rows = {

@@ -975,6 +975,25 @@ def test_canonical_lc_merges_counting_equivalent_terms():
     assert lc.entries[0][0] == 2
 
 
+def test_canonical_lc_serializes_each_term_once(monkeypatch):
+    # a term's merge key is also its sort key: the 8-atom unary union's 255
+    # terms, none of which merge, are serialized 255 times, and the entries
+    # stay in (liberal count, fact count, text) order
+    q = parse_query("query u(x): " + " | ".join(f"A{i}(x)" for i in range(8)))
+    fs = flatten(naive_representation(q))
+    serialize, texts = compilepipe.serialize_pair, []
+
+    def spy(pair):
+        texts.append(serialize(pair))
+        return texts[-1]
+
+    monkeypatch.setattr(compilepipe, "serialize_pair", spy)
+    lc = canonical_lc(fs)
+    assert len(fs.terms) == len(lc.entries) == len(texts) == 255
+    keys = [(len(p.liberal), compilepipe._fact_count(p), serialize(p)) for _, p in lc.entries]
+    assert keys == sorted(keys)
+
+
 def test_canonical_lc_drops_cancelled_terms():
     f = parse_sharp("P{x} C[U(x); {x}]")
     g = Plus(f, Times(Const(-1), parse_sharp("P{w} C[U(w); {w}]")))

@@ -493,6 +493,25 @@ def test_canonical_text_never_reaches_the_line_loop(monkeypatch, rng):
         assert parse_structure(serialize_structure(b)) == b
 
 
+def test_a_structure_hashes_what_it_compares_without_rendering_it(monkeypatch):
+    # the same facts built from tuples and scanned from text, hashed before
+    # the scanned one derives its tuple sets, compare and hash equal; no
+    # hash renders fact text (check_represents dedups its samples by hash)
+    rng = random.Random(20261020)
+    sig = Signature((("E", 2), ("U", 1)))
+    built = [random_structure(rng, sig, max_size=4, density=0.4) for _ in range(40)]
+    texts = [serialize_structure(b) for b in built]
+
+    def rendered(s):
+        raise AssertionError("a hash rendered a structure's text")
+
+    monkeypatch.setattr(relstore, "serialize_structure", rendered)
+    for b, text in zip(built, texts):
+        scanned = relstore._scan_canonical(text)
+        assert hash(scanned) == hash(b) and scanned == b, text
+        assert len({b, scanned, make_structure(sig, b.universe, b.relations)}) == 1
+
+
 def test_roundtrip_fixed():
     s = path_structure(2)
     assert parse_structure(serialize_structure(s)) == s

@@ -10,7 +10,7 @@ from collections import defaultdict
 import pytest
 
 from sharpq import epquery, relstore, sharpcore
-from sharpq.compilepipe import _seeded_structures, flatten, minimize_ep
+from sharpq.compilepipe import _seeded_structures, compile_flat, flatten, minimize_ep
 from sharpq.epquery import (
     TOP,
     And,
@@ -755,6 +755,96 @@ def test_one_evaluator_over_many_structures_and_two_formulas_matches_fresh_ones(
                 assert (got, stats["peak_rows"]) == (want, fresh["peak_rows"]), serialize_sharp(f)
                 refused += str(want).startswith("refused")
     assert refused > 50
+
+
+# ---------------------------------------------------------------------------
+# semijoin chains: a repeated key set reuses the rows it filtered
+# ---------------------------------------------------------------------------
+
+
+def _chain_query(symbols):
+    """The walks that spell `symbols`, one edge each, from the liberal x0."""
+    xs = [f"x{i}" for i in range(len(symbols) + 1)]
+    body = " & ".join(f"{s}({xs[i]},{xs[i + 1]})" for i, s in enumerate(symbols))
+    return parse_query(f"query q(x0): {''.join(f'exists {x} . ' for x in xs[1:])}{body}")
+
+
+def _chain_sentence(q):
+    # the sentence `count` evaluates for a long path, whose core search is
+    # refused: each level a semijoin of one relation with the level below
+    return compile_flat(flatten(naive_representation(q)))[0]
+
+
+def _graph(sig, facts):
+    universe = sorted({e for tuples in facts.values() for t in tuples for e in t})
+    return make_structure(sig, universe, facts)
+
+
+def _spy_on_filter_passes(monkeypatch):
+    """The sizes of the key sets a relation is filtered by, in turn."""
+    passes = []
+    filtered = sharpcore._semijoin
+
+    def spy(t, at, keys):
+        passes.append(len(keys))
+        return filtered(t, at, keys)
+
+    monkeypatch.setattr(sharpcore, "_semijoin", spy)
+    return passes
+
+
+def test_a_semijoin_chain_at_its_fixpoint_filters_the_relation_a_few_times(monkeypatch):
+    # walks of 40 edges on a 3-cycle with a tail: the walk starts fall from
+    # 5 vertices to 3 in two levels and then stay, so the 39 semijoins
+    # filter E three times
+    q = _chain_query("E" * 40)
+    b = _graph(q.sig, {"E": {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)}})
+    sentence = _chain_sentence(q)
+    passes = _spy_on_filter_passes(monkeypatch)
+    assert eval_sentence(sentence, b) == 3 == oracle_count(q, b, max_enum=6**41)
+    assert passes == [5, 4, 3]
+
+
+@pytest.mark.parametrize(
+    "symbols, facts, passes",
+    [
+        # E keeps its sources' key set {0, 1} while F shrinks it to {0}: rows
+        # held for E and handed to F would count 2 starts, not 0; the chain
+        # is empty after 4 filters
+        ("EF" * 6, {"E": {(0, 0), (1, 1)}, "F": {(0, 1), (1, 2)}}, 4),
+        # a DAG whose walk starts lose a vertex at every level: no key set
+        # repeats, so each of the 7 semijoins filters
+        ("E" * 8, {"E": {(i, i + 1) for i in range(10)} | {(0, 2), (3, 5), (6, 8)}}, 7),
+    ],
+)
+def test_a_semijoin_chain_whose_key_sets_repeat_or_shrink_counts_as_the_oracle(
+    monkeypatch, symbols, facts, passes
+):
+    q = _chain_query(symbols)
+    b = _graph(q.sig, facts)
+    sentence = _chain_sentence(q)
+    filtered = _spy_on_filter_passes(monkeypatch)
+    want = oracle_count(q, b, max_enum=len(b.universe) ** (len(symbols) + 1))
+    assert eval_sentence(sentence, b) == want
+    assert len(filtered) == passes
+
+
+def test_one_evaluator_on_two_structures_in_turn_shares_no_semijoin_rows():
+    # check_represents runs one evaluator over its samples: the cycle's walk
+    # starts {0, 1, 2} are the line's first key set, so rows held past an
+    # evaluation would count the line's walks of 6 edges as 3, not 0
+    q = _chain_query("E" * 6)
+    sentence = _chain_sentence(q)
+    cycle = _graph(q.sig, {"E": {(0, 1), (1, 2), (2, 0)}})
+    line = _graph(q.sig, {"E": {(0, 1), (1, 2), (2, 3)}})
+    sig, stats = sharpcore._sentence_signature(sentence), {}
+    evaluator = sharpcore._Evaluator(10**7, stats)
+    for b in (cycle, line, cycle, line):
+        stats["peak_rows"], fresh = 0, {}
+        got = sharpcore._sentence_value(sentence, sig, b, evaluator)
+        want = eval_sentence(sentence, b, stats=fresh)
+        assert (got, stats["peak_rows"]) == (want, fresh["peak_rows"])
+        assert got == oracle_count(q, b) == (3 if b is cycle else 0)
 
 
 def test_eval_disjunction_and_exists_inside_cast():
