@@ -81,15 +81,17 @@ def _load_sharp(path):
 
 
 def _compiled_sentence(q, args):
-    """The sentence `count` evaluates: compilepipe.count_sentence, the table
-    union of the disjuncts no other disjunct contains when its cast is no
-    wider than their widest core, else their width-minimal representation.
-    When a cap trips, fall back to the per-term decomposition route, which
-    never searches for endomorphisms and flattens the whole query: a query
-    whose terms fit only after the drop is answered by the minimal route, and
-    when that trips a core or canonicalization cap, the fallback reports the
-    whole query's term count. The DNF and treewidth caps re-raise from the
-    fallback."""
+    """The sentence `count` evaluates: compilepipe.count_sentence, one
+    width-bounded cast for a disjunction-free query with one liberal
+    variable, which no core or canonicalization cap refuses; for any other
+    query the table union of the disjuncts no other disjunct contains when
+    its cast is no wider than their widest core, else their width-minimal
+    representation. When a cap trips, fall back to the per-term
+    decomposition route, which never searches for endomorphisms and
+    flattens the whole query: a query whose terms fit only after the drop is
+    answered by the minimal route, and when that trips a core or
+    canonicalization cap, the fallback reports the whole query's term count.
+    The DNF and treewidth caps re-raise from the fallback."""
     try:
         return count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
     except CapExceeded:

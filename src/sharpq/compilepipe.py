@@ -2,7 +2,8 @@
 
 The pipeline has two directions. Forward: a query becomes a sum of basic
 counting sentences, each as wide as the quantifier-aware width of its core
-(minimize_ep); `count` takes a union's naive cast instead when it is no wider
+(minimize_ep); `count` takes a union's naive cast instead when it is no wider,
+and one width-bounded cast of a one-liberal conjunctive query
 (count_sentence). Backward: any counting sentence is normalized into a
 canonical linear combination of pairs (flatten + canonical_lc), which is the
 engine behind equality-of-representations checks.
@@ -19,8 +20,10 @@ from .decomp import (
     TreeDecomposition,
     _bfs_order,
     _quantifier_aware,
+    _reroot,
     _tops_and_depths,
     compute_qaw,
+    exact_treewidth,
     validate_td,
 )
 from .epquery import (
@@ -383,13 +386,39 @@ def _fold_quantified(p):
 
 
 def count_sentence(q, *, max_dnf=4096, tw_cap=24):
-    """The sentence `count` evaluates: q's table-union sentence when there is
-    one, else minimize_ep(q)'s, with q's DNF disjuncts built, folded and pruned
-    once for both. Raises CapExceeded as minimize_ep does."""
+    """The sentence `count` evaluates. A disjunction-free query with one
+    liberal variable is one width-bounded cast (see _one_liberal_sentence).
+    Any other query takes its table-union sentence when there is one, else
+    minimize_ep(q)'s, with q's DNF disjuncts built, folded and pruned once
+    for both. Raises CapExceeded as minimize_ep does, or as exact_treewidth
+    does on the one-liberal route."""
+    if len(q.liberal) == 1 and not _has_or(q.formula):
+        return _one_liberal_sentence(q, tw_cap)
     union, kept = _union_or_kept(q, max_dnf, tw_cap)
     if union is not None:
         return union
     return _minimize_kept(kept, max_dnf=max_dnf, tw_cap=tw_cap)[0]
+
+
+def _one_liberal_sentence(q, tw_cap):
+    """P{y} C[phi; {y}] for a disjunction-free query q with one liberal
+    variable y: phi is the width-bounded rewriting of q's folded pair, cored
+    when it has at most 12 elements (core_of's cap), along an exact tree
+    decomposition of the pair's primal graph rerooted at its first node
+    whose bag holds y.
+
+    With one liberal variable every decomposition rooted at a bag holding it
+    is quantifier-aware, so the cast has width treewidth + 1, the pair's
+    quantifier-aware width: that of q's core within the cap, and over it
+    that of the folded pair, which is at most the uncored pair's. No
+    inclusion-exclusion term, canonical labeling or qaw anchor is built."""
+    pair = _fold_quantified(pp_to_pair(q))
+    if len(pair.struct.universe) <= 12:
+        pair = core_of(pair)
+    _, td = exact_treewidth(primal_graph(pair), cap=tw_cap)
+    root = next(t for t in td.nodes if q.liberal[0] in td.bags[t])
+    phi = rewrite_width_bounded(pair, _reroot(td, root))
+    return Project(frozenset(q.liberal), Cast(ep=phi, liberal=tuple(q.liberal)))
 
 
 def _union_or_kept(q, max_dnf, tw_cap):

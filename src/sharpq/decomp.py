@@ -275,7 +275,7 @@ def _adjacency(g):
     return verts, adj
 
 
-def exact_treewidth(g, cap=24):
+def exact_treewidth(g, cap=24, floor=-1):
     """Exact treewidth and a witnessing decomposition.
 
     Solved per connected component (treewidth is the max over components;
@@ -291,6 +291,11 @@ def exact_treewidth(g, cap=24):
     and is checked before any search: trees and other chordal graphs have an
     empty kernel and are never refused, while graphs with no simplicial
     vertex, such as grids and cycles, count every vertex.
+
+    `floor` is a known lower bound on the treewidth of g, such as that of a
+    subgraph. On a connected g whose greedy bound it reaches, no search
+    runs: the greedy order is optimal, and the search keeps an order only
+    when it is strictly narrower, so it would return the greedy one too.
     """
     verts, adj = _adjacency(g)
     if len(verts) > cap:
@@ -304,20 +309,22 @@ def exact_treewidth(g, cap=24):
         return -1, TreeDecomposition(nodes=(0,), parent={0: None}, bags={0: frozenset()})
     width = -1
     combined = None
-    for comp in g.connected_components():
-        w, td = _exact_treewidth_connected(*_adjacency(g.induced(comp)))
+    comps = g.connected_components()
+    floor = floor if len(comps) == 1 else -1  # a floor bounds the widest component only
+    for comp in comps:
+        w, td = _exact_treewidth_connected(*_adjacency(g.induced(comp)), floor)
         width = max(width, w)
         combined = td if combined is None else _graft(combined, td, combined.root)
     return width, combined
 
 
-def _exact_treewidth_connected(verts, adj):
+def _exact_treewidth_connected(verts, adj, floor):
     n = len(verts)
     full = (1 << n) - 1
 
     ub_width, ub_order = _greedy_min_fill(adj, n)
-    lb = _minor_min_width(adj, n)
     best_width, best_order = ub_width, ub_order
+    lb = _minor_min_width(adj, n) if floor < ub_width else ub_width
 
     if lb < best_width:
         memo = {}
@@ -533,17 +540,18 @@ def compute_qaw(p, cap=24):
     a single block come from the memo. The anchor search stops at the first
     anchor that reaches the block's floor, the treewidth of the base graph
     with the block's liberal part made a clique (see `_block_anchors`); on
-    the grids with two liberal corners that is the first anchor. The
+    the grids with two liberal corners that is the first anchor. The floor
+    is passed into each anchor's treewidth, whose search it can skip. The
     anchors, the width and the witness are those of trying every anchor.
     `cap` bounds the simplicial kernel of each graph solved (see
     `exact_treewidth`) and is checked before its search starts.
     """
     memo = {}
 
-    def treewidth(graph):
+    def treewidth(graph, floor=-1):
         key = (graph.vertices, graph.edges)
         if key not in memo:
-            memo[key] = exact_treewidth(graph, cap)
+            memo[key] = exact_treewidth(graph, cap, floor)
         return memo[key]
 
     g = primal_graph(p)
@@ -575,7 +583,7 @@ def _block_anchors(g, s, comps, treewidth):
         floor, _ = treewidth(base.with_clique(sorted(boundary)))
         best = None
         for x in sorted(comp - s):
-            w, _ = treewidth(base.with_clique(sorted(boundary | {x})))
+            w, _ = treewidth(base.with_clique(sorted(boundary | {x})), floor)
             if best is None or (w, x) < best:
                 best = (w, x)
             if w == floor:

@@ -130,7 +130,7 @@ def test_treewidth_vertex_cap(monkeypatch):
     grid = _grid_graph(5, 5)
     searched = []
 
-    def spy(verts, adj):
+    def spy(verts, adj, floor):
         searched.append(len(verts))
         return 5, None
 
@@ -155,6 +155,58 @@ def test_treewidth_is_deterministic(rng):
         w2, td2 = exact_treewidth(g)
         assert w1 == w2
         assert serialize_td(td1) == serialize_td(td2)
+
+
+# --- a known floor --------------------------------------------------------------
+
+
+def _same_with_floor(g, floor):
+    w, td = exact_treewidth(g)
+    w_floor, td_floor = exact_treewidth(g, floor=floor)
+    return w == w_floor and serialize_td(td) == serialize_td(td_floor)
+
+
+def test_a_floor_changes_neither_width_nor_decomposition_on_random_graphs():
+    rng = random.Random(1305)
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=9, density=rng.uniform(0.2, 0.7))
+        w, _ = exact_treewidth(g)
+        for floor in range(-1, w + 1):
+            assert _same_with_floor(g, floor), (sorted(g.vertices), sorted(map(sorted, g.edges)))
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3), (3, 5), (5, 3), (4, 4), (4, 5), (5, 4)])
+def test_a_floor_changes_neither_width_nor_decomposition_on_grids(rows, cols):
+    grid = _grid_graph(rows, cols)
+    w, _ = exact_treewidth(grid)
+    assert all(_same_with_floor(grid, floor) for floor in range(-1, w + 1))
+    if rows * cols > 16:
+        return  # an anchor graph of the 4x5 grid takes seconds without its floor
+    # the anchor graphs of the grid with two liberal corners, under the floor
+    # compute_qaw passes them
+    p = _grid_pair(rows, cols)
+    g = primal_graph(p)
+    boundary = sorted(p.liberal_set)
+    floor, _ = exact_treewidth(g.with_clique(boundary))
+    for x in sorted(p.quantified)[:4]:
+        assert _same_with_floor(g.with_clique([*boundary, x]), floor)
+
+
+def test_a_floor_at_the_greedy_bound_skips_the_lower_bound_and_the_search(monkeypatch):
+    bounded = []
+    real = decomp._minor_min_width
+    monkeypatch.setattr(
+        decomp, "_minor_min_width", lambda adj, n: bounded.append(n) or real(adj, n)
+    )
+    cycle = _cycle(6)  # greedy min-fill finds width 2, the treewidth
+    for floor, runs in ((2, []), (5, []), (1, [6]), (-1, [6])):
+        bounded.clear()
+        assert _same_with_floor(cycle, floor)
+        assert bounded[1:] == runs  # the first entry is the run without a floor
+    # two components: the floor bounds only the wider one, so neither skips
+    bounded.clear()
+    exact_treewidth(_graph([*cycle.edges, ("a", "b"), ("b", "c"), ("c", "a")]), floor=2)
+    assert bounded == [3, 6]
 
 
 # --- the minor-min-width bound ------------------------------------------------
@@ -643,7 +695,8 @@ def _assert_same_as_every_anchor(p):
     ref_qaw, ref_winners, ref_nice = _qaw_trying_every_anchor(p)
     comps = sorted(_exists_components(primal_graph(p), p.liberal_set), key=lambda c: sorted(c))
     winners = _block_anchors(
-        primal_graph(p), p.liberal_set, comps, lambda graph: exact_treewidth(graph)
+        primal_graph(p), p.liberal_set, comps,
+        lambda graph, floor=-1: exact_treewidth(graph, floor=floor),
     )
     assert winners == ref_winners
     assert qaw == ref_qaw
@@ -665,9 +718,9 @@ def test_anchor_loop_solves_one_anchor_graph_on_the_3x5_grid(monkeypatch):
     boundary = sorted(comp & p.liberal_set)
     solved = []
 
-    def treewidth(graph):
+    def treewidth(graph, floor=-1):
         solved.append(graph)
-        return exact_treewidth(graph)
+        return exact_treewidth(graph, floor=floor)
 
     winners = _block_anchors(g, p.liberal_set, [comp], treewidth)
     first = min(comp - p.liberal_set)
@@ -677,7 +730,10 @@ def test_anchor_loop_solves_one_anchor_graph_on_the_3x5_grid(monkeypatch):
 
     calls = []
     solve = decomp.exact_treewidth
-    monkeypatch.setattr(decomp, "exact_treewidth", lambda graph, cap: calls.append(1) or solve(graph, cap))
+    monkeypatch.setattr(
+        decomp, "exact_treewidth",
+        lambda graph, cap, floor=-1: calls.append(1) or solve(graph, cap, floor),
+    )
     assert compute_qaw(p)[0] == 5
     # floor, first anchor (also the augmented primal and region graph), contract graph
     assert len(calls) == 3
