@@ -174,28 +174,22 @@ def _graft(host, guest, at_node):
 # ---------------------------------------------------------------------------
 
 
-def _fill_neighbors(adj, v, elim):
-    """Bitmask of live vertices adjacent to v in the graph where `elim` has
-    been eliminated (i.e. reachable from v through eliminated vertices)."""
-    seen = 1 << v
-    stack = adj[v]
-    result = 0
-    while stack:
-        u_bit = stack & -stack
-        stack &= stack - 1
-        seen |= u_bit
-        if u_bit & elim:
-            stack |= adj[u_bit.bit_length() - 1] & ~seen
-        else:
-            result |= u_bit
-    return result
+def _eliminate(nbs, v):
+    """Eliminate v from the elimination graph nbs (vertex -> neighbour
+    bitmask), in place: v goes and its neighbours become a clique, so each
+    live vertex's neighbours are those it reaches through eliminated ones.
+    Keys keep their order. Returns v's neighbourhood."""
+    nb = nbs.pop(v)
+    for u in _vertices(nb):
+        nbs[u] = (nbs[u] | nb) & ~(1 << u | 1 << v)
+    return nb
 
 
 def _greedy_min_fill(adj, n):
     """Upper bound: eliminate the vertex adding fewest fill edges. Eliminating
     v joins its neighbours to each other, so only their neighbourhoods change,
     and only fill counts within distance two of v are recomputed."""
-    nbs = {v: _fill_neighbors(adj, v, 0) for v in range(n)}
+    nbs = dict(enumerate(adj))
 
     def score(v):
         fill = sum((nbs[v] & ~nbs[u] & ~(1 << u)).bit_count() for u in _vertices(nbs[v]))
@@ -208,12 +202,11 @@ def _greedy_min_fill(adj, n):
             scores[u] = score(u)
         best = min(scores.values())[2]
         del scores[best]
-        joined = nbs.pop(best)
+        joined = _eliminate(nbs, best)
         width = max(width, joined.bit_count())
         order.append(best)
         stale = joined
         for u in _vertices(joined):
-            nbs[u] = (nbs[u] | joined) & ~(1 << u | 1 << best)
             stale |= nbs[u]
     return width, order
 
@@ -248,19 +241,13 @@ def _simplicial_kernel(adj, n):
     neighbourhood is a clique) are deleted until none is left. Deleting one
     adds no fill, so tw(G) = max(deg v, tw(G - v)); deleting a vertex keeps
     every other simplicial vertex simplicial, so the kernel is unique."""
-    adj = list(adj)
-    live = (1 << n) - 1
+    nbs = dict(enumerate(adj))
     todo = list(range(n))
     while todo:
         v = todo.pop()
-        nb = adj[v]
-        if not live & (1 << v) or not _is_clique(nb, adj):
-            continue
-        live &= ~(1 << v)
-        for u in _vertices(nb):
-            adj[u] &= ~(1 << v)
-            todo.append(u)
-    return live
+        if v in nbs and _is_clique(nbs[v], nbs):
+            todo.extend(_vertices(_eliminate(nbs, v)))
+    return sum(1 << v for v in nbs)
 
 
 def _adjacency(g):
@@ -284,7 +271,11 @@ def exact_treewidth(g, cap=24, floor=-1):
     eliminated set (the filled graph depends only on the set), a greedy
     min-fill upper bound, the minor-min-width lower bound MMD+ (never below
     the degeneracy; no search runs when it meets the upper bound), and the
-    simplicial-vertex rule. Deterministic.
+    simplicial-vertex rule. Each search node carries its elimination graph
+    (live vertex -> neighbours, fill edges included) and hands a child a
+    copy with one more vertex eliminated (`_eliminate`); a child no
+    narrower than the best order or than the memo's width for its
+    eliminated set is never entered. Deterministic.
 
     `cap` bounds the vertices left once simplicial vertices are deleted
     until none is left (the simplicial kernel, computed in polynomial time),
@@ -330,39 +321,41 @@ def _exact_treewidth_connected(verts, adj, floor):
         memo = {}
         order_buf = []
 
-        def dfs(elim, cur_width):
+        def dfs(elim, cur_width, nbs):
+            # called only on a node narrower than the best order and than
+            # the memo's width for its eliminated set
             nonlocal best_width, best_order
-            if cur_width >= best_width:
-                return
             if elim == full:
                 best_width = cur_width
                 best_order = list(order_buf)
                 return
-            prev = memo.get(elim)
-            if prev is not None and prev <= cur_width:
-                return
             memo[elim] = cur_width
-            live = [v for v in range(n) if not (1 << v) & elim]
-            nbs = {v: _fill_neighbors(adj, v, elim) for v in live}
             # a simplicial vertex may always be eliminated first
-            for v in live:
-                nb = nbs[v]
+            for v, nb in nbs.items():
                 if _is_clique(nb, nbs):
-                    order_buf.append(v)
-                    dfs(elim | (1 << v), max(cur_width, nb.bit_count()))
-                    order_buf.pop()
+                    children = [v]
+                    break
+            else:
+                if len(nbs) - 1 <= cur_width:
+                    # any completion keeps the width; take the deterministic one
+                    best_width = cur_width
+                    best_order = order_buf + list(nbs)
                     return
-            if len(live) - 1 <= cur_width:
-                # any completion keeps the width; take the deterministic one
-                best_width = cur_width
-                best_order = list(order_buf) + live
-                return
-            for v in sorted(live, key=lambda u: (nbs[u].bit_count(), u)):
+                children = sorted(nbs, key=lambda u: (nbs[u].bit_count(), u))
+            for v in children:
+                width = max(cur_width, nbs[v].bit_count())
+                if width >= best_width:
+                    break  # so is every later child
+                child = elim | 1 << v
+                if memo.get(child, best_width) <= width:
+                    continue
+                child_nbs = dict(nbs)
+                _eliminate(child_nbs, v)
                 order_buf.append(v)
-                dfs(elim | (1 << v), max(cur_width, nbs[v].bit_count()))
+                dfs(child, width, child_nbs)
                 order_buf.pop()
 
-        dfs(0, lb)
+        dfs(0, lb, dict(enumerate(adj)))
 
     td = _td_from_order(adj, n, best_order, verts)
     return best_width, td
@@ -377,8 +370,14 @@ def _vertices(mask):
 
 
 def _is_clique(mask, adj):
-    """Whether the vertices of mask are pairwise adjacent under adj."""
-    return all(mask & ~adj[u] & ~(1 << u) == 0 for u in _vertices(mask))
+    """Whether the vertices of mask are pairwise adjacent under adj (a
+    symmetric relation, so each vertex is checked against the later ones)."""
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        if mask & ~adj[b.bit_length() - 1]:
+            return False
+    return True
 
 
 def _td_from_order(adj, n, order, verts):
@@ -387,11 +386,8 @@ def _td_from_order(adj, n, order, verts):
     elimination time, parent = the node of its first-eliminated live
     neighbour (every vertex but the last has one)."""
     pos = {v: i for i, v in enumerate(order)}
-    elim = 0
-    bag_mask = {}
-    for v in order:
-        bag_mask[v] = _fill_neighbors(adj, v, elim) | (1 << v)
-        elim |= 1 << v
+    nbs = dict(enumerate(adj))
+    bag_mask = {v: _eliminate(nbs, v) | 1 << v for v in order}
     parent = {}
     for v in order:
         later = [u for u in _vertices(bag_mask[v] & ~(1 << v)) if pos[u] > pos[v]]

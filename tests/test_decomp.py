@@ -1,5 +1,6 @@
 """Tests for exact treewidth, nice decompositions, and quantifier-aware width."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -263,14 +264,66 @@ def test_minor_min_width_is_exact_on_complete_graphs_cycles_and_grids():
             assert _mmw(_grid_graph(cols, rows)) == min(rows, cols)
 
 
+def _fill_neighbors(adj, v, elim):
+    """Bitmask of the live vertices v reaches through eliminated ones: its
+    neighbourhood once `elim` is eliminated, found by a walk that shares no
+    code with the elimination graph the search carries."""
+    seen = 1 << v
+    stack = adj[v]
+    result = 0
+    while stack:
+        u_bit = stack & -stack
+        stack &= stack - 1
+        seen |= u_bit
+        if u_bit & elim:
+            stack |= adj[u_bit.bit_length() - 1] & ~seen
+        else:
+            result |= u_bit
+    return result
+
+
+def _min_fill_order(adj, n):
+    """Greedy min-fill by rescoring every live vertex after each step:
+    fewest fill edges, then fewest neighbours, then least index."""
+    elim, order, width = 0, [], 0
+    while len(order) < n:
+        nbs = {v: _fill_neighbors(adj, v, elim) for v in range(n) if not elim >> v & 1}
+
+        def score(v):
+            fill = sum((nbs[v] & ~nbs[u] & ~(1 << u)).bit_count() for u in decomp._vertices(nbs[v]))
+            return fill // 2, nbs[v].bit_count(), v
+
+        v = min(nbs, key=score)
+        width = max(width, nbs[v].bit_count())
+        order.append(v)
+        elim |= 1 << v
+    return width, order
+
+
+def _td_of_order(adj, n, order, verts):
+    """One bag per vertex: it and its neighbourhood when it is eliminated,
+    below the bag of the first of those neighbours to go."""
+    pos = {v: i for i, v in enumerate(order)}
+    elim, parent, bags = 0, {}, {}
+    for v in order:
+        nb = _fill_neighbors(adj, v, elim)
+        elim |= 1 << v
+        parent[pos[v]] = min((pos[u] for u in decomp._vertices(nb)), default=None)
+        bags[pos[v]] = frozenset(verts[u] for u in decomp._vertices(nb | 1 << v))
+    return TreeDecomposition(nodes=tuple(range(n)), parent=parent, bags=bags)
+
+
 def _degeneracy_search_connected(g):
-    """The connected-graph search started at the degeneracy bound alone: the
-    reference for the widths and witnesses of the raised bound."""
+    """The connected-graph search started at the degeneracy bound alone, with
+    every neighbourhood walked afresh (`_fill_neighbors`), so it shares no
+    elimination code with `decomp`, and every child entered before its
+    prunes: the reference for the widths and witnesses of the raised bound
+    and of the carried elimination graph."""
     verts, adj = _adjacency(g)
     n = len(verts)
     full = (1 << n) - 1
 
-    ub_width, ub_order = decomp._greedy_min_fill(adj, n)
+    ub_width, ub_order = _min_fill_order(adj, n)
     lb = _degeneracy(adj, n)
     best_width, best_order = ub_width, ub_order
 
@@ -291,7 +344,7 @@ def _degeneracy_search_connected(g):
                 return
             memo[elim] = cur_width
             live = [v for v in range(n) if not (1 << v) & elim]
-            nbs = {v: decomp._fill_neighbors(adj, v, elim) for v in live}
+            nbs = {v: _fill_neighbors(adj, v, elim) for v in live}
             for v in live:
                 nb = nbs[v]
                 if all(nb & ~nbs[u] & ~(1 << u) == 0 for u in decomp._vertices(nb)):
@@ -310,7 +363,7 @@ def _degeneracy_search_connected(g):
 
         dfs(0, lb)
 
-    return best_width, decomp._td_from_order(adj, n, best_order, verts)
+    return best_width, _td_of_order(adj, n, best_order, verts)
 
 
 def _degeneracy_search(g):
@@ -333,6 +386,48 @@ def test_raised_lower_bound_keeps_widths_and_witnesses():
         assert serialize_td(td) == serialize_td(ref_td)
         raised += _mmw(g) > _degeneracy_of(g)
     assert raised >= 200
+
+
+def test_eliminate_matches_the_walk_through_eliminated_vertices():
+    rng = random.Random(2004)
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=12, density=rng.uniform(0.1, 0.8), min_vertices=1)
+        verts, adj = _adjacency(g)
+        nbs, elim = dict(enumerate(adj)), 0
+        for v in rng.sample(range(len(verts)), len(verts)):
+            assert decomp._eliminate(nbs, v) == _fill_neighbors(adj, v, elim)
+            elim |= 1 << v
+            live = [u for u in range(len(verts)) if not elim >> u & 1]
+            assert list(nbs) == live  # keys keep the ascending order
+            assert nbs == {u: _fill_neighbors(adj, u, elim) for u in live}
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3), (4, 4), (3, 5), (5, 3)])
+def test_grid_qaw_graphs_keep_widths_and_witnesses(rows, cols, monkeypatch):
+    # every graph qaw solves on the grid with two liberal corners
+    solved = []
+    solve = decomp.exact_treewidth
+    monkeypatch.setattr(
+        decomp, "exact_treewidth",
+        lambda graph, cap, floor=-1: solved.append(graph) or solve(graph, cap, floor),
+    )
+    compute_qaw(_grid_pair(rows, cols))
+    assert len(solved) >= 3
+    for g in solved:
+        w, td = solve(g)
+        ref_w, ref_td = _degeneracy_search(g)
+        assert w == ref_w
+        assert serialize_td(td) == serialize_td(ref_td)
+
+
+def test_qaw_witness_of_the_4x5_grid_is_pinned():
+    # the SHA-256 of the witness the search found before it carried its
+    # elimination graph (the reference takes seconds on this grid)
+    qaw, nice = compute_qaw(_grid_pair(4, 5))
+    assert qaw == 6
+    assert hashlib.sha256(serialize_td(nice).encode()).hexdigest() == (
+        "25884caf294900c7f9f198274927206f81744e786d992111178fa1f81c4de8b6"
+    )
 
 
 # --- the vertex cap counts the simplicial kernel -----------------------------

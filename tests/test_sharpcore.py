@@ -1046,6 +1046,30 @@ def test_counted_union_of_random_sides_matches_the_built_union():
         assert sharpcore._count_union(set(keys), sides) == len(built)
 
 
+def test_counted_union_of_two_sides_matches_a_brute_force_union():
+    # two sides are split at the top level alone; parts under the same key
+    # list and sides whose keys are disjoint are among the cases
+    rng = random.Random(3131)
+    same_keys = disjoint = 0
+    for _ in range(400):
+        sides = [
+            {k: set(rng.sample("abcdef", rng.randint(1, 3)))
+             for k in rng.sample(range(5), rng.randint(1, 4))}
+            for _ in range(2)
+        ]
+        keys = set(sides[0]) & set(sides[1])
+        brute = {row for k in keys for row in itertools.product(sides[0][k], sides[1][k])}
+        assert sharpcore._count_union(keys, sides) == len(brute)
+        disjoint += not keys
+        for side in sides:
+            keys_of = defaultdict(list)
+            for k in sorted(keys):
+                for a in side[k]:
+                    keys_of[a].append(k)
+            same_keys += len(set(map(tuple, keys_of.values()))) < len(keys_of)
+    assert same_keys >= 50 and disjoint >= 50
+
+
 def _graph_with_twin_hubs(rng, n, m):
     """A random directed graph on n vertices with about m edges, in which
     every third hub gets the in-neighbours of another hub as well, so that
