@@ -1,12 +1,13 @@
 """Compilation pipeline: queries -> width-minimal counting formulas.
 
-The pipeline has two directions. Forward: a query becomes a sum of basic
-counting sentences, each as wide as the quantifier-aware width of its core
-(minimize_ep); `count` takes a union's naive cast instead when it is no wider,
-and one width-bounded cast of a one-liberal conjunctive query
-(count_sentence). Backward: any counting sentence is normalized into a
-canonical linear combination of pairs (flatten + canonical_lc), which is the
-engine behind equality-of-representations checks.
+A query becomes a sum of basic counting sentences, each as wide as the
+quantifier-aware width of its core (minimize_ep): the inclusion-exclusion
+terms of its DNF disjuncts are built as pairs and merged into a canonical
+linear combination (canonical_lc); `count` takes a union's naive cast
+instead when it is no wider, and one width-bounded cast of a one-liberal
+conjunctive query (count_sentence). Any counting formula can also be
+flattened into a sum of terms (flatten) and compiled term by term without
+cores (compile_flat).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import reduce
 from .decomp import (
     TreeDecomposition,
     _bfs_order,
-    _quantifier_aware,
+    _quantifier_aware_blocks,
     _reroot,
     _tops_and_depths,
     compute_qaw,
@@ -38,7 +39,6 @@ from .epquery import (
     Top,
     _has_or,
     _all_variables,
-    _exists_components,
     _infer_signature,
     _rename_apart,
     fold,
@@ -121,7 +121,10 @@ def _rename(f, ren):
 def _compile_terms(terms, tw_cap):
     """(sum, largest qaw) for (constant, pair) terms: each pair compiled along a
     width-minimal quantifier-aware decomposition and multiplied by its
-    constant, the products renamed apart and summed left to right."""
+    constant, the products renamed apart and summed left to right. Each
+    pair's primal graph and blocks are built, and its witness checked, once,
+    in compute_qaw: pp_to_basic_sharp does not check compute_qaw's witness
+    for the same pair again."""
     products, widths = [], []
     for const, pair in terms:
         qaw, td = compute_qaw(pair, cap=tw_cap)
@@ -204,15 +207,8 @@ def pp_to_basic_sharp(p, td):
     (variables entering). The sentence's value on any structure equals the
     pair's answer count, and its width is at most the decomposition's bag size.
     """
-    g, lib = primal_graph(p), p.liberal_set
-    comps = _exists_components(g, lib)
-    ok, violation = _quantifier_aware(td, g, lib, comps)
-    if not ok:
-        x, y, comp = violation
-        raise SharpqError(
-            f"decomposition is not quantifier-aware: liberal {y!r} is not above "
-            f"quantified {x!r} for the block {sorted(comp)}"
-        )
+    lib = p.liberal_set
+    comps = _quantifier_aware_blocks(p, td)
     if td.bags[td.root]:
         raise SharpqError("pp_to_basic_sharp needs an empty root bag")
     kids = td.children()
@@ -390,14 +386,15 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
     liberal variable is one width-bounded cast (see _one_liberal_sentence).
     Any other query takes its table-union sentence when there is one, else
     minimize_ep(q)'s, with q's DNF disjuncts built, folded and pruned once
-    for both. Raises CapExceeded as minimize_ep does, or as exact_treewidth
-    does on the one-liberal route."""
+    for both: the folded pairs of the disjuncts kept are also those the
+    inclusion-exclusion terms are glued from. Raises CapExceeded as
+    minimize_ep does, or as exact_treewidth does on the one-liberal route."""
     if len(q.liberal) == 1 and not _has_or(q.formula):
         return _one_liberal_sentence(q, tw_cap)
-    union, kept = _union_or_kept(q, max_dnf, tw_cap)
+    union, pairs = _union_or_kept(q, max_dnf, tw_cap)
     if union is not None:
         return union
-    return _minimize_kept(kept, max_dnf=max_dnf, tw_cap=tw_cap)[0]
+    return _minimize_kept(pairs, max_dnf=max_dnf, tw_cap=tw_cap)[0]
 
 
 def _one_liberal_sentence(q, tw_cap):
@@ -422,13 +419,13 @@ def _one_liberal_sentence(q, tw_cap):
 
 
 def _union_or_kept(q, max_dnf, tw_cap):
-    """(q's table-union sentence or None, q with its contained disjuncts
-    dropped); raises CapExceeded when the DNF meets max_dnf. The sentence is
-    the naive representation P L C[d1 | ... | dk; L] of the kept disjuncts
-    (see _drop_contained) when they still form a disjunction and it is no
-    wider than the largest quantifier-aware width of their cores; None when
-    they do not, when it is wider, or when a core search or a treewidth meets
-    its cap.
+    """(q's table-union sentence or None, the folded pairs of the disjuncts
+    _drop_contained keeps); raises CapExceeded when the DNF meets max_dnf.
+    The sentence is the naive representation P L C[d1 | ... | dk; L] of the
+    kept disjuncts when they still form a disjunction and it is no wider
+    than the largest quantifier-aware width of their cores; None when they
+    do not, when it is wider, or when a core search or a treewidth meets its
+    cap.
 
     Evaluating the naive cast takes the union of the disjuncts' answer tables
     in one pass, so counting it builds none of the 2^k - 1 inclusion-exclusion
@@ -440,7 +437,7 @@ def _union_or_kept(q, max_dnf, tw_cap):
     computed once per shape, on its first disjunct."""
     kept, pairs = _drop_contained(q, max_dnf=max_dnf)
     if not _has_or(kept.formula):
-        return None, kept
+        return None, pairs
     qaws = {}
     try:
         for pair in pairs:
@@ -448,9 +445,9 @@ def _union_or_kept(q, max_dnf, tw_cap):
             if shape not in qaws:
                 qaws[shape] = compute_qaw(core_of(pair), cap=tw_cap)[0]
     except CapExceeded:
-        return None, kept
+        return None, pairs
     naive = naive_representation(kept)
-    return (naive if width(naive) <= max(qaws.values()) else None), kept
+    return (naive if width(naive) <= max(qaws.values()) else None), pairs
 
 
 def _folded_disjuncts(q, max_dnf):
@@ -680,57 +677,61 @@ def _fact_count(p):
     return sum(1 for _ in p.struct.all_facts())
 
 
-def canonical_lc(fs, *, core_cap=12, canon_cap=200000):
-    """Canonical linear combination of a FlatSharp sentence.
+def canonical_lc(terms, *, core_cap=12, canon_cap=200000):
+    """Canonical linear combination of (coefficient, pair) terms, whose value
+    on a structure is the sum of each coefficient times its pair's answer
+    count; each pair is folded (_fold_quantified).
 
-    Each term's basic part becomes a pair, is cored, gets one fresh liberal
-    element per |B|-power of its constant part, and is canonically labeled;
-    equal pairs merge by adding coefficients, zero coefficients drop, and the
-    entries are sorted by (liberal count, fact count, serialization). Every
-    term is folded and held against core_cap before the first core search, so
-    a term over the cap refuses before any term is cored or labeled."""
-    _require_sentence(fs.free, "canonical_lc")
-    folded = []
-    for const, basic in fs.terms:
-        coeff, pow_ = _read_constant(const)
-        if coeff == 0:
-            continue
-        pair = _fold_quantified(basic_sharp_to_pp(basic))
+    Each pair is cored and canonically labeled; equal pairs merge by adding
+    coefficients, zero coefficients drop, and the entries are sorted by
+    (liberal count, fact count, serialization). Every term is held against
+    core_cap before the first core search, so a term over the cap refuses
+    before any term is cored or labeled."""
+    terms = [(coeff, pair) for coeff, pair in terms if coeff != 0]
+    for _, pair in terms:
         check_core_cap(pair, core_cap)
-        folded.append((coeff, pow_, pair))
     merged = {}  # serialization -> [coefficient, pair], in first-seen order
-    for coeff, pow_, pair in folded:
-        pair = core_of(pair, cap=core_cap)
-        if pow_:
-            extra = _FreshNames(pair.struct.universe).take(pow_)
-            pair = PpPair(
-                struct=make_structure(
-                    pair.struct.sig,
-                    list(pair.struct.universe) + extra,
-                    dict(pair.struct.relations),
-                ),
-                liberal=tuple(pair.liberal) + tuple(extra),
-            )
-        pair = _canonical_pair(pair, cap=canon_cap)
+    for coeff, pair in terms:
+        pair = _canonical_pair(core_of(pair, cap=core_cap), cap=canon_cap)
         merged.setdefault(serialize_pair(pair), [0, pair])[0] += coeff
     kept = [(text, pair, coeff) for text, (coeff, pair) in merged.items() if coeff != 0]
     kept.sort(key=lambda e: (len(e[1].liberal), _fact_count(e[1]), e[0]))
     return LinearCombination(entries=tuple((coeff, pair) for _, pair, coeff in kept))
 
 
-def _read_constant(const):
-    """Extract (n, |V2|) from a constant part E V1 P V2 n."""
-    node = const
-    if isinstance(node, Expand):
-        node = node.child
-    if isinstance(node, Project):
-        pow_ = len(node.vars)
-        node = node.child
-    else:
-        pow_ = 0
-    if not isinstance(node, Const):
-        raise SharpqError(f"constant part not in normal form: {const!r}")
-    return node.n, pow_
+def _ie_terms(pairs, max_dnf):
+    """The inclusion-exclusion terms of the union of folded pairs over one
+    liberal tuple, as flatten builds them for the union's cast: one per
+    nonempty subset S of the pairs, smaller subsets first, (-1)^(|S|+1)
+    times the folded conjunction of S's pairs. A conjunction of pairs is
+    their structures glued on the liberal elements (Chandra & Merlin); each
+    pair's quantified elements are renamed apart once, so the pairs of any
+    subset share only liberal elements. The conjunction of one pair is that
+    pair. The 2^k - 1 terms are capped by `max_dnf` before any is built."""
+    terms_needed = 2 ** len(pairs) - 1
+    if terms_needed > max_dnf:
+        raise CapExceeded(
+            f"inclusion-exclusion over {len(pairs)} disjuncts needs "
+            f"{terms_needed} > {max_dnf} terms"
+        )
+    liberal, sig = pairs[0].liberal, pairs[0].struct.sig
+    names = _FreshNames(liberal)
+    parts = []  # each pair's renamed quantified elements and facts
+    for p in pairs:
+        ren = {e: names.fresh() for e in p.quantified}
+        facts = [(sym, tuple(ren.get(e, e) for e in tup)) for sym, tup in p.struct.all_facts()]
+        parts.append((list(ren.values()), facts))
+    terms = [(1, p) for p in pairs]
+    for size in range(2, len(parts) + 1):
+        for subset in itertools.combinations(parts, size):
+            universe, rels = list(liberal), {}
+            for quantified, facts in subset:
+                universe += quantified
+                for sym, tup in facts:
+                    rels.setdefault(sym, set()).add(tup)
+            pair = PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
+            terms.append((1 if size % 2 else -1, _fold_quantified(pair)))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +775,7 @@ def compile_flat(fs, *, tw_cap=24):
 def _drop_contained(q, *, max_dnf, core_cap=12):
     """(q', pairs): q with every DNF disjunct dropped whose answers lie
     inside another disjunct's (q itself when none is), and the folded pairs
-    of the disjuncts kept; (q, None) when q has no disjunction.
+    of the disjuncts kept; (q, [q's folded pair]) when q has no disjunction.
 
     Disjunct j contains disjunct i when j's folded pair maps into i's with
     the liberal elements fixed (Sagiv & Yannakakis); among equivalent
@@ -785,7 +786,7 @@ def _drop_contained(q, *, max_dnf, core_cap=12):
     searches are within max_dnf; a symbol with facts in j but none in i
     settles a comparison without a search."""
     if not _has_or(q.formula):
-        return q, None
+        return q, [_fold_quantified(pp_to_pair(q))]
     disjuncts, pairs = _folded_disjuncts(q, max_dnf)
     k = len(disjuncts)
     if k * (k - 1) > max_dnf:
@@ -817,23 +818,21 @@ def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
     """Width-minimal representation of an arbitrary query.
 
     DNF disjuncts contained in another disjunct are dropped first, since
-    their inclusion-exclusion terms cancel. The naive representation of the
-    rest is flattened and canonicalized; every term of the canonical linear
-    combination is compiled along a width-minimal quantifier-aware
-    decomposition of its (already cored) pair; the terms are renamed apart
-    and reassembled as sum of Const(c_i) * sentence_i. Returns (formula,
-    width) with width the maximum term width."""
-    kept = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)[0]
-    return _minimize_kept(kept, max_dnf=max_dnf, core_cap=core_cap, tw_cap=tw_cap,
+    their inclusion-exclusion terms cancel. The inclusion-exclusion terms of
+    the rest are built from their folded pairs and canonicalized; every term
+    of the canonical linear combination is compiled along a width-minimal
+    quantifier-aware decomposition of its (already cored) pair; the terms
+    are renamed apart and reassembled as sum of Const(c_i) * sentence_i.
+    Returns (formula, width) with width the maximum term width."""
+    pairs = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)[1]
+    return _minimize_kept(pairs, max_dnf=max_dnf, core_cap=core_cap, tw_cap=tw_cap,
                           canon_cap=canon_cap)
 
 
-def _minimize_kept(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
-    """minimize_ep of a query none of whose DNF disjuncts contains another."""
-    f = naive_representation(q)
-    lc = canonical_lc(
-        flatten(f, max_dnf=max_dnf), core_cap=core_cap, canon_cap=canon_cap
-    )
+def _minimize_kept(pairs, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
+    """minimize_ep of the union of the folded pairs of a query's DNF
+    disjuncts, none of which contains another."""
+    lc = canonical_lc(_ie_terms(pairs, max_dnf), core_cap=core_cap, canon_cap=canon_cap)
     if not lc.entries:
         return Const(0), 0
     return _compile_terms(((Const(c), pair) for c, pair in lc.entries), tw_cap)

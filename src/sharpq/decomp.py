@@ -56,12 +56,15 @@ class TreeDecomposition(Record):
 class NiceTreeDecomposition(TreeDecomposition):
     """Tree decomposition whose nodes are leaf/introduce/forget/join."""
 
-    __slots__ = ("kinds",)
+    # _checked_for: (pair, its blocks) when compute_qaw built this as the
+    # pair's witness and found it quantifier-aware for those blocks, else None
+    __slots__ = ("kinds", "_checked_for")
     _fields = (*TreeDecomposition._fields, "kinds")
 
     def __init__(self, nodes, parent, bags, kinds):
         super().__init__(nodes, parent, bags)
         _set(self, "kinds", kinds)
+        _set(self, "_checked_for", None)
 
 
 def validate_td(td, g):
@@ -504,6 +507,26 @@ def _quantifier_aware(td, g, lib, comps):
     return True, None
 
 
+def _quantifier_aware_blocks(p, td):
+    """p's blocks, once td is found quantifier-aware for p; raises
+    SharpqError naming the first violation. A witness that compute_qaw built
+    for p was checked against the same blocks there, and is not checked
+    again."""
+    checked = getattr(td, "_checked_for", None)
+    if checked is not None and checked[0] is p:
+        return checked[1]
+    g, lib = primal_graph(p), p.liberal_set
+    comps = _exists_components(g, lib)
+    ok, violation = _quantifier_aware(td, g, lib, comps)
+    if not ok:
+        x, y, comp = violation
+        raise SharpqError(
+            f"decomposition is not quantifier-aware: liberal {y!r} is not above "
+            f"quantified {x!r} for the block {sorted(comp)}"
+        )
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # Quantifier-aware width
 # ---------------------------------------------------------------------------
@@ -540,7 +563,9 @@ def compute_qaw(p, cap=24):
     is passed into each anchor's treewidth, whose search it can skip. The
     anchors, the width and the witness are those of trying every anchor.
     `cap` bounds the simplicial kernel of each graph solved (see
-    `exact_treewidth`) and is checked before its search starts.
+    `exact_treewidth`) and is checked before its search starts. The witness
+    records the pair and the blocks it was checked against, so that
+    pp_to_basic_sharp does not check it again (_quantifier_aware_blocks).
     """
     memo = {}
 
@@ -625,5 +650,6 @@ def _qaw_witness(p, g, comps, winners, treewidth):
     ok, violation = _quantifier_aware(nice, g, s, comps)
     if not ok:
         raise InternalInvariant(f"witness decomposition is not quantifier-aware: {violation}")
+    _set(nice, "_checked_for", (p, comps))
     return qaw, nice
 

@@ -38,8 +38,7 @@ def _induced(struct, keep):
     keep = set(keep)
     universe = [e for e in struct.universe if e in keep]
     relations = {
-        name: [t for t in struct.tuples(name) if set(t) <= keep]
-        for name in struct.sig.names()
+        name: [t for t in facts if set(t) <= keep] for name, facts in struct.relations.items()
     }
     return make_structure(struct.sig, universe, relations)
 

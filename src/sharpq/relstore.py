@@ -63,19 +63,24 @@ class Record(Frozen):
 class Signature(Record):
     """Relation symbols and their arities. Arities are >= 1 (no nullary relations)."""
 
-    __slots__ = _fields = ("symbols",)  # tuple of (name, arity) pairs, fixed order
+    _fields = ("symbols",)  # tuple of (name, arity) pairs, fixed order
+    # _arity: name -> arity and _rank: name -> position in symbols, built once
+    __slots__ = (*_fields, "_arity", "_rank")
 
     def __init__(self, symbols):
-        seen = set()
+        arity_of, rank = {}, {}
         for name, arity in symbols:
             if not NAME_RE.match(name):
                 raise ParseError(f"bad relation name {name!r}")
-            if name in seen:
+            if name in arity_of:
                 raise ParseError(f"duplicate relation name {name!r}")
             if not isinstance(arity, int) or arity < 1:
                 raise ParseError(f"arity of {name} must be a positive integer, got {arity!r}")
-            seen.add(name)
+            arity_of[name] = arity
+            rank[name] = len(rank)
         _set(self, "symbols", symbols)
+        _set(self, "_arity", arity_of)
+        _set(self, "_rank", rank)
 
     # field by field, without the call to the shared _values getter
     def __eq__(self, other):
@@ -85,16 +90,13 @@ class Signature(Record):
         return hash(self.symbols)
 
     def arity(self, name):
-        for n, a in self.symbols:
-            if n == name:
-                return a
-        raise KeyError(name)
+        return self._arity[name]
 
     def names(self):
         return [n for n, _ in self.symbols]
 
     def __contains__(self, name):
-        return any(n == name for n, _ in self.symbols)
+        return name in self._arity
 
 
 def merge_signatures(*sigs):
@@ -131,8 +133,10 @@ class Structure(Frozen):
             raise ParseError("duplicate universe element")
         elems = set(universe)
         rels = {}
-        for name, arity in sig.symbols:
-            tuples = [tuple(t) for t in relations.get(name, ())]
+        # the given relations of sig's symbols, in signature order
+        for name in sorted((n for n in relations if n in sig._rank), key=sig._rank.__getitem__):
+            arity = sig._arity[name]
+            tuples = [tuple(t) for t in relations[name]]
             for tup in tuples:
                 if len(tup) != arity:
                     raise ParseError(f"arity mismatch in {name}{tup!r}: expected {arity}")
@@ -179,9 +183,10 @@ class Structure(Frozen):
         return facts
 
     def all_facts(self):
-        """Iterate (symbol, tuple) pairs in deterministic order."""
-        for name, _ in self.sig.symbols:
-            for tup in sorted(self.tuples(name)):
+        """Iterate (symbol, tuple) pairs in deterministic order: symbols in
+        signature order, each one's tuples sorted."""
+        for name, facts in self.relations.items():
+            for tup in sorted(facts):
                 yield name, tup
 
     def __eq__(self, other):
@@ -409,11 +414,13 @@ def _parse_lines(text):
     elems = universe if universe is not None else list(canon)
     if not elems:
         raise ParseError("empty universe")
-    # every check of Structure() has been made line by line above
+    # every check of Structure() has been made line by line above; the
+    # relations go in signature order, as every Structure holds them
+    sig = sig or Signature(tuple(sig_symbols))
     return _unchecked_structure(
-        sig or Signature(tuple(sig_symbols)),
+        sig,
         tuple(elems),
-        {n: frozenset(ts) for n, ts in facts.items()},
+        {n: frozenset(facts[n]) for n in sorted(facts, key=sig._rank.__getitem__)},
         {},
     )
 

@@ -1,13 +1,18 @@
 """Library functions that only the tests use: decomposition checks, the
 component split of a pair, the evaluation of a linear combination, a
 counting formula's table over its free variables, the exhaustive core
-search, the full-enumeration counting oracle, alignment by renaming, and
-reduce_to_basic."""
+search, the full-enumeration counting oracle, alignment by renaming,
+reduce_to_basic, and the canonical linear combination of a flat sentence
+(the formula route that `minimize` took before it built its terms as
+pairs)."""
 
 import itertools
 
 from sharpq.compilepipe import (
+    _FreshNames,
+    _fold_quantified,
     _seeded_structures,
+    basic_sharp_to_pp,
     canonical_lc,
     flatten,
     pp_to_basic_sharp,
@@ -38,7 +43,16 @@ from sharpq.equiv import (
 )
 from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
 from sharpq.relstore import Record, _set, homomorphism_search, make_structure, merge_signatures
-from sharpq.sharpcore import _Evaluator, _require_valid, check_represents, eval_sentence
+from sharpq.sharpcore import (
+    Const,
+    Expand,
+    Project,
+    _Evaluator,
+    _require_sentence,
+    _require_valid,
+    check_represents,
+    eval_sentence,
+)
 
 
 def validate_nice(ntd, g):
@@ -345,7 +359,7 @@ def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24)
             "the formula does not represent the query: counts differ on a "
             f"{len(counterexample.universe)}-element sample structure"
         )
-    lc = canonical_lc(flatten(f, max_dnf=max_dnf), core_cap=core_cap)
+    lc = flat_lc(flatten(f, max_dnf=max_dnf), core_cap=core_cap)
     if len(lc.entries) != 1 or lc.entries[0][0] != 1:
         raise SharpqError(
             "canonical form is not a single unit term; the sentence does not "
@@ -354,3 +368,38 @@ def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24)
     aligned = align_via_renaming(pp_to_pair(q), lc.entries[0][1])
     _, td = compute_qaw(aligned, cap=tw_cap)
     return pp_to_basic_sharp(aligned, td)
+
+
+def read_constant(const):
+    """Extract (n, |V2|) from a constant part E V1 P V2 n."""
+    node = const
+    if isinstance(node, Expand):
+        node = node.child
+    if isinstance(node, Project):
+        pow_ = len(node.vars)
+        node = node.child
+    else:
+        pow_ = 0
+    if not isinstance(node, Const):
+        raise SharpqError(f"constant part not in normal form: {const!r}")
+    return node.n, pow_
+
+
+def flat_lc(fs, *, core_cap=12, canon_cap=200000):
+    """The canonical linear combination of a FlatSharp sentence: canonical_lc
+    of its terms, each basic part read back as a pair, with one fresh
+    isolated liberal element per |B|-power of its constant part, which
+    multiplies its count by |B| as the power does, and folded."""
+    _require_sentence(fs.free, "canonical_lc")
+    terms = []
+    for const, basic in fs.terms:
+        coeff, pow_ = read_constant(const)
+        pair = basic_sharp_to_pp(basic)
+        if pow_:
+            extra = _FreshNames(pair.struct.universe).take(pow_)
+            struct = make_structure(
+                pair.struct.sig, list(pair.struct.universe) + extra, dict(pair.struct.relations)
+            )
+            pair = PpPair(struct=struct, liberal=tuple(pair.liberal) + tuple(extra))
+        terms.append((coeff, _fold_quantified(pair)))
+    return canonical_lc(terms, core_cap=core_cap, canon_cap=canon_cap)

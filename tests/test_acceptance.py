@@ -19,7 +19,6 @@ import time
 import pytest
 
 from sharpq.compilepipe import (
-    canonical_lc,
     compile_flat,
     flatten,
     minimize_ep,
@@ -63,7 +62,7 @@ from tests.conftest import (
     three_block_pair,
     triangle_structure,
 )
-from tests.helpers import components, reduce_to_basic
+from tests.helpers import components, flat_lc, reduce_to_basic
 
 SEED = 20260819
 
@@ -220,7 +219,7 @@ def test_canonical_form_identical_across_representations():
         texts = {serialize_sharp(f) for f in (naive, compiled, noisy)}
         assert len(texts) == 3
         lcs = [
-            [(c, serialize_pair(p)) for c, p in canonical_lc(flatten(f)).entries]
+            [(c, serialize_pair(p)) for c, p in flat_lc(flatten(f)).entries]
             for f in (naive, compiled, noisy)
         ]
         assert lcs[0] == lcs[1] == lcs[2]

@@ -12,7 +12,6 @@ from sharpq.compilepipe import (
     LinearCombination,
     _FreshNames,
     _sharp_variables,
-    _read_constant,
     _union_or_kept,
     as_formula,
     basic_sharp_to_pp,
@@ -79,7 +78,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
-from tests.helpers import evaluate, lc_evaluate, reduce_to_basic
+from tests.helpers import evaluate, flat_lc, lc_evaluate, read_constant, reduce_to_basic
 from tests.test_sharpcore import _random_sharp
 
 SIG_E = Signature((("E", 2),))
@@ -259,12 +258,15 @@ def test_compile_rejects_nonempty_root():
 
 
 def test_pp_to_basic_sharp_builds_the_pairs_primal_graph_once(monkeypatch):
-    # the quantifier-aware check and the blocks share one graph of the pair;
-    # each block's width-bounded rewriting builds its own sub-pair's graph
+    # on a decomposition of its own, the quantifier-aware check and the
+    # blocks share one graph of the pair; on compute_qaw's witness for the
+    # same pair, checked against that graph's blocks, it builds none. Each
+    # block's width-bounded rewriting builds its own sub-pair's graph
     from sharpq import decomp, epquery
 
     p = star_pair(3)
-    _, td = compute_qaw(p)
+    _, witness = compute_qaw(p)
+    plain = TreeDecomposition(nodes=witness.nodes, parent=witness.parent, bags=witness.bags)
     built = []
 
     def spy(pair):
@@ -273,8 +275,21 @@ def test_pp_to_basic_sharp_builds_the_pairs_primal_graph_once(monkeypatch):
 
     for module in (compilepipe, decomp, epquery):
         monkeypatch.setattr(module, "primal_graph", spy)
-    pp_to_basic_sharp(p, td)
+    sentence = pp_to_basic_sharp(p, plain)
     assert built.count(True) == 1
+    built.clear()
+    assert pp_to_basic_sharp(p, witness) == sentence
+    assert built.count(True) == 0
+
+
+def test_pp_to_basic_sharp_checks_another_pairs_witness():
+    # the witness of the star with liberal spokes fits the same structure
+    # with the hub liberal, but is not quantifier-aware for it
+    p = star_pair(2)
+    _, witness = compute_qaw(p)
+    hub = PpPair(struct=p.struct, liberal=("z",))
+    with pytest.raises(SharpqError, match="quantifier-aware"):
+        pp_to_basic_sharp(hub, witness)
 
 
 def test_compile_isolated_liberal_variable_multiplies_by_universe_size():
@@ -517,7 +532,7 @@ def test_flatten_single_disjunct_cast_shape():
 def test_flatten_cast_terms_are_signed_products_over_subsets_smallest_first():
     a, b, c = (Cast(Atom(f"A{i}", ("x",)), ("x",)) for i in range(3))
     fs = flatten(parse_sharp("C[A0(x) | A1(x) | A2(x); {x}]"))
-    assert [_read_constant(const) for const, _ in fs.terms] == [
+    assert [read_constant(const) for const, _ in fs.terms] == [
         (1, 0), (1, 0), (1, 0), (-1, 0), (-1, 0), (-1, 0), (1, 0)
     ]
     assert [basic for _, basic in fs.terms] == [
@@ -776,7 +791,7 @@ def test_flatten_disjunction_gives_three_signed_terms():
     q = parse_query("query d(x,y,z): E(x,y) | F(y,z)")
     fs = flatten(naive_representation(q))
     assert len(fs.terms) == 3
-    assert [_read_constant(c)[0] for c, _ in fs.terms] == [1, 1, -1]
+    assert [read_constant(c)[0] for c, _ in fs.terms] == [1, 1, -1]
     assert fs.free == frozenset()
 
 
@@ -786,7 +801,7 @@ def test_flatten_keeps_already_flat_terms():
     fs = flatten(f)
     assert len(fs.terms) == 1
     const, kept = fs.terms[0]
-    assert _read_constant(const) == (3, 0)
+    assert read_constant(const) == (3, 0)
     assert kept == basic
 
 
@@ -816,7 +831,7 @@ def test_flatten_terms_are_well_shaped(rng):
         produced += 1
         fs = flatten(f)
         for const, basic in fs.terms:
-            _read_constant(const)  # raises unless in normal form
+            read_constant(const)  # raises unless in normal form
             assert validate(Times(const, basic)).ok
 
 
@@ -959,7 +974,7 @@ def test_flatten_refuses_where_the_reference_refuses():
 
 def test_canonical_lc_of_union_query():
     q = parse_query("query d(x): U(x) | V(x)")
-    lc = canonical_lc(flatten(naive_representation(q)))
+    lc = flat_lc(flatten(naive_representation(q)))
     assert [c for c, _ in lc.entries] == [1, 1, -1]
     assert [sum(len(ts) for ts in p.struct.relations.values()) for _, p in lc.entries] == [1, 1, 2]
     for _, p in lc.entries:
@@ -970,7 +985,7 @@ def test_canonical_lc_merges_counting_equivalent_terms():
     # x.E(x,y) + y.E(x,y) are the same term up to renaming: coefficients add.
     left = parse_sharp("P{x} P{y} C[E(x,y); {x,y}]")
     right = parse_sharp("P{u} P{w} C[E(u,w); {u,w}]")
-    lc = canonical_lc(flatten(Plus(left, right)))
+    lc = flat_lc(flatten(Plus(left, right)))
     assert len(lc.entries) == 1
     assert lc.entries[0][0] == 2
 
@@ -988,7 +1003,7 @@ def test_canonical_lc_serializes_each_term_once(monkeypatch):
         return texts[-1]
 
     monkeypatch.setattr(compilepipe, "serialize_pair", spy)
-    lc = canonical_lc(fs)
+    lc = flat_lc(fs)
     assert len(fs.terms) == len(lc.entries) == len(texts) == 255
     keys = [(len(p.liberal), compilepipe._fact_count(p), serialize(p)) for _, p in lc.entries]
     assert keys == sorted(keys)
@@ -997,7 +1012,7 @@ def test_canonical_lc_serializes_each_term_once(monkeypatch):
 def test_canonical_lc_drops_cancelled_terms():
     f = parse_sharp("P{x} C[U(x); {x}]")
     g = Plus(f, Times(Const(-1), parse_sharp("P{w} C[U(w); {w}]")))
-    assert canonical_lc(flatten(g)).entries == ()
+    assert flat_lc(flatten(g)).entries == ()
 
 
 def test_canonical_lc_absorbs_powers_as_fresh_liberal_elements(rng):
@@ -1006,7 +1021,7 @@ def test_canonical_lc_absorbs_powers_as_fresh_liberal_elements(rng):
         Expand(frozenset(), Project(frozenset({"pad"}), Const(2))),
         parse_sharp("P{x} P{y} C[E(x,y); {x,y}]"),
     )
-    lc = canonical_lc(flatten(f))
+    lc = flat_lc(flatten(f))
     assert len(lc.entries) == 1
     coeff, pair = lc.entries[0]
     assert coeff == 2
@@ -1021,11 +1036,11 @@ def test_canonical_lc_identical_across_representations(rng):
     for _ in range(12):
         q = random_ep_query(rng, max_vars=4, max_atoms=3, max_disjunctions=1)
         naive = naive_representation(q)
-        lc1 = canonical_lc(flatten(naive))
+        lc1 = flat_lc(flatten(naive))
         noise = Plus(naive, Times(Const(0), naive))
-        lc2 = canonical_lc(flatten(noise))
+        lc2 = flat_lc(flatten(noise))
         compiled, _ = minimize_ep(q)
-        lc3 = canonical_lc(flatten(compiled))
+        lc3 = flat_lc(flatten(compiled))
         assert lc1 == lc2 == lc3
         agreeing += 1
     assert agreeing == 12
@@ -1048,16 +1063,16 @@ def test_canonical_lc_refuses_a_term_over_the_core_cap_before_any_search(monkeyp
     for name in ("core_of", "_canonical_pair"):
         monkeypatch.setattr(compilepipe, name, counted(name))
     with pytest.raises(CapExceeded, match=f"core search limited to 2 elements, got {max(sizes)}"):
-        canonical_lc(fs, core_cap=2)
+        flat_lc(fs, core_cap=2)
     assert calls == []
-    assert len(canonical_lc(fs, core_cap=3).entries) == 3
+    assert len(flat_lc(fs, core_cap=3).entries) == 3
     assert calls.count("_canonical_pair") == 3
 
 
 def test_canonical_lc_entries_pairwise_inequivalent(rng):
     for _ in range(10):
         q = random_ep_query(rng, max_vars=4, max_atoms=3, max_disjunctions=2)
-        lc = canonical_lc(flatten(naive_representation(q)))
+        lc = flat_lc(flatten(naive_representation(q)))
         entries = lc.entries
         for i in range(len(entries)):
             assert entries[i][0] != 0
@@ -1077,7 +1092,7 @@ def test_canonical_lc_entries_pairwise_inequivalent(rng):
 def test_canonical_lc_rejects_open_input():
     fs = flatten(parse_sharp("C[E(x,y); {x,y}]"))
     with pytest.raises(SharpqError, match="sentence"):
-        canonical_lc(fs)
+        flat_lc(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1102,7 @@ def test_canonical_lc_rejects_open_input():
 
 def test_lc_evaluate_theta_example():
     q = parse_query("query t(x1,x2): U1(x1) & U2(x2)")
-    lc = canonical_lc(flatten(naive_representation(q)))
+    lc = flat_lc(flatten(naive_representation(q)))
     b = parse_structure("signature U1/1 U2/1\nuniverse a b\nU1(a)\nU1(b)\nU2(b)\n")
     assert lc_evaluate(lc, b) == 2
     assert lc_evaluate(lc, b, "oracle") == 2
@@ -1097,7 +1112,7 @@ def test_lc_evaluate_theta_example():
 def test_lc_evaluate_engines_agree(rng):
     for _ in range(10):
         q = random_ep_query(rng, max_vars=4, max_atoms=3, max_disjunctions=2)
-        lc = canonical_lc(flatten(naive_representation(q)))
+        lc = flat_lc(flatten(naive_representation(q)))
         b = random_structure(rng, q.sig, max_size=3)
         assert lc_evaluate(lc, b, "both") == oracle_count(q, b)
 
@@ -1223,7 +1238,7 @@ def test_minimize_ep_drops_contained_disjuncts_without_changing_its_output(rng, 
             continue
         lcs.clear()
         sentence, _ = minimize_ep(q)
-        want = canonical_lc(flatten(naive_representation(q)))
+        want = flat_lc(flatten(naive_representation(q)))
         assert lcs[0].entries == want.entries
         reference = (
             compilepipe._compile_terms(((Const(c), pair) for c, pair in want.entries), 24)[0]
@@ -1235,22 +1250,23 @@ def test_minimize_ep_drops_contained_disjuncts_without_changing_its_output(rng, 
     assert pruned >= 50
 
 
-def test_minimize_ep_flattens_only_the_disjuncts_not_contained_in_another(rng, monkeypatch):
+def test_minimize_ep_builds_terms_of_only_the_disjuncts_not_contained_in_another(
+    rng, monkeypatch
+):
     q = parse_query(
         "query c(x): (exists y . E(x,y)) | "
         "(exists y . (E(x,y) & exists z . exists w . E(y,z) & E(z,w) & E(w,y)))"
     )
     assert len(flatten(naive_representation(q)).terms) == 3
-    flattened = []
-    real = compilepipe.flatten
+    term_lists = []
 
-    def spy(*args, **kwargs):
-        flattened.append(real(*args, **kwargs))
-        return flattened[-1]
+    def spy(terms, **kwargs):
+        term_lists.append(list(terms))
+        return canonical_lc(term_lists[-1], **kwargs)
 
-    monkeypatch.setattr(compilepipe, "flatten", spy)
+    monkeypatch.setattr(compilepipe, "canonical_lc", spy)
     sentence, w = minimize_ep(q)
-    assert [len(fs.terms) for fs in flattened] == [1]
+    assert [len(terms) for terms in term_lists] == [1]
     assert w == 2
     for _ in range(4):
         b = random_structure(rng, q.sig, max_size=4)

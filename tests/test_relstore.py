@@ -66,6 +66,38 @@ def test_make_structure_keeps_its_checks():
             make_structure(SIG_E, universe, rels)
 
 
+def test_structures_hold_their_relations_in_signature_order_whatever_they_are_given_in():
+    # a structure walks the relations it is given, never every symbol of its
+    # signature, yet holds, lists and refuses them in signature order
+    sig = Signature(tuple((f"R{i}", 1 + i % 2) for i in range(40)))
+    given = {"R7": {("b", "a")}, "R2": {("a",)}, "R30": {("a",), ("b",)}}
+    built = make_structure(sig, ["a", "b"], given)
+    parsed = parse_structure("signature " + " ".join(f"{n}/{a}" for n, a in sig.symbols)
+                             + "\nuniverse a b\n# read line by line\nR7(b,a)\nR30(b)\nR2(a)\nR30(a)\n")
+    for s in (built, parsed):
+        assert list(s.relations) == ["R2", "R7", "R30"]
+        assert list(s.all_facts()) == [
+            ("R2", ("a",)), ("R7", ("b", "a")), ("R30", ("a",)), ("R30", ("b",))
+        ]
+    assert built == parsed and hash(built) == hash(parsed)
+    # the first fault in signature order, before any undeclared relation
+    with pytest.raises(ParseError, match=r"arity mismatch in R3\('a',\)"):
+        make_structure(sig, ["a"], {"X": {("a",)}, "R5": {("a", "z")}, "R3": {("a",)}})
+    with pytest.raises(ParseError, match="undeclared relation 'X'"):
+        make_structure(sig, ["a"], {"R3": {("a", "a")}, "X": {("a",)}, "Y": {("a",)}})
+
+
+def test_a_signature_answers_arity_and_membership_after_copy_and_pickle():
+    import copy
+    import pickle
+
+    sig = Signature((("E", 2), ("F", 1)))
+    for twin in (sig, copy.copy(sig), copy.deepcopy(sig), pickle.loads(pickle.dumps(sig))):
+        assert (twin.arity("E"), twin.arity("F"), "F" in twin, "G" in twin) == (2, 1, True, False)
+        with pytest.raises(KeyError):
+            twin.arity("G")
+
+
 def test_structure_holds_a_repeated_fact_once():
     sig = Signature((("E", 2), ("F", 1)))
     s = relstore.Structure(sig, ["a", "b"], {"E": [("a", "b"), ["a", "b"]], "F": []})

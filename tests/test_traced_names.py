@@ -37,7 +37,8 @@ def test_every_traced_and_counted_name_resolves_in_each_listed_module():
 def test_every_counter_hook_runs_on_real_results(tmp_path, capsys):
     # the hooks read `.entries`, `.terms`, `stats["peak_rows"]`,
     # `.all_facts()` and `.struct.universe` off the traced calls' results;
-    # one minimize of a union and one count of a star reach every hook, and
+    # one minimize and one compile of a union (minimize builds its terms as
+    # pairs, compile flattens) and one count of a star reach every hook, and
     # a hook that no longer fits its result's shape fails here
     spans = _spans()
     reached = set()
@@ -65,6 +66,7 @@ def test_every_counter_hook_runs_on_real_results(tmp_path, capsys):
     try:
         tracer.request = 0
         assert sharpq.cli.main(["minimize", "-q", str(union), "--json"]) == 0
+        assert sharpq.cli.main(["compile", "-q", str(union), "--json"]) == 0
         assert sharpq.cli.main(["count", "-q", str(star), "-d", str(data), "--json"]) == 0
     finally:
         tracer.request = None
