@@ -7,7 +7,8 @@ decimal strings (arbitrary precision) in both text and JSON mode.
 
 Exit codes: 0 success, 1 other module errors, 2 parse error, 3 cap exceeded,
 4 engine disagreement, 5 internal invariant violation. Engine disagreement is
-first-class: it is the tool's core falsification signal.
+first-class: it is the tool's core falsification signal. `count` evaluates
+compilepipe.count_sentence and has no second route: a cap it meets exits 3.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .epquery import (
     serialize_query,
 )
 from .equiv import core_of, counting_equivalent, logically_equivalent
-from .errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
+from .errors import EngineDisagreement, InternalInvariant, SharpqError
 from .relstore import parse_structure
 from .sharpcore import (
     check_represents,
@@ -81,23 +82,13 @@ def _load_sharp(path):
 
 
 def _compiled_sentence(q, args):
-    """The sentence `count` evaluates: compilepipe.count_sentence, one
-    width-bounded cast for a disjunction-free query with one liberal
-    variable, which no core or canonicalization cap refuses; for any other
-    query the table union of the disjuncts no other disjunct contains when
-    its cast is no wider than their widest core, else their width-minimal
-    representation. When a cap trips, fall back to the per-term
-    decomposition route, which never searches for endomorphisms and
-    flattens the whole query: a query whose terms fit only after the drop is
-    answered by the minimal route, and when that trips a core or
-    canonicalization cap, the fallback reports the whole query's term count.
-    The DNF and treewidth caps re-raise from the fallback."""
-    try:
-        return count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
-    except CapExceeded:
-        fs = flatten(naive_representation(q), max_dnf=args.max_dnf)
-        sentence, _ = compile_flat(fs, tw_cap=args.max_vertices)
-        return sentence
+    """The sentence `count` evaluates: compilepipe.count_sentence, built from
+    the disjuncts no other disjunct contains. It is their table union when
+    its cast is no wider than their widest core; else, for one liberal
+    variable, one width-bounded cast of the disjuncts; else their
+    inclusion-exclusion terms, merged when no core or labeling cap refuses
+    it. Only the DNF, inclusion-exclusion and treewidth caps refuse a count."""
+    return count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
 
 
 def _self_check(sentence, q, args):

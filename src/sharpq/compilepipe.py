@@ -3,11 +3,11 @@
 A query becomes a sum of basic counting sentences, each as wide as the
 quantifier-aware width of its core (minimize_ep): the inclusion-exclusion
 terms of its DNF disjuncts are built as pairs and merged into a canonical
-linear combination (canonical_lc); `count` takes a union's naive cast
-instead when it is no wider, and one width-bounded cast of a one-liberal
-conjunctive query (count_sentence). Any counting formula can also be
-flattened into a sum of terms (flatten) and compiled term by term without
-cores (compile_flat).
+linear combination (canonical_lc). `count` (count_sentence) takes a union's
+naive cast instead when it is no wider, one width-bounded cast of the
+disjuncts of a one-liberal query, and the unmerged terms when a cap refuses
+the merge. Any counting formula can also be flattened into a sum of terms
+(flatten) and compiled term by term without cores (compile_flat).
 """
 
 from __future__ import annotations
@@ -121,15 +121,17 @@ def _rename(f, ren):
 def _compile_terms(terms, tw_cap):
     """(sum, largest qaw) for (constant, pair) terms: each pair compiled along a
     width-minimal quantifier-aware decomposition and multiplied by its
-    constant, the products renamed apart and summed left to right. Each
-    pair's primal graph and blocks are built, and its witness checked, once,
-    in compute_qaw: pp_to_basic_sharp does not check compute_qaw's witness
-    for the same pair again."""
+    constant, the products renamed apart and summed left to right; (Const(0),
+    0) for no terms. Each pair's primal graph and blocks are built, and its
+    witness checked, once, in compute_qaw: pp_to_basic_sharp does not check
+    compute_qaw's witness for the same pair again."""
     products, widths = [], []
     for const, pair in terms:
         qaw, td = compute_qaw(pair, cap=tw_cap)
         products.append(Times(const, pp_to_basic_sharp(pair, td)))
         widths.append(qaw)
+    if not products:
+        return Const(0), 0
     names = _FreshNames(set().union(*map(_sharp_variables, products)))
     renamed = [
         _rename(term, {v: names.fresh() for v in sorted(_sharp_variables(term))})
@@ -382,40 +384,48 @@ def _fold_quantified(p):
 
 
 def count_sentence(q, *, max_dnf=4096, tw_cap=24):
-    """The sentence `count` evaluates. A disjunction-free query with one
-    liberal variable is one width-bounded cast (see _one_liberal_sentence).
-    Any other query takes its table-union sentence when there is one, else
-    minimize_ep(q)'s, with q's DNF disjuncts built, folded and pruned once
-    for both: the folded pairs of the disjuncts kept are also those the
-    inclusion-exclusion terms are glued from. Raises CapExceeded as
-    minimize_ep does, or as exact_treewidth does on the one-liberal route."""
-    if len(q.liberal) == 1 and not _has_or(q.formula):
-        return _one_liberal_sentence(q, tw_cap)
+    """The sentence `count` evaluates, from the folded pairs of the DNF
+    disjuncts _drop_contained keeps, built once: q's table-union sentence
+    when there is one; else, with one liberal variable, one width-bounded
+    cast of the disjuncts (see _one_liberal_sentence); else the
+    inclusion-exclusion terms of the disjuncts, merged by canonical_lc, or
+    compiled as they are, folded but neither cored nor merged, when a core
+    or labeling cap refuses the merge. Raises CapExceeded when the DNF, the
+    inclusion-exclusion terms or a treewidth meets its cap."""
     union, pairs = _union_or_kept(q, max_dnf, tw_cap)
     if union is not None:
         return union
-    return _minimize_kept(pairs, max_dnf=max_dnf, tw_cap=tw_cap)[0]
+    if len(q.liberal) == 1:
+        return _one_liberal_sentence(q.liberal, pairs, tw_cap)
+    terms = _ie_terms(pairs, max_dnf)
+    try:
+        terms = canonical_lc(terms).entries
+    except CapExceeded:
+        pass
+    return _compile_terms(((Const(c), pair) for c, pair in terms), tw_cap)[0]
 
 
-def _one_liberal_sentence(q, tw_cap):
-    """P{y} C[phi; {y}] for a disjunction-free query q with one liberal
-    variable y: phi is the width-bounded rewriting of q's folded pair, cored
+def _one_liberal_sentence(liberal, pairs, tw_cap):
+    """P{y} C[phi1 | ... | phik; {y}] for folded pairs over one liberal
+    element y: phi_i is the width-bounded rewriting of the i-th pair, cored
     when it has at most 12 elements (core_of's cap), along an exact tree
-    decomposition of the pair's primal graph rerooted at its first node
-    whose bag holds y.
+    decomposition of its primal graph rerooted at its first node whose bag
+    holds y. A disjunction-free query is the case k = 1.
 
     With one liberal variable every decomposition rooted at a bag holding it
-    is quantifier-aware, so the cast has width treewidth + 1, the pair's
-    quantifier-aware width: that of q's core within the cap, and over it
-    that of the folded pair, which is at most the uncored pair's. No
-    inclusion-exclusion term, canonical labeling or qaw anchor is built."""
-    pair = _fold_quantified(pp_to_pair(q))
-    if len(pair.struct.universe) <= 12:
-        pair = core_of(pair)
-    _, td = exact_treewidth(primal_graph(pair), cap=tw_cap)
-    root = next(t for t in td.nodes if q.liberal[0] in td.bags[t])
-    phi = rewrite_width_bounded(pair, _reroot(td, root))
-    return Project(frozenset(q.liberal), Cast(ep=phi, liberal=tuple(q.liberal)))
+    is quantifier-aware, so phi_i has width treewidth + 1, its pair's
+    quantifier-aware width: that of its core within the cap, and over it
+    that of the folded pair, which is at most the uncored pair's. The cast's
+    width is the largest of these (Chen & Mengel): no inclusion-exclusion
+    term, canonical labeling or qaw anchor is built."""
+    phis = []
+    for pair in pairs:
+        if len(pair.struct.universe) <= 12:
+            pair = core_of(pair)
+        _, td = exact_treewidth(primal_graph(pair), cap=tw_cap)
+        root = next(t for t in td.nodes if liberal[0] in td.bags[t])
+        phis.append(rewrite_width_bounded(pair, _reroot(td, root)))
+    return Project(frozenset(liberal), Cast(ep=reduce(Or, phis), liberal=tuple(liberal)))
 
 
 def _union_or_kept(q, max_dnf, tw_cap):
@@ -767,8 +777,6 @@ def compile_flat(fs, *, tw_cap=24):
     minimize_ep this never searches for endomorphisms, so it stays feasible
     on terms with many variables."""
     _require_sentence(fs.free, "compile_flat")
-    if not fs.terms:
-        return Const(0), 0
     return _compile_terms(((c, basic_sharp_to_pp(basic)) for c, basic in fs.terms), tw_cap)
 
 
@@ -825,14 +833,5 @@ def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
     are renamed apart and reassembled as sum of Const(c_i) * sentence_i.
     Returns (formula, width) with width the maximum term width."""
     pairs = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)[1]
-    return _minimize_kept(pairs, max_dnf=max_dnf, core_cap=core_cap, tw_cap=tw_cap,
-                          canon_cap=canon_cap)
-
-
-def _minimize_kept(pairs, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
-    """minimize_ep of the union of the folded pairs of a query's DNF
-    disjuncts, none of which contains another."""
     lc = canonical_lc(_ie_terms(pairs, max_dnf), core_cap=core_cap, canon_cap=canon_cap)
-    if not lc.entries:
-        return Const(0), 0
     return _compile_terms(((Const(c), pair) for c, pair in lc.entries), tw_cap)

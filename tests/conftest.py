@@ -146,7 +146,9 @@ def random_ep_query(rng, *, max_vars=6, max_atoms=5, max_disjunctions=2,
     return LiberalQuery(name=name, formula=formula, liberal=tuple(lib), sig=sig)
 
 
-# Unions that `count` keeps on inclusion-exclusion. A: naive width 4, while
+# Unions whose naive cast the table-union guard refuses, so that `count` casts
+# their disjuncts one by one and `minimize` sums their inclusion-exclusion
+# terms. A: naive width 4, while
 # the disjuncts' cores have qaw 2 and 1 (the prenex path is wider than its
 # decomposition). B: naive width 3, and so is the first disjunct's qaw, but
 # its core E(x,x) has qaw 1.

@@ -22,9 +22,12 @@ from sharpq.compilepipe import (
     _summands,
     _union_or_kept,
     basic_sharp_to_pp,
+    compile_flat,
+    count_sentence,
+    flatten,
     minimize_ep,
 )
-from sharpq.epquery import _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
+from sharpq.epquery import Or, _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
 from sharpq.errors import CapExceeded
 from sharpq.relstore import parse_structure, serialize_structure
 from sharpq.sharpcore import (
@@ -32,6 +35,7 @@ from sharpq.sharpcore import (
     eval_sentence,
     naive_representation,
     parse_sharp,
+    serialize_sharp,
     validate,
     width,
 )
@@ -45,6 +49,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
+from tests.test_one_liberal_route import _refuse
 
 THETA2_EPQ = "query theta2(x1,x2): U1(x1) & U2(x2)\n"
 THETA2_REL = "signature U1/1 U2/1\nuniverse a b\nU1(a)\nU1(b)\nU2(b)\n"
@@ -241,18 +246,24 @@ def _binary_union(k):
 
 @pytest.fixture
 def ie_route(monkeypatch):
-    """The names of the queries that `count` sends to inclusion-exclusion."""
-    names = []
+    """The names of the queries that `count` sends to inclusion-exclusion:
+    those whose count_sentence builds inclusion-exclusion terms."""
+    names, counting = [], []
+    real_count, real_terms = sharpq.cli.count_sentence, sharpq.compilepipe._ie_terms
 
-    real = sharpq.compilepipe._union_or_kept
+    def count_spy(q, **kwargs):
+        counting.append(q.name)
+        try:
+            return real_count(q, **kwargs)
+        finally:
+            counting.pop()
 
-    def spy(q, *args):
-        union, kept = real(q, *args)
-        if union is None:
-            names.append(q.name)
-        return union, kept
+    def terms_spy(*args):
+        names.extend(counting)
+        return real_terms(*args)
 
-    monkeypatch.setattr(sharpq.compilepipe, "_union_or_kept", spy)
+    monkeypatch.setattr(sharpq.cli, "count_sentence", count_spy)
+    monkeypatch.setattr(sharpq.compilepipe, "_ie_terms", terms_spy)
     return names
 
 
@@ -288,8 +299,12 @@ def test_unions_count_like_the_oracle_and_like_set_unions(tmp_path, capsys, ie_r
 
 
 @pytest.mark.parametrize("text", [QUERY_A, QUERY_B], ids=["wider-cast", "wider-uncored"])
-def test_unions_wider_than_their_cores_keep_inclusion_exclusion(tmp_path, capsys, ie_route, text):
+def test_one_liberal_unions_wider_than_their_cores_take_one_cast(tmp_path, capsys, ie_route, text):
     q = parse_query(text)
+    sentence = count_sentence(q)
+    # one cast over the union of the disjuncts, as narrow as minimize's terms
+    assert isinstance(sentence.child.ep, Or)
+    assert width(sentence) == minimize_ep(q)[1] < width(naive_representation(q))
     rng = random.Random(7)
     for _ in range(5):
         b = random_structure(rng, q.sig, min_size=2, max_size=4, density=0.4)
@@ -298,7 +313,7 @@ def test_unions_wider_than_their_cores_keep_inclusion_exclusion(tmp_path, capsys
             capsys, tmp_path, text, serialize_structure(b), "--engine", "both", "--json"
         )
         assert (code, json.loads(out)["count"], err) == (0, str(old_route), "")
-    assert ie_route == [q.name] * 5
+    assert ie_route == []
 
 
 def test_disjunction_free_queries_keep_their_route(tmp_path, capsys, ie_route):
@@ -324,6 +339,19 @@ def test_random_unions_count_alike_on_both_engines(tmp_path, capsys, ie_route):
     assert 20 < len(ie_route) < 180
 
 
+def test_count_never_runs_compiles_per_term_route(tmp_path, capsys, monkeypatch):
+    # any query, with or without `|`, with one liberal variable or more
+    _refuse(monkeypatch, ("flatten", "compile_flat", "basic_sharp_to_pp"))
+    rng = random.Random(20261020)
+    for _ in range(200):
+        q = random_ep_query(rng, max_vars=5, max_atoms=5, max_disjunctions=2)
+        b = random_structure(rng, q.sig, max_size=3)
+        code, out, err = _count(
+            capsys, tmp_path, serialize_query(q), serialize_structure(b), "--engine", "both"
+        )
+        assert (code, out.splitlines()[-1:], err) == (0, ["engines agree"], ""), serialize_query(q)
+
+
 def test_union_table_over_max_rows_exits_three(tmp_path, capsys, ie_route):
     # each atom table holds at most 2 rows, the union 5
     rel = "signature A0/1 A1/1 A2/1\nuniverse a b c d e\nA0(a)\nA0(b)\nA1(c)\nA1(d)\nA2(e)\n"
@@ -335,9 +363,12 @@ def test_union_table_over_max_rows_exits_three(tmp_path, capsys, ie_route):
     assert ie_route == []
 
 
-def test_union_the_table_route_refuses_counts_through_a_1023_term_sum(tmp_path, capsys, ie_route):
-    # naive width 3 exceeds the disjuncts' qaw 2, so `count` sums 2^10 - 1
-    # inclusion-exclusion terms: a Plus chain far deeper than the recursion limit
+def test_a_union_the_table_route_refuses_is_one_cast_and_its_1023_term_sum_evaluates(
+    tmp_path, capsys, ie_route
+):
+    # naive width 3 exceeds the disjuncts' qaw 2: `count` casts the ten
+    # disjuncts at width 2, and `compile` sums 2^10 - 1 inclusion-exclusion
+    # terms, a Plus chain far deeper than the recursion limit
     k = 10
     text = "query f(x): " + " | ".join(
         f"(exists y . exists z . E{i}(x,y) & E{i}(y,z))" for i in range(k)
@@ -353,7 +384,13 @@ def test_union_the_table_route_refuses_counts_through_a_1023_term_sum(tmp_path, 
     assert _count(capsys, tmp_path, text, rel, "--engine", "both") == (
         0, f"{expected}\nengines agree\n", ""
     )
-    assert ie_route == ["f"]
+    assert ie_route == []
+    q = parse_query(text)
+    sentence = count_sentence(q)
+    assert (width(sentence), serialize_sharp(sentence).count(" | ")) == (2, k - 1)
+    flat, w = compile_flat(flatten(naive_representation(q)))
+    assert (w, serialize_sharp(flat).count(" + ")) == (2, 2**k - 2)
+    assert eval_sentence(flat, parse_structure(rel)) == expected
 
 
 @pytest.mark.parametrize("command", ["minimize", "compile"])
@@ -717,23 +754,23 @@ def test_inclusion_exclusion_cap_exits_three_before_any_term(tmp_path, capsys):
 
 
 def test_count_caps_the_terms_left_after_dropping_contained_disjuncts(tmp_path, capsys):
-    # count's minimize_ep route drops the last disjunct, contained in A0(x),
-    # and needs 63 <= 100 terms instead of 127; the wide triangle keeps the
-    # table-union route out
     d = _write(
         tmp_path, "d.rel",
-        "signature A0/1 A1/1 A2/1 A3/1 A4/1 A5/1 B/1 E/2\n"
+        "signature A0/1 A1/1 A2/1 A3/1 A4/1 A5/1 A6/1 B/1 E/2\n"
         "universe a b c\nA0(a)\nA1(b)\nB(a)\nE(a,a)\nE(b,c)\n",
     )
+    # one liberal variable: the kept disjuncts are counted without any
+    # inclusion-exclusion term to cap, also where a kept 13-element path
+    # trips minimize_ep's core cap
     unary = " | ".join(f"A{i}(x)" for i in range(6))
     q = _write(
         tmp_path, "q.epq",
         f"query q(x): {unary} | (A0(x) & "
         "exists y . exists z . exists w . E(y,z) & E(z,w) & E(w,y) & E(y,y))\n",
     )
-    assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100") == (0, "2\n", "")
-    # a kept 13-element path trips minimize_ep's core cap; the fallback
-    # flattens all 7 disjuncts and reports their 127 terms
+    assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100", "--engine", "both") == (
+        0, "2\nengines agree\n", ""
+    )
     path = " & ".join(
         f"exists y{i} . E({'x' if i == 1 else f'y{i - 1}'},y{i})" for i in range(1, 13)
     )
@@ -742,8 +779,23 @@ def test_count_caps_the_terms_left_after_dropping_contained_disjuncts(tmp_path, 
     q = _write(tmp_path, "p.epq", text)
     with pytest.raises(CapExceeded, match="core search limited to 12 elements"):
         minimize_ep(parse_query(text), max_dnf=100)
+    assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100", "--engine", "both") == (
+        0, "2\nengines agree\n", ""
+    )
+    # two liberal variables: the cap counts the 7 disjuncts kept once A0(x) &
+    # B(x), contained in A0(x), is dropped, not all 8 (255 terms); the
+    # two-edge walk, wider as a naive cast than as a core, keeps the
+    # table-union route out
+    text = (
+        f"query q(x,v): {unary} | (exists y . exists z . E(x,y) & E(y,z) & A5(x)) "
+        "| (A0(x) & B(x)) | A6(v)\n"
+    )
+    q = _write(tmp_path, "v.epq", text)
     assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "100") == (
         3, "", "error: inclusion-exclusion over 7 disjuncts needs 127 > 100 terms\n"
+    )
+    assert _run(capsys, "count", "-q", q, "-d", d, "--max-dnf", "127", "--engine", "both") == (
+        0, "6\nengines agree\n", ""
     )
 
 

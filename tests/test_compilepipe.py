@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import sharpq.cli
 from sharpq import compilepipe
 from sharpq.compilepipe import (
     FlatSharp,
@@ -48,7 +49,7 @@ from sharpq.epquery import (
 from sharpq.epquery import _all_variables, _has_or, _rename_apart
 from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
-from sharpq.relstore import Signature, make_structure, parse_structure
+from sharpq.relstore import Signature, make_structure, parse_structure, serialize_structure
 from sharpq.sharpcore import (
     _EP_NODES,
     Cast,
@@ -79,6 +80,7 @@ from tests.conftest import (
     three_block_pair,
 )
 from tests.helpers import evaluate, flat_lc, lc_evaluate, read_constant, reduce_to_basic
+from tests.test_one_liberal_route import _refuse
 from tests.test_sharpcore import _random_sharp
 
 SIG_E = Signature((("E", 2),))
@@ -1355,3 +1357,58 @@ def test_minimize_ep_output_is_valid_and_renamed_apart(rng):
     report = validate(f)
     assert report.ok and not report.free
     assert parse_sharp(serialize_sharp(f)) == f
+
+
+# ---------------------------------------------------------------------------
+# count's unmerged terms: when a core or labeling cap refuses canonical_lc,
+# count_sentence compiles the inclusion-exclusion terms as they are
+# ---------------------------------------------------------------------------
+
+
+ALL_LIBERAL_PATH10 = "query p10({}): {}\n".format(
+    ",".join(f"x{i}" for i in range(10)),
+    " & ".join(f"E(x{i},x{i + 1})" for i in range(9)),
+)
+# the three walks of four edges from x glue into a 14-element term
+WALKS4 = "query w(x,v): " + " | ".join(
+    "(" + "".join(f"exists y{i}{j} . " for j in range(4))
+    + " & ".join(f"E{i}({'x' if j == 0 else f'y{i}{j - 1}'},y{i}{j})" for j in range(4))
+    + ")" for i in range(3)
+) + " | F(v)\n"
+
+
+@pytest.mark.parametrize("text, cap, w, n_terms", [
+    (ALL_LIBERAL_PATH10, "canonical labeling over 10!*0! orderings", 2, 1),
+    (WALKS4, "core search limited to 12 elements, got 14", 2, 15),
+], ids=["all-liberal-path-10", "walks-over-the-core-cap"])
+def test_unmerged_terms_count_like_the_oracle_without_flatten(
+    tmp_path, capsys, monkeypatch, text, cap, w, n_terms
+):
+    q = parse_query(text)
+    flat_width = compile_flat(flatten(naive_representation(q)))[1]
+    refused = []
+    real_lc = compilepipe.canonical_lc
+
+    def lc_spy(terms, **kwargs):
+        try:
+            return real_lc(terms, **kwargs)
+        except CapExceeded as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(compilepipe, "canonical_lc", lc_spy)
+    _refuse(monkeypatch, ("flatten", "compile_flat", "basic_sharp_to_pp"))
+    sentence = count_sentence(q)
+    assert len(refused) == 1 and refused[0].startswith(cap)
+    assert (width(sentence), len(compilepipe._summands(sentence))) == (w, n_terms)
+    assert w <= flat_width
+    query, data = tmp_path / "q.epq", tmp_path / "d.rel"
+    query.write_text(text)
+    rng = random.Random(2035)
+    for _ in range(3):
+        b = random_structure(rng, q.sig, min_size=2, max_size=3, density=0.4)
+        data.write_text(serialize_structure(b))
+        code = sharpq.cli.main(["count", "-q", str(query), "-d", str(data), "--engine", "both"])
+        out, err = capsys.readouterr()
+        assert (code, out.splitlines()[-1:], err) == (0, ["engines agree"], ""), text
+    assert len(refused) == 4

@@ -1,6 +1,7 @@
-"""The route `count` takes for a disjunction-free query with one liberal
-variable: one width-bounded cast of its folded pair, cored within the core
-cap, with no inclusion-exclusion term, canonical labeling or fallback."""
+"""The route `count` takes for a query with one liberal variable that the
+table union does not take: one width-bounded cast of the folded pairs of the
+disjuncts no other disjunct contains, each cored within the core cap, with
+no inclusion-exclusion term or canonical labeling."""
 
 import random
 from pathlib import Path
@@ -18,11 +19,11 @@ from sharpq.compilepipe import (
     minimize_ep,
 )
 from sharpq.decomp import compute_qaw
-from sharpq.epquery import _has_or, parse_query, pp_to_pair, serialize_query
+from sharpq.epquery import Exists, _has_or, parse_query, pp_to_pair, serialize_query, subformulas
 from sharpq.equiv import core_of
-from sharpq.errors import CapExceeded
-from sharpq.relstore import serialize_structure
-from sharpq.sharpcore import naive_representation, serialize_sharp, width
+from sharpq.errors import CapExceeded, SharpqError
+from sharpq.relstore import make_structure, serialize_structure
+from sharpq.sharpcore import eval_sentence, naive_representation, serialize_sharp, width
 
 from tests.conftest import random_ep_query, random_structure
 
@@ -47,12 +48,14 @@ EDGE_CASES = (
 )
 
 
-def _random_one_liberal(n, seed):
+def _random_one_liberal(n, seed, max_disjunctions=0):
+    """n random queries with one liberal variable, with `|` when
+    max_disjunctions allows it."""
     rng = random.Random(seed)
     texts = []
     while len(texts) < n:
-        q = random_ep_query(rng, max_vars=6, max_atoms=6, max_disjunctions=0)
-        if len(q.liberal) == 1:
+        q = random_ep_query(rng, max_vars=6, max_atoms=6, max_disjunctions=max_disjunctions)
+        if len(q.liberal) == 1 and _has_or(q.formula) == (max_disjunctions > 0):
             texts.append(serialize_query(q))
     return texts
 
@@ -67,21 +70,40 @@ def _one_liberal_corpus():
 CORPUS = _one_liberal_corpus()
 
 
-@pytest.fixture
-def no_other_route(monkeypatch):
-    """Every step of the union, minimize and fallback routes fails when run."""
+def _refuse(monkeypatch, names):
+    """Make each named step of compilepipe, and of the cli where it looks the
+    step up, fail when run."""
 
     def refuse(name):
         def run(*args, **kwargs):
-            raise AssertionError(f"{name} ran on the one-liberal route")
+            raise AssertionError(f"{name} ran on a route that does not use it")
 
         return run
 
-    for name in ("_union_or_kept", "_minimize_kept", "flatten", "canonical_lc",
-                 "compute_qaw", "pp_to_basic_sharp"):
-        monkeypatch.setattr(compilepipe, name, refuse(name))
-    for name in ("compile_flat", "flatten"):
-        monkeypatch.setattr(sharpq.cli, name, refuse(name))
+    for name in names:
+        for module in (compilepipe, sharpq.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+
+
+# the steps of inclusion-exclusion and of compile's per-term route
+TERM_STEPS = ("_ie_terms", "canonical_lc", "pp_to_basic_sharp", "flatten", "compile_flat",
+              "basic_sharp_to_pp")
+
+
+@pytest.fixture
+def no_other_route(monkeypatch):
+    """Every step of the table-union guard, inclusion-exclusion and compile's
+    per-term route fails when run; _union_or_kept runs, and finds no
+    disjunction."""
+    _refuse(monkeypatch, ("naive_representation", "compute_qaw", *TERM_STEPS))
+
+
+@pytest.fixture
+def no_terms(monkeypatch):
+    """Every step of inclusion-exclusion and of compile's per-term route
+    fails when run; the table-union guard runs."""
+    _refuse(monkeypatch, TERM_STEPS)
 
 
 def test_count_agrees_with_the_oracle_on_every_one_liberal_conjunctive_query(
@@ -137,8 +159,7 @@ def test_the_cast_has_the_qaw_of_the_core_and_is_never_wider_than_before():
         q = parse_query(text)
         w = width(count_sentence(q))
         assert w == _expected_width(q), text
-        fallback = compile_flat(flatten(naive_representation(q)))[1]
-        assert w <= fallback, text
+        assert w <= compile_flat(flatten(naive_representation(q)))[1], text
         try:
             assert w == minimize_ep(q)[1], text
         except CapExceeded:
@@ -201,4 +222,127 @@ def test_the_cast_does_not_follow_set_order():
         "P{x} C[(exists d . F(x,d) & (exists a . F(d,a) & (exists b . (exists c . "
         "E(a,b) & E(b,c) & E(c,a))))); {x}]",
         "P{x} C[(exists b . (exists e . E(b,e) & E(x,b) & F(e,x) & (exists d . F(b,d)))); {x}]",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one-liberal unions: one cast of the kept disjuncts
+# ---------------------------------------------------------------------------
+
+
+WALK2 = "(exists y . exists z . E(x,y) & E(y,z))"
+PATH12 = "(" + " & ".join(
+    f"exists y{i} . E({'x' if i == 1 else f'y{i - 1}'},y{i})" for i in range(1, 13)
+) + ")"
+
+# (query, width, disjuncts in the cast): the naive cast of each is wider than
+# its disjuncts' cores (a two-edge walk casts at width 3 against qaw 2), or
+# the core cap refuses the table-union guard, so none takes the table union
+UNION_CASES = (
+    # the second disjunct lies inside the first, the third duplicates it
+    (f"query cd(x): {WALK2} | ({WALK2[1:-1]} & F(z)) | "
+     "(exists u . exists v . E(x,u) & E(u,v))\n", 2, 1),
+    (f"query top(x): {WALK2} | true\n", 1, 1),
+    (f"query nowhere(x): {WALK2} | (exists y . F(y,y))\n", 2, 2),
+    # a 13-element path, which no fold shrinks: the core cap refuses it
+    (f"query overcap(x): A(x) | {PATH12}\n", 2, 2),
+    ("query ei(x): " + " | ".join(
+        f"(exists y . exists z . E{i}(x,y) & E{i}(y,z))" for i in range(10)) + "\n", 2, 10),
+)
+
+
+def _random_glued_unions(n, seed):
+    """Unions of 2-4 random conjunctive queries over x0, whose disjuncts
+    survive the drop more often than those of a random query with `|`;
+    draws whose symbols clash in arity are skipped."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < n:
+        bodies = []
+        for _ in range(rng.randint(2, 4)):
+            q = random_ep_query(rng, max_vars=6, max_atoms=5, max_disjunctions=0)
+            if len(q.liberal) == 1:
+                bodies.append(f"({serialize_query(q).split(': ', 1)[1].strip()})")
+        text = f"query u(x0): {' | '.join(bodies)}\n"
+        try:
+            parse_query(text)
+        except SharpqError:
+            continue
+        if len(bodies) > 1:
+            texts.append(text)
+    return texts
+
+
+UNIONS = [
+    *(text for text, _, _ in UNION_CASES),
+    *_random_one_liberal(200, 33, max_disjunctions=3),
+    *_random_glued_unions(100, 34),
+]
+
+
+def _oracle_size(q):
+    """The largest structure size, at most 4, whose assignments of the
+    liberal variable and every binder the oracle enumerates within 10^8."""
+    binders = sum(isinstance(node, Exists) for node in subformulas(q.formula))
+    return max(n for n in range(1, 5) if n ** (1 + binders) <= 10**8)
+
+
+def test_count_agrees_with_the_oracle_on_one_liberal_unions_without_building_terms(
+    tmp_path, capsys, no_terms
+):
+    rng = random.Random(2033)
+    query, data = tmp_path / "q.epq", tmp_path / "d.rel"
+    for text in UNIONS:
+        query.write_text(text)
+        q = parse_query(text)
+        for _ in range(3):
+            b = random_structure(rng, q.sig, min_size=1, max_size=_oracle_size(q), density=0.4)
+            data.write_text(serialize_structure(b))
+            code = main(["count", "-q", str(query), "-d", str(data), "--engine", "both"])
+            out, err = capsys.readouterr()
+            assert (code, out.splitlines()[-1:], err) == (0, ["engines agree"], ""), text
+
+
+def test_one_liberal_unions_are_never_wider_than_compile_flat():
+    casts = multi = 0
+    for text in UNIONS:
+        q = parse_query(text)
+        sentence = count_sentence(q)
+        if sentence != naive_representation(q):
+            casts += 1
+            multi += " | " in serialize_sharp(sentence)
+        assert width(sentence) <= compile_flat(flatten(naive_representation(q)))[1], text
+    # the union cases and most random unions take the cast, and some casts
+    # keep two or more disjuncts
+    assert casts >= 150 and multi >= 20
+
+
+@pytest.mark.parametrize("text, w, k", UNION_CASES, ids=[t.split("(")[0][6:] for t, _, _ in UNION_CASES])
+def test_a_union_the_table_route_refuses_is_one_cast_of_its_kept_disjuncts(no_terms, text, w, k):
+    q = parse_query(text)
+    sentence = count_sentence(q)
+    assert (width(sentence), serialize_sharp(sentence).count(" | ") + 1) == (w, k)
+    assert serialize_sharp(sentence).startswith("P{x} C[")
+    assert width(naive_representation(q)) > w or text.startswith("query overcap")
+
+
+def test_the_ten_disjunct_walk_union_counts_on_2000_elements_as_one_cast(no_terms):
+    # each E_i holds 100 random edges; x is an answer when some E_i holds a
+    # walk of two edges from x
+    rng = random.Random(2034)
+    q = parse_query(UNION_CASES[-1][0])
+    universe = [f"b{i}" for i in range(2000)]
+    rels = {f"E{i}": {tuple(rng.sample(universe, 2)) for _ in range(100)} for i in range(10)}
+    b = make_structure(q.sig, universe, rels)
+    expected = len({x for edges in rels.values() for x, y in edges
+                    for y2, _ in edges if y2 == y})
+    assert eval_sentence(count_sentence(q), b) == expected
+
+
+def test_union_casts_do_not_follow_set_order():
+    # the kept disjuncts in query order, each nested along its decomposition
+    assert [serialize_sharp(count_sentence(parse_query(t))) for t, _, _ in UNION_CASES[:3]] == [
+        "P{x} C[(exists y . E(x,y) & (exists z . E(y,z))); {x}]",
+        "P{x} C[true; {x}]",
+        "P{x} C[(exists y . E(x,y) & (exists z . E(y,z))) | (exists y$1 . F(y$1,y$1)); {x}]",
     ]
