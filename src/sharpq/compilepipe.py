@@ -18,11 +18,9 @@ import random
 from functools import reduce
 
 from .decomp import (
-    TreeDecomposition,
-    _bfs_order,
     _quantifier_aware_blocks,
     _reroot,
-    _tops_and_depths,
+    _walk,
     compute_qaw,
     exact_treewidth,
     validate_td,
@@ -145,20 +143,6 @@ def _compile_terms(terms, tw_cap):
 # ---------------------------------------------------------------------------
 
 
-def _topmost(td, depth, nodes):
-    """The node of `nodes` closest to the root (unique when `nodes` is connected)."""
-    return min(nodes, key=lambda t: (depth[t], t))
-
-
-def _atom_home(td, depth, args):
-    """Topmost node whose bag contains all of the atom's variables."""
-    need = set(args)
-    hosts = [t for t in td.nodes if need <= td.bags[t]]
-    if not hosts:
-        raise InternalInvariant(f"no bag contains the atom variables {sorted(need)}")
-    return _topmost(td, depth, hosts)
-
-
 def rewrite_width_bounded(p, td):
     """Nest a pair's prenex formula along a tree decomposition of its primal
     graph: each quantified variable is bound at its topmost bag, each atom is
@@ -172,14 +156,29 @@ def rewrite_width_bounded(p, td):
         raise SharpqError(
             "decomposition does not fit the pair's primal graph: " + "; ".join(problems)
         )
-    kids = td.children()
-    top, depth = _tops_and_depths(td)
-    quantified = set(p.struct.universe) - p.liberal_set
-    atoms_at = {t: [] for t in td.nodes}
-    for sym, tup in p.struct.all_facts():
-        atoms_at[_atom_home(td, depth, tup)].append(Atom(sym, tup))
+    return _nest(td, _walk(td), p.struct.all_facts(), set(p.struct.universe) - p.liberal_set)
+
+
+def _home(walk, args):
+    """The topmost node whose bag holds all of args in a valid decomposition:
+    the deepest of their topmost nodes, as subtrees that meet pairwise share
+    a node and those tops lie on one path from the root."""
+    _, _, top, depth = walk
+    return max((top[v] for v in args), key=depth.__getitem__)
+
+
+def _nest(td, walk, facts, quantified):
+    """The conjunction of the atoms of `facts` with the `quantified`
+    variables bound, nested along td (walked: `decomp._walk`) as
+    rewrite_width_bounded describes. A node holding none of them passes up
+    its one nonempty child unchanged, so facts and quantified variables whose
+    hosts form a subtree nest as they would along td cut down to it."""
+    kids, order, top, _ = walk
+    atoms_at = {t: [] for t in order}
+    for sym, tup in facts:
+        atoms_at[_home(walk, tup)].append(Atom(sym, tup))
     built = {}
-    for t in reversed(_bfs_order(td)):  # children before parents
+    for t in reversed(order):  # children before parents
         parts = atoms_at[t] + [built[c] for c in kids[t] if not isinstance(built[c], Top)]
         if not parts:
             built[t] = TOP
@@ -189,7 +188,7 @@ def rewrite_width_bounded(p, td):
         for v in reversed(binders):
             body = Exists(v, body)
         built[t] = body
-    return built[td.root]
+    return built[order[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -203,58 +202,42 @@ def pp_to_basic_sharp(p, td):
 
     The recursion runs over the liberal part of each bag: atoms whose
     variables are all liberal become casts at their topmost bag; each
-    existential block becomes one cast of its width-bounded rewriting,
-    multiplied in at the topmost bag meeting the block's interior; bag changes
-    along edges become projections (variables leaving) and expansions
-    (variables entering). The sentence's value on any structure equals the
+    existential block becomes one cast of its width-bounded rewriting along
+    td itself, multiplied in at the topmost bag meeting the block's
+    interior; bag changes along edges become projections (variables
+    leaving) and expansions (variables entering). The sentence's value on any structure equals the
     pair's answer count, and its width is at most the decomposition's bag size.
     """
     lib = p.liberal_set
     comps = _quantifier_aware_blocks(p, td)
     if td.bags[td.root]:
         raise SharpqError("pp_to_basic_sharp needs an empty root bag")
-    kids = td.children()
-    _, depth = _tops_and_depths(td)
+    walk = kids, order, top, depth = _walk(td)
     quantified = set(p.struct.universe) - lib
     eff = {t: frozenset(td.bags[t]) - quantified for t in td.nodes}
+    facts = list(p.struct.all_facts())
 
-    liberal_atoms_at = {t: [] for t in td.nodes}
-    for sym, tup in p.struct.all_facts():
+    factors_at = {t: [] for t in td.nodes}
+    for sym, tup in facts:
         if quantified.isdisjoint(tup):
-            liberal_atoms_at[_atom_home(td, depth, tup)].append(Atom(sym, tup))
-
-    casts_at = {t: [] for t in td.nodes}
+            home = _home(walk, tup)
+            factors_at[home].append(Cast(ep=Atom(sym, tup), liberal=tuple(sorted(eff[home]))))
     for comp in sorted(comps, key=sorted):
         interior = comp - lib
         boundary = comp & lib
-        facts = [
-            (sym, tup)
-            for sym, tup in p.struct.all_facts()
-            if not interior.isdisjoint(tup)
-        ]
-        if not facts:
+        block = [(sym, tup) for sym, tup in facts if not interior.isdisjoint(tup)]
+        if not block:
             # an isolated quantified vertex, true on every universe
             continue
-        hosts = [t for t in td.nodes if td.bags[t] & interior]
-        d = _topmost(td, depth, hosts)
-        universe = sorted(boundary) + sorted(interior)
-        rels = {}
-        for sym, tup in facts:
-            rels.setdefault(sym, set()).add(tup)
-        sub_pair = PpPair(
-            struct=make_structure(p.struct.sig, universe, rels),
-            liberal=tuple(sorted(boundary)),
-        )
-        sub_td = _restrict_td(td, set(hosts), comp)
-        body = rewrite_width_bounded(sub_pair, sub_td)
-        casts_at[d].append(Cast(ep=body, liberal=tuple(sorted(boundary))))
+        # the interior's hosts form a subtree; its top is the shallowest top
+        d = min((top[x] for x in interior), key=depth.__getitem__)
+        cast = Cast(ep=_nest(td, walk, block, interior), liberal=tuple(sorted(boundary)))
+        extra = eff[d] - boundary
+        factors_at[d].append(Expand(extra, cast) if extra else cast)
 
     built = {}
-    for t in reversed(_bfs_order(td)):  # children before parents
-        factors = [Cast(ep=a, liberal=tuple(sorted(eff[t]))) for a in liberal_atoms_at[t]]
-        for cast in casts_at[t]:
-            extra = eff[t] - frozenset(cast.liberal)
-            factors.append(Expand(extra, cast) if extra else cast)
+    for t in reversed(order):  # children before parents
+        factors = factors_at[t]
         for c in kids[t]:
             sub = built[c]
             drop = eff[c] - eff[t]
@@ -268,7 +251,7 @@ def pp_to_basic_sharp(p, td):
             factors.append(sub)
         empty = Cast(ep=TOP, liberal=tuple(sorted(eff[t])))
         built[t] = reduce(Times, factors) if factors else empty
-    sentence = built[td.root]
+    sentence = built[order[0]]
     report = validate(sentence)
     if not report.ok or report.free:
         raise InternalInvariant(
@@ -276,15 +259,6 @@ def pp_to_basic_sharp(p, td):
             + "; ".join(v.message for v in report.violations)
         )
     return sentence
-
-
-def _restrict_td(td, hosts, keep):
-    """Sub-decomposition on `hosts` with bags cut down to `keep`."""
-    parent = {
-        t: (td.parent[t] if td.parent[t] in hosts else None) for t in sorted(hosts)
-    }
-    bags = {t: frozenset(td.bags[t]) & keep for t in hosts}
-    return TreeDecomposition(nodes=tuple(sorted(hosts)), parent=parent, bags=bags)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,22 @@ class NiceTreeDecomposition(TreeDecomposition):
         _set(self, "_checked_for", None)
 
 
+def _walk(td):
+    """(child lists, BFS order from the root, topmost node of each variable,
+    depth of each node) of td, from one walk. Parents come before children
+    in BFS order, so a variable's first node there is its least deep; in a
+    valid decomposition that node is unique."""
+    kids = td.children()
+    order, top, depth = [td.root], {}, {td.root: 0}
+    for t in order:  # grows as it is read
+        order.extend(kids[t])
+        for c in kids[t]:
+            depth[c] = depth[t] + 1
+        for v in td.bags[t]:
+            top.setdefault(v, t)
+    return kids, order, top, depth
+
+
 def validate_td(td, g):
     """List of violated decomposition invariants (empty iff valid for g)."""
     seen = set(td.nodes)
@@ -87,14 +103,8 @@ def validate_td(td, g):
         return [f"node {stray} has parent {td.parent[stray]!r} outside the decomposition"]
     # each node has one parent, so a cycle shows as nodes the root never reaches
     problems = []
-    kids = td.children()
-    reached = set()
-    stack = [roots[0]]
-    while stack:
-        t = stack.pop()
-        reached.add(t)
-        stack.extend(kids[t])
-    if reached != seen:
+    kids, reached, _, _ = _walk(td)
+    if len(reached) != len(seen):
         problems.append("nodes unreachable from the root")
     occurrences = {}
     for t in td.nodes:
@@ -470,20 +480,6 @@ def make_nice(td, quantified):
 # ---------------------------------------------------------------------------
 
 
-def _tops_and_depths(td):
-    """(topmost node of each variable, depth of each node). Parents come
-    before children in BFS order, so a variable's first node there is its
-    least deep; in a valid decomposition that node is unique."""
-    kids = td.children()
-    top, depth = {}, {td.root: 0}
-    for t in _bfs_order(td):
-        for c in kids[t]:
-            depth[c] = depth[t] + 1
-        for v in td.bags[t]:
-            top.setdefault(v, t)
-    return top, depth
-
-
 def _quantifier_aware(td, g, lib, comps):
     """Is td quantifier-aware for a pair with primal graph g, liberal set lib
     and exists-components (blocks) comps? In every block C, every liberal
@@ -493,7 +489,7 @@ def _quantifier_aware(td, g, lib, comps):
     problems = validate_td(td, g)
     if problems:
         raise SharpqError(f"not a decomposition of the pair's primal graph: {problems[0]}")
-    top, depth = _tops_and_depths(td)
+    top = _walk(td)[2]
     for comp in comps:
         for x in sorted(comp - lib):
             ancestors = set()
@@ -530,16 +526,6 @@ def _quantifier_aware_blocks(p, td):
 # ---------------------------------------------------------------------------
 # Quantifier-aware width
 # ---------------------------------------------------------------------------
-
-
-def _bfs_order(td):
-    kids = td.children()
-    out = [td.root]
-    i = 0
-    while i < len(out):
-        out.extend(kids[out[i]])
-        i += 1
-    return out
 
 
 def compute_qaw(p, cap=24):
@@ -627,7 +613,9 @@ def _qaw_witness(p, g, comps, winners, treewidth):
     # witness: contract-graph spine with one block region grafted per block
     _, spine = treewidth(_contract_graph(g, s, comps))
     assembled = _relabel(spine, 0)
-    spine_nodes = set(assembled.nodes)
+    # grafts hang below spine nodes, so the spine's BFS order is that of the
+    # spine nodes of every assembled tree
+    spine_order = _walk(assembled)[1]
     for comp in comps:
         boundary = comp & s
         anchor = winners[comp]
@@ -636,10 +624,7 @@ def _qaw_witness(p, g, comps, winners, treewidth):
         hook = boundary | {anchor}
         r_star = min(t for t in region.nodes if hook <= region.bags[t])
         region = _reroot(region, r_star)
-        t_star = next(
-            t for t in _bfs_order(assembled)
-            if t in spine_nodes and boundary <= assembled.bags[t]
-        )
+        t_star = next(t for t in spine_order if boundary <= assembled.bags[t])
         assembled = _graft(assembled, region, t_star)
 
     nice = make_nice(assembled, set(p.struct.universe) - s)

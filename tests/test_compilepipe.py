@@ -261,27 +261,56 @@ def test_compile_rejects_nonempty_root():
 
 def test_pp_to_basic_sharp_builds_the_pairs_primal_graph_once(monkeypatch):
     # on a decomposition of its own, the quantifier-aware check and the
-    # blocks share one graph of the pair; on compute_qaw's witness for the
-    # same pair, checked against that graph's blocks, it builds none. Each
-    # block's width-bounded rewriting builds its own sub-pair's graph
-    from sharpq import decomp, epquery
+    # blocks share one graph of the pair, and the decomposition is validated
+    # once; on compute_qaw's witness for the same pair, checked against that
+    # graph's blocks, it builds no graph, pair, structure or decomposition
+    # and validates nothing: each block is rewritten from the pair's facts
+    # along the decomposition it was handed. minimize_ep of path-5 walks
+    # child lists at most five times and validates once, in compute_qaw
+    from sharpq import decomp, epquery, relstore
 
     p = star_pair(3)
     _, witness = compute_qaw(p)
     plain = TreeDecomposition(nodes=witness.nodes, parent=witness.parent, bags=witness.bags)
-    built = []
+    built, calls = [], Counter()
 
-    def spy(pair):
+    def graph_spy(pair):
         built.append(pair is p)
         return primal_graph(pair)
 
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
     for module in (compilepipe, decomp, epquery):
-        monkeypatch.setattr(module, "primal_graph", spy)
+        monkeypatch.setattr(module, "primal_graph", graph_spy)
+    for module in (compilepipe, decomp):
+        monkeypatch.setattr(module, "validate_td", counted("validate_td", decomp.validate_td))
+    monkeypatch.setattr(relstore, "_init_structure", counted("structure", relstore._init_structure))
+    for cls, name in ((PpPair, "pair"), (TreeDecomposition, "decomposition")):
+        monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
+    monkeypatch.setattr(TreeDecomposition, "children", counted("children", TreeDecomposition.children))
+
     sentence = pp_to_basic_sharp(p, plain)
-    assert built.count(True) == 1
+    assert built == [True]
+    assert calls["validate_td"] == 1
     built.clear()
+    calls.clear()
     assert pp_to_basic_sharp(p, witness) == sentence
-    assert built.count(True) == 0
+    assert built == []
+    assert not calls["validate_td"] + calls["structure"] + calls["pair"] + calls["decomposition"]
+
+    calls.clear()
+    xs = [f"x{i}" for i in range(6)]
+    path5 = parse_query(
+        "query p(x0): " + "".join(f"exists {x} . " for x in xs[1:])
+        + " & ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
+    )
+    minimize_ep(path5)
+    assert calls["children"] <= 5
+    assert calls["validate_td"] == 1
 
 
 def test_pp_to_basic_sharp_checks_another_pairs_witness():
