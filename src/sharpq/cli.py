@@ -81,16 +81,6 @@ def _load_sharp(path):
 # ---------------------------------------------------------------------------
 
 
-def _compiled_sentence(q, args):
-    """The sentence `count` evaluates: compilepipe.count_sentence, built from
-    the disjuncts no other disjunct contains. It is their table union when
-    its cast is no wider than their widest core; else, for one liberal
-    variable, one width-bounded cast of the disjuncts; else their
-    inclusion-exclusion terms, merged when no core or labeling cap refuses
-    it. Only the DNF, inclusion-exclusion and treewidth caps refuse a count."""
-    return count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
-
-
 def _self_check(sentence, q, args):
     """Compiled output must agree with the counting oracle on seeded samples;
     a disagreement means the compiler itself is broken."""
@@ -128,7 +118,7 @@ def cmd_count(args):
     b = _load_structure(args.data)
     compiled = oracle = None
     if args.engine in ("compiled", "both"):
-        sentence = _compiled_sentence(q, args)
+        sentence = count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
         compiled = eval_sentence(sentence, b, max_rows=args.max_rows)
     if args.engine in ("oracle", "both"):
         oracle = oracle_count(q, b)

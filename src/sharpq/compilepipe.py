@@ -17,14 +17,7 @@ import math
 import random
 from functools import reduce
 
-from .decomp import (
-    _quantifier_aware_blocks,
-    _reroot,
-    _walk,
-    compute_qaw,
-    exact_treewidth,
-    validate_td,
-)
+from .decomp import _reroot, _walk, compute_qaw, exact_treewidth
 from .epquery import (
     TOP,
     VARIABLES,
@@ -35,6 +28,7 @@ from .epquery import (
     Or,
     PpPair,
     Top,
+    _exists_components,
     _has_or,
     _all_variables,
     _infer_signature,
@@ -117,16 +111,13 @@ def _rename(f, ren):
 
 
 def _compile_terms(terms, tw_cap):
-    """(sum, largest qaw) for (constant, pair) terms: each pair compiled along a
-    width-minimal quantifier-aware decomposition and multiplied by its
-    constant, the products renamed apart and summed left to right; (Const(0),
-    0) for no terms. Each pair's primal graph and blocks are built, and its
-    witness checked, once, in compute_qaw: pp_to_basic_sharp does not check
-    compute_qaw's witness for the same pair again."""
+    """(sum, largest qaw) for (constant, pair) terms: each pair compiled by
+    pp_to_basic_sharp and multiplied by its constant, the products renamed
+    apart and summed left to right; (Const(0), 0) for no terms."""
     products, widths = [], []
     for const, pair in terms:
-        qaw, td = compute_qaw(pair, cap=tw_cap)
-        products.append(Times(const, pp_to_basic_sharp(pair, td)))
+        sentence, qaw = pp_to_basic_sharp(pair, tw_cap)
+        products.append(Times(const, sentence))
         widths.append(qaw)
     if not products:
         return Const(0), 0
@@ -139,24 +130,8 @@ def _compile_terms(terms, tw_cap):
 
 
 # ---------------------------------------------------------------------------
-# Width-bounded rewriting of a pair along a tree decomposition
+# Width-bounded nesting of facts along a tree decomposition
 # ---------------------------------------------------------------------------
-
-
-def rewrite_width_bounded(p, td):
-    """Nest a pair's prenex formula along a tree decomposition of its primal
-    graph: each quantified variable is bound at its topmost bag, each atom is
-    placed at the topmost bag containing it. The result is logically
-    equivalent to pair_to_pp(p).formula; when the root bag contains the whole
-    liberal set, every subformula has at most (width + 1) free variables.
-    """
-    g = primal_graph(p)
-    problems = validate_td(td, g)
-    if problems:
-        raise SharpqError(
-            "decomposition does not fit the pair's primal graph: " + "; ".join(problems)
-        )
-    return _nest(td, _walk(td), p.struct.all_facts(), set(p.struct.universe) - p.liberal_set)
 
 
 def _home(walk, args):
@@ -169,10 +144,14 @@ def _home(walk, args):
 
 def _nest(td, walk, facts, quantified):
     """The conjunction of the atoms of `facts` with the `quantified`
-    variables bound, nested along td (walked: `decomp._walk`) as
-    rewrite_width_bounded describes. A node holding none of them passes up
-    its one nonempty child unchanged, so facts and quantified variables whose
-    hosts form a subtree nest as they would along td cut down to it."""
+    variables bound, nested along a tree decomposition td of their primal
+    graph (walked: `decomp._walk`): each quantified variable is bound at its
+    topmost bag, each atom placed at the topmost bag holding it. The result
+    is logically equivalent to the prenex formula; when the root bag holds
+    every variable left free, every subformula has at most (width + 1) free
+    variables. A node holding none of them passes up its one nonempty child
+    unchanged, so facts and quantified variables whose hosts form a subtree
+    nest as they would along td cut down to it."""
     kids, order, top, _ = walk
     atoms_at = {t: [] for t in order}
     for sym, tup in facts:
@@ -196,22 +175,23 @@ def _nest(td, walk, facts, quantified):
 # ---------------------------------------------------------------------------
 
 
-def pp_to_basic_sharp(p, td):
-    """Compile a pair into a basic counting sentence along a quantifier-aware
-    tree decomposition with an empty root bag.
+def pp_to_basic_sharp(p, tw_cap=24):
+    """(sentence, qaw): a pair compiled into a basic counting sentence along
+    compute_qaw's witness, a width-minimal quantifier-aware nice
+    decomposition with an empty root bag, checked where it is built; tw_cap
+    is compute_qaw's cap.
 
     The recursion runs over the liberal part of each bag: atoms whose
     variables are all liberal become casts at their topmost bag; each
-    existential block becomes one cast of its width-bounded rewriting along
-    td itself, multiplied in at the topmost bag meeting the block's
+    existential block becomes one cast of its nesting (_nest) along the
+    witness itself, multiplied in at the topmost bag meeting the block's
     interior; bag changes along edges become projections (variables
-    leaving) and expansions (variables entering). The sentence's value on any structure equals the
-    pair's answer count, and its width is at most the decomposition's bag size.
+    leaving) and expansions (variables entering). The sentence's value on
+    any structure equals the pair's answer count, and its width is at most
+    qaw.
     """
+    qaw, td = compute_qaw(p, cap=tw_cap)
     lib = p.liberal_set
-    comps = _quantifier_aware_blocks(p, td)
-    if td.bags[td.root]:
-        raise SharpqError("pp_to_basic_sharp needs an empty root bag")
     walk = kids, order, top, depth = _walk(td)
     quantified = set(p.struct.universe) - lib
     eff = {t: frozenset(td.bags[t]) - quantified for t in td.nodes}
@@ -222,7 +202,7 @@ def pp_to_basic_sharp(p, td):
         if quantified.isdisjoint(tup):
             home = _home(walk, tup)
             factors_at[home].append(Cast(ep=Atom(sym, tup), liberal=tuple(sorted(eff[home]))))
-    for comp in sorted(comps, key=sorted):
+    for comp in sorted(_exists_components(primal_graph(p), lib), key=sorted):
         interior = comp - lib
         boundary = comp & lib
         block = [(sym, tup) for sym, tup in facts if not interior.isdisjoint(tup)]
@@ -258,7 +238,7 @@ def pp_to_basic_sharp(p, td):
             "compiled sentence is malformed: "
             + "; ".join(v.message for v in report.violations)
         )
-    return sentence
+    return sentence, qaw
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +361,10 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
 
 def _one_liberal_sentence(liberal, pairs, tw_cap):
     """P{y} C[phi1 | ... | phik; {y}] for folded pairs over one liberal
-    element y: phi_i is the width-bounded rewriting of the i-th pair, cored
-    when it has at most 12 elements (core_of's cap), along an exact tree
-    decomposition of its primal graph rerooted at its first node whose bag
-    holds y. A disjunction-free query is the case k = 1.
+    element y: phi_i is the i-th pair, cored when it has at most 12 elements
+    (core_of's cap), nested (_nest) along an exact tree decomposition of its
+    primal graph rerooted at its first node whose bag holds y. A
+    disjunction-free query is the case k = 1.
 
     With one liberal variable every decomposition rooted at a bag holding it
     is quantifier-aware, so phi_i has width treewidth + 1, its pair's
@@ -397,8 +377,9 @@ def _one_liberal_sentence(liberal, pairs, tw_cap):
         if len(pair.struct.universe) <= 12:
             pair = core_of(pair)
         _, td = exact_treewidth(primal_graph(pair), cap=tw_cap)
-        root = next(t for t in td.nodes if liberal[0] in td.bags[t])
-        phis.append(rewrite_width_bounded(pair, _reroot(td, root)))
+        td = _reroot(td, next(t for t in td.nodes if liberal[0] in td.bags[t]))
+        phis.append(_nest(td, _walk(td), pair.struct.all_facts(),
+                          set(pair.struct.universe) - pair.liberal_set))
     return Project(frozenset(liberal), Cast(ep=reduce(Or, phis), liberal=tuple(liberal)))
 
 

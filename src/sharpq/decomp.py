@@ -56,15 +56,12 @@ class TreeDecomposition(Record):
 class NiceTreeDecomposition(TreeDecomposition):
     """Tree decomposition whose nodes are leaf/introduce/forget/join."""
 
-    # _checked_for: (pair, its blocks) when compute_qaw built this as the
-    # pair's witness and found it quantifier-aware for those blocks, else None
-    __slots__ = ("kinds", "_checked_for")
+    __slots__ = ("kinds",)
     _fields = (*TreeDecomposition._fields, "kinds")
 
     def __init__(self, nodes, parent, bags, kinds):
         super().__init__(nodes, parent, bags)
         _set(self, "kinds", kinds)
-        _set(self, "_checked_for", None)
 
 
 def _walk(td):
@@ -489,7 +486,10 @@ def _quantifier_aware(td, g, lib, comps):
     problems = validate_td(td, g)
     if problems:
         raise SharpqError(f"not a decomposition of the pair's primal graph: {problems[0]}")
-    top = _walk(td)[2]
+    # validate_td's walk found every vertex's nodes connected, so the topmost
+    # one is the only one whose parent lacks the vertex: no second walk
+    parent, bags = td.parent, td.bags
+    top = {v: t for t in td.nodes for v in bags[t] if parent[t] is None or v not in bags[parent[t]]}
     for comp in comps:
         for x in sorted(comp - lib):
             ancestors = set()
@@ -501,26 +501,6 @@ def _quantifier_aware(td, g, lib, comps):
                 if top[y] not in ancestors:
                     return False, (x, y, comp)
     return True, None
-
-
-def _quantifier_aware_blocks(p, td):
-    """p's blocks, once td is found quantifier-aware for p; raises
-    SharpqError naming the first violation. A witness that compute_qaw built
-    for p was checked against the same blocks there, and is not checked
-    again."""
-    checked = getattr(td, "_checked_for", None)
-    if checked is not None and checked[0] is p:
-        return checked[1]
-    g, lib = primal_graph(p), p.liberal_set
-    comps = _exists_components(g, lib)
-    ok, violation = _quantifier_aware(td, g, lib, comps)
-    if not ok:
-        x, y, comp = violation
-        raise SharpqError(
-            f"decomposition is not quantifier-aware: liberal {y!r} is not above "
-            f"quantified {x!r} for the block {sorted(comp)}"
-        )
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +529,7 @@ def compute_qaw(p, cap=24):
     is passed into each anchor's treewidth, whose search it can skip. The
     anchors, the width and the witness are those of trying every anchor.
     `cap` bounds the simplicial kernel of each graph solved (see
-    `exact_treewidth`) and is checked before its search starts. The witness
-    records the pair and the blocks it was checked against, so that
-    pp_to_basic_sharp does not check it again (_quantifier_aware_blocks).
+    `exact_treewidth`) and is checked before its search starts.
     """
     memo = {}
 
@@ -635,6 +613,5 @@ def _qaw_witness(p, g, comps, winners, treewidth):
     ok, violation = _quantifier_aware(nice, g, s, comps)
     if not ok:
         raise InternalInvariant(f"witness decomposition is not quantifier-aware: {violation}")
-    _set(nice, "_checked_for", (p, comps))
     return qaw, nice
 

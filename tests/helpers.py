@@ -17,7 +17,7 @@ from sharpq.compilepipe import (
     flatten,
     pp_to_basic_sharp,
 )
-from sharpq.decomp import compute_qaw, exact_treewidth, validate_td
+from sharpq.decomp import exact_treewidth, validate_td
 from sharpq.epquery import (
     And,
     Atom,
@@ -142,8 +142,8 @@ def lc_evaluate(lc, b, engine="compiled", *, max_rows=10**7, tw_cap=24):
     for i, (coeff, pair) in enumerate(lc.entries):
         compiled = oracle = None
         if engine in ("compiled", "both"):
-            _, td = compute_qaw(pair, cap=tw_cap)
-            compiled = eval_sentence(pp_to_basic_sharp(pair, td), b, max_rows=max_rows)
+            sentence, _ = pp_to_basic_sharp(pair, tw_cap)
+            compiled = eval_sentence(sentence, b, max_rows=max_rows)
         if engine in ("oracle", "both"):
             oracle = oracle_count(pair_to_pp(pair), b)
         if engine == "both" and compiled != oracle:
@@ -366,8 +366,7 @@ def reduce_to_basic(f, q, *, samples=None, max_dnf=4096, core_cap=12, tw_cap=24)
             "represent a disjunction-free query"
         )
     aligned = align_via_renaming(pp_to_pair(q), lc.entries[0][1])
-    _, td = compute_qaw(aligned, cap=tw_cap)
-    return pp_to_basic_sharp(aligned, td)
+    return pp_to_basic_sharp(aligned, tw_cap)[0]
 
 
 def read_constant(const):

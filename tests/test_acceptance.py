@@ -193,8 +193,7 @@ def test_quantifier_free_patterns_count_homomorphisms():
         sig = sigs[i % 3]
         a = random_structure(rng, sig, max_size=6)
         pattern = PpPair(struct=a, liberal=tuple(a.universe))
-        _, td = compute_qaw(pattern)
-        sentence = pp_to_basic_sharp(pattern, td)
+        sentence, _ = pp_to_basic_sharp(pattern)
         b = random_structure(rng, sig, max_size=5)
         assert eval_sentence(sentence, b) == oracle_count(pair_to_pp(pattern), b)
 
@@ -202,8 +201,7 @@ def test_quantifier_free_patterns_count_homomorphisms():
     # symmetric triangle.
     path = path_structure(2)
     pattern = PpPair(struct=path, liberal=tuple(path.universe))
-    _, td = compute_qaw(pattern)
-    assert eval_sentence(pp_to_basic_sharp(pattern, td), triangle_structure()) == 12
+    assert eval_sentence(pp_to_basic_sharp(pattern)[0], triangle_structure()) == 12
     print("PASS: 50 quantifier-free patterns count homomorphisms exactly, P2->K3 = 12")
 
 
@@ -350,9 +348,8 @@ def test_long_path_query_scales_where_oracle_refuses():
     binders = " ".join(f"exists v{i} ." for i in range(1, length + 1))
     q = parse_query(f"query path{length}(v0): {binders} {atoms}")
     pair = pp_to_pair(q)
-    qaw, td = compute_qaw(pair)
+    sentence, qaw = pp_to_basic_sharp(pair)
     assert qaw == 2
-    sentence = pp_to_basic_sharp(pair, td)
 
     timings = []
     for nodes in (25, 50, 100):

@@ -12,6 +12,7 @@ from sharpq.compilepipe import (
     FlatSharp,
     LinearCombination,
     _FreshNames,
+    _nest,
     _sharp_variables,
     _union_or_kept,
     as_formula,
@@ -22,9 +23,8 @@ from sharpq.compilepipe import (
     flatten,
     minimize_ep,
     pp_to_basic_sharp,
-    rewrite_width_bounded,
 )
-from sharpq.decomp import TreeDecomposition, compute_qaw, exact_treewidth
+from sharpq.decomp import TreeDecomposition, _walk, compute_qaw, exact_treewidth
 from sharpq.epquery import (
     TOP,
     And,
@@ -91,8 +91,13 @@ def _structures_for(rng, q, n, max_size=4):
 
 
 # ---------------------------------------------------------------------------
-# rewrite_width_bounded
+# _nest
 # ---------------------------------------------------------------------------
+
+
+def _nested(p, td):
+    """p's facts nested along td with its quantified elements bound."""
+    return _nest(td, _walk(td), p.struct.all_facts(), set(p.struct.universe) - p.liberal_set)
 
 
 def test_rewrite_star_single_bag():
@@ -100,7 +105,7 @@ def test_rewrite_star_single_bag():
     td = TreeDecomposition(
         nodes=(0,), parent={0: None}, bags={0: frozenset({"x1", "x2", "z"})}
     )
-    out = rewrite_width_bounded(p, td)
+    out = _nested(p, td)
     assert render_ep(out) == "(exists z . E(x1,z) & E(x2,z))"
 
 
@@ -116,7 +121,7 @@ def test_rewrite_path_example_nests_quantifiers():
             2: frozenset({"v", "y"}),
         },
     )
-    out = rewrite_width_bounded(p, td)
+    out = _nested(p, td)
     assert render_ep(out) == "(exists u . E(x,u) & (exists v . E(u,v) & E(v,y)))"
     # Every quantified block keeps to 2 free variables.  (The audit over all
     # subformulas only comes down to the bag size when the root bag covers
@@ -135,21 +140,12 @@ def test_rewrite_path_example_nests_quantifiers():
     assert max(len(free_variables(b)) for b in blocks) == 2
 
 
-def test_rewrite_rejects_mismatched_decomposition():
-    p = star_pair(2)
-    td = TreeDecomposition(
-        nodes=(0,), parent={0: None}, bags={0: frozenset({"x1", "x2"})}
-    )
-    with pytest.raises(SharpqError):
-        rewrite_width_bounded(p, td)
-
-
 def test_rewrite_is_logically_faithful_on_random_pairs(rng):
     checked = 0
     for _ in range(40):
         p = random_pp_pair(rng, max_vars=5, max_atoms=5)
         _, td = exact_treewidth(primal_graph(p))
-        out = rewrite_width_bounded(p, td)
+        out = _nested(p, td)
         q1 = LiberalQuery(name="orig", formula=pair_to_pp(p).formula,
                           liberal=tuple(p.liberal), sig=p.struct.sig)
         q2 = LiberalQuery(name="rew", formula=out, liberal=tuple(p.liberal), sig=p.struct.sig)
@@ -167,7 +163,7 @@ def test_rewrite_width_bound_for_sentences(rng):
         p0 = random_pp_pair(rng, max_vars=5, max_atoms=5)
         p = PpPair(struct=p0.struct, liberal=())
         w, td = exact_treewidth(primal_graph(p))
-        out = rewrite_width_bounded(p, td)
+        out = _nested(p, td)
         assert ep_width(out) <= w + 1
 
 
@@ -176,15 +172,10 @@ def test_rewrite_width_bound_for_sentences(rng):
 # ---------------------------------------------------------------------------
 
 
-def _compile_pair(p):
-    qaw, td = compute_qaw(p)
-    return pp_to_basic_sharp(p, td), qaw
-
-
 def test_compile_two_edge_path_counts_twelve_into_triangle():
     path = make_structure(SIG_E, ["a0", "a1", "a2"], {"E": {("a0", "a1"), ("a1", "a2")}})
     p = PpPair(struct=path, liberal=("a0", "a1", "a2"))
-    sentence, _ = _compile_pair(p)
+    sentence, _ = pp_to_basic_sharp(p)
     triangle = make_structure(
         SIG_E,
         ["t0", "t1", "t2"],
@@ -197,7 +188,7 @@ def test_compile_quantifier_free_equals_homomorphism_count(rng):
     for _ in range(25):
         p0 = random_pp_pair(rng, max_vars=5, max_atoms=5)
         p = PpPair(struct=p0.struct, liberal=tuple(p0.struct.universe))
-        sentence, qaw = _compile_pair(p)
+        sentence, qaw = pp_to_basic_sharp(p)
         b = random_structure(rng, p.struct.sig, max_size=4)
         assert eval_sentence(sentence, b) == brute_homomorphisms(p.struct, b)
         assert width(sentence) <= qaw
@@ -205,7 +196,7 @@ def test_compile_quantifier_free_equals_homomorphism_count(rng):
 
 def test_compile_star_and_three_block_against_oracle(rng):
     for p in [star_pair(3), three_block_pair()]:
-        sentence, qaw = _compile_pair(p)
+        sentence, qaw = pp_to_basic_sharp(p)
         assert width(sentence) <= qaw
         q = pair_to_pp(p)
         for _ in range(3):
@@ -217,7 +208,7 @@ def test_compile_random_pairs_against_oracle(rng):
     checked = 0
     for _ in range(40):
         p = random_pp_pair(rng, max_vars=6, max_atoms=5)
-        sentence, qaw = _compile_pair(p)
+        sentence, qaw = pp_to_basic_sharp(p)
         report = validate(sentence)
         assert report.ok and not report.free
         assert width(sentence) <= qaw
@@ -233,74 +224,50 @@ def test_compile_sharp_width_bounded_by_contract_width(rng):
     # The counting part of the compiled sentence lives on the contract graph.
     for _ in range(25):
         p = random_pp_pair(rng, max_vars=6, max_atoms=5)
-        sentence, _ = _compile_pair(p)
+        sentence, _ = pp_to_basic_sharp(p)
         g, lib = primal_graph(p), p.liberal_set
         tw_contract, _ = exact_treewidth(_contract_graph(g, lib, _exists_components(g, lib)))
         assert sharp_width(sentence) <= tw_contract + 1
 
 
-def test_compile_rejects_unaware_decomposition():
-    p = star_pair(2)
-    td = TreeDecomposition(
-        nodes=(0, 1, 2),
-        parent={0: None, 1: 0, 2: 1},
-        bags={0: frozenset(), 1: frozenset({"x1", "z"}), 2: frozenset({"z", "x2"})},
-    )
-    with pytest.raises(SharpqError, match="quantifier-aware"):
-        pp_to_basic_sharp(p, td)
+def test_pp_to_basic_sharp_builds_nothing_beyond_compute_qaws_witness(monkeypatch, rng):
+    # each term is compiled along compute_qaw's witness, checked once where
+    # it is built: outside compute_qaw, pp_to_basic_sharp builds no
+    # structure, pair or decomposition, validates nothing and walks the
+    # witness once. minimize_ep of path-5 walks child lists at most four
+    # times and validates once, in compute_qaw
+    from sharpq import decomp, relstore
 
-
-def test_compile_rejects_nonempty_root():
-    p = star_pair(2)
-    td = TreeDecomposition(
-        nodes=(0,), parent={0: None}, bags={0: frozenset({"x1", "x2", "z"})}
-    )
-    with pytest.raises(SharpqError, match="root"):
-        pp_to_basic_sharp(p, td)
-
-
-def test_pp_to_basic_sharp_builds_the_pairs_primal_graph_once(monkeypatch):
-    # on a decomposition of its own, the quantifier-aware check and the
-    # blocks share one graph of the pair, and the decomposition is validated
-    # once; on compute_qaw's witness for the same pair, checked against that
-    # graph's blocks, it builds no graph, pair, structure or decomposition
-    # and validates nothing: each block is rewritten from the pair's facts
-    # along the decomposition it was handed. minimize_ep of path-5 walks
-    # child lists at most five times and validates once, in compute_qaw
-    from sharpq import decomp, epquery, relstore
-
-    p = star_pair(3)
-    _, witness = compute_qaw(p)
-    plain = TreeDecomposition(nodes=witness.nodes, parent=witness.parent, bags=witness.bags)
-    built, calls = [], Counter()
-
-    def graph_spy(pair):
-        built.append(pair is p)
-        return primal_graph(pair)
+    inside, calls = [False], Counter()
 
     def counted(name, fn):
         def spy(*args, **kwargs):
-            calls[name] += 1
+            calls[name, inside[0]] += 1
             return fn(*args, **kwargs)
         return spy
 
-    for module in (compilepipe, decomp, epquery):
-        monkeypatch.setattr(module, "primal_graph", graph_spy)
-    for module in (compilepipe, decomp):
-        monkeypatch.setattr(module, "validate_td", counted("validate_td", decomp.validate_td))
+    def qaw_spy(*args, **kwargs):
+        inside[0] = True
+        try:
+            return compute_qaw(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(compilepipe, "compute_qaw", qaw_spy)
+    monkeypatch.setattr(decomp, "validate_td", counted("validate_td", decomp.validate_td))
     monkeypatch.setattr(relstore, "_init_structure", counted("structure", relstore._init_structure))
     for cls, name in ((PpPair, "pair"), (TreeDecomposition, "decomposition")):
         monkeypatch.setattr(cls, "__init__", counted(name, cls.__init__))
     monkeypatch.setattr(TreeDecomposition, "children", counted("children", TreeDecomposition.children))
 
-    sentence = pp_to_basic_sharp(p, plain)
-    assert built == [True]
-    assert calls["validate_td"] == 1
-    built.clear()
-    calls.clear()
-    assert pp_to_basic_sharp(p, witness) == sentence
-    assert built == []
-    assert not calls["validate_td"] + calls["structure"] + calls["pair"] + calls["decomposition"]
+    pairs = [star_pair(3), three_block_pair()]
+    pairs += [random_pp_pair(rng, max_vars=6, max_atoms=5) for _ in range(20)]
+    for p in pairs:
+        calls.clear()
+        pp_to_basic_sharp(p)
+        assert calls["validate_td", True] == 1
+        outside = {name: n for (name, within), n in calls.items() if not within}
+        assert outside == {"children": 1}
 
     calls.clear()
     xs = [f"x{i}" for i in range(6)]
@@ -309,24 +276,25 @@ def test_pp_to_basic_sharp_builds_the_pairs_primal_graph_once(monkeypatch):
         + " & ".join(f"E({a},{b})" for a, b in zip(xs, xs[1:]))
     )
     minimize_ep(path5)
-    assert calls["children"] <= 5
-    assert calls["validate_td"] == 1
+    assert calls["children", False] + calls["children", True] <= 4
+    assert calls["validate_td", False] + calls["validate_td", True] == 1
 
 
-def test_pp_to_basic_sharp_checks_another_pairs_witness():
-    # the witness of the star with liberal spokes fits the same structure
-    # with the hub liberal, but is not quantifier-aware for it
-    p = star_pair(2)
-    _, witness = compute_qaw(p)
-    hub = PpPair(struct=p.struct, liberal=("z",))
-    with pytest.raises(SharpqError, match="quantifier-aware"):
-        pp_to_basic_sharp(hub, witness)
+def test_pp_to_basic_sharp_returns_its_qaw_and_passes_its_cap_to_compute_qaw():
+    # the 4-cycle through x keeps all four vertices once simplicial ones go
+    cycle = pp_to_pair(parse_query(
+        "query c(x): exists b . exists c . exists d . E(x,b) & E(b,c) & E(c,d) & E(d,x)"
+    ))
+    assert pp_to_basic_sharp(cycle)[1] == compute_qaw(cycle)[0] == 3
+    assert pp_to_basic_sharp(cycle, 4)[1] == 3
+    with pytest.raises(CapExceeded, match="limited to 3 vertices"):
+        pp_to_basic_sharp(cycle, 3)
 
 
 def test_compile_isolated_liberal_variable_multiplies_by_universe_size():
     struct = make_structure(SIG_E, ["x", "y"], {"E": {("x", "x")}})
     p = PpPair(struct=struct, liberal=("x", "y"))
-    sentence, _ = _compile_pair(p)
+    sentence, _ = pp_to_basic_sharp(p)
     b = parse_structure("signature E/2\nuniverse a b c\nE(a,a)\nE(b,b)\n")
     assert eval_sentence(sentence, b) == 2 * 3
 
@@ -374,7 +342,7 @@ def test_read_back_vacuous_projection_counts_universe():
 def test_read_back_round_trip_preserves_counts_and_width(rng):
     for _ in range(25):
         p = random_pp_pair(rng, max_vars=5, max_atoms=5)
-        sentence, qaw = _compile_pair(p)
+        sentence, qaw = pp_to_basic_sharp(p)
         back = basic_sharp_to_pp(sentence)
         q1, q2 = pair_to_pp(p), pair_to_pp(back)
         for _ in range(2):

@@ -31,8 +31,7 @@ from sharpq.epquery import (
     pp_to_pair,
     primal_graph,
 )
-from sharpq.compilepipe import pp_to_basic_sharp
-from sharpq.errors import CapExceeded, SharpqError
+from sharpq.errors import CapExceeded, InternalInvariant, SharpqError
 from sharpq.relstore import Signature, make_structure
 
 from tests.conftest import (
@@ -521,8 +520,6 @@ def test_a_parent_outside_the_decomposition_is_refused_as_a_decomposition():
     g = primal_graph(p)
     with pytest.raises(SharpqError, match=message):
         _quantifier_aware(td, g, p.liberal_set, _exists_components(g, p.liberal_set))
-    with pytest.raises(SharpqError, match=message):
-        pp_to_basic_sharp(p, td)
 
 
 # --- nice form ----------------------------------------------------------------
@@ -720,6 +717,49 @@ def test_qaw_witness_invariants_on_random_pairs(rng):
         assert nice.width + 1 == qaw
         lo, hi = qaw_bounds(p)
         assert lo <= qaw <= hi
+
+
+# the 3-edge path with both ends liberal: one block, anchored inside
+PATH_ENDS = pp_to_pair(parse_query("query q(x,y): exists u . exists v . E(x,u) & E(u,v) & E(v,y)"))
+
+
+def test_a_witness_the_self_check_refuses_is_an_internal_invariant(monkeypatch):
+    # _qaw_witness's self-check is the one check of every decomposition a
+    # term is compiled along. The path's witness rerooted at a bag holding a
+    # quantified variable but not both liberal ends is still a decomposition
+    # of the same width, but that variable is bound above a liberal end
+    real = decomp.make_nice
+
+    def unaware(td, quantified):
+        root = next(t for t in sorted(td.nodes)
+                    if td.bags[t] & quantified and not PATH_ENDS.liberal_set <= td.bags[t])
+        return real(_reroot(td, root), quantified)
+
+    monkeypatch.setattr(decomp, "make_nice", unaware)
+    with pytest.raises(InternalInvariant, match="witness decomposition is not quantifier-aware"):
+        compute_qaw(PATH_ENDS)
+
+
+def test_a_witness_that_is_no_decomposition_is_refused_by_the_self_check(monkeypatch):
+    # a region left rooted where exact_treewidth put it hangs below a spine
+    # node whose boundary variables its root bag does not all hold
+    monkeypatch.setattr(decomp, "_reroot", lambda td, root: td)
+    with pytest.raises(SharpqError, match="not a decomposition of the pair's primal graph"):
+        compute_qaw(PATH_ENDS)
+
+
+def test_the_quantifier_aware_check_reads_validations_walk(monkeypatch):
+    # the topmost nodes come from the parent links once validate_td has
+    # walked the tree, so a check walks child lists once
+    walks = []
+    monkeypatch.setattr(TreeDecomposition, "children",
+                        lambda td, real=TreeDecomposition.children: walks.append(td) or real(td))
+    for p in (PATH_ENDS, star_pair(3), three_block_pair()):
+        _, nice = compute_qaw(p)
+        g = primal_graph(p)
+        walks.clear()
+        ok, _ = _quantifier_aware(nice, g, p.liberal_set, _exists_components(g, p.liberal_set))
+        assert ok and walks == [nice]
 
 
 def test_qaw_exceeds_primal_treewidth_when_blocks_exist(rng):

@@ -3,6 +3,7 @@ table union does not take: one width-bounded cast of the folded pairs of the
 disjuncts no other disjunct contains, each cored within the core cap, with
 no inclusion-exclusion term or canonical labeling."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -18,8 +19,16 @@ from sharpq.compilepipe import (
     flatten,
     minimize_ep,
 )
-from sharpq.decomp import compute_qaw
-from sharpq.epquery import Exists, _has_or, parse_query, pp_to_pair, serialize_query, subformulas
+from sharpq.decomp import compute_qaw, validate_td
+from sharpq.epquery import (
+    Exists,
+    Graph,
+    _has_or,
+    parse_query,
+    pp_to_pair,
+    serialize_query,
+    subformulas,
+)
 from sharpq.equiv import core_of
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import make_structure, serialize_structure
@@ -346,3 +355,41 @@ def test_union_casts_do_not_follow_set_order():
         "P{x} C[true; {x}]",
         "P{x} C[(exists y . E(x,y) & (exists z . E(y,z))) | (exists y$1 . F(y$1,y$1)); {x}]",
     ]
+
+
+def test_every_decomposition_the_cast_nests_along_is_valid_and_rooted_at_y(monkeypatch):
+    # count checks no decomposition on this route: each disjunct is nested
+    # along exact_treewidth's decomposition of its pair's primal graph,
+    # rerooted at a bag holding y. Here each one is checked against a graph
+    # built from the facts _nest is handed, and its root bag must hold y
+    inside, nested, reached = [False], [], set()
+    real_sentence, real_nest = compilepipe._one_liberal_sentence, compilepipe._nest
+
+    def sentence_spy(liberal, pairs, tw_cap):
+        inside[0] = True
+        try:
+            return real_sentence(liberal, pairs, tw_cap)
+        finally:
+            inside[0] = False
+
+    def nest_spy(td, walk, facts, quantified):
+        facts = list(facts)
+        if inside[0]:
+            nested.append((td, facts, quantified))
+        return real_nest(td, walk, facts, quantified)
+
+    monkeypatch.setattr(compilepipe, "_one_liberal_sentence", sentence_spy)
+    monkeypatch.setattr(compilepipe, "_nest", nest_spy)
+    for text in CORPUS + UNIONS:
+        q = parse_query(text)
+        (y,) = q.liberal
+        nested.clear()
+        count_sentence(q)
+        for td, facts, quantified in nested:
+            edges = {frozenset(e) for _, tup in facts for e in itertools.combinations(set(tup), 2)}
+            g = Graph(frozenset(quantified | {y}), frozenset(edges))
+            assert validate_td(td, g) == [], text
+            assert y in td.bags[td.root], text
+        if nested:
+            reached.add(text)
+    assert len(reached) >= 200
