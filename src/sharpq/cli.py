@@ -141,9 +141,8 @@ def cmd_compile(args):
         sentence = naive_representation(q)
         report = _report(sentence, terms=1, qaw=None, core_size=None)
     else:
-        fs = flatten(naive_representation(q), max_dnf=args.max_dnf)
-        sentence, w = compile_flat(fs, tw_cap=args.max_vertices)
-        report = _report(sentence, terms=len(fs.terms), qaw=w, core_size=None)
+        sentence, w, terms = compile_flat(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
+        report = _report(sentence, terms=terms, qaw=w, core_size=None)
     _self_check(sentence, q, args)
     text = serialize_sharp(sentence)
     return [text, _dump_json(report)], {"sentence": text, **report}

@@ -6,8 +6,9 @@ terms of its DNF disjuncts are built as pairs and merged into a canonical
 linear combination (canonical_lc). `count` (count_sentence) takes a union's
 naive cast instead when it is no wider, one width-bounded cast of the
 disjuncts of a one-liberal query, and the unmerged terms when a cap refuses
-the merge. Any counting formula can also be flattened into a sum of terms
-(flatten) and compiled term by term without cores (compile_flat).
+the merge. `compile` (compile_flat) compiles the terms of every disjunct
+unmerged, without cores. Any counting formula can also be flattened into a
+sum of terms (flatten), for `sharpq flatten`.
 """
 
 from __future__ import annotations
@@ -32,16 +33,14 @@ from .epquery import (
     _has_or,
     _all_variables,
     _infer_signature,
-    _rename_apart,
     fold,
     pp_to_pair,
     primal_graph,
     serialize_pair,
-    subformulas,
     to_dnf_pp,
 )
 from .equiv import check_core_cap, core_of
-from .errors import CapExceeded, InternalInvariant, SharpqError
+from .errors import CapExceeded, InternalInvariant
 from .relstore import Record, Signature, _set, homomorphism_search, make_structure
 from .sharpcore import (
     _EP_NODES,
@@ -51,7 +50,6 @@ from .sharpcore import (
     Plus,
     Project,
     Times,
-    _require_sentence,
     _require_valid,
     naive_representation,
     validate,
@@ -111,13 +109,13 @@ def _rename(f, ren):
 
 
 def _compile_terms(terms, tw_cap):
-    """(sum, largest qaw) for (constant, pair) terms: each pair compiled by
-    pp_to_basic_sharp and multiplied by its constant, the products renamed
-    apart and summed left to right; (Const(0), 0) for no terms."""
+    """(sum, largest qaw) for (integer coefficient, pair) terms: each pair
+    compiled by pp_to_basic_sharp times Const(coefficient), the products
+    renamed apart and summed left to right; (Const(0), 0) for no terms."""
     products, widths = [], []
-    for const, pair in terms:
+    for coeff, pair in terms:
         sentence, qaw = pp_to_basic_sharp(pair, tw_cap)
-        products.append(Times(const, sentence))
+        products.append(Times(Const(coeff), sentence))
         widths.append(qaw)
     if not products:
         return Const(0), 0
@@ -241,58 +239,6 @@ def pp_to_basic_sharp(p, tw_cap=24):
     return sentence, qaw
 
 
-# ---------------------------------------------------------------------------
-# Basic counting sentence -> pair
-# ---------------------------------------------------------------------------
-
-
-def basic_sharp_to_pp(f):
-    """Read a basic counting sentence back as a pair: drop every quantifier,
-    turn products into conjunction, and take as liberal set every variable
-    that is free somewhere in the sentence. Cast-internal bound variables are
-    renamed apart first. A projection variable that the child never mentions
-    multiplies the count by the universe size, so it becomes an isolated
-    liberal element of the pair. The pair has the same count as the sentence
-    on every structure."""
-    _require_sentence(_require_valid(f).free, "basic_sharp_to_pp")
-    nodes = subformulas(f)
-    if any(isinstance(node, (Plus, Const, Or)) for node in nodes):
-        raise SharpqError(
-            "basic_sharp_to_pp needs a basic formula (no sums, no constants) "
-            "with disjunction-free casts"
-        )
-
-    # In a valid sentence a variable is free somewhere iff a cast's liberal
-    # set or an expansion holds it, and a projection variable the child never
-    # mentions occurs nowhere else (products need disjoint closed sets). So
-    # the liberal set is the union of the casts' liberal sets and the
-    # Project/Expand variables; only cast binders can clash with it, and
-    # those are renamed apart below.
-    liberal, casts = set(), []
-    for node in nodes:
-        if isinstance(node, Cast):
-            liberal.update(node.liberal)
-            casts.append(node)
-        elif isinstance(node, (Project, Expand)):
-            liberal |= node.vars
-    liberal = tuple(sorted(liberal))
-    used = set(liberal)
-    bound_order = []
-    rels = {}
-    for cast in casts:
-        for node in subformulas(_rename_apart(cast.ep, frozenset(used))):
-            if isinstance(node, Atom):
-                rels.setdefault(node.symbol, set()).add(node.args)
-            elif isinstance(node, Exists):
-                bound_order.append(node.var)
-                used.add(node.var)
-    universe = list(liberal) + bound_order
-    if not universe:
-        universe = ["pad$1"]
-    sig = _infer_signature(f)
-    return PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
-
-
 def _merge(facts, u, v):
     """The facts with element u replaced by v."""
     return {(sym, tuple(v if x == u else x for x in tup)) for sym, tup in facts}
@@ -356,7 +302,7 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
         terms = canonical_lc(terms).entries
     except CapExceeded:
         pass
-    return _compile_terms(((Const(c), pair) for c, pair in terms), tw_cap)[0]
+    return _compile_terms(terms, tw_cap)[0]
 
 
 def _one_liberal_sentence(liberal, pairs, tw_cap):
@@ -723,16 +669,14 @@ def _seeded_structures(sig, seed=0):
     return out
 
 
-def compile_flat(fs, *, tw_cap=24):
-    """Decomposition-guided compilation of a flat sentence, term by term,
-    without core minimization: each basic part is read back as a pair and
-    recompiled along a width-minimal quantifier-aware decomposition of that
-    pair as written. Constant parts are kept verbatim; terms are renamed
-    apart. Returns (formula, width) with width the maximum term width. Unlike
-    minimize_ep this never searches for endomorphisms, so it stays feasible
-    on terms with many variables."""
-    _require_sentence(fs.free, "compile_flat")
-    return _compile_terms(((c, basic_sharp_to_pp(basic)) for c, basic in fs.terms), tw_cap)
+def compile_flat(q, *, max_dnf=4096, tw_cap=24):
+    """(sentence, width, term count): the inclusion-exclusion terms of the
+    folded pairs of every DNF disjunct of q, none dropped, compiled neither
+    cored nor merged; width is the largest term width. Unlike minimize_ep
+    this never searches for endomorphisms, so it stays feasible on terms
+    with many variables."""
+    terms = _ie_terms(_folded_disjuncts(q, max_dnf)[1], max_dnf)
+    return (*_compile_terms(terms, tw_cap), len(terms))
 
 
 def _drop_contained(q, *, max_dnf, core_cap=12):
@@ -789,4 +733,4 @@ def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
     Returns (formula, width) with width the maximum term width."""
     pairs = _drop_contained(q, max_dnf=max_dnf, core_cap=core_cap)[1]
     lc = canonical_lc(_ie_terms(pairs, max_dnf), core_cap=core_cap, canon_cap=canon_cap)
-    return _compile_terms(((Const(c), pair) for c, pair in lc.entries), tw_cap)
+    return _compile_terms(lc.entries, tw_cap)

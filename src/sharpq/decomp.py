@@ -482,10 +482,11 @@ def _quantifier_aware(td, g, lib, comps):
     and exists-components (blocks) comps? In every block C, every liberal
     y ∈ C must have top(y) on the path from top(x) to the root for every
     quantified x ∈ C. Returns (True, None) or (False, (x, y, C)) for the first
-    violation, the blocks checked in order."""
+    violation, the blocks checked in order; InternalInvariant when td, always
+    the program's own witness, is no decomposition of g."""
     problems = validate_td(td, g)
     if problems:
-        raise SharpqError(f"not a decomposition of the pair's primal graph: {problems[0]}")
+        raise InternalInvariant(f"not a decomposition of the pair's primal graph: {problems[0]}")
     # validate_td's walk found every vertex's nodes connected, so the topmost
     # one is the only one whose parent lacks the vertex: no second walk
     parent, bags = td.parent, td.bags

@@ -2,9 +2,9 @@
 component split of a pair, the evaluation of a linear combination, a
 counting formula's table over its free variables, the exhaustive core
 search, the full-enumeration counting oracle, alignment by renaming,
-reduce_to_basic, and the canonical linear combination of a flat sentence
-(the formula route that `minimize` took before it built its terms as
-pairs)."""
+reduce_to_basic, the read-back of a basic sentence as a pair, and the
+canonical linear combination of a flat sentence (the formula route that
+`minimize` and `compile` took before they built their terms as pairs)."""
 
 import itertools
 
@@ -12,7 +12,6 @@ from sharpq.compilepipe import (
     _FreshNames,
     _fold_quantified,
     _seeded_structures,
-    basic_sharp_to_pp,
     canonical_lc,
     flatten,
     pp_to_basic_sharp,
@@ -25,10 +24,12 @@ from sharpq.epquery import (
     Or,
     PpPair,
     Top,
+    _all_variables,
     _check_signature,
     _contract_graph,
     _exists_components,
     _infer_signature,
+    _rename_apart,
     oracle_count,
     pair_to_pp,
     pp_to_pair,
@@ -42,16 +43,26 @@ from sharpq.equiv import (
     logically_equivalent,
 )
 from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, SharpqError
-from sharpq.relstore import Record, _set, homomorphism_search, make_structure, merge_signatures
+from sharpq.relstore import (
+    Record,
+    Signature,
+    _set,
+    homomorphism_search,
+    make_structure,
+    merge_signatures,
+)
 from sharpq.sharpcore import (
+    Cast,
     Const,
     Expand,
     Project,
+    Times,
     _Evaluator,
     _require_sentence,
     _require_valid,
     check_represents,
     eval_sentence,
+    validate,
 )
 
 
@@ -384,16 +395,61 @@ def read_constant(const):
     return node.n, pow_
 
 
+def reference_read_back(f):
+    """A valid basic sentence read back as a pair with the same count on
+    every structure, derived node by node: the liberal set is every free set
+    validate derives plus the projection variables the child never mentions
+    (each an isolated liberal element, a factor |B|), and the atoms and
+    binders come from a stack walk over each cast, renamed apart."""
+    ever_free, casts, pads = set(), [], []
+
+    def walk(node):
+        ever_free.update(validate(node).free)
+        if isinstance(node, Cast):
+            casts.append(node)
+        elif isinstance(node, (Project, Expand)):
+            if isinstance(node, Project):
+                pads.extend(sorted(node.vars - validate(node.child).free))
+            walk(node.child)
+        elif isinstance(node, Times):
+            walk(node.left)
+            walk(node.right)
+
+    walk(f)
+    used = ever_free | set(pads)
+    atoms, bound_order = [], []
+    for cast in casts:
+        body = _rename_apart(cast.ep, frozenset(used))
+        used |= _all_variables(body)
+        stack = [body]
+        while stack:
+            node = stack.pop(0)
+            if isinstance(node, Atom):
+                atoms.append(node)
+            elif isinstance(node, And):
+                stack[:0] = [node.left, node.right]
+            elif isinstance(node, Exists):
+                bound_order.append(node.var)
+                stack.insert(0, node.body)
+    liberal = tuple(sorted(ever_free | set(pads)))
+    rels = {}
+    for a in atoms:
+        rels.setdefault(a.symbol, set()).add(a.args)
+    sig = Signature(tuple(sorted({a.symbol: len(a.args) for a in atoms}.items())))
+    universe = list(liberal) + bound_order or ["pad$1"]
+    return PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
+
+
 def flat_lc(fs, *, core_cap=12, canon_cap=200000):
     """The canonical linear combination of a FlatSharp sentence: canonical_lc
-    of its terms, each basic part read back as a pair, with one fresh
-    isolated liberal element per |B|-power of its constant part, which
-    multiplies its count by |B| as the power does, and folded."""
+    of its terms, each basic part read back as a pair (reference_read_back),
+    with one fresh isolated liberal element per |B|-power of its constant
+    part, which multiplies its count by |B| as the power does, and folded."""
     _require_sentence(fs.free, "canonical_lc")
     terms = []
     for const, basic in fs.terms:
         coeff, pow_ = read_constant(const)
-        pair = basic_sharp_to_pp(basic)
+        pair = reference_read_back(basic)
         if pow_:
             extra = _FreshNames(pair.struct.universe).take(pow_)
             struct = make_structure(

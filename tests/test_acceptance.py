@@ -212,7 +212,7 @@ def test_canonical_form_identical_across_representations():
     while pairs_checked < 100:
         q = random_ep_query(rng, max_vars=5, max_atoms=4)
         naive = naive_representation(q)
-        compiled, _ = compile_flat(flatten(naive))
+        compiled = compile_flat(q)[0]
         noisy = Plus(naive, Times(Const(0), naive))
         texts = {serialize_sharp(f) for f in (naive, compiled, noisy)}
         assert len(texts) == 3

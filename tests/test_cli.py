@@ -21,10 +21,8 @@ from sharpq.compilepipe import (
     _seeded_structures,
     _summands,
     _union_or_kept,
-    basic_sharp_to_pp,
     compile_flat,
     count_sentence,
-    flatten,
     minimize_ep,
 )
 from sharpq.epquery import Or, _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
@@ -49,6 +47,7 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
+from tests.helpers import reference_read_back
 from tests.test_one_liberal_route import _refuse
 
 THETA2_EPQ = "query theta2(x1,x2): U1(x1) & U2(x2)\n"
@@ -341,7 +340,7 @@ def test_random_unions_count_alike_on_both_engines(tmp_path, capsys, ie_route):
 
 def test_count_never_runs_compiles_per_term_route(tmp_path, capsys, monkeypatch):
     # any query, with or without `|`, with one liberal variable or more
-    _refuse(monkeypatch, ("flatten", "compile_flat", "basic_sharp_to_pp"))
+    _refuse(monkeypatch, ("flatten", "compile_flat"))
     rng = random.Random(20261020)
     for _ in range(200):
         q = random_ep_query(rng, max_vars=5, max_atoms=5, max_disjunctions=2)
@@ -388,14 +387,14 @@ def test_a_union_the_table_route_refuses_is_one_cast_and_its_1023_term_sum_evalu
     q = parse_query(text)
     sentence = count_sentence(q)
     assert (width(sentence), serialize_sharp(sentence).count(" | ")) == (2, k - 1)
-    flat, w = compile_flat(flatten(naive_representation(q)))
+    flat, w, _ = compile_flat(q)
     assert (w, serialize_sharp(flat).count(" + ")) == (2, 2**k - 2)
     assert eval_sentence(flat, parse_structure(rel)) == expected
 
 
 @pytest.mark.parametrize("command", ["minimize", "compile"])
 def test_a_ten_atom_unary_union_compiles_to_1023_terms(tmp_path, capsys, command):
-    # every walk over the 1,023-term sum (flatten, rename, width, serialize,
+    # every walk over the 1,023-term sum (rename, width, serialize,
     # the self-check) is a fold, so the default recursion limit holds
     q = _write(tmp_path, "u10.epq", _unary_union(10))
     code, out, err = _run(capsys, command, "-q", q, "--json")
@@ -548,7 +547,8 @@ def _corpus(source):
 @pytest.mark.parametrize("source", ["golden", "random"])
 def test_minimize_core_size_equals_the_read_back_cores(source, tmp_path, capsys):
     # core_size counts each basic part's variables; reading each part back
-    # into a pair and counting its elements gives the same number
+    # into a pair (the tests' reference) and counting its elements gives the
+    # same number
     refused = 0
     for i, text in enumerate(_corpus(source)):
         code, out, _ = _run(capsys, "minimize", "-q", _write(tmp_path, f"{i}.epq", text), "--json")
@@ -558,7 +558,7 @@ def test_minimize_core_size_equals_the_read_back_cores(source, tmp_path, capsys)
         report = json.loads(out)
         basics = [b for _, _, b, _ in _summands(parse_sharp(report["sentence"])) if b is not None]
         assert report["core_size"] == sum(
-            len(basic_sharp_to_pp(basic).struct.universe) for basic in basics
+            len(reference_read_back(basic).struct.universe) for basic in basics
         )
     assert refused == 0
 

@@ -16,7 +16,6 @@ from sharpq.compilepipe import (
     _sharp_variables,
     _union_or_kept,
     as_formula,
-    basic_sharp_to_pp,
     canonical_lc,
     compile_flat,
     count_sentence,
@@ -27,7 +26,6 @@ from sharpq.compilepipe import (
 from sharpq.decomp import TreeDecomposition, _walk, compute_qaw, exact_treewidth
 from sharpq.epquery import (
     TOP,
-    And,
     Atom,
     Exists,
     LiberalQuery,
@@ -46,7 +44,7 @@ from sharpq.epquery import (
     subformulas,
     to_dnf_pp,
 )
-from sharpq.epquery import _all_variables, _has_or, _rename_apart
+from sharpq.epquery import _has_or
 from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
 from sharpq.relstore import Signature, make_structure, parse_structure, serialize_structure
@@ -79,7 +77,14 @@ from tests.conftest import (
     star_pair,
     three_block_pair,
 )
-from tests.helpers import evaluate, flat_lc, lc_evaluate, read_constant, reduce_to_basic
+from tests.helpers import (
+    evaluate,
+    flat_lc,
+    lc_evaluate,
+    read_constant,
+    reduce_to_basic,
+    reference_read_back,
+)
 from tests.test_one_liberal_route import _refuse
 from tests.test_sharpcore import _random_sharp
 
@@ -300,13 +305,13 @@ def test_compile_isolated_liberal_variable_multiplies_by_universe_size():
 
 
 # ---------------------------------------------------------------------------
-# basic_sharp_to_pp
+# reference_read_back: the tests' read-back of a basic sentence as a pair
 # ---------------------------------------------------------------------------
 
 
 def test_read_back_theta_sentence(rng):
     f = parse_sharp("P{x} (P{y} C[E(x,y); {x,y}] * P{z} C[F(x,z); {x,z}])")
-    p = basic_sharp_to_pp(f)
+    p = reference_read_back(f)
     assert set(p.liberal) == {"x", "y", "z"}
     assert set(p.struct.universe) == {"x", "y", "z"}
     q = pair_to_pp(p)
@@ -316,7 +321,7 @@ def test_read_back_theta_sentence(rng):
 
 
 def test_read_back_true_sentence_counts_one():
-    p = basic_sharp_to_pp(parse_sharp("C[true; {}]"))
+    p = reference_read_back(parse_sharp("C[true; {}]"))
     assert p.liberal == ()
     b = parse_structure("signature E/2\nuniverse a b\nE(a,b)\n")
     assert oracle_count(pair_to_pp(p), b) == 1
@@ -324,7 +329,7 @@ def test_read_back_true_sentence_counts_one():
 
 def test_read_back_expansion_padding_counts_universe():
     f = parse_sharp("P{u} E{u} C[true; {}]")
-    p = basic_sharp_to_pp(f)
+    p = reference_read_back(f)
     assert p.liberal == ("u",)
     b = parse_structure("signature E/2\nuniverse a b c\nE(a,b)\n")
     assert oracle_count(pair_to_pp(p), b) == 3 == eval_sentence(f, b)
@@ -333,7 +338,7 @@ def test_read_back_expansion_padding_counts_universe():
 def test_read_back_vacuous_projection_counts_universe():
     # P{w} over a child that does not mention w multiplies by |B|.
     f = Project(frozenset({"w"}), parse_sharp("C[true; {}]"))
-    p = basic_sharp_to_pp(f)
+    p = reference_read_back(f)
     b = parse_structure("signature E/2\nuniverse a b c\nE(a,b)\n")
     assert eval_sentence(f, b) == 3
     assert oracle_count(pair_to_pp(p), b) == 3
@@ -343,7 +348,7 @@ def test_read_back_round_trip_preserves_counts_and_width(rng):
     for _ in range(25):
         p = random_pp_pair(rng, max_vars=5, max_atoms=5)
         sentence, qaw = pp_to_basic_sharp(p)
-        back = basic_sharp_to_pp(sentence)
+        back = reference_read_back(sentence)
         q1, q2 = pair_to_pp(p), pair_to_pp(back)
         for _ in range(2):
             b = random_structure(rng, p.struct.sig, max_size=3)
@@ -353,59 +358,6 @@ def test_read_back_round_trip_preserves_counts_and_width(rng):
         g, lib = primal_graph(back), back.liberal_set
         tw_contract, _ = exact_treewidth(_contract_graph(g, lib, _exists_components(g, lib)))
         assert tw_contract + 1 <= sharp_width(sentence)
-
-
-def test_read_back_rejects_non_basic_and_open_inputs():
-    with pytest.raises(SharpqError, match="basic"):
-        basic_sharp_to_pp(parse_sharp("(C[true; {}] + C[true; {}])"))
-    with pytest.raises(SharpqError, match="sentence"):
-        basic_sharp_to_pp(parse_sharp("C[E(x,y); {x,y}]"))
-    with pytest.raises(SharpqError, match="disjunction-free"):
-        basic_sharp_to_pp(parse_sharp("P{x} C[U(x) | V(x); {x}]"))
-
-
-def _read_back_reference(f):
-    """basic_sharp_to_pp's pair derived node by node, for a valid basic
-    sentence: the liberal set is every free set validate derives plus the
-    projection variables the child never mentions, and the atoms and binders
-    come from a stack walk over each renamed-apart cast."""
-    ever_free, casts, pads = set(), [], []
-
-    def walk(node):
-        ever_free.update(validate(node).free)
-        if isinstance(node, Cast):
-            casts.append(node)
-        elif isinstance(node, (Project, Expand)):
-            if isinstance(node, Project):
-                pads.extend(sorted(node.vars - validate(node.child).free))
-            walk(node.child)
-        elif isinstance(node, Times):
-            walk(node.left)
-            walk(node.right)
-
-    walk(f)
-    used = ever_free | set(pads)
-    atoms, bound_order = [], []
-    for cast in casts:
-        body = _rename_apart(cast.ep, frozenset(used))
-        used |= _all_variables(body)
-        stack = [body]
-        while stack:
-            node = stack.pop(0)
-            if isinstance(node, Atom):
-                atoms.append(node)
-            elif isinstance(node, And):
-                stack[:0] = [node.left, node.right]
-            elif isinstance(node, Exists):
-                bound_order.append(node.var)
-                stack.insert(0, node.body)
-    liberal = tuple(sorted(ever_free | set(pads)))
-    rels = {}
-    for a in atoms:
-        rels.setdefault(a.symbol, set()).add(a.args)
-    sig = Signature(tuple(sorted({a.symbol: len(a.args) for a in atoms}.items())))
-    universe = list(liberal) + bound_order or ["pad$1"]
-    return PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
 
 
 def _random_basic_sentence(rng):
@@ -458,7 +410,10 @@ def _random_basic_sentence(rng):
 
 
 def test_read_back_matches_the_node_by_node_derivation():
+    # casts that reuse binder names, projections of variables the child
+    # never mentions and expansions all read back to a pair of equal count
     rng = random.Random(404)
+    sig = Signature((("E", 2), ("U", 1)))
     checked = vacuous = expanded = 0
     while checked < 300:
         f = _random_basic_sentence(rng)
@@ -470,7 +425,10 @@ def test_read_back_matches_the_node_by_node_derivation():
             isinstance(n, Project) and n.vars - validate(n.child).free for n in nodes
         )
         expanded += any(isinstance(n, Expand) for n in nodes)
-        assert basic_sharp_to_pp(f) == _read_back_reference(f)
+        q = pair_to_pp(reference_read_back(f))
+        for _ in range(2):
+            b = random_structure(rng, sig, max_size=3)
+            assert oracle_count(q, b) == eval_sentence(f, b), serialize_sharp(f)
     assert vacuous > 50 and expanded > 50
 
 
@@ -1049,7 +1007,7 @@ def test_canonical_lc_refuses_a_term_over_the_core_cap_before_any_search(monkeyp
     q = parse_query("query u(x): U(x) | exists y . exists z . E(x,y) & E(y,z)\n")
     fs = flatten(naive_representation(q))
     sizes = [
-        len(compilepipe._fold_quantified(compilepipe.basic_sharp_to_pp(basic)).struct.universe)
+        len(compilepipe._fold_quantified(reference_read_back(basic)).struct.universe)
         for _, basic in fs.terms
     ]
     assert sizes[0] <= 2 < max(sizes)
@@ -1240,7 +1198,7 @@ def test_minimize_ep_drops_contained_disjuncts_without_changing_its_output(rng, 
         want = flat_lc(flatten(naive_representation(q)))
         assert lcs[0].entries == want.entries
         reference = (
-            compilepipe._compile_terms(((Const(c), pair) for c, pair in want.entries), 24)[0]
+            compilepipe._compile_terms(want.entries, 24)[0]
             if want.entries else Const(0)
         )
         assert serialize_sharp(sentence) == serialize_sharp(reference)
@@ -1337,7 +1295,7 @@ def test_drop_contained_compiles_each_compared_source_once(monkeypatch, rng):
 
 def test_a_flat_sentence_with_no_terms_is_zero():
     assert serialize_sharp(as_formula(FlatSharp(terms=(), free=frozenset({"x"})))) == "E{x} 0"
-    assert compile_flat(FlatSharp(terms=(), free=frozenset())) == (Const(0), 0)
+    assert compilepipe._compile_terms((), 24) == (Const(0), 0)
 
 
 def test_minimize_ep_respects_dnf_cap():
@@ -1382,7 +1340,7 @@ def test_unmerged_terms_count_like_the_oracle_without_flatten(
     tmp_path, capsys, monkeypatch, text, cap, w, n_terms
 ):
     q = parse_query(text)
-    flat_width = compile_flat(flatten(naive_representation(q)))[1]
+    flat_width = compile_flat(q)[1]
     refused = []
     real_lc = compilepipe.canonical_lc
 
@@ -1394,7 +1352,7 @@ def test_unmerged_terms_count_like_the_oracle_without_flatten(
             raise
 
     monkeypatch.setattr(compilepipe, "canonical_lc", lc_spy)
-    _refuse(monkeypatch, ("flatten", "compile_flat", "basic_sharp_to_pp"))
+    _refuse(monkeypatch, ("flatten", "compile_flat"))
     sentence = count_sentence(q)
     assert len(refused) == 1 and refused[0].startswith(cap)
     assert (width(sentence), len(compilepipe._summands(sentence))) == (w, n_terms)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from sharpq import decomp, epquery
+from sharpq.cli import main
 from sharpq.decomp import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -720,7 +721,8 @@ def test_qaw_witness_invariants_on_random_pairs(rng):
 
 
 # the 3-edge path with both ends liberal: one block, anchored inside
-PATH_ENDS = pp_to_pair(parse_query("query q(x,y): exists u . exists v . E(x,u) & E(u,v) & E(v,y)"))
+PATH_ENDS_TEXT = "query q(x,y): exists u . exists v . E(x,u) & E(u,v) & E(v,y)\n"
+PATH_ENDS = pp_to_pair(parse_query(PATH_ENDS_TEXT))
 
 
 def test_a_witness_the_self_check_refuses_is_an_internal_invariant(monkeypatch):
@@ -740,12 +742,21 @@ def test_a_witness_the_self_check_refuses_is_an_internal_invariant(monkeypatch):
         compute_qaw(PATH_ENDS)
 
 
-def test_a_witness_that_is_no_decomposition_is_refused_by_the_self_check(monkeypatch):
+def test_a_witness_that_is_no_decomposition_is_refused_by_the_self_check(
+    monkeypatch, tmp_path, capsys
+):
     # a region left rooted where exact_treewidth put it hangs below a spine
-    # node whose boundary variables its root bag does not all hold
+    # node whose boundary variables its root bag does not all hold; the
+    # witness is the program's own, so that is an internal invariant (exit 5)
     monkeypatch.setattr(decomp, "_reroot", lambda td, root: td)
-    with pytest.raises(SharpqError, match="not a decomposition of the pair's primal graph"):
+    with pytest.raises(InternalInvariant, match="not a decomposition of the pair's primal graph"):
         compute_qaw(PATH_ENDS)
+    query = tmp_path / "q.epq"
+    query.write_text(PATH_ENDS_TEXT)
+    assert main(["qaw", "-q", str(query)]) == 5
+    assert capsys.readouterr().err.startswith(
+        "error: not a decomposition of the pair's primal graph"
+    )
 
 
 def test_the_quantifier_aware_check_reads_validations_walk(monkeypatch):

@@ -16,7 +16,6 @@ from sharpq.compilepipe import (
     _fold_quantified,
     compile_flat,
     count_sentence,
-    flatten,
     minimize_ep,
 )
 from sharpq.decomp import compute_qaw, validate_td
@@ -96,8 +95,7 @@ def _refuse(monkeypatch, names):
 
 
 # the steps of inclusion-exclusion and of compile's per-term route
-TERM_STEPS = ("_ie_terms", "canonical_lc", "pp_to_basic_sharp", "flatten", "compile_flat",
-              "basic_sharp_to_pp")
+TERM_STEPS = ("_ie_terms", "canonical_lc", "pp_to_basic_sharp", "flatten", "compile_flat")
 
 
 @pytest.fixture
@@ -168,7 +166,7 @@ def test_the_cast_has_the_qaw_of_the_core_and_is_never_wider_than_before():
         q = parse_query(text)
         w = width(count_sentence(q))
         assert w == _expected_width(q), text
-        assert w <= compile_flat(flatten(naive_representation(q)))[1], text
+        assert w <= compile_flat(q)[1], text
         try:
             assert w == minimize_ep(q)[1], text
         except CapExceeded:
@@ -320,7 +318,7 @@ def test_one_liberal_unions_are_never_wider_than_compile_flat():
         if sentence != naive_representation(q):
             casts += 1
             multi += " | " in serialize_sharp(sentence)
-        assert width(sentence) <= compile_flat(flatten(naive_representation(q)))[1], text
+        assert width(sentence) <= compile_flat(q)[1], text
     # the union cases and most random unions take the cast, and some casts
     # keep two or more disjuncts
     assert casts >= 150 and multi >= 20

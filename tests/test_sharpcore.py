@@ -772,7 +772,7 @@ def _chain_query(symbols):
 def _chain_sentence(q):
     # the sentence `count` evaluates for a long path, whose core search is
     # refused: each level a semijoin of one relation with the level below
-    return compile_flat(flatten(naive_representation(q)))[0]
+    return compile_flat(q)[0]
 
 
 def _graph(sig, facts):

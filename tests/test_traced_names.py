@@ -37,9 +37,10 @@ def test_every_traced_and_counted_name_resolves_in_each_listed_module():
 def test_every_counter_hook_runs_on_real_results(tmp_path, capsys):
     # the hooks read `.entries`, `.terms`, `stats["peak_rows"]`,
     # `.all_facts()` and `.struct.universe` off the traced calls' results;
-    # one minimize and one compile of a union (minimize builds its terms as
-    # pairs, compile flattens) and one count of a star reach every hook, and
-    # a hook that no longer fits its result's shape fails here
+    # one minimize and one compile of a union (both build their terms as
+    # pairs), one flatten of a union's cast (only `sharpq flatten` flattens)
+    # and one count of a star reach every hook, and a hook that no longer
+    # fits its result's shape fails here
     spans = _spans()
     reached = set()
 
@@ -57,6 +58,8 @@ def test_every_counter_hook_runs_on_real_results(tmp_path, capsys):
         ))
     union = tmp_path / "u.epq"
     union.write_text("query u(x): " + " | ".join(f"(exists y . E{i}(x,y))" for i in range(3)))
+    cast = tmp_path / "u.shq"
+    cast.write_text("P{x} C[E0(x,x) | E1(x,x); {x}]\n")
     star = tmp_path / "s.epq"
     star.write_text("query s(a,b): exists h . E(a,h) & E(b,h)\n")
     data = tmp_path / "d.rel"
@@ -67,6 +70,7 @@ def test_every_counter_hook_runs_on_real_results(tmp_path, capsys):
         tracer.request = 0
         assert sharpq.cli.main(["minimize", "-q", str(union), "--json"]) == 0
         assert sharpq.cli.main(["compile", "-q", str(union), "--json"]) == 0
+        assert sharpq.cli.main(["flatten", "-s", str(cast), "--json"]) == 0
         assert sharpq.cli.main(["count", "-q", str(star), "-d", str(data), "--json"]) == 0
     finally:
         tracer.request = None
