@@ -5,10 +5,13 @@ decompose. Every command is deterministic given its inputs and --seed;
 identical invocations print byte-identical output. Counts are printed as
 decimal strings (arbitrary precision) in both text and JSON mode.
 
-Exit codes: 0 success, 1 other module errors, 2 parse error, 3 cap exceeded,
-4 engine disagreement, 5 internal invariant violation. Engine disagreement is
-first-class: it is the tool's core falsification signal. `count` evaluates
-compilepipe.count_sentence and has no second route: a cap it meets exits 3.
+Exit codes: 0 success, 1 other module errors (an unreadable input or an
+unwritable --dump-td among them), 2 parse error (input that is not UTF-8
+among them) or usage error, 3 cap exceeded, 4 engine disagreement, 5
+internal invariant violation. Engine disagreement is first-class: it is the
+tool's core falsification signal. `count` evaluates compilepipe.count_sentence
+and has no second route: a cap it meets exits 3. Each command takes only the
+options it reads.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from .compilepipe import (
@@ -38,7 +42,7 @@ from .epquery import (
     serialize_query,
 )
 from .equiv import core_of, counting_equivalent, logically_equivalent
-from .errors import EngineDisagreement, InternalInvariant, SharpqError
+from .errors import EngineDisagreement, InternalInvariant, ParseError, SharpqError
 from .relstore import parse_structure
 from .sharpcore import (
     check_represents,
@@ -56,12 +60,34 @@ from .sharpcore import (
 # ---------------------------------------------------------------------------
 
 
+# a byte that is not UTF-8, as the surrogateescape error handler reads it
+_NOT_UTF8_RE = re.compile("[\udc80-\udcff]")
+
+
 def _read_text(path):
+    """A file's text; a byte that is not UTF-8 is a ParseError at its line
+    and column."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
     except OSError as exc:
         raise SharpqError(f"cannot read {path}: {exc.strerror}") from exc
+    # isascii takes constant time; the search reads the whole text
+    bad = None if text.isascii() else _NOT_UTF8_RE.search(text)
+    if bad:
+        # lines counted as the parsers count them; the '?' stands for the byte
+        lines = (text[: bad.start()] + "?").splitlines()
+        byte = ord(bad[0]) - 0xDC00
+        raise ParseError(f"byte 0x{byte:02x} is not UTF-8", len(lines), len(lines[-1]))
+    return text
+
+
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SharpqError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _load_query(path):
@@ -172,8 +198,7 @@ def cmd_qaw(args):
     q = _load_query(args.query)
     qaw, td = compute_qaw(pp_to_pair(q), cap=args.max_vertices)
     if args.dump_td:
-        with open(args.dump_td, "w", encoding="utf-8") as fh:
-            fh.write(serialize_td(td))
+        _write_text(args.dump_td, serialize_td(td))
     return [f"qaw: {qaw}"], {"qaw": qaw}
 
 
@@ -216,8 +241,7 @@ def cmd_decompose(args):
     q = _load_query(args.query)
     tw, td = exact_treewidth(primal_graph(pp_to_pair(q)), cap=args.max_vertices)
     if args.dump_td:
-        with open(args.dump_td, "w", encoding="utf-8") as fh:
-            fh.write(serialize_td(td))
+        _write_text(args.dump_td, serialize_td(td))
     return [f"treewidth: {tw}"], {"treewidth": tw}
 
 
@@ -237,24 +261,43 @@ _COMMANDS = {
     "decompose": (cmd_decompose, "exact treewidth of a query's primal graph"),
 }
 
-_NEEDS = {
-    "count": ("query", "data"),
-    "compile": ("query",),
-    "minimize": ("query",),
-    "width": ("sharp",),
-    "qaw": ("query",),
-    "core": ("query",),
-    "equiv": ("query", "rhs"),
-    "flatten": ("sharp",),
-    "decompose": ("query",),
-}
-
 
 def _positive(text):
     n = int(text)
     if n <= 0:
         raise argparse.ArgumentTypeError("must be positive")
     return n
+
+
+# every argument a command may take, in the order --help lists them
+_ARGUMENTS = {
+    "query": (("-q", "--query"), {"required": True, "help": ".epq query file"}),
+    "data": (("-d", "--data"), {"required": True, "help": ".rel structure file"}),
+    "sharp": (("-s", "--sharp"), {"required": True, "help": ".shq formula file"}),
+    "rhs": (("-r", "--rhs"), {"required": True, "help": "second .epq file"}),
+    "engine": (("--engine",), {"choices": ("compiled", "oracle", "both"), "default": "compiled"}),
+    "strategy": (("--strategy",), {"choices": ("naive", "qaw"), "default": "qaw"}),
+    "mode": (("--mode",), {"choices": ("counting", "logical"), "default": "counting"}),
+    "dump_td": (("--dump-td",), {"metavar": "FILE", "help": "write the decomposition"}),
+    "json": (("--json",), {"action": "store_true", "help": "print one JSON object"}),
+    "seed": (("--seed",), {"type": int, "default": 0, "help": "sample-generation seed"}),
+    "max_dnf": (("--max-dnf",), {"type": _positive, "default": 4096}),
+    "max_rows": (("--max-rows",), {"type": _positive, "default": 10**7}),
+    "max_vertices": (("--max-vertices",), {"type": _positive, "default": 24}),
+}
+
+# the arguments each command reads, besides --json, which main reads
+_NEEDS = {
+    "count": ("query", "data", "engine", "max_dnf", "max_rows", "max_vertices"),
+    "compile": ("query", "strategy", "seed", "max_dnf", "max_vertices"),
+    "minimize": ("query", "seed", "max_dnf", "max_vertices"),
+    "width": ("sharp",),
+    "qaw": ("query", "dump_td", "max_vertices"),
+    "core": ("query",),
+    "equiv": ("query", "rhs", "mode"),
+    "flatten": ("sharp", "max_dnf"),
+    "decompose": ("query", "dump_td", "max_vertices"),
+}
 
 
 @functools.cache
@@ -270,30 +313,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        needs = _NEEDS[name]
-        if "query" in needs:
-            p.add_argument("-q", "--query", required=True, help=".epq query file")
-        if "data" in needs:
-            p.add_argument("-d", "--data", required=True, help=".rel structure file")
-        if "sharp" in needs:
-            p.add_argument("-s", "--sharp", required=True, help=".shq formula file")
-        if "rhs" in needs:
-            p.add_argument("-r", "--rhs", required=True, help="second .epq file")
-        if name == "count":
-            p.add_argument(
-                "--engine", choices=("compiled", "oracle", "both"), default="compiled"
-            )
-        if name == "compile":
-            p.add_argument("--strategy", choices=("naive", "qaw"), default="qaw")
-        if name == "equiv":
-            p.add_argument("--mode", choices=("counting", "logical"), default="counting")
-        if name in ("qaw", "decompose"):
-            p.add_argument("--dump-td", metavar="FILE", help="write the decomposition")
-        p.add_argument("--json", action="store_true", help="print one JSON object")
-        p.add_argument("--seed", type=int, default=0, help="sample-generation seed")
-        p.add_argument("--max-dnf", type=_positive, default=4096)
-        p.add_argument("--max-rows", type=_positive, default=10**7)
-        p.add_argument("--max-vertices", type=_positive, default=24)
+        for dest, (flags, options) in _ARGUMENTS.items():
+            if dest in _NEEDS[name] or dest == "json":
+                p.add_argument(*flags, **options)
     return parser
 
 

@@ -313,28 +313,29 @@ class Graph(Record):
 # .epq parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_$]*)|(?P<punct>[(),.&|:]))"
-)
+# A token pattern skips whitespace and matches one token in a named group,
+# whose name is the token's kind.
+_NAME_TOKEN = r"(?P<name>[A-Za-z_][A-Za-z0-9_$]*)"
+_EPQ_TOKENS = re.compile(rf"\s*(?:{_NAME_TOKEN}|(?P<punct>[(),.&|:]))")
 _KEYWORDS = {"query", "exists", "true"}
 
 
 class _Tokens:
-    """Tokens of text[start:stop]. Offsets, and so error lines and columns,
-    count from the start of text; `end` is how messages name the end of the
-    tokens."""
+    """Tokens of text[start:stop], as (kind, value, offset), lexed by the
+    token pattern. Offsets, and so error lines and columns, count from the
+    start of text; `end` is how messages name the end of the tokens."""
 
-    def __init__(self, text, start=0, stop=None, end="end of input"):
+    def __init__(self, pattern, text, start=0, stop=None, end="end of input"):
         self.text = text
         self.stop = len(text) if stop is None else stop
         self.end = end
         self.tokens = []
-        self._lex(start)
+        self._lex(pattern, start)
         self.i = 0
 
-    def _lex(self, pos):
+    def _lex(self, pattern, pos):
         while pos < self.stop:
-            m = _TOKEN_RE.match(self.text, pos, self.stop)
+            m = pattern.match(self.text, pos, self.stop)
             if not m:
                 rest = self.text[pos : self.stop]
                 stripped = rest.lstrip()
@@ -342,10 +343,8 @@ class _Tokens:
                     break
                 line, col = self._loc(pos + len(rest) - len(stripped))
                 raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-            if m.group("name"):
-                self.tokens.append(("name", m.group("name"), m.start("name")))
-            else:
-                self.tokens.append(("punct", m.group("punct"), m.start("punct")))
+            kind = m.lastgroup
+            self.tokens.append((kind, m[kind], m.start(kind)))
             pos = m.end()
 
     def _loc(self, offset):
@@ -388,7 +387,7 @@ def _strip_epq_comments(text):
 
 def parse_query(text):
     """Parse a `.epq` document into a renamed-apart LiberalQuery."""
-    toks = _Tokens(_strip_epq_comments(text))
+    toks = _Tokens(_EPQ_TOKENS, _strip_epq_comments(text))
     toks.expect("name", "query")
     kind, qname, off = toks.next()
     if kind != "name" or qname in _KEYWORDS:

@@ -52,9 +52,10 @@ from .epquery import (
     Or,
     Top,
     _ByText,
+    _EPQ_TOKENS,
+    _NAME_TOKEN,
     _check_signature,
     _infer_signature,
-    _line_col,
     _parse_ep_span,
     _strip_epq_comments,
     _Tokens,
@@ -271,128 +272,102 @@ def sharp_width(f):
 # .shq text format
 # ---------------------------------------------------------------------------
 
-_INT_RE = re.compile(r"-?\d+")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_OPENER_RE = re.compile(r"C\s*\[|[PE]\s*\{")
-
-
-class _SharpParser:
-    def __init__(self, text):
-        self.src = _strip_epq_comments(text)
-        self.pos = 0
-
-    def error(self, msg):
-        raise ParseError(msg, *_line_col(self.src, self.pos))
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self):
-        node = self.parse_formula()
-        self.skip_ws()
-        if self.pos < len(self.src):
-            self.error(f"trailing input: {self.src[self.pos]!r}")
-        return node
-
-    def parse_varset(self):
-        self.expect("{")
-        vars_ = []
-        if self.peek() == "}":
-            self.pos += 1
-            return vars_
-        while True:
-            self.skip_ws()
-            m = _NAME_RE.match(self.src, self.pos)
-            if not m:
-                self.error("expected a variable name")
-            vars_.append(m.group())
-            self.pos = m.end()
-            ch = self.peek()
-            if ch == ",":
-                self.pos += 1
-            elif ch == "}":
-                self.pos += 1
-                return vars_
-            else:
-                self.error("expected ',' or '}' in variable set")
-
-    def parse_formula(self):
-        """Each P{..}/E{..} prefix and open '(' waits on an explicit stack
-        until its operand is complete, so nesting costs no Python stack."""
-        pending = []  # (Project or Expand, vars), ("(", None) or (op, left operand)
-        while True:
-            ch = self.peek()
-            opener = _OPENER_RE.match(self.src, self.pos)
-            if opener and ch == "C":
-                self.pos = opener.end()
-                node = self.parse_cast()
-            elif opener:
-                self.pos += 1
-                pending.append((Project if ch == "P" else Expand, self.parse_varset()))
-                continue
-            elif ch == "(":
-                self.pos += 1
-                pending.append(("(", None))
-                continue
-            else:
-                m = _INT_RE.match(self.src, self.pos)
-                if not m:
-                    self.error("expected 'C[', 'P{', 'E{', '(' or an integer")
-                self.pos = m.end()
-                node = Const(int(m.group()))
-            # the operand is complete: apply the prefixes and close the
-            # products and sums it ends
-            while pending:
-                kind, arg = pending[-1]
-                if kind == "(":
-                    op = self.peek()
-                    if op not in ("*", "+"):
-                        self.error("expected '*' or '+'")
-                    self.pos += 1
-                    pending[-1] = (op, node)
-                    break
-                pending.pop()
-                if kind in ("*", "+"):
-                    self.expect(")")
-                    node = Times(arg, node) if kind == "*" else Plus(arg, node)
-                else:
-                    node = kind(frozenset(arg), node)
-            else:
-                return node
-
-    def parse_cast(self):
-        """The rest of a cast, after its 'C['."""
-        end = self.src.find(";", self.pos)
-        if end < 0:
-            self.error("cast needs ';' between formula and variable set")
-        try:
-            ep = _parse_ep_span(_Tokens(self.src, self.pos, end, end="end of cast"))
-        except ParseError as exc:
-            raise ParseError(f"inside cast: {exc.reason}", exc.line, exc.column) from None
-        self.pos = end + 1
-        liberal = self.parse_varset()
-        self.expect("]")
-        return Cast(ep=ep, liberal=tuple(liberal))
+# names as `.epq` lexes them, integers, and any other character as a token of
+# its own, so the reader, not the lexer, reports a character out of place
+_SHQ_TOKENS = re.compile(rf"\s*(?:{_NAME_TOKEN}|(?P<int>-?\d+)|(?P<char>\S))")
 
 
 def parse_sharp(text):
     """Parse `.shq` text; raises ParseError on syntax or side-condition errors."""
-    f = _SharpParser(text).parse()
+    toks = _Tokens(_SHQ_TOKENS, _strip_epq_comments(text))
+    f = _parse_formula(toks)
+    if toks.peek()[0] is not None:
+        toks.error(f"trailing input: {toks.text[toks.peek()[2]]!r}")
     report = validate(f)
     if not report.ok:
         v = report.violations[0]
         raise ParseError(f"ill-formed counting formula at {v.path}: {v.message}")
     return f
+
+
+def _expect(toks, char):
+    if toks.peek()[1] != char:
+        toks.error(f"expected {char!r}")
+    toks.next()
+
+
+def _parse_formula(toks):
+    """Each P{..}/E{..} prefix and open '(' waits on an explicit stack until
+    its operand is complete, so nesting costs no Python stack."""
+    pending = []  # (Project or Expand, vars), ("(", None) or (op, left operand)
+    while True:
+        kind, val, off = toks.next()
+        if val == "(":
+            pending.append(("(", None))
+            continue
+        if kind == "int":
+            node = Const(int(val))
+        elif val == "C" and toks.peek()[1] == "[":
+            node = _parse_cast(toks, toks.next()[2] + 1)
+        elif val in ("P", "E") and toks.peek()[1] == "{":
+            pending.append((Project if val == "P" else Expand, _parse_varset(toks)))
+            continue
+        else:
+            toks.error("expected 'C[', 'P{', 'E{', '(' or an integer", off)
+        # the operand is complete: apply the prefixes and close the products
+        # and sums it ends
+        while pending:
+            kind, arg = pending[-1]
+            if kind == "(":
+                op = toks.peek()[1]
+                if op not in ("*", "+"):
+                    toks.error("expected '*' or '+'")
+                toks.next()
+                pending[-1] = (op, node)
+                break
+            pending.pop()
+            if kind in ("*", "+"):
+                _expect(toks, ")")
+                node = Times(arg, node) if kind == "*" else Plus(arg, node)
+            else:
+                node = kind(frozenset(arg), node)
+        else:
+            return node
+
+
+def _parse_varset(toks):
+    _expect(toks, "{")
+    names = []
+    if toks.peek()[1] == "}":
+        toks.next()
+        return names
+    while True:
+        kind, name, off = toks.next()
+        if kind != "name":
+            toks.error("expected a variable name", off)
+        names.append(name)
+        _, sep, off = toks.next()
+        if sep == "}":
+            return names
+        if sep != ",":
+            toks.error("expected ',' or '}' in variable set", off)
+
+
+def _parse_cast(toks, start):
+    """The rest of a cast whose body starts at text offset `start`, just after
+    its '['. The body, up to the first ';', is lexed and parsed as `.epq`."""
+    end = toks.text.find(";", start)
+    if end < 0:
+        toks.error("cast needs ';' between formula and variable set", start)
+    try:
+        ep = _parse_ep_span(_Tokens(_EPQ_TOKENS, toks.text, start, end, end="end of cast"))
+    except ParseError as exc:
+        raise ParseError(f"inside cast: {exc.reason}", exc.line, exc.column) from None
+    while toks.next()[2] < end:  # past the body's `.shq` tokens and the ';'
+        pass
+    liberal = _parse_varset(toks)
+    _expect(toks, "]")
+    return Cast(ep=ep, liberal=tuple(liberal))
 
 
 def _varset(vars_):

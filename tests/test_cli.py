@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -734,6 +735,121 @@ def test_missing_file_is_an_error(tmp_path, capsys):
     code, _, err = _run(capsys, "count", "-q", str(tmp_path / "nope.epq"), "-d", d)
     assert code == 1
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "flag, name, data, message",
+    [
+        ("-q", "bad.epq", b"query p(x): E(x,\xff)\n", "line 1, column 17: byte 0xff is not UTF-8"),
+        # columns count characters: the 'é' before the bad byte is one
+        ("-q", "bad.epq", "query p(x):\n  E(x,x) & é".encode() + b"\xfe(x)\n",
+         "line 2, column 13: byte 0xfe is not UTF-8"),
+        # a form feed breaks a line for the parsers, and so here
+        ("-q", "bad.epq", b"query p(x):\x0c E(x,\xff)\n", "line 2, column 6: byte 0xff is not UTF-8"),
+        ("-d", "bad.rel", b"signature U1/1 U2/1\nuniverse a b\nU1(\xc3)\n",
+         "line 3, column 4: byte 0xc3 is not UTF-8"),
+        # CRLF is one line break, as text mode reads it
+        ("-s", "bad.shq", b"P{x}\r\n C[U1(x); \x80{x}]\n", "line 2, column 11: byte 0x80 is not UTF-8"),
+    ],
+    ids=["query", "query-column-in-characters", "query-form-feed", "data", "sharp"],
+)
+def test_input_that_is_not_utf8_is_a_parse_error_at_its_first_bad_byte(
+    tmp_path, capsys, flag, name, data, message
+):
+    path = tmp_path / name
+    path.write_bytes(data)
+    files = {"-q": _write(tmp_path, "t.epq", THETA2_EPQ), "-d": _write(tmp_path, "t.rel", THETA2_REL)}
+    files[flag] = str(path)
+    argv = ["width", "-s", files["-s"]] if flag == "-s" else ["count", "-q", files["-q"], "-d", files["-d"]]
+    assert _run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["qaw", "decompose"])
+def test_an_unwritable_dump_is_an_error(tmp_path, capsys, command):
+    q = _write(tmp_path, "fold.epq", FOLD_EPQ)
+    for target, reason in ((tmp_path / "no" / "td.txt", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        assert _run(capsys, command, "-q", q, "--dump-td", str(target)) == (
+            1, "", f"error: cannot write {target}: {reason}\n"
+        )
+
+
+# the options each command reads (the input files aside), and an argument list
+# for each option
+READS = {
+    "count": {"--engine", "--json", "--max-dnf", "--max-rows", "--max-vertices"},
+    "compile": {"--strategy", "--json", "--seed", "--max-dnf", "--max-vertices"},
+    "minimize": {"--json", "--seed", "--max-dnf", "--max-vertices"},
+    "width": {"--json"},
+    "qaw": {"--dump-td", "--json", "--max-vertices"},
+    "core": {"--json"},
+    "equiv": {"--mode", "--json"},
+    "flatten": {"--json", "--max-dnf"},
+    "decompose": {"--dump-td", "--json", "--max-vertices"},
+}
+INPUTS = {
+    "count": {"--query", "--data"},
+    "compile": {"--query"},
+    "minimize": {"--query"},
+    "width": {"--sharp"},
+    "qaw": {"--query"},
+    "core": {"--query"},
+    "equiv": {"--query", "--rhs"},
+    "flatten": {"--sharp"},
+    "decompose": {"--query"},
+}
+
+
+def _option_argv(tmp_path):
+    q = _write(tmp_path, "t.epq", THETA2_EPQ)
+    return {
+        "--query": ["--query", q],
+        "--data": ["--data", _write(tmp_path, "t.rel", THETA2_REL)],
+        "--sharp": ["--sharp", _write(tmp_path, "t.shq", "P{x1,x2} C[U1(x1) & U2(x2); {x1,x2}]\n")],
+        "--rhs": ["--rhs", q],
+        "--engine": ["--engine", "both"],
+        "--strategy": ["--strategy", "naive"],
+        "--mode": ["--mode", "logical"],
+        "--dump-td": ["--dump-td", str(tmp_path / "td.txt")],
+        "--json": ["--json"],
+        "--seed": ["--seed", "1"],
+        "--max-dnf": ["--max-dnf", "50"],
+        "--max-rows": ["--max-rows", "50"],
+        "--max-vertices": ["--max-vertices", "20"],
+    }
+
+
+def test_the_commands_take_26_settable_values():
+    assert sum(map(len, READS.values())) == 26
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_exactly_the_options_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == READS[command] | INPUTS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_every_option_a_command_does_not_read_is_a_usage_error(tmp_path, capsys, command):
+    options = _option_argv(tmp_path)
+    inputs = [arg for option in sorted(INPUTS[command]) for arg in options[option]]
+    read = [arg for option in sorted(READS[command]) for arg in options[option]]
+    assert _run(capsys, command, *inputs, *read)[0] == 0
+    for option in sorted(options.keys() - READS[command] - INPUTS[command]):
+        code, out, err = _run_usage(capsys, command, *inputs, *options[option])
+        assert (code, out) == (2, ""), option
+        assert f"unrecognized arguments: {' '.join(options[option])}" in err, option
+
+
+def _run_usage(capsys, *argv):
+    """[exit code, stdout, stderr] of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
 
 
 def test_dnf_cap_exits_three(tmp_path, capsys):
