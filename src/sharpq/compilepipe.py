@@ -252,7 +252,8 @@ def _fold_quantified(p):
     a retraction, so the folded pair is logically equivalent and has the same
     core. Folding is polynomial and undoes the renamed-apart duplicate copies
     that inclusion-exclusion merging introduces, keeping pairs small before
-    the capped exponential core search."""
+    the capped exponential core search. A pair with nothing to fold is
+    returned itself, not rebuilt."""
     lib = set(p.liberal)
     universe = list(p.struct.universe)
     facts = set(p.struct.all_facts())
@@ -271,6 +272,8 @@ def _fold_quantified(p):
     while (step := first_fold()) is not None:
         universe.remove(step[0])
         facts = _merge(facts, *step)
+    if len(universe) == len(p.struct.universe):
+        return p
     rels = {}
     for sym, tup in facts:
         rels.setdefault(sym, set()).add(tup)
@@ -292,10 +295,12 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
     compiled as they are, folded but neither cored nor merged, when a core
     or labeling cap refuses the merge. Raises CapExceeded when the DNF, the
     inclusion-exclusion terms or a treewidth meets its cap."""
-    union, pairs = _union_or_kept(q, max_dnf, tw_cap)
+    union, pairs, cores = _union_or_kept(q, max_dnf, tw_cap)
     if union is not None:
         return union
     if len(q.liberal) == 1:
+        pairs = [cores.get(id(p)) or (core_of(p) if len(p.struct.universe) <= 12 else p)
+                 for p in pairs]
         return _one_liberal_sentence(q.liberal, pairs, tw_cap)
     terms = _ie_terms(pairs, max_dnf)
     try:
@@ -306,11 +311,11 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
 
 
 def _one_liberal_sentence(liberal, pairs, tw_cap):
-    """P{y} C[phi1 | ... | phik; {y}] for folded pairs over one liberal
-    element y: phi_i is the i-th pair, cored when it has at most 12 elements
-    (core_of's cap), nested (_nest) along an exact tree decomposition of its
-    primal graph rerooted at its first node whose bag holds y. A
-    disjunction-free query is the case k = 1.
+    """P{y} C[phi1 | ... | phik; {y}] for pairs over one liberal element y,
+    each folded and then cored when it has at most 12 elements (core_of's
+    cap; count_sentence cores them): phi_i is the i-th pair nested (_nest)
+    along an exact tree decomposition of its primal graph rerooted at its
+    first node whose bag holds y. A disjunction-free query is the case k = 1.
 
     With one liberal variable every decomposition rooted at a bag holding it
     is quantifier-aware, so phi_i has width treewidth + 1, its pair's
@@ -320,8 +325,6 @@ def _one_liberal_sentence(liberal, pairs, tw_cap):
     term, canonical labeling or qaw anchor is built."""
     phis = []
     for pair in pairs:
-        if len(pair.struct.universe) <= 12:
-            pair = core_of(pair)
         _, td = exact_treewidth(primal_graph(pair), cap=tw_cap)
         td = _reroot(td, next(t for t in td.nodes if liberal[0] in td.bags[t]))
         phis.append(_nest(td, _walk(td), pair.struct.all_facts(),
@@ -331,12 +334,12 @@ def _one_liberal_sentence(liberal, pairs, tw_cap):
 
 def _union_or_kept(q, max_dnf, tw_cap):
     """(q's table-union sentence or None, the folded pairs of the disjuncts
-    _drop_contained keeps); raises CapExceeded when the DNF meets max_dnf.
-    The sentence is the naive representation P L C[d1 | ... | dk; L] of the
-    kept disjuncts when they still form a disjunction and it is no wider
-    than the largest quantifier-aware width of their cores; None when they
-    do not, when it is wider, or when a core search or a treewidth meets its
-    cap.
+    _drop_contained keeps, {id(pair): core} for those the guard cored);
+    raises CapExceeded when the DNF meets max_dnf. The sentence is the naive
+    representation P L C[d1 | ... | dk; L] of the kept disjuncts when they
+    still form a disjunction and it is no wider than the largest
+    quantifier-aware width of their cores; None when they do not, when it is
+    wider, or when a core search or a treewidth meets its cap.
 
     Evaluating the naive cast takes the union of the disjuncts' answer tables
     in one pass, so counting it builds none of the 2^k - 1 inclusion-exclusion
@@ -347,18 +350,19 @@ def _union_or_kept(q, max_dnf, tw_cap):
     they have the same qaw and trip the same caps: the core and the qaw are
     computed once per shape, on its first disjunct."""
     kept, pairs = _drop_contained(q, max_dnf=max_dnf)
+    qaws, cores = {}, {}
     if not _has_or(kept.formula):
-        return None, pairs
-    qaws = {}
+        return None, pairs, cores
     try:
         for pair in pairs:
             shape = _shape(pair)
             if shape not in qaws:
-                qaws[shape] = compute_qaw(core_of(pair), cap=tw_cap)[0]
+                cores[id(pair)] = core = core_of(pair)
+                qaws[shape] = compute_qaw(core, cap=tw_cap)[0]
     except CapExceeded:
-        return None, pairs
+        return None, pairs, cores
     naive = naive_representation(kept)
-    return (naive if width(naive) <= max(qaws.values()) else None), pairs
+    return (naive if width(naive) <= max(qaws.values()) else None), pairs, cores
 
 
 def _folded_disjuncts(q, max_dnf):

@@ -667,8 +667,27 @@ def _liberal_order(uses, liberal):
         bound.update(nearest)
 
 
+def _times(p1, p2):
+    """The product of two polynomials in |B|, each {exponent: coefficient}."""
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(p1.items(), p2.items()):
+        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+# the search's assignments per liberal one, a polynomial in |B|: without
+# `|`, |B| to the number of binders; `|` searches one side, then the other
+_BOUND_STEPS = {
+    **dict.fromkeys((Atom, Top), lambda node: {0: 1}),
+    Exists: lambda node, body: {e + 1: c for e, c in body.items()},
+    And: lambda node, left, right: _times(left, right),
+    Or: lambda node, left, right: {e: left.get(e, 0) + right.get(e, 0) for e in left | right},
+}
+
+
 def _oracle_plan(q):
-    """(search, binder count) of q, compiled once and kept on q."""
+    """(search, work bound per liberal assignment) of q, compiled once and
+    kept on q."""
     plan = q._oracle
     if plan is None:
         nodes = subformulas(q.formula)
@@ -681,7 +700,7 @@ def _oracle_plan(q):
             )
         conjuncts = _conjunct_list(fold(q.formula, _ORACLE_STEPS))
         order = _liberal_order([used for _, used in conjuncts], q.liberal)
-        plan = (_backtrack(order, conjuncts), sum(isinstance(node, Exists) for node in nodes))
+        plan = (_backtrack(order, conjuncts), fold(q.formula, _BOUND_STEPS))
         _set(q, "_oracle", plan)
     return plan
 
@@ -697,13 +716,15 @@ def oracle_count(q, b, max_enum=10**8):
     stops at its first satisfying assignment. Refuses when the naive
     enumeration would exceed max_enum assignments; the bound counts
     quantified variables too, since the search enumerates them in the worst
-    case. Refuses as well a formula whose compiled tests nest more than
+    case, and sums over the sides of an `|`, which it searches in turn.
+    Refuses as well a formula whose compiled tests nest more than
     _ORACLE_DEPTH levels (`|`s and `exists` chains), too deep to run. The
     search is compiled once per query, on its first call.
     """
     _check_signature(q.sig, b)
     search, bound = _oracle_plan(q)
-    work = len(b.universe) ** (len(q.liberal) + bound)
+    n = len(b.universe)
+    work = sum(c * n ** e for e, c in bound.items()) * n ** len(q.liberal)
     if work > max_enum:
         raise CapExceeded(
             f"oracle_count refuses {work} > {max_enum} enumerations; "

@@ -256,8 +256,8 @@ def _unchecked_structure(sig, universe, relations, columns):
 # per line with nothing else on it. A universe token starting with '#' would
 # begin a comment, so it is not canonical.
 _SIG_LINE_RE = re.compile(r"signature((?: [A-Za-z_][A-Za-z0-9_]*/[0-9]+)+)")
-# every byte but those of ',' and newline, which no other character's UTF-8 holds
-_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
+# every byte but those of ',', ')' and newline, which no other character's UTF-8 holds
+_NOT_A_MARK = bytes(sorted(set(range(256)) - set(b",)\n")))
 
 
 def _scan_canonical(text):
@@ -304,8 +304,8 @@ def _scan_canonical(text):
                 facts = list(dict.fromkeys(facts))
             # each argument list holds exactly `arity` comma-free elements,
             # so joining the lists and splitting on ',' keeps every entry in
-            # its own fact
-            entries = ",".join(facts).split(",") if facts else []
+            # its own fact; a unary list is its one entry
+            entries = facts if arity == 1 else ",".join(facts).split(",") if facts else []
             elements = list(map(canon.__getitem__, entries))
             columns[name] = tuple(elements[i::arity] for i in range(arity))
     except KeyError:  # an element not in the universe
@@ -317,8 +317,10 @@ def _scan_relation(block, name, arity):
     """The argument list of every line of block that starts with `name(`,
     in line order, or None when one is not `name(e1,...,ek)` with k = arity
     and no ',', ')' or newline in an element: split from the first such line
-    to the end of the last where one ends and the next begins, a list cut at
-    its line's end where other lines follow, checked by C-level counts."""
+    to the end of the last where one ends and the next begins. The _marks
+    must read k - 1 commas per list, ')' and a newline between two: one
+    translate checks lines that form one run, a second the lists cut at
+    their lines' ends when other lines lie between."""
     opener = name + "("
     if block.startswith(opener):
         start = 0
@@ -329,13 +331,17 @@ def _scan_relation(block, name, arity):
     end = len(block) if end < 0 else end
     lists = block[start + len(opener): end - 1]
     facts = lists.split(")\n" + opener)
-    if lists.count("\n") >= len(facts):  # other lines between two of these
+    layout = b")\n".join([b"," * (arity - 1)] * len(facts))
+    if _marks(lists) != layout:  # other lines between two of these, or a fault
         facts = [fact.partition(")\n")[0] for fact in facts]
-        lists = ")\n".join(facts)
-    if block[end - 1] != ")" or lists.count(")") != len(facts) - 1:
-        return None
-    commas = lists.encode("utf-8", "surrogatepass").translate(None, _NOT_COMMA_OR_NEWLINE)
-    return facts if commas == b"\n".join([b"," * (arity - 1)] * len(facts)) else None
+        if _marks(")\n".join(facts)) != layout:
+            return None
+    return facts if block[end - 1] == ")" else None
+
+
+def _marks(text):
+    """The ',', ')' and newline bytes of text's UTF-8, in order."""
+    return text.encode("utf-8", "surrogatepass").translate(None, _NOT_A_MARK)
 
 
 def _parse_lines(text):

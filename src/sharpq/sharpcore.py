@@ -13,23 +13,24 @@ table is a _Facts (an atom over a whole relation, read as its argument
 columns) or a _Rows (built rows, for a counting table a dict of nonzero
 values, or a held product join); both answer len, pick (the entries at given
 positions), distinct (each row once), grouped, sides and semijoin, so
-nothing else asks which one it has, and built rows are never mutated. And
-and Times run one join: a semijoin (one side contributes no column) keeps
-the other side's parts whose key the first side holds, filtered in C, or,
-in one evaluation, the rows a relation gave last at the same positions for
-an equal key set (a chain at its fixpoint filters no more; built rows are
-never mutated, so sharing them is safe); any other join groups each side
-by the shared key and emits, per common key, the product of the two
-groups, a counting row valued by the product of its two rows' values.
-Binders are projected inside the join that consumes them, and a relation's
-grouping is shared by one evaluation's atoms, casts and terms. A product
-join of sets that keeps its shared columns is held as its sides' groupings:
-its size is known before any row exists, and a join keyed on the same
-columns takes them as sides of its own. A fully summed cast over a
-conjunction under an exists chain has its last join counted from its
-sides, never built. Or and Plus share
-one widening union. `stats["peak_rows"]` is the largest table, built or
-held; `max_rows` caps every such table as it grows.
+nothing else asks which one it has. Built rows are never mutated, but for
+the set an Or builds, which no other table holds: an Or whose left side it
+is grows it in place. And and Times run one join: a semijoin (one side
+contributes no column) keeps the other side's parts whose key the first
+side holds, filtered in C, or, in one evaluation, the rows a relation gave
+last at the same positions for an equal key set (a chain at its fixpoint
+filters no more; those rows are never mutated, so sharing them is safe);
+any other join groups each side by the shared key and emits, per common
+key, the product of the two groups, a counting row valued by the product
+of its two rows' values. Binders are projected inside the join that
+consumes them, and a relation's grouping is shared by one evaluation's
+atoms, casts and terms. A product join of sets that keeps its shared
+columns is held as its sides' groupings: its size is known before any row
+exists, and a join keyed on the same columns takes them as sides of its
+own. A fully summed cast over a conjunction under an exists chain has its
+last join counted from its sides, never built. Or and Plus share one
+widening union. `stats["peak_rows"]` is the largest table, built or held;
+`max_rows` caps every such table as it grows.
 """
 
 from __future__ import annotations
@@ -752,10 +753,12 @@ class _Evaluator:
     def _or(self, f, ctx, ex1, ex2):
         explicit, widened = self._widened(ex1, ex2, False)
         width, count = len(explicit), ctx[1]
+        # a left `|` hands up a set no other table holds: a chain grows one
+        grow = type(f.left) is Or
 
         def union(t1, t2):
             t1, t2 = widened(t1, t2)
-            rows = set(t1.distinct())
+            rows = t1.distinct() if grow else set(t1.distinct())
             rows.update(t2.distinct())
             self._note(len(rows))
             return len(rows) if count else _Rows(width, rows)

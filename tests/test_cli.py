@@ -298,6 +298,35 @@ def test_unions_count_like_the_oracle_and_like_set_unions(tmp_path, capsys, ie_r
     assert ie_route == []
 
 
+def _cycles_through_x(k, length):
+    """k cycles of `length` edges through x, the i-th on E{i}."""
+    parts = []
+    for i in range(k):
+        walk = ["x", *(f"v{i}_{j}" for j in range(length - 1)), "x"]
+        body = " & ".join(f"E{i}({a},{c})" for a, c in zip(walk, walk[1:]))
+        parts.append("(" + "".join(f"exists {v} . " for v in walk[1:-1]) + body + ")")
+    return "query c(x): " + " | ".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    # 13 * 3^2 * 3 = 351 assignments for the oracle, where a bound over
+    # every binder of the query would count 3^27
+    ("query u(x): " + " | ".join(
+        f"(exists y . exists z . E{i}(x,y) & E{i}(y,z))" for i in range(13)) + "\n", 2),
+    # 5 * 3^5 * 3 = 3,645, against 3^26
+    (_cycles_through_x(5, 6), 1),
+], ids=["13-walks", "five-6-cycles"])
+def test_both_engines_count_a_union_whose_branches_the_oracle_searches_in_turn(
+    tmp_path, capsys, text, expected
+):
+    symbols = sorted({s for s, _ in parse_query(text).sig.symbols})
+    rel = (f"signature {' '.join(f'{s}/2' for s in symbols)}\nuniverse a b c\n"
+           "E0(a,b)\nE0(b,c)\nE2(a,b)\nE2(b,b)\n")
+    assert _count(capsys, tmp_path, text, rel, "--engine", "both") == (
+        0, f"{expected}\nengines agree\n", ""
+    )
+
+
 @pytest.mark.parametrize("text", [QUERY_A, QUERY_B], ids=["wider-cast", "wider-uncored"])
 def test_one_liberal_unions_wider_than_their_cores_take_one_cast(tmp_path, capsys, ie_route, text):
     q = parse_query(text)

@@ -296,6 +296,73 @@ def test_oracle_refuses_at_the_same_sizes_with_the_same_message():
                         )
 
 
+def _oracle_bound(q, b):
+    """The number of assignments oracle_count bounds its work on b by."""
+    with pytest.raises(CapExceeded) as refused:
+        oracle_count(q, b, max_enum=0)
+    return int(str(refused.value).split()[2])
+
+
+def test_oracle_bound_sums_the_branches_of_a_union():
+    # on 3 elements, per value of x: A(x) once or 3 values of y; 13
+    # branches of 3^2 values of y and z each, not 3^26 values of 26 binders
+    facts = {"A": [("a",)], "E": [("a", "b"), ("b", "c")]}
+    b = make_structure(Signature((("A", 1), ("E", 2))), ["a", "b", "c"], facts)
+    q = parse_query("query q(x): A(x) | exists y . E(x,y)")
+    assert _oracle_bound(q, b) == (1 + 3) * 3
+    assert oracle_count(q, b, max_enum=12) == 2
+    with pytest.raises(CapExceeded, match=r"^oracle_count refuses 12 > 11 enumerations; "):
+        oracle_count(q, b, max_enum=11)
+    walks = parse_query("query u(x): " + " | ".join(
+        f"(exists y . exists z . E{i}(x,y) & E{i}(y,z))" for i in range(13)))
+    walks_b = make_structure(walks.sig, ["a", "b", "c"], {"E0": [("a", "b"), ("b", "c")]})
+    assert _oracle_bound(walks, walks_b) == 13 * 3**2 * 3
+    assert oracle_count(walks, walks_b) == 1
+    # `&` multiplies its sides' bounds, `exists` multiplies by |B|
+    both = parse_query("query q(x): exists y . (A(y) | E(x,y)) & ((exists z . E(y,z)) | A(x))")
+    assert _oracle_bound(both, b) == 3 * (1 + 1) * (3 + 1) * 3
+
+
+class _LoggedUniverse(tuple):
+    """A universe whose every iterator logs "new" at its first draw and
+    "value" at each value it yields."""
+
+    def __iter__(self):
+        self.log.append("new")
+        for e in tuple.__iter__(self):
+            self.log.append("value")
+            yield e
+
+
+class _Logged:
+    """b with a _LoggedUniverse, for a search run straight from its plan."""
+
+    def __init__(self, b, log):
+        self.universe = _LoggedUniverse(b.universe)
+        self.universe.log = log
+        self.tuples = b.tuples
+
+
+def test_oracle_bound_is_never_below_the_assignments_the_search_visits():
+    # an assignment is visited where the search binds a variable and goes no
+    # deeper: no search below it draws a value before the next one is bound.
+    # Few liberal variables leave room for binders, and sparse relations
+    # make the chains search on
+    rng = random.Random(3839)
+    seen = 0
+    while seen < 300:
+        q = random_ep_query(rng, max_vars=6, max_atoms=6, max_disjunctions=3)
+        if not epquery._has_or(q.formula) or len(q.liberal) > 2:
+            continue
+        density = rng.choice((0, 0.2, 0.5))
+        b = random_structure(rng, q.sig, min_size=2, max_size=3, density=density)
+        log = []
+        assert epquery._oracle_plan(q)[0]({}, _Logged(b, log)) == oracle_count(q, b)
+        visited = sum(e == "value" and later != "new" for e, later in zip(log, log[1:] + [None]))
+        assert visited <= _oracle_bound(q, b), serialize_query(q)
+        seen += 1
+
+
 def test_oracle_matches_the_nested_loop_reference_on_random_queries():
     rng = random.Random(5151)
     for _ in range(500):

@@ -346,6 +346,26 @@ def test_the_ten_disjunct_walk_union_counts_on_2000_elements_as_one_cast(no_term
     assert eval_sentence(count_sentence(q), b) == expected
 
 
+def test_the_cast_cores_each_kept_disjunct_once(monkeypatch):
+    # the ten disjuncts share one shape: the table-union guard cores the
+    # first and refuses, and the cast takes that core and cores the other
+    # nine, with the text it had when it cored all ten again
+    cored = []
+
+    def spy(p, *args, **kwargs):
+        cored.append(p)
+        return core_of(p, *args, **kwargs)
+
+    monkeypatch.setattr(compilepipe, "core_of", spy)
+    sentence = count_sentence(parse_query(UNION_CASES[-1][0]))
+    assert len(cored) == len({id(p) for p in cored}) == 10
+    names = [("y", "z")] + [(f"y${2 * i - 1}", f"z${2 * i}") for i in range(1, 10)]
+    assert serialize_sharp(sentence) == "P{x} C[" + " | ".join(
+        f"(exists {y} . E{i}(x,{y}) & (exists {z} . E{i}({y},{z})))"
+        for i, (y, z) in enumerate(names)
+    ) + "; {x}]"
+
+
 def test_union_casts_do_not_follow_set_order():
     # the kept disjuncts in query order, each nested along its decomposition
     assert [serialize_sharp(count_sentence(parse_query(t))) for t, _, _ in UNION_CASES[:3]] == [

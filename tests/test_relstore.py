@@ -424,11 +424,73 @@ def test_scan_and_line_loop_agree_on_other_texts(text, canonical):
         ("signature E/1\nuniverse a b\nE(a)\nE(b)", True),
         ("signature E/1\nuniverse a b\nE(a)\nE(a,b)", False),
         ("signature E/1\nuniverse a,b\nE(a,b)", False),
+        # unary runs: a repeated line, with and without a final newline; a
+        # ')' or a ',' inside an element; interleaved unary relations
+        ("signature V/1\nuniverse a b\nV(a)\nV(b)\nV(a)\n", True),
+        ("signature V/1\nuniverse a b\nV(b)\nV(a)\nV(b)", True),
+        ("signature V/1\nuniverse a) b\nV(a))\nV(b)\n", False),
+        ("signature V/1\nuniverse a b)\nV(a)\nV(b))", False),
+        ("signature V/1\nuniverse a,b c\nV(c)\nV(a,b)\n", False),
+        ("signature V/1\nuniverse a b c\nV(a)\nV(b,c)\n", False),
+        ("signature U/1 V/1\nuniverse a b c\nU(a)\nV(b)\nU(c)\nV(a)\n", True),
+        ("signature U/1 V/1\nuniverse a b c\nV(c)\nU(a)\nV(b)\nU(c)", True),
+        ("signature U/1 V/1\nuniverse a b\nU(a)\nV(b)\nU(a,b)\n", False),
+        # a binary run broken by another relation's line: the one-run
+        # check fails, and the lists cut at their lines' ends pass
+        ("signature E/2 V/1\nuniverse a b c\nE(a,b)\nV(c)\nE(b,c)\n", True),
+        ("signature E/2 V/1\nuniverse a b c\nE(a,b)\nV(c)\nE(b,c)\nE(a,b)", True),
+        ("signature E/2 V/1\nuniverse a b c\nE(a,b)\nV(c)\nE(b)\n", False),
     ],
 )
 def test_scan_keeps_each_entry_in_its_own_fact(text, canonical):
     assert (relstore._scan_canonical(text) is not None) == canonical
     assert _outcome(parse_structure, text) == _outcome(relstore._parse_lines, text)
+
+
+def _scan_relation_by_counts(block, name, arity):
+    """_scan_relation as four C passes check it: the newlines and the ')'
+    of the span counted, then its ',' and newline bytes compared."""
+    opener = name + "("
+    if block.startswith(opener):
+        start = 0
+    elif (start := block.find("\n" + opener) + 1) == 0:
+        return []
+    last = block.rfind("\n" + opener) + 1 or start
+    end = block.find("\n", last)
+    end = len(block) if end < 0 else end
+    lists = block[start + len(opener): end - 1]
+    facts = lists.split(")\n" + opener)
+    if lists.count("\n") >= len(facts):
+        facts = [fact.partition(")\n")[0] for fact in facts]
+        lists = ")\n".join(facts)
+    if block[end - 1] != ")" or lists.count(")") != len(facts) - 1:
+        return None
+    commas = bytes(b for b in lists.encode("utf-8", "surrogatepass") if b in b",\n")
+    return facts if commas == b"\n".join([b"," * (arity - 1)] * len(facts)) else None
+
+
+def test_scan_relation_reads_what_the_counts_read(monkeypatch):
+    # random blocks of short lines over a few marks: every relation's
+    # argument lists, or its refusal, are those the counts give, and a
+    # relation whose lines form one run is settled by one translate
+    rng = random.Random(3838)
+    pieces = ["a", "b", ",", ")", "(", "\n", "E(", "V(", "\xe9"]
+    calls = []
+    marks = relstore._marks
+    monkeypatch.setattr(relstore, "_marks", lambda text: calls.append(text) or marks(text))
+    seen = dict.fromkeys(("one run", "cut", "refused"), 0)
+    for _ in range(3000):
+        lines = ["".join(rng.choices(pieces, k=rng.randint(0, 3))) for _ in range(rng.randint(1, 6))]
+        lines = [rng.choice(("E(", "V(", "")) + line + rng.choice((")", "")) for line in lines]
+        block = "\n".join(lines) + rng.choice(("\n", ""))
+        for name, arity in (("E", 2), ("V", 1), ("E", 1)):
+            calls.clear()
+            got = relstore._scan_relation(block, name, arity)
+            assert got == _scan_relation_by_counts(block, name, arity), (block, name, arity)
+            if got:
+                seen["one run" if len(calls) == 1 else "cut"] += 1
+            seen["refused"] += got is None
+    assert min(seen.values()) > 50, seen
 
 
 def _scan_agrees_with_the_line_loop(text):

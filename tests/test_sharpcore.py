@@ -25,7 +25,7 @@ from sharpq.epquery import (
     subformulas,
 )
 from sharpq.errors import CapExceeded, ParseError, SharpqError
-from sharpq.relstore import Signature, make_structure, serialize_structure
+from sharpq.relstore import Signature, make_structure, parse_structure, serialize_structure
 from sharpq.sharpcore import (
     Cast,
     Const,
@@ -845,6 +845,65 @@ def test_one_evaluator_on_two_structures_in_turn_shares_no_semijoin_rows():
         want = eval_sentence(sentence, b, stats=fresh)
         assert (got, stats["peak_rows"]) == (want, fresh["peak_rows"])
         assert got == oracle_count(q, b) == (3 if b is cycle else 0)
+
+
+# ---------------------------------------------------------------------------
+# unions: a chain of `|` grows the one set its lowest union built
+# ---------------------------------------------------------------------------
+
+
+def test_a_union_never_grows_a_table_another_holder_sees(monkeypatch):
+    # the left `|` operand is the rows of a semijoin of E by A's key set,
+    # which E's _Facts holds for the second cast to reuse: a union that grew
+    # them in place would hand that cast B's elements as well
+    sentence = parse_sharp(
+        "P{x} (C[(exists y . E(x,y) & A(y)) | B(x); {x}] * C[exists y . E(x,y) & A(y); {x}])"
+    )
+    q = parse_query("query q(x): exists y . E(x,y) & A(y)")
+    sig = Signature((("A", 1), ("B", 1), ("E", 2)))
+    passes = _spy_on_filter_passes(monkeypatch)
+    rng = random.Random(3838)
+    reused_beside_b = 0
+    for _ in range(60):
+        b = random_structure(rng, sig, min_size=2, max_size=6, density=0.3)
+        before = len(passes)
+        assert eval_sentence(sentence, b) == oracle_count(q, b)
+        semijoin = {x for x, y in b.tuples("E") if (y,) in b.tuples("A")}
+        outside = {x for (x,) in b.tuples("B")} - semijoin
+        # the second cast filtered nothing: it took the held rows
+        reused_beside_b += len(passes) - before == 1 and bool(outside)
+    assert reused_beside_b >= 20
+
+
+def test_a_union_chain_counts_peaks_and_refuses_as_one_set_per_union():
+    # an 11-way unary union: the lowest `|` copies A0's column and each `|`
+    # above grows that set; the relations' columns stay as read, and the
+    # peak and every refusal name the sizes each union's own set would hold
+    k = 11
+    q = parse_query("query u(x): " + " | ".join(f"A{i}(x)" for i in range(k)))
+    sentence = naive_representation(q)
+    rng = random.Random(1111)
+    for _ in range(5):
+        b = parse_structure(serialize_structure(
+            random_structure(rng, q.sig, min_size=10, max_size=30, density=0.15)
+        ))
+        columns = {s: list(b.columns(s)[0]) for s in b.sig.names()}
+        seen, notes = set(), []  # the sizes the evaluation notes, in turn
+        for i in range(k):
+            notes.append(len(columns[f"A{i}"]))
+            seen |= set(columns[f"A{i}"])
+            notes += [len(seen)] if i else []
+        stats = {}
+        assert eval_sentence(sentence, b, stats=stats) == len(seen) == oracle_count(q, b)
+        assert stats["peak_rows"] == max(notes)
+        assert {s: list(b.columns(s)[0]) for s in b.sig.names()} == columns
+        for cap in range(max(notes)):
+            stats = {}
+            with pytest.raises(CapExceeded) as refused:
+                eval_sentence(sentence, b, max_rows=cap, stats=stats)
+            first = next(n for n in notes if n > cap)
+            assert str(refused.value) == f"table would hold {first} > {cap} rows"
+            assert stats["peak_rows"] == max(notes[: notes.index(first)], default=0)
 
 
 def test_eval_disjunction_and_exists_inside_cast():
