@@ -90,18 +90,6 @@ def _write_text(path, text):
         raise SharpqError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _load_query(path):
-    return parse_query(_read_text(path))
-
-
-def _load_structure(path):
-    return parse_structure(_read_text(path))
-
-
-def _load_sharp(path):
-    return parse_sharp(_read_text(path))
-
-
 # ---------------------------------------------------------------------------
 # Shared pipeline steps
 # ---------------------------------------------------------------------------
@@ -140,8 +128,8 @@ def _dump_json(obj):
 
 
 def cmd_count(args):
-    q = _load_query(args.query)
-    b = _load_structure(args.data)
+    q = parse_query(_read_text(args.query))
+    b = parse_structure(_read_text(args.data))
     compiled = oracle = None
     if args.engine in ("compiled", "both"):
         sentence = count_sentence(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
@@ -162,7 +150,7 @@ def cmd_count(args):
 
 
 def cmd_compile(args):
-    q = _load_query(args.query)
+    q = parse_query(_read_text(args.query))
     if args.strategy == "naive":
         sentence = naive_representation(q)
         report = _report(sentence, terms=1, qaw=None, core_size=None)
@@ -175,7 +163,7 @@ def cmd_compile(args):
 
 
 def cmd_minimize(args):
-    q = _load_query(args.query)
+    q = parse_query(_read_text(args.query))
     sentence, w = minimize_ep(q, max_dnf=args.max_dnf, tw_cap=args.max_vertices)
     # each term is a constant times a basic part, whose variables are its core's
     # elements; Const(0) has no basic part
@@ -189,13 +177,13 @@ def cmd_minimize(args):
 
 
 def cmd_width(args):
-    f = _load_sharp(args.sharp)
+    f = parse_sharp(_read_text(args.sharp))
     w, sw = width(f), sharp_width(f)
     return [f"width: {w}", f"sharp-width: {sw}"], {"width": w, "sharp_width": sw}
 
 
 def cmd_qaw(args):
-    q = _load_query(args.query)
+    q = parse_query(_read_text(args.query))
     qaw, td = compute_qaw(pp_to_pair(q), cap=args.max_vertices)
     if args.dump_td:
         _write_text(args.dump_td, serialize_td(td))
@@ -203,7 +191,7 @@ def cmd_qaw(args):
 
 
 def cmd_core(args):
-    q = _load_query(args.query)
+    q = parse_query(_read_text(args.query))
     core = core_of(pp_to_pair(q))
     text = serialize_query(pair_to_pp(core)).rstrip("\n")
     size = len(core.struct.universe)
@@ -211,8 +199,8 @@ def cmd_core(args):
 
 
 def cmd_equiv(args):
-    p1 = pp_to_pair(_load_query(args.query))
-    p2 = pp_to_pair(_load_query(args.rhs))
+    p1 = pp_to_pair(parse_query(_read_text(args.query)))
+    p2 = pp_to_pair(parse_query(_read_text(args.rhs)))
     if args.mode == "counting":
         ok, witness = counting_equivalent(p1, p2)
         label = "counting-equivalent"
@@ -231,14 +219,14 @@ def cmd_equiv(args):
 
 
 def cmd_flatten(args):
-    f = _load_sharp(args.sharp)
+    f = parse_sharp(_read_text(args.sharp))
     fs = flatten(f, max_dnf=args.max_dnf)
     text = serialize_sharp(as_formula(fs))
     return [text, f"terms: {len(fs.terms)}"], {"formula": text, "terms": len(fs.terms)}
 
 
 def cmd_decompose(args):
-    q = _load_query(args.query)
+    q = parse_query(_read_text(args.query))
     tw, td = exact_treewidth(primal_graph(pp_to_pair(q)), cap=args.max_vertices)
     if args.dump_td:
         _write_text(args.dump_td, serialize_td(td))

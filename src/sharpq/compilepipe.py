@@ -460,19 +460,9 @@ def flatten(f, max_dnf=4096):
     def cast(node, ep):
         q = LiberalQuery("cast", node.ep, node.liberal, _infer_signature(node.ep))
         disjuncts = to_dnf_pp(q, max_disjuncts=max_dnf)
-        terms_needed = 2 ** len(disjuncts) - 1
-        if terms_needed > max_dnf:
-            raise CapExceeded(
-                f"inclusion-exclusion over {len(disjuncts)} disjuncts needs "
-                f"{terms_needed} > {max_dnf} terms"
-            )
         lib = frozenset(node.liberal)
         casts = [Cast(ep=d.formula, liberal=tuple(sorted(lib))) for d in disjuncts]
-        return [
-            (1 if size % 2 else -1, 0, reduce(Times, subset), lib)
-            for size in range(1, len(casts) + 1)
-            for subset in itertools.combinations(casts, size)
-        ]
+        return [(sign, 0, reduce(Times, subset), lib) for sign, subset in _ie_subsets(casts, max_dnf)]
 
     # the inclusion-exclusion terms use only the variables of f
     names = _FreshNames(_sharp_variables(f))
@@ -623,30 +613,43 @@ def _ie_terms(pairs, max_dnf):
     pair's quantified elements are renamed apart once, so the pairs of any
     subset share only liberal elements. The conjunction of one pair is that
     pair. The 2^k - 1 terms are capped by `max_dnf` before any is built."""
-    terms_needed = 2 ** len(pairs) - 1
-    if terms_needed > max_dnf:
-        raise CapExceeded(
-            f"inclusion-exclusion over {len(pairs)} disjuncts needs "
-            f"{terms_needed} > {max_dnf} terms"
-        )
     liberal, sig = pairs[0].liberal, pairs[0].struct.sig
     names = _FreshNames(liberal)
-    parts = []  # each pair's renamed quantified elements and facts
+    parts = []  # each pair with its renamed quantified elements and facts
     for p in pairs:
         ren = {e: names.fresh() for e in p.quantified}
         facts = [(sym, tuple(ren.get(e, e) for e in tup)) for sym, tup in p.struct.all_facts()]
-        parts.append((list(ren.values()), facts))
-    terms = [(1, p) for p in pairs]
-    for size in range(2, len(parts) + 1):
-        for subset in itertools.combinations(parts, size):
-            universe, rels = list(liberal), {}
-            for quantified, facts in subset:
-                universe += quantified
-                for sym, tup in facts:
-                    rels.setdefault(sym, set()).add(tup)
-            pair = PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
-            terms.append((1 if size % 2 else -1, _fold_quantified(pair)))
+        parts.append((p, list(ren.values()), facts))
+    terms = []
+    for sign, subset in _ie_subsets(parts, max_dnf):
+        if len(subset) == 1:
+            terms.append((sign, subset[0][0]))
+            continue
+        universe, rels = list(liberal), {}
+        for _, quantified, facts in subset:
+            universe += quantified
+            for sym, tup in facts:
+                rels.setdefault(sym, set()).add(tup)
+        pair = PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
+        terms.append((sign, _fold_quantified(pair)))
     return terms
+
+
+def _ie_subsets(items, max_dnf):
+    """(sign, subset) for each nonempty subset S of items, smaller subsets
+    first, the sign (-1)^(|S|+1). The 2^k - 1 subsets are capped by
+    `max_dnf` before any exists."""
+    terms_needed = 2 ** len(items) - 1
+    if terms_needed > max_dnf:
+        raise CapExceeded(
+            f"inclusion-exclusion over {len(items)} disjuncts needs "
+            f"{terms_needed} > {max_dnf} terms"
+        )
+    return [
+        (1 if size % 2 else -1, subset)
+        for size in range(1, len(items) + 1)
+        for subset in itertools.combinations(items, size)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -346,11 +346,6 @@ def _exact_treewidth_connected(verts, adj, floor):
                     children = [v]
                     break
             else:
-                if len(nbs) - 1 <= cur_width:
-                    # any completion keeps the width; take the deterministic one
-                    best_width = cur_width
-                    best_order = order_buf + list(nbs)
-                    return
                 children = sorted(nbs, key=lambda u: (nbs[u].bit_count(), u))
             for v in children:
                 width = max(cur_width, nbs[v].bit_count())

@@ -224,10 +224,6 @@ class LiberalQuery(Record):
         # a copy or pickle leaves out the cached search (closures) and compiles its own
         return LiberalQuery, self._values(self)
 
-    @property
-    def liberal_set(self):
-        return frozenset(self.liberal)
-
 
 class PpPair(Record):
     """A disjunction-free prenex query viewed as (structure, liberal elements)."""
@@ -241,15 +237,6 @@ class PpPair(Record):
             raise SharpqError("duplicate liberal element")
         _set(self, "struct", struct)
         _set(self, "liberal", liberal)
-
-    # field by field, without the call to the shared _values getter
-    def __eq__(self, other):
-        if type(other) is not PpPair:
-            return NotImplemented
-        return self.struct == other.struct and self.liberal == other.liberal
-
-    def __hash__(self):
-        return hash((self.struct, self.liberal))
 
     @property
     def liberal_set(self):
@@ -341,14 +328,11 @@ class _Tokens:
                 stripped = rest.lstrip()
                 if not stripped:
                     break
-                line, col = self._loc(pos + len(rest) - len(stripped))
+                line, col = _line_col(self.text, pos + len(rest) - len(stripped))
                 raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
             kind = m.lastgroup
             self.tokens.append((kind, m[kind], m.start(kind)))
             pos = m.end()
-
-    def _loc(self, offset):
-        return _line_col(self.text, offset)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.stop)
@@ -362,7 +346,7 @@ class _Tokens:
         t_kind, t_val, off = self.next()
         if t_kind != kind or (value is not None and t_val != value):
             want = value if value is not None else kind
-            line, col = self._loc(off)
+            line, col = _line_col(self.text, off)
             raise ParseError(f"expected {want!r}, got {self.shown(t_val)}", line, col)
         return t_val
 
@@ -372,7 +356,7 @@ class _Tokens:
 
     def error(self, msg, off=None):
         """Raise a ParseError at text offset `off`, by default the next token's."""
-        line, col = self._loc(self.peek()[2] if off is None else off)
+        line, col = _line_col(self.text, self.peek()[2] if off is None else off)
         raise ParseError(msg, line, col)
 
 
@@ -576,10 +560,10 @@ def serialize_query(q):
 
 
 def _close(value):
-    """A (chain binders, conjuncts) value as one (test, variables used)
+    """A (chain binders, conjuncts, bound) value as one (test, variables used)
     conjunct: the conjunction of its tests, or, for a chain, its search,
     which restores the outer values its binders shadow."""
-    binders, conjuncts = value
+    binders, conjuncts, _ = value
     used = frozenset().union(*(u for _, u in conjuncts)) - set(binders)
     if not binders:
         return _conjunction([test for test, _ in conjuncts]), used
@@ -599,26 +583,39 @@ def _close(value):
 
 
 def _conjunct_list(value):
-    """The conjuncts a (chain binders, conjuncts) value puts under an `&`: a
-    chain is closed into one."""
+    """The conjuncts a (chain binders, conjuncts, bound) value puts under an
+    `&`: a chain is closed into one."""
     return [_close(value)] if value[0] else value[1]
 
 
+def _times(p1, p2):
+    """The product of two polynomials in |B|, each {exponent: coefficient}."""
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(p1.items(), p2.items()):
+        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
 def _either(node, left, right):
+    bound = {e: left[2].get(e, 0) + right[2].get(e, 0) for e in left[2] | right[2]}
     (left, left_used), (right, right_used) = _close(left), _close(right)
-    return (), [(lambda h, b: left(h, b) or right(h, b), left_used | right_used)]
+    return (), [(lambda h, b: left(h, b) or right(h, b), left_used | right_used)], bound
 
 
-# each ep node compiled for the oracle to (chain binders, conjuncts), a
-# conjunct being (test(h, b), the variables it uses): `exists` prepends its
-# binder to the chain of its body; `&` concatenates conjuncts, and `|`
-# closes both sides into one test
+# each ep node compiled for the oracle to (chain binders, conjuncts, bound),
+# a conjunct being (test(h, b), the variables it uses): `exists` prepends
+# its binder to the chain of its body; `&` concatenates conjuncts, and `|`
+# closes both sides into one test. The bound is the search's assignments
+# per liberal one, a polynomial in |B| ({exponent: coefficient}): without
+# `|`, |B| to the number of binders; `|` searches one side, then the other
 _ORACLE_STEPS = {
-    Atom: lambda node: ((), [(_fact_test(node.symbol, node.args), frozenset(node.args))]),
-    Top: lambda node: ((), []),
-    And: lambda node, left, right: ((), _conjunct_list(left) + _conjunct_list(right)),
+    Atom: lambda node: ((), [(_fact_test(node.symbol, node.args), frozenset(node.args))], {0: 1}),
+    Top: lambda node: ((), [], {0: 1}),
+    And: lambda node, left, right: (
+        (), _conjunct_list(left) + _conjunct_list(right), _times(left[2], right[2])
+    ),
     Or: _either,
-    Exists: lambda node, body: ((node.var, *body[0]), body[1]),
+    Exists: lambda node, body: ((node.var, *body[0]), body[1], {e + 1: c for e, c in body[2].items()}),
 }
 
 
@@ -667,24 +664,6 @@ def _liberal_order(uses, liberal):
         bound.update(nearest)
 
 
-def _times(p1, p2):
-    """The product of two polynomials in |B|, each {exponent: coefficient}."""
-    out = {}
-    for (e1, c1), (e2, c2) in itertools.product(p1.items(), p2.items()):
-        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return out
-
-
-# the search's assignments per liberal one, a polynomial in |B|: without
-# `|`, |B| to the number of binders; `|` searches one side, then the other
-_BOUND_STEPS = {
-    **dict.fromkeys((Atom, Top), lambda node: {0: 1}),
-    Exists: lambda node, body: {e + 1: c for e, c in body.items()},
-    And: lambda node, left, right: _times(left, right),
-    Or: lambda node, left, right: {e: left.get(e, 0) + right.get(e, 0) for e in left | right},
-}
-
-
 def _oracle_plan(q):
     """(search, work bound per liberal assignment) of q, compiled once and
     kept on q."""
@@ -698,9 +677,10 @@ def _oracle_plan(q):
                 f"oracle_count refuses a formula whose tests nest {depth} > {_ORACLE_DEPTH} "
                 "levels deep; each `|` and each `exists` chain nests one level"
             )
-        conjuncts = _conjunct_list(fold(q.formula, _ORACLE_STEPS))
+        value = fold(q.formula, _ORACLE_STEPS)
+        conjuncts = _conjunct_list(value)
         order = _liberal_order([used for _, used in conjuncts], q.liberal)
-        plan = (_backtrack(order, conjuncts), fold(q.formula, _BOUND_STEPS))
+        plan = (_backtrack(order, conjuncts), value[2])
         _set(q, "_oracle", plan)
     return plan
 

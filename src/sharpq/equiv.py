@@ -95,6 +95,25 @@ def core_of(p, cap=12):
 # ---------------------------------------------------------------------------
 
 
+def _both_ways(kind, p1, p2, images):
+    """(True, witness) iff each pair maps into the other by a homomorphism
+    that sends the source's sorted liberal tuple to one of `images` of the
+    target's, tried in turn with one compiled search per direction."""
+    merge_signatures(p1.struct.sig, p2.struct.sig)  # a symbol with two arities is an error
+    maps = []
+    for src, dst in ((p1, p2), (p2, p1)):
+        lib = sorted(src.liberal)
+        find = homomorphism_search(src.struct, lib)  # one search for every image
+        for image in images(sorted(dst.liberal)):
+            hom = find(dst.struct, dict(zip(lib, image)))
+            if hom is not None:
+                maps.append(hom)
+                break
+        else:
+            return False, None
+    return True, EquivalenceWitness(kind, *maps)
+
+
 def logically_equivalent(p1, p2):
     """(True, witness) iff homomorphisms exist both ways fixing the liberal
     elements pointwise. The two pairs must have the same liberal set."""
@@ -103,45 +122,19 @@ def logically_equivalent(p1, p2):
             "logical equivalence needs identical liberal sets; "
             f"got {sorted(p1.liberal_set)} and {sorted(p2.liberal_set)}"
         )
-    a, b = p1.struct, p2.struct
-    merge_signatures(a.sig, b.sig)  # a symbol with two arities is an error
-    pin = {e: e for e in p1.liberal}
-    fwd = homomorphism_search(a, pin)(b, pin)
-    if fwd is None:
-        return False, None
-    bwd = homomorphism_search(b, pin)(a, pin)
-    if bwd is None:
-        return False, None
-    return True, EquivalenceWitness(kind="logical", forward=fwd, backward=bwd)
-
-
-def _directed_witness(src, dst, src_lib_sorted, dst_lib_sorted):
-    find = homomorphism_search(src, src_lib_sorted)  # one search for every bijection
-    for perm in itertools.permutations(dst_lib_sorted):
-        hom = find(dst, dict(zip(src_lib_sorted, perm)))
-        if hom is not None:
-            return hom
-    return None
+    return _both_ways("logical", p1, p2, lambda lib: [lib])
 
 
 def counting_equivalent(p1, p2, cap=10**6):
     """(True, witness) iff homomorphisms exist both ways restricting to
     bijections between the liberal sets. Liberal sets of different sizes are
     never counting equivalent."""
-    s1, s2 = p1.liberal_set, p2.liberal_set
-    if len(s1) != len(s2):
+    n = len(p1.liberal)
+    if n != len(p2.liberal):
         return False, None
-    if math.factorial(len(s1)) > cap:
+    if math.factorial(n) > cap:
         raise CapExceeded(
-            f"counting equivalence tries up to {len(s1)}! liberal bijections, "
+            f"counting equivalence tries up to {n}! liberal bijections, "
             f"exceeding the cap of {cap}"
         )
-    a, b = p1.struct, p2.struct
-    merge_signatures(a.sig, b.sig)  # a symbol with two arities is an error
-    fwd = _directed_witness(a, b, sorted(s1), sorted(s2))
-    if fwd is None:
-        return False, None
-    bwd = _directed_witness(b, a, sorted(s2), sorted(s1))
-    if bwd is None:
-        return False, None
-    return True, EquivalenceWitness(kind="counting", forward=fwd, backward=bwd)
+    return _both_ways("counting", p1, p2, itertools.permutations)

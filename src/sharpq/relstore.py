@@ -82,10 +82,7 @@ class Signature(Record):
         _set(self, "_arity", arity_of)
         _set(self, "_rank", rank)
 
-    # field by field, without the call to the shared _values getter
-    def __eq__(self, other):
-        return self.symbols == other.symbols if type(other) is Signature else NotImplemented
-
+    # hashed directly, without the call to the shared _values getter
     def __hash__(self):
         return hash(self.symbols)
 

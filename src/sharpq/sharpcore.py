@@ -577,11 +577,7 @@ class _Rows:
 
     def grouped(self, at):
         """{key: parts} at positions at[0] and at[1], each key's parts a set
-        or a {part: value} dict. A held join keyed on its shared columns is
-        regrouped per key, as the product of its sides()."""
-        if self.rows is None and self.handoff == at[0]:
-            sides = self.sides(at)
-            return {k: set(_product_rows(sides, k)) for k in self.keys}
+        or a {part: value} dict."""
         if type(self.rows) is not dict:
             return _group(self.pick(at[0]), self.pick(at[1]))
         groups = defaultdict(dict)

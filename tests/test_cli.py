@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import sharpq.cli
 import sharpq.compilepipe
+import sharpq.decomp
 from sharpq.cli import main
 from sharpq.compilepipe import (
     _seeded_structures,
@@ -26,10 +27,13 @@ from sharpq.compilepipe import (
     count_sentence,
     minimize_ep,
 )
+from sharpq.decomp import TreeDecomposition, make_nice
 from sharpq.epquery import Or, _has_or, oracle_count, pair_to_pp, parse_query, serialize_query
 from sharpq.errors import CapExceeded
 from sharpq.relstore import parse_structure, serialize_structure
 from sharpq.sharpcore import (
+    Validation,
+    Violation,
     check_represents,
     eval_sentence,
     naive_representation,
@@ -1084,3 +1088,52 @@ def test_wide_and_deep_inputs_end_in_an_exit_code(text):
         else:
             codes = [_exit_code([command, "-s", path]) for command in ("width", "flatten")]
     assert all(code in range(6) for code in codes), codes
+
+
+# ---------------------------------------------------------------------------
+# exits 4 and 5, each reached through one patched function
+# ---------------------------------------------------------------------------
+
+
+def test_an_engine_disagreement_exits_four(tmp_path, capsys, monkeypatch):
+    q = _write(tmp_path, "t.epq", THETA2_EPQ)
+    d = _write(tmp_path, "t.rel", THETA2_REL)
+    monkeypatch.setattr(sharpq.cli, "oracle_count", lambda q, b: 3)
+    assert _run(capsys, "count", "-q", q, "-d", d, "--engine", "both") == (
+        4, "", "error: engine disagreement: compiled count 2 != oracle count 3\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["compile", "minimize"])
+def test_a_failed_self_check_exits_five(tmp_path, capsys, monkeypatch, command):
+    q = _write(tmp_path, "fold.epq", FOLD_EPQ)
+    sample = _seeded_structures(SIG_E)[1]
+    monkeypatch.setattr(sharpq.cli, "check_represents", lambda sentence, q, samples: (False, sample))
+    assert _run(capsys, command, "-q", q) == (
+        5, "", "error: compiled sentence disagrees with the oracle on a 2-element seeded sample\n"
+    )
+
+
+def test_a_malformed_compiled_sentence_exits_five(tmp_path, capsys, monkeypatch):
+    q = _write(tmp_path, "fold.epq", FOLD_EPQ)
+    bad = Validation(free=frozenset(), closed=frozenset(), violations=(Violation((), "a"), Violation((), "b")))
+    monkeypatch.setattr(sharpq.compilepipe, "validate", lambda sentence: bad)
+    assert _run(capsys, "compile", "-q", q) == (
+        5, "", "error: compiled sentence is malformed: a; b\n"
+    )
+
+
+def test_a_qaw_witness_of_the_wrong_width_exits_five(capsys, monkeypatch):
+    def widened(td, quantified):
+        nice = make_nice(td, quantified)
+        extra = max(nice.nodes) + 1
+        return TreeDecomposition(
+            nodes=(*nice.nodes, extra),
+            parent={**nice.parent, extra: nice.root},
+            bags={**nice.bags, extra: frozenset(range(6))},
+        )
+
+    monkeypatch.setattr(sharpq.decomp, "make_nice", widened)
+    assert _run(capsys, "qaw", "-q", "tests/golden/path-3.epq") == (
+        5, "", "error: witness decomposition width 6 != computed qaw 2\n"
+    )

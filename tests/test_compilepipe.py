@@ -1367,3 +1367,39 @@ def test_unmerged_terms_count_like_the_oracle_without_flatten(
         out, err = capsys.readouterr()
         assert (code, out.splitlines()[-1:], err) == (0, ["engines agree"], ""), text
     assert len(refused) == 4
+
+
+# ---------------------------------------------------------------------------
+# The signed subsets both inclusion-exclusion expansions read
+# ---------------------------------------------------------------------------
+
+
+def test_ie_subsets_come_smaller_first_with_alternating_signs():
+    assert compilepipe._ie_subsets("abc", 7) == [
+        (1, ("a",)), (1, ("b",)), (1, ("c",)),
+        (-1, ("a", "b")), (-1, ("a", "c")), (-1, ("b", "c")),
+        (1, ("a", "b", "c")),
+    ]
+    for k in range(1, 7):
+        subsets = compilepipe._ie_subsets(range(k), 2**k - 1)
+        assert [sign for sign, _ in subsets] == [(-1) ** (len(s) + 1) for _, s in subsets]
+        assert [len(s) for _, s in subsets] == sorted(len(s) for _, s in subsets)
+        assert len(set(s for _, s in subsets)) == 2**k - 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_flatten_and_ie_terms_share_the_subset_cap(k):
+    body = " | ".join(f"A{i}(x)" for i in range(k))
+    sharp = parse_sharp(f"C[{body}; {{x}}]\n")
+    pairs = compilepipe._folded_disjuncts(parse_query(f"query q(x): {body}\n"), 64)[1]
+    need = 2**k - 1
+    flat = flatten(sharp, max_dnf=need)
+    terms = compilepipe._ie_terms(pairs, need)
+    assert len(flat.terms) == len(terms) == need
+    assert [sign for sign, _ in terms] == [sign for sign, _ in compilepipe._ie_subsets(pairs, need)]
+    assert terms[:k] == [(1, p) for p in pairs]
+    refusal = f"inclusion-exclusion over {k} disjuncts needs {need} > {need - 1} terms"
+    for build, arg in ((flatten, sharp), (compilepipe._ie_terms, pairs)):
+        with pytest.raises(CapExceeded) as exc:
+            build(arg, need - 1)
+        assert str(exc.value) == refusal

@@ -1001,3 +1001,34 @@ def test_graph_helpers():
     }
     assert g.without_vertices({"b"}).vertices == frozenset("ac")
     assert [sorted(c) for c in g.connected_components()] == [["a", "b"], ["c"]]
+
+
+# --- the oracle's work bound, folded with its search, against its own fold ---
+
+
+def _reference_times(p1, p2):
+    out = {}
+    for (e1, c1), (e2, c2) in itertools.product(p1.items(), p2.items()):
+        out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+# the bound as a fold of its own: |B| per binder, `&` multiplies, `|` adds
+_REFERENCE_BOUND_STEPS = {
+    **dict.fromkeys((Atom, Top), lambda node: {0: 1}),
+    Exists: lambda node, body: {e + 1: c for e, c in body.items()},
+    And: lambda node, left, right: _reference_times(left, right),
+    Or: lambda node, left, right: {e: left.get(e, 0) + right.get(e, 0) for e in left | right},
+}
+
+
+def test_the_oracle_bound_equals_its_own_fold():
+    rng = random.Random(3901)
+    checked = 0
+    while checked < 500:
+        q = random_ep_query(rng, max_vars=5, max_atoms=6, max_disjunctions=3)
+        if not any(isinstance(node, Or) for node in subformulas(q.formula)):
+            continue
+        want = epquery.fold(q.formula, _REFERENCE_BOUND_STEPS)
+        assert epquery._oracle_plan(q)[1] == want
+        checked += 1

@@ -1,5 +1,7 @@
 """Tests for cores, logical/counting equivalence, and alignment."""
 
+import itertools
+
 import pytest
 
 from sharpq import equiv
@@ -7,7 +9,7 @@ from sharpq.decomp import compute_qaw
 from sharpq.epquery import PpPair, oracle_count, pair_to_pp, parse_query, pp_to_pair
 from sharpq.equiv import core_of, counting_equivalent, logically_equivalent
 from sharpq.errors import CapExceeded, SharpqError
-from sharpq.relstore import Signature, make_structure, merge_signatures
+from sharpq.relstore import Signature, homomorphism_search, make_structure, merge_signatures
 
 from tests.conftest import random_pp_pair, random_structure, rng as _rng  # noqa: F401
 from tests.conftest import SIG_E, triangle_structure
@@ -347,3 +349,98 @@ def test_align_avoids_name_collisions():
     assert aligned.liberal_set == {"x", "y"}
     ok, _ = logically_equivalent(target, aligned)
     assert ok
+
+
+# --- the two-way search against the two hand-written searches it replaced ----
+
+
+def _reference_logically_equivalent(p1, p2):
+    if p1.liberal_set != p2.liberal_set:
+        raise SharpqError(
+            "logical equivalence needs identical liberal sets; "
+            f"got {sorted(p1.liberal_set)} and {sorted(p2.liberal_set)}"
+        )
+    a, b = p1.struct, p2.struct
+    merge_signatures(a.sig, b.sig)
+    pin = {e: e for e in p1.liberal}
+    fwd = homomorphism_search(a, pin)(b, pin)
+    if fwd is None:
+        return False, None
+    bwd = homomorphism_search(b, pin)(a, pin)
+    if bwd is None:
+        return False, None
+    return True, equiv.EquivalenceWitness(kind="logical", forward=fwd, backward=bwd)
+
+
+def _reference_directed_witness(src, dst, src_lib_sorted, dst_lib_sorted):
+    find = homomorphism_search(src, src_lib_sorted)
+    for perm in itertools.permutations(dst_lib_sorted):
+        hom = find(dst, dict(zip(src_lib_sorted, perm)))
+        if hom is not None:
+            return hom
+    return None
+
+
+def _reference_counting_equivalent(p1, p2):
+    s1, s2 = p1.liberal_set, p2.liberal_set
+    if len(s1) != len(s2):
+        return False, None
+    a, b = p1.struct, p2.struct
+    merge_signatures(a.sig, b.sig)
+    fwd = _reference_directed_witness(a, b, sorted(s1), sorted(s2))
+    if fwd is None:
+        return False, None
+    bwd = _reference_directed_witness(b, a, sorted(s2), sorted(s1))
+    if bwd is None:
+        return False, None
+    return True, equiv.EquivalenceWitness(kind="counting", forward=fwd, backward=bwd)
+
+
+def _outcome(fn, p, q):
+    try:
+        return fn(p, q)
+    except SharpqError as exc:
+        return type(exc), str(exc)
+
+
+def _couples(rng, n):
+    """n pair couples: random ones, each pair against its core, and each
+    against a copy with its liberal elements renamed among themselves."""
+    for i in range(n):
+        p = random_pp_pair(rng, max_vars=5, max_atoms=4)
+        if i % 3 == 0:
+            q = random_pp_pair(rng, max_vars=5, max_atoms=4)
+        elif i % 3 == 1:
+            q = core_of(p)
+        else:
+            perm = dict(zip(p.liberal, rng.sample(p.liberal, len(p.liberal))))
+            rel = {s: {tuple(perm.get(e, e) for e in t) for t in ts} for s, ts in p.struct.relations.items()}
+            q = PpPair(struct=make_structure(p.struct.sig, p.struct.universe, rel), liberal=p.liberal)
+        yield p, q
+
+
+def test_both_ways_agrees_with_the_searches_it_replaced(rng):
+    seen = {"logical": [0, 0], "counting": [0, 0]}
+    couples = 0
+    for p, q in _couples(rng, 420):
+        if not _compatible(p, q):
+            continue
+        couples += 1
+        for kind, fn, ref in (
+            ("logical", logically_equivalent, _reference_logically_equivalent),
+            ("counting", counting_equivalent, _reference_counting_equivalent),
+        ):
+            got = _outcome(fn, p, q)
+            assert got == _outcome(ref, p, q)
+            if got[0] is True:
+                witness = got[1]
+                assert witness.kind == kind
+                assert _is_hom(witness.forward, p.struct, q.struct)
+                assert _is_hom(witness.backward, q.struct, p.struct)
+                images = sorted(witness.forward[e] for e in p.liberal)
+                assert images == sorted(q.liberal)
+                if kind == "logical":
+                    assert all(witness.forward[e] == e for e in p.liberal)
+            seen[kind][got[0] is True] += 1
+    assert couples >= 300
+    assert min(seen["logical"] + seen["counting"]) >= 20, seen

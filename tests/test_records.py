@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import sharpq
-from sharpq.compilepipe import FlatSharp, LinearCombination
+from sharpq.compilepipe import FlatSharp, LinearCombination, count_sentence
 from sharpq.decomp import NiceTreeDecomposition, TreeDecomposition
 from sharpq.epquery import (
     And,
@@ -23,7 +23,10 @@ from sharpq.epquery import (
     PpPair,
     Top,
     oracle_count,
+    pair_to_pp,
+    pp_to_pair,
 )
+from sharpq.errors import ParseError, SharpqError
 from sharpq.equiv import EquivalenceWitness
 from sharpq.relstore import Signature, make_structure
 from sharpq.sharpcore import (
@@ -35,6 +38,7 @@ from sharpq.sharpcore import (
     Times,
     Validation,
     Violation,
+    eval_sentence,
 )
 
 from tests.helpers import CountTable
@@ -261,3 +265,54 @@ def test_starting_sharpq_loads_neither_dataclasses_nor_inspect():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == ""
+
+
+# ---------------------------------------------------------------------------
+# Input checks of the library constructors, each message pinned
+# ---------------------------------------------------------------------------
+
+
+def _edge_query(liberal):
+    return LiberalQuery("q", Atom("E", ("x", "y")), liberal, Signature((("E", 2),)))
+
+
+def test_a_liberal_query_refuses_a_repeated_or_missing_liberal_variable():
+    with pytest.raises(ParseError, match=r"^duplicate liberal variable$"):
+        _edge_query(("x", "y", "x"))
+    with pytest.raises(ParseError, match=r"^free variable\(s\) not in the liberal list: y$"):
+        _edge_query(("x",))
+
+
+def test_a_pair_refuses_a_foreign_or_repeated_liberal_element():
+    struct = make_structure(Signature((("E", 2),)), ["a", "b"], {"E": {("a", "b")}})
+    with pytest.raises(SharpqError, match=r"^liberal elements must belong to the structure's universe$"):
+        PpPair(struct=struct, liberal=("a", "c"))
+    with pytest.raises(SharpqError, match=r"^duplicate liberal element$"):
+        PpPair(struct=struct, liberal=("a", "a"))
+
+
+def test_a_graph_refuses_a_bad_edge():
+    with pytest.raises(SharpqError, match=r"^bad edge \{'c'\}$"):
+        Graph(vertices=frozenset("ab"), edges=frozenset({frozenset("c")}))
+
+
+def test_a_decomposition_with_two_roots_has_no_root():
+    td = TreeDecomposition(nodes=(0, 1), parent={0: None, 1: None}, bags={0: frozenset(), 1: frozenset()})
+    with pytest.raises(SharpqError, match=r"^decomposition must have exactly one root, got 2$"):
+        td.root
+
+
+def test_a_structure_is_never_equal_to_a_non_structure():
+    struct = make_structure(Signature((("E", 2),)), ["a"], {"E": set()})
+    assert struct.__eq__(("a",)) is NotImplemented
+    assert struct != ("a",) and struct != struct.universe
+
+
+def test_the_true_query_without_liberal_variables_pads_one_element():
+    # `.epq` text cannot state it: its liberal list names at least one variable
+    q = LiberalQuery("t", Top(), (), Signature(()))
+    p = pp_to_pair(q)
+    assert p.struct.universe == ("pad$1",) and p.liberal == ()
+    b = make_structure(Signature((("E", 2),)), ["a", "b"], {"E": {("a", "b")}})
+    assert oracle_count(pair_to_pp(p), b) == 1
+    assert eval_sentence(count_sentence(q), b) == 1
