@@ -39,9 +39,9 @@ from .epquery import (
     serialize_pair,
     to_dnf_pp,
 )
-from .equiv import check_core_cap, core_of
+from .equiv import CORE_CAP, check_core_cap, core_of
 from .errors import CapExceeded, InternalInvariant
-from .relstore import Record, Signature, _set, homomorphism_search, make_structure
+from .relstore import Record, Signature, homomorphism_search, make_structure
 from .sharpcore import (
     _EP_NODES,
     Cast,
@@ -101,7 +101,7 @@ def _rename(f, ren):
     return fold(f, {
         Atom: lambda node: Atom(node.symbol, tuple(names(node.args))),
         Exists: lambda node, body: Exists(ren.get(node.var, node.var), body),
-        Cast: lambda node, ep: Cast(ep=ep, liberal=tuple(names(node.liberal))),
+        Cast: lambda node, ep: Cast(ep, tuple(names(node.liberal))),
         **dict.fromkeys((Project, Expand), lambda node, child: type(node)(names(node.vars), child)),
         **dict.fromkeys((And, Or, Times, Plus), lambda node, left, right: type(node)(left, right)),
         **dict.fromkeys((Top, Const), lambda node: node),
@@ -199,7 +199,7 @@ def pp_to_basic_sharp(p, tw_cap=24):
     for sym, tup in facts:
         if quantified.isdisjoint(tup):
             home = _home(walk, tup)
-            factors_at[home].append(Cast(ep=Atom(sym, tup), liberal=tuple(sorted(eff[home]))))
+            factors_at[home].append(Cast(Atom(sym, tup), tuple(sorted(eff[home]))))
     for comp in sorted(_exists_components(primal_graph(p), lib), key=sorted):
         interior = comp - lib
         boundary = comp & lib
@@ -209,7 +209,7 @@ def pp_to_basic_sharp(p, tw_cap=24):
             continue
         # the interior's hosts form a subtree; its top is the shallowest top
         d = min((top[x] for x in interior), key=depth.__getitem__)
-        cast = Cast(ep=_nest(td, walk, block, interior), liberal=tuple(sorted(boundary)))
+        cast = Cast(_nest(td, walk, block, interior), tuple(sorted(boundary)))
         extra = eff[d] - boundary
         factors_at[d].append(Expand(extra, cast) if extra else cast)
 
@@ -227,7 +227,7 @@ def pp_to_basic_sharp(p, tw_cap=24):
             if add:
                 sub = Expand(add, sub)
             factors.append(sub)
-        empty = Cast(ep=TOP, liberal=tuple(sorted(eff[t])))
+        empty = Cast(TOP, tuple(sorted(eff[t])))
         built[t] = reduce(Times, factors) if factors else empty
     sentence = built[order[0]]
     report = validate(sentence)
@@ -277,8 +277,7 @@ def _fold_quantified(p):
     rels = {}
     for sym, tup in facts:
         rels.setdefault(sym, set()).add(tup)
-    struct = make_structure(p.struct.sig, universe, rels)
-    return PpPair(struct=struct, liberal=p.liberal)
+    return PpPair(make_structure(p.struct.sig, universe, rels), p.liberal)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
     if union is not None:
         return union
     if len(q.liberal) == 1:
-        pairs = [cores.get(id(p)) or (core_of(p) if len(p.struct.universe) <= 12 else p)
+        pairs = [cores.get(id(p)) or (core_of(p) if len(p.struct.universe) <= CORE_CAP else p)
                  for p in pairs]
         return _one_liberal_sentence(q.liberal, pairs, tw_cap)
     terms = _ie_terms(pairs, max_dnf)
@@ -312,10 +311,11 @@ def count_sentence(q, *, max_dnf=4096, tw_cap=24):
 
 def _one_liberal_sentence(liberal, pairs, tw_cap):
     """P{y} C[phi1 | ... | phik; {y}] for pairs over one liberal element y,
-    each folded and then cored when it has at most 12 elements (core_of's
-    cap; count_sentence cores them): phi_i is the i-th pair nested (_nest)
-    along an exact tree decomposition of its primal graph rerooted at its
-    first node whose bag holds y. A disjunction-free query is the case k = 1.
+    each folded and then cored when it has at most CORE_CAP elements
+    (core_of's cap; count_sentence cores them): phi_i is the i-th pair
+    nested (_nest) along an exact tree decomposition of its primal graph
+    rerooted at its first node whose bag holds y. A disjunction-free query
+    is the case k = 1.
 
     With one liberal variable every decomposition rooted at a bag holding it
     is quantifier-aware, so phi_i has width treewidth + 1, its pair's
@@ -329,7 +329,7 @@ def _one_liberal_sentence(liberal, pairs, tw_cap):
         td = _reroot(td, next(t for t in td.nodes if liberal[0] in td.bags[t]))
         phis.append(_nest(td, _walk(td), pair.struct.all_facts(),
                           set(pair.struct.universe) - pair.liberal_set))
-    return Project(frozenset(liberal), Cast(ep=reduce(Or, phis), liberal=tuple(liberal)))
+    return Project(frozenset(liberal), Cast(reduce(Or, phis), tuple(liberal)))
 
 
 def _union_or_kept(q, max_dnf, tw_cap):
@@ -399,10 +399,6 @@ class FlatSharp(Record):
 
     __slots__ = _fields = ("terms", "free")
 
-    def __init__(self, terms, free):
-        _set(self, "terms", terms)
-        _set(self, "free", free)
-
 
 def as_formula(fs):
     """Fold a FlatSharp back into a single counting formula."""
@@ -461,7 +457,7 @@ def flatten(f, max_dnf=4096):
         q = LiberalQuery("cast", node.ep, node.liberal, _infer_signature(node.ep))
         disjuncts = to_dnf_pp(q, max_disjuncts=max_dnf)
         lib = frozenset(node.liberal)
-        casts = [Cast(ep=d.formula, liberal=tuple(sorted(lib))) for d in disjuncts]
+        casts = [Cast(d.formula, tuple(sorted(lib))) for d in disjuncts]
         return [(sign, 0, reduce(Times, subset), lib) for sign, subset in _ie_subsets(casts, max_dnf)]
 
     # the inclusion-exclusion terms use only the variables of f
@@ -470,9 +466,9 @@ def flatten(f, max_dnf=4096):
     for n, pow_, basic, free in fold(f, {**_SUMMAND_STEPS, Cast: cast}):
         const = Expand(free, Project(names.take(pow_), Const(n)))
         if basic is None:
-            basic = Cast(ep=TOP, liberal=tuple(sorted(free)))
+            basic = Cast(TOP, tuple(sorted(free)))
         terms.append((const, basic))
-    return FlatSharp(terms=tuple(terms), free=report.free)
+    return FlatSharp(tuple(terms), report.free)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +482,6 @@ class LinearCombination(Record):
     (liberal count, fact count, serialization)."""
 
     __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries):
-        _set(self, "entries", entries)
 
 
 def _canonical_pair(p, cap=200000):
@@ -572,17 +565,14 @@ def _canonical_pair(p, cap=200000):
     rels = {}
     for sym, tup in facts:
         rels.setdefault(sym, set()).add(tuple(slot_names[best_rank[v]] for v in tup))
-    return PpPair(
-        struct=make_structure(sig, lib_names + quant_names, rels),
-        liberal=tuple(lib_names),
-    )
+    return PpPair(make_structure(sig, lib_names + quant_names, rels), tuple(lib_names))
 
 
 def _fact_count(p):
     return sum(1 for _ in p.struct.all_facts())
 
 
-def canonical_lc(terms, *, core_cap=12, canon_cap=200000):
+def canonical_lc(terms, *, core_cap=CORE_CAP, canon_cap=200000):
     """Canonical linear combination of (coefficient, pair) terms, whose value
     on a structure is the sum of each coefficient times its pair's answer
     count; each pair is folded (_fold_quantified).
@@ -601,7 +591,7 @@ def canonical_lc(terms, *, core_cap=12, canon_cap=200000):
         merged.setdefault(serialize_pair(pair), [0, pair])[0] += coeff
     kept = [(text, pair, coeff) for text, (coeff, pair) in merged.items() if coeff != 0]
     kept.sort(key=lambda e: (len(e[1].liberal), _fact_count(e[1]), e[0]))
-    return LinearCombination(entries=tuple((coeff, pair) for _, pair, coeff in kept))
+    return LinearCombination(tuple((coeff, pair) for _, pair, coeff in kept))
 
 
 def _ie_terms(pairs, max_dnf):
@@ -630,7 +620,7 @@ def _ie_terms(pairs, max_dnf):
             universe += quantified
             for sym, tup in facts:
                 rels.setdefault(sym, set()).add(tup)
-        pair = PpPair(struct=make_structure(sig, universe, rels), liberal=liberal)
+        pair = PpPair(make_structure(sig, universe, rels), liberal)
         terms.append((sign, _fold_quantified(pair)))
     return terms
 
@@ -686,7 +676,7 @@ def compile_flat(q, *, max_dnf=4096, tw_cap=24):
     return (*_compile_terms(terms, tw_cap), len(terms))
 
 
-def _drop_contained(q, *, max_dnf, core_cap=12):
+def _drop_contained(q, *, max_dnf, core_cap=CORE_CAP):
     """(q', pairs): q with every DNF disjunct dropped whose answers lie
     inside another disjunct's (q itself when none is), and the folded pairs
     of the disjuncts kept; (q, [q's folded pair]) when q has no disjunction.
@@ -724,11 +714,10 @@ def _drop_contained(q, *, max_dnf, core_cap=12):
     if len(kept) == k:
         return q, pairs
     formula = reduce(Or, [disjuncts[i].formula for i in kept])
-    kept_q = LiberalQuery(name=q.name, formula=formula, liberal=q.liberal, sig=q.sig)
-    return kept_q, [pairs[i] for i in kept]
+    return LiberalQuery(q.name, formula, q.liberal, q.sig), [pairs[i] for i in kept]
 
 
-def minimize_ep(q, *, max_dnf=4096, core_cap=12, tw_cap=24, canon_cap=200000):
+def minimize_ep(q, *, max_dnf=4096, core_cap=CORE_CAP, tw_cap=24, canon_cap=200000):
     """Width-minimal representation of an arbitrary query.
 
     DNF disjuncts contained in another disjunct are dropped first, since

@@ -14,7 +14,7 @@ from functools import reduce
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
 from .epquery import _contract_graph, _exists_components, primal_graph
-from .relstore import Record, _set
+from .relstore import Record
 
 # ---------------------------------------------------------------------------
 # Decomposition types
@@ -25,11 +25,6 @@ class TreeDecomposition(Record):
     """Rooted tree of bags; exactly one node has parent None."""
 
     __slots__ = _fields = ("nodes", "parent", "bags")
-
-    def __init__(self, nodes, parent, bags):
-        _set(self, "nodes", nodes)
-        _set(self, "parent", parent)
-        _set(self, "bags", bags)
 
     @property
     def root(self):
@@ -58,10 +53,6 @@ class NiceTreeDecomposition(TreeDecomposition):
 
     __slots__ = ("kinds",)
     _fields = (*TreeDecomposition._fields, "kinds")
-
-    def __init__(self, nodes, parent, bags, kinds):
-        super().__init__(nodes, parent, bags)
-        _set(self, "kinds", kinds)
 
 
 def _walk(td):
@@ -154,16 +145,16 @@ def _reroot(td, new_root):
     for child, par in zip(path, path[1:]):
         parent[par] = child
     parent[new_root] = None
-    return TreeDecomposition(nodes=td.nodes, parent=parent, bags=dict(td.bags))
+    return TreeDecomposition(td.nodes, parent, dict(td.bags))
 
 
 def _relabel(td, start):
     """Copy of td with node ids start, start+1, ... (sorted-id order)."""
     mapping = {t: start + i for i, t in enumerate(sorted(td.nodes))}
     return TreeDecomposition(
-        nodes=tuple(mapping[t] for t in sorted(td.nodes)),
-        parent={mapping[t]: (None if td.parent[t] is None else mapping[td.parent[t]]) for t in td.nodes},
-        bags={mapping[t]: td.bags[t] for t in td.nodes},
+        tuple(mapping[t] for t in sorted(td.nodes)),
+        {mapping[t]: (None if td.parent[t] is None else mapping[td.parent[t]]) for t in td.nodes},
+        {mapping[t]: td.bags[t] for t in td.nodes},
     )
 
 
@@ -176,7 +167,7 @@ def _graft(host, guest, at_node):
     parent[guest.root] = at_node
     bags = dict(host.bags)
     bags.update(guest.bags)
-    return TreeDecomposition(nodes=host.nodes + guest.nodes, parent=parent, bags=bags)
+    return TreeDecomposition(host.nodes + guest.nodes, parent, bags)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +298,7 @@ def exact_treewidth(g, cap=24, floor=-1):
                 f"are removed, got {kernel}; no heuristic mode exists"
             )
     if not g.vertices:
-        return -1, TreeDecomposition(nodes=(0,), parent={0: None}, bags={0: frozenset()})
+        return -1, TreeDecomposition((0,), {0: None}, {0: frozenset()})
     width = -1
     combined = None
     comps = g.connected_components()
@@ -401,7 +392,7 @@ def _td_from_order(adj, n, order, verts):
         pos[v]: frozenset(verts[u] for u in _vertices(bag_mask[v]))
         for v in order
     }
-    return TreeDecomposition(nodes=tuple(range(n)), parent=parent, bags=bags)
+    return TreeDecomposition(tuple(range(n)), parent, bags)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +453,7 @@ def make_nice(td, quantified):
         if t != td.root:
             chained[t] = chain_to(top, td.bags[t], td.bags[td.parent[t]])
     chain_to(top, td.bags[td.root], frozenset())
-    return NiceTreeDecomposition(
-        nodes=tuple(nodes), parent=parent, bags=bags, kinds=kinds
-    )
+    return NiceTreeDecomposition(tuple(nodes), parent, bags, kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +549,7 @@ def _block_anchors(g, s, comps, treewidth):
         for other in comps:
             if other is comp:
                 continue
-            base = base.without_vertices(other - s).with_clique(sorted(other & s))
+            base = base.induced(base.vertices - (other - s)).with_clique(sorted(other & s))
         floor, _ = treewidth(base.with_clique(sorted(boundary)))
         best = None
         for x in sorted(comp - s):

@@ -33,7 +33,8 @@ from .relstore import (
 
 
 # Every node class of both formula ASTs (these and sharpcore's) names its
-# child fields, left to right, in `_kids`; subformulas() and fold() walk them.
+# fields once, in `_fields`, which Frozen's __init__ sets, and its child
+# fields, left to right, in `_kids`; subformulas() and fold() walk them.
 
 
 class _ByText(Frozen):
@@ -57,44 +58,28 @@ class _ByText(Frozen):
 
 
 class Atom(_ByText):
-    __slots__ = ("symbol", "args")
+    __slots__ = _fields = ("symbol", "args")
     _kids = ()
-
-    def __init__(self, symbol, args):
-        _set(self, "symbol", symbol)
-        _set(self, "args", args)
 
     def __str__(self):
         return f"{self.symbol}({','.join(self.args)})"
 
 
 class And(_ByText):
-    __slots__ = _kids = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Or(_ByText):
-    __slots__ = _kids = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Exists(_ByText):
-    __slots__ = ("var", "body")
+    __slots__ = _fields = ("var", "body")
     _kids = ("body",)
-
-    def __init__(self, var, body):
-        _set(self, "var", var)
-        _set(self, "body", body)
 
 
 class Top(_ByText):
-    __slots__ = _kids = ()
+    __slots__ = _fields = _kids = ()
 
 
 TOP = Top()
@@ -214,10 +199,7 @@ class LiberalQuery(Record):
         if not free <= lib:
             missing = ", ".join(sorted(free - lib))
             raise ParseError(f"free variable(s) not in the liberal list: {missing}")
-        _set(self, "name", name)
-        _set(self, "formula", formula)
-        _set(self, "liberal", liberal)
-        _set(self, "sig", sig)
+        super().__init__(name, formula, liberal, sig)
         _set(self, "_oracle", None)
 
     def __reduce__(self):
@@ -235,8 +217,7 @@ class PpPair(Record):
             raise SharpqError("liberal elements must belong to the structure's universe")
         if len(set(liberal)) != len(liberal):
             raise SharpqError("duplicate liberal element")
-        _set(self, "struct", struct)
-        _set(self, "liberal", liberal)
+        super().__init__(struct, liberal)
 
     @property
     def liberal_set(self):
@@ -256,8 +237,7 @@ class Graph(Record):
         for e in edges:
             if len(e) != 2 or not e <= vertices:
                 raise SharpqError(f"bad edge {set(e)!r}")
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
+        super().__init__(vertices, edges)
 
     def neighbors(self, v):
         return {next(iter(e - {v})) for e in self.edges if v in e}
@@ -270,11 +250,6 @@ class Graph(Record):
         vs = list(vs)
         extra = {frozenset((a, b)) for a, b in itertools.combinations(vs, 2)}
         return Graph(self.vertices | set(vs), self.edges | extra)
-
-    def without_vertices(self, vs):
-        vs = frozenset(vs)
-        keep = self.vertices - vs
-        return Graph(keep, frozenset(e for e in self.edges if e <= keep))
 
     def connected_components(self):
         """Components as a list of frozensets, ordered by smallest vertex."""
@@ -397,8 +372,7 @@ def parse_query(text):
     if not free <= header:
         missing = ", ".join(sorted(free - header))
         raise ParseError(f"free variable(s) not in the header: {missing}")
-    sig = _infer_signature(body)
-    return LiberalQuery(name=qname, formula=body, liberal=tuple(liberal), sig=sig)
+    return LiberalQuery(qname, body, tuple(liberal), _infer_signature(body))
 
 
 def _parse_expression(toks, header):
@@ -746,10 +720,7 @@ def to_dnf_pp(q, max_disjuncts=4096):
     first = {}  # rendered text -> (index, disjunct) of its first occurrence
     for i, d in enumerate(disjuncts):
         first.setdefault(render_ep(d), (i, d))
-    return [
-        LiberalQuery(name=f"{q.name}_{i}", formula=d, liberal=q.liberal, sig=q.sig)
-        for i, d in first.values()
-    ]
+    return [LiberalQuery(f"{q.name}_{i}", d, q.liberal, q.sig) for i, d in first.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +755,7 @@ def pp_to_pair(q):
     rels = {}
     for a in atoms:
         rels.setdefault(a.symbol, set()).add(a.args)
-    struct = make_structure(q.sig, universe, rels)
-    return PpPair(struct=struct, liberal=tuple(q.liberal))
+    return PpPair(make_structure(q.sig, universe, rels), tuple(q.liberal))
 
 
 def pair_to_pp(p, name="q"):
@@ -795,7 +765,7 @@ def pair_to_pp(p, name="q"):
     body = reduce(And, atoms) if atoms else TOP
     for v in reversed(p.quantified):
         body = Exists(v, body)
-    return LiberalQuery(name=name, formula=body, liberal=tuple(p.liberal), sig=p.struct.sig)
+    return LiberalQuery(name, body, tuple(p.liberal), p.struct.sig)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +787,7 @@ def _exists_components(g, lib):
     lib, as vertex sets: each connected block of quantified vertices plus the
     liberal vertices adjacent to it."""
     out = []
-    for comp in g.without_vertices(lib).connected_components():
+    for comp in g.induced(g.vertices - lib).connected_components():
         adjacent = set()
         for v in comp:
             adjacent |= g.neighbors(v) & lib

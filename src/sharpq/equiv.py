@@ -13,8 +13,12 @@ import itertools
 import math
 
 from .errors import CapExceeded, InternalInvariant, SharpqError
-from .relstore import Record, _set, homomorphism_search, make_structure, merge_signatures
+from .relstore import Record, homomorphism_search, make_structure, merge_signatures
 from .epquery import PpPair
+
+# core_of's default cap, the most elements a core search takes; the compile
+# stages' defaults and count_sentence's skip of larger pairs read it too
+CORE_CAP = 12
 
 
 class EquivalenceWitness(Record):
@@ -22,11 +26,6 @@ class EquivalenceWitness(Record):
     maps between the two structures); kind is "logical" or "counting"."""
 
     __slots__ = _fields = ("kind", "forward", "backward")
-
-    def __init__(self, kind, forward, backward):
-        _set(self, "kind", kind)
-        _set(self, "forward", forward)
-        _set(self, "backward", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +54,7 @@ def check_core_cap(p, cap):
         raise CapExceeded(f"core search limited to {cap} elements, got {n}")
 
 
-def core_of(p, cap=12):
+def core_of(p, cap=CORE_CAP):
     """Smallest induced substructure the pair retracts onto fixing its
     liberal elements, with the lexicographically least image (in universe
     order) among minimum-size images. Idempotent; preserves the liberal tuple.
@@ -86,7 +85,7 @@ def core_of(p, cap=12):
             continue
         target = _induced(p.struct, image)
         if find(target, pin) is not None:
-            return PpPair(struct=target, liberal=p.liberal)
+            return PpPair(target, p.liberal)
     raise InternalInvariant("core search found no image of the core's size")
 
 

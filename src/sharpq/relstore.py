@@ -23,9 +23,24 @@ _set = object.__setattr__
 
 class Frozen:
     """An object whose attributes cannot be set or deleted after its
-    __init__, which sets them with _set."""
+    __init__. The one __init__ sets the class's `_fields`, in order, from
+    values given by position (as every program call does) or by name, each
+    exactly once; a subclass that checks or normalizes its values hands them
+    on to it, and sets any other slot with _set."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+            if named or len(values) != len(fields):
+                raise TypeError(
+                    f"{type(self).__name__} takes its fields ({', '.join(fields)}), "
+                    "each once, by position or by name"
+                )
+        for name, value in zip(fields, values):
+            _set(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot set {name!r}: {type(self).__name__} objects are immutable")

@@ -14,11 +14,12 @@ columns) or a _Rows (built rows, for a counting table a dict of nonzero
 values, or a held product join); both answer len, pick (the entries at given
 positions), distinct (each row once), grouped, sides and semijoin, so
 nothing else asks which one it has. Built rows are never mutated, but for
-the set an Or builds, which no other table holds: an Or whose left side it
-is grows it in place. And and Times run one join: a semijoin (one side
-contributes no column) keeps the other side's parts whose key the first
-side holds, filtered in C, or, in one evaluation, the rows a relation gave
-last at the same positions for an equal key set (a chain at its fixpoint
+the sets an Or builds or widens its left side into, which no other table
+holds: that Or, or one whose left side it is, grows it in place. And and
+Times run one join: a semijoin (one side contributes no column) keeps
+the other side's parts whose key the first side holds, filtered in C,
+or, in one evaluation, the rows a relation gave last at the same
+positions for an equal key set (a chain at its fixpoint
 filters no more; those rows are never mutated, so sharing them is safe);
 any other join groups each side by the shared key and emits, per common
 key, the product of the two groups, a counting row valued by the product
@@ -64,7 +65,7 @@ from .epquery import (
     fold,
     free_variables,
 )
-from .relstore import Record, _set
+from .relstore import Record
 
 # ---------------------------------------------------------------------------
 # AST
@@ -83,54 +84,40 @@ class _SharpByText(_ByText):
 class Cast(_SharpByText):
     """0/1 indicator of an ep-formula over assignments of the liberal set."""
 
-    __slots__ = ("ep", "liberal")
+    __slots__ = _fields = ("ep", "liberal")
     _kids = ("ep",)
 
     def __init__(self, ep, liberal):
-        _set(self, "ep", ep)
-        _set(self, "liberal", tuple(sorted(set(liberal))))
+        super().__init__(ep, tuple(sorted(set(liberal))))
 
 
 class Project(_SharpByText):
-    __slots__ = ("vars", "child")
+    __slots__ = _fields = ("vars", "child")
     _kids = ("child",)
 
     def __init__(self, vars, child):
-        _set(self, "vars", frozenset(vars))
-        _set(self, "child", child)
+        super().__init__(frozenset(vars), child)
 
 
 class Expand(_SharpByText):
-    __slots__ = ("vars", "child")
+    __slots__ = _fields = ("vars", "child")
     _kids = ("child",)
 
     def __init__(self, vars, child):
-        _set(self, "vars", frozenset(vars))
-        _set(self, "child", child)
+        super().__init__(frozenset(vars), child)
 
 
 class Times(_SharpByText):
-    __slots__ = _kids = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Plus(_SharpByText):
-    __slots__ = _kids = ("left", "right")
-
-    def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = _fields = _kids = ("left", "right")
 
 
 class Const(_SharpByText):
-    __slots__ = ("n",)
+    __slots__ = _fields = ("n",)
     _kids = ()
-
-    def __init__(self, n):
-        _set(self, "n", n)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +128,9 @@ class Const(_SharpByText):
 class Violation(Record):
     __slots__ = _fields = ("path", "message")
 
-    def __init__(self, path, message):
-        _set(self, "path", path)
-        _set(self, "message", message)
-
 
 class Validation(Record):
     __slots__ = _fields = ("free", "closed", "violations")
-
-    def __init__(self, free, closed, violations):
-        _set(self, "free", free)
-        _set(self, "closed", closed)
-        _set(self, "violations", violations)
 
     @property
     def ok(self):
@@ -215,7 +193,7 @@ def validate(f):
     # a cast is a leaf here: its ep formula's free set is all it needs
     down = {Cast: lambda node, at: [], **dict.fromkeys((Project, Expand, Times, Plus), paths)}
     fr, cl = fold(f, steps, down, (None, "root"))
-    return Validation(free=fr, closed=cl, violations=tuple(violations))
+    return Validation(fr, cl, tuple(violations))
 
 
 def _require_valid(f):
@@ -368,7 +346,7 @@ def _parse_cast(toks, start):
         pass
     liberal = _parse_varset(toks)
     _expect(toks, "]")
-    return Cast(ep=ep, liberal=tuple(liberal))
+    return Cast(ep, tuple(liberal))
 
 
 def _varset(vars_):
@@ -749,8 +727,9 @@ class _Evaluator:
     def _or(self, f, ctx, ex1, ex2):
         explicit, widened = self._widened(ex1, ex2, False)
         width, count = len(explicit), ctx[1]
-        # a left `|` hands up a set no other table holds: a chain grows one
-        grow = type(f.left) is Or
+        # a left `|` hands up a set no other table holds, and widening builds
+        # a fresh one: a chain grows one, and a widened left side is grown
+        grow = type(f.left) is Or or ex1 != explicit
 
         def union(t1, t2):
             t1, t2 = widened(t1, t2)
@@ -965,7 +944,7 @@ def eval_sentence(f, b, max_rows=10**7, stats=None):
 def naive_representation(q):
     """P L C[formula; L]: counts q's answers on every structure, width |L|."""
     lib = frozenset(q.liberal)
-    return Project(lib, Cast(ep=q.formula, liberal=tuple(q.liberal)))
+    return Project(lib, Cast(q.formula, tuple(q.liberal)))
 
 
 def check_represents(f, q, samples):

@@ -46,7 +46,6 @@ from sharpq.errors import CapExceeded, EngineDisagreement, InternalInvariant, Sh
 from sharpq.relstore import (
     Record,
     Signature,
-    _set,
     homomorphism_search,
     make_structure,
     merge_signatures,
@@ -176,12 +175,6 @@ class CountTable(Record):
 
     __slots__ = _fields = ("explicit", "wildcard", "universe", "data")
     __hash__ = None
-
-    def __init__(self, explicit, wildcard, universe, data):
-        _set(self, "explicit", explicit)
-        _set(self, "wildcard", wildcard)
-        _set(self, "universe", universe)
-        _set(self, "data", data)
 
     @property
     def variables(self):

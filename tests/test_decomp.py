@@ -813,7 +813,7 @@ def _qaw_trying_every_anchor(p, cap=24):
         base = g
         for other in comps:
             if other is not comp:
-                base = base.without_vertices(other - s).with_clique(sorted(other & s))
+                base = base.induced(base.vertices - (other - s)).with_clique(sorted(other & s))
         winners[comp] = min(
             (exact_treewidth(base.with_clique(sorted((comp & s) | {x})), cap)[0], x)
             for x in comp - s

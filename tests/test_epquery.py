@@ -999,7 +999,7 @@ def test_graph_helpers():
     assert g.with_clique("abc").edges == {
         frozenset("ab"), frozenset("ac"), frozenset("bc")
     }
-    assert g.without_vertices({"b"}).vertices == frozenset("ac")
+    assert g.induced(g.vertices - {"b"}).vertices == frozenset("ac")
     assert [sorted(c) for c in g.connected_components()] == [["a", "b"], ["c"]]
 
 

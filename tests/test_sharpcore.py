@@ -906,6 +906,42 @@ def test_a_union_chain_counts_peaks_and_refuses_as_one_set_per_union():
             assert stats["peak_rows"] == max(notes[: notes.index(first)], default=0)
 
 
+def test_a_union_grows_the_set_it_widened_its_left_side_into(monkeypatch):
+    # A(x) | E(x,y): A's rows are widened by y into a fresh set, which the
+    # union grows by E's rows instead of copying it; with the sides swapped
+    # nothing is widened on the left, and E's facts stay as read
+    widened_sets = []
+    make_widened = sharpcore._Evaluator._widened
+
+    def spy(self, ex1, ex2, valued):
+        explicit, widened = make_widened(self, ex1, ex2, valued)
+
+        def step(t1, t2):
+            t1, t2 = widened(t1, t2)
+            widened_sets.append(t1.distinct())
+            return t1, t2
+
+        return explicit, step
+
+    monkeypatch.setattr(sharpcore._Evaluator, "_widened", spy)
+    sig = Signature((("A", 1), ("E", 2)))
+    rng = random.Random(4040)
+    for left_widened, body in ((True, "A(x) | E(x,y)"), (False, "E(x,y) | A(x)")):
+        q = parse_query(f"query q(x,y): {body}")
+        sentence = parse_sharp(f"P{{x,y}} C[{body}; {{x,y}}]")
+        for _ in range(30):
+            b = random_structure(rng, sig, min_size=2, max_size=7, density=0.3)
+            edges = set(b.tuples("E"))
+            answers = {(x, y) for (x,) in b.tuples("A") for y in b.universe} | edges
+            widened_sets.clear()
+            stats = {}
+            assert eval_sentence(sentence, b, stats=stats) == len(answers) == oracle_count(q, b)
+            assert stats["peak_rows"] == len(answers)
+            assert b.tuples("E") == edges
+            [left] = widened_sets
+            assert left == (answers if left_widened else edges)
+
+
 def test_eval_disjunction_and_exists_inside_cast():
     rng = random.Random(777)
     for _ in range(40):
